@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 from typing import Optional
 
@@ -98,7 +99,7 @@ def _record_from(report: Report, item: str, check: CheckReport) -> None:
 def run_check(path: str, check_name: str, *, axiom: Optional[str] = None,
               budget: Optional[int] = None) -> Report:
     """Load one input file and run one named check over it."""
-    text = open(path).read()
+    text = Path(path).read_text()
     report = Report()
     if check_name == "check-frame":
         try:
@@ -386,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _export_dot(args) -> int:
-    loaded = io.load_any(open(args.file).read())
+    loaded = io.load_any(Path(args.file).read_text())
     if args.target == "specialization":
         if not isinstance(loaded, FiniteSpace):
             print("specialization export needs a space file", file=sys.stderr)

@@ -1,17 +1,27 @@
-"""Shared exceptions, enumeration budgets, and the generic check verdict."""
+"""Shared exceptions, enumeration budgets, the generic check verdict, and
+the bit-mask helper every finite carrier uses."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 # Size bounds for exhaustive scans and precomputed tables. Exhaustive law
 # checking is exponential in carrier size; these keep it at desk scale.
 # Callers may override per call where a `budget` parameter is exposed.
 MAX_FRAME_CARRIER = 64
-SUBLOCALE_SCAN_LIMIT = 16
+SUBLOCALE_SCAN_LIMIT = 16  # primes of the frame: S(L) has 2^primes elements
 SUBLOCALE_TABLE_LIMIT = 1024
 TOPOLOGY_POINT_LIMIT = 4
 IDENTITY_EXHAUSTIVE_LIMIT = 8
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class BudgetExceeded(Exception):

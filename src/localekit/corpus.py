@@ -17,15 +17,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .common import bits
 from .lattice import FinitePoset, FiniteFrame, validate_frame
 from . import realline
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def iter_natural_posets(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -42,7 +36,7 @@ def iter_natural_posets(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ..
         size_mask = (1 << k) - 1
         for candidate in range(size_mask + 1):
             ok = True
-            for i in _bits(candidate):
+            for i in bits(candidate):
                 if down[i] & ~candidate:
                     ok = False
                     break
@@ -65,11 +59,11 @@ def _lattice_tables(up, down) -> Optional[tuple[list[list[int]], list[list[int]]
     for i in range(n):
         for j in range(i, n):
             lows = down[i] & down[j]
-            m = next((x for x in _bits(lows) if down[x] & lows == lows), None)
+            m = next((x for x in bits(lows) if down[x] & lows == lows), None)
             if m is None:
                 return None
             ups = up[i] & up[j]
-            v = next((x for x in _bits(ups) if up[x] & ups == ups), None)
+            v = next((x for x in bits(ups) if up[x] & ups == ups), None)
             if v is None:
                 return None
             meet[i][j] = meet[j][i] = m
@@ -107,7 +101,7 @@ def _permuted_rows(up: tuple[int, ...], perm) -> tuple[int, ...]:
     for i in range(n):
         acc = 0
         m = up[i]
-        for j in _bits(m):
+        for j in bits(m):
             acc |= 1 << perm[j]
         rows[perm[i]] = acc
     return tuple(rows)
@@ -138,7 +132,7 @@ def rows_to_poset(rows: tuple[int, ...]) -> FinitePoset:
     n = len(rows)
     leq = np.zeros((n, n), dtype=bool)
     for i in range(n):
-        for j in _bits(rows[i]):
+        for j in bits(rows[i]):
             leq[i, j] = True
     return FinitePoset(leq)
 

@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .common import MAX_FRAME_CARRIER, BudgetExceeded
+from .common import MAX_FRAME_CARRIER, BudgetExceeded, bits
 
 
 class InvalidPoset(ValueError):
@@ -41,13 +41,6 @@ class NotDistributive(Exception):
 
 class ClosureViolation(Exception):
     """A derived carrier was not closed under its defining operations."""
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class FinitePoset:
@@ -189,7 +182,7 @@ class PseudocomplementResult(NamedTuple):
 def _extremum_in(mask: int, closure_masks: Sequence[int]) -> Optional[int]:
     # The (unique, if any) element of `mask` whose closure contains all of it:
     # with down-masks this is the greatest element, with up-masks the least.
-    for x in _bits(mask):
+    for x in bits(mask):
         if closure_masks[x] & mask == mask:
             return x
     return None

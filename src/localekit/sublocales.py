@@ -2,9 +2,12 @@
 
 A sublocale is a subset of the carrier containing the top, closed under
 meets, and closed under a -> (-) for every a. Sublocales are stored as
-element bitmasks over the parent frame; meets in the big lattice are
-intersections and joins are meet-closures of unions, so everything here is
-bit arithmetic plus the parent's tables.
+element bitmasks over the parent frame. Every sublocale of a finite frame
+is spatial, so S(L) is exactly the family of meet-closures M(Y) of the sets
+Y of primes (meet-irreducibles) of L: meets in S(L) are intersections and
+M(Y) ∨ M(Z) = M(Y ∪ Z). Closed sublocales are up-sets and join by
+c(a) ∨ c(b) = c(a ∧ b), so their joins are the up-sets themselves. The
+sublocale budget counts primes, since |S(L)| = 2^|primes|.
 """
 
 from __future__ import annotations
@@ -17,19 +20,12 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .common import (IDENTITY_EXHAUSTIVE_LIMIT, SUBLOCALE_SCAN_LIMIT,
-                     SUBLOCALE_TABLE_LIMIT, BudgetExceeded, CheckReport)
+                     SUBLOCALE_TABLE_LIMIT, BudgetExceeded, CheckReport, bits)
 from .lattice import FiniteFrame, FinitePoset, validate_frame
 
 
 class MixedParents(ValueError):
     """Operands live over different parent frames."""
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -41,7 +37,7 @@ class Sublocale:
 
     @property
     def members(self) -> tuple[int, ...]:
-        return tuple(_bits(self.mask))
+        return tuple(bits(self.mask))
 
     @property
     def is_proper(self) -> bool:
@@ -86,7 +82,7 @@ def is_sublocale(frame: FiniteFrame, members: Iterable[int]) -> SubsetVerdict:
     mask = mask_of(members)
     if not mask & (1 << frame.top):
         return SubsetVerdict(False, "missing-top", (frame.top,))
-    elems = tuple(_bits(mask))
+    elems = tuple(bits(mask))
     meet = frame.meet
     for i, s in enumerate(elems):
         row = meet[s]
@@ -119,7 +115,7 @@ def meet_close(frame: FiniteFrame, mask: int) -> int:
     cur = mask
     while True:
         add = 0
-        elems = tuple(_bits(cur))
+        elems = tuple(bits(cur))
         for i, s in enumerate(elems):
             row = meet[s]
             for t in elems[i:]:
@@ -146,7 +142,7 @@ def sublocale_join(family: Iterable[Sublocale],
             raise MixedParents("sublocales must share one parent frame")
     mask = reduce(lambda acc, s: acc | s.mask, family, 1 << parent.top)
     closed = meet_close(parent, mask)
-    verdict = is_sublocale(parent, _bits(closed))
+    verdict = is_sublocale(parent, bits(closed))
     if not verdict:
         raise AssertionError(f"join formula produced a non-sublocale: {verdict}")
     return Sublocale(parent, closed)
@@ -156,18 +152,21 @@ class SublocaleLattice:
     """All sublocales of a frame, ordered by inclusion (a coframe).
 
     Element order is by (size, mask), so index 0 is O and the last index is
-    the whole frame. Join/meet/supplement tables are built lazily and cached;
-    building them is guarded by a table budget.
+    the whole frame. prime_sets[i] is the set Y of primes with masks[i] =
+    M(Y), as a bitmask over the positions in primes(parent). Join/meet/
+    supplement tables are built lazily and cached; building them is guarded
+    by a table budget.
     """
 
-    def __init__(self, parent: FiniteFrame, masks: tuple[int, ...]):
+    def __init__(self, parent: FiniteFrame, masks: tuple[int, ...],
+                 prime_sets: tuple[int, ...]):
         self.parent = parent
         self.masks = masks
+        self.prime_sets = prime_sets
         self.index = {m: i for i, m in enumerate(masks)}
         self.sublocales = tuple(Sublocale(parent, m) for m in masks)
         self.bottom_index = self.index[1 << parent.top]
         self.top_index = self.index[(1 << parent.n) - 1]
-        self._closure_cache: dict[int, int] = {}
 
     def __len__(self):
         return len(self.masks)
@@ -179,21 +178,15 @@ class SublocaleLattice:
         rel.flags.writeable = False
         return rel
 
-    def _close(self, mask: int) -> int:
-        got = self._closure_cache.get(mask)
-        if got is None:
-            got = self._closure_cache[mask] = meet_close(self.parent, mask)
-        return got
-
     @cached_property
     def join_table(self):
+        """M(Y) ∨ M(Z) = M(Y ∪ Z): a lookup of the union of the prime sets."""
         if len(self.masks) > SUBLOCALE_TABLE_LIMIT:
             raise BudgetExceeded(f"{len(self.masks)} sublocales exceed the table budget")
-        table = np.zeros((len(self.masks),) * 2, dtype=np.intp)
-        for i, a in enumerate(self.masks):
-            for j, b in enumerate(self.masks[i:], start=i):
-                v = self.index[self._close(a | b)]
-                table[i, j] = table[j, i] = v
+        ys = np.array(self.prime_sets, dtype=np.intp)
+        by_primes = np.empty_like(ys)
+        by_primes[ys] = np.arange(len(ys))
+        table = by_primes[ys[:, None] | ys[None, :]]
         table.flags.writeable = False
         return table
 
@@ -276,96 +269,74 @@ def supplement(s: Sublocale, lattice: Optional[SublocaleLattice] = None) -> Subl
     return lat.sublocales[lat.supplement_of(i)]
 
 
-def all_sublocales(frame: FiniteFrame, budget: Optional[int] = None) -> SublocaleLattice:
-    """Enumerate S(L) by a pruned subset scan.
+def primes(frame: FiniteFrame) -> tuple[int, ...]:
+    """The meet-irreducibles: the elements with exactly one upper cover (the top has none)."""
+    upper = [0] * frame.n
+    for i, _ in frame.poset.covers():
+        upper[i] += 1
+    return tuple(i for i, k in enumerate(upper) if k == 1)
 
-    Only subsets containing the top and closed under meets are tested for
-    Heyting closure. Exponential in the carrier, hence the budget.
+
+def all_sublocales(frame: FiniteFrame, budget: Optional[int] = None) -> SublocaleLattice:
+    """Enumerate S(L) as the meet-closures M(Y) of the sets Y of primes.
+
+    M(Y ∪ {p}) = M(Y) ∪ p ∧ M(Y) builds all 2^|primes| of them, which must be
+    distinct and each pass is_sublocale. The budget bounds the number of
+    primes, since the count of sublocales is exponential in it.
     """
     limit = SUBLOCALE_SCAN_LIMIT if budget is None else budget
-    n = frame.n
-    if n > limit:
-        raise BudgetExceeded(f"carrier size {n} exceeds sublocale scan budget {limit}")
-    top_bit = 1 << frame.top
-    meet = frame.meet
-    preimages = frame.imp_preimage_masks
-    found = []
-    for mask in range(1 << n):
-        if not mask & top_bit:
-            continue
-        elems = tuple(_bits(mask))
-        ok = True
-        for i, s in enumerate(elems):
-            row = meet[s]
-            for t in elems[i:]:
-                if not mask >> int(row[t]) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        if any(preimages[s] & ~mask for s in elems):
-            continue
-        found.append(mask)
-    found.sort(key=lambda m: (m.bit_count(), m))
-    return SublocaleLattice(frame, tuple(found))
+    ps = primes(frame)
+    if len(ps) > limit:
+        raise BudgetExceeded(f"{len(ps)} primes exceed the sublocale budget {limit} "
+                             "(override with --budget)")
+    closures = [1 << frame.top]  # closures[y]: M(Y), bit k of y standing for ps[k]
+    for p in ps:
+        row = frame.meet[p].tolist()
+        closures += [reduce(lambda acc, i: acc | 1 << row[i], bits(m), m) for m in closures]
+    if len(set(closures)) != len(closures):
+        raise AssertionError("two sets of primes have the same meet-closure")
+    for m in closures:
+        verdict = is_sublocale(frame, bits(m))
+        if not verdict:
+            raise AssertionError(f"meet-closure of primes is not a sublocale: {verdict}")
+    order = sorted(range(len(closures)), key=lambda y: (closures[y].bit_count(), closures[y]))
+    return SublocaleLattice(frame, tuple(closures[y] for y in order), tuple(order))
 
 
 class ClosedJoinFrame:
     """Joins of closed sublocales with their induced frame structure.
 
-    The elements are all joins of up-sets; the induced meet of two elements
-    is the join of everything below both, which the constructor verifies to
-    be the order-theoretic meet. `frame` exposes the same data as an
-    abstract frame whose element i is masks[i].
+    Since c(a) ∨ c(b) = c(a ∧ b), the joins of closed sublocales are the
+    closed sublocales themselves: element i is the up-set of generators[i].
+    Joins are c(a ∧ b) and induced meets c(a ∨ b); the constructor checks
+    both against the order-theoretic ones of containment. `frame` exposes
+    the same data as an abstract frame whose element i is masks[i].
     """
 
     def __init__(self, parent: FiniteFrame):
-        top_bit = 1 << parent.top
-        elements = set(parent.up_masks)
-        frontier = list(elements)
-        while frontier:  # close under binary joins
-            fresh = []
-            for a in frontier:
-                for b in elements.copy():
-                    j = meet_close(parent, a | b)
-                    if j not in elements:
-                        elements.add(j)
-                        fresh.append(j)
-            frontier = fresh
-        masks = tuple(sorted(elements, key=lambda m: (m.bit_count(), m)))
+        up = parent.up_masks
+        self.generators = tuple(sorted(range(parent.n),
+                                       key=lambda a: (up[a].bit_count(), up[a])))
+        masks = tuple(up[a] for a in self.generators)
         self.parent = parent
         self.masks = masks
         self.index = {m: i for i, m in enumerate(masks)}
         self.elements = tuple(Sublocale(parent, m) for m in masks)
-        self.bottom_index = self.index[top_bit]
+        self.bottom_index = self.index[1 << parent.top]
         self.top_index = self.index[(1 << parent.n) - 1]
-
-        # Each element is a closed sublocale c(g), g the meet of its members.
-        self.generators = tuple(
-            reduce(lambda a, b: int(parent.meet[a, b]), _bits(m)) for m in masks)
         labels = tuple(f"c({parent.labels[g]})" for g in self.generators)
 
-        m = len(masks)
         arr = np.array(masks, dtype=np.int64)
         leq = (arr[:, None] & ~arr[None, :]) == 0
         self.frame = validate_frame(FinitePoset(leq), labels)
         if self.frame.labels != labels:
             raise AssertionError("closed-join carrier left canonical order")
 
-        join = np.zeros((m, m), dtype=np.intp)
-        meet = np.zeros((m, m), dtype=np.intp)
-        for i, a in enumerate(masks):
-            for j in range(i, m):
-                b = masks[j]
-                join[i, j] = join[j, i] = self.index[meet_close(parent, a | b)]
-                below = a & b
-                family = 1 << parent.top
-                for c in masks:
-                    if c & ~below == 0:
-                        family |= c
-                meet[i, j] = meet[j, i] = self.index[meet_close(parent, family)]
+        gen = np.array(self.generators, dtype=np.intp)
+        position = np.empty_like(gen)
+        position[gen] = np.arange(len(gen))
+        join = position[parent.meet[np.ix_(gen, gen)]]
+        meet = position[parent.join[np.ix_(gen, gen)]]
         if not np.array_equal(join, self.frame.join):
             raise AssertionError("closed-join joins disagree with the inclusion order")
         if not np.array_equal(meet, self.frame.meet):
@@ -411,7 +382,7 @@ class ClosedJoinFrame:
 
 
 def closed_join_frame(parent: FiniteFrame) -> ClosedJoinFrame:
-    """The join-closure of the closed sublocales, validated as a frame."""
+    """The joins of closed sublocales (the up-sets), validated as a frame."""
     return ClosedJoinFrame(parent)
 
 
@@ -467,7 +438,7 @@ def closed_open_identities_check(frame: FiniteFrame, *, samples: int = 512,
     top_bit = 1 << frame.top
 
     def family_holds(fam: int) -> Optional[str]:
-        elems = tuple(_bits(fam))
+        elems = tuple(bits(fam))
         joined = reduce(lambda a, b: int(frame.join[a, b]), elems, 0)
         inter = reduce(lambda acc, a: acc & up[a], elems, full)
         if inter != up[joined]:

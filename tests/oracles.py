@@ -79,6 +79,16 @@ def brute_labeled_lattices(n):
     return found
 
 
+def brute_primes(frame):
+    """Meet-irreducibles: non-top elements that are no meet of two strictly larger ones."""
+    n = frame.n
+    leq = [[bool(frame.leq[i, j]) for j in range(n)] for i in range(n)]
+    return tuple(x for x in range(n) if x != frame.top and not any(
+        brute_meet(leq, a, b) == x
+        for a in range(n) for b in range(n)
+        if a != x and b != x and leq[x][a] and leq[x][b]))
+
+
 def brute_sublocales(frame):
     """Direct-definition scan of S(L) using only leq-level oracles."""
     n = frame.n

@@ -150,7 +150,7 @@ class TestCliCommands:
         assert cli.main(["check-frame", "/nonexistent.lat"]) == 2
 
     def test_budget_flag(self, b2_file, capsys):
-        assert cli.main(["--budget", "2", "sublocales", b2_file]) == 2
+        assert cli.main(["--budget", "1", "sublocales", b2_file]) == 2
         assert "budget" in capsys.readouterr().err
 
 

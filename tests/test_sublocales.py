@@ -7,10 +7,11 @@ from localekit.sublocales import (MixedParents, Sublocale, all_sublocales,
                                   closed_open_complements_report,
                                   closed_open_identities_check,
                                   closed_sublocale, dual_booleanization,
-                                  is_sublocale, open_sublocale,
-                                  sublocale_join, supplement)
+                                  is_sublocale, mask_of, meet_close,
+                                  open_sublocale, primes, sublocale_join,
+                                  supplement)
 
-from oracles import brute_closed_join_elements, brute_sublocales
+from oracles import brute_closed_join_elements, brute_primes, brute_sublocales
 
 
 class TestIsSublocale:
@@ -85,6 +86,39 @@ class TestJoin:
             sublocale_join([closed_sublocale(c3, 0), closed_sublocale(b2, 0)])
 
 
+class TestPrimes:
+    def test_chain3(self, c3):
+        assert primes(c3) == (0, 1)
+
+    def test_square_atoms(self, b2):
+        atoms = {j for i, j in b2.poset.covers() if i == b2.bottom}
+        assert set(primes(b2)) == atoms == {1, 2}
+
+    def test_grid(self, grid):
+        assert primes(grid) == brute_primes(grid)
+        assert len(primes(grid)) == 3
+
+    def test_count_is_power_of_two(self, small_corpus):
+        for frame in small_corpus:
+            assert len(all_sublocales(frame)) == 2 ** len(brute_primes(frame))
+
+    def test_prime_sets_are_the_members(self, small_corpus):
+        for frame in small_corpus:
+            ps = primes(frame)
+            lattice = all_sublocales(frame)
+            for mask, y in zip(lattice.masks, lattice.prime_sets):
+                assert y == mask_of(k for k, p in enumerate(ps) if mask >> p & 1)
+
+    def test_supplement_complements_the_primes(self, small_corpus):
+        for frame in small_corpus:
+            ps = primes(frame)
+            lattice = all_sublocales(frame)
+            for s in lattice.sublocales:
+                rest = mask_of(p for p in ps if not s.mask >> p & 1)
+                expected = meet_close(frame, rest | 1 << frame.top)
+                assert supplement(s, lattice).mask == expected
+
+
 class TestSublocaleLattice:
     def test_chain3_has_four(self, c3):
         lattice = all_sublocales(c3)
@@ -106,13 +140,13 @@ class TestSublocaleLattice:
             assert open_sublocale(b2, a).mask in masks
 
     def test_matches_naive_scan(self, small_corpus):
-        for frame in small_corpus[:80]:
+        for frame in small_corpus:
             assert list(all_sublocales(frame).masks) == \
                 sorted(brute_sublocales(frame), key=lambda m: (bin(m).count("1"), m))
 
     def test_budget(self, c3):
         with pytest.raises(BudgetExceeded):
-            all_sublocales(c3, budget=2)
+            all_sublocales(c3, budget=1)
 
     def test_meets_are_intersections(self, small_corpus):
         for frame in small_corpus[:40]:
@@ -189,7 +223,7 @@ class TestClosedJoinFrame:
         assert len(closed_join_frame(c1)) == 1
 
     def test_elements_match_join_formula_oracle(self, small_corpus):
-        for frame in small_corpus[:60]:
+        for frame in small_corpus:
             cjf = closed_join_frame(frame)
             assert sorted(cjf.masks) == brute_closed_join_elements(frame)
 
