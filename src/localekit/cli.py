@@ -6,7 +6,8 @@ output is deterministic for fixed campaign parameters and seed: no
 timing, no environment, generation order only.
 
 Exit codes: 0 all checks hold/consistent, 1 some axiom failed (reported as
-data with a witness), 2 internal violation or unusable input.
+data with a witness), 2 internal violation (including a failed internal
+cross-check, raised as AssertionError) or unusable input.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from random import Random
 from typing import Optional
@@ -204,8 +206,8 @@ def _campaign_lattices(args) -> Report:
     for name in names:
         if name not in checks.LATTICE_CHECKS:
             raise UnknownCheck(name)
-    items = list(corpus.iter_distributive_frames(args.max_size))
-    items += sorted(corpus.named_frames().items())
+    items = chain(corpus.iter_distributive_frames(args.max_size),
+                  sorted(corpus.named_frames().items()))
     for item, frame in items:
         for name in names:
             _record_from(report, item, checks.LATTICE_CHECKS[name](frame))
@@ -460,7 +462,7 @@ def main(argv=None) -> int:
             NotALattice, NotDistributive) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EquivalenceViolation, TheoremViolation) as exc:
+    except (EquivalenceViolation, TheoremViolation, AssertionError) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 2
     report.elapsed = time.monotonic() - started

@@ -2,10 +2,12 @@
 
 The lattice corpus is every labeled (distributive) lattice up to a size
 bound. Enumeration goes through naturally labeled posets (each new element
-is maximal, so index order is a linear extension), filters to lattices,
-then closes under all index permutations. Every labeled lattice relabels
-to a naturally labeled one along a linear extension, so the permutation
-closure of the natural ones is the full labeled count.
+is maximal, so index order is a linear extension), filters to lattices
+with the frame core's table builder and distributivity check (the ones
+validate_frame uses), then closes under all index permutations. Every
+labeled lattice relabels to a naturally labeled one along a linear
+extension, so the permutation closure of the natural ones is the full
+labeled count.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from random import Random
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
 from .common import bits
-from .lattice import FinitePoset, FiniteFrame, validate_frame
+from .lattice import (FinitePoset, FiniteFrame, NotALattice, distributivity_witness,
+                      lattice_tables, validate_frame)
 from . import realline
 
 
@@ -51,50 +54,6 @@ def iter_natural_posets(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ..
     yield from grow([], [], 0)
 
 
-def _lattice_tables(up, down) -> Optional[tuple[list[list[int]], list[list[int]]]]:
-    """Meet/join tables from bitmask rows, or None when some pair has no inf/sup."""
-    n = len(up)
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            lows = down[i] & down[j]
-            m = next((x for x in bits(lows) if down[x] & lows == lows), None)
-            if m is None:
-                return None
-            ups = up[i] & up[j]
-            v = next((x for x in bits(ups) if up[x] & ups == ups), None)
-            if v is None:
-                return None
-            meet[i][j] = meet[j][i] = m
-            join[i][j] = join[j][i] = v
-    return meet, join
-
-
-def _is_bounded_lattice(up, down) -> Optional[tuple[list[list[int]], list[list[int]]]]:
-    n = len(up)
-    full = (1 << n) - 1
-    if not any(up[i] == full for i in range(n)):
-        return None
-    if not any(down[i] == full for i in range(n)):
-        return None
-    return _lattice_tables(up, down)
-
-
-def _is_distributive(tables) -> bool:
-    meet, join = tables
-    n = len(meet)
-    for a in range(n):
-        ma = meet[a]
-        for b in range(n):
-            jb = join[b]
-            mab = ma[b]
-            for c in range(n):
-                if ma[jb[c]] != join[mab][ma[c]]:
-                    return False
-    return True
-
-
 def _permuted_rows(up: tuple[int, ...], perm) -> tuple[int, ...]:
     n = len(up)
     rows = [0] * n
@@ -118,11 +77,15 @@ def _labeled_closure(natural_rows: list[tuple[int, ...]], n: int) -> list[tuple[
 def labeled_lattice_rows(n: int, distributive_only: bool = False) -> list[tuple[int, ...]]:
     """Every labeled (optionally distributive) lattice on 0..n-1, as up-mask rows."""
     natural = []
+    full = (1 << n) - 1
     for up, down in iter_natural_posets(n):
-        tables = _is_bounded_lattice(up, down)
-        if tables is None:
+        if full not in up or full not in down:  # no bottom or no top
             continue
-        if distributive_only and not _is_distributive(tables):
+        try:
+            meet, join = lattice_tables(down, up)
+        except NotALattice:
+            continue
+        if distributive_only and distributivity_witness(meet, join) is not None:
             continue
         natural.append(up)
     return _labeled_closure(natural, n)

@@ -5,11 +5,19 @@ canonical order: 0 is the bottom, n-1 the top, everything else keeps its
 relative input order. All derived tables (meet, join, Heyting implication)
 are precomputed eagerly, so quantified law checks reduce to table lookups.
 Frames are immutable after construction and safe to share.
+
+This module is the one frame core. `bit_rows` turns an order into down/up
+bitmask rows, `lattice_tables` builds meet/join tables from those rows (or
+names the first pair without an infimum or supremum), and
+`distributivity_witness` checks every triple at once; `validate_frame` and
+the corpus filter both use them. The Heyting table a -> b is read off the
+adjunction a ∧ x <= b iff x <= a -> b: it is the greatest x on the left,
+and the adjunction check that follows proves it.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import permutations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -148,14 +156,9 @@ class FiniteFrame:
         return col
 
     @cached_property
-    def down_masks(self) -> tuple[int, ...]:
-        """down_masks[i]: bitmask of {k : k <= i}."""
-        return tuple(int(sum(1 << k for k in np.nonzero(self.leq[:, i])[0])) for i in range(self.n))
-
-    @cached_property
     def up_masks(self) -> tuple[int, ...]:
         """up_masks[i]: bitmask of {k : i <= k}."""
-        return tuple(int(sum(1 << k for k in np.nonzero(self.leq[i, :])[0])) for i in range(self.n))
+        return bit_rows(self.leq)[1]
 
     @cached_property
     def imp_image_masks(self) -> tuple[int, ...]:
@@ -179,13 +182,62 @@ class PseudocomplementResult(NamedTuple):
     is_dense: bool
 
 
-def _extremum_in(mask: int, closure_masks: Sequence[int]) -> Optional[int]:
-    # The (unique, if any) element of `mask` whose closure contains all of it:
-    # with down-masks this is the greatest element, with up-masks the least.
-    for x in bits(mask):
-        if closure_masks[x] & mask == mask:
-            return x
-    return None
+def bit_rows(leq) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(down, up) bitmask rows of an order: down[i] = {k : k <= i},
+    up[i] = {k : i <= k}, as Python ints.
+
+    The rows are packed through a uint64 product, which is exact up to the
+    64-element frame budget.
+    """
+    n = leq.shape[0]
+    if n > MAX_FRAME_CARRIER:
+        raise BudgetExceeded(f"carrier size {n} exceeds the {MAX_FRAME_CARRIER}-bit mask width")
+    weights = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+    rows = leq.astype(np.uint64)
+    down = tuple(int(v) for v in weights @ rows)
+    up = tuple(int(v) for v in rows @ weights)
+    return down, up
+
+
+def containment_order(masks: Sequence[int]):
+    """leq[i, j] iff masks[i] is a subset of masks[j] (masks of up to 64 bits)."""
+    arr = np.array(masks, dtype=np.uint64)
+    return (arr[:, None] & ~arr[None, :]) == 0
+
+
+def lattice_tables(down: Sequence[int], up: Sequence[int]):
+    """Meet and join tables of the order given by its bitmask rows.
+
+    Scans pairs (i, j >= i) in order, infimum before supremum, and raises
+    NotALattice((i, j), kind) for the first pair that lacks one.
+    """
+    n = len(down)
+    meet = np.empty((n, n), dtype=np.intp)
+    join = np.empty((n, n), dtype=np.intp)
+    for i in range(n):
+        for j in range(i, n):
+            lows = down[i] & down[j]
+            m = next((x for x in bits(lows) if down[x] & lows == lows), None)
+            if m is None:
+                raise NotALattice((i, j), "infimum")
+            ups = up[i] & up[j]
+            v = next((x for x in bits(ups) if up[x] & ups == ups), None)
+            if v is None:
+                raise NotALattice((i, j), "supremum")
+            meet[i, j] = meet[j, i] = m
+            join[i, j] = join[j, i] = v
+    return meet, join
+
+
+def distributivity_witness(meet, join) -> Optional[tuple[int, int, int]]:
+    """The first triple (a, b, c) with a ∧ (b ∨ c) != (a ∧ b) ∨ (a ∧ c), or None."""
+    idx = np.arange(len(meet))
+    lhs = meet[idx[:, None, None], join[None, :, :]]
+    rhs = join[meet[:, :, None], meet[:, None, :]]
+    if np.array_equal(lhs, rhs):
+        return None
+    a, b, c = (int(v) for v in np.argwhere(lhs != rhs)[0])
+    return a, b, c
 
 
 def validate_frame(poset: FinitePoset, labels: Optional[Sequence[str]] = None,
@@ -193,9 +245,9 @@ def validate_frame(poset: FinitePoset, labels: Optional[Sequence[str]] = None,
     """Check a bounded poset is a frame and precompute its tables.
 
     Canonicalizes the carrier (bottom to 0, top to n-1), derives meet/join
-    tables, checks distributivity on every triple, then derives the Heyting
-    table and verifies the adjunction x ∧ a <= b iff x <= a -> b on every
-    triple. Raises NotALattice or NotDistributive with a witness.
+    tables, checks distributivity on every triple, then reads the Heyting
+    table off the adjunction and verifies x ∧ a <= b iff x <= a -> b on
+    every triple. Raises NotALattice or NotDistributive with a witness.
     """
     limit = MAX_FRAME_CARRIER if max_size is None else max_size
     n = poset.n
@@ -214,38 +266,20 @@ def validate_frame(poset: FinitePoset, labels: Optional[Sequence[str]] = None,
     labels = tuple(labels[i] for i in order)
 
     leq = canon.leq
-    down = [int(sum(1 << k for k in np.nonzero(leq[:, i])[0])) for i in range(n)]
-    up = [int(sum(1 << k for k in np.nonzero(leq[i, :])[0])) for i in range(n)]
+    try:
+        meet, join = lattice_tables(*bit_rows(leq))
+    except NotALattice as exc:
+        i, j = exc.pair
+        raise NotALattice((labels[i], labels[j]), exc.kind) from None
+    triple = distributivity_witness(meet, join)
+    if triple is not None:
+        raise NotDistributive(tuple(labels[v] for v in triple))
 
-    meet = np.zeros((n, n), dtype=np.intp)
-    join = np.zeros((n, n), dtype=np.intp)
-    for i in range(n):
-        for j in range(i, n):
-            m = _extremum_in(down[i] & down[j], down)
-            if m is None:
-                raise NotALattice((labels[i], labels[j]), "infimum")
-            v = _extremum_in(up[i] & up[j], up)
-            if v is None:
-                raise NotALattice((labels[i], labels[j]), "supremum")
-            meet[i, j] = meet[j, i] = m
-            join[i, j] = join[j, i] = v
-
-    idx = np.arange(n)
-    lhs = meet[idx[:, None, None], join[None, :, :]]
-    rhs = join[meet[:, :, None], meet[:, None, :]]
-    if not np.array_equal(lhs, rhs):
-        a, b, c = (int(v) for v in np.argwhere(lhs != rhs)[0])
-        raise NotDistributive((labels[a], labels[b], labels[c]))
-
-    imp = np.zeros((n, n), dtype=np.intp)
-    for a in range(n):
-        meets_a = meet[a]
-        below = leq[meets_a, :]  # below[x, b]: a ∧ x <= b
-        for b in range(n):
-            xs = np.nonzero(below[:, b])[0]
-            imp[a, b] = reduce(lambda u, v: join[u, v], (int(x) for x in xs))
-
+    # a -> b is the greatest x with a ∧ x <= b; among those x it has the most
+    # elements below it, and the adjunction check below proves it is greatest.
     adj_lhs = leq[meet, :]                      # [a, x, b] : a ∧ x <= b
+    rank = leq.sum(axis=0)
+    imp = np.argmax(np.where(adj_lhs, rank[None, :, None], -1), axis=1)
     adj_rhs = leq[:, imp].transpose(1, 0, 2)    # [a, x, b] : x <= a -> b
     if not np.array_equal(adj_lhs, adj_rhs):
         a, x, b = (int(v) for v in np.argwhere(adj_lhs != adj_rhs)[0])

@@ -15,7 +15,7 @@ import numpy as np
 
 from .common import (TOPOLOGY_POINT_LIMIT, BudgetExceeded, EquivalenceViolation,
                      TheoremViolation)
-from .lattice import FinitePoset, FiniteFrame, validate_frame
+from .lattice import FinitePoset, FiniteFrame, containment_order, validate_frame
 from .separation import (ConditionVerdict, SeparationReport, is_symmetric,
                          is_weakly_subfit)
 
@@ -160,11 +160,8 @@ class UnionsOfClosed:
 
     @cached_property
     def as_frame(self) -> FiniteFrame:
-        k = len(self.elements)
-        arr = np.array(self.elements, dtype=np.int64)
-        leq = (arr[:, None] & ~arr[None, :]) == 0
         labels = [bitstring(m, self.space.points) for m in self.elements]
-        frame = validate_frame(FinitePoset(leq), labels)
+        frame = validate_frame(FinitePoset(containment_order(self.elements)), labels)
         if frame.labels != tuple(labels):
             raise AssertionError("union-closure carrier left canonical order")
         # Lattice operations must be the set-theoretic ones.
@@ -206,10 +203,8 @@ def uc_lattice(space: FiniteSpace, budget: Optional[int] = None) -> UnionsOfClos
 def omega(space: FiniteSpace) -> FiniteFrame:
     """The open-set lattice as a frame; labels are membership bitstrings."""
     opens = tuple(sorted(space.opens, key=lambda m: (m.bit_count(), m)))
-    arr = np.array(opens, dtype=np.int64)
-    leq = (arr[:, None] & ~arr[None, :]) == 0
     labels = [bitstring(o, space.points) for o in opens]
-    return validate_frame(FinitePoset(leq), labels)
+    return validate_frame(FinitePoset(containment_order(opens)), labels)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .common import (IDENTITY_EXHAUSTIVE_LIMIT, SUBLOCALE_SCAN_LIMIT,
                      SUBLOCALE_TABLE_LIMIT, BudgetExceeded, CheckReport, bits)
-from .lattice import FiniteFrame, FinitePoset, validate_frame
+from .lattice import FiniteFrame, FinitePoset, containment_order, validate_frame
 
 
 class MixedParents(ValueError):
@@ -173,8 +173,7 @@ class SublocaleLattice:
 
     @cached_property
     def leq(self):
-        m = np.array(self.masks, dtype=np.int64)
-        rel = (m[:, None] & ~m[None, :]) == 0
+        rel = containment_order(self.masks)
         rel.flags.writeable = False
         return rel
 
@@ -326,9 +325,7 @@ class ClosedJoinFrame:
         self.top_index = self.index[(1 << parent.n) - 1]
         labels = tuple(f"c({parent.labels[g]})" for g in self.generators)
 
-        arr = np.array(masks, dtype=np.int64)
-        leq = (arr[:, None] & ~arr[None, :]) == 0
-        self.frame = validate_frame(FinitePoset(leq), labels)
+        self.frame = validate_frame(FinitePoset(containment_order(masks)), labels)
         if self.frame.labels != labels:
             raise AssertionError("closed-join carrier left canonical order")
 

@@ -1,6 +1,6 @@
 import pytest
 
-from localekit import cli, io
+from localekit import cli, corpus, io, realline
 from localekit.lattice import NotALattice
 from localekit.spaces import sierpinski
 
@@ -148,6 +148,23 @@ class TestCliCommands:
 
     def test_missing_file(self, capsys):
         assert cli.main(["check-frame", "/nonexistent.lat"]) == 2
+
+    def test_64_element_lattice(self, tmp_path, capsys):
+        path = tmp_path / "b6.lat"
+        path.write_text(io.format_lattice(corpus.boolean_cube(6)))
+        assert cli.main(["sc", str(path)]) == 0
+        assert "64 joins of closed sublocales" in capsys.readouterr().out
+        for target in ("sublocales", "sc"):
+            assert cli.main(["export-dot", str(path), "--target", target]) == 0
+            assert "digraph" in capsys.readouterr().out
+        assert cli.main(["separation", str(path), "--axiom", "ppt"]) == 0
+
+    def test_internal_error_exits_2(self, monkeypatch, capsys):
+        def broken(u, n):
+            raise AssertionError("injected cross-check failure")
+        monkeypatch.setattr(realline, "zero_padded_term", broken)
+        assert cli.main(["realline", "lemma1", "--set", "(1,2)", "--n", "4"]) == 2
+        assert "violation: injected" in capsys.readouterr().err
 
     def test_budget_flag(self, b2_file, capsys):
         assert cli.main(["--budget", "1", "sublocales", b2_file]) == 2

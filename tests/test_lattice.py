@@ -67,7 +67,9 @@ class TestValidateFrame:
     def test_hexagon_is_not_a_lattice(self):
         with pytest.raises(NotALattice) as err:
             validate_frame(corpus.hexagon_poset())
-        assert err.value.kind in ("infimum", "supremum")
+        # pairs are scanned (i, j >= i), infimum first: the atoms lack a join
+        assert err.value.pair == ("1", "2")
+        assert err.value.kind == "supremum"
 
     def test_canonicalization_moves_bounds(self):
         # 3-chain entered upside down: 2 < 1 < 0
@@ -80,14 +82,22 @@ class TestValidateFrame:
         with pytest.raises(BudgetExceeded):
             validate_frame(c3.poset, max_size=2)
 
-    def test_tables_match_brute_force_on_corpus(self, small_corpus):
-        for frame in small_corpus:
+    def test_tables_match_brute_force_on_corpus(self, small_corpus, tiny_corpus):
+        # the named frames add carriers up to 12 elements (products, pairs)
+        for frame in small_corpus + list(tiny_corpus.values()):
             rows = as_rows(frame)
             for a in range(frame.n):
                 for b in range(frame.n):
                     assert int(frame.meet[a, b]) == brute_meet(rows, a, b)
                     assert int(frame.join[a, b]) == brute_join(rows, a, b)
                     assert int(frame.imp[a, b]) == brute_heyting(rows, a, b)
+
+    def test_up_masks_exact_on_64_elements(self):
+        frame = corpus.boolean_cube(6)
+        expected = tuple(sum(1 << k for k in range(frame.n) if frame.leq[i, k])
+                         for i in range(frame.n))
+        assert frame.up_masks == expected
+        assert frame.up_masks[frame.bottom] == 2**64 - 1
 
     def test_corpus_is_distributive_by_oracle(self, small_corpus):
         for frame in small_corpus[:50]:
