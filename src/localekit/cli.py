@@ -266,8 +266,11 @@ def _campaign_realline(args) -> Report:
 # Real-line one-shots
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text.strip())
+def _parse_point(text: str) -> Fraction:
+    x = rl.parse_endpoint(text)
+    if not isinstance(x, Fraction):
+        raise ValueError(f"--x needs a finite point, got {text.strip()!r}")
+    return x
 
 
 def _realline_report(args) -> Report:
@@ -287,7 +290,7 @@ def _realline_report(args) -> Report:
     if args.realline_op == "obstruct":
         u = rl.parse_open_set(args.set)
         try:
-            cert = rl.exclusion_certificate(u, _parse_fraction(args.x))
+            cert = rl.exclusion_certificate(u, _parse_point(args.x))
         except (rl.ZeroPoint, rl.PointInU, rl.NotRegular) as exc:
             report.add(human=f"no certificate: {exc}", item="obstruct",
                        check="certificate", verdict=FAIL, witness=str(exc))
@@ -428,6 +431,10 @@ def _spaces_enumerate(args) -> Report:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if [] in vars(args).values():
+        # some argparse versions turn the option value "--" (as in --set=--) into []
+        print("error: '--' is not a value", file=sys.stderr)
+        return 2
     started = time.monotonic()
     try:
         if args.command == "check-frame":

@@ -188,7 +188,7 @@ def random_open(rng: Random, max_components: int = 6, max_den: int = 100,
     intervals = []
     for lo, hi in zip(cuts[::2], cuts[1::2]):
         if lo < hi:
-            intervals.append((realline.ExtRat(lo), realline.ExtRat(hi)))
+            intervals.append((lo, hi))
     if intervals and rng.random() < ray_chance:
         intervals[0] = (realline.NEG_INF, intervals[0][1])
     if intervals and rng.random() < ray_chance:

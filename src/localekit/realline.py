@@ -1,9 +1,11 @@
 """Exact calculus on finite unions of rational intervals of the real line.
 
 This is the representable fragment of the open-set lattice of the reals:
-finite unions of open intervals with endpoints in Q ∪ {-inf, +inf}. All
-arithmetic is exact (fractions), so interior/closure/pseudocomplement and
-the certificate operations below decide membership with no rounding.
+finite unions of open intervals with endpoints in Q ∪ {-inf, +inf}: a
+`Fraction`, or the float NEG_INF or POS_INF (±math.inf), which Fractions
+compare against exactly. All arithmetic is exact, so interior/closure/
+pseudocomplement and the certificates below decide membership with no
+rounding.
 
 Infinite meets never materialize; the operations that would need them
 return certificates instead: an exclusion stage for a point outside the
@@ -13,11 +15,14 @@ but not to the limit.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-RatLike = Union[int, Fraction, str, "ExtRat"]
+Endpoint = Union[Fraction, float]
+RatLike = Union[int, Fraction, float]
 
 
 class EmptyInterval(ValueError):
@@ -48,115 +53,38 @@ class InvalidPair(ValueError):
     """Pair violates its contract (second not regular, or first not below it)."""
 
 
-class ExtRat:
-    """A rational number extended with -inf and +inf, totally ordered.
+NEG_INF = -math.inf
+POS_INF = math.inf
 
-    Stored as a reduced num/den pair with den >= 0; den == 0 encodes the
-    infinities (num is the sign). No arithmetic across infinities is
-    defined, only negation and comparison.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, value: RatLike = 0, den: Optional[int] = None):
-        if isinstance(value, ExtRat):
-            self.num, self.den = value.num, value.den
-            return
-        if isinstance(value, str):
-            parsed = parse_extrat(value)
-            self.num, self.den = parsed.num, parsed.den
-            return
-        if den is not None:
-            if den == 0:
-                if value not in (1, -1):
-                    raise ValueError("infinite endpoints are (+-1, 0)")
-                self.num, self.den = int(value), 0
-                return
-            value = Fraction(value, den)
-        frac = Fraction(value)
-        self.num, self.den = frac.numerator, frac.denominator
-
-    @property
-    def is_finite(self) -> bool:
-        return self.den != 0
-
-    @property
-    def fraction(self) -> Fraction:
-        if self.den == 0:
-            raise ValueError("infinite endpoint has no rational value")
-        return Fraction(self.num, self.den)
-
-    def _side(self) -> int:
-        # -1 for -inf, +1 for +inf, 0 for finite values
-        return 0 if self.den else (1 if self.num > 0 else -1)
-
-    def _cmp(self, other: "ExtRat") -> int:
-        a, b = self._side(), other._side()
-        if a != b:
-            return -1 if a < b else 1
-        if a != 0:
-            return 0
-        lhs = self.num * other.den
-        rhs = other.num * self.den
-        return (lhs > rhs) - (lhs < rhs)
-
-    def __eq__(self, other):
-        return isinstance(other, ExtRat) and self.num == other.num and self.den == other.den
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __neg__(self):
-        out = ExtRat.__new__(ExtRat)
-        out.num, out.den = -self.num, self.den
-        return out
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"ExtRat({format_extrat(self)!r})"
+_FINITE_ENDPOINT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def _make_inf(sign: int) -> ExtRat:
-    out = ExtRat.__new__(ExtRat)
-    out.num, out.den = sign, 0
-    return out
-
-
-NEG_INF = _make_inf(-1)
-POS_INF = _make_inf(1)
-
-
-def parse_extrat(text: str) -> ExtRat:
+def parse_endpoint(text: str) -> Endpoint:
+    """An optional sign, then `p` or `p/q` with q != 0; or `-inf`, `inf`, `+inf`."""
     text = text.strip()
     if text in ("inf", "+inf"):
         return POS_INF
     if text == "-inf":
         return NEG_INF
-    return ExtRat(Fraction(text))
+    match = _FINITE_ENDPOINT.fullmatch(text)
+    den = int(match.group(2) or 1) if match else 0
+    if den == 0:
+        raise ValueError(f"invalid endpoint {text!r}: expected p, p/q, -inf or inf")
+    return Fraction(int(match.group(1)), den)
 
 
-def format_extrat(value: ExtRat) -> str:
-    if not value.is_finite:
-        return "inf" if value.num > 0 else "-inf"
-    return str(value.fraction)
+def format_endpoint(value: Endpoint) -> str:
+    """`p/q` or `p` for a Fraction; the infinite floats print as `inf`/`-inf`."""
+    return str(value)
 
 
-def _as_ext(value: RatLike) -> ExtRat:
-    return value if isinstance(value, ExtRat) else ExtRat(value)
+def _as_endpoint(value: RatLike) -> Endpoint:
+    if isinstance(value, Fraction) or value in (NEG_INF, POS_INF):
+        return value
+    return Fraction(value)
 
 
-Component = tuple[ExtRat, ExtRat]
+Component = tuple[Endpoint, Endpoint]
 
 
 @dataclass(frozen=True)
@@ -207,7 +135,7 @@ class RationalClosed:
     def __str__(self):
         if not self.components:
             return "empty"
-        return ";".join(f"[{format_extrat(lo)},{format_extrat(hi)}]"
+        return ";".join(f"[{format_endpoint(lo)},{format_endpoint(hi)}]"
                         for lo, hi in self.components)
 
 
@@ -215,11 +143,11 @@ def normalize(intervals: Iterable[tuple[RatLike, RatLike]]) -> RationalOpen:
     """Canonical form of a union of open intervals; the point set is unchanged."""
     comps: list[Component] = []
     for lo, hi in intervals:
-        lo, hi = _as_ext(lo), _as_ext(hi)
+        lo, hi = _as_endpoint(lo), _as_endpoint(hi)
         if not lo < hi:
-            raise EmptyInterval(f"({format_extrat(lo)},{format_extrat(hi)}) is empty")
+            raise EmptyInterval(f"({format_endpoint(lo)},{format_endpoint(hi)}) is empty")
         comps.append((lo, hi))
-    comps.sort(key=_component_key)
+    comps.sort()
     merged: list[Component] = []
     for lo, hi in comps:
         if merged and lo < merged[-1][1]:
@@ -230,15 +158,9 @@ def normalize(intervals: Iterable[tuple[RatLike, RatLike]]) -> RationalOpen:
     return RationalOpen(tuple(merged))
 
 
-def _component_key(comp: Component):
-    lo, hi = comp
-    return (lo._side(), Fraction(lo.num, lo.den) if lo.den else 0,
-            hi._side(), Fraction(hi.num, hi.den) if hi.den else 0)
-
-
 def _normalize_closed(intervals: Iterable[Component]) -> RationalClosed:
     comps = [(lo, hi) for lo, hi in intervals if lo <= hi]
-    comps.sort(key=_component_key)
+    comps.sort()
     merged: list[Component] = []
     for lo, hi in comps:
         if merged and lo <= merged[-1][1]:
@@ -254,7 +176,7 @@ def open_interval(lo: RatLike, hi: RatLike) -> RationalOpen:
 
 
 def closed_interval(lo: RatLike, hi: RatLike) -> RationalClosed:
-    lo, hi = _as_ext(lo), _as_ext(hi)
+    lo, hi = _as_endpoint(lo), _as_endpoint(hi)
     if hi < lo:
         raise EmptyInterval("closed interval needs lo <= hi")
     return _normalize_closed([(lo, hi)])
@@ -328,12 +250,12 @@ def is_regular(a: RationalOpen) -> bool:
 
 
 def contains_point(a: RationalOpen, x: RatLike) -> bool:
-    x = _as_ext(x)
+    x = _as_endpoint(x)
     return any(lo < x < hi for lo, hi in a.components)
 
 
 def closed_contains_point(c: RationalClosed, x: RatLike) -> bool:
-    x = _as_ext(x)
+    x = _as_endpoint(x)
     return any(lo <= x <= hi for lo, hi in c.components)
 
 
@@ -343,13 +265,13 @@ def is_subset(a: RationalOpen, b: RationalOpen) -> bool:
 
 def punctured_reals() -> RationalOpen:
     """The line without the origin."""
-    return RationalOpen(((NEG_INF, ExtRat(0)), (ExtRat(0), POS_INF)))
+    return RationalOpen(((NEG_INF, Fraction(0)), (Fraction(0), POS_INF)))
 
 
 def punctured_interval(n: int) -> RationalOpen:
     """(-1/n, 1/n) with the origin removed."""
     w = Fraction(1, n)
-    return RationalOpen(((ExtRat(-w), ExtRat(0)), (ExtRat(0), ExtRat(w))))
+    return RationalOpen(((-w, Fraction(0)), (Fraction(0), w)))
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +366,17 @@ class ForcingVerdict:
     second_is_line: bool
 
 
+def _exclusion_stage(x: Fraction) -> int:
+    """The least N with 1/N < |x|, that is floor(1/|x|) + 1 (x != 0)."""
+    return 1 // abs(x) + 1
+
+
+def _zero_touched_twice(u: RationalOpen) -> bool:
+    """Whether components of u end at 0 from both sides (0 is interior to u ∪ {0})."""
+    return (any(hi == 0 for _, hi in u.components)
+            and any(lo == 0 for lo, _ in u.components))
+
+
 def zero_padded_term(u: RationalOpen, n: int) -> RationalOpen:
     """Stage n of the family squeezing down to u ∪ {0}.
 
@@ -463,11 +396,11 @@ def zero_padded_term(u: RationalOpen, n: int) -> RationalOpen:
 
 
 def exclusion_certificate(u: RationalOpen, x: Fraction) -> ObstructionCertificate:
-    """Least stage N with 1/N < |x| and x outside the stage-N term.
+    """Stage N = floor(1/|x|) + 1, the least with 1/N < |x|.
 
-    Certifies x is excluded from the intersection of all stages: membership
-    is checked exactly at stage N and the terms are verified to be
-    descending up to N.
+    Certifies x is excluded from the intersection of all stages: x lies
+    outside the stage-N term (checked exactly; for regular u and x outside
+    u it always does) and the terms are verified to be descending up to N.
     """
     x = Fraction(x)
     if x == 0:
@@ -476,16 +409,13 @@ def exclusion_certificate(u: RationalOpen, x: Fraction) -> ObstructionCertificat
         raise PointInU(f"{x} belongs to the set; no exclusion stage exists")
     if not is_regular(u):
         raise NotRegular(regularize(u))
-    n = 1
-    terms = [zero_padded_term(u, 1)]
-    while Fraction(1, n) >= abs(x) or contains_point(terms[-1], x):
-        n += 1
-        terms.append(zero_padded_term(u, n))
-        if n > 4 * abs(x).denominator + 4:
-            raise AssertionError(f"no exclusion stage found for {x} in {u}")
-    for earlier, later in zip(terms, terms[1:]):
+    n = _exclusion_stage(x)
+    terms = [zero_padded_term(u, k) for k in range(1, n + 1)]
+    if contains_point(terms[-1], x):
+        raise AssertionError(f"{x} survives stage {n} in {u}")
+    for stage, (earlier, later) in enumerate(zip(terms, terms[1:]), start=2):
         if not is_subset(later, earlier):
-            raise AssertionError(f"terms are not descending at stage {terms.index(later)}")
+            raise AssertionError(f"terms are not descending at stage {stage}")
     return ObstructionCertificate(point=x, stage=n, term=terms[-1], antitone_checked=n)
 
 
@@ -502,13 +432,9 @@ def interior_recovery_check(u: RationalOpen, stages: int) -> InteriorRecoveryRep
     if not is_regular(u):
         raise NotRegular(regularize(u))
     containment = all(is_subset(u, zero_padded_term(u, n)) for n in range(1, stages + 1))
-    zero = ExtRat(0)
     if contains_point(u, 0):
         return InteriorRecoveryReport(stages, containment, True, None)
-    touches_left = any(hi == zero for _, hi in u.components)
-    touches_right = any(lo == zero for lo, _ in u.components)
-    return InteriorRecoveryReport(stages, containment, False,
-                                  not (touches_left and touches_right))
+    return InteriorRecoveryReport(stages, containment, False, not _zero_touched_twice(u))
 
 
 def descending_pair(pair: KRealPair, n: int) -> KRealPair:
@@ -554,19 +480,11 @@ def descent_certificate(pair: KRealPair, x: Fraction, which: str,
     if x == 0 and which == "second":
         zero_in_all = all(contains_point(descending_pair(pair, n).second, 0)
                           for n in range(1, stages + 1))
-        zero = ExtRat(0)
-        touches_left = any(hi == zero for _, hi in pair.second.components)
-        touches_right = any(lo == zero for lo, _ in pair.second.components)
         return PointBoundaryReport(stages_checked=stages,
                                    zero_in_all_stages=zero_in_all,
-                                   interior_excluded=not (touches_left and touches_right),
+                                   interior_excluded=not _zero_touched_twice(pair.second),
                                    limit=pair.second)
-    if x == 0:
-        n = 1
-    else:
-        n = 1
-        while Fraction(1, n) >= abs(x):
-            n += 1
+    n = 1 if x == 0 else _exclusion_stage(x)
     stage = descending_pair(pair, n)
     value = stage.first if which == "first" else stage.second
     if contains_point(value, x):
@@ -612,11 +530,11 @@ def parse_open_set(text: str) -> RationalOpen:
         lo, sep, hi = chunk[1:-1].partition(",")
         if not sep:
             raise ValueError(f"expected (lo,hi), got {chunk!r}")
-        intervals.append((parse_extrat(lo), parse_extrat(hi)))
+        intervals.append((parse_endpoint(lo), parse_endpoint(hi)))
     return normalize(intervals)
 
 
 def format_open_set(a: RationalOpen) -> str:
     if a.is_empty:
         return "empty"
-    return ";".join(f"({format_extrat(lo)},{format_extrat(hi)})" for lo, hi in a.components)
+    return ";".join(f"({format_endpoint(lo)},{format_endpoint(hi)})" for lo, hi in a.components)

@@ -163,10 +163,9 @@ def finite_endpoints(*sets) -> list[Fraction]:
     points = set()
     for s in sets:
         for lo, hi in s.components:
-            if lo.is_finite:
-                points.add(lo.fraction)
-            if hi.is_finite:
-                points.add(hi.fraction)
+            for end in (lo, hi):
+                if isinstance(end, Fraction):
+                    points.add(end)
     return sorted(points)
 
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from localekit import cli, corpus, io, realline
 from localekit.lattice import NotALattice
@@ -166,6 +168,12 @@ class TestCliCommands:
         assert cli.main(["realline", "lemma1", "--set", "(1,2)", "--n", "4"]) == 2
         assert "violation: injected" in capsys.readouterr().err
 
+    def test_obstruct_stage_check_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(realline, "zero_padded_term",
+                            lambda u, n: realline.RationalOpen.reals())
+        assert cli.main(["realline", "obstruct", "--set", "(1,2)", "--x", "1/2"]) == 2
+        assert "violation: 1/2 survives stage 3" in capsys.readouterr().err
+
     def test_budget_flag(self, b2_file, capsys):
         assert cli.main(["--budget", "1", "sublocales", b2_file]) == 2
         assert "budget" in capsys.readouterr().err
@@ -204,3 +212,37 @@ class TestCampaigns:
         assert cli.main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+INTERVAL_ALPHABET = "()-+/;,.e0123456789inf "
+
+
+class TestRealLineInput:
+    @pytest.mark.parametrize("argv", [
+        ["realline", "lemma1", "--set", "(1/0,2)", "--n", "1"],
+        ["realline", "lemma1", "--set", "(1e10000000,2)", "--n", "1"],
+        ["realline", "lemma1", "--set", "(1/2,2.5)", "--n", "1"],
+        ["realline", "prop2", "--u", "(0,1)", "--v", "(0,-1/0)", "--n", "1"],
+        ["realline", "obstruct", "--set", "(1,2)", "--x", "1/0"],
+        ["realline", "obstruct", "--set", "(1,2)", "--x", "inf"],
+        ["realline", "obstruct", "--set", "(1,2)", "--x=-inf"],
+        ["realline", "obstruct", "--set", "(1,2)", "--x", "1e-9"],
+        ["realline", "lemma1", "--set=--", "--n", "1"],
+    ])
+    def test_malformed_endpoint_is_an_input_error(self, argv, capsys):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @given(st.text(alphabet=INTERVAL_ALPHABET, max_size=40))
+    @example("(1/0,2)")
+    @settings(max_examples=300, deadline=None)
+    def test_set_text_never_escapes(self, text):
+        assert cli.main(["realline", "lemma1", f"--set={text}", "--n", "1"]) in (0, 1, 2)
+
+    # exclusion_certificate builds every term up to floor(1/|x|) + 1, so the
+    # point text is kept short enough that |x| >= 1/9999.
+    @given(st.text(alphabet=INTERVAL_ALPHABET, max_size=6))
+    @example("1/0")
+    @settings(max_examples=300, deadline=None)
+    def test_point_text_never_escapes(self, text):
+        assert cli.main(["realline", "obstruct", "--set", "(1,2)", f"--x={text}"]) in (0, 1, 2)

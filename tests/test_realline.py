@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localekit import realline as rl
-from localekit.realline import (NEG_INF, POS_INF, EmptyInterval, ExtRat,
+from localekit.realline import (NEG_INF, POS_INF, EmptyInterval,
                                 InvalidPair, KRealPair, NotRegular, PointInside,
                                 PointInU, RationalOpen, ZeroPoint,
                                 closed_interval, closure, contains_point,
@@ -26,7 +26,7 @@ rationals = st.fractions(min_value=-30, max_value=30, max_denominator=40)
 @st.composite
 def open_sets(draw, max_components=4):
     cuts = sorted(draw(st.lists(rationals, max_size=2 * max_components, unique=True)))
-    pairs = [(ExtRat(lo), ExtRat(hi)) for lo, hi in zip(cuts[::2], cuts[1::2]) if lo < hi]
+    pairs = [(lo, hi) for lo, hi in zip(cuts[::2], cuts[1::2]) if lo < hi]
     if not pairs:
         return RationalOpen.empty()
     return normalize(pairs)
@@ -38,25 +38,47 @@ def regular_sets(draw):
 
 
 class TestExtRat:
+    """The extended rationals Q ∪ {±inf}: Fractions and the floats NEG_INF, POS_INF."""
+
     def test_total_order(self):
-        values = [NEG_INF, ExtRat(-5), ExtRat(Fraction(-1, 3)), ExtRat(0),
-                  ExtRat(Fraction(1, 3)), ExtRat(7), POS_INF]
+        values = [NEG_INF, Fraction(-5), Fraction(-1, 3), Fraction(0),
+                  Fraction(1, 3), Fraction(7), POS_INF]
         for i, a in enumerate(values):
             for j, b in enumerate(values):
                 assert (a < b) == (i < j)
                 assert (a == b) == (i == j)
+        assert sorted(reversed(values)) == values
 
     def test_negation(self):
         assert -POS_INF == NEG_INF
-        assert -ExtRat(Fraction(2, 3)) == ExtRat(Fraction(-2, 3))
+        assert -Fraction(2, 3) == Fraction(-2, 3)
 
     @pytest.mark.parametrize("text", ["inf", "-inf", "3/4", "-11", "0"])
     def test_parse_format_roundtrip(self, text):
-        assert rl.format_extrat(rl.parse_extrat(text)) == text
+        assert rl.format_endpoint(rl.parse_endpoint(text)) == text
 
     def test_infinite_has_no_fraction(self):
+        for end in (NEG_INF, POS_INF):
+            assert not isinstance(end, Fraction)
+            with pytest.raises(OverflowError):
+                Fraction(end)
+
+    @pytest.mark.parametrize("text,value", [("+inf", POS_INF), (" -3/6 ", Fraction(-1, 2)),
+                                            ("+7", Fraction(7)), ("007/2", Fraction(7, 2))])
+    def test_parse_accepts_the_grammar(self, text, value):
+        assert rl.parse_endpoint(text) == value
+
+    @pytest.mark.parametrize("text", ["nan", "1/0", "-0/0", "1e3", "1.5", "1_0", "1 /2",
+                                      "--1", "1/-2", "infinity", "", "/2"])
+    def test_parse_rejects_outside_the_grammar(self, text):
         with pytest.raises(ValueError):
-            POS_INF.fraction
+            rl.parse_endpoint(text)
+
+    def test_nan_is_not_an_endpoint(self):
+        with pytest.raises(ValueError):
+            normalize([(float("nan"), 1)])
+        with pytest.raises(ValueError):
+            open_interval(0, float("nan"))
 
 
 class TestNormalize:
@@ -66,8 +88,7 @@ class TestNormalize:
 
     def test_adjacent_stay_separate(self):
         got = normalize([(0, 1), (1, 2)])
-        assert [((lo.fraction), (hi.fraction)) for lo, hi in got.components] == \
-            [(0, 1), (1, 2)]
+        assert got.components == ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)))
 
     def test_empty(self):
         assert normalize([]) == RationalOpen.empty()
@@ -217,6 +238,7 @@ class TestExclusionCertificate:
         cert = exclusion_certificate(u, x)
         assert not contains_point(cert.term, x)
         assert Fraction(1, cert.stage) < abs(x)
+        assert cert.stage == 1 or Fraction(1, cert.stage - 1) >= abs(x)
 
 
 class TestInteriorRecovery:
@@ -297,6 +319,17 @@ class TestDescentCertificates:
             assert got.passed
         else:
             assert not contains_point(got.coordinate, x)
+            assert Fraction(1, got.stage) < abs(x)
+            assert got.stage == 1 or Fraction(1, got.stage - 1) >= abs(x)
+
+    def test_tiny_point_stage_is_closed_form(self):
+        pair = KRealPair(open_interval(1, 2), open_interval(1, 2))
+        x = Fraction(1, 10**9)
+        for which in ("first", "second"):
+            cert = descent_certificate(pair, x, which)
+            assert cert.stage == 10**9 + 1
+            assert not contains_point(cert.coordinate, x)
+            assert contains_point(cert.coordinate, Fraction(1, 10**9 + 2))
 
 
 class TestForcing:
