@@ -23,7 +23,7 @@ from random import Random
 from typing import Optional
 
 from . import checks, corpus, io, realline as rl, separation, spaces as sp, sublocales as sub
-from .common import (PASS, FAIL, VIOLATION, BudgetExceeded, CheckReport,
+from .common import (CORPUS_SIZE_LIMIT, PASS, FAIL, VIOLATION, BudgetExceeded, CheckReport,
                      EquivalenceViolation, TheoremViolation)
 from .lattice import FiniteFrame, NotALattice, NotDistributive
 from .spaces import FiniteSpace
@@ -105,7 +105,7 @@ def run_check(path: str, check_name: str, *, axiom: Optional[str] = None,
     report = Report()
     if check_name == "check-frame":
         try:
-            frame = io.load_lattice_text(text)
+            frame = io.load_lattice_text(text, budget)
         except (NotALattice, NotDistributive) as exc:
             report.add(human=f"invalid frame: {exc}", item=path, check="frame",
                        verdict=FAIL, witness=str(exc))
@@ -127,7 +127,7 @@ def run_check(path: str, check_name: str, *, axiom: Optional[str] = None,
         report.human_lines.insert(0, f"{len(lattice)} sublocales")
         return report
     if check_name == "sc":
-        frame = io.load_lattice_text(text)
+        frame = io.load_lattice_text(text, budget)
         cjf = sub.closed_join_frame(frame)
         for i in range(len(cjf)):
             report.add(human=f"  {cjf.frame.labels[i]} = {cjf.elements[i].label()}",
@@ -139,8 +139,8 @@ def run_check(path: str, check_name: str, *, axiom: Optional[str] = None,
         frame = io.load_lattice_text(text)
         return _separation_report(path, frame, axiom or "subfit")
     if check_name == "spaces":
-        space = io.load_space_text(text)
-        return _space_report(path, space)
+        space = io.load_space_text(text, budget)
+        return _space_report(path, space, budget)
     raise UnknownCheck(check_name)
 
 
@@ -176,9 +176,9 @@ def _separation_report(item: str, frame: FiniteFrame, axiom: str) -> Report:
     return report
 
 
-def _space_report(item: str, space: FiniteSpace) -> Report:
+def _space_report(item: str, space: FiniteSpace, budget: Optional[int]) -> Report:
     report = Report()
-    proposition = sp.space_proposition_check(space)
+    proposition = sp.space_proposition_check(space, budget)
     fields = {"item": item, "check": "space-proposition",
               "verdict": PASS if proposition.holds else FAIL}
     report.add(human=f"symmetric: {proposition.holds}", **fields)
@@ -206,6 +206,10 @@ def _campaign_lattices(args) -> Report:
     for name in names:
         if name not in checks.LATTICE_CHECKS:
             raise UnknownCheck(name)
+    limit = CORPUS_SIZE_LIMIT if args.budget is None else args.budget
+    if args.max_size > limit:
+        raise BudgetExceeded(f"--max-size {args.max_size} exceeds the corpus budget {limit} "
+                             "(override with --budget)")
     items = chain(corpus.iter_distributive_frames(args.max_size),
                   sorted(corpus.named_frames().items()))
     for item, frame in items:
@@ -466,7 +470,7 @@ def main(argv=None) -> int:
         else:  # pragma: no cover - argparse enforces the choices
             return 2
     except (io.ParseError, BudgetExceeded, UnknownCheck, OSError, ValueError,
-            NotALattice, NotDistributive) as exc:
+            NotALattice, NotDistributive, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (EquivalenceViolation, TheoremViolation, AssertionError) as exc:

@@ -10,6 +10,7 @@ from typing import Iterator
 # checking is exponential in carrier size; these keep it at desk scale.
 # Callers may override per call where a `budget` parameter is exposed.
 MAX_FRAME_CARRIER = 64
+CORPUS_SIZE_LIMIT = 7  # campaign lattices --max-size: 26,460 labeled frames at 7
 SUBLOCALE_SCAN_LIMIT = 16  # primes of the frame: S(L) has 2^primes elements
 SUBLOCALE_TABLE_LIMIT = 1024
 TOPOLOGY_POINT_LIMIT = 4

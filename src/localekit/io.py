@@ -8,10 +8,11 @@ then one 0/1 membership string per open set. `#` starts a comment.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
+from .common import MAX_FRAME_CARRIER, BudgetExceeded
 from .lattice import FiniteFrame, FinitePoset, validate_frame
-from .spaces import FiniteSpace, bitstring, specialization
+from .spaces import UC_POINT_LIMIT, FiniteSpace, bitstring, specialization
 from .sublocales import ClosedJoinFrame, SublocaleLattice
 
 
@@ -30,7 +31,9 @@ def _content_lines(text: str):
             yield number, line
 
 
-def load_lattice_text(text: str) -> FiniteFrame:
+def load_lattice_text(text: str, budget: Optional[int] = None) -> FiniteFrame:
+    """Parse and validate a lattice file; the header is checked against the
+    frame budget (default 64 elements) before anything is built."""
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError(1, "empty input")
@@ -42,6 +45,12 @@ def load_lattice_text(text: str) -> FiniteFrame:
         n = int(parts[1])
     except ValueError:
         raise ParseError(number, f"carrier size {parts[1]!r} is not an integer") from None
+    if n < 0:
+        raise ParseError(number, f"carrier size {n} is negative")
+    limit = MAX_FRAME_CARRIER if budget is None else budget
+    if n > limit:
+        raise BudgetExceeded(f"carrier size {n} exceeds the frame budget {limit} "
+                             "(override with --budget on check-frame or sc)")
     pairs = []
     for number, line in lines[1:]:
         for sep in ("<=", "<"):
@@ -56,7 +65,7 @@ def load_lattice_text(text: str) -> FiniteFrame:
             raise ParseError(number, f"non-integer element in {line!r}") from None
     try:
         poset = FinitePoset.from_relation(n, pairs)
-        return validate_frame(poset)
+        return validate_frame(poset, max_size=limit)
     except ValueError as exc:
         raise ParseError(number if lines[1:] else 1, str(exc)) from exc
 
@@ -68,7 +77,9 @@ def format_lattice(frame: FiniteFrame) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_space_text(text: str) -> FiniteSpace:
+def load_space_text(text: str, budget: Optional[int] = None) -> FiniteSpace:
+    """Parse a space file; the header is checked against the space budget
+    (the unions-of-closed bound, default 8 points) before anything is built."""
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError(1, "empty input")
@@ -80,6 +91,12 @@ def load_space_text(text: str) -> FiniteSpace:
         n = int(parts[1])
     except ValueError:
         raise ParseError(number, f"point count {parts[1]!r} is not an integer") from None
+    if n < 0:
+        raise ParseError(number, f"point count {n} is negative")
+    limit = UC_POINT_LIMIT if budget is None else budget
+    if n > limit:
+        raise BudgetExceeded(f"{n} points exceed the space budget {limit} "
+                             "(override with --budget)")
     opens = {0, (1 << n) - 1}
     for number, line in lines[1:]:
         if len(line) != n or set(line) - {"0", "1"}:

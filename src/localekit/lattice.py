@@ -6,13 +6,15 @@ relative input order. All derived tables (meet, join, Heyting implication)
 are precomputed eagerly, so quantified law checks reduce to table lookups.
 Frames are immutable after construction and safe to share.
 
-This module is the one frame core. `bit_rows` turns an order into down/up
-bitmask rows, `lattice_tables` builds meet/join tables from those rows (or
-names the first pair without an infimum or supremum), and
-`distributivity_witness` checks every triple at once; `validate_frame` and
-the corpus filter both use them. The Heyting table a -> b is read off the
-adjunction a ∧ x <= b iff x <= a -> b: it is the greatest x on the left,
-and the adjunction check that follows proves it.
+This module is the one frame core, and it works on stacks: every check
+takes F orders of one carrier size as an (F, n, n) array and decides all
+of them with a fixed number of numpy calls. `validate_frames` is the one
+validation: the poset checks, canonical order, meet/join tables from
+`lattice_tables` (the common bound of largest rank, proved against every
+common bound), `distributivity_witness` on every triple, and the Heyting
+table a -> b, read off the adjunction a ∧ x <= b iff x <= a -> b as the
+greatest x on the left and proved by the adjunction check that follows.
+`validate_frame` and `FinitePoset` run the same code on a stack of one.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .common import MAX_FRAME_CARRIER, BudgetExceeded, bits
+from .common import MAX_FRAME_CARRIER, BudgetExceeded
 
 
 class InvalidPoset(ValueError):
@@ -63,31 +65,26 @@ class FinitePoset:
         leq = np.array(leq, dtype=bool)
         if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
             raise InvalidPoset("leq must be a square boolean matrix")
-        n = int(leq.shape[0])
-        if n == 0:
+        if leq.shape[0] == 0:
             raise InvalidPoset("empty carrier has no bottom or top")
-        if not leq.diagonal().all():
-            i = int(np.nonzero(~leq.diagonal())[0][0])
-            raise InvalidPoset(f"not reflexive at {i}")
-        sym = leq & leq.T & ~np.eye(n, dtype=bool)
-        if sym.any():
-            i, j = (int(v) for v in np.argwhere(sym)[0])
-            raise InvalidPoset(f"antisymmetry fails on ({i}, {j})")
-        broken = (leq @ leq) & ~leq
-        if broken.any():
-            i, j = (int(v) for v in np.argwhere(broken)[0])
-            raise InvalidPoset(f"transitivity fails on ({i}, {j})")
-        bottoms = np.nonzero(leq.all(axis=1))[0]
-        if len(bottoms) != 1:
-            raise InvalidPoset(f"need exactly one bottom, found {list(map(int, bottoms))}")
-        tops = np.nonzero(leq.all(axis=0))[0]
-        if len(tops) != 1:
-            raise InvalidPoset(f"need exactly one top, found {list(map(int, tops))}")
+        checks, bad = _order_checks(leq[None])
+        if bad[0]:
+            raise _order_error(checks, 0)
         leq.flags.writeable = False
-        self.n = n
+        self._set(leq, int(checks.bottoms[0].argmax()), int(checks.tops[0].argmax()))
+
+    def _set(self, leq, bottom: int, top: int) -> None:
+        self.n = int(leq.shape[0])
         self.leq = leq
-        self.bottom = int(bottoms[0])
-        self.top = int(tops[0])
+        self.bottom = bottom
+        self.top = top
+
+    @classmethod
+    def _checked(cls, leq, bottom: int, top: int) -> "FinitePoset":
+        """A poset on a read-only relation that has passed _order_checks."""
+        poset = cls.__new__(cls)
+        poset._set(leq, bottom, top)
+        return poset
 
     @classmethod
     def from_relation(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "FinitePoset":
@@ -121,8 +118,9 @@ class FinitePoset:
 class FiniteFrame:
     """A validated frame: canonical poset plus meet/join/Heyting tables.
 
-    Not constructed directly; use validate_frame. Instances are immutable
-    (tables carry read-only numpy flags) and safe to share between workers.
+    Not constructed directly; use validate_frame or validate_frames.
+    Instances are immutable (tables carry read-only numpy flags) and safe
+    to share between workers.
     """
 
     def __init__(self, poset: FinitePoset, meet, join, imp, labels):
@@ -158,7 +156,7 @@ class FiniteFrame:
     @cached_property
     def up_masks(self) -> tuple[int, ...]:
         """up_masks[i]: bitmask of {k : i <= k}."""
-        return bit_rows(self.leq)[1]
+        return bit_rows(self.leq)
 
     @cached_property
     def imp_image_masks(self) -> tuple[int, ...]:
@@ -182,9 +180,8 @@ class PseudocomplementResult(NamedTuple):
     is_dense: bool
 
 
-def bit_rows(leq) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(down, up) bitmask rows of an order: down[i] = {k : k <= i},
-    up[i] = {k : i <= k}, as Python ints.
+def bit_rows(leq) -> tuple[int, ...]:
+    """Bitmask rows of an order, rows[i] = {k : i <= k}, as Python ints.
 
     The rows are packed through a uint64 product, which is exact up to the
     64-element frame budget.
@@ -193,10 +190,7 @@ def bit_rows(leq) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if n > MAX_FRAME_CARRIER:
         raise BudgetExceeded(f"carrier size {n} exceeds the {MAX_FRAME_CARRIER}-bit mask width")
     weights = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
-    rows = leq.astype(np.uint64)
-    down = tuple(int(v) for v in weights @ rows)
-    up = tuple(int(v) for v in rows @ weights)
-    return down, up
+    return tuple(int(v) for v in leq.astype(np.uint64) @ weights)
 
 
 def containment_order(masks: Sequence[int]):
@@ -205,89 +199,189 @@ def containment_order(masks: Sequence[int]):
     return (arr[:, None] & ~arr[None, :]) == 0
 
 
-def lattice_tables(down: Sequence[int], up: Sequence[int]):
-    """Meet and join tables of the order given by its bitmask rows.
+def _first(mask):
+    """Per frame of a stack of masks (F, ...): the flat index of the first
+    true entry in row-major order, or -1 where there is none."""
+    flat = mask.reshape(len(mask), -1)
+    return np.where(flat.any(axis=1), flat.argmax(axis=1), -1)
 
-    Scans pairs (i, j >= i) in order, infimum before supremum, and raises
-    NotALattice((i, j), kind) for the first pair that lacks one.
+
+class _OrderChecks(NamedTuple):
+    """Failures of the bounded-partial-order checks on a stack, per frame."""
+
+    irreflexive: np.ndarray   # (F, n): i with not i <= i
+    cycles: np.ndarray        # (F, n*n): (i, j), i != j, with i <= j <= i
+    broken: np.ndarray        # (F, n*n): (i, j) with i <= k <= j but not i <= j
+    bottoms: np.ndarray       # (F, n): i below everything
+    tops: np.ndarray          # (F, n): i above everything
+
+
+def _order_checks(leqs) -> tuple[_OrderChecks, np.ndarray]:
+    """Run the poset checks on a stack of relations (F, n, n).
+
+    Returns the per-check failures and bad[f], true where frame f is not a
+    partial order with exactly one bottom and one top.
     """
-    n = len(down)
-    meet = np.empty((n, n), dtype=np.intp)
-    join = np.empty((n, n), dtype=np.intp)
-    for i in range(n):
-        for j in range(i, n):
-            lows = down[i] & down[j]
-            m = next((x for x in bits(lows) if down[x] & lows == lows), None)
-            if m is None:
-                raise NotALattice((i, j), "infimum")
-            ups = up[i] & up[j]
-            v = next((x for x in bits(ups) if up[x] & ups == ups), None)
-            if v is None:
-                raise NotALattice((i, j), "supremum")
-            meet[i, j] = meet[j, i] = m
-            join[i, j] = join[j, i] = v
-    return meet, join
+    count, n = leqs.shape[:2]
+    off = ~np.eye(n, dtype=bool)
+    checks = _OrderChecks(
+        ~leqs.diagonal(axis1=1, axis2=2),
+        (leqs & leqs.transpose(0, 2, 1) & off).reshape(count, -1),
+        ((leqs @ leqs) & ~leqs).reshape(count, -1),
+        leqs.all(axis=2),
+        leqs.all(axis=1))
+    bad = (checks.irreflexive.any(axis=1) | checks.cycles.any(axis=1)
+           | checks.broken.any(axis=1) | (checks.bottoms.sum(axis=1) != 1)
+           | (checks.tops.sum(axis=1) != 1))
+    return checks, bad
 
 
-def distributivity_witness(meet, join) -> Optional[tuple[int, int, int]]:
-    """The first triple (a, b, c) with a ∧ (b ∨ c) != (a ∧ b) ∨ (a ∧ c), or None."""
-    idx = np.arange(len(meet))
-    lhs = meet[idx[:, None, None], join[None, :, :]]
-    rhs = join[meet[:, :, None], meet[:, None, :]]
-    if np.array_equal(lhs, rhs):
-        return None
-    a, b, c = (int(v) for v in np.argwhere(lhs != rhs)[0])
-    return a, b, c
+def _order_error(checks: _OrderChecks, k: int) -> InvalidPoset:
+    """The failure of frame k that the checks meet first, with its witness."""
+    irreflexive, cycles, broken, bottoms, tops = (c[k] for c in checks)
+    n = len(bottoms)
+    if irreflexive.any():
+        return InvalidPoset(f"not reflexive at {int(irreflexive.argmax())}")
+    if cycles.any():
+        i, j = divmod(int(cycles.argmax()), n)
+        return InvalidPoset(f"antisymmetry fails on ({i}, {j})")
+    if broken.any():
+        i, j = divmod(int(broken.argmax()), n)
+        return InvalidPoset(f"transitivity fails on ({i}, {j})")
+    if bottoms.sum() != 1:
+        return InvalidPoset(f"need exactly one bottom, found {np.flatnonzero(bottoms).tolist()}")
+    return InvalidPoset(f"need exactly one top, found {np.flatnonzero(tops).tolist()}")
+
+
+def lattice_tables(leqs):
+    """Meet and join tables of a stack of orders (F, n, n), with witnesses.
+
+    The meet of i and j is the common lower bound with the most elements
+    below it, proved by the common lower bounds being exactly the elements
+    below it; joins are the meets of the opposite order, computed in the
+    same stack. Returns (meet, join, missing), where missing[f] is -1 if
+    frame f is a lattice and otherwise names its first pair (i, j >= i) in
+    row-major order without an infimum or, checked second, a supremum,
+    encoded as 2 * (i * n + j) + kind with kind 0 for infimum, 1 for supremum.
+    """
+    count, n = leqs.shape[:2]
+    orders = np.concatenate([leqs, leqs.transpose(0, 2, 1)])   # each order, then its opposite
+    below = orders.transpose(0, 2, 1)                           # [g, i, x] : x <= i
+    lows = below[:, :, None, :] & below[:, None, :, :]          # [g, i, j, x] : x <= i, j
+    best = np.argmax(np.where(lows, orders.sum(axis=1)[:, None, None, :], -1), axis=3)
+    proved = (lows == below[np.arange(2 * count)[:, None, None], best]).all(axis=3)
+    idx = np.arange(n)
+    failed = ~np.stack([proved[:count], proved[count:]], axis=3) & (idx[:, None] <= idx)[..., None]
+    return best[:count], best[count:], _first(failed)
+
+
+def distributivity_witness(meet, join):
+    """Per frame of a stack of tables (F, n, n): the first triple (a, b, c)
+    with a ∧ (b ∨ c) != (a ∧ b) ∨ (a ∧ c), flattened as (a * n + b) * n + c,
+    or -1 where distributivity holds."""
+    count, n = meet.shape[:2]
+    stack = np.arange(count)[:, None, None, None]
+    lhs = meet[stack, np.arange(n)[:, None, None], join[:, None, :, :]]
+    rhs = join[stack, meet[:, :, :, None], meet[:, :, None, :]]
+    return _first(lhs != rhs)
+
+
+def _heyting_tables(leqs, meet):
+    """a -> b on a stack of lattices, and per frame the first triple
+    (a, x, b), flattened, where a ∧ x <= b iff x <= a -> b fails (or -1)."""
+    stack = np.arange(len(leqs))[:, None, None]
+    # a -> b is the greatest x with a ∧ x <= b; among those x it has the most
+    # elements below it, and the adjunction check below proves it is greatest.
+    adj_lhs = leqs[stack, meet]                                   # [f, a, x, b] : a ∧ x <= b
+    rank = leqs.sum(axis=1)
+    imp = np.argmax(np.where(adj_lhs, rank[:, None, :, None], -1), axis=2)
+    adj_rhs = leqs.transpose(0, 2, 1)[stack, imp].transpose(0, 1, 3, 2)  # x <= a -> b
+    return imp, _first(adj_lhs != adj_rhs)
+
+
+def validate_frames(leqs, labels: Optional[Sequence[Sequence[str]]] = None) -> list[FiniteFrame]:
+    """Check a stack of orders (F, n, n) are frames and precompute their tables.
+
+    Each frame goes through the poset checks, is canonicalized (bottom to
+    0, top to n-1, the rest in input order) and checked again unless the
+    stack was canonical already, gets its meet/join tables, distributivity
+    on every triple, and the Heyting table proved by the adjunction on
+    every triple. labels holds one label sequence per frame (default: the
+    input indices). If any frame fails,
+    the first failing frame raises what it raises on its own: InvalidPoset,
+    NotALattice or NotDistributive with a witness in its labels, or
+    AssertionError for a broken adjunction.
+    """
+    leqs = np.asarray(leqs, dtype=bool)
+    if leqs.ndim != 3 or leqs.shape[1] != leqs.shape[2]:
+        raise InvalidPoset("leq must be a square boolean matrix")
+    count, n = leqs.shape[:2]
+    if n == 0:
+        raise InvalidPoset("empty carrier has no bottom or top")
+    if labels is None:
+        labels = [tuple(str(i) for i in range(n))] * count
+    elif len(labels) != count or any(len(row) != n for row in labels):
+        raise ValueError("labels length must match carrier size")
+
+    given, given_bad = _order_checks(leqs)
+    bottom = given.bottoms.argmax(axis=1)
+    top = given.tops.argmax(axis=1)
+    if (bottom == 0).all() and (top == n - 1).all():
+        # already canonical: the checks above are the canonical checks
+        canon, canonical, canon_bad = leqs.copy(), given, given_bad
+        labels = [tuple(row) for row in labels]
+    else:
+        idx = np.arange(n)
+        key = np.where(idx == bottom[:, None], -1, np.where(idx == top[:, None], n, idx))
+        order = np.argsort(key, axis=1, kind="stable")
+        canon = leqs[np.arange(count)[:, None, None], order[:, :, None], order[:, None, :]]
+        canonical, canon_bad = _order_checks(canon)
+        labels = [tuple(row[i] for i in perm) for row, perm in zip(labels, order.tolist())]
+    meet, join, missing = lattice_tables(canon)
+    triples = distributivity_witness(meet, join)
+    imp, broken = _heyting_tables(canon, meet)
+
+    failed = np.stack([given_bad, canon_bad, missing >= 0, triples >= 0, broken >= 0])
+    if failed.any():
+        k = int(failed.any(axis=0).argmax())
+        stage = int(failed[:, k].argmax())
+        names = labels[k]
+        if stage < 2:
+            raise _order_error((given, canonical)[stage], k)
+        if stage == 2:
+            pair, kind = divmod(int(missing[k]), 2)
+            raise NotALattice(tuple(names[v] for v in divmod(pair, n)),
+                              ("infimum", "supremum")[kind])
+        if stage == 3:
+            raise NotDistributive(tuple(names[int(v)]
+                                        for v in np.unravel_index(triples[k], (n, n, n))))
+        a, x, b = (int(v) for v in np.unravel_index(broken[k], (n, n, n)))
+        raise AssertionError(f"heyting adjunction broke at ({a}, {x}, {b})")
+
+    for table in (canon, meet, join, imp):
+        table.flags.writeable = False
+    return [FiniteFrame(FinitePoset._checked(canon[k], 0, n - 1), meet[k], join[k], imp[k],
+                        labels[k])
+            for k in range(count)]
 
 
 def validate_frame(poset: FinitePoset, labels: Optional[Sequence[str]] = None,
                    max_size: Optional[int] = None) -> FiniteFrame:
     """Check a bounded poset is a frame and precompute its tables.
 
-    Canonicalizes the carrier (bottom to 0, top to n-1), derives meet/join
-    tables, checks distributivity on every triple, then reads the Heyting
-    table off the adjunction and verifies x ∧ a <= b iff x <= a -> b on
-    every triple. Raises NotALattice or NotDistributive with a witness.
+    The budget and label checks, then validate_frames on a stack of one:
+    canonical carrier (bottom to 0, top to n-1), meet/join tables,
+    distributivity on every triple, and the Heyting table with the
+    adjunction x ∧ a <= b iff x <= a -> b checked on every triple. Raises
+    NotALattice or NotDistributive with a witness.
     """
     limit = MAX_FRAME_CARRIER if max_size is None else max_size
     n = poset.n
     if n > limit:
         raise BudgetExceeded(f"carrier size {n} exceeds frame budget {limit}")
-    if labels is None:
-        labels = tuple(str(i) for i in range(n))
-    elif len(labels) != n:
+    if labels is not None and len(labels) != n:
         raise ValueError("labels length must match carrier size")
-
-    order = [poset.bottom]
-    order += [i for i in range(n) if i != poset.bottom and i != poset.top]
-    if n > 1:
-        order.append(poset.top)
-    canon = FinitePoset(poset.leq[np.ix_(order, order)])
-    labels = tuple(labels[i] for i in order)
-
-    leq = canon.leq
-    try:
-        meet, join = lattice_tables(*bit_rows(leq))
-    except NotALattice as exc:
-        i, j = exc.pair
-        raise NotALattice((labels[i], labels[j]), exc.kind) from None
-    triple = distributivity_witness(meet, join)
-    if triple is not None:
-        raise NotDistributive(tuple(labels[v] for v in triple))
-
-    # a -> b is the greatest x with a ∧ x <= b; among those x it has the most
-    # elements below it, and the adjunction check below proves it is greatest.
-    adj_lhs = leq[meet, :]                      # [a, x, b] : a ∧ x <= b
-    rank = leq.sum(axis=0)
-    imp = np.argmax(np.where(adj_lhs, rank[None, :, None], -1), axis=1)
-    adj_rhs = leq[:, imp].transpose(1, 0, 2)    # [a, x, b] : x <= a -> b
-    if not np.array_equal(adj_lhs, adj_rhs):
-        a, x, b = (int(v) for v in np.argwhere(adj_lhs != adj_rhs)[0])
-        raise AssertionError(f"heyting adjunction broke at ({a}, {x}, {b})")
-
-    for table in (meet, join, imp):
-        table.flags.writeable = False
-    return FiniteFrame(canon, meet, join, imp, labels)
+    return validate_frames(poset.leq[None], None if labels is None else [labels])[0]
 
 
 def heyting(frame: FiniteFrame, a: int, b: int) -> int:
@@ -314,24 +408,19 @@ class BooleanizationView:
 
     def __init__(self, parent: FiniteFrame):
         star = parent.star
-        fixed = tuple(a for a in range(parent.n) if int(star[star[a]]) == a)
-        images = tuple(sorted({int(star[a]) for a in range(parent.n)}))
-        if fixed != images:
+        regular = star[star] == np.arange(parent.n)
+        if not (regular == (np.bincount(star, minlength=parent.n) > 0)).all():
             raise AssertionError("regular-element characterizations disagree")
-        self.parent = parent
-        self.carrier = fixed
-        self.position = {a: i for i, a in enumerate(fixed)}
-        k = len(fixed)
-        table = np.zeros((k, k), dtype=np.intp)
-        for i, a in enumerate(fixed):
-            for j, b in enumerate(fixed):
-                v = int(parent.join[a, b])
-                table[i, j] = int(star[star[v]])
-                if int(parent.meet[a, b]) not in self.position:
-                    raise AssertionError("regular elements not closed under meet")
+        fixed = np.flatnonzero(regular)
+        if not regular[parent.meet[fixed[:, None], fixed]].all():
+            raise AssertionError("regular elements not closed under meet")
+        table = star[star[parent.join[fixed[:, None], fixed]]]
         table.flags.writeable = False
+        self.parent = parent
+        self.carrier = tuple(fixed.tolist())
+        self.position = {a: i for i, a in enumerate(self.carrier)}
         self.join_table = table
-        if parent.bottom not in self.position or parent.top not in self.position:
+        if not (regular[parent.bottom] and regular[parent.top]):
             raise AssertionError("regular elements must contain 0 and 1")
 
     def join(self, *elements: int) -> int:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -178,6 +180,37 @@ class TestCliCommands:
         assert cli.main(["--budget", "1", "sublocales", b2_file]) == 2
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,argv", [
+        ("lattice 3000\n0 < 1\n", ["check-frame"]),
+        ("lattice 3000\n0 < 1\n", ["sublocales"]),
+        ("lattice 65\n", ["sc"]),
+        ("space 200000\n", ["spaces", "check"]),
+        ("space 9\n", ["spaces", "check"]),
+    ])
+    def test_oversized_header_exits_2_at_once(self, tmp_path, capsys, text, argv):
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        started = time.monotonic()
+        assert cli.main(argv + [str(path)]) == 2
+        assert time.monotonic() - started < 2.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "budget" in err and "--budget" in err
+
+    def test_budget_sets_frame_and_space_limits(self, c3_file, sier_file, capsys):
+        assert cli.main(["--budget", "2", "check-frame", c3_file]) == 2
+        assert "frame budget 2" in capsys.readouterr().err
+        assert cli.main(["--budget", "3", "check-frame", c3_file]) == 0
+        assert cli.main(["--budget", "1", "spaces", "check", sier_file]) == 2
+        assert "space budget 1" in capsys.readouterr().err
+        assert cli.main(["--budget", "2", "spaces", "check", sier_file]) == 1
+
+    def test_negative_sizes_are_input_errors(self, tmp_path, capsys):
+        for text, argv in (("lattice -3\n", ["check-frame"]), ("space -1\n", ["spaces", "check"])):
+            path = tmp_path / "neg.txt"
+            path.write_text(text)
+            assert cli.main(argv + [str(path)]) == 2
+            assert "negative" in capsys.readouterr().err
+
 
 class TestCampaigns:
     def test_lattice_campaign_passes(self, capsys):
@@ -199,6 +232,16 @@ class TestCampaigns:
                          "--checks", "boolean-laws,raw-open-laws,prop1-forcing"])
         assert code == 0
         assert "violation=0" in capsys.readouterr().out
+
+    def test_corpus_size_budget(self, capsys):
+        started = time.monotonic()
+        assert cli.main(["campaign", "lattices", "--max-size", "8"]) == 2
+        assert time.monotonic() - started < 2.0
+        assert "corpus budget 7 (override with --budget)" in capsys.readouterr().err
+        assert cli.main(["--budget", "2", "campaign", "lattices", "--max-size", "3"]) == 2
+        assert cli.main(["--machine", "--budget", "3", "campaign", "lattices",
+                         "--max-size", "3"]) == 0
+        assert "summary records=21 pass=21" in capsys.readouterr().out
 
     def test_unknown_check_rejected(self, capsys):
         assert cli.main(["campaign", "lattices", "--checks", "nope"]) == 2
@@ -246,3 +289,34 @@ class TestRealLineInput:
     @settings(max_examples=300, deadline=None)
     def test_point_text_never_escapes(self, text):
         assert cli.main(["realline", "obstruct", "--set", "(1,2)", f"--x={text}"]) in (0, 1, 2)
+
+
+# Header sizes around every budget edge, plus text that is not a number.
+SIZE_TEXT = st.one_of(st.integers(-3, 9).map(str),
+                      st.sampled_from(["64", "65", "3000", "200000", "-1000000", "10" * 20]),
+                      st.text(alphabet="0123456789-+_ x", max_size=5))
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.txt"
+
+
+class TestFileInput:
+    @given(SIZE_TEXT, st.lists(st.text(alphabet="0123456789<=-# ", max_size=7), max_size=8))
+    @example("3", ["0 < 1", "1 < 2"])
+    @example("3000", ["0 < 1"])
+    @settings(max_examples=150, deadline=None)
+    def test_lattice_text_never_escapes(self, fuzz_file, size, lines):
+        fuzz_file.write_text("\n".join([f"lattice {size}"] + lines) + "\n")
+        for argv in (["check-frame"], ["sc"], ["sublocales"], ["separation", "--axiom", "ppt"]):
+            assert cli.main(argv[:1] + [str(fuzz_file)] + argv[1:]) in (0, 1, 2)
+
+    @given(SIZE_TEXT, st.lists(st.text(alphabet="01x ", max_size=5), max_size=8))
+    @example("2", ["01"])
+    @example("200000", [])
+    @settings(max_examples=150, deadline=None)
+    def test_space_text_never_escapes(self, fuzz_file, size, lines):
+        fuzz_file.write_text("\n".join([f"space {size}"] + lines) + "\n")
+        assert cli.main(["spaces", "check", str(fuzz_file)]) in (0, 1, 2)
+        assert cli.main(["export-dot", str(fuzz_file), "--target", "specialization"]) in (0, 1, 2)

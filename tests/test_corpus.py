@@ -47,6 +47,20 @@ class TestLatticeEnumeration:
             count += 1
         assert count == 1 + 2 + 6 + 36
 
+    def test_chunking_does_not_change_the_corpus(self, monkeypatch):
+        def snapshot():
+            return [(name, frame.labels, frame.leq.tobytes(), frame.imp.tobytes())
+                    for name, frame in corpus.iter_distributive_frames(5)]
+        whole, lattices = snapshot(), corpus.labeled_lattice_rows(5)
+        monkeypatch.setattr(corpus, "_CHUNK_CELLS", 200)  # 1 to 25 frames a chunk
+        assert snapshot() == whole
+        assert corpus.labeled_lattice_rows(5) == lattices
+
+    def test_rows_unpack_to_their_order(self):
+        for rows in corpus.labeled_lattice_rows(4):
+            poset = corpus.rows_to_poset(rows)
+            assert rows_to_rel(rows) == tuple(tuple(bool(v) for v in row) for row in poset.leq)
+
     def test_names_are_stable(self):
         first = [name for name, _ in corpus.iter_distributive_frames(3)]
         second = [name for name, _ in corpus.iter_distributive_frames(3)]

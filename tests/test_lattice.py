@@ -1,3 +1,6 @@
+from collections import defaultdict
+from random import Random
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from localekit.lattice import (FinitePoset, InvalidPoset, NotALattice,
                                NotDistributive, booleanization,
                                find_order_isomorphism, heyting, product_frame,
                                pseudocomplement, regular_pair_frame,
-                               validate_frame)
+                               validate_frame, validate_frames)
 
 from oracles import brute_heyting, brute_is_distributive, brute_join, brute_meet
 
@@ -102,6 +105,82 @@ class TestValidateFrame:
     def test_corpus_is_distributive_by_oracle(self, small_corpus):
         for frame in small_corpus[:50]:
             assert brute_is_distributive(as_rows(frame))
+
+
+def shuffled(frame, rng):
+    """The frame's order on a random relabeling, with labels that follow it."""
+    perm = list(range(frame.n))
+    rng.shuffle(perm)
+    return frame.leq[np.ix_(perm, perm)], [f"x{frame.labels[i]}" for i in perm]
+
+
+def raised(action):
+    """(exception class, message, witness) of what action raises."""
+    with pytest.raises(Exception) as err:
+        action()
+    exc = err.value
+    return type(exc), str(exc), getattr(exc, "pair", None), getattr(exc, "triple", None)
+
+
+class TestValidateFrames:
+    def test_stacks_match_single_frames(self, small_corpus, tiny_corpus):
+        rng = Random(0)
+        by_size = defaultdict(list)
+        for frame in small_corpus + list(tiny_corpus.values()):
+            by_size[frame.n].append(shuffled(frame, rng))
+        for n, items in by_size.items():
+            leqs = np.stack([leq for leq, _ in items])
+            stacked = validate_frames(leqs, [labels for _, labels in items])
+            assert len(stacked) == len(items)
+            for got, (leq, labels) in zip(stacked, items):
+                want = validate_frame(FinitePoset(leq), labels)
+                assert got.labels == want.labels
+                assert (got.poset.bottom, got.poset.top) == (0, n - 1)
+                for name in ("leq", "meet", "join", "imp"):
+                    table, expected = getattr(got, name), getattr(want, name)
+                    assert table.dtype == expected.dtype
+                    assert np.array_equal(table, expected)
+                    assert not table.flags.writeable
+                assert got.up_masks == want.up_masks
+
+    def test_default_labels_are_input_indices(self):
+        upside_down = FinitePoset.from_relation(3, [(2, 1), (1, 0)]).leq
+        frames = validate_frames(np.stack([upside_down, upside_down[::-1, ::-1]]))
+        assert [frame.labels for frame in frames] == [("2", "1", "0"), ("0", "1", "2")]
+
+    @pytest.mark.parametrize("bad", ["pentagon", "diamond", "hexagon", "cycle", "no-top"])
+    @pytest.mark.parametrize("position", [1, 3])
+    def test_failing_frame_raises_its_own_witness(self, bad, position):
+        rng = Random(position)
+        if bad in ("pentagon", "diamond", "hexagon"):
+            poset = getattr(corpus, f"{bad}_poset")()
+            leq, labels = poset.leq, [f"e{i}" for i in range(poset.n)]
+            alone = raised(lambda: validate_frame(poset, labels))
+        else:
+            leq = np.eye(5, dtype=bool)
+            if bad == "cycle":
+                leq[0, :] = leq[:, 4] = leq[1, 2] = leq[2, 1] = True
+            else:
+                leq[0, :] = True
+            labels = [f"e{i}" for i in range(5)]
+            alone = raised(lambda: FinitePoset(leq))
+        good = [shuffled(corpus.chain(len(leq)), rng) for _ in range(4)]
+        items = good[:position] + [(leq, labels)] + good[position:]
+        if bad != "hexagon":  # a later failing frame must not mask the first one
+            items.append((corpus.pentagon_poset().leq, list("abcde")))
+        leqs = np.stack([item for item, _ in items])
+        batch = raised(lambda: validate_frames(leqs, [item for _, item in items]))
+        assert batch == alone
+        assert alone[0].__name__ == {"pentagon": "NotDistributive", "diamond": "NotDistributive",
+                                     "hexagon": "NotALattice"}.get(bad, "InvalidPoset")
+
+    def test_rejects_malformed_stacks(self):
+        with pytest.raises(InvalidPoset, match="square"):
+            validate_frames(np.ones((2, 3), dtype=bool))
+        with pytest.raises(InvalidPoset, match="empty"):
+            validate_frames(np.ones((1, 0, 0), dtype=bool))
+        with pytest.raises(ValueError, match="labels"):
+            validate_frames(np.ones((1, 1, 1), dtype=bool), [("a", "b")])
 
 
 class TestHeytingOps:
