@@ -137,14 +137,14 @@ def run_check(path: str, check_name: str, *, axiom: Optional[str] = None,
         return report
     if check_name == "separation":
         frame = io.load_lattice_text(text)
-        return _separation_report(path, frame, axiom or "subfit")
+        return _separation_report(path, frame, axiom or "subfit", budget)
     if check_name == "spaces":
         space = io.load_space_text(text, budget)
         return _space_report(path, space, budget)
     raise UnknownCheck(check_name)
 
 
-def _separation_report(item: str, frame: FiniteFrame, axiom: str) -> Report:
+def _separation_report(item: str, frame: FiniteFrame, axiom: str, budget: Optional[int]) -> Report:
     report = Report()
     if axiom == "subfit":
         verdict = separation.is_subfit(frame)
@@ -153,7 +153,7 @@ def _separation_report(item: str, frame: FiniteFrame, axiom: str) -> Report:
     elif axiom == "symmetric":
         verdict = separation.is_symmetric(frame)
     elif axiom == "ppt":
-        _record_from(report, item, checks.subfit_correspondence(frame))
+        _record_from(report, item, checks.subfit_correspondence(frame, budget=budget))
         return report
     elif axiom == "pcformula":
         _record_from(report, item, checks.pc_formula(frame))

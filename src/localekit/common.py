@@ -1,10 +1,12 @@
 """Shared exceptions, enumeration budgets, the generic check verdict, and
-the bit-mask helper every finite carrier uses."""
+the bit-mask helpers every finite carrier uses."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
+
+import numpy as np
 
 # Size bounds for exhaustive scans and precomputed tables. Exhaustive law
 # checking is exponential in carrier size; these keep it at desk scale.
@@ -14,7 +16,8 @@ CORPUS_SIZE_LIMIT = 7  # campaign lattices --max-size: 26,460 labeled frames at 
 SUBLOCALE_SCAN_LIMIT = 16  # primes of the frame: S(L) has 2^primes elements
 SUBLOCALE_TABLE_LIMIT = 1024
 TOPOLOGY_POINT_LIMIT = 4
-IDENTITY_EXHAUSTIVE_LIMIT = 8
+IDENTITY_EXHAUSTIVE_LIMIT = 8  # above this, the identities take seeded samples
+IDENTITY_SAMPLES = 512
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -23,6 +26,20 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def pack_rows(rows) -> tuple[int, ...]:
+    """Rows of a boolean array (m, n) as Python-int bitmasks, bit k for column k."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def unpack_rows(masks: Iterable[int], n: int):
+    """The inverse of pack_rows: bitmasks of n bits as a boolean array (m, n)."""
+    width = (n + 7) // 8
+    data = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
 
 
 class BudgetExceeded(Exception):

@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .common import MAX_FRAME_CARRIER, BudgetExceeded
+from .common import MAX_FRAME_CARRIER, BudgetExceeded, pack_rows
 
 
 class InvalidPoset(ValueError):
@@ -161,12 +161,12 @@ class FiniteFrame:
     @cached_property
     def imp_image_masks(self) -> tuple[int, ...]:
         """imp_image_masks[a]: bitmask of {a -> b : b in L} (the open sublocale)."""
-        return tuple(int(sum(1 << int(v) for v in set(self.imp[a, :]))) for a in range(self.n))
+        return pack_rows((self.imp[:, :, None] == np.arange(self.n)).any(axis=1))
 
     @cached_property
     def imp_preimage_masks(self) -> tuple[int, ...]:
         """imp_preimage_masks[s]: bitmask of {a -> s : a in L}."""
-        return tuple(int(sum(1 << int(v) for v in set(self.imp[:, s]))) for s in range(self.n))
+        return pack_rows((self.imp.T[:, :, None] == np.arange(self.n)).any(axis=1))
 
     def label(self, i: int) -> str:
         return self.labels[i]
@@ -181,16 +181,12 @@ class PseudocomplementResult(NamedTuple):
 
 
 def bit_rows(leq) -> tuple[int, ...]:
-    """Bitmask rows of an order, rows[i] = {k : i <= k}, as Python ints.
-
-    The rows are packed through a uint64 product, which is exact up to the
-    64-element frame budget.
-    """
+    """Bitmask rows of an order, rows[i] = {k : i <= k}, as Python ints, for at
+    most 64 elements: `containment_order` compares such masks as 64-bit words."""
     n = leq.shape[0]
     if n > MAX_FRAME_CARRIER:
         raise BudgetExceeded(f"carrier size {n} exceeds the {MAX_FRAME_CARRIER}-bit mask width")
-    weights = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
-    return tuple(int(v) for v in leq.astype(np.uint64) @ weights)
+    return pack_rows(leq)
 
 
 def containment_order(masks: Sequence[int]):

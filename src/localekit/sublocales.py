@@ -4,10 +4,14 @@ A sublocale is a subset of the carrier containing the top, closed under
 meets, and closed under a -> (-) for every a. Sublocales are stored as
 element bitmasks over the parent frame. Every sublocale of a finite frame
 is spatial, so S(L) is exactly the family of meet-closures M(Y) of the sets
-Y of primes (meet-irreducibles) of L: meets in S(L) are intersections and
-M(Y) ∨ M(Z) = M(Y ∪ Z). Closed sublocales are up-sets and join by
-c(a) ∨ c(b) = c(a ∧ b), so their joins are the up-sets themselves. The
-sublocale budget counts primes, since |S(L)| = 2^|primes|.
+Y of primes (meet-irreducibles) of L: M(Y) ∩ M(Z) = M(Y ∩ Z) and
+M(Y) ∨ M(Z) = M(Y ∪ Z). A join in S(L) is the meet-closure M(A ∪ {1}) of
+the union A, and `meet_closure` is its one closed form: x ∈ M(A ∪ {1}) iff,
+for every upper cover y of x, A meets ↑x ∖ ↑y. Closed sublocales are
+up-sets and join by c(a) ∨ c(b) = c(a ∧ b), so their joins are the up-sets
+themselves. The sublocale budget counts primes, since |S(L)| = 2^|primes|.
+The closed/open identities are checked on every subset of the carrier up
+to 8 elements and on 512 seeded samples above that.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .common import (IDENTITY_EXHAUSTIVE_LIMIT, SUBLOCALE_SCAN_LIMIT,
-                     SUBLOCALE_TABLE_LIMIT, BudgetExceeded, CheckReport, bits)
+from .common import (IDENTITY_EXHAUSTIVE_LIMIT, IDENTITY_SAMPLES, SUBLOCALE_SCAN_LIMIT,
+                     SUBLOCALE_TABLE_LIMIT, BudgetExceeded, CheckReport, bits, pack_rows, unpack_rows)
 from .lattice import FiniteFrame, FinitePoset, containment_order, validate_frame
 
 
@@ -109,20 +113,18 @@ def open_sublocale(frame: FiniteFrame, a: int) -> Sublocale:
     return Sublocale(frame, frame.imp_image_masks[a])
 
 
-def meet_close(frame: FiniteFrame, mask: int) -> int:
-    """Smallest superset of mask closed under binary meets."""
-    meet = frame.meet
-    cur = mask
-    while True:
-        add = 0
-        elems = tuple(bits(cur))
-        for i, s in enumerate(elems):
-            row = meet[s]
-            for t in elems[i:]:
-                add |= 1 << int(row[t])
-        if add & ~cur == 0:
-            return cur
-        cur |= add
+def meet_closure(frame: FiniteFrame, rows):
+    """M(A ∪ {1}) for every row A of an (F, n) member array, as (F, n) bools.
+
+    x is the meet of A ∪ {1} above it iff, for every upper cover y of x, A
+    meets ↑x ∖ ↑y: that meet is at least x, and it is above x exactly when
+    it lies above some cover of x. The test is two boolean matrix products.
+    """
+    leq = frame.leq
+    lt = leq & ~np.eye(frame.n, dtype=bool)
+    xs, ys = np.nonzero(lt & ~(lt @ lt))                               # y covers x
+    missed = ~(np.asarray(rows, dtype=bool) @ (leq[xs] & ~leq[ys]).T)  # A misses ↑x ∖ ↑y
+    return ~(missed @ (xs[:, None] == np.arange(frame.n)))
 
 
 def sublocale_join(family: Iterable[Sublocale],
@@ -140,8 +142,8 @@ def sublocale_join(family: Iterable[Sublocale],
     for s in family:
         if s.parent is not parent:
             raise MixedParents("sublocales must share one parent frame")
-    mask = reduce(lambda acc, s: acc | s.mask, family, 1 << parent.top)
-    closed = meet_close(parent, mask)
+    union = unpack_rows((s.mask for s in family), parent.n).any(axis=0, keepdims=True)
+    closed = pack_rows(meet_closure(parent, union))[0]
     verdict = is_sublocale(parent, bits(closed))
     if not verdict:
         raise AssertionError(f"join formula produced a non-sublocale: {verdict}")
@@ -167,6 +169,8 @@ class SublocaleLattice:
         self.sublocales = tuple(Sublocale(parent, m) for m in masks)
         self.bottom_index = self.index[1 << parent.top]
         self.top_index = self.index[(1 << parent.n) - 1]
+        self._ys = np.array(prime_sets, dtype=np.intp)
+        self._by_primes = np.argsort(self._ys)  # _by_primes[Y]: the index of M(Y)
 
     def __len__(self):
         return len(self.masks)
@@ -182,38 +186,33 @@ class SublocaleLattice:
         """M(Y) ∨ M(Z) = M(Y ∪ Z): a lookup of the union of the prime sets."""
         if len(self.masks) > SUBLOCALE_TABLE_LIMIT:
             raise BudgetExceeded(f"{len(self.masks)} sublocales exceed the table budget")
-        ys = np.array(self.prime_sets, dtype=np.intp)
-        by_primes = np.empty_like(ys)
-        by_primes[ys] = np.arange(len(ys))
-        table = by_primes[ys[:, None] | ys[None, :]]
+        ys = self._ys
+        table = self._by_primes[ys[:, None] | ys[None, :]]
         table.flags.writeable = False
         return table
 
     @cached_property
     def meet_table(self):
+        """M(Y) ∩ M(Z) = M(Y ∩ Z), checked against the intersection of the masks."""
         if len(self.masks) > SUBLOCALE_TABLE_LIMIT:
             raise BudgetExceeded(f"{len(self.masks)} sublocales exceed the table budget")
-        table = np.zeros((len(self.masks),) * 2, dtype=np.intp)
-        for i, a in enumerate(self.masks):
-            for j, b in enumerate(self.masks[i:], start=i):
-                v = self.index[a & b]  # intersections of sublocales are sublocales
-                table[i, j] = table[j, i] = v
+        ys = self._ys
+        table = self._by_primes[ys[:, None] & ys[None, :]]
+        words = np.array(self.masks, dtype=np.uint64)
+        if not np.array_equal(words[table], words[:, None] & words[None, :]):
+            raise AssertionError("meet of prime sets differs from the intersection")
         table.flags.writeable = False
         return table
 
     @cached_property
     def supplements(self):
-        """supplements[i]: index of the least T with S_i ∨ T = L."""
-        join = self.join_table
-        out = np.zeros(len(self.masks), dtype=np.intp)
-        for i in range(len(self.masks)):
-            partners = np.nonzero(join[i] == self.top_index)[0]
-            mask = reduce(lambda acc, t: acc & self.masks[int(t)], partners,
-                          (1 << self.parent.n) - 1)
-            j = self.index[mask]
-            if int(join[i, j]) != self.top_index:
-                raise AssertionError(f"supplement of index {i} fails to join to the top")
-            out[i] = j
+        """supplements[i]: index of the least T with S_i ∨ T = L, M of the primes
+        outside S_i; checked to join S_i to L and to lie inside every such T."""
+        out = self._by_primes[self._ys ^ (len(self.masks) - 1)]
+        partners = self.join_table == self.top_index
+        if not (partners[np.arange(len(out)), out].all()
+                and (self.leq[out] | ~partners).all()):
+            raise AssertionError("a supplement is not the least T joining to the top")
         out.flags.writeable = False
         return out
 
@@ -279,7 +278,7 @@ def primes(frame: FiniteFrame) -> tuple[int, ...]:
 def all_sublocales(frame: FiniteFrame, budget: Optional[int] = None) -> SublocaleLattice:
     """Enumerate S(L) as the meet-closures M(Y) of the sets Y of primes.
 
-    M(Y ∪ {p}) = M(Y) ∪ p ∧ M(Y) builds all 2^|primes| of them, which must be
+    One meet_closure call builds all 2^|primes| of them, which must be
     distinct and each pass is_sublocale. The budget bounds the number of
     primes, since the count of sublocales is exponential in it.
     """
@@ -288,10 +287,9 @@ def all_sublocales(frame: FiniteFrame, budget: Optional[int] = None) -> Sublocal
     if len(ps) > limit:
         raise BudgetExceeded(f"{len(ps)} primes exceed the sublocale budget {limit} "
                              "(override with --budget)")
-    closures = [1 << frame.top]  # closures[y]: M(Y), bit k of y standing for ps[k]
-    for p in ps:
-        row = frame.meet[p].tolist()
-        closures += [reduce(lambda acc, i: acc | 1 << row[i], bits(m), m) for m in closures]
+    members = np.zeros((1 << len(ps), frame.n), dtype=bool)
+    members[:, list(ps)] = np.arange(1 << len(ps))[:, None] >> np.arange(len(ps)) & 1
+    closures = pack_rows(meet_closure(frame, members))  # closures[y]: M(Y), bit k of y for ps[k]
     if len(set(closures)) != len(closures):
         raise AssertionError("two sets of primes have the same meet-closure")
     for m in closures:
@@ -405,64 +403,52 @@ def dual_booleanization(frame: FiniteFrame,
 
 def closed_open_complements_report(frame: FiniteFrame) -> CheckReport:
     """c(a) and o(a) are complements in S(L) for every a."""
-    full = (1 << frame.n) - 1
-    top_bit = 1 << frame.top
-    for a in range(frame.n):
-        c, o = frame.up_masks[a], frame.imp_image_masks[a]
-        if c & o != top_bit:
-            return CheckReport.failed(
-                "closed-open-complements", f"c∩o ≠ O at {frame.labels[a]}")
-        if meet_close(frame, c | o) != full:
-            return CheckReport.failed(
-                "closed-open-complements", f"c∨o ≠ L at {frame.labels[a]}")
-    return CheckReport.passed("closed-open-complements")
+    up, opens = frame.leq, unpack_rows(frame.imp_image_masks, frame.n)
+    apart = ((up & opens) != (np.arange(frame.n) == frame.top)).any(axis=1)
+    bad = apart | ~meet_closure(frame, up | opens).all(axis=1)
+    if not bad.any():
+        return CheckReport.passed("closed-open-complements")
+    a = int(bad.argmax())
+    law = "c∩o ≠ O" if apart[a] else "c∨o ≠ L"
+    return CheckReport.failed("closed-open-complements", f"{law} at {frame.labels[a]}")
 
 
-def closed_open_identities_check(frame: FiniteFrame, *, samples: int = 512,
-                                 seed: int = 0,
-                                 exhaustive_limit: Optional[int] = None) -> CheckReport:
+def closed_open_identities_check(frame: FiniteFrame) -> CheckReport:
     """The four interaction identities between closed and open sublocales.
 
-    Families are exhaustive (all subsets of the carrier) for small frames and
-    seeded random samples otherwise. Binary versions are always exhaustive.
-    Returns the first counterexample, which for a correct frame is none.
+    Families are all subsets of the carrier, or seeded samples above the
+    exhaustive limit; the binary versions are always exhaustive. Returns
+    the first counterexample, which for a correct frame is none.
     """
-    limit = IDENTITY_EXHAUSTIVE_LIMIT if exhaustive_limit is None else exhaustive_limit
     n = frame.n
-    up = frame.up_masks
-    opens = frame.imp_image_masks
-    full = (1 << n) - 1
-    top_bit = 1 << frame.top
-
-    def family_holds(fam: int) -> Optional[str]:
-        elems = tuple(bits(fam))
-        joined = reduce(lambda a, b: int(frame.join[a, b]), elems, 0)
-        inter = reduce(lambda acc, a: acc & up[a], elems, full)
-        if inter != up[joined]:
-            return f"⋂c over {elems}"
-        o_join = meet_close(frame, reduce(lambda acc, a: acc | opens[a], elems, top_bit))
-        if o_join != opens[joined]:
-            return f"⋁o over {elems}"
-        return None
-
-    if n <= limit:
-        families = range(1 << n)
-    else:
-        rng = Random(seed)
-        families = (rng.getrandbits(n) for _ in range(samples))
-    for fam in families:
-        bad = family_holds(fam)
-        if bad is not None:
-            return CheckReport.failed("closed-open-identities", bad)
+    up, opens, labels = frame.leq, unpack_rows(frame.imp_image_masks, n), frame.labels
+    rng = Random(0)
+    families = (range(1 << n) if n <= IDENTITY_EXHAUSTIVE_LIMIT
+                else [rng.getrandbits(n) for _ in range(IDENTITY_SAMPLES)])
+    members = unpack_rows(families, n)
+    joined = np.zeros(len(members), dtype=np.intp)  # the join of each family, 0 ∨ a ∨ b ...
     for a in range(n):
-        for b in range(n):
-            w = int(frame.meet[a, b])
-            if meet_close(frame, up[a] | up[b]) != up[w]:
-                return CheckReport.failed(
-                    "closed-open-identities",
-                    f"c({frame.labels[a]})∨c({frame.labels[b]}) ≠ c(meet)")
-            if opens[a] & opens[b] != opens[w]:
-                return CheckReport.failed(
-                    "closed-open-identities",
-                    f"o({frame.labels[a]})∩o({frame.labels[b]}) ≠ o(meet)")
+        joined = np.where(members[:, a], frame.join[joined, a], joined)
+    inter_bad = (~(members @ ~up) != up[joined]).any(axis=1)  # z in every c(a)
+
+    pair_meets = frame.meet.reshape(-1)
+    pair_ups = (up[:, None, :] | up[None, :, :]).reshape(n * n, n)
+    closures = meet_closure(frame, np.concatenate([members @ opens, pair_ups]))
+    o_join_bad = (closures[:len(members)] != opens[joined]).any(axis=1)
+    c_join_bad = (closures[len(members):] != up[pair_meets]).any(axis=1)
+    o_meet_bad = ((opens[:, None, :] & opens[None, :, :]).reshape(n * n, n)
+                  != opens[pair_meets]).any(axis=1)
+
+    bad = inter_bad | o_join_bad
+    if bad.any():
+        k = int(bad.argmax())
+        elems = tuple(np.flatnonzero(members[k]).tolist())
+        law = "⋂c" if inter_bad[k] else "⋁o"
+        return CheckReport.failed("closed-open-identities", f"{law} over {elems}")
+    bad = c_join_bad | o_meet_bad
+    if bad.any():
+        k = int(bad.argmax())
+        a, b = (labels[v] for v in divmod(k, n))
+        law = f"c({a})∨c({b}) ≠ c(meet)" if c_join_bad[k] else f"o({a})∩o({b}) ≠ o(meet)"
+        return CheckReport.failed("closed-open-identities", law)
     return CheckReport.passed("closed-open-identities")

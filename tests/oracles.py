@@ -10,6 +10,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from localekit import realline as rl
+from localekit.common import bits
+from localekit.lattice import FiniteFrame
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +108,22 @@ def brute_sublocales(frame):
             continue
         out.append(mask)
     return sorted(out)
+
+
+def meet_close(frame: FiniteFrame, mask: int) -> int:
+    """Smallest superset of mask closed under binary meets."""
+    meet = frame.meet
+    cur = mask
+    while True:
+        add = 0
+        elems = tuple(bits(cur))
+        for i, s in enumerate(elems):
+            row = meet[s]
+            for t in elems[i:]:
+                add |= 1 << int(row[t])
+        if add & ~cur == 0:
+            return cur
+        cur |= add
 
 
 def brute_closed_join_elements(frame):

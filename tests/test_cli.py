@@ -180,6 +180,12 @@ class TestCliCommands:
         assert cli.main(["--budget", "1", "sublocales", b2_file]) == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_budget_reaches_separation_ppt(self, b2_file, capsys):
+        assert cli.main(["--budget", "1", "separation", b2_file, "--axiom", "ppt"]) == 2
+        err = capsys.readouterr().err
+        assert "2 primes exceed the sublocale budget 1" in err and "--budget" in err
+        assert cli.main(["--budget", "2", "separation", b2_file, "--axiom", "ppt"]) == 0
+
     @pytest.mark.parametrize("text,argv", [
         ("lattice 3000\n0 < 1\n", ["check-frame"]),
         ("lattice 3000\n0 < 1\n", ["sublocales"]),

@@ -1,17 +1,26 @@
 import pytest
 
-from localekit.common import BudgetExceeded
-from localekit.lattice import find_order_isomorphism
+from localekit.common import BudgetExceeded, IDENTITY_EXHAUSTIVE_LIMIT, pack_rows, unpack_rows
+from localekit.lattice import FiniteFrame, find_order_isomorphism
 from localekit.sublocales import (MixedParents, Sublocale, all_sublocales,
                                   closed_join_frame, closed_join_meet,
                                   closed_open_complements_report,
                                   closed_open_identities_check,
                                   closed_sublocale, dual_booleanization,
-                                  is_sublocale, mask_of, meet_close,
+                                  is_sublocale, mask_of, meet_closure,
                                   open_sublocale, primes, sublocale_join,
                                   supplement)
 
-from oracles import brute_closed_join_elements, brute_primes, brute_sublocales
+from oracles import (brute_closed_join_elements, brute_primes, brute_sublocales,
+                     meet_close)
+
+
+def tampered(frame, table, a, b, value):
+    """A FiniteFrame sharing frame's tables except for one entry of `table`."""
+    tables = {name: getattr(frame, name).copy() for name in ("meet", "join", "imp")}
+    tables[table][a, b] = value
+    return FiniteFrame(frame.poset, tables["meet"], tables["join"], tables["imp"],
+                       frame.labels)
 
 
 class TestIsSublocale:
@@ -62,6 +71,14 @@ class TestClosedAndOpen:
     def test_complements(self, small_corpus):
         for frame in small_corpus:
             assert closed_open_complements_report(frame).ok
+
+
+class TestMeetClosure:
+    def test_matches_fixpoint_oracle(self, small_corpus, tiny_corpus):
+        for frame in [*small_corpus, *tiny_corpus.values()]:
+            masks = range(1 << frame.n)
+            got = pack_rows(meet_closure(frame, unpack_rows(masks, frame.n)))
+            assert got == tuple(meet_close(frame, m | 1 << frame.top) for m in masks)
 
 
 class TestJoin:
@@ -272,8 +289,25 @@ class TestIdentitiesAndDualBooleanization:
         for frame in small_corpus:
             assert closed_open_identities_check(frame).ok
 
-    def test_sampled_mode_agrees(self, grid):
-        assert closed_open_identities_check(grid, exhaustive_limit=2, samples=64).ok
+    def test_sampled_mode_agrees(self, tiny_corpus):
+        frame = tiny_corpus["bool2xchain3"]
+        assert frame.n > IDENTITY_EXHAUSTIVE_LIMIT
+        assert closed_open_identities_check(frame).ok
+
+    @pytest.mark.parametrize("name, table, a, b, value, identities, complements", [
+        ("chain3", "imp", 0, 0, 0, "⋁o over ()", "c∩o ≠ O at 0"),
+        ("chain3", "imp", 2, 0, 1, "⋁o over (1, 2)", "c∨o ≠ L at 2"),
+        ("chain3", "imp", 1, 0, 1, "", "c∩o ≠ O at 1"),
+        ("chain3", "imp", 1, 0, 2, "", "c∨o ≠ L at 1"),
+        ("bool2", "imp", 3, 0, 1, "⋁o over (1, 2)", ""),
+        ("bool2", "join", 0, 0, 1, "⋂c over (0,)", ""),
+        ("bool2xchain3", "join", 1, 2, 0, "⋂c over (0, 1, 2, 6, 9)", ""),
+    ])
+    def test_tampered_tables_name_the_first_witness(self, tiny_corpus, name, table, a, b,
+                                                    value, identities, complements):
+        frame = tampered(tiny_corpus[name], table, a, b, value)
+        assert closed_open_identities_check(frame).witness == identities
+        assert closed_open_complements_report(frame).witness == complements
 
     def test_chain3_every_sublocale_is_fixed(self, c3):
         fixed = dual_booleanization(c3)
