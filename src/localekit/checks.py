@@ -4,12 +4,20 @@ Each function verifies one bundle of laws on one instance and returns a
 CheckReport; campaign drivers map them over corpora. Failures carry a
 witness, violations mean an internal correspondence broke (exit code 2
 territory), and passes are silent.
+
+Every LATTICE_CHECKS entry takes a FrameStructure: one campaign item's
+frame, with its S(L) and closed-join frame built at most once, on first
+use, and shared by every check of the item. `frame_structures` makes them
+for a batch of frames, whose closed-join frames are then built in one
+`closed_join_frames` call. Sharing an object does not merge routes: each
+law keeps its own two computations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from functools import cache, cached_property
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -19,6 +27,35 @@ from . import realline as rl
 from . import separation
 from . import spaces as sp
 from . import sublocales as sub
+
+
+# ---------------------------------------------------------------------------
+# Per-item structure shared by the lattice checks
+
+
+class FrameStructure:
+    """One campaign item: its frame, S(L) and closed-join frame, each built
+    at most once, on first use; closed_joins supplies the closed-join frame."""
+
+    def __init__(self, frame: FiniteFrame, closed_joins: Callable[[], sub.ClosedJoinFrame]):
+        self.frame = frame
+        self._closed_joins = closed_joins
+
+    @cached_property
+    def lattice(self) -> sub.SublocaleLattice:
+        return sub.all_sublocales(self.frame)
+
+    @cached_property
+    def closed_joins(self) -> sub.ClosedJoinFrame:
+        return self._closed_joins()
+
+
+def frame_structures(frames: Sequence[FiniteFrame]) -> Iterator[FrameStructure]:
+    """A FrameStructure per frame, in order; the first closed-join frame asked
+    for builds all of theirs in one closed_join_frames batch."""
+    batch = cache(lambda: sub.closed_join_frames(frames))
+    for k, frame in enumerate(frames):
+        yield FrameStructure(frame, lambda k=k: batch()[k])
 
 
 # ---------------------------------------------------------------------------
@@ -79,33 +116,21 @@ def sublocale_laws(frame: FiniteFrame,
     return CheckReport.passed("sublocale-laws")
 
 
-def identities(frame: FiniteFrame) -> CheckReport:
-    return sub.closed_open_identities_check(frame)
-
-
-def coframe_law(frame: FiniteFrame,
-                lattice: Optional[sub.SublocaleLattice] = None) -> CheckReport:
-    lat = lattice if lattice is not None else sub.all_sublocales(frame)
-    return lat.coframe_law_report()
-
-
-def closed_join_law(frame: FiniteFrame) -> CheckReport:
-    return sub.closed_join_frame(frame).frame_law_report()
-
-
 def subfit_correspondence(frame: FiniteFrame,
                           lattice: Optional[sub.SublocaleLattice] = None,
-                          budget: Optional[int] = None) -> CheckReport:
+                          budget: Optional[int] = None,
+                          cjf: Optional[sub.ClosedJoinFrame] = None) -> CheckReport:
     try:
-        separation.subfit_correspondence_check(frame, lattice, budget)
+        separation.subfit_correspondence_check(frame, lattice, budget, cjf)
     except TheoremViolation as exc:
         return CheckReport.violated("ppt", str(exc))
     return CheckReport.passed("ppt")
 
 
-def symmetry_equivalence(frame: FiniteFrame) -> CheckReport:
+def symmetry_equivalence(frame: FiniteFrame,
+                         cjf: Optional[sub.ClosedJoinFrame] = None) -> CheckReport:
     try:
-        separation.is_symmetric(frame)
+        separation.is_symmetric(frame, cjf)
     except EquivalenceViolation as exc:
         return CheckReport.violated("weaksub-equiv", str(exc))
     return CheckReport.passed("weaksub-equiv")
@@ -120,28 +145,29 @@ def pc_formula(frame: FiniteFrame) -> CheckReport:
     return CheckReport.violated("pcformula", report.witness or "unknown")
 
 
-def axiom_monotonicity(frame: FiniteFrame) -> CheckReport:
+def axiom_monotonicity(frame: FiniteFrame,
+                       cjf: Optional[sub.ClosedJoinFrame] = None) -> CheckReport:
     """subfit implies weakly subfit and symmetric."""
     sub_rep = separation.is_subfit(frame)
     if not sub_rep.holds:
         return CheckReport.passed("axiom-monotonicity", "not-subfit")
     if not separation.is_weakly_subfit(frame).holds:
         return CheckReport.violated("axiom-monotonicity", "subfit but not weakly subfit")
-    if not separation.is_symmetric(frame).holds:
+    if not separation.is_symmetric(frame, cjf).holds:
         return CheckReport.violated("axiom-monotonicity", "subfit but not symmetric")
     return CheckReport.passed("axiom-monotonicity")
 
 
-LATTICE_CHECKS = {
-    "frame-laws": frame_laws,
-    "identities": identities,
-    "coframe-law": coframe_law,
-    "sublocale-laws": sublocale_laws,
-    "sc-frame-law": closed_join_law,
-    "ppt": subfit_correspondence,
-    "weaksub-equiv": symmetry_equivalence,
-    "pcformula": pc_formula,
-    "axiom-monotonicity": axiom_monotonicity,
+LATTICE_CHECKS: dict[str, Callable[[FrameStructure], CheckReport]] = {
+    "frame-laws": lambda item: frame_laws(item.frame),
+    "identities": lambda item: sub.closed_open_identities_check(item.frame),
+    "coframe-law": lambda item: item.lattice.coframe_law_report(),
+    "sublocale-laws": lambda item: sublocale_laws(item.frame, item.lattice),
+    "sc-frame-law": lambda item: item.closed_joins.frame_law_report(),
+    "ppt": lambda item: subfit_correspondence(item.frame, item.lattice, cjf=item.closed_joins),
+    "weaksub-equiv": lambda item: symmetry_equivalence(item.frame, item.closed_joins),
+    "pcformula": lambda item: pc_formula(item.frame),
+    "axiom-monotonicity": lambda item: axiom_monotonicity(item.frame, item.closed_joins),
 }
 
 

@@ -210,11 +210,13 @@ def _campaign_lattices(args) -> Report:
     if args.max_size > limit:
         raise BudgetExceeded(f"--max-size {args.max_size} exceeds the corpus budget {limit} "
                              "(override with --budget)")
-    items = chain(corpus.iter_distributive_frames(args.max_size),
-                  sorted(corpus.named_frames().items()))
-    for item, frame in items:
-        for name in names:
-            _record_from(report, item, checks.LATTICE_CHECKS[name](frame))
+    batches = chain(corpus.chunked(corpus.iter_distributive_frames(args.max_size)),
+                    [sorted(corpus.named_frames().items())])
+    for batch in batches:
+        shared = checks.frame_structures([frame for _, frame in batch])
+        for (item, _), structure in zip(batch, shared):
+            for name in names:
+                _record_from(report, item, checks.LATTICE_CHECKS[name](structure))
     return report
 
 

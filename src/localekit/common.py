@@ -18,6 +18,7 @@ SUBLOCALE_TABLE_LIMIT = 1024
 TOPOLOGY_POINT_LIMIT = 4
 IDENTITY_EXHAUSTIVE_LIMIT = 8  # above this, the identities take seeded samples
 IDENTITY_SAMPLES = 512
+STACK_CELLS = 1 << 16  # cells per slice of a stacked law check over sublocales
 
 
 def bits(mask: int) -> Iterator[int]:

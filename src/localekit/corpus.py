@@ -9,7 +9,8 @@ all index permutations. Every labeled lattice relabels to a naturally
 labeled one along a linear extension, so the permutation closure of the
 natural ones is the full labeled count. Bit rows become order matrices in
 one vectorised unpack, and each carrier size is validated as stacks of
-frames, a chunk at a time.
+frames, a chunk at a time; `chunked` hands those chunks on, so a campaign
+can build the closed-join frames of a chunk as one batch too.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress, permutations
 from random import Random
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -81,9 +82,13 @@ def _labeled_closure(natural_rows: list[tuple[int, ...]], n: int) -> list[tuple[
 _CHUNK_CELLS = 1 << 16
 
 
+def _chunk_step(n: int) -> int:
+    return max(1, _CHUNK_CELLS // n**3)
+
+
 def _chunks(rows: list, n: int):
     """(start, rows[start:start + step]) in order, step frames of size n a chunk."""
-    step = max(1, _CHUNK_CELLS // n**3)
+    step = _chunk_step(n)
     for start in range(0, len(rows), step):
         yield start, rows[start:start + step]
 
@@ -120,6 +125,20 @@ def iter_distributive_frames(max_size: int) -> Iterator[tuple[str, FiniteFrame]]
         for start, chunk in _chunks(labeled_lattice_rows(n, distributive_only=True), n):
             for k, frame in enumerate(validate_frames(_unpack(chunk)), start):
                 yield f"dist{n}:{k:04d}", frame
+
+
+def chunked(items: Iterable[tuple[str, FiniteFrame]]) -> Iterator[list[tuple[str, FiniteFrame]]]:
+    """The (name, frame) items of iter_distributive_frames regrouped into the
+    chunks it validated them in: lists of one carrier size, _chunks long."""
+    batch: list[tuple[str, FiniteFrame]] = []
+    for item in items:
+        n = item[1].n
+        if batch and (batch[0][1].n != n or len(batch) == _chunk_step(n)):
+            yield batch
+            batch = []
+        batch.append(item)
+    if batch:
+        yield batch
 
 
 # ---------------------------------------------------------------------------

@@ -136,10 +136,12 @@ class CorrespondenceReport:
 
 def subfit_correspondence_check(frame: FiniteFrame,
                                 lattice: Optional[SublocaleLattice] = None,
-                                budget: Optional[int] = None) -> CorrespondenceReport:
+                                budget: Optional[int] = None,
+                                cjf: Optional[ClosedJoinFrame] = None) -> CorrespondenceReport:
     """Verify the subfit/Boolean correspondence on one frame."""
     sub = is_subfit(frame)
-    cjf = closed_join_frame(frame)
+    if cjf is None:
+        cjf = closed_join_frame(frame)
     join, meet = cjf.join_table, cjf.meet_table
     complemented = ((join == cjf.top_index) & (meet == cjf.bottom_index)).any(axis=1)
     boolean = bool(complemented.all())

@@ -9,13 +9,19 @@ M(Y) ∨ M(Z) = M(Y ∪ Z). A join in S(L) is the meet-closure M(A ∪ {1}) of
 the union A, and `meet_closure` is its one closed form: x ∈ M(A ∪ {1}) iff,
 for every upper cover y of x, A meets ↑x ∖ ↑y. Closed sublocales are
 up-sets and join by c(a) ∨ c(b) = c(a ∧ b), so their joins are the up-sets
-themselves. The sublocale budget counts primes, since |S(L)| = 2^|primes|.
-The closed/open identities are checked on every subset of the carrier up
-to 8 elements and on 512 seeded samples above that.
+themselves. `closed_join_frames` validates many parents' closed-join
+frames in one `validate_frames` stack per carrier size, so a campaign
+builds them a corpus chunk at a time. The sublocale budget counts primes,
+since |S(L)| = 2^|primes|. The stacked checks over S(L) (sublocale
+membership of every closure, the coframe law, join-is-lub) run in slices
+of at most STACK_CELLS cells, so their memory grows with |S(L)|², not
+|S(L)|³. The closed/open identities are checked on every subset of the carrier up to 8
+elements and on 512 seeded samples above that.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from random import Random
@@ -23,9 +29,10 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .common import (IDENTITY_EXHAUSTIVE_LIMIT, IDENTITY_SAMPLES, SUBLOCALE_SCAN_LIMIT,
-                     SUBLOCALE_TABLE_LIMIT, BudgetExceeded, CheckReport, bits, pack_rows, unpack_rows)
-from .lattice import FiniteFrame, FinitePoset, containment_order, validate_frame
+from .common import (IDENTITY_EXHAUSTIVE_LIMIT, IDENTITY_SAMPLES, STACK_CELLS,
+                     SUBLOCALE_SCAN_LIMIT, SUBLOCALE_TABLE_LIMIT, BudgetExceeded, CheckReport,
+                     bits, pack_rows, unpack_rows)
+from .lattice import FiniteFrame, containment_order, validate_frames
 
 
 class MixedParents(ValueError):
@@ -101,6 +108,32 @@ def is_sublocale(frame: FiniteFrame, members: Iterable[int]) -> SubsetVerdict:
             a = next(a for a in range(frame.n) if not mask >> int(col[a]) & 1)
             return SubsetVerdict(False, "heyting", (a, s))
     return SubsetVerdict(True)
+
+
+def _slices(count: int, cells: int):
+    """Slices of range(count), STACK_CELLS // cells indices each (at least
+    one), so a stack of `cells` cells per index stays within STACK_CELLS."""
+    step = max(1, STACK_CELLS // cells)
+    for start in range(0, count, step):
+        yield slice(start, start + step)
+
+
+def _sublocale_rows(frame: FiniteFrame, rows) -> np.ndarray:
+    """is_sublocale on every row of an (R, n) member array, as R bools.
+
+    The same conditions on the same pairs, a slice of rows at a time: the
+    top is a member, meet[s, t] is a member for members s <= t (by index),
+    and imp[a, s] is a member for every a and every member s.
+    """
+    n = frame.n
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    ok = np.empty(len(rows), dtype=bool)
+    for part in _slices(len(rows), n * n):
+        members = rows[part]
+        meets = (members[:, :, None] & members[:, None, :] & upper & ~members[:, frame.meet])
+        heyting = members[:, None, :] & ~members[:, frame.imp]
+        ok[part] = members[:, frame.top] & ~meets.any(axis=(1, 2)) & ~heyting.any(axis=(1, 2))
+    return ok
 
 
 def closed_sublocale(frame: FiniteFrame, a: int) -> Sublocale:
@@ -225,29 +258,35 @@ class SublocaleLattice:
         return [(int(i), int(j)) for i, j in np.argwhere(cov)]
 
     def coframe_law_report(self) -> CheckReport:
-        """S ∨ (T ∩ U) = (S ∨ T) ∩ (S ∨ U) over every triple."""
+        """S ∨ (T ∩ U) = (S ∨ T) ∩ (S ∨ U) over every triple, a slice of S at a time."""
         join, meet = self.join_table, self.meet_table
-        lhs = join[:, meet]
-        rhs = meet[join[:, :, None], join[:, None, :]]
-        if np.array_equal(lhs, rhs):
-            return CheckReport.passed("coframe-law")
-        s, t, u = (int(v) for v in np.argwhere(lhs != rhs)[0])
-        names = [self.sublocales[k].label() for k in (s, t, u)]
-        return CheckReport.failed("coframe-law", f"triple {names}")
+        for rows in _slices(len(self.masks), len(self.masks) ** 2):
+            lhs = join[rows][:, meet]
+            rhs = meet[join[rows, :, None], join[rows, None, :]]
+            if not np.array_equal(lhs, rhs):
+                s, t, u = (int(v) for v in np.argwhere(lhs != rhs)[0])
+                names = [self.sublocales[k].label() for k in (rows.start + s, t, u)]
+                return CheckReport.failed("coframe-law", f"triple {names}")
+        return CheckReport.passed("coframe-law")
 
     def join_is_lub_report(self) -> CheckReport:
         """The join formula lands on the least upper bound in containment order."""
         join = self.join_table
         leq = self.leq
-        upper = leq[:, None, :] & leq[None, :, :]
-        bound = np.take_along_axis(upper, join[:, :, None], axis=2).all()
-        minimal = (~upper | leq[join]).all()
-        if bound and minimal:
+        m = len(self.masks)
+        for rows in _slices(m, m * m):
+            upper = leq[rows, None, :] & leq[None, :, :]  # upper[i, j, w]: w above i and j
+            bound = np.take_along_axis(upper, join[rows, :, None], axis=2).all()
+            minimal = (~upper | leq[join[rows]]).all()
+            if not (bound and minimal):
+                break
+        else:
             return CheckReport.passed("join-is-lub")
-        for i in range(len(self.masks)):
-            for j in range(len(self.masks)):
+        for i in range(m):
+            for j in range(m):
                 v = int(join[i, j])
-                if not (upper[i, j, v] and (~upper[i, j] | leq[v]).all()):
+                upper = leq[i] & leq[j]
+                if not (upper[v] and (~upper | leq[v]).all()):
                     return CheckReport.failed(
                         "join-is-lub",
                         f"pair ({self.sublocales[i].label()}, {self.sublocales[j].label()})")
@@ -279,8 +318,9 @@ def all_sublocales(frame: FiniteFrame, budget: Optional[int] = None) -> Sublocal
     """Enumerate S(L) as the meet-closures M(Y) of the sets Y of primes.
 
     One meet_closure call builds all 2^|primes| of them, which must be
-    distinct and each pass is_sublocale. The budget bounds the number of
-    primes, since the count of sublocales is exponential in it.
+    distinct and must all pass the stacked sublocale test (a failure reports
+    is_sublocale's verdict on the first failing one). The budget bounds the
+    number of primes, since the count of sublocales is exponential in it.
     """
     limit = SUBLOCALE_SCAN_LIMIT if budget is None else budget
     ps = primes(frame)
@@ -289,13 +329,14 @@ def all_sublocales(frame: FiniteFrame, budget: Optional[int] = None) -> Sublocal
                              "(override with --budget)")
     members = np.zeros((1 << len(ps), frame.n), dtype=bool)
     members[:, list(ps)] = np.arange(1 << len(ps))[:, None] >> np.arange(len(ps)) & 1
-    closures = pack_rows(meet_closure(frame, members))  # closures[y]: M(Y), bit k of y for ps[k]
+    rows = meet_closure(frame, members)  # rows[y]: M(Y), bit k of y for ps[k]
+    closures = pack_rows(rows)
     if len(set(closures)) != len(closures):
         raise AssertionError("two sets of primes have the same meet-closure")
-    for m in closures:
-        verdict = is_sublocale(frame, bits(m))
-        if not verdict:
-            raise AssertionError(f"meet-closure of primes is not a sublocale: {verdict}")
+    bad = ~_sublocale_rows(frame, rows)
+    if bad.any():
+        verdict = is_sublocale(frame, bits(closures[int(bad.argmax())]))
+        raise AssertionError(f"meet-closure of primes is not a sublocale: {verdict}")
     order = sorted(range(len(closures)), key=lambda y: (closures[y].bit_count(), closures[y]))
     return SublocaleLattice(frame, tuple(closures[y] for y in order), tuple(order))
 
@@ -306,35 +347,31 @@ class ClosedJoinFrame:
     Since c(a) ∨ c(b) = c(a ∧ b), the joins of closed sublocales are the
     closed sublocales themselves: element i is the up-set of generators[i].
     Joins are c(a ∧ b) and induced meets c(a ∨ b); the constructor checks
-    both against the order-theoretic ones of containment. `frame` exposes
-    the same data as an abstract frame whose element i is masks[i].
+    both against the order-theoretic ones of `frame`, the containment order
+    of the masks validated by `closed_join_frames`. `frame` exposes the same
+    data as an abstract frame whose element i is masks[i].
     """
 
-    def __init__(self, parent: FiniteFrame):
-        up = parent.up_masks
-        self.generators = tuple(sorted(range(parent.n),
-                                       key=lambda a: (up[a].bit_count(), up[a])))
-        masks = tuple(up[a] for a in self.generators)
+    def __init__(self, parent: FiniteFrame, generators: tuple[int, ...], frame: FiniteFrame):
+        masks = tuple(parent.up_masks[a] for a in generators)
         self.parent = parent
+        self.generators = generators
         self.masks = masks
         self.index = {m: i for i, m in enumerate(masks)}
-        self.elements = tuple(Sublocale(parent, m) for m in masks)
         self.bottom_index = self.index[1 << parent.top]
         self.top_index = self.index[(1 << parent.n) - 1]
-        labels = tuple(f"c({parent.labels[g]})" for g in self.generators)
-
-        self.frame = validate_frame(FinitePoset(containment_order(masks)), labels)
-        if self.frame.labels != labels:
+        self.frame = frame
+        if frame.labels != _closed_join_labels(parent, generators):
             raise AssertionError("closed-join carrier left canonical order")
 
-        gen = np.array(self.generators, dtype=np.intp)
+        gen = np.array(generators, dtype=np.intp)
         position = np.empty_like(gen)
         position[gen] = np.arange(len(gen))
-        join = position[parent.meet[np.ix_(gen, gen)]]
-        meet = position[parent.join[np.ix_(gen, gen)]]
-        if not np.array_equal(join, self.frame.join):
+        join = position[parent.meet[gen][:, gen]]
+        meet = position[parent.join[gen][:, gen]]
+        if not np.array_equal(join, frame.join):
             raise AssertionError("closed-join joins disagree with the inclusion order")
-        if not np.array_equal(meet, self.frame.meet):
+        if not np.array_equal(meet, frame.meet):
             raise AssertionError("induced meet disagrees with the inclusion order")
         join.flags.writeable = False
         meet.flags.writeable = False
@@ -343,6 +380,10 @@ class ClosedJoinFrame:
 
     def __len__(self):
         return len(self.masks)
+
+    @cached_property
+    def elements(self) -> tuple[Sublocale, ...]:
+        return tuple(Sublocale(self.parent, m) for m in self.masks)
 
     def element_index(self, s: Sublocale) -> int:
         if s.parent is not self.parent:
@@ -376,9 +417,42 @@ class ClosedJoinFrame:
         return CheckReport.failed("closed-join-frame-law", f"triple {names}")
 
 
+def _closed_join_labels(parent: FiniteFrame, generators: tuple[int, ...]) -> tuple[str, ...]:
+    return tuple(f"c({parent.labels[g]})" for g in generators)
+
+
+def closed_join_frames(parents: Iterable[FiniteFrame]) -> list[ClosedJoinFrame]:
+    """The joins of closed sublocales (the up-sets) of every parent, validated
+    as frames in one `validate_frames` stack per carrier size.
+
+    A batch that fails raises what its first failing parent raises alone.
+    """
+    parents = list(parents)
+    try:
+        generators, by_size = [], defaultdict(list)
+        for k, parent in enumerate(parents):
+            up = parent.up_masks
+            generators.append(tuple(sorted(range(parent.n),
+                                           key=lambda a: (up[a].bit_count(), up[a]))))
+            by_size[parent.n].append(k)
+        frames = [None] * len(parents)
+        for ks in by_size.values():
+            leqs = np.stack([containment_order([parents[k].up_masks[a] for a in generators[k]])
+                             for k in ks])
+            labels = [_closed_join_labels(parents[k], generators[k]) for k in ks]
+            for k, frame in zip(ks, validate_frames(leqs, labels)):
+                frames[k] = frame
+        return [ClosedJoinFrame(*args) for args in zip(parents, generators, frames)]
+    except Exception:
+        if len(parents) > 1:
+            for parent in parents:
+                closed_join_frames([parent])
+        raise
+
+
 def closed_join_frame(parent: FiniteFrame) -> ClosedJoinFrame:
     """The joins of closed sublocales (the up-sets), validated as a frame."""
-    return ClosedJoinFrame(parent)
+    return closed_join_frames([parent])[0]
 
 
 def closed_join_meet(cjf: ClosedJoinFrame, s: Sublocale, t: Sublocale) -> Sublocale:

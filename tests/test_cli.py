@@ -1,10 +1,11 @@
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from localekit import cli, corpus, io, realline
+from localekit import cli, corpus, io, realline, sublocales as sub
 from localekit.lattice import NotALattice
 from localekit.spaces import sierpinski
 
@@ -248,6 +249,34 @@ class TestCampaigns:
         assert cli.main(["--machine", "--budget", "3", "campaign", "lattices",
                          "--max-size", "3"]) == 0
         assert "summary records=21 pass=21" in capsys.readouterr().out
+
+    def test_campaign_builds_shared_structure_once(self, monkeypatch, capsys):
+        argv = ["--machine", "campaign", "lattices", "--max-size", "4", "--checks",
+                "frame-laws,identities,coframe-law,sc-frame-law,ppt,weaksub-equiv,pcformula"]
+        assert cli.main(argv) == 0
+        whole = capsys.readouterr().out
+        built, stacks = [], []
+        all_sublocales, validate_frames = sub.all_sublocales, sub.validate_frames
+
+        def counted_sublocales(frame, *args, **kwargs):
+            built.append(frame)
+            return all_sublocales(frame, *args, **kwargs)
+
+        def counted_stacks(leqs, *args, **kwargs):
+            stacks.append(leqs.shape)
+            return validate_frames(leqs, *args, **kwargs)
+
+        monkeypatch.setattr(sub, "all_sublocales", counted_sublocales)
+        monkeypatch.setattr(sub, "validate_frames", counted_stacks)
+        monkeypatch.setattr(corpus, "_CHUNK_CELLS", 200)  # 12 chunks of 3 frames at n = 4
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == whole
+        named = corpus.named_frames().values()
+        assert len(built) == len({id(frame) for frame in built}) == 1 + 2 + 6 + 36 + len(named)
+        sizes = Counter(frame.n for frame in named)
+        expected = [(1, 1, 1), (2, 2, 2), (6, 3, 3)] + [(3, 4, 4)] * 12
+        expected += [(count, n, n) for n, count in sizes.items()]
+        assert sorted(stacks) == sorted(expected)
 
     def test_unknown_check_rejected(self, capsys):
         assert cli.main(["campaign", "lattices", "--checks", "nope"]) == 2

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+from random import Random
+
+import numpy as np
 import pytest
 
+from localekit import corpus, sublocales
 from localekit.common import BudgetExceeded, IDENTITY_EXHAUSTIVE_LIMIT, pack_rows, unpack_rows
 from localekit.lattice import FiniteFrame, find_order_isomorphism
 from localekit.sublocales import (MixedParents, Sublocale, all_sublocales,
-                                  closed_join_frame, closed_join_meet,
+                                  closed_join_frame, closed_join_frames, closed_join_meet,
                                   closed_open_complements_report,
                                   closed_open_identities_check,
                                   closed_sublocale, dual_booleanization,
@@ -21,6 +29,20 @@ def tampered(frame, table, a, b, value):
     tables[table][a, b] = value
     return FiniteFrame(frame.poset, tables["meet"], tables["join"], tables["imp"],
                        frame.labels)
+
+
+def raised(action):
+    """(exception class, message, args) of what action raises."""
+    with pytest.raises(Exception) as err:
+        action()
+    return type(err.value), str(err.value), err.value.args
+
+
+def unchecked(poset):
+    """A FiniteFrame over poset whose tables are never read by closed_join_frames
+    before its closed-join order fails validation."""
+    zeros = np.zeros((poset.n, poset.n), dtype=np.intp)
+    return FiniteFrame(poset, zeros, zeros, zeros, tuple(f"e{i}" for i in range(poset.n)))
 
 
 class TestIsSublocale:
@@ -179,6 +201,70 @@ class TestSublocaleLattice:
             assert lattice.coframe_law_report().ok
             assert lattice.join_is_lub_report().ok
 
+    # (frame, table, a, b, value) tampered, and the message that a per-closure
+    # is_sublocale loop gives; "" where all_sublocales passes (a tampered meet
+    # entry below the diagonal is one that neither route reads)
+    @pytest.mark.parametrize("name, table, a, b, value, message", [
+        ("chain3", "imp", 0, 1, 0, "SubsetVerdict(ok=False, condition='heyting', witness=(0, 1))"),
+        ("chain3", "imp", 2, 0, 1, "SubsetVerdict(ok=False, condition='heyting', witness=(2, 0))"),
+        ("bool2", "imp", 1, 0, 1, ""),
+        ("bool3", "imp", 3, 4, 0, "SubsetVerdict(ok=False, condition='heyting', witness=(3, 4))"),
+        ("chain4", "imp", 3, 1, 0, "SubsetVerdict(ok=False, condition='heyting', witness=(3, 1))"),
+        ("grid2x3", "imp", 5, 2, 0, "SubsetVerdict(ok=False, condition='heyting', witness=(5, 2))"),
+        ("bool3", "meet", 5, 6, 1, "SubsetVerdict(ok=False, condition='meet', witness=(5, 6))"),
+        ("bool3", "meet", 6, 5, 7, ""),
+    ])
+    @pytest.mark.parametrize("cells", [None, 9])
+    def test_tampered_tables_keep_the_scalar_message(self, tiny_corpus, monkeypatch, cells,
+                                                     name, table, a, b, value, message):
+        if cells is not None:  # one closure a slice
+            monkeypatch.setattr(sublocales, "STACK_CELLS", cells)
+        frame = tampered(tiny_corpus[name], table, a, b, value)
+        if not message:
+            all_sublocales(frame)
+            return
+        assert raised(lambda: all_sublocales(frame)) == (
+            AssertionError, f"meet-closure of primes is not a sublocale: {message}",
+            (f"meet-closure of primes is not a sublocale: {message}",))
+
+    # a tampered join-table entry, and the witnesses that both laws give when
+    # checked on whole (m, m, m) arrays
+    @pytest.mark.parametrize("name, i, j, value, coframe, lub", [
+        ("bool2", 1, 2, 2, "['{1,3}', 'O', '{2,3}']", "({1,3}, {2,3})"),
+        ("bool3", 2, 5, 0, "['{5,7}', 'O', '{2,3,6,7}']", "({5,7}, {2,3,6,7})"),
+        ("bool3", 7, 7, 6, "['L', 'O', 'L']", "(L, L)"),
+        ("chain4", 3, 1, 2, "['{2,3}', 'O', '{0,3}']", "({2,3}, {0,3})"),
+        ("chain5", 12, 3, 14, "['{0,1,3,4}', 'O', '{2,4}']", "({0,1,3,4}, {2,4})"),
+        ("chain5", 9, 14, 2, "['{1,3,4}', 'O', '{1,2,3,4}']", "({1,3,4}, {1,2,3,4})"),
+        ("chain5", 15, 15, 13, "['L', 'O', 'L']", "(L, L)"),
+    ])
+    @pytest.mark.parametrize("cells", [None, 1])
+    def test_sliced_laws_name_the_first_witness(self, tiny_corpus, monkeypatch, cells,
+                                                name, i, j, value, coframe, lub):
+        if cells is not None:  # one value of the first index a slice
+            monkeypatch.setattr(sublocales, "STACK_CELLS", cells)
+        lattice = all_sublocales(tiny_corpus[name])
+        join = lattice.join_table.copy()
+        join[i, j] = value
+        lattice.__dict__["join_table"] = join
+        assert lattice.coframe_law_report().witness == f"triple {coframe}"
+        assert lattice.join_is_lub_report().witness == f"pair {lub}"
+
+    def test_chain10_laws_stay_in_bounded_memory(self):
+        # 512 sublocales: (m, m, m) arrays of the laws would take 1 GB each
+        script = ("import resource\n"
+                  "from localekit import corpus, sublocales\n"
+                  "lattice = sublocales.all_sublocales(corpus.chain(10))\n"
+                  "assert len(lattice) == 512\n"
+                  "assert lattice.coframe_law_report().ok and lattice.join_is_lub_report().ok\n"
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        assert int(done.stdout) < 400 * 1024  # ru_maxrss is in KiB
+
     def test_join_monotone(self, small_corpus):
         for frame in small_corpus[:30]:
             lattice = all_sublocales(frame)
@@ -255,6 +341,42 @@ class TestClosedJoinFrame:
                 for j, b in enumerate(cjf.masks):
                     joined = sublocale_join([Sublocale(frame, a), Sublocale(frame, b)])
                     assert cjf.masks[int(cjf.join_table[i, j])] == joined.mask
+
+
+class TestClosedJoinFrames:
+    def test_batch_matches_single_frames(self, small_corpus, tiny_corpus):
+        frames = small_corpus + list(tiny_corpus.values())
+        Random(0).shuffle(frames)  # carrier sizes mixed in one batch
+        for batch, frame in zip(closed_join_frames(frames), frames):
+            alone = closed_join_frame(frame)
+            assert batch.parent is frame
+            assert batch.masks == alone.masks
+            assert batch.generators == alone.generators
+            assert batch.frame.labels == alone.frame.labels
+            assert (batch.bottom_index, batch.top_index) == (alone.bottom_index, alone.top_index)
+            for name in ("join_table", "meet_table"):
+                assert np.array_equal(getattr(batch, name), getattr(alone, name))
+            for name in ("leq", "meet", "join", "imp"):
+                assert np.array_equal(getattr(batch.frame, name), getattr(alone.frame, name))
+
+    def test_empty_batch(self):
+        assert closed_join_frames([]) == []
+
+    @pytest.mark.parametrize("position", [0, 2])
+    @pytest.mark.parametrize("bad", ["pentagon", "diamond", "hexagon", "meet", "join"])
+    def test_failing_frame_raises_its_own_error(self, tiny_corpus, bad, position):
+        if bad in ("meet", "join"):
+            # the order validates; only the table cross-check after it fails
+            broken = tampered(tiny_corpus["bool2"], bad, 1, 2, {"meet": 3, "join": 1}[bad])
+        else:
+            broken = unchecked(getattr(corpus, f"{bad}_poset")())
+        alone = raised(lambda: closed_join_frame(broken))
+        good = [tiny_corpus[name] for name in ("chain3", "bool3", "chain4", "grid2x3")]
+        # a later frame whose order fails validation must not mask the first failure
+        batch = good[:position] + [broken] + good[position:] + [unchecked(corpus.pentagon_poset())]
+        assert raised(lambda: closed_join_frames(batch)) == alone
+        assert alone[0].__name__ == {"meet": "AssertionError", "join": "AssertionError",
+                                     "hexagon": "NotALattice"}.get(bad, "NotDistributive")
 
 
 class TestClosedJoinMeet:
