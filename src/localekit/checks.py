@@ -109,7 +109,7 @@ def sublocale_laws(frame: FiniteFrame,
                    sub.closed_open_complements_report(frame)):
         if not report.ok:
             return report
-    broken = frame.leq != containment_order(frame.up_masks).T   # a <= b iff c(b) ⊆ c(a)
+    broken = frame.leq != containment_order(frame.leq).T   # a <= b iff c(b) ⊆ c(a)
     if broken.any():
         a, b = (frame.labels[v] for v in divmod(int(broken.argmax()), frame.n))
         return CheckReport.failed("sublocale-laws", f"antitone embedding breaks at ({a},{b})")

@@ -85,6 +85,15 @@ class Report:
                   f"({self.elapsed:.2f}s)", file=out)
 
 
+def _record_conditions(report: Report, item: str, conditions) -> None:
+    """One indented record per condition of an equivalence, with its witness."""
+    for condition in conditions:
+        fields = {"witness": condition.witness} if condition.witness else {}
+        suffix = f" [{condition.witness}]" if condition.witness else ""
+        report.add(human=f"  {condition.name}: {condition.holds}{suffix}", item=item,
+                   check=condition.name, verdict=PASS if condition.holds else FAIL, **fields)
+
+
 def _record_from(report: Report, item: str, check: CheckReport) -> None:
     fields = {"item": item, "check": check.name, "verdict": check.level}
     if check.witness:
@@ -167,12 +176,7 @@ def _separation_report(item: str, frame: FiniteFrame, axiom: str, budget: Option
         fields["witness"] = ",".join(verdict.witness_labels)
         human += f" [witness {fields['witness']}]"
     report.add(human=human, **fields)
-    for condition in verdict.conditions:
-        report.add(human=f"  {condition.name}: {condition.holds}"
-                         + (f" [{condition.witness}]" if condition.witness else ""),
-                   item=item, check=condition.name,
-                   verdict=PASS if condition.holds else FAIL,
-                   **({"witness": condition.witness} if condition.witness else {}))
+    _record_conditions(report, item, verdict.conditions)
     return report
 
 
@@ -182,12 +186,7 @@ def _space_report(item: str, space: FiniteSpace, budget: Optional[int]) -> Repor
     fields = {"item": item, "check": "space-proposition",
               "verdict": PASS if proposition.holds else FAIL}
     report.add(human=f"symmetric: {proposition.holds}", **fields)
-    for condition in proposition.conditions:
-        report.add(human=f"  {condition.name}: {condition.holds}"
-                         + (f" [{condition.witness}]" if condition.witness else ""),
-                   item=item, check=condition.name,
-                   verdict=PASS if condition.holds else FAIL,
-                   **({"witness": condition.witness} if condition.witness else {}))
+    _record_conditions(report, item, proposition.conditions)
     if sp.is_t0(space):
         _record_from(report, item, checks.td_remark(space))
     else:
@@ -443,14 +442,8 @@ def main(argv=None) -> int:
         return 2
     started = time.monotonic()
     try:
-        if args.command == "check-frame":
-            report = run_check(args.file, "check-frame", budget=args.budget)
-        elif args.command == "sublocales":
-            report = run_check(args.file, "sublocales", budget=args.budget)
-        elif args.command == "sc":
-            report = run_check(args.file, "sc", budget=args.budget)
-        elif args.command == "separation":
-            report = run_check(args.file, "separation", axiom=args.axiom,
+        if args.command in ("check-frame", "sublocales", "sc", "separation"):
+            report = run_check(args.file, args.command, axiom=getattr(args, "axiom", None),
                                budget=args.budget)
         elif args.command == "realline":
             report = _realline_report(args)

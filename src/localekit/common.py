@@ -1,9 +1,13 @@
 """Shared exceptions, enumeration budgets, the generic check verdict, and
-the bit-mask helpers every finite carrier uses."""
+the two encodings of a set of elements: a Python-int bitmask (bit k for
+element k), which serves as a set's identity, and a boolean row, which
+every array computation uses. `pack_rows` and `unpack_rows` convert
+between them at any width; no set test depends on a machine word."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -11,7 +15,7 @@ import numpy as np
 # Size bounds for exhaustive scans and precomputed tables. Exhaustive law
 # checking is exponential in carrier size; these keep it at desk scale.
 # Callers may override per call where a `budget` parameter is exposed.
-MAX_FRAME_CARRIER = 64
+MAX_FRAME_CARRIER = 64  # a default only: --budget raises it on check-frame and sc
 CORPUS_SIZE_LIMIT = 7  # campaign lattices --max-size: 26,460 labeled frames at 7
 SUBLOCALE_SCAN_LIMIT = 16  # primes of the frame: S(L) has 2^primes elements
 SUBLOCALE_TABLE_LIMIT = 1024
@@ -37,9 +41,10 @@ def pack_rows(rows) -> tuple[int, ...]:
 
 def unpack_rows(masks: Iterable[int], n: int):
     """The inverse of pack_rows: bitmasks of n bits as a boolean array (m, n)."""
+    masks = tuple(masks)
     width = (n + 7) // 8
-    data = b"".join(mask.to_bytes(width, "little") for mask in masks)
-    packed = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
+    data = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(masks), width)
     return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
 
 

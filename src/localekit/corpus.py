@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .common import bits
+from .common import bits, unpack_rows
 from .lattice import (FinitePoset, FiniteFrame, distributivity_witness, lattice_tables,
                       validate_frame, validate_frames)
 from . import realline
@@ -87,17 +87,12 @@ def _chunk_step(n: int) -> int:
 
 
 def _chunks(rows: list, n: int):
-    """(start, rows[start:start + step]) in order, step frames of size n a chunk."""
+    """(start, chunk, orders) in order, chunk = rows[start:start + step] of step
+    frames of size n, and orders its up-mask rows as (F, n, n) order matrices."""
     step = _chunk_step(n)
     for start in range(0, len(rows), step):
-        yield start, rows[start:start + step]
-
-
-def _unpack(rows) -> np.ndarray:
-    """Bitmask rows to order matrices: leq[..., i, j] iff bit j of rows[..., i]."""
-    arr = np.array(rows, dtype=np.uint64)
-    shifts = np.arange(arr.shape[-1], dtype=np.uint64)
-    return ((arr[..., None] >> shifts) & np.uint64(1)).astype(bool)
+        chunk = rows[start:start + step]
+        yield start, chunk, unpack_rows((m for up in chunk for m in up), n).reshape(-1, n, n)
 
 
 def labeled_lattice_rows(n: int, distributive_only: bool = False) -> list[tuple[int, ...]]:
@@ -105,8 +100,8 @@ def labeled_lattice_rows(n: int, distributive_only: bool = False) -> list[tuple[
     full = (1 << n) - 1
     bounded = [up for up, down in iter_natural_posets(n) if full in up and full in down]
     natural = []
-    for _, chunk in _chunks(bounded, n):
-        meet, join, missing = lattice_tables(_unpack(chunk))
+    for _, chunk, orders in _chunks(bounded, n):
+        meet, join, missing = lattice_tables(orders)
         keep = missing < 0
         if distributive_only:
             keep &= distributivity_witness(meet, join) < 0
@@ -115,15 +110,15 @@ def labeled_lattice_rows(n: int, distributive_only: bool = False) -> list[tuple[
 
 
 def rows_to_poset(rows: tuple[int, ...]) -> FinitePoset:
-    return FinitePoset(_unpack(rows))
+    return FinitePoset(unpack_rows(rows, len(rows)))
 
 
 def iter_distributive_frames(max_size: int) -> Iterator[tuple[str, FiniteFrame]]:
     """The labeled corpus: every labeled distributive lattice with <= max_size
     elements, validated as a frame, with a stable per-item name."""
     for n in range(1, max_size + 1):
-        for start, chunk in _chunks(labeled_lattice_rows(n, distributive_only=True), n):
-            for k, frame in enumerate(validate_frames(_unpack(chunk)), start):
+        for start, _, orders in _chunks(labeled_lattice_rows(n, distributive_only=True), n):
+            for k, frame in enumerate(validate_frames(orders), start):
                 yield f"dist{n}:{k:04d}", frame
 
 

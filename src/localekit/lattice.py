@@ -156,7 +156,7 @@ class FiniteFrame:
     @cached_property
     def up_masks(self) -> tuple[int, ...]:
         """up_masks[i]: bitmask of {k : i <= k}."""
-        return bit_rows(self.leq)
+        return pack_rows(self.leq)
 
     @cached_property
     def imp_image_masks(self) -> tuple[int, ...]:
@@ -180,19 +180,10 @@ class PseudocomplementResult(NamedTuple):
     is_dense: bool
 
 
-def bit_rows(leq) -> tuple[int, ...]:
-    """Bitmask rows of an order, rows[i] = {k : i <= k}, as Python ints, for at
-    most 64 elements: `containment_order` compares such masks as 64-bit words."""
-    n = leq.shape[0]
-    if n > MAX_FRAME_CARRIER:
-        raise BudgetExceeded(f"carrier size {n} exceeds the {MAX_FRAME_CARRIER}-bit mask width")
-    return pack_rows(leq)
-
-
-def containment_order(masks: Sequence[int]):
-    """leq[i, j] iff masks[i] is a subset of masks[j] (masks of up to 64 bits)."""
-    arr = np.array(masks, dtype=np.uint64)
-    return (arr[:, None] & ~arr[None, :]) == 0
+def containment_order(rows):
+    """leq[i, j] iff row i is a subset of row j, for an (m, n) boolean array of
+    member rows (any n): no k has rows[i, k] without rows[j, k]."""
+    return ~(rows @ ~rows.T)
 
 
 def _first(mask):

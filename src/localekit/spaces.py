@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .common import (TOPOLOGY_POINT_LIMIT, BudgetExceeded, EquivalenceViolation,
-                     TheoremViolation)
+                     TheoremViolation, unpack_rows)
 from .lattice import FinitePoset, FiniteFrame, containment_order, validate_frame
 from .separation import (ConditionVerdict, SeparationReport, is_symmetric,
                          is_weakly_subfit)
@@ -91,17 +91,11 @@ def indiscrete(points: int) -> FiniteSpace:
 def specialization(space: FiniteSpace):
     """x <= y iff x lies in the closure of {y}; reflexive and transitive.
 
-    Equivalently every open containing x contains y, which is how the
-    matrix is computed; reflexivity and transitivity are then re-checked.
+    Equivalently every open containing x contains y: the containment order
+    of the open-membership columns. Reflexivity and transitivity are then
+    re-checked.
     """
-    n = space.points
-    rel = np.ones((n, n), dtype=bool)
-    for o in space.opens:
-        for x in range(n):
-            if o >> x & 1:
-                for y in range(n):
-                    if not o >> y & 1:
-                        rel[x, y] = False
+    rel = containment_order(unpack_rows(space.opens, space.points).T)
     if not rel.diagonal().all():
         raise AssertionError("specialization lost reflexivity")
     if ((rel @ rel) & ~rel).any():
@@ -161,16 +155,15 @@ class UnionsOfClosed:
     @cached_property
     def as_frame(self) -> FiniteFrame:
         labels = [bitstring(m, self.space.points) for m in self.elements]
-        frame = validate_frame(FinitePoset(containment_order(self.elements)), labels)
+        rows = unpack_rows(self.elements, self.space.points)
+        frame = validate_frame(FinitePoset(containment_order(rows)), labels)
         if frame.labels != tuple(labels):
             raise AssertionError("union-closure carrier left canonical order")
         # Lattice operations must be the set-theoretic ones.
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                if self.elements[int(frame.join[i, j])] != a | b:
-                    raise AssertionError("join is not set union")
-                if self.elements[int(frame.meet[i, j])] != a & b:
-                    raise AssertionError("meet is not set intersection")
+        if not np.array_equal(rows[frame.join], rows[:, None] | rows[None, :]):
+            raise AssertionError("join is not set union")
+        if not np.array_equal(rows[frame.meet], rows[:, None] & rows[None, :]):
+            raise AssertionError("meet is not set intersection")
         return frame
 
     def is_boolean(self) -> SpaceVerdict:
@@ -204,7 +197,8 @@ def omega(space: FiniteSpace) -> FiniteFrame:
     """The open-set lattice as a frame; labels are membership bitstrings."""
     opens = tuple(sorted(space.opens, key=lambda m: (m.bit_count(), m)))
     labels = [bitstring(o, space.points) for o in opens]
-    return validate_frame(FinitePoset(containment_order(opens)), labels)
+    rows = unpack_rows(opens, space.points)
+    return validate_frame(FinitePoset(containment_order(rows)), labels)
 
 
 @dataclass(frozen=True)

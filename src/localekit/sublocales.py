@@ -1,8 +1,10 @@
 """Sublocales of a finite frame.
 
 A sublocale is a subset of the carrier containing the top, closed under
-meets, and closed under a -> (-) for every a. Sublocales are stored as
-element bitmasks over the parent frame. Every sublocale of a finite frame
+meets, and closed under a -> (-) for every a. A sublocale is identified by
+its element bitmask over the parent frame; S(L) also keeps its members as
+boolean rows, on which its order and the meet cross-check are computed at
+any carrier size. Every sublocale of a finite frame
 is spatial, so S(L) is exactly the family of meet-closures M(Y) of the sets
 Y of primes (meet-irreducibles) of L: M(Y) ∩ M(Z) = M(Y ∩ Z) and
 M(Y) ∨ M(Z) = M(Y ∪ Z). A join in S(L) is the meet-closure M(A ∪ {1}) of
@@ -187,17 +189,19 @@ class SublocaleLattice:
     """All sublocales of a frame, ordered by inclusion (a coframe).
 
     Element order is by (size, mask), so index 0 is O and the last index is
-    the whole frame. prime_sets[i] is the set Y of primes with masks[i] =
-    M(Y), as a bitmask over the positions in primes(parent). Join/meet/
+    the whole frame. rows[i] holds the members of masks[i] as a boolean row
+    over the carrier, and prime_sets[i] is the set Y of primes with masks[i]
+    = M(Y), as a bitmask over the positions in primes(parent). Join/meet/
     supplement tables are built lazily and cached; building them is guarded
     by a table budget.
     """
 
     def __init__(self, parent: FiniteFrame, masks: tuple[int, ...],
-                 prime_sets: tuple[int, ...]):
+                 prime_sets: tuple[int, ...], rows: np.ndarray):
         self.parent = parent
         self.masks = masks
         self.prime_sets = prime_sets
+        self.rows = rows
         self.index = {m: i for i, m in enumerate(masks)}
         self.sublocales = tuple(Sublocale(parent, m) for m in masks)
         self.bottom_index = self.index[1 << parent.top]
@@ -210,7 +214,7 @@ class SublocaleLattice:
 
     @cached_property
     def leq(self):
-        rel = containment_order(self.masks)
+        rel = containment_order(self.rows)
         rel.flags.writeable = False
         return rel
 
@@ -231,8 +235,8 @@ class SublocaleLattice:
             raise BudgetExceeded(f"{len(self.masks)} sublocales exceed the table budget")
         ys = self._ys
         table = self._by_primes[ys[:, None] & ys[None, :]]
-        words = np.array(self.masks, dtype=np.uint64)
-        if not np.array_equal(words[table], words[:, None] & words[None, :]):
+        packed = np.packbits(self.rows, axis=1)
+        if not np.array_equal(packed[table], packed[:, None] & packed[None, :]):
             raise AssertionError("meet of prime sets differs from the intersection")
         table.flags.writeable = False
         return table
@@ -338,7 +342,9 @@ def all_sublocales(frame: FiniteFrame, budget: Optional[int] = None) -> Sublocal
         verdict = is_sublocale(frame, bits(closures[int(bad.argmax())]))
         raise AssertionError(f"meet-closure of primes is not a sublocale: {verdict}")
     order = sorted(range(len(closures)), key=lambda y: (closures[y].bit_count(), closures[y]))
-    return SublocaleLattice(frame, tuple(closures[y] for y in order), tuple(order))
+    rows = rows[order]
+    rows.flags.writeable = False
+    return SublocaleLattice(frame, tuple(closures[y] for y in order), tuple(order), rows)
 
 
 class ClosedJoinFrame:
@@ -437,7 +443,7 @@ def closed_join_frames(parents: Iterable[FiniteFrame]) -> list[ClosedJoinFrame]:
             by_size[parent.n].append(k)
         frames = [None] * len(parents)
         for ks in by_size.values():
-            leqs = np.stack([containment_order([parents[k].up_masks[a] for a in generators[k]])
+            leqs = np.stack([containment_order(parents[k].leq[list(generators[k])])
                              for k in ks])
             labels = [_closed_join_labels(parents[k], generators[k]) for k in ks]
             for k, frame in zip(ks, validate_frames(leqs, labels)):

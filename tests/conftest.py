@@ -49,3 +49,19 @@ def small_corpus():
 def tiny_corpus():
     """One frame per shape that the unit tests lean on."""
     return {name: frame for name, frame in corpus.named_frames().items()}
+
+
+@pytest.fixture(scope="session")
+def chain65():
+    """The 65-element chain: one element past the default frame budget."""
+    from localekit.lattice import validate_frame
+    return validate_frame(corpus.chain_poset(65), max_size=65)
+
+
+@pytest.fixture(scope="session")
+def cube7():
+    """The 128-element Boolean cube (7 atoms), past the default frame budget."""
+    from localekit.lattice import FinitePoset, validate_frame
+    n = 128
+    return validate_frame(FinitePoset([[i & ~j == 0 for j in range(n)] for i in range(n)]),
+                          max_size=n)

@@ -164,6 +164,19 @@ class TestCliCommands:
             assert "digraph" in capsys.readouterr().out
         assert cli.main(["separation", str(path), "--axiom", "ppt"]) == 0
 
+    @pytest.mark.parametrize("frame", ["chain65", "cube7"])
+    def test_sc_budget_past_64_elements(self, tmp_path, capsys, request, frame):
+        frame = request.getfixturevalue(frame)
+        path = tmp_path / "big.lat"
+        path.write_text(io.format_lattice(frame))
+        assert cli.main(["sc", str(path)]) == 2
+        assert "exceeds the frame budget 64" in capsys.readouterr().err
+        assert cli.main(["--budget", "200", "sc", str(path)]) == 0
+        assert f"{frame.n} joins of closed sublocales" in capsys.readouterr().out
+        assert cli.main(["--budget", "200", "--machine", "sc", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"summary records={frame.n + 1} pass={frame.n + 1} fail=0 violation=0")
+
     def test_internal_error_exits_2(self, monkeypatch, capsys):
         def broken(u, n):
             raise AssertionError("injected cross-check failure")

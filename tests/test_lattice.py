@@ -7,7 +7,7 @@ import pytest
 from localekit import corpus
 from localekit.common import BudgetExceeded
 from localekit.lattice import (FinitePoset, InvalidPoset, NotALattice,
-                               NotDistributive, booleanization,
+                               NotDistributive, booleanization, containment_order,
                                find_order_isomorphism, heyting, product_frame,
                                pseudocomplement, regular_pair_frame,
                                validate_frame, validate_frames)
@@ -95,12 +95,12 @@ class TestValidateFrame:
                     assert int(frame.join[a, b]) == brute_join(rows, a, b)
                     assert int(frame.imp[a, b]) == brute_heyting(rows, a, b)
 
-    def test_up_masks_exact_on_64_elements(self):
-        frame = corpus.boolean_cube(6)
-        expected = tuple(sum(1 << k for k in range(frame.n) if frame.leq[i, k])
-                         for i in range(frame.n))
-        assert frame.up_masks == expected
-        assert frame.up_masks[frame.bottom] == 2**64 - 1
+    def test_up_masks_exact_on_64_elements(self, chain65):
+        for frame in (corpus.boolean_cube(6), chain65):
+            expected = tuple(sum(1 << k for k in range(frame.n) if frame.leq[i, k])
+                             for i in range(frame.n))
+            assert frame.up_masks == expected
+            assert frame.up_masks[frame.bottom] == 2**frame.n - 1
 
     def test_corpus_is_distributive_by_oracle(self, small_corpus):
         for frame in small_corpus[:50]:
@@ -181,6 +181,21 @@ class TestValidateFrames:
             validate_frames(np.ones((1, 0, 0), dtype=bool))
         with pytest.raises(ValueError, match="labels"):
             validate_frames(np.ones((1, 1, 1), dtype=bool), [("a", "b")])
+
+
+class TestContainmentOrder:
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+    def test_matches_brute_force_subsets(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.random((12, n)) < 0.5
+        # unions and intersections of pairs make strict subsets at any width
+        rows = np.concatenate([rows, rows[:6] | rows[6:], rows[:6] & rows[6:],
+                               np.zeros((1, n), dtype=bool), np.ones((1, n), dtype=bool)])
+        got = containment_order(rows)
+        assert got.shape == (len(rows), len(rows)) and got.dtype == bool
+        for i, a in enumerate(rows.tolist()):
+            for j, b in enumerate(rows.tolist()):
+                assert got[i, j] == all(y or not x for x, y in zip(a, b))
 
 
 class TestHeytingOps:

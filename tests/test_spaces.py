@@ -1,8 +1,11 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from localekit.common import BudgetExceeded
-from localekit.lattice import find_order_isomorphism
+from localekit import spaces
+from localekit.lattice import FiniteFrame, find_order_isomorphism, validate_frame
 from localekit.spaces import (FiniteSpace, InvalidTopology, NotT0, UnionsOfClosed,
                               bitstring, discrete, enumerate_topologies,
                               indiscrete, is_symmetric_space, is_t0, omega,
@@ -61,12 +64,20 @@ class TestSpecialization:
             assert is_symmetric_space(space).ok == np.array_equal(rel, rel.T)
 
     def test_preorder_roundtrip(self):
-        rows = (0b011, 0b010, 0b110)
-        space = space_from_preorder(rows)
-        rel = specialization(space)
-        for x in range(3):
-            for y in range(3):
-                assert bool(rel[x, y]) == bool(rows[x] >> y & 1)
+        # every reflexive transitive relation on 3 points, rows[x] = {y : x <= y}
+        preorders = []
+        for rows in product(range(8), repeat=3):
+            reflexive = all(rows[x] >> x & 1 for x in range(3))
+            transitive = all(rows[y] & ~rows[x] == 0
+                             for x in range(3) for y in range(3) if rows[x] >> y & 1)
+            if reflexive and transitive:
+                preorders.append(rows)
+        assert len(preorders) == 29
+        for rows in preorders:
+            rel = specialization(space_from_preorder(rows))
+            for x in range(3):
+                for y in range(3):
+                    assert bool(rel[x, y]) == bool(rows[x] >> y & 1)
 
 
 class TestUnionsOfClosed:
@@ -102,6 +113,19 @@ class TestUnionsOfClosed:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             uc_lattice(discrete(3), budget=2)
+
+    @pytest.mark.parametrize("table, message", [("join", "join is not set union"),
+                                                ("meet", "meet is not set intersection")])
+    def test_frame_operations_are_checked_against_sets(self, monkeypatch, table, message):
+        def tampered(poset, labels):
+            frame = validate_frame(poset, labels)
+            tables = {name: getattr(frame, name).copy() for name in ("meet", "join")}
+            tables[table][1, 2] = tables[table][2, 1] = 1
+            return FiniteFrame(frame.poset, tables["meet"], tables["join"], frame.imp,
+                               frame.labels)
+        monkeypatch.setattr(spaces, "validate_frame", tampered)
+        with pytest.raises(AssertionError, match=message):
+            UnionsOfClosed(discrete(2)).as_frame
 
 
 class TestSpaceProposition:

@@ -250,6 +250,19 @@ class TestSublocaleLattice:
         assert lattice.coframe_law_report().witness == f"triple {coframe}"
         assert lattice.join_is_lub_report().witness == f"pair {lub}"
 
+    def test_cube7_past_64_elements(self, cube7):
+        lattice = all_sublocales(cube7)
+        assert len(lattice) == 128
+        # in a Boolean frame every sublocale is closed: S(L) is the up-sets ↑a
+        assert sorted(lattice.masks) == sorted(cube7.up_masks)
+        meet = lattice.meet_table
+        for i, a in enumerate(lattice.masks):
+            for j, b in enumerate(lattice.masks):
+                assert lattice.masks[int(meet[i, j])] == a & b
+                assert lattice.leq[i, j] == (a & ~b == 0)
+        assert lattice.coframe_law_report().ok
+        assert lattice.join_is_lub_report().ok
+
     def test_chain10_laws_stay_in_bounded_memory(self):
         # 512 sublocales: (m, m, m) arrays of the laws would take 1 GB each
         script = ("import resource\n"
@@ -333,6 +346,15 @@ class TestClosedJoinFrame:
     def test_frame_law(self, small_corpus):
         for frame in small_corpus:
             assert closed_join_frame(frame).frame_law_report().ok
+
+    def test_past_64_elements(self, chain65, cube7):
+        for frame in (chain65, cube7):
+            cjf = closed_join_frame(frame)
+            assert sorted(cjf.masks) == sorted(frame.up_masks)
+            for i, a in enumerate(cjf.masks):
+                for j, b in enumerate(cjf.masks):
+                    assert cjf.frame.leq[i, j] == (a & ~b == 0)
+            assert cjf.frame_law_report().ok
 
     def test_joins_embed_into_sublocale_lattice(self, small_corpus):
         for frame in small_corpus[:40]:
