@@ -456,7 +456,6 @@ def main(argv=None) -> int:
             if args.campaign_kind == "lattices":
                 report = _campaign_lattices(args)
             elif args.campaign_kind == "spaces":
-                args.budget = args.budget if args.budget is not None else args.points
                 report = _campaign_spaces(args)
             else:
                 report = _campaign_realline(args)

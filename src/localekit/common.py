@@ -17,9 +17,8 @@ import numpy as np
 # Callers may override per call where a `budget` parameter is exposed.
 MAX_FRAME_CARRIER = 64  # a default only: --budget raises it on check-frame and sc
 CORPUS_SIZE_LIMIT = 7  # campaign lattices --max-size: 26,460 labeled frames at 7
-SUBLOCALE_SCAN_LIMIT = 16  # primes of the frame: S(L) has 2^primes elements
-SUBLOCALE_TABLE_LIMIT = 1024
-TOPOLOGY_POINT_LIMIT = 4
+SUBLOCALE_SCAN_LIMIT = 10  # primes: bounds S(L), 2^primes elements, and its tables, 4^primes cells
+TOPOLOGY_POINT_LIMIT = 4  # --budget raises it on spaces enumerate and campaign spaces
 IDENTITY_EXHAUSTIVE_LIMIT = 8  # above this, the identities take seeded samples
 IDENTITY_SAMPLES = 512
 STACK_CELLS = 1 << 16  # cells per slice of a stacked law check over sublocales

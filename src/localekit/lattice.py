@@ -163,11 +163,6 @@ class FiniteFrame:
         """imp_image_masks[a]: bitmask of {a -> b : b in L} (the open sublocale)."""
         return pack_rows((self.imp[:, :, None] == np.arange(self.n)).any(axis=1))
 
-    @cached_property
-    def imp_preimage_masks(self) -> tuple[int, ...]:
-        """imp_preimage_masks[s]: bitmask of {a -> s : a in L}."""
-        return pack_rows((self.imp.T[:, :, None] == np.arange(self.n)).any(axis=1))
-
     def label(self, i: int) -> str:
         return self.labels[i]
 
@@ -290,14 +285,13 @@ def validate_frames(leqs, labels: Optional[Sequence[Sequence[str]]] = None) -> l
     """Check a stack of orders (F, n, n) are frames and precompute their tables.
 
     Each frame goes through the poset checks, is canonicalized (bottom to
-    0, top to n-1, the rest in input order) and checked again unless the
-    stack was canonical already, gets its meet/join tables, distributivity
-    on every triple, and the Heyting table proved by the adjunction on
-    every triple. labels holds one label sequence per frame (default: the
-    input indices). If any frame fails,
-    the first failing frame raises what it raises on its own: InvalidPoset,
-    NotALattice or NotDistributive with a witness in its labels, or
-    AssertionError for a broken adjunction.
+    0, top to n-1, the rest in input order), gets its meet/join tables,
+    distributivity on every triple, and the Heyting table proved by the
+    adjunction on every triple. labels holds one label sequence per frame
+    (default: the input indices). If any frame fails, the first failing
+    frame raises what it raises on its own: InvalidPoset, NotALattice or
+    NotDistributive with a witness in its labels, or AssertionError for a
+    broken adjunction.
     """
     leqs = np.asarray(leqs, dtype=bool)
     if leqs.ndim != 3 or leqs.shape[1] != leqs.shape[2]:
@@ -310,36 +304,29 @@ def validate_frames(leqs, labels: Optional[Sequence[Sequence[str]]] = None) -> l
     elif len(labels) != count or any(len(row) != n for row in labels):
         raise ValueError("labels length must match carrier size")
 
-    given, given_bad = _order_checks(leqs)
-    bottom = given.bottoms.argmax(axis=1)
-    top = given.tops.argmax(axis=1)
-    if (bottom == 0).all() and (top == n - 1).all():
-        # already canonical: the checks above are the canonical checks
-        canon, canonical, canon_bad = leqs.copy(), given, given_bad
-        labels = [tuple(row) for row in labels]
-    else:
-        idx = np.arange(n)
-        key = np.where(idx == bottom[:, None], -1, np.where(idx == top[:, None], n, idx))
-        order = np.argsort(key, axis=1, kind="stable")
-        canon = leqs[np.arange(count)[:, None, None], order[:, :, None], order[:, None, :]]
-        canonical, canon_bad = _order_checks(canon)
-        labels = [tuple(row[i] for i in perm) for row, perm in zip(labels, order.tolist())]
+    checks, bad = _order_checks(leqs)
+    # The order checks are invariant under relabelling, so they hold on the
+    # canonical stack too.
+    key = np.where(checks.bottoms, -1, np.where(checks.tops, n, np.arange(n)))
+    order = np.argsort(key, axis=1, kind="stable")
+    canon = leqs[np.arange(count)[:, None, None], order[:, :, None], order[:, None, :]]
+    labels = [tuple(row[i] for i in perm) for row, perm in zip(labels, order.tolist())]
     meet, join, missing = lattice_tables(canon)
     triples = distributivity_witness(meet, join)
     imp, broken = _heyting_tables(canon, meet)
 
-    failed = np.stack([given_bad, canon_bad, missing >= 0, triples >= 0, broken >= 0])
+    failed = np.stack([bad, missing >= 0, triples >= 0, broken >= 0])
     if failed.any():
         k = int(failed.any(axis=0).argmax())
         stage = int(failed[:, k].argmax())
         names = labels[k]
-        if stage < 2:
-            raise _order_error((given, canonical)[stage], k)
-        if stage == 2:
+        if stage == 0:
+            raise _order_error(checks, k)
+        if stage == 1:
             pair, kind = divmod(int(missing[k]), 2)
             raise NotALattice(tuple(names[v] for v in divmod(pair, n)),
                               ("infimum", "supremum")[kind])
-        if stage == 3:
+        if stage == 2:
             raise NotDistributive(tuple(names[int(v)]
                                         for v in np.unravel_index(triples[k], (n, n, n))))
         a, x, b = (int(v) for v in np.unravel_index(broken[k], (n, n, n)))
@@ -464,35 +451,34 @@ class RegularPairFrame:
     `frame` is the validated frame on the filtered carrier; `pairs[i]` gives
     the (parent element, regular element) behind carrier index i. Closure
     under componentwise meets, and under joins whose second coordinate join
-    is the regularized one, is verified element by element.
+    is the regularized one, is verified as two table lookups over all pairs.
     """
 
     def __init__(self, base: FiniteFrame):
         view = booleanization(base)
-        pairs = tuple((a, b) for a in range(base.n) for b in view.carrier
-                      if base.leq[a, b])
-        m = len(pairs)
-        leq = np.zeros((m, m), dtype=bool)
-        for i, (a1, b1) in enumerate(pairs):
-            for j, (a2, b2) in enumerate(pairs):
-                leq[i, j] = bool(base.leq[a1, a2]) and bool(base.leq[b1, b2])
-        labels = tuple(f"({base.labels[a]},{base.labels[b]})" for a, b in pairs)
-        frame = validate_frame(FinitePoset(leq), labels)
+        a, k = np.nonzero(base.leq[:, list(view.carrier)])  # a <= b = carrier[k], a then b
+        b = np.array(view.carrier, dtype=np.intp)[k]
+        pairs = tuple(zip(a.tolist(), b.tolist()))
+        labels = tuple(f"({base.labels[x]},{base.labels[y]})" for x, y in pairs)
+        frame = validate_frame(FinitePoset(base.leq[np.ix_(a, a)] & base.leq[np.ix_(b, b)]),
+                               labels)
         if frame.labels != labels:
             raise AssertionError("pair carrier left canonical order")
-        index = {pair: i for i, pair in enumerate(pairs)}
-        for i, (a1, b1) in enumerate(pairs):
-            for j, (a2, b2) in enumerate(pairs):
-                wedge = (int(base.meet[a1, a2]), int(base.meet[b1, b2]))
-                if index.get(wedge) != int(frame.meet[i, j]):
-                    raise ClosureViolation(f"meet of {labels[i]}, {labels[j]} -> {wedge}")
-                vee = (int(base.join[a1, a2]), view.join(b1, b2))
-                if index.get(vee) != int(frame.join[i, j]):
-                    raise ClosureViolation(f"join of {labels[i]}, {labels[j]} -> {vee}")
+        position = np.full((base.n, base.n), -1, dtype=np.intp)
+        position[a, b] = np.arange(len(pairs))
+        # [op, i, j]: the coordinates of pair i op pair j, meet (op 0) then join
+        firsts = np.stack([base.meet[np.ix_(a, a)], base.join[np.ix_(a, a)]])
+        seconds = np.stack([base.meet[np.ix_(b, b)], view.join_table[np.ix_(k, k)]])
+        bad = position[firsts, seconds] != np.stack([frame.meet, frame.join])
+        if bad.any():
+            i, j = divmod(int(bad.any(axis=0).argmax()), len(pairs))
+            op = int(bad[:, i, j].argmax())
+            got = (int(firsts[op, i, j]), int(seconds[op, i, j]))
+            raise ClosureViolation(f"{('meet', 'join')[op]} of {labels[i]}, {labels[j]} -> {got}")
         self.base = base
         self.view = view
         self.pairs = pairs
-        self.index = index
+        self.index = {pair: i for i, pair in enumerate(pairs)}
         self.frame = frame
 
     @property

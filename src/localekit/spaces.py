@@ -66,10 +66,6 @@ class FiniteSpace:
         return reduce(lambda acc, c: acc & c,
                       (c for c in self.closed_sets if mask & ~c == 0), self.full)
 
-    def interior_of(self, mask: int) -> int:
-        return reduce(lambda acc, o: acc | o,
-                      (o for o in self.opens if o & ~mask == 0), 0)
-
     def __repr__(self):
         return (f"FiniteSpace({self.points}, "
                 f"[{','.join(bitstring(o, self.points) for o in self.opens)}])")
@@ -186,7 +182,8 @@ class UnionsOfClosed:
 def uc_lattice(space: FiniteSpace, budget: Optional[int] = None) -> UnionsOfClosed:
     limit = UC_POINT_LIMIT if budget is None else budget
     if space.points > limit:
-        raise BudgetExceeded(f"{space.points} points exceed the unions-of-closed budget {limit}")
+        raise BudgetExceeded(f"{space.points} points exceed the unions-of-closed budget {limit} "
+                             "(override with --budget)")
     uc = UnionsOfClosed(space)
     if not uc.saturated_anti_isomorphism_ok():
         raise AssertionError("complementation fails to reach the saturated sets")
@@ -301,7 +298,8 @@ def enumerate_topologies(points: int, t0_only: bool = False,
     """
     limit = TOPOLOGY_POINT_LIMIT if budget is None else budget
     if points > limit:
-        raise BudgetExceeded(f"{points} points exceed the topology budget {limit}")
+        raise BudgetExceeded(f"{points} points exceed the topology budget {limit} "
+                             "(override with --budget)")
     if points == 0:
         yield FiniteSpace(0, (0,))
         return

@@ -13,11 +13,13 @@ for every upper cover y of x, A meets ↑x ∖ ↑y. Closed sublocales are
 up-sets and join by c(a) ∨ c(b) = c(a ∧ b), so their joins are the up-sets
 themselves. `closed_join_frames` validates many parents' closed-join
 frames in one `validate_frames` stack per carrier size, so a campaign
-builds them a corpus chunk at a time. The sublocale budget counts primes,
-since |S(L)| = 2^|primes|. The stacked checks over S(L) (sublocale
+builds them a corpus chunk at a time. The one sublocale budget counts
+primes, since |S(L)| = 2^|primes|; it bounds the enumeration and the
+(|S(L)|, |S(L)|) tables alike. The stacked checks over S(L) (sublocale
 membership of every closure, the coframe law, join-is-lub) run in slices
 of at most STACK_CELLS cells, so their memory grows with |S(L)|², not
-|S(L)|³. The closed/open identities are checked on every subset of the carrier up to 8
+|S(L)|³, and each reads its first witness off its own arrays. The
+closed/open identities are checked on every subset of the carrier up to 8
 elements and on 512 seeded samples above that.
 """
 
@@ -32,7 +34,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .common import (IDENTITY_EXHAUSTIVE_LIMIT, IDENTITY_SAMPLES, STACK_CELLS,
-                     SUBLOCALE_SCAN_LIMIT, SUBLOCALE_TABLE_LIMIT, BudgetExceeded, CheckReport,
+                     SUBLOCALE_SCAN_LIMIT, BudgetExceeded, CheckReport,
                      bits, pack_rows, unpack_rows)
 from .lattice import FiniteFrame, containment_order, validate_frames
 
@@ -51,10 +53,6 @@ class Sublocale:
     @property
     def members(self) -> tuple[int, ...]:
         return tuple(bits(self.mask))
-
-    @property
-    def is_proper(self) -> bool:
-        return self.mask != (1 << self.parent.n) - 1
 
     @property
     def is_dense(self) -> bool:
@@ -92,24 +90,7 @@ def mask_of(members: Iterable[int]) -> int:
 
 def is_sublocale(frame: FiniteFrame, members: Iterable[int]) -> SubsetVerdict:
     """Check the three closure conditions, reporting the first failure."""
-    mask = mask_of(members)
-    if not mask & (1 << frame.top):
-        return SubsetVerdict(False, "missing-top", (frame.top,))
-    elems = tuple(bits(mask))
-    meet = frame.meet
-    for i, s in enumerate(elems):
-        row = meet[s]
-        for t in elems[i:]:
-            if not mask >> int(row[t]) & 1:
-                return SubsetVerdict(False, "meet", (s, t))
-    preimages = frame.imp_preimage_masks
-    for s in elems:
-        stray = preimages[s] & ~mask
-        if stray:
-            col = frame.imp[:, s]
-            a = next(a for a in range(frame.n) if not mask >> int(col[a]) & 1)
-            return SubsetVerdict(False, "heyting", (a, s))
-    return SubsetVerdict(True)
+    return _sublocale_rows(frame, unpack_rows([mask_of(members)], frame.n))
 
 
 def _slices(count: int, cells: int):
@@ -120,22 +101,32 @@ def _slices(count: int, cells: int):
         yield slice(start, start + step)
 
 
-def _sublocale_rows(frame: FiniteFrame, rows) -> np.ndarray:
-    """is_sublocale on every row of an (R, n) member array, as R bools.
+def _sublocale_rows(frame: FiniteFrame, rows) -> SubsetVerdict:
+    """The sublocale test on every row of an (R, n) member array: the
+    verdict on the first failing row, or a passing verdict.
 
-    The same conditions on the same pairs, a slice of rows at a time: the
-    top is a member, meet[s, t] is a member for members s <= t (by index),
-    and imp[a, s] is a member for every a and every member s.
+    Checked a slice of rows at a time: the top is a member, meet[s, t] is a
+    member for members s <= t (by index), and imp[a, s] is a member for
+    every a and every member s. The verdict names the first of these that
+    fails, with its first witness: (s, t) in row-major order, or (a, s) by
+    ascending s, then a.
     """
     n = frame.n
     upper = np.triu(np.ones((n, n), dtype=bool))
-    ok = np.empty(len(rows), dtype=bool)
     for part in _slices(len(rows), n * n):
         members = rows[part]
-        meets = (members[:, :, None] & members[:, None, :] & upper & ~members[:, frame.meet])
-        heyting = members[:, None, :] & ~members[:, frame.imp]
-        ok[part] = members[:, frame.top] & ~meets.any(axis=(1, 2)) & ~heyting.any(axis=(1, 2))
-    return ok
+        meets = members[:, :, None] & members[:, None, :] & upper & ~members[:, frame.meet]
+        heyting = members[:, :, None] & ~members[:, frame.imp.T]  # [r, s, a]: imp[a, s] missing
+        bad = ~members[:, frame.top] | meets.any(axis=(1, 2)) | heyting.any(axis=(1, 2))
+        if bad.any():
+            r = int(bad.argmax())
+            if not members[r, frame.top]:
+                return SubsetVerdict(False, "missing-top", (frame.top,))
+            if meets[r].any():
+                return SubsetVerdict(False, "meet", divmod(int(meets[r].argmax()), n))
+            s, a = divmod(int(heyting[r].argmax()), n)
+            return SubsetVerdict(False, "heyting", (a, s))
+    return SubsetVerdict(True)
 
 
 def closed_sublocale(frame: FiniteFrame, a: int) -> Sublocale:
@@ -178,11 +169,11 @@ def sublocale_join(family: Iterable[Sublocale],
         if s.parent is not parent:
             raise MixedParents("sublocales must share one parent frame")
     union = unpack_rows((s.mask for s in family), parent.n).any(axis=0, keepdims=True)
-    closed = pack_rows(meet_closure(parent, union))[0]
-    verdict = is_sublocale(parent, bits(closed))
+    closed = meet_closure(parent, union)
+    verdict = _sublocale_rows(parent, closed)
     if not verdict:
         raise AssertionError(f"join formula produced a non-sublocale: {verdict}")
-    return Sublocale(parent, closed)
+    return Sublocale(parent, pack_rows(closed)[0])
 
 
 class SublocaleLattice:
@@ -192,8 +183,8 @@ class SublocaleLattice:
     the whole frame. rows[i] holds the members of masks[i] as a boolean row
     over the carrier, and prime_sets[i] is the set Y of primes with masks[i]
     = M(Y), as a bitmask over the positions in primes(parent). Join/meet/
-    supplement tables are built lazily and cached; building them is guarded
-    by a table budget.
+    supplement tables are built lazily and cached; the sublocale budget of
+    all_sublocales bounds them too.
     """
 
     def __init__(self, parent: FiniteFrame, masks: tuple[int, ...],
@@ -221,8 +212,6 @@ class SublocaleLattice:
     @cached_property
     def join_table(self):
         """M(Y) ∨ M(Z) = M(Y ∪ Z): a lookup of the union of the prime sets."""
-        if len(self.masks) > SUBLOCALE_TABLE_LIMIT:
-            raise BudgetExceeded(f"{len(self.masks)} sublocales exceed the table budget")
         ys = self._ys
         table = self._by_primes[ys[:, None] | ys[None, :]]
         table.flags.writeable = False
@@ -231,8 +220,6 @@ class SublocaleLattice:
     @cached_property
     def meet_table(self):
         """M(Y) ∩ M(Z) = M(Y ∩ Z), checked against the intersection of the masks."""
-        if len(self.masks) > SUBLOCALE_TABLE_LIMIT:
-            raise BudgetExceeded(f"{len(self.masks)} sublocales exceed the table budget")
         ys = self._ys
         table = self._by_primes[ys[:, None] & ys[None, :]]
         packed = np.packbits(self.rows, axis=1)
@@ -274,27 +261,22 @@ class SublocaleLattice:
         return CheckReport.passed("coframe-law")
 
     def join_is_lub_report(self) -> CheckReport:
-        """The join formula lands on the least upper bound in containment order."""
+        """The join formula lands on the least upper bound in containment order,
+        on every pair (i, j), a slice of i at a time; the witness is the first
+        failing pair in row-major order."""
         join = self.join_table
         leq = self.leq
         m = len(self.masks)
         for rows in _slices(m, m * m):
             upper = leq[rows, None, :] & leq[None, :, :]  # upper[i, j, w]: w above i and j
-            bound = np.take_along_axis(upper, join[rows, :, None], axis=2).all()
-            minimal = (~upper | leq[join[rows]]).all()
-            if not (bound and minimal):
-                break
-        else:
-            return CheckReport.passed("join-is-lub")
-        for i in range(m):
-            for j in range(m):
-                v = int(join[i, j])
-                upper = leq[i] & leq[j]
-                if not (upper[v] and (~upper | leq[v]).all()):
-                    return CheckReport.failed(
-                        "join-is-lub",
-                        f"pair ({self.sublocales[i].label()}, {self.sublocales[j].label()})")
-        return CheckReport.failed("join-is-lub", "vectorized/scalar disagreement")
+            bound = np.take_along_axis(upper, join[rows, :, None], axis=2)[:, :, 0]
+            minimal = (~upper | leq[join[rows]]).all(axis=2)
+            bad = ~(bound & minimal)
+            if bad.any():
+                i, j = divmod(int(bad.argmax()), m)
+                a, b = (self.sublocales[k].label() for k in (rows.start + i, j))
+                return CheckReport.failed("join-is-lub", f"pair ({a}, {b})")
+        return CheckReport.passed("join-is-lub")
 
 
 def supplement(s: Sublocale, lattice: Optional[SublocaleLattice] = None) -> Sublocale:
@@ -323,8 +305,9 @@ def all_sublocales(frame: FiniteFrame, budget: Optional[int] = None) -> Sublocal
 
     One meet_closure call builds all 2^|primes| of them, which must be
     distinct and must all pass the stacked sublocale test (a failure reports
-    is_sublocale's verdict on the first failing one). The budget bounds the
-    number of primes, since the count of sublocales is exponential in it.
+    the verdict on the first failing one). The budget bounds the number of
+    primes, since the count of sublocales, and of table cells, is
+    exponential in it.
     """
     limit = SUBLOCALE_SCAN_LIMIT if budget is None else budget
     ps = primes(frame)
@@ -337,9 +320,8 @@ def all_sublocales(frame: FiniteFrame, budget: Optional[int] = None) -> Sublocal
     closures = pack_rows(rows)
     if len(set(closures)) != len(closures):
         raise AssertionError("two sets of primes have the same meet-closure")
-    bad = ~_sublocale_rows(frame, rows)
-    if bad.any():
-        verdict = is_sublocale(frame, bits(closures[int(bad.argmax())]))
+    verdict = _sublocale_rows(frame, rows)
+    if not verdict:
         raise AssertionError(f"meet-closure of primes is not a sublocale: {verdict}")
     order = sorted(range(len(closures)), key=lambda y: (closures[y].bit_count(), closures[y]))
     rows = rows[order]

@@ -110,6 +110,25 @@ def brute_sublocales(frame):
     return sorted(out)
 
 
+def sublocale_witness(frame: FiniteFrame, members) -> tuple:
+    """The sublocale conditions one pair at a time, as (ok, condition, witness):
+    the top, then meet[s, t] for members s <= t (by index) in row-major order,
+    then imp[a, s] for members s, then every a, ascending."""
+    mask = sum(1 << i for i in set(members))
+    if not mask >> frame.top & 1:
+        return False, "missing-top", (frame.top,)
+    elems = tuple(bits(mask))
+    for i, s in enumerate(elems):
+        for t in elems[i:]:
+            if not mask >> int(frame.meet[s, t]) & 1:
+                return False, "meet", (s, t)
+    for s in elems:
+        for a in range(frame.n):
+            if not mask >> int(frame.imp[a, s]) & 1:
+                return False, "heyting", (a, s)
+    return True, None, None
+
+
 def meet_close(frame: FiniteFrame, mask: int) -> int:
     """Smallest superset of mask closed under binary meets."""
     meet = frame.meet

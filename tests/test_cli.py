@@ -194,6 +194,16 @@ class TestCliCommands:
         assert cli.main(["--budget", "1", "sublocales", b2_file]) == 2
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["sublocales"], ["export-dot", "--target", "sublocales"]])
+    def test_sublocale_budget_names_the_flag(self, tmp_path, capsys, argv):
+        path = tmp_path / "chain12.lat"
+        path.write_text(io.format_lattice(corpus.chain(12)))
+        started = time.monotonic()
+        assert cli.main(argv[:1] + [str(path)] + argv[1:]) == 2
+        assert time.monotonic() - started < 2.0
+        assert capsys.readouterr().err == (
+            "error: 11 primes exceed the sublocale budget 10 (override with --budget)\n")
+
     def test_budget_reaches_separation_ppt(self, b2_file, capsys):
         assert cli.main(["--budget", "1", "separation", b2_file, "--axiom", "ppt"]) == 2
         err = capsys.readouterr().err
@@ -245,6 +255,14 @@ class TestCampaigns:
                          "--checks", "space-proposition,td-remark"])
         assert code == 0
         assert "count=29" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("points", [5, 30])
+    def test_space_campaign_honours_the_topology_budget(self, capsys, points):
+        started = time.monotonic()
+        assert cli.main(["campaign", "spaces", "--points", str(points)]) == 2
+        assert time.monotonic() - started < 2.0
+        assert capsys.readouterr().err == (
+            f"error: {points} points exceed the topology budget 4 (override with --budget)\n")
 
     def test_realline_campaign(self, capsys):
         code = cli.main(["--machine", "--seed", "42", "campaign", "realline",

@@ -6,8 +6,8 @@ import pytest
 
 from localekit import corpus
 from localekit.common import BudgetExceeded
-from localekit.lattice import (FinitePoset, InvalidPoset, NotALattice,
-                               NotDistributive, booleanization, containment_order,
+from localekit.lattice import (ClosureViolation, FiniteFrame, FinitePoset, InvalidPoset,
+                               NotALattice, NotDistributive, booleanization, containment_order,
                                find_order_isomorphism, heyting, product_frame,
                                pseudocomplement, regular_pair_frame,
                                validate_frame, validate_frames)
@@ -290,3 +290,39 @@ class TestRegularPairs:
         # construction re-verifies closure internally; run it broadly
         for frame in small_corpus[:80]:
             regular_pair_frame(frame)
+
+    def test_tables_are_componentwise(self, small_corpus):
+        for frame in small_corpus:
+            pf = regular_pair_frame(frame)
+            star = frame.star
+            regular = [b for b in range(frame.n) if star[star[b]] == b]
+            assert pf.pairs == tuple((a, b) for a in range(frame.n) for b in regular
+                                     if frame.leq[a, b])
+            for i, (a1, b1) in enumerate(pf.pairs):
+                for j, (a2, b2) in enumerate(pf.pairs):
+                    assert pf.pairs[pf.frame.meet[i, j]] == (frame.meet[a1, a2],
+                                                             frame.meet[b1, b2])
+                    assert pf.pairs[pf.frame.join[i, j]] == (frame.join[a1, a2],
+                                                             star[star[frame.join[b1, b2]]])
+
+    # tampered base-table entries, and the first pair (row-major, meet before
+    # join) whose componentwise result leaves the carrier or misses the pair frame
+    @pytest.mark.parametrize("name, edits, message", [
+        ("chain3", [("meet", 0, 1, 1)], "meet of (0,0), (1,2) -> (1, 0)"),
+        ("chain3", [("join", 0, 1, 0)], "join of (0,0), (1,2) -> (0, 2)"),
+        ("grid2x3", [("join", 5, 0, 2)], "join of ((0,0),(1,2)), ((0,0),(0,0)) -> (0, 2)"),
+        ("grid2x3", [("meet", 1, 2, 0), ("meet", 2, 1, 5)],  # row-major, not column-major
+         "meet of ((0,1),(0,2)), ((0,2),(0,2)) -> (0, 2)"),
+        ("grid2x3", [("meet", 1, 1, 0), ("join", 1, 1, 5)],  # both fail on the first pair
+         "meet of ((0,1),(0,2)), ((0,1),(0,2)) -> (0, 2)"),
+    ])
+    def test_closure_violation_names_the_first_pair(self, tiny_corpus, name, edits, message):
+        frame = tiny_corpus[name]
+        tables = {t: getattr(frame, t).copy() for t in ("meet", "join", "imp")}
+        for table, a, b, value in edits:
+            tables[table][a, b] = value
+        broken = FiniteFrame(frame.poset, tables["meet"], tables["join"], tables["imp"],
+                             frame.labels)
+        with pytest.raises(ClosureViolation) as err:
+            regular_pair_frame(broken)
+        assert str(err.value) == message

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from localekit import corpus, sublocales
-from localekit.common import BudgetExceeded, IDENTITY_EXHAUSTIVE_LIMIT, pack_rows, unpack_rows
+from localekit.common import (BudgetExceeded, IDENTITY_EXHAUSTIVE_LIMIT, bits, pack_rows,
+                              unpack_rows)
 from localekit.lattice import FiniteFrame, find_order_isomorphism
 from localekit.sublocales import (MixedParents, Sublocale, all_sublocales,
                                   closed_join_frame, closed_join_frames, closed_join_meet,
@@ -20,7 +21,7 @@ from localekit.sublocales import (MixedParents, Sublocale, all_sublocales,
                                   supplement)
 
 from oracles import (brute_closed_join_elements, brute_primes, brute_sublocales,
-                     meet_close)
+                     meet_close, sublocale_witness)
 
 
 def tampered(frame, table, a, b, value):
@@ -69,6 +70,16 @@ class TestIsSublocale:
         assert verdict.condition == "heyting"
         a, s = verdict.witness
         assert int(b2.imp[a, s]) not in (0, 1, 3)
+
+    def test_matches_the_witness_oracle(self, small_corpus, tiny_corpus):
+        conditions = set()
+        for frame in [*small_corpus, *tiny_corpus.values()]:
+            for mask in range(1 << frame.n):
+                verdict = is_sublocale(frame, bits(mask))
+                expected = sublocale_witness(frame, bits(mask))
+                assert (verdict.ok, verdict.condition, verdict.witness) == expected
+                conditions.add(verdict.condition)
+        assert conditions == {None, "missing-top", "meet", "heyting"}
 
 
 class TestClosedAndOpen:
@@ -187,6 +198,23 @@ class TestSublocaleLattice:
         with pytest.raises(BudgetExceeded):
             all_sublocales(c3, budget=1)
 
+    def test_default_budget_refuses_before_any_closure(self, monkeypatch):
+        def unbuilt(frame, rows):
+            raise AssertionError("a closure was built")
+        monkeypatch.setattr(sublocales, "meet_closure", unbuilt)
+        with pytest.raises(BudgetExceeded) as err:
+            all_sublocales(corpus.chain(12))
+        assert str(err.value) == "11 primes exceed the sublocale budget 10 (override with --budget)"
+
+    def test_budget_also_bounds_the_tables(self):
+        lattice = all_sublocales(corpus.chain(12), budget=11)
+        assert len(lattice) == 2048
+        join, meet = lattice.join_table, lattice.meet_table
+        assert join.shape == meet.shape == (2048, 2048)
+        ys = np.array(lattice.prime_sets)
+        assert (ys[join] == ys[:, None] | ys[None, :]).all()
+        assert (ys[meet] == ys[:, None] & ys[None, :]).all()
+
     def test_meets_are_intersections(self, small_corpus):
         for frame in small_corpus[:40]:
             lattice = all_sublocales(frame)
@@ -249,6 +277,18 @@ class TestSublocaleLattice:
         lattice.__dict__["join_table"] = join
         assert lattice.coframe_law_report().witness == f"triple {coframe}"
         assert lattice.join_is_lub_report().witness == f"pair {lub}"
+
+    @pytest.mark.parametrize("cells", [None, 1])
+    def test_join_is_lub_names_the_first_pair_in_row_major_order(self, tiny_corpus,
+                                                                 monkeypatch, cells):
+        if cells is not None:  # one value of the first index a slice
+            monkeypatch.setattr(sublocales, "STACK_CELLS", cells)
+        lattice = all_sublocales(tiny_corpus["bool3"])
+        join = lattice.join_table.copy()
+        join[1, 6] = join[5, 2] = lattice.bottom_index
+        lattice.__dict__["join_table"] = join
+        labels = [s.label() for s in lattice.sublocales]
+        assert lattice.join_is_lub_report().witness == f"pair ({labels[1]}, {labels[6]})"
 
     def test_cube7_past_64_elements(self, cube7):
         lattice = all_sublocales(cube7)
