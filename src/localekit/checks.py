@@ -15,14 +15,15 @@ law keeps its own two computations.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .common import (CheckReport, EquivalenceViolation, TheoremViolation)
-from .lattice import FiniteFrame, booleanization, containment_order
+from .common import STACK_CELLS, CheckReport, EquivalenceViolation, TheoremViolation
+from .lattice import FiniteFrame, containment_order
 from . import realline as rl
 from . import separation
 from . import spaces as sp
@@ -35,11 +36,14 @@ from . import sublocales as sub
 
 class FrameStructure:
     """One campaign item: its frame, S(L) and closed-join frame, each built
-    at most once, on first use; closed_joins supplies the closed-join frame."""
+    at most once, on first use; closed_joins supplies the closed-join frame
+    and laws the item's frame-laws outcome."""
 
-    def __init__(self, frame: FiniteFrame, closed_joins: Callable[[], sub.ClosedJoinFrame]):
+    def __init__(self, frame: FiniteFrame, closed_joins: Callable[[], sub.ClosedJoinFrame],
+                 laws: Callable[[], CheckReport | AssertionError]):
         self.frame = frame
         self._closed_joins = closed_joins
+        self._laws = laws
 
     @cached_property
     def lattice(self) -> sub.SublocaleLattice:
@@ -49,53 +53,115 @@ class FrameStructure:
     def closed_joins(self) -> sub.ClosedJoinFrame:
         return self._closed_joins()
 
+    def frame_laws(self) -> CheckReport:
+        """frame_laws(self.frame), read off the batch it was decided in."""
+        return _settled(self._laws())
+
 
 def frame_structures(frames: Sequence[FiniteFrame]) -> Iterator[FrameStructure]:
     """A FrameStructure per frame, in order; the first closed-join frame asked
-    for builds all of theirs in one closed_join_frames batch."""
+    for builds all of theirs in one closed_join_frames batch, and the first
+    frame-laws check decides all of theirs in one frame_law_outcomes batch."""
     batch = cache(lambda: sub.closed_join_frames(frames))
+    laws = cache(lambda: frame_law_outcomes(frames))
     for k, frame in enumerate(frames):
-        yield FrameStructure(frame, lambda k=k: batch()[k])
+        yield FrameStructure(frame, lambda k=k: batch()[k], lambda k=k: laws()[k])
 
 
 # ---------------------------------------------------------------------------
 # Frame-level laws (lattice core)
 
+# The frame laws in the order they are decided; the two on * name the
+# first element that breaks them, and the three of the Booleanization
+# (its carrier, meets and bounds) are internal violations.
+_FRAME_LAWS = ("a ≤ a** fails at {}", "a* = a*** fails at {}",
+               "regular-element characterizations disagree",
+               "regular elements not closed under meet",
+               "regular elements must contain 0 and 1",
+               "view join not commutative", "view join not idempotent",
+               "view join not associative")
+
+
+def _frame_law_stack(frames: Sequence[FiniteFrame]) -> list[CheckReport | AssertionError]:
+    """Every frame law on a stack of frames of one carrier size.
+
+    The Booleanization is the regular elements {a : a** = a}, which must be
+    exactly {a* : a in L}, closed under meet and contain 0 and 1; its join
+    is the parent join followed by **, decided on every pair and triple of
+    regular elements with (F, n, n) and (F, n, n, n) gathers.
+    """
+    n = frames[0].n
+    leq, meet, join, imp = (np.stack([getattr(f, name) for f in frames])
+                            for name in ("leq", "meet", "join", "imp"))
+    star = imp[:, :, 0]
+    stack = np.arange(len(frames))[:, None]
+    idx = np.arange(n)
+    dstar = star[stack, star]
+    below = ~leq[stack, idx, dstar]                                  # not a <= a**
+    triple = star[stack, dstar] != star                              # a*** != a*
+    regular = dstar == idx
+    image = np.zeros_like(regular)
+    image[stack, star] = True
+    pairs = regular[:, :, None] & regular[:, None, :]
+    view = dstar[stack[:, :, None], join]                            # (i ∨ j)** on all pairs
+    grid = stack[:, :, None, None]
+    left = view[grid, view[:, :, :, None], idx]                      # (i ∨ j) ∨ m
+    right = view[grid, idx[:, None, None], view[:, None, :, :]]      # i ∨ (j ∨ m)
+    failed = np.stack([
+        below.any(axis=1), triple.any(axis=1), (regular != image).any(axis=1),
+        (pairs & ~regular[stack[:, :, None], meet]).any(axis=(1, 2)),
+        ~(regular[:, 0] & regular[:, n - 1]),
+        (pairs & (view != view.transpose(0, 2, 1))).any(axis=(1, 2)),
+        (regular & (view.diagonal(axis1=1, axis2=2) != idx)).any(axis=1),
+        (pairs[:, :, :, None] & regular[:, None, None, :] & (left != right)).any(axis=(1, 2, 3))])
+    first = np.where(failed.any(axis=0), failed.argmax(axis=0), -1).tolist()
+    outcomes = []
+    for k, (frame, law) in enumerate(zip(frames, first)):
+        if law < 0:
+            outcomes.append(CheckReport.passed("frame-laws"))
+        elif law < 2:
+            a = int((below, triple)[law][k].argmax())
+            witness = _FRAME_LAWS[law].format(frame.labels[a])
+            outcomes.append(CheckReport.failed("frame-laws", witness))
+        elif law < 5:
+            outcomes.append(AssertionError(_FRAME_LAWS[law]))
+        else:
+            outcomes.append(CheckReport.failed("frame-laws", _FRAME_LAWS[law]))
+    return outcomes
+
+
+def frame_law_outcomes(frames: Sequence[FiniteFrame]) -> list[CheckReport | AssertionError]:
+    """The frame-laws outcome of every frame, in order: its report, or the
+    AssertionError its Booleanization breaks with, which the caller raises
+    when it reaches that frame. Frames are decided one stack per carrier
+    size, in slices of at most STACK_CELLS cells of (F, n, n, n) or one frame.
+    """
+    outcomes: list = [None] * len(frames)
+    by_size = defaultdict(list)
+    for k, frame in enumerate(frames):
+        by_size[frame.n].append(k)
+    for n, ks in by_size.items():
+        step = max(1, STACK_CELLS // n**3)
+        for start in range(0, len(ks), step):
+            part = ks[start:start + step]
+            for k, outcome in zip(part, _frame_law_stack([frames[k] for k in part])):
+                outcomes[k] = outcome
+    return outcomes
+
+
+def _settled(outcome: CheckReport | AssertionError) -> CheckReport:
+    if isinstance(outcome, AssertionError):
+        raise outcome
+    return outcome
+
 
 def frame_laws(frame: FiniteFrame) -> CheckReport:
-    """Double-negation laws and the Booleanization laws.
+    """Double-negation laws and the Booleanization laws, on a stack of one.
 
     The Heyting adjunction is checked in `validate_frame`, which builds
     every FiniteFrame.
     """
-    leq = frame.leq
-    star = frame.star
-    dstar = star[star]
-    if not leq[np.arange(frame.n), dstar].all():
-        a = int(np.nonzero(~leq[np.arange(frame.n), dstar])[0][0])
-        return CheckReport.failed("frame-laws", f"a ≤ a** fails at {frame.labels[a]}")
-    if not (star[dstar] == star).all():
-        a = int(np.nonzero(star[dstar] != star)[0][0])
-        return CheckReport.failed("frame-laws", f"a* = a*** fails at {frame.labels[a]}")
-
-    # BooleanizationView checks that both characterizations of the regular
-    # elements agree and that 0 and 1 are regular.
-    view = booleanization(frame)
-    carrier = np.array(view.carrier, dtype=np.intp)
-    jt = view.join_table
-    k = len(carrier)
-    if not (jt == jt.T).all():
-        return CheckReport.failed("frame-laws", "view join not commutative")
-    if not (jt.diagonal() == carrier).all():
-        return CheckReport.failed("frame-laws", "view join not idempotent")
-    pos = np.zeros(frame.n, dtype=np.intp)
-    pos[carrier] = np.arange(k)
-    inner = pos[jt]                                     # view index of i ∨ j
-    left = jt[inner[:, :, None], np.arange(k)]          # (i ∨ j) ∨ m
-    right = jt[np.arange(k)[:, None, None], inner]      # i ∨ (j ∨ m)
-    if not (left == right).all():
-        return CheckReport.failed("frame-laws", "view join not associative")
-    return CheckReport.passed("frame-laws")
+    return _settled(frame_law_outcomes([frame])[0])
 
 
 def sublocale_laws(frame: FiniteFrame,
@@ -156,7 +222,7 @@ def axiom_monotonicity(frame: FiniteFrame,
 
 
 LATTICE_CHECKS: dict[str, Callable[[FrameStructure], CheckReport]] = {
-    "frame-laws": lambda item: frame_laws(item.frame),
+    "frame-laws": lambda item: item.frame_laws(),
     "identities": lambda item: sub.closed_open_identities_check(item.frame),
     "coframe-law": lambda item: item.lattice.coframe_law_report(),
     "sublocale-laws": lambda item: sublocale_laws(item.frame, item.lattice),

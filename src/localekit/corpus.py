@@ -1,22 +1,26 @@
 """Corpus generators: labeled lattice enumeration, named frames, fuzz inputs.
 
 The lattice corpus is every labeled (distributive) lattice up to a size
-bound. Enumeration goes through naturally labeled posets (each new element
-is maximal, so index order is a linear extension), filters the bounded
-ones to lattices with the frame core's batched table builder and
-distributivity check (the ones validate_frames uses), then closes under
-all index permutations. Every labeled lattice relabels to a naturally
-labeled one along a linear extension, so the permutation closure of the
-natural ones is the full labeled count. Bit rows become order matrices in
-one vectorised unpack, and each carrier size is validated as stacks of
-frames, a chunk at a time; `chunked` hands those chunks on, so a campaign
-can build the closed-join frames of a chunk as one batch too.
+bound. A naturally labeled poset adds each new element as a maximal one,
+so index order is a linear extension; a bounded one on n elements then
+has 0 at the bottom and n-1 at the top, and is a natural poset on the
+n - 2 inner elements with both bounds added, so only those are grown. The
+frame core's batched table builder and distributivity check (the ones
+validate_frames uses) keep the (distributive) lattices, and all n!
+relabelings of them are taken as array gathers, a slice of permutations
+at a time, packed to byte keys, sorted and deduplicated. Every labeled
+lattice relabels to a naturally labeled one along a linear extension, so
+the permutation closure of the natural ones is the full labeled count.
+Bit rows become order matrices in one vectorised unpack, and each carrier
+size is validated as stacks of frames, a chunk at a time; `chunked` hands
+those chunks on, so a campaign can build the closed-join frames and
+decide the frame laws of a chunk as one batch too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, permutations
+from itertools import permutations
 from random import Random
 from typing import Iterable, Iterator
 
@@ -57,26 +61,6 @@ def iter_natural_posets(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ..
     yield from grow([], [], 0)
 
 
-def _permuted_rows(up: tuple[int, ...], perm) -> tuple[int, ...]:
-    n = len(up)
-    rows = [0] * n
-    for i in range(n):
-        acc = 0
-        m = up[i]
-        for j in bits(m):
-            acc |= 1 << perm[j]
-        rows[perm[i]] = acc
-    return tuple(rows)
-
-
-def _labeled_closure(natural_rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    seen = set()
-    for rows in natural_rows:
-        for perm in permutations(range(n)):
-            seen.add(_permuted_rows(rows, perm))
-    return sorted(seen)
-
-
 # Frames per chunk times n**3 stays under this, which bounds the (F, n, n, n)
 # temporaries of the frame core (about 0.5 MB each at 8 bytes a cell).
 _CHUNK_CELLS = 1 << 16
@@ -95,18 +79,75 @@ def _chunks(rows: list, n: int):
         yield start, chunk, unpack_rows((m for up in chunk for m in up), n).reshape(-1, n, n)
 
 
+def _bounded_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """Up-mask rows of every bounded naturally labeled poset on 0..n-1: a
+    natural poset on the n - 2 inner elements 1..n-2, 0 below it, n-1 above."""
+    if n == 1:
+        yield (1,)
+        return
+    top = 1 << (n - 1)
+    for up, _ in iter_natural_posets(n - 2):
+        yield ((1 << n) - 1, *(row << 1 | top for row in up), top)
+
+
+def _keys(orders):
+    """Orders (..., n, n) as flat byte keys: row i of a key is up-mask i in
+    big-endian bytes, so the byte order of keys is the order of the tuples."""
+    n = orders.shape[-1]
+    packed = np.packbits(orders, axis=-1, bitorder="little")[..., ::-1]
+    width = n * packed.shape[-1]
+    return packed.reshape(-1, width).view((np.void, width)).ravel()
+
+
+def _distinct(keys):
+    """keys sorted with repeats dropped: np.unique, which would import numpy.ma."""
+    keys = np.sort(keys)
+    return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+
+
+def _key_rows(keys, n: int) -> list[tuple[int, ...]]:
+    """The inverse of _keys: each key as its tuple of n up-masks."""
+    masks = np.zeros((len(keys), n), dtype=np.min_scalar_type((1 << n) - 1))
+    for byte in keys.view(np.uint8).reshape(len(keys), n, -1).transpose(2, 0, 1):
+        masks = masks << 8 | byte
+    rows, step = [], _CHUNK_CELLS // n
+    for start in range(0, len(masks), step):
+        rows += zip(*masks[start:start + step].T.tolist())
+    return rows
+
+
+def _relabeled_keys(orders):
+    """The distinct relabelings of a stack of orders (K, n, n) under all n!
+    index permutations, as sorted keys.
+
+    A relabeling moves element i to p[i], so its order is the input read
+    through p's inverse. Each slice of permutations, of at most _CHUNK_CELLS
+    order cells unless one permutation alone needs more, is one gather,
+    packed and deduplicated before the slices are merged.
+    """
+    count, n = orders.shape[:2]
+    inv = np.argsort(np.array(list(permutations(range(n))), dtype=np.intp), axis=1)
+    step = max(1, _CHUNK_CELLS // (count * n * n))
+    keys = []
+    for start in range(0, len(inv), step):
+        part = inv[start:start + step]
+        keys.append(_distinct(_keys(orders[:, part[:, :, None], part[:, None, :]])))
+    return _distinct(np.concatenate(keys))
+
+
 def labeled_lattice_rows(n: int, distributive_only: bool = False) -> list[tuple[int, ...]]:
-    """Every labeled (optionally distributive) lattice on 0..n-1, as up-mask rows."""
-    full = (1 << n) - 1
-    bounded = [up for up, down in iter_natural_posets(n) if full in up and full in down]
+    """Every labeled (optionally distributive) lattice on 0..n-1, as up-mask
+    rows, in the sorted order of the row tuples."""
+    if n < 1:
+        return []
     natural = []
-    for _, chunk, orders in _chunks(bounded, n):
+    for _, _, orders in _chunks(list(_bounded_rows(n)), n):
         meet, join, missing = lattice_tables(orders)
         keep = missing < 0
         if distributive_only:
             keep &= distributivity_witness(meet, join) < 0
-        natural += compress(chunk, keep)
-    return _labeled_closure(natural, n)
+        natural.append(orders[keep])
+    return _key_rows(_relabeled_keys(np.concatenate(natural)), n)
 
 
 def rows_to_poset(rows: tuple[int, ...]) -> FinitePoset:
@@ -151,12 +192,8 @@ def chain(n: int) -> FiniteFrame:
 
 def boolean_cube(k: int) -> FiniteFrame:
     """Powerset of k atoms: the 2^k-element Boolean frame."""
-    n = 1 << k
-    leq = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            leq[i, j] = i & ~j == 0
-    return validate_frame(FinitePoset(leq))
+    i = np.arange(1 << k)
+    return validate_frame(FinitePoset((i[:, None] & ~i) == 0))
 
 
 def diamond_poset() -> FinitePoset:

@@ -7,10 +7,11 @@ point membership) and deliberately avoids the code paths under test.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from localekit import realline as rl
 from localekit.common import bits
+from localekit.corpus import iter_natural_posets
 from localekit.lattice import FiniteFrame
 
 
@@ -79,6 +80,43 @@ def brute_labeled_lattices(n):
         if brute_is_partial_order(rel) and brute_is_lattice(rel):
             found.append(tuple(tuple(row) for row in rel))
     return found
+
+
+def _permuted_rows(up: tuple[int, ...], perm) -> tuple[int, ...]:
+    """The up-mask rows of an order relabeled by perm (element i to perm[i])."""
+    n = len(up)
+    rows = [0] * n
+    for i in range(n):
+        acc = 0
+        for j in bits(up[i]):
+            acc |= 1 << perm[j]
+        rows[perm[i]] = acc
+    return tuple(rows)
+
+
+def _labeled_closure(natural_rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """Every relabeling of every given order, deduplicated and sorted."""
+    seen = set()
+    for rows in natural_rows:
+        for perm in permutations(range(n)):
+            seen.add(_permuted_rows(rows, perm))
+    return sorted(seen)
+
+
+def natural_labeled_lattices(n, distributive_only=False):
+    """Every labeled (optionally distributive) lattice on 0..n-1 as sorted
+    up-mask rows: walk every naturally labeled poset on n elements, keep the
+    bounded ones that brute force finds to be (distributive) lattices, and
+    relabel them through every permutation one bit at a time."""
+    full = (1 << n) - 1
+    natural = []
+    for up, down in iter_natural_posets(n):
+        if full not in up or full not in down:
+            continue
+        leq = [[bool(row >> j & 1) for j in range(n)] for row in up]
+        if brute_is_lattice(leq) and (not distributive_only or brute_is_distributive(leq)):
+            natural.append(up)
+    return _labeled_closure(natural, n)
 
 
 def brute_primes(frame):

@@ -1,0 +1,107 @@
+"""The frame-laws check decided as stacks: one frame, or a campaign batch.
+
+Each tampered frame changes single entries of the Heyting table (through
+a* = a -> 0) or of the join table of a named frame, so that one frame law
+breaks first. A batch must give each frame exactly the report, or raise
+exactly the AssertionError, that it gets alone. The law that the two
+characterizations of the regular elements agree has no entry here: once
+a <= a** and a* = a*** hold, {a : a** = a} and {a* : a in L} coincide, so
+no table reaches it.
+"""
+
+import pytest
+
+from localekit import checks, corpus
+from localekit.lattice import FiniteFrame
+
+TAMPERS = [
+    # (frame, table, entries set, expected outcome)
+    ("chain3", "imp", {(0, 0): 0}, ("fail", "a ≤ a** fails at 1")),
+    ("bool2xchain3", "imp", {(1, 0): 2}, ("fail", "a ≤ a** fails at (0,1)")),
+    ("chain3", "imp", {(2, 0): 2}, ("fail", "a* = a*** fails at 1")),
+    ("bool2xchain3", "imp", {(11, 0): 11}, ("fail", "a* = a*** fails at (3,1)")),
+    ("bool2", "imp", {(3, 0): 3},
+     ("AssertionError", "regular elements not closed under meet")),
+    ("bool2xchain3", "imp", {(4, 0): 4},
+     ("AssertionError", "regular elements not closed under meet")),
+    ("chain3", "imp", {(1, 0): 1, (2, 0): 2},
+     ("AssertionError", "regular elements must contain 0 and 1")),
+    ("bool2", "imp", {(1, 0): 3, (3, 0): 1},
+     ("AssertionError", "regular elements must contain 0 and 1")),
+    ("chain3", "join", {(0, 2): 0}, ("fail", "view join not commutative")),
+    ("bool2xchain3", "join", {(0, 11): 0}, ("fail", "view join not commutative")),
+    ("chain3", "join", {(0, 0): 1}, ("fail", "view join not idempotent")),
+    ("bool2xchain3", "join", {(11, 11): 0}, ("fail", "view join not idempotent")),
+    ("bool2", "join", {(0, 1): 0, (1, 0): 0}, ("fail", "view join not associative")),
+    ("bool2xchain3", "join", {(3, 6): 3, (6, 3): 3}, ("fail", "view join not associative")),
+]
+IDS = [f"{name}-{table}-{expected[1]}" for name, table, _, expected in TAMPERS]
+PASSED = ("pass", "")
+
+
+@pytest.fixture(scope="module")
+def named():
+    return corpus.named_frames()
+
+
+def tampered(named, name, table, entries) -> FiniteFrame:
+    frame = named[name]
+    tables = {key: getattr(frame, key).copy() for key in ("meet", "join", "imp")}
+    for (i, j), value in entries.items():
+        tables[table][i, j] = value
+    return FiniteFrame(frame.poset, tables["meet"], tables["join"], tables["imp"], frame.labels)
+
+
+def outcome(run):
+    try:
+        report = run()
+    except AssertionError as exc:
+        return "AssertionError", str(exc)
+    assert report.name == "frame-laws"
+    return report.level, report.witness
+
+
+def later_frames(named):
+    """Frames after the one under test, one per carrier size, each failing
+    or raising at its own item only."""
+    return [tampered(named, *TAMPERS[6][:3]), tampered(named, *TAMPERS[4][:3]),
+            tampered(named, *TAMPERS[3][:3])], [TAMPERS[6][3], TAMPERS[4][3], TAMPERS[3][3]]
+
+
+def campaign_outcomes(frames):
+    """The frame-laws outcome of every item, in campaign order."""
+    check = checks.LATTICE_CHECKS["frame-laws"]
+    return [outcome(lambda: check(item)) for item in checks.frame_structures(frames)]
+
+
+class TestStackedFrameLaws:
+    @pytest.mark.parametrize("name,table,entries,expected", TAMPERS, ids=IDS)
+    def test_single_frame(self, named, name, table, entries, expected):
+        frame = tampered(named, name, table, entries)
+        assert outcome(lambda: checks.frame_laws(frame)) == expected
+
+    @pytest.mark.parametrize("position", [0, 2])
+    @pytest.mark.parametrize("name,table,entries,expected", TAMPERS, ids=IDS)
+    def test_batch_position(self, named, position, name, table, entries, expected):
+        frame = tampered(named, name, table, entries)
+        before = [named["bool2"], named["chain3"]][:position]
+        later, later_expected = later_frames(named)
+        got = campaign_outcomes(before + [frame] + later)
+        assert got == [PASSED] * position + [expected] + later_expected
+        assert got[position] == outcome(lambda: checks.frame_laws(frame))
+
+    def test_good_frames_pass_in_one_batch(self, named):
+        frames = list(named.values()) + [frame for _, frame in corpus.iter_distributive_frames(4)]
+        assert campaign_outcomes(frames) == [PASSED] * len(frames)
+
+    def test_outcome_is_decided_once_per_batch(self, named, monkeypatch):
+        stacks = []
+        stack = checks._frame_law_stack
+        monkeypatch.setattr(checks, "_frame_law_stack",
+                            lambda frames: stacks.append(len(frames)) or stack(frames))
+        frames = [named["chain3"], named["bool2"], named["chain3"], named["bool2"]]
+        structures = list(checks.frame_structures(frames))
+        assert stacks == []
+        for item in structures:
+            item.frame_laws()
+        assert sorted(stacks) == [2, 2]

@@ -2,11 +2,14 @@ from fractions import Fraction
 from itertools import permutations
 from random import Random
 
+import numpy as np
 import pytest
 
 from localekit import corpus, realline as rl
+from localekit.lattice import FinitePoset, validate_frame
 
-from oracles import brute_is_distributive, brute_labeled_lattices
+from oracles import (_permuted_rows, brute_is_distributive, brute_labeled_lattices,
+                     natural_labeled_lattices)
 
 
 def rows_to_rel(rows):
@@ -38,7 +41,30 @@ class TestLatticeEnumeration:
         sample = Random(0).sample(list(as_set), 40)
         for up in sample:
             for perm in permutations(range(n)):
-                assert corpus._permuted_rows(up, perm) in as_set
+                assert _permuted_rows(up, perm) in as_set
+
+    @pytest.mark.parametrize("n,distributive", [(n, d) for n in range(1, 7) for d in (False, True)]
+                             + [(7, True)])
+    def test_matches_natural_poset_oracle(self, n, distributive):
+        # The oracle walks every naturally labeled poset on n elements and
+        # relabels one permutation and one bit at a time; the corpus grows
+        # only the n - 2 inner elements and relabels as arrays. Same rows,
+        # same order, so the distN:kkkk names agree too.
+        rows = corpus.labeled_lattice_rows(n, distributive_only=distributive)
+        assert rows == natural_labeled_lattices(n, distributive_only=distributive)
+        if n == 7:
+            assert len(rows) == 26460
+
+    @pytest.mark.parametrize("n", [3, 8, 9, 12, 17])
+    def test_keys_sort_and_decode_as_row_tuples(self, n):
+        # Up to 8 elements a row is one byte; past it the key bytes of a row
+        # must still order and decode as the integer mask does.
+        rng = Random(n)
+        rows = [tuple(rng.randrange(1 << n) for _ in range(n)) for _ in range(300)]
+        rows += rows[:50]
+        orders = np.array([[[bool(m >> j & 1) for j in range(n)] for m in row] for row in rows])
+        keys = corpus._distinct(corpus._keys(orders))
+        assert corpus._key_rows(keys, n) == sorted(set(rows))
 
     def test_every_corpus_frame_validates(self):
         count = 0
@@ -75,6 +101,16 @@ class TestNamedFrames:
         assert frames["pairs(chain3)"].n == 4
         assert frames["bool3"].n == 8
         assert frames["grid2x3"].n == 6
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_boolean_cube_is_the_subset_order(self, k):
+        n = 1 << k
+        looped = validate_frame(FinitePoset([[i & ~j == 0 for j in range(n)] for i in range(n)]))
+        cube = corpus.boolean_cube(k)
+        for name in ("leq", "meet", "join", "imp"):
+            ours, theirs = getattr(cube, name), getattr(looped, name)
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+        assert cube.labels == looped.labels
 
     def test_chain_builder(self):
         for k in (1, 2, 5):
