@@ -132,7 +132,7 @@ def run_check(path: str, check_name: str, *, axiom: Optional[str] = None,
         for i, s in enumerate(lattice.sublocales):
             report.add(human=f"  {s.label()}", item=f"sublocale:{i}",
                        label=s.label(), verdict=PASS)
-        _record_from(report, path, lattice.coframe_law_report())
+        _record_from(report, path, lattice.laws)
         report.human_lines.insert(0, f"{len(lattice)} sublocales")
         return report
     if check_name == "sc":

@@ -21,7 +21,7 @@ SUBLOCALE_SCAN_LIMIT = 10  # primes: bounds S(L), 2^primes elements, and its tab
 TOPOLOGY_POINT_LIMIT = 4  # --budget raises it on spaces enumerate and campaign spaces
 IDENTITY_EXHAUSTIVE_LIMIT = 8  # above this, the identities take seeded samples
 IDENTITY_SAMPLES = 512
-STACK_CELLS = 1 << 16  # cells per slice of a stacked law check over sublocales
+STACK_CELLS = 1 << 16  # cells per slice of the stacked sublocale test and frame laws
 
 
 def bits(mask: int) -> Iterator[int]:

@@ -152,7 +152,7 @@ class UnionsOfClosed:
     def as_frame(self) -> FiniteFrame:
         labels = [bitstring(m, self.space.points) for m in self.elements]
         rows = unpack_rows(self.elements, self.space.points)
-        frame = validate_frame(FinitePoset(containment_order(rows)), labels)
+        frame = validate_frame(FinitePoset(containment_order(rows)), labels, len(rows))
         if frame.labels != tuple(labels):
             raise AssertionError("union-closure carrier left canonical order")
         # Lattice operations must be the set-theoretic ones.
@@ -191,11 +191,12 @@ def uc_lattice(space: FiniteSpace, budget: Optional[int] = None) -> UnionsOfClos
 
 
 def omega(space: FiniteSpace) -> FiniteFrame:
-    """The open-set lattice as a frame; labels are membership bitstrings."""
+    """The open-set lattice as a frame, labeled by membership bitstrings;
+    the point budget that admitted the space bounds it, not the frame budget."""
     opens = tuple(sorted(space.opens, key=lambda m: (m.bit_count(), m)))
     labels = [bitstring(o, space.points) for o in opens]
     rows = unpack_rows(opens, space.points)
-    return validate_frame(FinitePoset(containment_order(rows)), labels)
+    return validate_frame(FinitePoset(containment_order(rows)), labels, len(rows))
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,14 @@ themselves. `closed_join_frames` validates many parents' closed-join
 frames in one `validate_frames` stack per carrier size, so a campaign
 builds them a corpus chunk at a time. The one sublocale budget counts
 primes, since |S(L)| = 2^|primes|; it bounds the enumeration and the
-(|S(L)|, |S(L)|) tables alike. The stacked checks over S(L) (sublocale
-membership of every closure, the coframe law, join-is-lub) run in slices
-of at most STACK_CELLS cells, so their memory grows with |S(L)|², not
-|S(L)|³, and each reads its first witness off its own arrays. The
-closed/open identities are checked on every subset of the carrier up to 8
-elements and on 512 seeded samples above that.
+(|S(L)|, |S(L)|) tables alike. The sublocale test of every closure runs
+in slices of at most STACK_CELLS cells. The laws of S(L), the coframe law
+and join-is-lub, are decided by comparing two orders: the containment of
+the closures and the subset order of their prime sets. Equal orders make
+S(L) isomorphic to a Boolean algebra, which is a coframe, so no law is
+checked triple by triple. The closed/open identities are checked on every
+subset of the carrier up to 8 elements and on 512 seeded samples above
+that.
 """
 
 from __future__ import annotations
@@ -93,28 +95,21 @@ def is_sublocale(frame: FiniteFrame, members: Iterable[int]) -> SubsetVerdict:
     return _sublocale_rows(frame, unpack_rows([mask_of(members)], frame.n))
 
 
-def _slices(count: int, cells: int):
-    """Slices of range(count), STACK_CELLS // cells indices each (at least
-    one), so a stack of `cells` cells per index stays within STACK_CELLS."""
-    step = max(1, STACK_CELLS // cells)
-    for start in range(0, count, step):
-        yield slice(start, start + step)
-
-
 def _sublocale_rows(frame: FiniteFrame, rows) -> SubsetVerdict:
     """The sublocale test on every row of an (R, n) member array: the
     verdict on the first failing row, or a passing verdict.
 
-    Checked a slice of rows at a time: the top is a member, meet[s, t] is a
-    member for members s <= t (by index), and imp[a, s] is a member for
-    every a and every member s. The verdict names the first of these that
-    fails, with its first witness: (s, t) in row-major order, or (a, s) by
-    ascending s, then a.
+    Checked a slice of at most STACK_CELLS cells at a time: the top is a
+    member, meet[s, t] is a member for members s <= t (by index), and
+    imp[a, s] is a member for every a and every member s. The verdict names
+    the first of these that fails, with its first witness: (s, t) in
+    row-major order, or (a, s) by ascending s, then a.
     """
     n = frame.n
     upper = np.triu(np.ones((n, n), dtype=bool))
-    for part in _slices(len(rows), n * n):
-        members = rows[part]
+    step = max(1, STACK_CELLS // (n * n))
+    for start in range(0, len(rows), step):
+        members = rows[start:start + step]
         meets = members[:, :, None] & members[:, None, :] & upper & ~members[:, frame.meet]
         heyting = members[:, :, None] & ~members[:, frame.imp.T]  # [r, s, a]: imp[a, s] missing
         bad = ~members[:, frame.top] | meets.any(axis=(1, 2)) | heyting.any(axis=(1, 2))
@@ -183,8 +178,10 @@ class SublocaleLattice:
     the whole frame. rows[i] holds the members of masks[i] as a boolean row
     over the carrier, and prime_sets[i] is the set Y of primes with masks[i]
     = M(Y), as a bitmask over the positions in primes(parent). Join/meet/
-    supplement tables are built lazily and cached; the sublocale budget of
-    all_sublocales bounds them too.
+    supplement tables and the `laws` report are built lazily and cached; the
+    sublocale budget of all_sublocales bounds them too. `laws` decides the
+    coframe law and join-is-lub by comparing `leq` with the subset order of
+    the prime sets.
     """
 
     def __init__(self, parent: FiniteFrame, masks: tuple[int, ...],
@@ -248,35 +245,28 @@ class SublocaleLattice:
         cov = rel & ~(rel @ rel)
         return [(int(i), int(j)) for i, j in np.argwhere(cov)]
 
-    def coframe_law_report(self) -> CheckReport:
-        """S ∨ (T ∩ U) = (S ∨ T) ∩ (S ∨ U) over every triple, a slice of S at a time."""
-        join, meet = self.join_table, self.meet_table
-        for rows in _slices(len(self.masks), len(self.masks) ** 2):
-            lhs = join[rows][:, meet]
-            rhs = meet[join[rows, :, None], join[rows, None, :]]
-            if not np.array_equal(lhs, rhs):
-                s, t, u = (int(v) for v in np.argwhere(lhs != rhs)[0])
-                names = [self.sublocales[k].label() for k in (rows.start + s, t, u)]
-                return CheckReport.failed("coframe-law", f"triple {names}")
-        return CheckReport.passed("coframe-law")
+    @cached_property
+    def laws(self) -> CheckReport:
+        """The coframe law and join-is-lub, decided through S(L) ≅ 2^P.
 
-    def join_is_lub_report(self) -> CheckReport:
-        """The join formula lands on the least upper bound in containment order,
-        on every pair (i, j), a slice of i at a time; the witness is the first
-        failing pair in row-major order."""
-        join = self.join_table
-        leq = self.leq
-        m = len(self.masks)
-        for rows in _slices(m, m * m):
-            upper = leq[rows, None, :] & leq[None, :, :]  # upper[i, j, w]: w above i and j
-            bound = np.take_along_axis(upper, join[rows, :, None], axis=2)[:, :, 0]
-            minimal = (~upper | leq[join[rows]]).all(axis=2)
-            bad = ~(bound & minimal)
+        `leq`, the containment of the member rows, must equal the subset
+        order of the prime sets. all_sublocales checked that the closures
+        M(Y) are distinct sublocales, so equal orders make Y ↦ M(Y) a lattice
+        isomorphism from the Boolean algebra of prime sets onto S(L), and a
+        Boolean algebra is a coframe. The tables must then land on Y ∪ Z
+        and Y ∩ Z, which for joins is join-is-lub. A failure names the first
+        pair in row-major order of the first comparison that fails.
+        """
+        ys = self._ys
+        for law, got, want in (
+                ("order at ", self.leq, (ys[:, None] & ~ys[None, :]) == 0),
+                ("", ys[self.join_table], ys[:, None] | ys[None, :]),
+                ("meet at ", ys[self.meet_table], ys[:, None] & ys[None, :])):
+            bad = got != want
             if bad.any():
-                i, j = divmod(int(bad.argmax()), m)
-                a, b = (self.sublocales[k].label() for k in (rows.start + i, j))
-                return CheckReport.failed("join-is-lub", f"pair ({a}, {b})")
-        return CheckReport.passed("join-is-lub")
+                a, b = (self.sublocales[k].label() for k in divmod(int(bad.argmax()), len(ys)))
+                return CheckReport.failed("coframe-law", f"{law}pair ({a}, {b})")
+        return CheckReport.passed("coframe-law")
 
 
 def supplement(s: Sublocale, lattice: Optional[SublocaleLattice] = None) -> Sublocale:

@@ -9,6 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
+
 from localekit import realline as rl
 from localekit.common import bits
 from localekit.corpus import iter_natural_posets
@@ -205,6 +207,33 @@ def brute_closed_join_elements(frame):
         closure.add(frame.top)
         out.add(sum(1 << i for i in closure))
     return sorted(out)
+
+
+def generic_sublocale_laws(lattice):
+    """The coframe law and join-is-lub of S(L) on tables built without prime
+    sets: the first law that fails, or None.
+
+    Joins are least upper bounds read off `lattice.leq`: w is the least upper
+    bound of i and j iff its up-set is the set of all their upper bounds.
+    Meets are intersections of member masks. The coframe law is checked on
+    every triple, and join-is-lub compares `lattice.join_table` with the
+    least upper bounds.
+    """
+    leq = np.asarray(lattice.leq)
+    upper = leq[:, None, :] & leq[None, :, :]  # upper[i, j, w]: w above i and j
+    least = upper & (leq.sum(axis=1) == upper.sum(axis=2)[:, :, None])
+    if not least.any(axis=2).all():
+        return "no least upper bound"
+    join = least.argmax(axis=2)
+    try:
+        meet = np.array([[lattice.index[a & b] for b in lattice.masks] for a in lattice.masks])
+    except KeyError:
+        return "an intersection is no sublocale"
+    if not np.array_equal(join[:, meet], meet[join[:, :, None], join[:, None, :]]):
+        return "coframe-law"
+    if not np.array_equal(join, lattice.join_table):
+        return "join-is-lub"
+    return None
 
 
 def brute_topologies(n):

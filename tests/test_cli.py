@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from localekit import cli, corpus, io, realline, sublocales as sub
 from localekit.lattice import NotALattice
-from localekit.spaces import sierpinski
+from localekit.spaces import discrete, sierpinski
 
 
 @pytest.fixture
@@ -132,6 +132,12 @@ class TestCliCommands:
         assert cli.main(["spaces", "check", sier_file]) == 1
         assert "symmetric: False" in capsys.readouterr().out
 
+    def test_spaces_check_past_64_opens(self, tmp_path, capsys):
+        # 128 opens: the space budget admits 7 points, so the frame budget does not apply
+        path = tmp_path / "disc7.space"
+        path.write_text(io.format_space(discrete(7)))
+        assert cli.main(["spaces", "check", str(path)]) == 0
+
     def test_spaces_enumerate(self, capsys):
         assert cli.main(["--machine", "spaces", "enumerate", "--n", "2"]) == 0
         out = capsys.readouterr().out
@@ -203,6 +209,16 @@ class TestCliCommands:
         assert time.monotonic() - started < 2.0
         assert capsys.readouterr().err == (
             "error: 11 primes exceed the sublocale budget 10 (override with --budget)\n")
+
+    def test_sublocale_budget_reaches_2048_sublocales(self, tmp_path, capsys):
+        path = tmp_path / "chain12.lat"
+        path.write_text(io.format_lattice(corpus.chain(12)))
+        started = time.monotonic()
+        assert cli.main(["--budget", "11", "--machine", "sublocales", str(path)]) == 0
+        assert time.monotonic() - started < 30.0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("item=sublocale:") for line in lines) == 2048
+        assert lines[-2] == f"item={path} check=coframe-law verdict=pass"
 
     def test_budget_reaches_separation_ppt(self, b2_file, capsys):
         assert cli.main(["--budget", "1", "separation", b2_file, "--axiom", "ppt"]) == 2

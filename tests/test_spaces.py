@@ -117,8 +117,8 @@ class TestUnionsOfClosed:
     @pytest.mark.parametrize("table, message", [("join", "join is not set union"),
                                                 ("meet", "meet is not set intersection")])
     def test_frame_operations_are_checked_against_sets(self, monkeypatch, table, message):
-        def tampered(poset, labels):
-            frame = validate_frame(poset, labels)
+        def tampered(poset, labels, max_size):
+            frame = validate_frame(poset, labels, max_size)
             tables = {name: getattr(frame, name).copy() for name in ("meet", "join")}
             tables[table][1, 2] = tables[table][2, 1] = 1
             return FiniteFrame(frame.poset, tables["meet"], tables["join"], frame.imp,

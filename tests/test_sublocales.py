@@ -11,7 +11,7 @@ from localekit import corpus, sublocales
 from localekit.common import (BudgetExceeded, IDENTITY_EXHAUSTIVE_LIMIT, bits, pack_rows,
                               unpack_rows)
 from localekit.lattice import FiniteFrame, find_order_isomorphism
-from localekit.sublocales import (MixedParents, Sublocale, all_sublocales,
+from localekit.sublocales import (MixedParents, Sublocale, SublocaleLattice, all_sublocales,
                                   closed_join_frame, closed_join_frames, closed_join_meet,
                                   closed_open_complements_report,
                                   closed_open_identities_check,
@@ -21,7 +21,7 @@ from localekit.sublocales import (MixedParents, Sublocale, all_sublocales,
                                   supplement)
 
 from oracles import (brute_closed_join_elements, brute_primes, brute_sublocales,
-                     meet_close, sublocale_witness)
+                     generic_sublocale_laws, meet_close, sublocale_witness)
 
 
 def tampered(frame, table, a, b, value):
@@ -214,6 +214,7 @@ class TestSublocaleLattice:
         ys = np.array(lattice.prime_sets)
         assert (ys[join] == ys[:, None] | ys[None, :]).all()
         assert (ys[meet] == ys[:, None] & ys[None, :]).all()
+        assert lattice.laws.ok
 
     def test_meets_are_intersections(self, small_corpus):
         for frame in small_corpus[:40]:
@@ -225,9 +226,37 @@ class TestSublocaleLattice:
 
     def test_coframe_law_and_lub(self, small_corpus):
         for frame in small_corpus:
+            assert all_sublocales(frame).laws.ok
+
+    def test_generic_laws_oracle(self, tiny_corpus):
+        frames = [frame for _, frame in corpus.iter_distributive_frames(6)]
+        for frame in frames + list(tiny_corpus.values()):
             lattice = all_sublocales(frame)
-            assert lattice.coframe_law_report().ok
-            assert lattice.join_is_lub_report().ok
+            assert generic_sublocale_laws(lattice) is None
+            assert lattice.laws.ok
+
+    @pytest.mark.parametrize("name", ["chain3", "bool2", "chain4", "bool3"])
+    def test_every_single_entry_tamper_fails(self, tiny_corpus, name):
+        built = all_sublocales(tiny_corpus[name])
+        m = len(built)
+
+        def caught(attr, i, j, value):
+            lattice = SublocaleLattice(built.parent, built.masks, built.prime_sets, built.rows)
+            table = getattr(built, attr).copy()
+            table[i, j] = value
+            lattice.__dict__[attr] = table
+            try:
+                return not lattice.laws.ok
+            except AssertionError:
+                return True
+
+        tampers = [(attr, i, j, value)
+                   for attr, values in (("leq", (False, True)), ("join_table", range(m)),
+                                        ("meet_table", range(m)))
+                   for i in range(m) for j in range(m) for value in values
+                   if value != getattr(built, attr)[i, j]]
+        assert len(tampers) == m * m * (1 + 2 * (m - 1))
+        assert [t for t in tampers if not caught(*t)] == []
 
     # (frame, table, a, b, value) tampered, and the message that a per-closure
     # is_sublocale loop gives; "" where all_sublocales passes (a tampered meet
@@ -255,40 +284,34 @@ class TestSublocaleLattice:
             AssertionError, f"meet-closure of primes is not a sublocale: {message}",
             (f"meet-closure of primes is not a sublocale: {message}",))
 
-    # a tampered join-table entry, and the witnesses that both laws give when
-    # checked on whole (m, m, m) arrays
-    @pytest.mark.parametrize("name, i, j, value, coframe, lub", [
-        ("bool2", 1, 2, 2, "['{1,3}', 'O', '{2,3}']", "({1,3}, {2,3})"),
-        ("bool3", 2, 5, 0, "['{5,7}', 'O', '{2,3,6,7}']", "({5,7}, {2,3,6,7})"),
-        ("bool3", 7, 7, 6, "['L', 'O', 'L']", "(L, L)"),
-        ("chain4", 3, 1, 2, "['{2,3}', 'O', '{0,3}']", "({2,3}, {0,3})"),
-        ("chain5", 12, 3, 14, "['{0,1,3,4}', 'O', '{2,4}']", "({0,1,3,4}, {2,4})"),
-        ("chain5", 9, 14, 2, "['{1,3,4}', 'O', '{1,2,3,4}']", "({1,3,4}, {1,2,3,4})"),
-        ("chain5", 15, 15, 13, "['L', 'O', 'L']", "(L, L)"),
+    # a tampered table entry, and the pair the laws name
+    @pytest.mark.parametrize("name, table, i, j, value, witness", [
+        ("bool2", "join_table", 1, 2, 2, "pair ({1,3}, {2,3})"),
+        ("bool3", "join_table", 2, 5, 0, "pair ({5,7}, {2,3,6,7})"),
+        ("bool3", "join_table", 7, 7, 6, "pair (L, L)"),
+        ("chain4", "join_table", 3, 1, 2, "pair ({2,3}, {0,3})"),
+        ("chain5", "join_table", 12, 3, 14, "pair ({0,1,3,4}, {2,4})"),
+        ("chain5", "join_table", 9, 14, 2, "pair ({1,3,4}, {1,2,3,4})"),
+        ("chain5", "join_table", 15, 15, 13, "pair (L, L)"),
+        ("chain4", "leq", 1, 0, True, "order at pair ({0,3}, O)"),
+        ("bool3", "leq", 6, 3, True, "order at pair ({4,5,6,7}, {6,7})"),
+        ("bool3", "meet_table", 2, 5, 7, "meet at pair ({5,7}, {2,3,6,7})"),
     ])
-    @pytest.mark.parametrize("cells", [None, 1])
-    def test_sliced_laws_name_the_first_witness(self, tiny_corpus, monkeypatch, cells,
-                                                name, i, j, value, coframe, lub):
-        if cells is not None:  # one value of the first index a slice
-            monkeypatch.setattr(sublocales, "STACK_CELLS", cells)
+    def test_sliced_laws_name_the_first_witness(self, tiny_corpus, name, table, i, j, value,
+                                                witness):
         lattice = all_sublocales(tiny_corpus[name])
-        join = lattice.join_table.copy()
-        join[i, j] = value
-        lattice.__dict__["join_table"] = join
-        assert lattice.coframe_law_report().witness == f"triple {coframe}"
-        assert lattice.join_is_lub_report().witness == f"pair {lub}"
+        entries = getattr(lattice, table).copy()
+        entries[i, j] = value
+        lattice.__dict__[table] = entries
+        assert lattice.laws.witness == witness
 
-    @pytest.mark.parametrize("cells", [None, 1])
-    def test_join_is_lub_names_the_first_pair_in_row_major_order(self, tiny_corpus,
-                                                                 monkeypatch, cells):
-        if cells is not None:  # one value of the first index a slice
-            monkeypatch.setattr(sublocales, "STACK_CELLS", cells)
+    def test_join_is_lub_names_the_first_pair_in_row_major_order(self, tiny_corpus):
         lattice = all_sublocales(tiny_corpus["bool3"])
         join = lattice.join_table.copy()
         join[1, 6] = join[5, 2] = lattice.bottom_index
         lattice.__dict__["join_table"] = join
         labels = [s.label() for s in lattice.sublocales]
-        assert lattice.join_is_lub_report().witness == f"pair ({labels[1]}, {labels[6]})"
+        assert lattice.laws.witness == f"pair ({labels[1]}, {labels[6]})"
 
     def test_cube7_past_64_elements(self, cube7):
         lattice = all_sublocales(cube7)
@@ -300,8 +323,7 @@ class TestSublocaleLattice:
             for j, b in enumerate(lattice.masks):
                 assert lattice.masks[int(meet[i, j])] == a & b
                 assert lattice.leq[i, j] == (a & ~b == 0)
-        assert lattice.coframe_law_report().ok
-        assert lattice.join_is_lub_report().ok
+        assert lattice.laws.ok
 
     def test_chain10_laws_stay_in_bounded_memory(self):
         # 512 sublocales: (m, m, m) arrays of the laws would take 1 GB each
@@ -309,7 +331,7 @@ class TestSublocaleLattice:
                   "from localekit import corpus, sublocales\n"
                   "lattice = sublocales.all_sublocales(corpus.chain(10))\n"
                   "assert len(lattice) == 512\n"
-                  "assert lattice.coframe_law_report().ok and lattice.join_is_lub_report().ok\n"
+                  "assert lattice.laws.ok\n"
                   "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ,
