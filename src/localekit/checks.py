@@ -8,9 +8,9 @@ territory), and passes are silent.
 Every LATTICE_CHECKS entry takes a FrameStructure: one campaign item's
 frame, with its S(L) and closed-join frame built at most once, on first
 use, and shared by every check of the item. `frame_structures` makes them
-for a batch of frames, whose closed-join frames are then built in one
-`closed_join_frames` call. Sharing an object does not merge routes: each
-law keeps its own two computations.
+for a batch of frames, whose closed-join frames are then read off their
+tables in one `closed_join_frames` call. Sharing an object does not merge
+routes: each law keeps its own two computations.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from . import sublocales as sub
 class FrameStructure:
     """One campaign item: its frame, S(L) and closed-join frame, each built
     at most once, on first use; closed_joins supplies the closed-join frame
-    and laws the item's frame-laws outcome."""
+    (L upside down) and laws the item's frame-laws outcome."""
 
     def __init__(self, frame: FiniteFrame, closed_joins: Callable[[], sub.ClosedJoinFrame],
                  laws: Callable[[], CheckReport | AssertionError]):

@@ -397,7 +397,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _export_dot(args) -> int:
-    loaded = io.load_any(Path(args.file).read_text())
+    loaded = io.load_any(Path(args.file).read_text(),
+                         None if args.target == "sublocales" else args.budget)
     if args.target == "specialization":
         if not isinstance(loaded, FiniteSpace):
             print("specialization export needs a space file", file=sys.stderr)

@@ -50,7 +50,7 @@ def load_lattice_text(text: str, budget: Optional[int] = None) -> FiniteFrame:
     limit = MAX_FRAME_CARRIER if budget is None else budget
     if n > limit:
         raise BudgetExceeded(f"carrier size {n} exceeds the frame budget {limit} "
-                             "(override with --budget on check-frame or sc)")
+                             "(override with --budget on check-frame, sc or export-dot)")
     pairs = []
     for number, line in lines[1:]:
         for sep in ("<=", "<"):
@@ -114,14 +114,14 @@ def format_space(space: FiniteSpace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_any(text: str) -> Union[FiniteFrame, FiniteSpace]:
-    """Sniff the header and dispatch to the right loader."""
+def load_any(text: str, budget: Optional[int] = None) -> Union[FiniteFrame, FiniteSpace]:
+    """Sniff the header and load the file under its frame or space budget."""
     for number, line in _content_lines(text):
         kind = line.split()[0]
         if kind == "lattice":
-            return load_lattice_text(text)
+            return load_lattice_text(text, budget)
         if kind == "space":
-            return load_space_text(text)
+            return load_space_text(text, budget)
         raise ParseError(number, f"unknown header {kind!r}")
     raise ParseError(1, "empty input")
 

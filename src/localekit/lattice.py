@@ -81,7 +81,8 @@ class FinitePoset:
 
     @classmethod
     def _checked(cls, leq, bottom: int, top: int) -> "FinitePoset":
-        """A poset on a read-only relation that has passed _order_checks."""
+        """A poset on a read-only relation known to be a bounded order: one that
+        passed _order_checks, or such an order reversed and relabelled."""
         poset = cls.__new__(cls)
         poset._set(leq, bottom, top)
         return poset
@@ -118,9 +119,10 @@ class FinitePoset:
 class FiniteFrame:
     """A validated frame: canonical poset plus meet/join/Heyting tables.
 
-    Not constructed directly; use validate_frame or validate_frames.
-    Instances are immutable (tables carry read-only numpy flags) and safe
-    to share between workers.
+    Not constructed directly; use validate_frame or validate_frames (or
+    sublocales.closed_join_frames, which reads a validated frame upside
+    down). Instances are immutable (tables carry read-only numpy flags) and
+    safe to share between workers.
     """
 
     def __init__(self, poset: FinitePoset, meet, join, imp, labels):
@@ -176,9 +178,9 @@ class PseudocomplementResult(NamedTuple):
 
 
 def containment_order(rows):
-    """leq[i, j] iff row i is a subset of row j, for an (m, n) boolean array of
-    member rows (any n): no k has rows[i, k] without rows[j, k]."""
-    return ~(rows @ ~rows.T)
+    """leq[..., i, j] iff row i is a subset of row j, for (..., m, n) boolean
+    member rows (any n): no k has rows[..., i, k] without rows[..., j, k]."""
+    return ~(rows @ ~np.swapaxes(rows, -1, -2))
 
 
 def _first(mask):
@@ -268,7 +270,7 @@ def distributivity_witness(meet, join):
     return _first(lhs != rhs)
 
 
-def _heyting_tables(leqs, meet):
+def heyting_tables(leqs, meet):
     """a -> b on a stack of lattices, and per frame the first triple
     (a, x, b), flattened, where a ∧ x <= b iff x <= a -> b fails (or -1)."""
     stack = np.arange(len(leqs))[:, None, None]
@@ -313,7 +315,7 @@ def validate_frames(leqs, labels: Optional[Sequence[Sequence[str]]] = None) -> l
     labels = [tuple(row[i] for i in perm) for row, perm in zip(labels, order.tolist())]
     meet, join, missing = lattice_tables(canon)
     triples = distributivity_witness(meet, join)
-    imp, broken = _heyting_tables(canon, meet)
+    imp, broken = heyting_tables(canon, meet)
 
     failed = np.stack([bad, missing >= 0, triples >= 0, broken >= 0])
     if failed.any():

@@ -142,8 +142,8 @@ def subfit_correspondence_check(frame: FiniteFrame,
     sub = is_subfit(frame)
     if cjf is None:
         cjf = closed_join_frame(frame)
-    join, meet = cjf.join_table, cjf.meet_table
-    complemented = ((join == cjf.top_index) & (meet == cjf.bottom_index)).any(axis=1)
+    sc = cjf.frame
+    complemented = ((sc.join == sc.top) & (sc.meet == sc.bottom)).any(axis=1)
     boolean = bool(complemented.all())
     witness = None
     if not boolean:

@@ -11,8 +11,8 @@ M(Y) ∨ M(Z) = M(Y ∪ Z). A join in S(L) is the meet-closure M(A ∪ {1}) of
 the union A, and `meet_closure` is its one closed form: x ∈ M(A ∪ {1}) iff,
 for every upper cover y of x, A meets ↑x ∖ ↑y. Closed sublocales are
 up-sets and join by c(a) ∨ c(b) = c(a ∧ b), so their joins are the up-sets
-themselves. `closed_join_frames` validates many parents' closed-join
-frames in one `validate_frames` stack per carrier size, so a campaign
+themselves: L turned upside down. `closed_join_frames` reads that frame
+off the parents' tables, one stack per carrier size, so a campaign
 builds them a corpus chunk at a time. The one sublocale budget counts
 primes, since |S(L)| = 2^|primes|; it bounds the enumeration and the
 (|S(L)|, |S(L)|) tables alike. The sublocale test of every closure runs
@@ -38,7 +38,8 @@ import numpy as np
 from .common import (IDENTITY_EXHAUSTIVE_LIMIT, IDENTITY_SAMPLES, STACK_CELLS,
                      SUBLOCALE_SCAN_LIMIT, BudgetExceeded, CheckReport,
                      bits, pack_rows, unpack_rows)
-from .lattice import FiniteFrame, containment_order, validate_frames
+from .lattice import (FiniteFrame, FinitePoset, containment_order, distributivity_witness,
+                      heyting_tables)
 
 
 class MixedParents(ValueError):
@@ -323,38 +324,16 @@ class ClosedJoinFrame:
     """Joins of closed sublocales with their induced frame structure.
 
     Since c(a) ∨ c(b) = c(a ∧ b), the joins of closed sublocales are the
-    closed sublocales themselves: element i is the up-set of generators[i].
-    Joins are c(a ∧ b) and induced meets c(a ∨ b); the constructor checks
-    both against the order-theoretic ones of `frame`, the containment order
-    of the masks validated by `closed_join_frames`. `frame` exposes the same
-    data as an abstract frame whose element i is masks[i].
+    closed sublocales themselves: element i is the up-set of generators[i],
+    and the frame is L turned upside down. `frame` is that frame, built by
+    `closed_join_frames` from the parent's tables: its element i is
+    masks[i], its joins are c(a ∧ b) and its induced meets c(a ∨ b).
     """
 
     def __init__(self, parent: FiniteFrame, generators: tuple[int, ...], frame: FiniteFrame):
-        masks = tuple(parent.up_masks[a] for a in generators)
-        self.parent = parent
-        self.generators = generators
-        self.masks = masks
-        self.index = {m: i for i, m in enumerate(masks)}
-        self.bottom_index = self.index[1 << parent.top]
-        self.top_index = self.index[(1 << parent.n) - 1]
-        self.frame = frame
-        if frame.labels != _closed_join_labels(parent, generators):
-            raise AssertionError("closed-join carrier left canonical order")
-
-        gen = np.array(generators, dtype=np.intp)
-        position = np.empty_like(gen)
-        position[gen] = np.arange(len(gen))
-        join = position[parent.meet[gen][:, gen]]
-        meet = position[parent.join[gen][:, gen]]
-        if not np.array_equal(join, frame.join):
-            raise AssertionError("closed-join joins disagree with the inclusion order")
-        if not np.array_equal(meet, frame.meet):
-            raise AssertionError("induced meet disagrees with the inclusion order")
-        join.flags.writeable = False
-        meet.flags.writeable = False
-        self.join_table = join
-        self.meet_table = meet
+        self.parent, self.generators, self.frame = parent, generators, frame
+        self.masks = tuple(parent.up_masks[a] for a in generators)
+        self.index = {m: i for i, m in enumerate(self.masks)}
 
     def __len__(self):
         return len(self.masks)
@@ -377,66 +356,80 @@ class ClosedJoinFrame:
         Finite lattices are distributive iff dually distributive, so the two
         verdicts must agree; pass means both hold.
         """
-        join, meet = self.join_table, self.meet_table
-        frame_lhs = meet[:, join]
-        frame_rhs = join[meet[:, :, None], meet[:, None, :]]
-        frame_ok = np.array_equal(frame_lhs, frame_rhs)
-        co_lhs = join[:, meet]
-        co_rhs = meet[join[:, :, None], join[:, None, :]]
-        co_ok = np.array_equal(co_lhs, co_rhs)
+        meet, join = self.frame.meet[None], self.frame.join[None]
+        down, up = distributivity_witness(meet, join)[0], distributivity_witness(join, meet)[0]
+        frame_ok, co_ok = bool(down < 0), bool(up < 0)
         if frame_ok and co_ok:
             return CheckReport.passed("closed-join-frame-law")
         if frame_ok != co_ok:
             return CheckReport.violated(
                 "closed-join-frame-law",
                 f"distributive={frame_ok} but dually distributive={co_ok}")
-        s, t, u = (int(v) for v in np.argwhere(frame_lhs != frame_rhs)[0])
-        names = [self.elements[k].label() for k in (s, t, u)]
+        names = [self.elements[int(k)].label()
+                 for k in np.unravel_index(down, (len(self),) * 3)]
         return CheckReport.failed("closed-join-frame-law", f"triple {names}")
 
 
-def _closed_join_labels(parent: FiniteFrame, generators: tuple[int, ...]) -> tuple[str, ...]:
-    return tuple(f"c({parent.labels[g]})" for g in generators)
-
-
 def closed_join_frames(parents: Iterable[FiniteFrame]) -> list[ClosedJoinFrame]:
-    """The joins of closed sublocales (the up-sets) of every parent, validated
-    as frames in one `validate_frames` stack per carrier size.
+    """The joins of closed sublocales (the up-sets, in (size, mask) order) of
+    every parent, built from its tables, one stack per carrier size.
 
-    A batch that fails raises what its first failing parent raises alone.
+    The containment order must be the parent order reversed, each join
+    c(a ∧ b) must contain both arguments and each meet c(a ∨ b) lie inside
+    both, and `heyting_tables` proves the Heyting table. A batch that fails
+    raises what its first failing parent raises alone.
     """
     parents = list(parents)
-    try:
-        generators, by_size = [], defaultdict(list)
-        for k, parent in enumerate(parents):
-            up = parent.up_masks
-            generators.append(tuple(sorted(range(parent.n),
-                                           key=lambda a: (up[a].bit_count(), up[a]))))
-            by_size[parent.n].append(k)
-        frames = [None] * len(parents)
-        for ks in by_size.values():
-            leqs = np.stack([containment_order(parents[k].leq[list(generators[k])])
-                             for k in ks])
-            labels = [_closed_join_labels(parents[k], generators[k]) for k in ks]
-            for k, frame in zip(ks, validate_frames(leqs, labels)):
-                frames[k] = frame
-        return [ClosedJoinFrame(*args) for args in zip(parents, generators, frames)]
-    except Exception:
-        if len(parents) > 1:
-            for parent in parents:
-                closed_join_frames([parent])
-        raise
+    by_size = defaultdict(list)
+    for k, parent in enumerate(parents):
+        by_size[parent.n].append(k)
+    built, failures = [None] * len(parents), []
+    for n, ks in by_size.items():
+        group = [parents[k] for k in ks]
+        gens = np.array([sorted(range(n), key=lambda a, up=p.up_masks: (up[a].bit_count(), up[a]))
+                         for p in group], dtype=np.intp)
+        leqs, meets, joins = (np.stack([getattr(p, name) for p in group])
+                              for name in ("leq", "meet", "join"))
+        f, idx = np.arange(len(group))[:, None, None], np.arange(n)
+        rows, cols = gens[:, :, None], gens[:, None, :]
+        position = np.argsort(gens, axis=1)           # position[f, gens[f, i]] = i
+        leq = leqs[f, cols, rows]                     # c(a) ⊆ c(b) iff b <= a
+        join = position[f, meets[f, rows, cols]]      # c(a) ∨ c(b) = c(a ∧ b)
+        meet = position[f, joins[f, rows, cols]]      # c(a) ∧ c(b) = c(a ∨ b)
+        imp, broken = heyting_tables(leq, meet)
+        bad = np.stack([containment_order(leqs[f[:, :, 0], gens]) != leq,
+                        ~(leq[f, idx[:, None], join] & leq[f, idx, join]),
+                        ~(leq[f, meet, idx[:, None]] & leq[f, meet, idx])], axis=1)
+        failed = np.concatenate([bad.any(axis=(2, 3)), broken[:, None] >= 0], axis=1)
+        for table in (leq, meet, join, imp):
+            table.flags.writeable = False
+        for g, (k, parent) in enumerate(zip(ks, group)):
+            labels = tuple(f"c({parent.labels[a]})" for a in gens[g].tolist())
+            if failed[g].any():
+                stage = int(failed[g].argmax())
+                at = int(bad[g, stage].argmax()) if stage < 3 else int(broken[g])
+                where = ", ".join(labels[v] for v in np.unravel_index(at, (n,) * (2 + stage // 3)))
+                law = ("order is not the parent's reversed", "join is not above both",
+                       "meet is not below both", "Heyting adjunction breaks")[stage]
+                failures.append((k, f"closed-join {law} at ({where})"))
+                break
+            frame = FiniteFrame(FinitePoset._checked(leq[g], 0, n - 1), meet[g], join[g], imp[g],
+                                labels)
+            built[k] = ClosedJoinFrame(parent, tuple(gens[g].tolist()), frame)
+    if failures:
+        raise AssertionError(min(failures)[1])
+    return built
 
 
 def closed_join_frame(parent: FiniteFrame) -> ClosedJoinFrame:
-    """The joins of closed sublocales (the up-sets), validated as a frame."""
+    """The joins of closed sublocales (the up-sets), built as a frame."""
     return closed_join_frames([parent])[0]
 
 
 def closed_join_meet(cjf: ClosedJoinFrame, s: Sublocale, t: Sublocale) -> Sublocale:
     """Induced meet: the join of every element below both arguments."""
     i, j = cjf.element_index(s), cjf.element_index(t)
-    return cjf.elements[int(cjf.meet_table[i, j])]
+    return cjf.elements[int(cjf.frame.meet[i, j])]
 
 
 def dual_booleanization(frame: FiniteFrame,

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 import numpy as np
 
 from localekit import realline as rl
 from localekit.common import bits
 from localekit.corpus import iter_natural_posets
-from localekit.lattice import FiniteFrame
+from localekit.lattice import FiniteFrame, validate_frames
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +122,36 @@ def natural_labeled_lattices(n, distributive_only=False):
     return _labeled_closure(natural, n)
 
 
+def _linear_extensions(up: tuple[int, ...], downsets: list[int]) -> int:
+    """Linear extensions of a poset, counted over its down-sets (ascending):
+    each extension of a down-set ends in one of its maximal elements."""
+    count = {0: 1}
+    for s in downsets[1:]:
+        count[s] = sum(count[s & ~(1 << i)] for i in bits(s) if up[i] & s == 1 << i)
+    return count[downsets[-1]]
+
+
+def labeled_distributive_count(n: int) -> int:
+    """The number of labeled distributive lattices on n >= 1 elements, as
+    n!·Σ 1/e(N) over the naturally labeled posets N with n down-sets.
+
+    Such a lattice is the down-set lattice of a poset, unique up to
+    isomorphism (Birkhoff), so there are Σ n!/|Aut P| of them over the
+    unlabeled posets P with n down-sets. P has e(P)/|Aut P| naturally
+    labeled copies, e(P) its number of linear extensions, so their terms
+    1/e(N) add up to 1/|Aut P|. A poset on k elements has at least k + 1
+    down-sets, with equality only for the chain, so the posets on at most
+    n - 2 elements and the (n - 1)-chain, whose term is 1, are all of them.
+    """
+    total = Fraction(1)
+    for k in range(n - 1):
+        for up, down in iter_natural_posets(k):
+            downsets = [s for s in range(1 << k) if all(down[i] & ~s == 0 for i in bits(s))]
+            if len(downsets) == n:
+                total += Fraction(1, _linear_extensions(up, downsets))
+    return int(factorial(n) * total)
+
+
 def brute_primes(frame):
     """Meet-irreducibles: non-top elements that are no meet of two strictly larger ones."""
     n = frame.n
@@ -207,6 +238,17 @@ def brute_closed_join_elements(frame):
         closure.add(frame.top)
         out.add(sum(1 << i for i in closure))
     return sorted(out)
+
+
+def generic_closed_join_frame(frame: FiniteFrame):
+    """The closed-join frame derived from its order alone: the up-sets of
+    `frame` in (size, mask) order, validated by `validate_frames` as the
+    frame of their containment order. Returns (masks, validated frame)."""
+    up = frame.up_masks
+    masks = sorted(up, key=lambda m: (m.bit_count(), m))
+    leq = np.array([[a & ~b == 0 for b in masks] for a in masks])
+    labels = tuple(f"c({frame.labels[up.index(m)]})" for m in masks)
+    return tuple(masks), validate_frames(leq[None], [labels])[0]
 
 
 def generic_sublocale_laws(lattice):

@@ -1,5 +1,4 @@
 import time
-from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -150,6 +149,25 @@ class TestCliCommands:
         assert cli.main(["export-dot", sier_file, "--target", "specialization"]) == 0
         capsys.readouterr()
         assert cli.main(["export-dot", sier_file, "--target", "hasse"]) == 2
+
+    @pytest.mark.parametrize("target", ["hasse", "sc"])
+    def test_export_dot_budget_past_64_elements(self, tmp_path, capsys, cube7, target):
+        path = tmp_path / "cube7.lat"
+        path.write_text(io.format_lattice(cube7))
+        assert cli.main(["export-dot", str(path), "--target", target]) == 2
+        assert capsys.readouterr().err == (
+            "error: carrier size 128 exceeds the frame budget 64 "
+            "(override with --budget on check-frame, sc or export-dot)\n")
+        assert cli.main(["--budget", "200", "export-dot", str(path), "--target", target]) == 0
+        assert capsys.readouterr().out.count(" -> ") == 7 * 64  # the covers of the 7-cube
+
+    def test_export_dot_budget_sets_the_space_limit(self, tmp_path, capsys):
+        path = tmp_path / "nine.space"
+        path.write_text("space 9\n")
+        assert cli.main(["export-dot", str(path), "--target", "specialization"]) == 2
+        assert "9 points exceed the space budget 8" in capsys.readouterr().err
+        assert cli.main(["--budget", "9", "export-dot", str(path), "--target",
+                         "specialization"]) == 0
 
     def test_parse_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.lat"
@@ -302,28 +320,28 @@ class TestCampaigns:
                 "frame-laws,identities,coframe-law,sc-frame-law,ppt,weaksub-equiv,pcformula"]
         assert cli.main(argv) == 0
         whole = capsys.readouterr().out
-        built, stacks = [], []
-        all_sublocales, validate_frames = sub.all_sublocales, sub.validate_frames
+        built, batches = [], []
+        all_sublocales, closed_join_frames = sub.all_sublocales, sub.closed_join_frames
 
         def counted_sublocales(frame, *args, **kwargs):
             built.append(frame)
             return all_sublocales(frame, *args, **kwargs)
 
-        def counted_stacks(leqs, *args, **kwargs):
-            stacks.append(leqs.shape)
-            return validate_frames(leqs, *args, **kwargs)
+        def counted_batches(parents):
+            parents = list(parents)
+            batches.append(tuple(frame.n for frame in parents))
+            return closed_join_frames(parents)
 
         monkeypatch.setattr(sub, "all_sublocales", counted_sublocales)
-        monkeypatch.setattr(sub, "validate_frames", counted_stacks)
+        monkeypatch.setattr(sub, "closed_join_frames", counted_batches)
         monkeypatch.setattr(corpus, "_CHUNK_CELLS", 200)  # 12 chunks of 3 frames at n = 4
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == whole
-        named = corpus.named_frames().values()
+        named = corpus.named_frames()
         assert len(built) == len({id(frame) for frame in built}) == 1 + 2 + 6 + 36 + len(named)
-        sizes = Counter(frame.n for frame in named)
-        expected = [(1, 1, 1), (2, 2, 2), (6, 3, 3)] + [(3, 4, 4)] * 12
-        expected += [(count, n, n) for n, count in sizes.items()]
-        assert sorted(stacks) == sorted(expected)
+        expected = [(1,), (2, 2), (3,) * 6] + [(4, 4, 4)] * 12
+        expected.append(tuple(frame.n for _, frame in sorted(named.items())))
+        assert batches == expected
 
     def test_unknown_check_rejected(self, capsys):
         assert cli.main(["campaign", "lattices", "--checks", "nope"]) == 2

@@ -9,7 +9,7 @@ from localekit import corpus, realline as rl
 from localekit.lattice import FinitePoset, validate_frame
 
 from oracles import (_permuted_rows, brute_is_distributive, brute_labeled_lattices,
-                     natural_labeled_lattices)
+                     labeled_distributive_count, natural_labeled_lattices)
 
 
 def rows_to_rel(rows):
@@ -54,6 +54,15 @@ class TestLatticeEnumeration:
         assert rows == natural_labeled_lattices(n, distributive_only=distributive)
         if n == 7:
             assert len(rows) == 26460
+
+    def test_distributive_counts_match_the_extension_count_oracle(self):
+        # n!·Σ 1/e(N) over natural posets N with n down-sets counts the labeled
+        # distributive lattices without relabeling any order; n = 8 is the
+        # labeled corpus past the campaign budget, which nothing else covers.
+        counts = [len(corpus.labeled_lattice_rows(n, distributive_only=True))
+                  for n in range(1, 9)]
+        assert counts == [labeled_distributive_count(n) for n in range(1, 9)]
+        assert counts == [1, 2, 6, 36, 240, 2520, 26460, 379680]
 
     @pytest.mark.parametrize("n", [3, 8, 9, 12, 17])
     def test_keys_sort_and_decode_as_row_tuples(self, n):

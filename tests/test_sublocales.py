@@ -11,8 +11,9 @@ from localekit import corpus, sublocales
 from localekit.common import (BudgetExceeded, IDENTITY_EXHAUSTIVE_LIMIT, bits, pack_rows,
                               unpack_rows)
 from localekit.lattice import FiniteFrame, find_order_isomorphism
-from localekit.sublocales import (MixedParents, Sublocale, SublocaleLattice, all_sublocales,
-                                  closed_join_frame, closed_join_frames, closed_join_meet,
+from localekit.sublocales import (ClosedJoinFrame, MixedParents, Sublocale, SublocaleLattice,
+                                  all_sublocales, closed_join_frame, closed_join_frames,
+                                  closed_join_meet,
                                   closed_open_complements_report,
                                   closed_open_identities_check,
                                   closed_sublocale, dual_booleanization,
@@ -21,7 +22,8 @@ from localekit.sublocales import (MixedParents, Sublocale, SublocaleLattice, all
                                   supplement)
 
 from oracles import (brute_closed_join_elements, brute_primes, brute_sublocales,
-                     generic_sublocale_laws, meet_close, sublocale_witness)
+                     generic_closed_join_frame, generic_sublocale_laws, meet_close,
+                     sublocale_witness)
 
 
 def tampered(frame, table, a, b, value):
@@ -37,13 +39,6 @@ def raised(action):
     with pytest.raises(Exception) as err:
         action()
     return type(err.value), str(err.value), err.value.args
-
-
-def unchecked(poset):
-    """A FiniteFrame over poset whose tables are never read by closed_join_frames
-    before its closed-join order fails validation."""
-    zeros = np.zeros((poset.n, poset.n), dtype=np.intp)
-    return FiniteFrame(poset, zeros, zeros, zeros, tuple(f"e{i}" for i in range(poset.n)))
 
 
 class TestIsSublocale:
@@ -418,13 +413,60 @@ class TestClosedJoinFrame:
                     assert cjf.frame.leq[i, j] == (a & ~b == 0)
             assert cjf.frame_law_report().ok
 
+    @pytest.mark.parametrize("source", ["small_corpus", "tiny_corpus", "chain65", "cube7"])
+    def test_matches_generic_route(self, request, source):
+        frames = request.getfixturevalue(source)
+        if isinstance(frames, dict):
+            frames = list(frames.values())
+        elif not isinstance(frames, list):
+            frames = [frames]
+        for frame in frames:
+            cjf = closed_join_frame(frame)
+            masks, generic = generic_closed_join_frame(frame)
+            assert cjf.masks == masks
+            assert cjf.frame.labels == generic.labels
+            for name in ("leq", "meet", "join", "imp"):
+                assert np.array_equal(getattr(cjf.frame, name), getattr(generic, name))
+
     def test_joins_embed_into_sublocale_lattice(self, small_corpus):
         for frame in small_corpus[:40]:
             cjf = closed_join_frame(frame)
             for i, a in enumerate(cjf.masks):
                 for j, b in enumerate(cjf.masks):
                     joined = sublocale_join([Sublocale(frame, a), Sublocale(frame, b)])
-                    assert cjf.masks[int(cjf.join_table[i, j])] == joined.mask
+                    assert cjf.masks[int(cjf.frame.join[i, j])] == joined.mask
+
+
+def first_undistributed(meet, join):
+    """The first triple (s, t, u) in row-major order where meet fails to
+    distribute over join, or None."""
+    n = len(meet)
+    return next(((s, t, u) for s in range(n) for t in range(n) for u in range(n)
+                 if meet[s, join[t, u]] != join[meet[s, t], meet[s, u]]), None)
+
+
+class TestClosedJoinFrameLaw:
+    def test_every_single_entry_change_matches_the_triple_loop(self, b2):
+        cjf = closed_join_frame(b2)
+        levels = set()
+        for table in ("meet", "join"):
+            for a in range(4):
+                for b in range(4):
+                    for value in range(4):
+                        frame = tampered(cjf.frame, table, a, b, value)
+                        report = ClosedJoinFrame(b2, cjf.generators, frame).frame_law_report()
+                        levels.add(report.level)
+                        down = first_undistributed(frame.meet, frame.join)
+                        up = first_undistributed(frame.join, frame.meet)
+                        if down is None and up is None:
+                            assert report.ok
+                        elif (down is None) != (up is None):
+                            assert report.witness == (f"distributive={down is None} but "
+                                                      f"dually distributive={up is None}")
+                        else:
+                            names = [cjf.elements[k].label() for k in down]
+                            assert report.witness == f"triple {names}"
+        assert levels == {"pass", "fail", "violation"}
 
 
 class TestClosedJoinFrames:
@@ -437,9 +479,6 @@ class TestClosedJoinFrames:
             assert batch.masks == alone.masks
             assert batch.generators == alone.generators
             assert batch.frame.labels == alone.frame.labels
-            assert (batch.bottom_index, batch.top_index) == (alone.bottom_index, alone.top_index)
-            for name in ("join_table", "meet_table"):
-                assert np.array_equal(getattr(batch, name), getattr(alone, name))
             for name in ("leq", "meet", "join", "imp"):
                 assert np.array_equal(getattr(batch.frame, name), getattr(alone.frame, name))
 
@@ -447,20 +486,19 @@ class TestClosedJoinFrames:
         assert closed_join_frames([]) == []
 
     @pytest.mark.parametrize("position", [0, 2])
-    @pytest.mark.parametrize("bad", ["pentagon", "diamond", "hexagon", "meet", "join"])
+    @pytest.mark.parametrize("bad", ["meet", "join"])
     def test_failing_frame_raises_its_own_error(self, tiny_corpus, bad, position):
-        if bad in ("meet", "join"):
-            # the order validates; only the table cross-check after it fails
-            broken = tampered(tiny_corpus["bool2"], bad, 1, 2, {"meet": 3, "join": 1}[bad])
-        else:
-            broken = unchecked(getattr(corpus, f"{bad}_poset")())
+        # the parent order is intact; one entry of the table carried over is not
+        broken = tampered(tiny_corpus["bool2"], bad, 1, 2, {"meet": 3, "join": 1}[bad])
+        message = {"meet": "closed-join join is not above both at (c(1), c(2))",
+                   "join": "closed-join meet is not below both at (c(1), c(2))"}[bad]
         alone = raised(lambda: closed_join_frame(broken))
+        assert alone == (AssertionError, message, (message,))
         good = [tiny_corpus[name] for name in ("chain3", "bool3", "chain4", "grid2x3")]
-        # a later frame whose order fails validation must not mask the first failure
-        batch = good[:position] + [broken] + good[position:] + [unchecked(corpus.pentagon_poset())]
+        # a later failing frame must not mask the first, even when its carrier size is built first
+        later = tampered(tiny_corpus["chain3"], "meet", 0, 1, 2)
+        batch = good[:position] + [broken] + good[position:] + [later]
         assert raised(lambda: closed_join_frames(batch)) == alone
-        assert alone[0].__name__ == {"meet": "AssertionError", "join": "AssertionError",
-                                     "hexagon": "NotALattice"}.get(bad, "NotDistributive")
 
 
 class TestClosedJoinMeet:
