@@ -158,8 +158,8 @@ def _settled(outcome: CheckReport | AssertionError) -> CheckReport:
 def frame_laws(frame: FiniteFrame) -> CheckReport:
     """Double-negation laws and the Booleanization laws, on a stack of one.
 
-    The Heyting adjunction is checked in `validate_frame`, which builds
-    every FiniteFrame.
+    The Heyting adjunction is checked by `heyting_tables`, which every
+    builder of a FiniteFrame runs.
     """
     return _settled(frame_law_outcomes([frame])[0])
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
+import numpy as np
+
 from .common import MAX_FRAME_CARRIER, BudgetExceeded
 from .lattice import FiniteFrame, FinitePoset, validate_frame
-from .spaces import UC_POINT_LIMIT, FiniteSpace, bitstring, specialization
+from .spaces import UC_POINT_LIMIT, FiniteSpace, bitstring
 from .sublocales import ClosedJoinFrame, SublocaleLattice
 
 
@@ -157,15 +159,8 @@ def dot_closed_joins(cjf: ClosedJoinFrame) -> str:
 
 
 def dot_specialization(space: FiniteSpace) -> str:
-    rel = specialization(space)
-    n = space.points
-    nodes = [(f"p{x}", f"p{x}") for x in range(n)]
-    edges = []
-    for x in range(n):
-        for y in range(n):
-            if x == y or not rel[x, y]:
-                continue
-            via = any(z not in (x, y) and rel[x, z] and rel[z, y] for z in range(n))
-            if not via:
-                edges.append((f"p{x}", f"p{y}"))
+    """Covers of the specialization preorder: x < y with no z outside {x, y} between."""
+    lt = space.specialization & ~np.eye(space.points, dtype=bool)
+    nodes = [(f"p{x}", f"p{x}") for x in range(space.points)]
+    edges = [(f"p{x}", f"p{y}") for x, y in np.argwhere(lt & ~(lt @ lt)).tolist()]
     return _digraph("specialization", nodes, edges)

@@ -8,13 +8,14 @@ Frames are immutable after construction and safe to share.
 
 This module is the one frame core, and it works on stacks: every check
 takes F orders of one carrier size as an (F, n, n) array and decides all
-of them with a fixed number of numpy calls. `validate_frames` is the one
-validation: the poset checks, canonical order, meet/join tables from
+of them with a fixed number of numpy calls. `validate_frames` validates a
+bare order: the poset checks, canonical order, meet/join tables from
 `lattice_tables` (the common bound of largest rank, proved against every
 common bound), `distributivity_witness` on every triple, and the Heyting
 table a -> b, read off the adjunction a ∧ x <= b iff x <= a -> b as the
 greatest x on the left and proved by the adjunction check that follows.
 `validate_frame` and `FinitePoset` run the same code on a stack of one.
+`set_frame` reads a ring of sets' tables off ∩ and ∪ instead.
 """
 
 from __future__ import annotations
@@ -119,10 +120,10 @@ class FinitePoset:
 class FiniteFrame:
     """A validated frame: canonical poset plus meet/join/Heyting tables.
 
-    Not constructed directly; use validate_frame or validate_frames (or
-    sublocales.closed_join_frames, which reads a validated frame upside
-    down). Instances are immutable (tables carry read-only numpy flags) and
-    safe to share between workers.
+    Not constructed directly; use validate_frame or validate_frames,
+    set_frame for a ring of sets, or sublocales.closed_join_frames, which
+    reads a validated frame upside down. Instances are immutable (tables
+    carry read-only numpy flags) and safe to share between workers.
     """
 
     def __init__(self, poset: FinitePoset, meet, join, imp, labels):
@@ -277,7 +278,8 @@ def heyting_tables(leqs, meet):
     # a -> b is the greatest x with a ∧ x <= b; among those x it has the most
     # elements below it, and the adjunction check below proves it is greatest.
     adj_lhs = leqs[stack, meet]                                   # [f, a, x, b] : a ∧ x <= b
-    rank = leqs.sum(axis=1)
+    # int16 holds ranks (<= n) to n = 32,767 in a quarter of int64's memory; int8 slows np.where
+    rank = leqs.sum(axis=1, dtype=np.int16 if leqs.shape[1] < 1 << 15 else np.intp)
     imp = np.argmax(np.where(adj_lhs, rank[:, None, :, None], -1), axis=2)
     adj_rhs = leqs.transpose(0, 2, 1)[stack, imp].transpose(0, 1, 3, 2)  # x <= a -> b
     return imp, _first(adj_lhs != adj_rhs)
@@ -339,6 +341,35 @@ def validate_frames(leqs, labels: Optional[Sequence[Sequence[str]]] = None) -> l
     return [FiniteFrame(FinitePoset._checked(canon[k], 0, n - 1), meet[k], join[k], imp[k],
                         labels[k])
             for k in range(count)]
+
+
+def set_frame(rows, labels: Sequence[str]) -> FiniteFrame:
+    """The frame of a ring of sets: distinct boolean member rows (m, p) closed
+    under ∪ and ∩, the least set first and the greatest last, so (size, mask)
+    order will do. Meet and join are ∩ and ∪, looked up among the rows; a miss
+    raises ClosureViolation at the first pair in row-major order, ∪ before ∩.
+    `heyting_tables` proves the Heyting table; ∩ and ∪ distribute."""
+    leq = containment_order(rows)
+    masks = pack_rows(rows)
+    index = {mask: i for i, mask in enumerate(masks)}
+    m = len(masks)
+    if len(index) < m or not (leq[0].all() and leq[:, -1].all()):
+        raise InvalidPoset("rows must be distinct sets from the least to the greatest")
+    tables = np.array([[index.get(a | b, -1) for a in masks for b in masks],
+                       [index.get(a & b, -1) for a in masks for b in masks]],
+                      dtype=np.intp).reshape(2, m, m)
+    if (tables < 0).any():
+        i, j = divmod(int((tables < 0).any(axis=0).argmax()), m)
+        op = "∪∩"[int((tables[:, i, j] < 0).argmax())]
+        raise ClosureViolation(f"{labels[i]} {op} {labels[j]} is not a member")
+    join, meet = tables
+    imp, broken = heyting_tables(leq[None], meet[None])
+    if broken[0] >= 0:
+        a, x, b = (int(v) for v in np.unravel_index(broken[0], (m, m, m)))
+        raise AssertionError(f"heyting adjunction broke at ({a}, {x}, {b})")
+    for table in (leq, meet, join, imp):
+        table.flags.writeable = False
+    return FiniteFrame(FinitePoset._checked(leq, 0, m - 1), meet, join, imp[0], tuple(labels))
 
 
 def validate_frame(poset: FinitePoset, labels: Optional[Sequence[str]] = None,

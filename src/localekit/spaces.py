@@ -14,8 +14,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .common import (TOPOLOGY_POINT_LIMIT, BudgetExceeded, EquivalenceViolation,
-                     TheoremViolation, unpack_rows)
-from .lattice import FinitePoset, FiniteFrame, containment_order, validate_frame
+                     TheoremViolation, bits, unpack_rows)
+from .lattice import FiniteFrame, containment_order, set_frame
 from .separation import (ConditionVerdict, SeparationReport, is_symmetric,
                          is_weakly_subfit)
 
@@ -59,6 +59,21 @@ class FiniteSpace:
         self.full = full
 
     @cached_property
+    def specialization(self):
+        """x <= y iff x lies in the closure of {y}; reflexive and transitive.
+
+        Equivalently every open containing x contains y: the containment
+        order of the open-membership columns, then re-checked for
+        reflexivity and transitivity."""
+        rel = containment_order(unpack_rows(self.opens, self.points).T)
+        if not rel.diagonal().all():
+            raise AssertionError("specialization lost reflexivity")
+        if ((rel @ rel) & ~rel).any():
+            raise AssertionError("specialization lost transitivity")
+        rel.flags.writeable = False
+        return rel
+
+    @cached_property
     def closed_sets(self) -> tuple[int, ...]:
         return tuple(sorted(self.full ^ o for o in self.opens))
 
@@ -84,22 +99,6 @@ def indiscrete(points: int) -> FiniteSpace:
     return FiniteSpace(points, (0, (1 << points) - 1))
 
 
-def specialization(space: FiniteSpace):
-    """x <= y iff x lies in the closure of {y}; reflexive and transitive.
-
-    Equivalently every open containing x contains y: the containment order
-    of the open-membership columns. Reflexivity and transitivity are then
-    re-checked.
-    """
-    rel = containment_order(unpack_rows(space.opens, space.points).T)
-    if not rel.diagonal().all():
-        raise AssertionError("specialization lost reflexivity")
-    if ((rel @ rel) & ~rel).any():
-        raise AssertionError("specialization lost transitivity")
-    rel.flags.writeable = False
-    return rel
-
-
 @dataclass(frozen=True)
 class SpaceVerdict:
     ok: bool
@@ -111,7 +110,7 @@ class SpaceVerdict:
 
 def is_symmetric_space(space: FiniteSpace) -> SpaceVerdict:
     """Specialization is symmetric (an equivalence relation)."""
-    rel = specialization(space)
+    rel = space.specialization
     bad = rel & ~rel.T
     if bad.any():
         x, y = (int(v) for v in np.argwhere(bad)[0])
@@ -120,29 +119,22 @@ def is_symmetric_space(space: FiniteSpace) -> SpaceVerdict:
 
 
 def is_t0(space: FiniteSpace) -> bool:
-    rel = specialization(space)
+    rel = space.specialization
     return not (rel & rel.T & ~np.eye(space.points, dtype=bool)).any()
 
 
 class UnionsOfClosed:
     """All unions of closed subsets, a frame and a coframe under inclusion.
 
-    In a finite space this is exactly the closed-set lattice, so the carrier
-    is the closed sets, and all structure is re-verified: closure under
-    unions and intersections, both distributivity laws, and the
-    anti-isomorphism with the saturated sets via complement.
+    In a finite space this is exactly the closed-set lattice: the complements
+    of the opens in (size, mask) order, closed under ∪ and ∩ because the opens
+    are. `set_frame` re-proves that closure when it builds `as_frame`, and the
+    anti-isomorphism with the saturated sets via complement is checked too.
     """
 
     def __init__(self, space: FiniteSpace):
-        elements = set(space.closed_sets)
-        for a in elements:
-            for b in elements:
-                if a | b not in elements:
-                    raise AssertionError("closed sets not closed under union")
-                if a & b not in elements:
-                    raise AssertionError("closed sets not closed under intersection")
         self.space = space
-        self.elements = tuple(sorted(elements, key=lambda m: (m.bit_count(), m)))
+        self.elements = tuple(sorted(space.closed_sets, key=lambda m: (m.bit_count(), m)))
         self.index = {m: i for i, m in enumerate(self.elements)}
 
     def __len__(self):
@@ -150,17 +142,8 @@ class UnionsOfClosed:
 
     @cached_property
     def as_frame(self) -> FiniteFrame:
-        labels = [bitstring(m, self.space.points) for m in self.elements]
-        rows = unpack_rows(self.elements, self.space.points)
-        frame = validate_frame(FinitePoset(containment_order(rows)), labels, len(rows))
-        if frame.labels != tuple(labels):
-            raise AssertionError("union-closure carrier left canonical order")
-        # Lattice operations must be the set-theoretic ones.
-        if not np.array_equal(rows[frame.join], rows[:, None] | rows[None, :]):
-            raise AssertionError("join is not set union")
-        if not np.array_equal(rows[frame.meet], rows[:, None] & rows[None, :]):
-            raise AssertionError("meet is not set intersection")
-        return frame
+        return set_frame(unpack_rows(self.elements, self.space.points),
+                         [bitstring(m, self.space.points) for m in self.elements])
 
     def is_boolean(self) -> SpaceVerdict:
         """Every element complemented; witnesses the first that is not."""
@@ -191,12 +174,12 @@ def uc_lattice(space: FiniteSpace, budget: Optional[int] = None) -> UnionsOfClos
 
 
 def omega(space: FiniteSpace) -> FiniteFrame:
-    """The open-set lattice as a frame, labeled by membership bitstrings;
-    the point budget that admitted the space bounds it, not the frame budget."""
-    opens = tuple(sorted(space.opens, key=lambda m: (m.bit_count(), m)))
-    labels = [bitstring(o, space.points) for o in opens]
-    rows = unpack_rows(opens, space.points)
-    return validate_frame(FinitePoset(containment_order(rows)), labels, len(rows))
+    """The open-set frame: the opens as a ring of sets in (size, mask) order,
+    built by `set_frame` and labeled by membership bitstrings; the point
+    budget that admitted the space bounds it, not the frame budget."""
+    opens = sorted(space.opens, key=lambda m: (m.bit_count(), m))
+    return set_frame(unpack_rows(opens, space.points),
+                     [bitstring(o, space.points) for o in opens])
 
 
 @dataclass(frozen=True)
@@ -310,17 +293,8 @@ def enumerate_topologies(points: int, t0_only: bool = False,
         for k, (i, j) in enumerate(slots):
             if pattern >> k & 1:
                 rows[i] |= 1 << j
-        transitive = True
-        for i in range(points):
-            reach = rows[i]
-            for j in range(points):
-                if reach >> j & 1 and rows[j] & ~reach:
-                    transitive = False
-                    break
-            if not transitive:
-                break
-        if not transitive:
-            continue
+        if any(rows[j] & ~rows[i] for i in range(points) for j in bits(rows[i])):
+            continue  # not transitive
         if t0_only and any(rows[i] >> j & 1 and rows[j] >> i & 1
                            for i in range(points) for j in range(points) if i != j):
             continue

@@ -251,6 +251,14 @@ def generic_closed_join_frame(frame: FiniteFrame):
     return tuple(masks), validate_frames(leq[None], [labels])[0]
 
 
+def generic_set_frame(masks, labels):
+    """The frame of a ring of sets derived from its order alone: the member
+    masks, in the given order, validated by `validate_frames` as the frame
+    of their containment order."""
+    leq = np.array([[a & ~b == 0 for b in masks] for a in masks])
+    return validate_frames(leq[None], [tuple(labels)])[0]
+
+
 def generic_sublocale_laws(lattice):
     """The coframe law and join-is-lub of S(L) on tables built without prime
     sets: the first law that fails, or None.

@@ -131,11 +131,15 @@ class TestCliCommands:
         assert cli.main(["spaces", "check", sier_file]) == 1
         assert "symmetric: False" in capsys.readouterr().out
 
-    def test_spaces_check_past_64_opens(self, tmp_path, capsys):
-        # 128 opens: the space budget admits 7 points, so the frame budget does not apply
-        path = tmp_path / "disc7.space"
-        path.write_text(io.format_space(discrete(7)))
-        assert cli.main(["spaces", "check", str(path)]) == 0
+    @pytest.mark.parametrize("points", [7, 8])
+    def test_spaces_check_past_64_opens(self, tmp_path, capsys, points):
+        # 128 and 256 opens: the space budget admits up to 8 points, so the
+        # frame budget does not apply
+        path = tmp_path / f"disc{points}.space"
+        path.write_text(io.format_space(discrete(points)))
+        assert cli.main(["--machine", "spaces", "check", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "summary records=7 pass=7 fail=0 violation=0")
 
     def test_spaces_enumerate(self, capsys):
         assert cli.main(["--machine", "spaces", "enumerate", "--n", "2"]) == 0

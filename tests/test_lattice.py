@@ -8,8 +8,8 @@ from localekit import corpus
 from localekit.common import BudgetExceeded
 from localekit.lattice import (ClosureViolation, FiniteFrame, FinitePoset, InvalidPoset,
                                NotALattice, NotDistributive, booleanization, containment_order,
-                               find_order_isomorphism, heyting, product_frame,
-                               pseudocomplement, regular_pair_frame,
+                               find_order_isomorphism, heyting, heyting_tables,
+                               product_frame, pseudocomplement, regular_pair_frame, set_frame,
                                validate_frame, validate_frames)
 
 from oracles import brute_heyting, brute_is_distributive, brute_join, brute_meet
@@ -198,7 +198,59 @@ class TestContainmentOrder:
                 assert got[i, j] == all(y or not x for x, y in zip(a, b))
 
 
+def sets(*members):
+    """Boolean rows of the given 4-point sets, and their labels."""
+    rows = np.array([[p in m for p in range(4)] for m in members])
+    return rows, ["".join(str(p) for p in m) or "-" for m in members]
+
+
+class TestSetFrame:
+    def test_tables_are_intersection_and_union(self):
+        members = [(), (0,), (1,), (0, 1), (0, 1, 2)]
+        rows, labels = sets(*members)
+        frame = set_frame(rows, labels)
+        assert frame.labels == tuple(labels)
+        assert np.array_equal(frame.leq, containment_order(rows))
+        for i, a in enumerate(members):
+            for j, b in enumerate(members):
+                assert set(members[frame.meet[i, j]]) == set(a) & set(b)
+                assert set(members[frame.join[i, j]]) == set(a) | set(b)
+                assert frame.imp[i, j] == heyting(validate_frame(frame.poset), i, j)
+
+    # rows missing one union or intersection, and the first pair (row-major,
+    # union before intersection) whose result is not a row
+    @pytest.mark.parametrize("members, message", [
+        ([(), (0,), (1,), (0, 1, 2)], "0 ∪ 1 is not a member"),
+        ([(), (0, 1), (1, 2), (0, 1, 2)], "01 ∩ 12 is not a member"),
+        ([(), (0,), (1,), (2, 3), (0, 1, 2, 3)], "0 ∪ 1 is not a member"),
+        ([(), (0, 1), (1, 2), (0, 1, 2, 3)], "01 ∪ 12 is not a member"),  # both miss
+    ])
+    def test_closure_violation_names_the_first_pair(self, members, message):
+        with pytest.raises(ClosureViolation) as err:
+            set_frame(*sets(*members))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("members", [
+        [(0,), (), (0, 1)],          # the first row is not the least set
+        [(), (0, 1), (0,)],          # the last row is not the greatest set
+        [(), (0,), (0,), (0, 1)],    # a set repeats
+    ])
+    def test_rows_must_run_from_least_to_greatest(self, members):
+        with pytest.raises(InvalidPoset) as err:
+            set_frame(*sets(*members))
+        assert str(err.value) == "rows must be distinct sets from the least to the greatest"
+
+
 class TestHeytingOps:
+    @pytest.mark.parametrize("n", [127, 128])
+    def test_rank_holds_the_carrier_size(self, n):
+        # the top of an n-chain has rank n, which an int8 rank cannot hold at 128
+        leq = np.triu(np.ones((n, n), dtype=bool))
+        meet = np.minimum.outer(np.arange(n), np.arange(n))
+        imp, broken = heyting_tables(leq[None], meet[None])
+        assert broken[0] == -1
+        assert np.array_equal(imp[0], np.where(leq, n - 1, np.arange(n)))
+
     def test_top_implies_is_identity(self, c4):
         for b in range(c4.n):
             assert heyting(c4, c4.top, b) == b

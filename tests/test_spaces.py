@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from localekit.common import BudgetExceeded
-from localekit import spaces
-from localekit.lattice import FiniteFrame, find_order_isomorphism, validate_frame
+from localekit.lattice import find_order_isomorphism
 from localekit.spaces import (FiniteSpace, InvalidTopology, NotT0, UnionsOfClosed,
                               bitstring, discrete, enumerate_topologies,
                               indiscrete, is_symmetric_space, is_t0, omega,
                               sierpinski, space_from_preorder,
-                              space_proposition_check, specialization,
-                              td_remark_check, uc_lattice)
+                              space_proposition_check, td_remark_check, uc_lattice)
 
-from oracles import brute_topologies
+from oracles import brute_topologies, generic_set_frame
 
 
 class TestFiniteSpace:
@@ -43,14 +41,20 @@ class TestFiniteSpace:
 
 class TestSpecialization:
     def test_sierpinski_is_strict(self):
-        rel = specialization(sierpinski())
+        rel = sierpinski().specialization
         assert rel.tolist() == [[True, True], [False, True]]
 
     def test_discrete_is_identity(self):
-        assert np.array_equal(specialization(discrete(2)), np.eye(2, dtype=bool))
+        assert np.array_equal(discrete(2).specialization, np.eye(2, dtype=bool))
 
     def test_indiscrete_is_total(self):
-        assert specialization(indiscrete(2)).all()
+        assert indiscrete(2).specialization.all()
+
+    def test_computed_once_per_space(self):
+        space = sierpinski()
+        assert is_t0(space) and not is_symmetric_space(space)
+        assert space.specialization is space.specialization
+        assert not space.specialization.flags.writeable
 
     def test_symmetry_verdicts(self):
         assert not is_symmetric_space(sierpinski()).ok
@@ -60,7 +64,7 @@ class TestSpecialization:
 
     def test_symmetric_iff_equivalence_relation(self):
         for space in enumerate_topologies(3):
-            rel = specialization(space)
+            rel = space.specialization
             assert is_symmetric_space(space).ok == np.array_equal(rel, rel.T)
 
     def test_preorder_roundtrip(self):
@@ -74,7 +78,7 @@ class TestSpecialization:
                 preorders.append(rows)
         assert len(preorders) == 29
         for rows in preorders:
-            rel = specialization(space_from_preorder(rows))
+            rel = space_from_preorder(rows).specialization
             for x in range(3):
                 for y in range(3):
                     assert bool(rel[x, y]) == bool(rows[x] >> y & 1)
@@ -114,18 +118,32 @@ class TestUnionsOfClosed:
         with pytest.raises(BudgetExceeded):
             uc_lattice(discrete(3), budget=2)
 
-    @pytest.mark.parametrize("table, message", [("join", "join is not set union"),
-                                                ("meet", "meet is not set intersection")])
-    def test_frame_operations_are_checked_against_sets(self, monkeypatch, table, message):
-        def tampered(poset, labels, max_size):
-            frame = validate_frame(poset, labels, max_size)
-            tables = {name: getattr(frame, name).copy() for name in ("meet", "join")}
-            tables[table][1, 2] = tables[table][2, 1] = 1
-            return FiniteFrame(frame.poset, tables["meet"], tables["join"], frame.imp,
-                               frame.labels)
-        monkeypatch.setattr(spaces, "validate_frame", tampered)
-        with pytest.raises(AssertionError, match=message):
-            UnionsOfClosed(discrete(2)).as_frame
+
+def ring_frames(space):
+    """(masks, frame) for the open-set frame and the unions-of-closed frame."""
+    uc = UnionsOfClosed(space)
+    return [(sorted(space.opens, key=lambda m: (m.bit_count(), m)), omega(space)),
+            (uc.elements, uc.as_frame)]
+
+
+class TestRingOfSetsFrames:
+    @pytest.mark.parametrize("spaces", [[s for n in range(5) for s in enumerate_topologies(n)],
+                                        [discrete(6), discrete(7)]], ids=["n<=4", "discrete"])
+    def test_equal_to_the_generic_frame(self, spaces):
+        for space in spaces:
+            for masks, frame in ring_frames(space):
+                generic = generic_set_frame(masks, [bitstring(m, space.points) for m in masks])
+                assert frame.labels == generic.labels
+                for name in ("leq", "meet", "join", "imp"):
+                    assert np.array_equal(getattr(frame, name), getattr(generic, name)), name
+
+    def test_meet_and_join_are_intersection_and_union(self):
+        for space in enumerate_topologies(3):
+            for masks, frame in ring_frames(space):
+                for i, a in enumerate(masks):
+                    for j, b in enumerate(masks):
+                        assert masks[frame.meet[i, j]] == a & b
+                        assert masks[frame.join[i, j]] == a | b
 
 
 class TestSpaceProposition:
