@@ -53,6 +53,14 @@ class InvalidPair(ValueError):
     """Pair violates its contract (second not regular, or first not below it)."""
 
 
+class NotDescending(AssertionError):
+    """A zero-padded term is not contained in the term of the stage before."""
+
+    def __init__(self, stage: int):
+        self.stage = stage
+        super().__init__(f"terms are not descending at stage {stage}")
+
+
 NEG_INF = -math.inf
 POS_INF = math.inf
 
@@ -260,7 +268,21 @@ def closed_contains_point(c: RationalClosed, x: RatLike) -> bool:
 
 
 def is_subset(a: RationalOpen, b: RationalOpen) -> bool:
-    return intersect(a, b) == a
+    """Whether a ⊆ b, by one merge walk over the sorted, disjoint components.
+
+    A component of a is an interval, so it lies in b iff it lies inside the
+    first component of b that ends at or after it; nothing is allocated.
+    Its test oracle, `tests/oracles.py::generic_is_subset`, decides
+    intersect(a, b) == a.
+    """
+    cb = b.components
+    j, nb = 0, len(cb)
+    for lo, hi in a.components:
+        while j < nb and cb[j][1] < hi:
+            j += 1
+        if j == nb or lo < cb[j][0]:
+            return False
+    return True
 
 
 def punctured_reals() -> RationalOpen:
@@ -395,43 +417,81 @@ def zero_padded_term(u: RationalOpen, n: int) -> RationalOpen:
     return first_form
 
 
-def exclusion_certificate(u: RationalOpen, x: Fraction) -> ObstructionCertificate:
+class PaddedTerms:
+    """The zero-padded terms of one regular u, built stage by stage on demand.
+
+    Every stage comes from `zero_padded_term` (both forms, cross-checked)
+    and is checked to lie inside the stage before it as it joins the
+    family. Callers that share a family share that work: each stage is
+    built and checked once however many certificates read it.
+    """
+
+    def __init__(self, u: RationalOpen):
+        if not is_regular(u):
+            raise NotRegular(regularize(u))
+        self.u = u
+        self._terms: list[RationalOpen] = []
+
+    def upto(self, n: int) -> list[RationalOpen]:
+        """Stages 1..n; raises NotDescending at the first stage not inside its predecessor."""
+        terms = self._terms
+        while len(terms) < n:
+            stage = len(terms) + 1
+            term = zero_padded_term(self.u, stage)
+            if terms and not is_subset(term, terms[-1]):
+                raise NotDescending(stage)
+            terms.append(term)
+        return terms[:n]
+
+
+def _family_of(u: RationalOpen, terms: Optional[PaddedTerms]) -> PaddedTerms:
+    if terms is None:
+        return PaddedTerms(u)
+    if terms.u != u:
+        raise ValueError(f"the term family given belongs to {terms.u}, not to {u}")
+    return terms
+
+
+def exclusion_certificate(u: RationalOpen, x: Fraction,
+                          terms: Optional[PaddedTerms] = None) -> ObstructionCertificate:
     """Stage N = floor(1/|x|) + 1, the least with 1/N < |x|.
 
     Certifies x is excluded from the intersection of all stages: x lies
     outside the stage-N term (checked exactly; for regular u and x outside
     u it always does) and the terms are verified to be descending up to N.
+    The stages are read from `terms`, the family of u, which is built here
+    when none is given; a family shared by several certificates builds and
+    checks each stage once.
     """
     x = Fraction(x)
     if x == 0:
         raise ZeroPoint("the origin belongs to every stage")
     if contains_point(u, x):
         raise PointInU(f"{x} belongs to the set; no exclusion stage exists")
-    if not is_regular(u):
-        raise NotRegular(regularize(u))
+    terms = _family_of(u, terms)
     n = _exclusion_stage(x)
-    terms = [zero_padded_term(u, k) for k in range(1, n + 1)]
-    if contains_point(terms[-1], x):
+    term = terms.upto(n)[-1]
+    if contains_point(term, x):
         raise AssertionError(f"{x} survives stage {n} in {u}")
-    for stage, (earlier, later) in enumerate(zip(terms, terms[1:]), start=2):
-        if not is_subset(later, earlier):
-            raise AssertionError(f"terms are not descending at stage {stage}")
-    return ObstructionCertificate(point=x, stage=n, term=terms[-1], antitone_checked=n)
+    return ObstructionCertificate(point=x, stage=n, term=term, antitone_checked=n)
 
 
-def interior_recovery_check(u: RationalOpen, stages: int) -> InteriorRecoveryReport:
+def interior_recovery_check(u: RationalOpen, stages: int,
+                            terms: Optional[PaddedTerms] = None) -> InteriorRecoveryReport:
     """Verify u is the interior of the intersection of its padded terms.
 
-    Containment u ⊆ term_n is checked for every stage up to the bound. When
-    the origin is outside u, the exact endpoint check confirms the origin is
-    not interior to u ∪ {0} (no components of u touch 0 from both sides), so
-    no open interval around the origin survives into every stage.
+    Containment u ⊆ term_n is checked for every stage up to the bound, on
+    the stages of `terms`, the family of u (built here when none is given,
+    so a caller that shares one with its certificates builds no stage
+    twice). When the origin is outside u, the exact endpoint check confirms
+    the origin is not interior to u ∪ {0} (no components of u touch 0 from
+    both sides), so no open interval around the origin survives into every
+    stage.
     """
     if stages < 1:
         raise ValueError("need at least one stage")
-    if not is_regular(u):
-        raise NotRegular(regularize(u))
-    containment = all(is_subset(u, zero_padded_term(u, n)) for n in range(1, stages + 1))
+    terms = _family_of(u, terms)
+    containment = all(is_subset(u, term) for term in terms.upto(stages))
     if contains_point(u, 0):
         return InteriorRecoveryReport(stages, containment, True, None)
     return InteriorRecoveryReport(stages, containment, False, not _zero_touched_twice(u))

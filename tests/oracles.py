@@ -340,6 +340,11 @@ def probe_points(*sets) -> list[Fraction]:
     return sorted(probes)
 
 
+def generic_is_subset(a: rl.RationalOpen, b: rl.RationalOpen) -> bool:
+    """a ⊆ b the way `is_subset` once decided it: a ∩ b, built whole, equals a."""
+    return rl.intersect(a, b) == a
+
+
 def _gap(x: Fraction, ends: list[Fraction]) -> Fraction:
     distances = [abs(e - x) for e in ends if e != x]
     return min(distances) / 2 if distances else Fraction(1)

@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localekit import checks
 from localekit import realline as rl
+from localekit.common import FAIL, VIOLATION
 from localekit.realline import (NEG_INF, POS_INF, EmptyInterval,
                                 InvalidPair, KRealPair, NotRegular, PointInside,
-                                PointInU, RationalOpen, ZeroPoint,
+                                NotDescending, PaddedTerms, PointInU,
+                                RationalOpen, ZeroPoint,
                                 closed_interval, closure, contains_point,
                                 descending_pair, descent_certificate,
                                 exclusion_certificate, forcing_check,
@@ -24,12 +27,16 @@ rationals = st.fractions(min_value=-30, max_value=30, max_denominator=40)
 
 
 @st.composite
-def open_sets(draw, max_components=4):
-    cuts = sorted(draw(st.lists(rationals, max_size=2 * max_components, unique=True)))
-    pairs = [(lo, hi) for lo, hi in zip(cuts[::2], cuts[1::2]) if lo < hi]
-    if not pairs:
-        return RationalOpen.empty()
-    return normalize(pairs)
+def open_sets(draw, max_cuts=6):
+    """A union of some of the gaps that sorted cuts leave in the line.
+
+    The outer gaps are rays, and two chosen neighbours share their cut as an
+    endpoint, as in (0,1);(1,2); no cuts give the empty set or the reals.
+    """
+    cuts = sorted(draw(st.lists(rationals, max_size=max_cuts, unique=True)))
+    gaps = list(zip([NEG_INF] + cuts, cuts + [POS_INF]))
+    keep = draw(st.lists(st.booleans(), min_size=len(gaps), max_size=len(gaps)))
+    return normalize([gap for gap, kept in zip(gaps, keep) if kept])
 
 
 @st.composite
@@ -125,6 +132,38 @@ class TestSetOps:
         v = intersect(a, b)
         for x in oracles.probe_points(a, b, v):
             assert contains_point(v, x) == (contains_point(a, x) and contains_point(b, x))
+
+
+class TestIsSubset:
+    @pytest.mark.parametrize("a,b,expected", [
+        ("(0,2)", "(0,1);(1,2)", False),
+        ("(0,1);(1,2)", "(0,2)", True),
+        ("(0,1);(1,2)", "(0,1);(1,2)", True),
+        ("(-inf,0)", "(-inf,1)", True),
+        ("(-inf,1)", "(-inf,0)", False),
+        ("(0,inf)", "(-1,inf)", True),
+        ("(-1,inf)", "(0,inf)", False),
+        ("(-inf,0);(0,inf)", "(-inf,inf)", True),
+        ("(-inf,inf)", "(-inf,0);(0,inf)", False),
+        ("(-inf,inf)", "(-inf,inf)", True),
+        ("(0,1)", "(-inf,inf)", True),
+        ("(-inf,inf)", "(-inf,0);(1,inf)", False),
+        ("empty", "(0,1)", True),
+        ("empty", "empty", True),
+        ("(0,1)", "empty", False),
+        ("(-inf,inf)", "empty", False),
+    ])
+    def test_named_cases(self, a, b, expected):
+        a, b = parse_open_set(a), parse_open_set(b)
+        assert is_subset(a, b) == expected
+        assert oracles.generic_is_subset(a, b) == expected
+
+    @given(open_sets(), open_sets())
+    def test_against_both_oracles(self, a, b):
+        got = is_subset(a, b)
+        assert got == oracles.generic_is_subset(a, b)
+        assert got == all(contains_point(b, x) for x in oracles.probe_points(a, b)
+                          if contains_point(a, x))
 
 
 class TestClosureInterior:
@@ -230,6 +269,15 @@ class TestExclusionCertificate:
         with pytest.raises(PointInU):
             exclusion_certificate(open_interval(1, 2), Fraction(3, 2))
 
+    def test_point_errors_come_before_regularity(self):
+        u = parse_open_set("(0,1);(1,2)")
+        with pytest.raises(ZeroPoint):
+            exclusion_certificate(u, Fraction(0))
+        with pytest.raises(PointInU):
+            exclusion_certificate(u, Fraction(1, 2))
+        with pytest.raises(NotRegular):
+            exclusion_certificate(u, Fraction(1))
+
     @given(regular_sets(), rationals)
     @settings(max_examples=80)
     def test_total_on_outside_points(self, u, x):
@@ -239,6 +287,77 @@ class TestExclusionCertificate:
         assert not contains_point(cert.term, x)
         assert Fraction(1, cert.stage) < abs(x)
         assert cert.stage == 1 or Fraction(1, cert.stage - 1) >= abs(x)
+
+
+class TestPaddedTerms:
+    """One family of terms per set: each stage is built once, by zero_padded_term."""
+
+    U = open_interval(1, 2)
+
+    @staticmethod
+    def _count_stages(monkeypatch):
+        built = []
+        original = rl.zero_padded_term
+
+        def counted(u, n):
+            built.append(n)
+            return original(u, n)
+        monkeypatch.setattr(rl, "zero_padded_term", counted)
+        return built
+
+    def test_grows_one_stage_at_a_time(self, monkeypatch):
+        built = self._count_stages(monkeypatch)
+        family = PaddedTerms(self.U)
+        assert built == []
+        assert family.upto(3) == [zero_padded_term(self.U, n) for n in (1, 2, 3)]
+        built.clear()
+        assert len(family.upto(2)) == 2 and built == []
+        family.upto(5)
+        assert built == [4, 5]
+
+    def test_ascent_raises_and_is_not_kept(self, monkeypatch):
+        _swap_stage(monkeypatch, 4, 1)
+        family = PaddedTerms(self.U)
+        for _ in range(2):
+            with pytest.raises(NotDescending, match="^terms are not descending at stage 4$"):
+                family.upto(6)
+        assert len(family.upto(3)) == 3
+
+    def test_rejects_non_regular(self):
+        with pytest.raises(NotRegular) as err:
+            PaddedTerms(parse_open_set("(0,1);(1,2)"))
+        assert err.value.regularization == open_interval(0, 2)
+
+    def test_rejects_the_family_of_another_set(self):
+        family = PaddedTerms(open_interval(3, 4))
+        with pytest.raises(ValueError):
+            exclusion_certificate(self.U, Fraction(1, 2), terms=family)
+        with pytest.raises(ValueError):
+            interior_recovery_check(self.U, 3, terms=family)
+
+    @pytest.mark.parametrize("points,stages", [([Fraction(5)], 20),
+                                               ([Fraction(1, 2), Fraction(-1, 30)], 31),
+                                               ([Fraction(1, 45), Fraction(1, 3)], 46)])
+    def test_lemma_invariants_builds_each_stage_once(self, monkeypatch, points, stages):
+        built = self._count_stages(monkeypatch)
+        assert checks.lemma_invariants(self.U, points).ok
+        assert built == list(range(1, stages + 1))
+
+    def test_standalone_certificate_builds_every_stage(self, monkeypatch):
+        built = self._count_stages(monkeypatch)
+        cert = exclusion_certificate(self.U, Fraction(1, 30))
+        assert cert.stage == cert.antitone_checked == 31
+        assert built == list(range(1, 32))
+
+    @given(regular_sets(), st.lists(rationals, max_size=4))
+    @settings(max_examples=25)
+    def test_shared_family_gives_the_standalone_results(self, u, points):
+        family = PaddedTerms(u)
+        for x in points:
+            if x != 0 and not contains_point(u, x):
+                assert exclusion_certificate(u, x, terms=family) == exclusion_certificate(u, x)
+        assert (interior_recovery_check(u, 8, terms=family)
+                == interior_recovery_check(u, 8))
 
 
 class TestInteriorRecovery:
@@ -256,6 +375,48 @@ class TestInteriorRecovery:
     @settings(max_examples=60)
     def test_always_passes_on_regular(self, u):
         assert interior_recovery_check(u, 8).passed
+
+
+def _swap_stage(monkeypatch, bad_stage, replacement_stage):
+    """Make zero_padded_term return another stage's term at bad_stage."""
+    original = rl.zero_padded_term
+    monkeypatch.setattr(rl, "zero_padded_term",
+                        lambda u, n: original(u, replacement_stage if n == bad_stage else n))
+
+
+class TestLemmaInvariantFaults:
+    """Each fault injected into the lemma1 machinery gives its own verdict."""
+
+    U = open_interval(1, 2)
+
+    def test_disagreeing_forms_are_a_violation(self, monkeypatch):
+        original = rl.open_interval
+
+        def widened(lo, hi):  # the second form's interval at stage 5 only
+            return original(2 * lo, 2 * hi) if hi == Fraction(1, 5) else original(lo, hi)
+        monkeypatch.setattr(rl, "open_interval", widened)
+        report = checks.lemma_invariants(self.U, [Fraction(5)])
+        assert report.level == VIOLATION
+        assert report.witness == "term forms disagree at stage 5 for (1,2)"
+
+    def test_ascent_within_the_stages_fails(self, monkeypatch):
+        _swap_stage(monkeypatch, 7, 3)
+        report = checks.lemma_invariants(self.U, [Fraction(5)])
+        assert (report.level, report.witness) == (FAIL, "terms not descending at stage 7")
+
+    def test_ascent_beyond_the_stages_raises_from_the_certificate(self, monkeypatch):
+        _swap_stage(monkeypatch, 25, 3)
+        assert checks.lemma_invariants(self.U, [Fraction(5)]).ok
+        with pytest.raises(AssertionError, match="^terms are not descending at stage 25$"):
+            checks.lemma_invariants(self.U, [Fraction(5), Fraction(1, 30)])
+
+    def test_certificate_term_containing_the_point_is_a_violation(self, monkeypatch):
+        def lying(u, x, *args, **kwargs):
+            return rl.ObstructionCertificate(point=x, stage=3, term=RationalOpen.reals(),
+                                             antitone_checked=3)
+        monkeypatch.setattr(rl, "exclusion_certificate", lying)
+        report = checks.lemma_invariants(self.U, [Fraction(1, 2)])
+        assert (report.level, report.witness) == (VIOLATION, "certificate term contains 1/2")
 
 
 class TestDescendingPairs:
