@@ -11,9 +11,8 @@ from .common import (BudgetExceeded, CheckReport, EquivalenceViolation,
                      TheoremViolation)
 from .lattice import (BooleanizationView, FiniteFrame, FinitePoset,
                       NotALattice, NotDistributive, RegularPairFrame,
-                      booleanization, find_order_isomorphism, heyting,
-                      product_frame, pseudocomplement, regular_pair_frame,
-                      validate_frame)
+                      booleanization, heyting, product_frame, pseudocomplement,
+                      regular_pair_frame, validate_frame)
 from .sublocales import (ClosedJoinFrame, Sublocale, SublocaleLattice,
                          all_sublocales, closed_join_frame, closed_join_meet,
                          closed_open_identities_check, closed_sublocale,

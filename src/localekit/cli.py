@@ -23,8 +23,8 @@ from random import Random
 from typing import Optional
 
 from . import checks, corpus, io, realline as rl, separation, spaces as sp, sublocales as sub
-from .common import (CORPUS_SIZE_LIMIT, PASS, FAIL, VIOLATION, BudgetExceeded, CheckReport,
-                     EquivalenceViolation, TheoremViolation)
+from .common import (PASS, FAIL, VIOLATION, BudgetExceeded, CheckReport, EquivalenceViolation,
+                     TheoremViolation, within_budget)
 from .lattice import FiniteFrame, NotALattice, NotDistributive
 from .spaces import FiniteSpace
 
@@ -205,10 +205,7 @@ def _campaign_lattices(args) -> Report:
     for name in names:
         if name not in checks.LATTICE_CHECKS:
             raise UnknownCheck(name)
-    limit = CORPUS_SIZE_LIMIT if args.budget is None else args.budget
-    if args.max_size > limit:
-        raise BudgetExceeded(f"--max-size {args.max_size} exceeds the corpus budget {limit} "
-                             "(override with --budget)")
+    within_budget("corpus", args.max_size, args.budget)
     batches = chain(corpus.chunked(corpus.iter_distributive_frames(args.max_size)),
                     [sorted(corpus.named_frames().items())])
     for batch in batches:

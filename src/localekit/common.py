@@ -1,27 +1,47 @@
-"""Shared exceptions, enumeration budgets, the generic check verdict, and
-the two encodings of a set of elements: a Python-int bitmask (bit k for
-element k), which serves as a set's identity, and a boolean row, which
-every array computation uses. `pack_rows` and `unpack_rows` convert
-between them at any width; no set test depends on a machine word."""
+"""Shared exceptions, the size budgets, the generic check verdict, and the
+two encodings of a set of elements: a Python-int bitmask (bit k for element
+k), which serves as a set's identity, and a boolean row, which every array
+computation uses. `pack_rows` and `unpack_rows` convert between them at any
+width; no set test depends on a machine word.
+
+Every bound on an exhaustive scan is one entry of BUDGETS: its default and
+the text of the BudgetExceeded that names it and the flag that raises it.
+`within_budget` is the only check against them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-# Size bounds for exhaustive scans and precomputed tables. Exhaustive law
-# checking is exponential in carrier size; these keep it at desk scale.
-# Callers may override per call where a `budget` parameter is exposed.
-MAX_FRAME_CARRIER = 64  # a default only: --budget raises it on check-frame and sc
-CORPUS_SIZE_LIMIT = 7  # campaign lattices --max-size: 26,460 labeled frames at 7
-SUBLOCALE_SCAN_LIMIT = 10  # primes: bounds S(L), 2^primes elements, and its tables, 4^primes cells
-TOPOLOGY_POINT_LIMIT = 4  # --budget raises it on spaces enumerate and campaign spaces
+# Size bounds for exhaustive scans: exhaustive law checking is exponential in
+# carrier size, and these keep it at desk scale. name: (default, message),
+# the message formatted with the size asked for and the limit in force.
+BUDGETS = {
+    "frame": (64, "carrier size {size} exceeds the frame budget {limit} "
+                  "(override with --budget on check-frame, sc or export-dot)"),
+    # campaign lattices --max-size: 26,460 labeled frames at 7
+    "corpus": (7, "--max-size {size} exceeds the corpus budget {limit} (override with --budget)"),
+    # bounds S(L), 2^primes elements, and its tables, 4^primes cells
+    "primes": (10, "{size} primes exceed the sublocale budget {limit} (override with --budget)"),
+    "topology": (4, "{size} points exceed the topology budget {limit} (override with --budget)"),
+    # a space's closed-set frame has up to 2^points elements
+    "space": (8, "{size} points exceed the space budget {limit} (override with --budget)"),
+}
 IDENTITY_EXHAUSTIVE_LIMIT = 8  # above this, the identities take seeded samples
 IDENTITY_SAMPLES = 512
-STACK_CELLS = 1 << 16  # cells per slice of the stacked sublocale test and frame laws
+STACK_CELLS = 1 << 16  # cells per slice of the stacked tests and frame laws, and per corpus chunk
+
+
+def within_budget(name: str, size: int, budget: Optional[int] = None) -> None:
+    """Raise the named bound's BudgetExceeded if size is over budget, or over
+    the bound's default when budget is None."""
+    default, message = BUDGETS[name]
+    limit = default if budget is None else budget
+    if size > limit:
+        raise BudgetExceeded(message.format(size=size, limit=limit))
 
 
 def bits(mask: int) -> Iterator[int]:

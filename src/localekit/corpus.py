@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .common import bits, unpack_rows
+from .common import STACK_CELLS, bits, unpack_rows
 from .lattice import (FinitePoset, FiniteFrame, distributivity_witness, lattice_tables,
                       validate_frame, validate_frames)
 from . import realline
@@ -61,13 +61,10 @@ def iter_natural_posets(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ..
     yield from grow([], [], 0)
 
 
-# Frames per chunk times n**3 stays under this, which bounds the (F, n, n, n)
-# temporaries of the frame core (about 0.5 MB each at 8 bytes a cell).
-_CHUNK_CELLS = 1 << 16
-
-
 def _chunk_step(n: int) -> int:
-    return max(1, _CHUNK_CELLS // n**3)
+    """Frames per chunk: step * n**3 stays under STACK_CELLS, which bounds the
+    (F, n, n, n) temporaries of the frame core (0.5 MB each at 8 bytes a cell)."""
+    return max(1, STACK_CELLS // n**3)
 
 
 def _chunks(rows: list, n: int):
@@ -110,7 +107,7 @@ def _key_rows(keys, n: int) -> list[tuple[int, ...]]:
     masks = np.zeros((len(keys), n), dtype=np.min_scalar_type((1 << n) - 1))
     for byte in keys.view(np.uint8).reshape(len(keys), n, -1).transpose(2, 0, 1):
         masks = masks << 8 | byte
-    rows, step = [], _CHUNK_CELLS // n
+    rows, step = [], STACK_CELLS // n
     for start in range(0, len(masks), step):
         rows += zip(*masks[start:start + step].T.tolist())
     return rows
@@ -121,13 +118,13 @@ def _relabeled_keys(orders):
     index permutations, as sorted keys.
 
     A relabeling moves element i to p[i], so its order is the input read
-    through p's inverse. Each slice of permutations, of at most _CHUNK_CELLS
+    through p's inverse. Each slice of permutations, of at most STACK_CELLS
     order cells unless one permutation alone needs more, is one gather,
     packed and deduplicated before the slices are merged.
     """
     count, n = orders.shape[:2]
     inv = np.argsort(np.array(list(permutations(range(n))), dtype=np.intp), axis=1)
-    step = max(1, _CHUNK_CELLS // (count * n * n))
+    step = max(1, STACK_CELLS // (count * n * n))
     keys = []
     for start in range(0, len(inv), step):
         part = inv[start:start + step]

@@ -12,9 +12,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .common import MAX_FRAME_CARRIER, BudgetExceeded
+from .common import within_budget
 from .lattice import FiniteFrame, FinitePoset, validate_frame
-from .spaces import UC_POINT_LIMIT, FiniteSpace, bitstring
+from .spaces import FiniteSpace, bitstring
 from .sublocales import ClosedJoinFrame, SublocaleLattice
 
 
@@ -49,10 +49,7 @@ def load_lattice_text(text: str, budget: Optional[int] = None) -> FiniteFrame:
         raise ParseError(number, f"carrier size {parts[1]!r} is not an integer") from None
     if n < 0:
         raise ParseError(number, f"carrier size {n} is negative")
-    limit = MAX_FRAME_CARRIER if budget is None else budget
-    if n > limit:
-        raise BudgetExceeded(f"carrier size {n} exceeds the frame budget {limit} "
-                             "(override with --budget on check-frame, sc or export-dot)")
+    within_budget("frame", n, budget)
     pairs = []
     for number, line in lines[1:]:
         for sep in ("<=", "<"):
@@ -67,7 +64,7 @@ def load_lattice_text(text: str, budget: Optional[int] = None) -> FiniteFrame:
             raise ParseError(number, f"non-integer element in {line!r}") from None
     try:
         poset = FinitePoset.from_relation(n, pairs)
-        return validate_frame(poset, max_size=limit)
+        return validate_frame(poset, max_size=budget)
     except ValueError as exc:
         raise ParseError(number if lines[1:] else 1, str(exc)) from exc
 
@@ -81,7 +78,7 @@ def format_lattice(frame: FiniteFrame) -> str:
 
 def load_space_text(text: str, budget: Optional[int] = None) -> FiniteSpace:
     """Parse a space file; the header is checked against the space budget
-    (the unions-of-closed bound, default 8 points) before anything is built."""
+    (default 8 points) before anything is built."""
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError(1, "empty input")
@@ -95,10 +92,7 @@ def load_space_text(text: str, budget: Optional[int] = None) -> FiniteSpace:
         raise ParseError(number, f"point count {parts[1]!r} is not an integer") from None
     if n < 0:
         raise ParseError(number, f"point count {n} is negative")
-    limit = UC_POINT_LIMIT if budget is None else budget
-    if n > limit:
-        raise BudgetExceeded(f"{n} points exceed the space budget {limit} "
-                             "(override with --budget)")
+    within_budget("space", n, budget)
     opens = {0, (1 << n) - 1}
     for number, line in lines[1:]:
         if len(line) != n or set(line) - {"0", "1"}:

@@ -21,12 +21,11 @@ greatest x on the left and proved by the adjunction check that follows.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import permutations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .common import MAX_FRAME_CARRIER, BudgetExceeded, pack_rows
+from .common import pack_rows, within_budget
 
 
 class InvalidPoset(ValueError):
@@ -382,11 +381,8 @@ def validate_frame(poset: FinitePoset, labels: Optional[Sequence[str]] = None,
     adjunction x ∧ a <= b iff x <= a -> b checked on every triple. Raises
     NotALattice or NotDistributive with a witness.
     """
-    limit = MAX_FRAME_CARRIER if max_size is None else max_size
-    n = poset.n
-    if n > limit:
-        raise BudgetExceeded(f"carrier size {n} exceeds frame budget {limit}")
-    if labels is not None and len(labels) != n:
+    within_budget("frame", poset.n, max_size)
+    if labels is not None and len(labels) != poset.n:
         raise ValueError("labels length must match carrier size")
     return validate_frames(poset.leq[None], None if labels is None else [labels])[0]
 
@@ -522,31 +518,3 @@ class RegularPairFrame:
 def regular_pair_frame(base: FiniteFrame) -> RegularPairFrame:
     """Pair every element with the regular elements above it: {(a,b) : a <= b}."""
     return RegularPairFrame(base)
-
-
-def find_order_isomorphism(left: FiniteFrame, right: FiniteFrame) -> Optional[tuple[int, ...]]:
-    """A permutation p with left.leq[i, j] == right.leq[p[i], p[j]], if any.
-
-    Brute force with a degree-signature filter; intended for small carriers
-    (regression tests), guarded at 8 elements.
-    """
-    if left.n != right.n:
-        return None
-    n = left.n
-    if n > 8:
-        raise BudgetExceeded("isomorphism search is intended for carriers <= 8")
-
-    def signature(frame):
-        return [(int(frame.leq[:, i].sum()), int(frame.leq[i, :].sum())) for i in range(frame.n)]
-
-    sig_l, sig_r = signature(left), signature(right)
-    if sorted(sig_l) != sorted(sig_r):
-        return None
-    a = left.leq
-    b = right.leq
-    for perm in permutations(range(n)):
-        if any(sig_l[i] != sig_r[perm[i]] for i in range(n)):
-            continue
-        if np.array_equal(a, b[np.ix_(perm, perm)]):
-            return tuple(perm)
-    return None

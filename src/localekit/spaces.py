@@ -13,8 +13,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .common import (TOPOLOGY_POINT_LIMIT, BudgetExceeded, EquivalenceViolation,
-                     TheoremViolation, bits, unpack_rows)
+from .common import (EquivalenceViolation, TheoremViolation, bits, unpack_rows,
+                     within_budget)
 from .lattice import FiniteFrame, containment_order, set_frame
 from .separation import (ConditionVerdict, SeparationReport, is_symmetric,
                          is_weakly_subfit)
@@ -26,9 +26,6 @@ class InvalidTopology(ValueError):
 
 class NotT0(ValueError):
     """The check requires a T_0 space (antisymmetric specialization)."""
-
-
-UC_POINT_LIMIT = 8  # unions-of-closed carrier is 2^points in the worst case
 
 
 def bitstring(mask: int, points: int) -> str:
@@ -153,20 +150,13 @@ class UnionsOfClosed:
         return SpaceVerdict(True)
 
     def saturated_anti_isomorphism_ok(self) -> bool:
-        """Complements of the carrier are exactly the saturated sets."""
-        saturated = {self.space.full}
-        frontier = set(self.space.opens)
-        while frontier:
-            saturated |= frontier
-            frontier = {a & b for a in saturated for b in self.space.opens} - saturated
-        return {self.space.full ^ e for e in self.elements} == saturated
+        """Complements of the carrier are exactly the saturated sets, which in
+        a finite space are the opens: every intersection of opens is finite."""
+        return {self.space.full ^ e for e in self.elements} == set(self.space.opens)
 
 
 def uc_lattice(space: FiniteSpace, budget: Optional[int] = None) -> UnionsOfClosed:
-    limit = UC_POINT_LIMIT if budget is None else budget
-    if space.points > limit:
-        raise BudgetExceeded(f"{space.points} points exceed the unions-of-closed budget {limit} "
-                             "(override with --budget)")
+    within_budget("space", space.points, budget)
     uc = UnionsOfClosed(space)
     if not uc.saturated_anti_isomorphism_ok():
         raise AssertionError("complementation fails to reach the saturated sets")
@@ -280,10 +270,7 @@ def enumerate_topologies(points: int, t0_only: bool = False,
     the stream is deterministic) and emits their up-set topologies; the
     t0_only flag keeps antisymmetric relations only.
     """
-    limit = TOPOLOGY_POINT_LIMIT if budget is None else budget
-    if points > limit:
-        raise BudgetExceeded(f"{points} points exceed the topology budget {limit} "
-                             "(override with --budget)")
+    within_budget("topology", points, budget)
     if points == 0:
         yield FiniteSpace(0, (0,))
         return

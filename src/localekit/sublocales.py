@@ -35,9 +35,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .common import (IDENTITY_EXHAUSTIVE_LIMIT, IDENTITY_SAMPLES, STACK_CELLS,
-                     SUBLOCALE_SCAN_LIMIT, BudgetExceeded, CheckReport,
-                     bits, pack_rows, unpack_rows)
+from .common import (IDENTITY_EXHAUSTIVE_LIMIT, IDENTITY_SAMPLES, STACK_CELLS, CheckReport,
+                     bits, pack_rows, unpack_rows, within_budget)
 from .lattice import (FiniteFrame, FinitePoset, containment_order, distributivity_witness,
                       heyting_tables)
 
@@ -300,11 +299,8 @@ def all_sublocales(frame: FiniteFrame, budget: Optional[int] = None) -> Sublocal
     primes, since the count of sublocales, and of table cells, is
     exponential in it.
     """
-    limit = SUBLOCALE_SCAN_LIMIT if budget is None else budget
     ps = primes(frame)
-    if len(ps) > limit:
-        raise BudgetExceeded(f"{len(ps)} primes exceed the sublocale budget {limit} "
-                             "(override with --budget)")
+    within_budget("primes", len(ps), budget)
     members = np.zeros((1 << len(ps), frame.n), dtype=bool)
     members[:, list(ps)] = np.arange(1 << len(ps))[:, None] >> np.arange(len(ps)) & 1
     rows = meet_closure(frame, members)  # rows[y]: M(Y), bit k of y for ps[k]

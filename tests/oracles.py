@@ -71,6 +71,33 @@ def brute_is_partial_order(rel):
                    for i in range(n) for j in range(n) for k in range(n))
 
 
+def find_order_isomorphism(left: FiniteFrame, right: FiniteFrame):
+    """A permutation p with left.leq[i, j] == right.leq[p[i], p[j]], if any.
+
+    Brute force with a degree-signature filter, guarded at 8 elements.
+    """
+    if left.n != right.n:
+        return None
+    n = left.n
+    if n > 8:
+        raise ValueError("isomorphism search is intended for carriers <= 8")
+
+    def signature(frame):
+        return [(int(frame.leq[:, i].sum()), int(frame.leq[i, :].sum())) for i in range(frame.n)]
+
+    sig_l, sig_r = signature(left), signature(right)
+    if sorted(sig_l) != sorted(sig_r):
+        return None
+    a = left.leq
+    b = right.leq
+    for perm in permutations(range(n)):
+        if any(sig_l[i] != sig_r[perm[i]] for i in range(n)):
+            continue
+        if np.array_equal(a, b[np.ix_(perm, perm)]):
+            return tuple(perm)
+    return None
+
+
 def brute_labeled_lattices(n):
     """Every labeled lattice on 0..n-1 by scanning all relation matrices."""
     slots = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -299,6 +326,17 @@ def brute_topologies(n):
         if all(a | b in family and a & b in family for a in family for b in family):
             found.append(tuple(sorted(family)))
     return sorted(set(found))
+
+
+def saturated_sets(space):
+    """The saturated sets of a space, the intersections of opens (the whole
+    space for the empty one), by closing the opens under pairwise ∩."""
+    saturated = {space.full}
+    frontier = set(space.opens)
+    while frontier:
+        saturated |= frontier
+        frontier = {a & b for a in saturated for b in space.opens} - saturated
+    return saturated
 
 
 # ---------------------------------------------------------------------------

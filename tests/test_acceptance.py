@@ -14,7 +14,8 @@ import pytest
 from localekit import checks, cli, corpus
 from localekit import realline as rl
 from localekit import separation, spaces, sublocales
-from localekit.lattice import find_order_isomorphism
+
+from oracles import find_order_isomorphism
 
 
 @pytest.fixture(scope="module")

@@ -338,7 +338,7 @@ class TestCampaigns:
 
         monkeypatch.setattr(sub, "all_sublocales", counted_sublocales)
         monkeypatch.setattr(sub, "closed_join_frames", counted_batches)
-        monkeypatch.setattr(corpus, "_CHUNK_CELLS", 200)  # 12 chunks of 3 frames at n = 4
+        monkeypatch.setattr(corpus, "STACK_CELLS", 200)  # 12 chunks of 3 frames at n = 4
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == whole
         named = corpus.named_frames()

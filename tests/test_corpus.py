@@ -87,7 +87,7 @@ class TestLatticeEnumeration:
             return [(name, frame.labels, frame.leq.tobytes(), frame.imp.tobytes())
                     for name, frame in corpus.iter_distributive_frames(5)]
         whole, lattices = snapshot(), corpus.labeled_lattice_rows(5)
-        monkeypatch.setattr(corpus, "_CHUNK_CELLS", 200)  # 1 to 25 frames a chunk
+        monkeypatch.setattr(corpus, "STACK_CELLS", 200)  # 1 to 25 frames a chunk
         assert snapshot() == whole
         assert corpus.labeled_lattice_rows(5) == lattices
 

@@ -8,11 +8,12 @@ from localekit import corpus
 from localekit.common import BudgetExceeded
 from localekit.lattice import (ClosureViolation, FiniteFrame, FinitePoset, InvalidPoset,
                                NotALattice, NotDistributive, booleanization, containment_order,
-                               find_order_isomorphism, heyting, heyting_tables,
+                               heyting, heyting_tables,
                                product_frame, pseudocomplement, regular_pair_frame, set_frame,
                                validate_frame, validate_frames)
 
-from oracles import brute_heyting, brute_is_distributive, brute_join, brute_meet
+from oracles import (brute_heyting, brute_is_distributive, brute_join, brute_meet,
+                     find_order_isomorphism)
 
 
 def as_rows(frame):

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from localekit.common import BudgetExceeded
-from localekit.lattice import find_order_isomorphism
 from localekit.spaces import (FiniteSpace, InvalidTopology, NotT0, UnionsOfClosed,
                               bitstring, discrete, enumerate_topologies,
                               indiscrete, is_symmetric_space, is_t0, omega,
                               sierpinski, space_from_preorder,
                               space_proposition_check, td_remark_check, uc_lattice)
 
-from oracles import brute_topologies, generic_set_frame
+from oracles import brute_topologies, find_order_isomorphism, generic_set_frame, saturated_sets
 
 
 class TestFiniteSpace:
@@ -113,6 +112,9 @@ class TestUnionsOfClosed:
     def test_anti_isomorphism_with_saturated_sets(self):
         for space in enumerate_topologies(3):
             assert UnionsOfClosed(space).saturated_anti_isomorphism_ok()
+        for n in range(5):
+            for space in enumerate_topologies(n):
+                assert saturated_sets(space) == set(space.opens)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):

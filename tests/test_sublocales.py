@@ -10,7 +10,7 @@ import pytest
 from localekit import corpus, sublocales
 from localekit.common import (BudgetExceeded, IDENTITY_EXHAUSTIVE_LIMIT, bits, pack_rows,
                               unpack_rows)
-from localekit.lattice import FiniteFrame, find_order_isomorphism
+from localekit.lattice import FiniteFrame
 from localekit.sublocales import (ClosedJoinFrame, MixedParents, Sublocale, SublocaleLattice,
                                   all_sublocales, closed_join_frame, closed_join_frames,
                                   closed_join_meet,
@@ -22,8 +22,8 @@ from localekit.sublocales import (ClosedJoinFrame, MixedParents, Sublocale, Subl
                                   supplement)
 
 from oracles import (brute_closed_join_elements, brute_primes, brute_sublocales,
-                     generic_closed_join_frame, generic_sublocale_laws, meet_close,
-                     sublocale_witness)
+                     find_order_isomorphism, generic_closed_join_frame,
+                     generic_sublocale_laws, meet_close, sublocale_witness)
 
 
 def tampered(frame, table, a, b, value):
