@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .common import STACK_CELLS, CheckReport, EquivalenceViolation, TheoremViolation
+from .common import CheckReport, EquivalenceViolation, TheoremViolation, slice_len
 from .lattice import FiniteFrame, containment_order
 from . import realline as rl
 from . import separation
@@ -141,7 +141,7 @@ def frame_law_outcomes(frames: Sequence[FiniteFrame]) -> list[CheckReport | Asse
     for k, frame in enumerate(frames):
         by_size[frame.n].append(k)
     for n, ks in by_size.items():
-        step = max(1, STACK_CELLS // n**3)
+        step = slice_len(n**3)
         for start in range(0, len(ks), step):
             part = ks[start:start + step]
             for k, outcome in zip(part, _frame_law_stack([frames[k] for k in part])):

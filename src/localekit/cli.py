@@ -199,12 +199,19 @@ def _space_report(item: str, space: FiniteSpace, budget: Optional[int]) -> Repor
 # Campaigns
 
 
+def _check_names(text: str, registry, default: str) -> list[str]:
+    """The comma-separated --checks value, or the default when it is empty;
+    a name outside the registry raises UnknownCheck."""
+    names = text.split(",") if text else [default]
+    for name in names:
+        if name not in registry:
+            raise UnknownCheck(name)
+    return names
+
+
 def _campaign_lattices(args) -> Report:
     report = Report()
-    names = args.checks.split(",") if args.checks else ["frame-laws"]
-    for name in names:
-        if name not in checks.LATTICE_CHECKS:
-            raise UnknownCheck(name)
+    names = _check_names(args.checks, checks.LATTICE_CHECKS, "frame-laws")
     within_budget("corpus", args.max_size, args.budget)
     batches = chain(corpus.chunked(corpus.iter_distributive_frames(args.max_size)),
                     [sorted(corpus.named_frames().items())])
@@ -218,10 +225,7 @@ def _campaign_lattices(args) -> Report:
 
 def _campaign_spaces(args) -> Report:
     report = Report()
-    names = args.checks.split(",") if args.checks else ["space-proposition"]
-    for name in names:
-        if name not in checks.SPACE_CHECKS:
-            raise UnknownCheck(name)
+    names = _check_names(args.checks, checks.SPACE_CHECKS, "space-proposition")
     count = 0
     for i, space in enumerate(sp.enumerate_topologies(args.points, budget=args.budget)):
         count += 1
@@ -238,10 +242,7 @@ REALLINE_CAMPAIGN_CHECKS = ("boolean-laws", "raw-open-laws", "lemma1-invariants"
 
 def _campaign_realline(args) -> Report:
     report = Report()
-    names = args.checks.split(",") if args.checks else ["boolean-laws"]
-    for name in names:
-        if name not in REALLINE_CAMPAIGN_CHECKS:
-            raise UnknownCheck(name)
+    names = _check_names(args.checks, REALLINE_CAMPAIGN_CHECKS, "boolean-laws")
     rng = Random(args.seed)
     for i in range(args.count):
         item = f"sample:{i:04d}"

@@ -30,8 +30,6 @@ BUDGETS = {
     # a space's closed-set frame has up to 2^points elements
     "space": (8, "{size} points exceed the space budget {limit} (override with --budget)"),
 }
-IDENTITY_EXHAUSTIVE_LIMIT = 8  # above this, the identities take seeded samples
-IDENTITY_SAMPLES = 512
 STACK_CELLS = 1 << 16  # cells per slice of the stacked tests and frame laws, and per corpus chunk
 
 
@@ -42,6 +40,11 @@ def within_budget(name: str, size: int, budget: Optional[int] = None) -> None:
     limit = default if budget is None else budget
     if size > limit:
         raise BudgetExceeded(message.format(size=size, limit=limit))
+
+
+def slice_len(cells: int) -> int:
+    """Items of `cells` cells each per slice: STACK_CELLS cells, at least one item."""
+    return max(1, STACK_CELLS // cells)
 
 
 def bits(mask: int) -> Iterator[int]:

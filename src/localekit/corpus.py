@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .common import STACK_CELLS, bits, unpack_rows
+from .common import bits, slice_len, unpack_rows
 from .lattice import (FinitePoset, FiniteFrame, distributivity_witness, lattice_tables,
                       validate_frame, validate_frames)
 from . import realline
@@ -61,16 +61,12 @@ def iter_natural_posets(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ..
     yield from grow([], [], 0)
 
 
-def _chunk_step(n: int) -> int:
-    """Frames per chunk: step * n**3 stays under STACK_CELLS, which bounds the
-    (F, n, n, n) temporaries of the frame core (0.5 MB each at 8 bytes a cell)."""
-    return max(1, STACK_CELLS // n**3)
-
-
 def _chunks(rows: list, n: int):
     """(start, chunk, orders) in order, chunk = rows[start:start + step] of step
-    frames of size n, and orders its up-mask rows as (F, n, n) order matrices."""
-    step = _chunk_step(n)
+    frames of size n, and orders its up-mask rows as (F, n, n) order matrices.
+    step * n**3 stays under STACK_CELLS, which bounds the (F, n, n, n)
+    temporaries of the frame core (0.5 MB each at 8 bytes a cell)."""
+    step = slice_len(n**3)
     for start in range(0, len(rows), step):
         chunk = rows[start:start + step]
         yield start, chunk, unpack_rows((m for up in chunk for m in up), n).reshape(-1, n, n)
@@ -107,7 +103,7 @@ def _key_rows(keys, n: int) -> list[tuple[int, ...]]:
     masks = np.zeros((len(keys), n), dtype=np.min_scalar_type((1 << n) - 1))
     for byte in keys.view(np.uint8).reshape(len(keys), n, -1).transpose(2, 0, 1):
         masks = masks << 8 | byte
-    rows, step = [], STACK_CELLS // n
+    rows, step = [], slice_len(n)
     for start in range(0, len(masks), step):
         rows += zip(*masks[start:start + step].T.tolist())
     return rows
@@ -124,7 +120,7 @@ def _relabeled_keys(orders):
     """
     count, n = orders.shape[:2]
     inv = np.argsort(np.array(list(permutations(range(n))), dtype=np.intp), axis=1)
-    step = max(1, STACK_CELLS // (count * n * n))
+    step = slice_len(count * n * n)
     keys = []
     for start in range(0, len(inv), step):
         part = inv[start:start + step]
@@ -167,7 +163,7 @@ def chunked(items: Iterable[tuple[str, FiniteFrame]]) -> Iterator[list[tuple[str
     batch: list[tuple[str, FiniteFrame]] = []
     for item in items:
         n = item[1].n
-        if batch and (batch[0][1].n != n or len(batch) == _chunk_step(n)):
+        if batch and (batch[0][1].n != n or len(batch) == slice_len(n**3)):
             yield batch
             batch = []
         batch.append(item)

@@ -13,7 +13,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .common import (EquivalenceViolation, TheoremViolation, bits, unpack_rows,
+from .common import (EquivalenceViolation, TheoremViolation, bits, pack_rows, unpack_rows,
                      within_budget)
 from .lattice import FiniteFrame, containment_order, set_frame
 from .separation import (ConditionVerdict, SeparationReport, is_symmetric,
@@ -150,9 +150,13 @@ class UnionsOfClosed:
         return SpaceVerdict(True)
 
     def saturated_anti_isomorphism_ok(self) -> bool:
-        """Complements of the carrier are exactly the saturated sets, which in
-        a finite space are the opens: every intersection of opens is finite."""
-        return {self.space.full ^ e for e in self.elements} == set(self.space.opens)
+        """Complements of the carrier are the saturated sets, the up-sets of
+        specialization: each member is a down-set, and each principal down-set
+        ↓y, the closure of {y}, is a member, so by ∪ every down-set is one."""
+        spec = self.space.specialization
+        rows = unpack_rows(self.elements, self.space.points)
+        return (not ((rows @ spec.T) & ~rows).any()
+                and set(pack_rows(spec.T)) <= set(self.index))
 
 
 def uc_lattice(space: FiniteSpace, budget: Optional[int] = None) -> UnionsOfClosed:

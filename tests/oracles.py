@@ -13,9 +13,19 @@ from math import factorial
 import numpy as np
 
 from localekit import realline as rl
-from localekit.common import bits
+from localekit.common import CheckReport, bits, unpack_rows
 from localekit.corpus import iter_natural_posets
 from localekit.lattice import FiniteFrame, validate_frames
+from localekit.sublocales import meet_closure
+
+
+def tampered(frame: FiniteFrame, table: str, entries) -> FiniteFrame:
+    """A FiniteFrame sharing frame's order and tables except for the entries
+    {(i, j): value} of `table`, one of "meet", "join" and "imp"."""
+    tables = {name: getattr(frame, name).copy() for name in ("meet", "join", "imp")}
+    for (i, j), value in entries.items():
+        tables[table][i, j] = value
+    return FiniteFrame(frame.poset, tables["meet"], tables["join"], tables["imp"], frame.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +321,54 @@ def generic_sublocale_laws(lattice):
     if not np.array_equal(join, lattice.join_table):
         return "join-is-lub"
     return None
+
+
+def generic_closed_open_identities(frame: FiniteFrame) -> CheckReport:
+    """The closed/open identities on every one of the 2^n families of the
+    carrier: ⋂c(a) = c(⋁a) and ⋁o(a) = o(⋁a), the join of a family folded
+    from 0 through the join table, then c(a) ∨ c(b) = c(a ∧ b) and
+    o(a) ∩ o(b) = o(a ∧ b) on every pair. The first failure names its family
+    in ascending mask order, or its pair in row-major order. Joins in S(L)
+    go through the library's `meet_closure`, which `meet_close` checks
+    elsewhere: what this route checks independently is families against pairs.
+
+    The library decides only the nullary and binary cases, and these imply
+    every family by induction:
+    - The binary ⋂c case alone pins the join table to the true join: c(a) ∩
+      c(b) is the up-set of the least upper bound, and up-sets identify
+      elements. Then ⋂c over a family is c of its join, one pair at a time.
+    - M(M(X) ∪ Y) = M(X ∪ Y) for the meet-closure M, so M(o(a) ∪ o(b) ∪ …)
+      = M(o(a ∨ b) ∪ …), which carries ⋁o from pairs to families.
+    """
+    n = frame.n
+    up, opens, labels = frame.leq, unpack_rows(frame.imp_image_masks, n), frame.labels
+    members = unpack_rows(range(1 << n), n)
+    joined = np.zeros(len(members), dtype=np.intp)  # the join of each family, 0 ∨ a ∨ b ...
+    for a in range(n):
+        joined = np.where(members[:, a], frame.join[joined, a], joined)
+    inter_bad = (~(members @ ~up) != up[joined]).any(axis=1)  # z in every c(a)
+
+    pair_meets = frame.meet.reshape(-1)
+    pair_ups = (up[:, None, :] | up[None, :, :]).reshape(n * n, n)
+    closures = meet_closure(frame, np.concatenate([members @ opens, pair_ups]))
+    o_join_bad = (closures[:len(members)] != opens[joined]).any(axis=1)
+    c_join_bad = (closures[len(members):] != up[pair_meets]).any(axis=1)
+    o_meet_bad = ((opens[:, None, :] & opens[None, :, :]).reshape(n * n, n)
+                  != opens[pair_meets]).any(axis=1)
+
+    bad = inter_bad | o_join_bad
+    if bad.any():
+        k = int(bad.argmax())
+        elems = tuple(np.flatnonzero(members[k]).tolist())
+        law = "⋂c" if inter_bad[k] else "⋁o"
+        return CheckReport.failed("closed-open-identities", f"{law} over {elems}")
+    bad = c_join_bad | o_meet_bad
+    if bad.any():
+        k = int(bad.argmax())
+        a, b = (labels[v] for v in divmod(k, n))
+        law = f"c({a})∨c({b}) ≠ c(meet)" if c_join_bad[k] else f"o({a})∩o({b}) ≠ o(meet)"
+        return CheckReport.failed("closed-open-identities", law)
+    return CheckReport.passed("closed-open-identities")
 
 
 def brute_topologies(n):

@@ -12,7 +12,8 @@ no table reaches it.
 import pytest
 
 from localekit import checks, corpus
-from localekit.lattice import FiniteFrame
+
+from oracles import tampered
 
 TAMPERS = [
     # (frame, table, entries set, expected outcome)
@@ -44,14 +45,6 @@ def named():
     return corpus.named_frames()
 
 
-def tampered(named, name, table, entries) -> FiniteFrame:
-    frame = named[name]
-    tables = {key: getattr(frame, key).copy() for key in ("meet", "join", "imp")}
-    for (i, j), value in entries.items():
-        tables[table][i, j] = value
-    return FiniteFrame(frame.poset, tables["meet"], tables["join"], tables["imp"], frame.labels)
-
-
 def outcome(run):
     try:
         report = run()
@@ -64,8 +57,9 @@ def outcome(run):
 def later_frames(named):
     """Frames after the one under test, one per carrier size, each failing
     or raising at its own item only."""
-    return [tampered(named, *TAMPERS[6][:3]), tampered(named, *TAMPERS[4][:3]),
-            tampered(named, *TAMPERS[3][:3])], [TAMPERS[6][3], TAMPERS[4][3], TAMPERS[3][3]]
+    frames = [tampered(named[name], table, entries)
+              for name, table, entries, _ in (TAMPERS[6], TAMPERS[4], TAMPERS[3])]
+    return frames, [TAMPERS[6][3], TAMPERS[4][3], TAMPERS[3][3]]
 
 
 def campaign_outcomes(frames):
@@ -77,13 +71,13 @@ def campaign_outcomes(frames):
 class TestStackedFrameLaws:
     @pytest.mark.parametrize("name,table,entries,expected", TAMPERS, ids=IDS)
     def test_single_frame(self, named, name, table, entries, expected):
-        frame = tampered(named, name, table, entries)
+        frame = tampered(named[name], table, entries)
         assert outcome(lambda: checks.frame_laws(frame)) == expected
 
     @pytest.mark.parametrize("position", [0, 2])
     @pytest.mark.parametrize("name,table,entries,expected", TAMPERS, ids=IDS)
     def test_batch_position(self, named, position, name, table, entries, expected):
-        frame = tampered(named, name, table, entries)
+        frame = tampered(named[name], table, entries)
         before = [named["bool2"], named["chain3"]][:position]
         later, later_expected = later_frames(named)
         got = campaign_outcomes(before + [frame] + later)

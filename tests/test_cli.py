@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from localekit import cli, corpus, io, realline, sublocales as sub
+from localekit import cli, common, corpus, io, realline, sublocales as sub
 from localekit.lattice import NotALattice
 from localekit.spaces import discrete, sierpinski
 
@@ -338,7 +338,7 @@ class TestCampaigns:
 
         monkeypatch.setattr(sub, "all_sublocales", counted_sublocales)
         monkeypatch.setattr(sub, "closed_join_frames", counted_batches)
-        monkeypatch.setattr(corpus, "STACK_CELLS", 200)  # 12 chunks of 3 frames at n = 4
+        monkeypatch.setattr(common, "STACK_CELLS", 200)  # 12 chunks of 3 frames at n = 4
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == whole
         named = corpus.named_frames()

@@ -5,7 +5,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from localekit import corpus, realline as rl
+from localekit import common, corpus, realline as rl
 from localekit.lattice import FinitePoset, validate_frame
 
 from oracles import (_permuted_rows, brute_is_distributive, brute_labeled_lattices,
@@ -87,7 +87,7 @@ class TestLatticeEnumeration:
             return [(name, frame.labels, frame.leq.tobytes(), frame.imp.tobytes())
                     for name, frame in corpus.iter_distributive_frames(5)]
         whole, lattices = snapshot(), corpus.labeled_lattice_rows(5)
-        monkeypatch.setattr(corpus, "STACK_CELLS", 200)  # 1 to 25 frames a chunk
+        monkeypatch.setattr(common, "STACK_CELLS", 200)  # 1 to 25 frames a chunk
         assert snapshot() == whole
         assert corpus.labeled_lattice_rows(5) == lattices
 

@@ -1,7 +1,9 @@
-"""The --machine output of the two fast benchmark workloads against the
-digests stored in perfbench/digests.json, so a change to a report's bytes
-fails here and not only in the benchmark's gate. lattices6 and
-lattices7-frame take several seconds each and stay with that gate."""
+"""The --machine output of three benchmark workloads against the digests
+stored in perfbench/digests.json, so a change to a report's bytes fails
+here and not only in the benchmark's gate. lattices6 runs every lattice
+check, so it covers the checks that no other workload runs, at a few
+seconds; lattices7-frame runs only frame-laws, which lattices6 runs too,
+and stays with that gate."""
 
 import hashlib
 import importlib
@@ -24,7 +26,7 @@ def bench():
         return importlib.import_module("run")
 
 
-@pytest.mark.parametrize("name", ["spaces4", "realline"])
+@pytest.mark.parametrize("name", ["lattices6", "spaces4", "realline"])
 def test_machine_output_matches_the_stored_digest(bench, capsys, name):
     assert cli.main(bench.WORKLOADS[name].argv(bench.DEFAULT_SEED)) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()

@@ -110,11 +110,21 @@ class TestUnionsOfClosed:
                         assert a | b in idx and a & b in idx
 
     def test_anti_isomorphism_with_saturated_sets(self):
-        for space in enumerate_topologies(3):
-            assert UnionsOfClosed(space).saturated_anti_isomorphism_ok()
         for n in range(5):
             for space in enumerate_topologies(n):
+                assert UnionsOfClosed(space).saturated_anti_isomorphism_ok()
                 assert saturated_sets(space) == set(space.opens)
+
+    # the discrete order makes ↓1 = {1}, which is not closed; the full one
+    # puts 1 below 0, so the closed set {0} is no down-set
+    @pytest.mark.parametrize("corrupted", [np.eye(2, dtype=bool), np.ones((2, 2), dtype=bool)],
+                             ids=["discrete", "full"])
+    def test_corrupted_specialization_is_caught(self, corrupted):
+        space = sierpinski()
+        space.__dict__["specialization"] = corrupted
+        with pytest.raises(AssertionError,
+                           match="^complementation fails to reach the saturated sets$"):
+            uc_lattice(space)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):

@@ -7,10 +7,9 @@ from random import Random
 import numpy as np
 import pytest
 
-from localekit import corpus, sublocales
-from localekit.common import (BudgetExceeded, IDENTITY_EXHAUSTIVE_LIMIT, bits, pack_rows,
-                              unpack_rows)
-from localekit.lattice import FiniteFrame
+from localekit import common, corpus, sublocales
+from localekit.common import BudgetExceeded, bits, pack_rows, unpack_rows
+from localekit.lattice import FiniteFrame, FinitePoset
 from localekit.sublocales import (ClosedJoinFrame, MixedParents, Sublocale, SublocaleLattice,
                                   all_sublocales, closed_join_frame, closed_join_frames,
                                   closed_join_meet,
@@ -23,15 +22,8 @@ from localekit.sublocales import (ClosedJoinFrame, MixedParents, Sublocale, Subl
 
 from oracles import (brute_closed_join_elements, brute_primes, brute_sublocales,
                      find_order_isomorphism, generic_closed_join_frame,
-                     generic_sublocale_laws, meet_close, sublocale_witness)
-
-
-def tampered(frame, table, a, b, value):
-    """A FiniteFrame sharing frame's tables except for one entry of `table`."""
-    tables = {name: getattr(frame, name).copy() for name in ("meet", "join", "imp")}
-    tables[table][a, b] = value
-    return FiniteFrame(frame.poset, tables["meet"], tables["join"], tables["imp"],
-                       frame.labels)
+                     generic_closed_open_identities, generic_sublocale_laws, meet_close,
+                     sublocale_witness, tampered)
 
 
 def raised(action):
@@ -270,8 +262,8 @@ class TestSublocaleLattice:
     def test_tampered_tables_keep_the_scalar_message(self, tiny_corpus, monkeypatch, cells,
                                                      name, table, a, b, value, message):
         if cells is not None:  # one closure a slice
-            monkeypatch.setattr(sublocales, "STACK_CELLS", cells)
-        frame = tampered(tiny_corpus[name], table, a, b, value)
+            monkeypatch.setattr(common, "STACK_CELLS", cells)
+        frame = tampered(tiny_corpus[name], table, {(a, b): value})
         if not message:
             all_sublocales(frame)
             return
@@ -453,7 +445,7 @@ class TestClosedJoinFrameLaw:
             for a in range(4):
                 for b in range(4):
                     for value in range(4):
-                        frame = tampered(cjf.frame, table, a, b, value)
+                        frame = tampered(cjf.frame, table, {(a, b): value})
                         report = ClosedJoinFrame(b2, cjf.generators, frame).frame_law_report()
                         levels.add(report.level)
                         down = first_undistributed(frame.meet, frame.join)
@@ -489,14 +481,14 @@ class TestClosedJoinFrames:
     @pytest.mark.parametrize("bad", ["meet", "join"])
     def test_failing_frame_raises_its_own_error(self, tiny_corpus, bad, position):
         # the parent order is intact; one entry of the table carried over is not
-        broken = tampered(tiny_corpus["bool2"], bad, 1, 2, {"meet": 3, "join": 1}[bad])
+        broken = tampered(tiny_corpus["bool2"], bad, {(1, 2): {"meet": 3, "join": 1}[bad]})
         message = {"meet": "closed-join join is not above both at (c(1), c(2))",
                    "join": "closed-join meet is not below both at (c(1), c(2))"}[bad]
         alone = raised(lambda: closed_join_frame(broken))
         assert alone == (AssertionError, message, (message,))
         good = [tiny_corpus[name] for name in ("chain3", "bool3", "chain4", "grid2x3")]
         # a later failing frame must not mask the first, even when its carrier size is built first
-        later = tampered(tiny_corpus["chain3"], "meet", 0, 1, 2)
+        later = tampered(tiny_corpus["chain3"], "meet", {(0, 1): 2})
         batch = good[:position] + [broken] + good[position:] + [later]
         assert raised(lambda: closed_join_frames(batch)) == alone
 
@@ -529,29 +521,58 @@ class TestClosedJoinMeet:
 
 
 class TestIdentitiesAndDualBooleanization:
-    def test_identities_hold_on_corpus(self, small_corpus):
-        for frame in small_corpus:
+    def test_identities_hold_on_corpus(self, tiny_corpus):
+        frames = [frame for _, frame in corpus.iter_distributive_frames(6)]
+        for frame in frames + list(tiny_corpus.values()):
             assert closed_open_identities_check(frame).ok
+            assert generic_closed_open_identities(frame).ok
 
-    def test_sampled_mode_agrees(self, tiny_corpus):
-        frame = tiny_corpus["bool2xchain3"]
-        assert frame.n > IDENTITY_EXHAUSTIVE_LIMIT
-        assert closed_open_identities_check(frame).ok
+    def test_twelve_elements_agree_with_the_family_oracle(self, tiny_corpus):
+        frame = tiny_corpus["bool2xchain3"]  # 4,096 families
+        assert frame.n == 12
+        assert closed_open_identities_check(frame) == generic_closed_open_identities(frame)
+
+    def test_every_single_entry_change_the_families_catch_fails(self, tiny_corpus):
+        frames = [frame for _, frame in corpus.iter_distributive_frames(4)]
+        frames += [tiny_corpus["bool3"], tiny_corpus["grid2x3"]]
+        missed, caught = [], 0
+        for k, frame in enumerate(frames):
+            n = frame.n
+            for table in ("meet", "join", "imp"):
+                for a in range(n):
+                    for b in range(n):
+                        for value in set(range(n)) - {int(getattr(frame, table)[a, b])}:
+                            broken = tampered(frame, table, {(a, b): value})
+                            if generic_closed_open_identities(broken).ok:
+                                continue
+                            caught += 1
+                            if closed_open_identities_check(broken).ok:
+                                missed.append((k, table, a, b, value))
+        assert missed == []
+        assert caught > 0
 
     @pytest.mark.parametrize("name, table, a, b, value, identities, complements", [
-        ("chain3", "imp", 0, 0, 0, "⋁o over ()", "c∩o ≠ O at 0"),
-        ("chain3", "imp", 2, 0, 1, "⋁o over (1, 2)", "c∨o ≠ L at 2"),
+        ("chain3", "imp", 0, 0, 0, "o(0) ≠ O", "c∩o ≠ O at 0"),
+        ("chain3", "imp", 2, 0, 1, "o(1)∨o(2) ≠ o(join)", "c∨o ≠ L at 2"),
         ("chain3", "imp", 1, 0, 1, "", "c∩o ≠ O at 1"),
         ("chain3", "imp", 1, 0, 2, "", "c∨o ≠ L at 1"),
-        ("bool2", "imp", 3, 0, 1, "⋁o over (1, 2)", ""),
-        ("bool2", "join", 0, 0, 1, "⋂c over (0,)", ""),
-        ("bool2xchain3", "join", 1, 2, 0, "⋂c over (0, 1, 2, 6, 9)", ""),
+        ("bool2", "imp", 3, 0, 1, "o(0)∨o(3) ≠ o(join)", ""),
+        ("bool2", "join", 0, 0, 1, "c(0)∩c(0) ≠ c(join)", ""),
+        ("bool2xchain3", "join", 1, 2, 0, "c((0,1))∩c((0,2)) ≠ c(join)", ""),
+        ("bool2", "meet", 1, 2, 3, "c(1)∨c(2) ≠ c(meet)", ""),
     ])
     def test_tampered_tables_name_the_first_witness(self, tiny_corpus, name, table, a, b,
                                                     value, identities, complements):
-        frame = tampered(tiny_corpus[name], table, a, b, value)
+        frame = tampered(tiny_corpus[name], table, {(a, b): value})
         assert closed_open_identities_check(frame).witness == identities
         assert closed_open_complements_report(frame).witness == complements
+
+    def test_an_order_with_no_bottom_names_the_nullary_law(self, c3):
+        leq = c3.leq.copy()
+        leq[0, 1] = False  # c(0) is no longer L
+        frame = FiniteFrame(FinitePoset._checked(leq, 0, 2), c3.meet, c3.join, c3.imp, c3.labels)
+        assert closed_open_identities_check(frame).witness == "c(0) ≠ L"
+        assert generic_closed_open_identities(frame).witness == "⋂c over ()"
 
     def test_chain3_every_sublocale_is_fixed(self, c3):
         fixed = dual_booleanization(c3)
