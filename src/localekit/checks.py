@@ -24,6 +24,7 @@ import numpy as np
 
 from .common import CheckReport, EquivalenceViolation, TheoremViolation, slice_len
 from .lattice import FiniteFrame, containment_order
+from . import corpus
 from . import realline as rl
 from . import separation
 from . import spaces as sp
@@ -302,17 +303,16 @@ def raw_open_laws(raw: rl.RationalOpen) -> CheckReport:
     return CheckReport.passed(name)
 
 
-def lemma_invariants(u: rl.RationalOpen, points: list[Fraction],
-                     stages: int = 20) -> CheckReport:
+def lemma_invariants(u: rl.RationalOpen, points: list[Fraction]) -> CheckReport:
     """Term-form agreement, monotonicity, containment, and point exclusion.
 
-    One family of terms is built per call: stages 1..max(stages, N) are each
-    built and checked for descent once, and shared by the certificates and
-    the recovery check."""
+    One family of terms is built per call: stages 1..max(STAGES, N) are each
+    built and checked for descent once, and shared by the certificates; u ⊆
+    term is decided once per stage, and the recovery check reads that."""
     name = "lemma1-invariants"
     family = rl.PaddedTerms(u)
     try:
-        terms = family.upto(stages)
+        terms = family.upto(rl.STAGES)
     except rl.NotDescending as exc:
         return CheckReport.failed(name, f"terms not descending at stage {exc.stage}")
     except AssertionError as exc:
@@ -324,24 +324,23 @@ def lemma_invariants(u: rl.RationalOpen, points: list[Fraction],
             return CheckReport.failed(name, f"0 outside term at stage {n}")
     for x in points:
         try:
-            cert = rl.exclusion_certificate(u, x, terms=family)
+            cert = family.certificate(x)
         except (rl.PointInU, rl.ZeroPoint):
             return CheckReport.failed(name, f"sampler offered an in-set point {x}")
         if rl.contains_point(cert.term, x):
             return CheckReport.violated(name, f"certificate term contains {x}")
         if Fraction(1, cert.stage) >= abs(x):
             return CheckReport.failed(name, f"stage {cert.stage} too coarse for {x}")
-    recovery = rl.interior_recovery_check(u, stages, terms=family)
-    if not recovery.passed:
+    if not rl.recovery_report(u, rl.STAGES, containment=True).passed:
         return CheckReport.failed(name, "interior recovery failed")
     return CheckReport.passed(name)
 
 
-def descent_invariants(pair: rl.KRealPair, stages: int = 20) -> CheckReport:
+def descent_invariants(pair: rl.KRealPair) -> CheckReport:
     """Stagewise pair chain: containments, antitone coordinates, generators."""
     name = "prop2-invariants"
     previous = None
-    for n in range(1, stages + 1):
+    for n in range(1, rl.STAGES + 1):
         try:
             stage = rl.descending_pair(pair, n)
         except AssertionError as exc:
@@ -357,10 +356,10 @@ def descent_invariants(pair: rl.KRealPair, stages: int = 20) -> CheckReport:
     return CheckReport.passed(name)
 
 
-def forcing_cases(stages: int = 20) -> CheckReport:
+def forcing_cases() -> CheckReport:
     """The forcing step fires exactly when both hypotheses hold."""
     name = "prop1-forcing"
-    for n in range(1, stages + 1):
+    for n in range(1, rl.STAGES + 1):
         w = Fraction(1, n)
         covered = rl.KRealPair(
             rl.union(rl.punctured_reals(), rl.open_interval(-w, w)),
@@ -373,3 +372,13 @@ def forcing_cases(stages: int = 20) -> CheckReport:
         if verdict.forced or verdict.has_zero_interval:
             return CheckReport.failed(name, f"punctured line forced at {n}")
     return CheckReport.passed(name)
+
+
+# One entry per real-line check of a campaign sample (corpus.RealSample);
+# prop1-forcing takes no sample and runs once per campaign.
+REALLINE_CHECKS: dict[str, Callable[[corpus.RealSample], CheckReport]] = {
+    "boolean-laws": lambda sample: boolean_laws(sample.regular, sample.other),
+    "raw-open-laws": lambda sample: raw_open_laws(sample.raw),
+    "lemma1-invariants": lambda sample: lemma_invariants(sample.regular, sample.points),
+    "prop2-invariants": lambda sample: descent_invariants(sample.pair),
+}

@@ -19,6 +19,7 @@ decide the frame laws of a chunk as one batch too.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations
 from random import Random
@@ -231,47 +232,49 @@ def named_frames() -> dict[str, FiniteFrame]:
 # Real-line fuzz corpus
 
 
-def random_rational(rng: Random, max_den: int = 100, span: int = 12) -> Fraction:
-    den = rng.randint(1, max_den)
+MAX_DEN = 100       # largest denominator of a fuzzed endpoint
+RAY_CHANCE = 0.15   # chance that a fuzzed open's first (or last) interval becomes a ray
+
+RealSample = namedtuple("RealSample", "regular other raw pair points")
+
+
+def random_rational(rng: Random, span: int = 12) -> Fraction:
+    den = rng.randint(1, MAX_DEN)
     num = rng.randint(-span * den, span * den)
     return Fraction(num, den)
 
 
-def random_open(rng: Random, max_components: int = 6, max_den: int = 100,
-                ray_chance: float = 0.15) -> realline.RationalOpen:
+def random_open(rng: Random, max_components: int = 6) -> realline.RationalOpen:
     """A random finite union of open intervals with rational endpoints."""
     k = rng.randint(0, max_components)
     if k == 0:
         return realline.RationalOpen.empty()
-    cuts = sorted({random_rational(rng, max_den) for _ in range(2 * k)})
+    cuts = sorted({random_rational(rng) for _ in range(2 * k)})
     intervals = []
     for lo, hi in zip(cuts[::2], cuts[1::2]):
         if lo < hi:
             intervals.append((lo, hi))
-    if intervals and rng.random() < ray_chance:
+    if intervals and rng.random() < RAY_CHANCE:
         intervals[0] = (realline.NEG_INF, intervals[0][1])
-    if intervals and rng.random() < ray_chance:
+    if intervals and rng.random() < RAY_CHANCE:
         intervals[-1] = (intervals[-1][0], realline.POS_INF)
     if not intervals:
         return realline.RationalOpen.empty()
     return realline.normalize(intervals)
 
 
-def random_regular_open(rng: Random, max_components: int = 6,
-                        max_den: int = 100) -> realline.RationalOpen:
-    return realline.regularize(random_open(rng, max_components, max_den))
+def random_regular_open(rng: Random) -> realline.RationalOpen:
+    return realline.regularize(random_open(rng, 6))
 
 
-def random_pair(rng: Random, max_components: int = 4,
-                max_den: int = 100) -> realline.KRealPair:
+def random_pair(rng: Random) -> realline.KRealPair:
     """A random valid pair: an open set under a regular superset."""
-    first = random_open(rng, max_components, max_den)
-    second = realline.regularize(realline.union(first, random_open(rng, max_components, max_den)))
+    first = random_open(rng, 4)
+    second = realline.regularize(realline.union(first, random_open(rng, 4)))
     return realline.KRealPair(first, second)
 
 
-def sample_points_outside(rng: Random, u: realline.RationalOpen, count: int,
-                          max_den: int = 100) -> list[Fraction]:
+def sample_points_outside(rng: Random, u: realline.RationalOpen, count: int) -> list[Fraction]:
     """Rational points x with x not in u and x != 0 (empty when u is the line)."""
     if u == realline.RationalOpen.reals():
         return []
@@ -279,8 +282,17 @@ def sample_points_outside(rng: Random, u: realline.RationalOpen, count: int,
     attempts = 0
     while len(points) < count and attempts < 200 * count:
         attempts += 1
-        x = random_rational(rng, max_den, span=15)
+        x = random_rational(rng, span=15)
         if x == 0 or realline.contains_point(u, x):
             continue
         points.append(x)
     return points
+
+
+def real_sample(rng: Random) -> RealSample:
+    """A campaign sample, its fields drawn in order; the 20 points lie outside regular."""
+    regular = random_regular_open(rng)
+    other = random_regular_open(rng)
+    raw = random_open(rng)
+    pair = random_pair(rng)
+    return RealSample(regular, other, raw, pair, sample_points_outside(rng, regular, 20))

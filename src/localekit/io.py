@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-import numpy as np
-
 from .common import within_budget
-from .lattice import FiniteFrame, FinitePoset, validate_frame
+from .lattice import FiniteFrame, FinitePoset, cover_pairs, validate_frame
 from .spaces import FiniteSpace, bitstring
 from .sublocales import ClosedJoinFrame, SublocaleLattice
 
@@ -33,24 +31,33 @@ def _content_lines(text: str):
             yield number, line
 
 
-def load_lattice_text(text: str, budget: Optional[int] = None) -> FiniteFrame:
-    """Parse and validate a lattice file; the header is checked against the
-    frame budget (default 64 elements) before anything is built."""
+def _header(text: str, kind: str, noun: str, bound: str,
+            budget: Optional[int]) -> tuple[int, list[tuple[int, str]]]:
+    """The size n of a `<kind> <n>` header, checked against the named budget
+    before anything is built, and the numbered content lines, header first."""
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError(1, "empty input")
     number, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "lattice":
-        raise ParseError(number, f"expected 'lattice <n>', got {header!r}")
+    if len(parts) != 2 or parts[0] != kind:
+        raise ParseError(number, f"expected '{kind} <n>', got {header!r}")
     try:
         n = int(parts[1])
     except ValueError:
-        raise ParseError(number, f"carrier size {parts[1]!r} is not an integer") from None
+        raise ParseError(number, f"{noun} {parts[1]!r} is not an integer") from None
     if n < 0:
-        raise ParseError(number, f"carrier size {n} is negative")
-    within_budget("frame", n, budget)
+        raise ParseError(number, f"{noun} {n} is negative")
+    within_budget(bound, n, budget)
+    return n, lines
+
+
+def load_lattice_text(text: str, budget: Optional[int] = None) -> FiniteFrame:
+    """Parse and validate a lattice file; the header is checked against the
+    frame budget (default 64 elements) before anything is built."""
+    n, lines = _header(text, "lattice", "carrier size", "frame", budget)
     pairs = []
+    number = 1
     for number, line in lines[1:]:
         for sep in ("<=", "<"):
             if sep in line:
@@ -66,7 +73,7 @@ def load_lattice_text(text: str, budget: Optional[int] = None) -> FiniteFrame:
         poset = FinitePoset.from_relation(n, pairs)
         return validate_frame(poset, max_size=budget)
     except ValueError as exc:
-        raise ParseError(number if lines[1:] else 1, str(exc)) from exc
+        raise ParseError(number, str(exc)) from exc
 
 
 def format_lattice(frame: FiniteFrame) -> str:
@@ -79,20 +86,7 @@ def format_lattice(frame: FiniteFrame) -> str:
 def load_space_text(text: str, budget: Optional[int] = None) -> FiniteSpace:
     """Parse a space file; the header is checked against the space budget
     (default 8 points) before anything is built."""
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError(1, "empty input")
-    number, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "space":
-        raise ParseError(number, f"expected 'space <n>', got {header!r}")
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise ParseError(number, f"point count {parts[1]!r} is not an integer") from None
-    if n < 0:
-        raise ParseError(number, f"point count {n} is negative")
-    within_budget("space", n, budget)
+    n, lines = _header(text, "space", "point count", "space", budget)
     opens = {0, (1 << n) - 1}
     for number, line in lines[1:]:
         if len(line) != n or set(line) - {"0", "1"}:
@@ -142,7 +136,7 @@ def dot_hasse(frame: FiniteFrame) -> str:
 
 def dot_sublocales(lattice: SublocaleLattice) -> str:
     nodes = [(str(i), s.label()) for i, s in enumerate(lattice.sublocales)]
-    edges = [(str(i), str(j)) for i, j in lattice.covers()]
+    edges = [(str(i), str(j)) for i, j in zip(*cover_pairs(lattice.leq))]
     return _digraph("sublocales", nodes, edges)
 
 
@@ -154,7 +148,6 @@ def dot_closed_joins(cjf: ClosedJoinFrame) -> str:
 
 def dot_specialization(space: FiniteSpace) -> str:
     """Covers of the specialization preorder: x < y with no z outside {x, y} between."""
-    lt = space.specialization & ~np.eye(space.points, dtype=bool)
     nodes = [(f"p{x}", f"p{x}") for x in range(space.points)]
-    edges = [(f"p{x}", f"p{y}") for x, y in np.argwhere(lt & ~(lt @ lt)).tolist()]
+    edges = [(f"p{x}", f"p{y}") for x, y in zip(*cover_pairs(space.specialization))]
     return _digraph("specialization", nodes, edges)

@@ -108,9 +108,7 @@ class FinitePoset:
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) where j covers i: i < j with nothing in between."""
-        lt = self.leq & ~np.eye(self.n, dtype=bool)
-        cov = lt & ~(lt @ lt)
-        return [(int(i), int(j)) for i, j in np.argwhere(cov)]
+        return list(zip(*(side.tolist() for side in cover_pairs(self.leq))))
 
     def __repr__(self):
         return f"FinitePoset(n={self.n}, covers={self.covers()})"
@@ -181,6 +179,13 @@ def containment_order(rows):
     """leq[..., i, j] iff row i is a subset of row j, for (..., m, n) boolean
     member rows (any n): no k has rows[..., i, k] without rows[..., j, k]."""
     return ~(rows @ ~np.swapaxes(rows, -1, -2))
+
+
+def cover_pairs(leq):
+    """The cover relation of an (n, n) order or preorder as index arrays (xs,
+    ys), row-major: y covers x when x < y with nothing strictly between."""
+    lt = leq & ~np.eye(len(leq), dtype=bool)
+    return np.nonzero(lt & ~(lt @ lt))
 
 
 def _first(mask):

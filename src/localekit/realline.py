@@ -63,6 +63,7 @@ class NotDescending(AssertionError):
 
 NEG_INF = -math.inf
 POS_INF = math.inf
+STAGES = 20  # stages replayed by the stagewise checks and the descent certificates
 
 _FINITE_ENDPOINT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
@@ -400,15 +401,20 @@ def _zero_touched_twice(u: RationalOpen) -> bool:
 
 
 def zero_padded_term(u: RationalOpen, n: int) -> RationalOpen:
-    """Stage n of the family squeezing down to u ∪ {0}.
-
-    Computed as interior(closure(u) ∪ [-1/n, 1/n]) and cross-checked against
-    the equal form (u ∪ (-1/n, 1/n))**.
-    """
+    """Stage n of the family squeezing down to u ∪ {0}, for regular u."""
     if n < 1:
         raise ValueError("stage must be a positive integer")
     if not is_regular(u):
         raise NotRegular(regularize(u))
+    return _padded_term(u, n)
+
+
+def _padded_term(u: RationalOpen, n: int) -> RationalOpen:
+    """Stage n >= 1 of the family of u, which the caller knows to be regular.
+
+    Computed as interior(closure(u) ∪ [-1/n, 1/n]) and cross-checked against
+    the equal form (u ∪ (-1/n, 1/n))**.
+    """
     w = Fraction(1, n)
     first_form = interior(union_closed(closure(u), closed_interval(-w, w)))
     second_form = regularize(union(u, open_interval(-w, w)))
@@ -420,10 +426,11 @@ def zero_padded_term(u: RationalOpen, n: int) -> RationalOpen:
 class PaddedTerms:
     """The zero-padded terms of one regular u, built stage by stage on demand.
 
-    Every stage comes from `zero_padded_term` (both forms, cross-checked)
-    and is checked to lie inside the stage before it as it joins the
-    family. Callers that share a family share that work: each stage is
-    built and checked once however many certificates read it.
+    u is decided regular once, here; every stage is then built by
+    `_padded_term` (both forms, cross-checked) and checked to lie inside the
+    stage before it as it joins the family. Callers that share a family
+    share that work: each stage is built and checked once however many
+    certificates read it.
     """
 
     def __init__(self, u: RationalOpen):
@@ -437,64 +444,63 @@ class PaddedTerms:
         terms = self._terms
         while len(terms) < n:
             stage = len(terms) + 1
-            term = zero_padded_term(self.u, stage)
+            term = _padded_term(self.u, stage)
             if terms and not is_subset(term, terms[-1]):
                 raise NotDescending(stage)
             terms.append(term)
         return terms[:n]
 
+    def certificate(self, x: Fraction) -> ObstructionCertificate:
+        """Stage N = floor(1/|x|) + 1, the least with 1/N < |x|, read off this family.
 
-def _family_of(u: RationalOpen, terms: Optional[PaddedTerms]) -> PaddedTerms:
-    if terms is None:
-        return PaddedTerms(u)
-    if terms.u != u:
-        raise ValueError(f"the term family given belongs to {terms.u}, not to {u}")
-    return terms
+        Certifies x is excluded from the intersection of all stages: x lies
+        outside the stage-N term (checked exactly; for regular u and x outside
+        u it always does) and the terms are verified to be descending up to N.
+        """
+        x = _excluded_point(self.u, x)
+        n = _exclusion_stage(x)
+        term = self.upto(n)[-1]
+        if contains_point(term, x):
+            raise AssertionError(f"{x} survives stage {n} in {self.u}")
+        return ObstructionCertificate(point=x, stage=n, term=term, antitone_checked=n)
 
 
-def exclusion_certificate(u: RationalOpen, x: Fraction,
-                          terms: Optional[PaddedTerms] = None) -> ObstructionCertificate:
-    """Stage N = floor(1/|x|) + 1, the least with 1/N < |x|.
-
-    Certifies x is excluded from the intersection of all stages: x lies
-    outside the stage-N term (checked exactly; for regular u and x outside
-    u it always does) and the terms are verified to be descending up to N.
-    The stages are read from `terms`, the family of u, which is built here
-    when none is given; a family shared by several certificates builds and
-    checks each stage once.
-    """
+def _excluded_point(u: RationalOpen, x: Fraction) -> Fraction:
+    """x as a Fraction, once it is known to be neither the origin nor in u."""
     x = Fraction(x)
     if x == 0:
         raise ZeroPoint("the origin belongs to every stage")
     if contains_point(u, x):
         raise PointInU(f"{x} belongs to the set; no exclusion stage exists")
-    terms = _family_of(u, terms)
-    n = _exclusion_stage(x)
-    term = terms.upto(n)[-1]
-    if contains_point(term, x):
-        raise AssertionError(f"{x} survives stage {n} in {u}")
-    return ObstructionCertificate(point=x, stage=n, term=term, antitone_checked=n)
+    return x
 
 
-def interior_recovery_check(u: RationalOpen, stages: int,
-                            terms: Optional[PaddedTerms] = None) -> InteriorRecoveryReport:
-    """Verify u is the interior of the intersection of its padded terms.
+def exclusion_certificate(u: RationalOpen, x: Fraction) -> ObstructionCertificate:
+    """`PaddedTerms.certificate` on a family of u's own; the point is
+    rejected (ZeroPoint, PointInU) before u's regularity is decided."""
+    x = _excluded_point(u, x)
+    return PaddedTerms(u).certificate(x)
 
-    Containment u ⊆ term_n is checked for every stage up to the bound, on
-    the stages of `terms`, the family of u (built here when none is given,
-    so a caller that shares one with its certificates builds no stage
-    twice). When the origin is outside u, the exact endpoint check confirms
-    the origin is not interior to u ∪ {0} (no components of u touch 0 from
-    both sides), so no open interval around the origin survives into every
-    stage.
+
+def recovery_report(u: RationalOpen, stages: int, containment: bool) -> InteriorRecoveryReport:
+    """The interior-recovery verdict, given whether u ⊆ term_n for n = 1..stages.
+
+    When the origin is outside u, the exact endpoint check confirms the
+    origin is not interior to u ∪ {0} (no components of u touch 0 from both
+    sides), so no open interval around the origin survives into every stage.
     """
-    if stages < 1:
-        raise ValueError("need at least one stage")
-    terms = _family_of(u, terms)
-    containment = all(is_subset(u, term) for term in terms.upto(stages))
     if contains_point(u, 0):
         return InteriorRecoveryReport(stages, containment, True, None)
     return InteriorRecoveryReport(stages, containment, False, not _zero_touched_twice(u))
+
+
+def interior_recovery_check(u: RationalOpen, stages: int) -> InteriorRecoveryReport:
+    """Verify u is the interior of the intersection of its padded terms,
+    deciding u ⊆ term_n for every stage up to the bound."""
+    if stages < 1:
+        raise ValueError("need at least one stage")
+    containment = all(is_subset(u, term) for term in PaddedTerms(u).upto(stages))
+    return recovery_report(u, stages, containment)
 
 
 def descending_pair(pair: KRealPair, n: int) -> KRealPair:
@@ -522,8 +528,7 @@ def descending_pair(pair: KRealPair, n: int) -> KRealPair:
     return KRealPair(first_n, second_n)
 
 
-def descent_certificate(pair: KRealPair, x: Fraction, which: str,
-                        stages: int = 20):
+def descent_certificate(pair: KRealPair, x: Fraction, which: str):
     """Certify x drops out of the chosen coordinate of the descending pairs.
 
     Returns a DescentCertificate with the canonical stage (least N with
@@ -539,8 +544,8 @@ def descent_certificate(pair: KRealPair, x: Fraction, which: str,
         raise PointInside(f"{x} already belongs to the {which} coordinate")
     if x == 0 and which == "second":
         zero_in_all = all(contains_point(descending_pair(pair, n).second, 0)
-                          for n in range(1, stages + 1))
-        return PointBoundaryReport(stages_checked=stages,
+                          for n in range(1, STAGES + 1))
+        return PointBoundaryReport(stages_checked=STAGES,
                                    zero_in_all_stages=zero_in_all,
                                    interior_excluded=not _zero_touched_twice(pair.second),
                                    limit=pair.second)

@@ -35,8 +35,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .common import CheckReport, bits, pack_rows, slice_len, unpack_rows, within_budget
-from .lattice import (FiniteFrame, FinitePoset, containment_order, distributivity_witness,
-                      heyting_tables)
+from .lattice import (FiniteFrame, FinitePoset, containment_order, cover_pairs,
+                      distributivity_witness, heyting_tables)
 
 
 class MixedParents(ValueError):
@@ -140,8 +140,7 @@ def meet_closure(frame: FiniteFrame, rows):
     it lies above some cover of x. The test is two boolean matrix products.
     """
     leq = frame.leq
-    lt = leq & ~np.eye(frame.n, dtype=bool)
-    xs, ys = np.nonzero(lt & ~(lt @ lt))                               # y covers x
+    xs, ys = cover_pairs(leq)                                          # y covers x
     missed = ~(np.asarray(rows, dtype=bool) @ (leq[xs] & ~leq[ys]).T)  # A misses ↑x ∖ ↑y
     return ~(missed @ (xs[:, None] == np.arange(frame.n)))
 
@@ -238,11 +237,6 @@ class SublocaleLattice:
     def supplement_of(self, i: int) -> int:
         return int(self.supplements[i])
 
-    def covers(self) -> list[tuple[int, int]]:
-        rel = self.leq & ~np.eye(len(self.masks), dtype=bool)
-        cov = rel & ~(rel @ rel)
-        return [(int(i), int(j)) for i, j in np.argwhere(cov)]
-
     @cached_property
     def laws(self) -> CheckReport:
         """The coframe law and join-is-lub, decided through S(L) ≅ 2^P.
@@ -282,10 +276,8 @@ def supplement(s: Sublocale, lattice: Optional[SublocaleLattice] = None) -> Subl
 
 def primes(frame: FiniteFrame) -> tuple[int, ...]:
     """The meet-irreducibles: the elements with exactly one upper cover (the top has none)."""
-    upper = [0] * frame.n
-    for i, _ in frame.poset.covers():
-        upper[i] += 1
-    return tuple(i for i, k in enumerate(upper) if k == 1)
+    upper = np.bincount(cover_pairs(frame.leq)[0], minlength=frame.n)
+    return tuple(np.flatnonzero(upper == 1).tolist())
 
 
 def all_sublocales(frame: FiniteFrame, budget: Optional[int] = None) -> SublocaleLattice:

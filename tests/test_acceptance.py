@@ -97,12 +97,12 @@ def test_06_interval_term_replay():
     failures = []
     produced = 0
     while produced < 200:
-        u = corpus.random_regular_open(rng, max_components=6, max_den=100)
+        u = corpus.random_regular_open(rng)
         points = corpus.sample_points_outside(rng, u, 20)
         if u != rl.RationalOpen.reals() and len(points) < 20:
             continue
         produced += 1
-        report = checks.lemma_invariants(u, points, stages=20)
+        report = checks.lemma_invariants(u, points)
         if not report.ok:
             failures.append(report)
     elapsed = time.monotonic() - started
@@ -118,10 +118,10 @@ def test_07_descending_pair_replay():
     failures = []
     for _ in range(120):
         pair = corpus.random_pair(rng)
-        report = checks.descent_invariants(pair, stages=20)
+        report = checks.descent_invariants(pair)
         if not report.ok:
             failures.append(report)
-    forcing = checks.forcing_cases(stages=20)
+    forcing = checks.forcing_cases()
     if not forcing.ok:
         failures.append(forcing)
     _verdict(7, "descending pairs and the forcing step", not failures)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from localekit import cli, common, corpus, io, realline, sublocales as sub
+from localekit import checks, cli, common, corpus, io, realline, sublocales as sub
 from localekit.lattice import NotALattice
 from localekit.spaces import discrete, sierpinski
 
@@ -213,7 +213,7 @@ class TestCliCommands:
         assert "violation: injected" in capsys.readouterr().err
 
     def test_obstruct_stage_check_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setattr(realline, "zero_padded_term",
+        monkeypatch.setattr(realline, "_padded_term",
                             lambda u, n: realline.RationalOpen.reals())
         assert cli.main(["realline", "obstruct", "--set", "(1,2)", "--x", "1/2"]) == 2
         assert "violation: 1/2 survives stage 3" in capsys.readouterr().err
@@ -278,6 +278,17 @@ class TestCliCommands:
             path.write_text(text)
             assert cli.main(argv + [str(path)]) == 2
             assert "negative" in capsys.readouterr().err
+
+
+# Every name a campaign's --checks accepts, with the kind that runs it.
+REGISTERED_CHECKS = ([("lattices", name) for name in checks.LATTICE_CHECKS]
+                     + [("spaces", name) for name in checks.SPACE_CHECKS]
+                     + [("realline", name) for name in checks.REALLINE_CHECKS]
+                     + [("realline", "prop1-forcing")])
+# The two registry names whose records carry the name of the report behind them.
+RECORD_NAMES = {"identities": "closed-open-identities", "sc-frame-law": "closed-join-frame-law"}
+SMALL_INPUT = {"lattices": ["--max-size", "3"], "spaces": ["--points", "2"],
+               "realline": ["--count", "3"]}
 
 
 class TestCampaigns:
@@ -347,9 +358,20 @@ class TestCampaigns:
         expected.append(tuple(frame.n for _, frame in sorted(named.items())))
         assert batches == expected
 
-    def test_unknown_check_rejected(self, capsys):
-        assert cli.main(["campaign", "lattices", "--checks", "nope"]) == 2
+    @pytest.mark.parametrize("kind", ["lattices", "spaces", "realline"])
+    def test_unknown_check_rejected(self, capsys, kind):
+        assert cli.main(["campaign", kind, "--checks", "nope"]) == 2
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,name", REGISTERED_CHECKS)
+    def test_every_registered_check_runs_alone(self, capsys, kind, name):
+        argv = ["--machine", "campaign", kind, "--checks", name] + SMALL_INPUT[kind]
+        assert cli.main(argv) == 0
+        records = [dict(field.split("=", 1) for field in line.split())
+                   for line in capsys.readouterr().out.splitlines()[:-1]]
+        checked = [record for record in records if record["item"] != "enumerator"]
+        expected = RECORD_NAMES.get(name, name)
+        assert checked and all(record["check"] == expected for record in checked)
 
     def test_machine_reports_are_deterministic(self, capsys):
         argv = ["--machine", "--seed", "42", "campaign", "realline", "--count", "15",

@@ -158,8 +158,8 @@ class TestFuzzGenerators:
     def test_endpoint_denominators_bounded(self):
         rng = Random(13)
         for _ in range(30):
-            u = corpus.random_open(rng, max_den=100)
+            u = corpus.random_open(rng)
             for lo, hi in u.components:
                 for end in (lo, hi):
                     if isinstance(end, Fraction):
-                        assert end.denominator <= 100
+                        assert end.denominator <= corpus.MAX_DEN

@@ -18,8 +18,8 @@ from localekit.realline import (NEG_INF, POS_INF, EmptyInterval,
                                 interior_recovery_check, intersect,
                                 is_subset, normalize, open_interval,
                                 parse_open_set, pseudocomplement,
-                                punctured_reals, regularize, union,
-                                zero_padded_term)
+                                punctured_reals, recovery_report, regularize,
+                                union, zero_padded_term)
 
 import oracles
 
@@ -290,19 +290,19 @@ class TestExclusionCertificate:
 
 
 class TestPaddedTerms:
-    """One family of terms per set: each stage is built once, by zero_padded_term."""
+    """One family of terms per set: each stage is built once, by _padded_term."""
 
     U = open_interval(1, 2)
 
     @staticmethod
     def _count_stages(monkeypatch):
         built = []
-        original = rl.zero_padded_term
+        original = rl._padded_term
 
         def counted(u, n):
             built.append(n)
             return original(u, n)
-        monkeypatch.setattr(rl, "zero_padded_term", counted)
+        monkeypatch.setattr(rl, "_padded_term", counted)
         return built
 
     def test_grows_one_stage_at_a_time(self, monkeypatch):
@@ -328,12 +328,19 @@ class TestPaddedTerms:
             PaddedTerms(parse_open_set("(0,1);(1,2)"))
         assert err.value.regularization == open_interval(0, 2)
 
-    def test_rejects_the_family_of_another_set(self):
-        family = PaddedTerms(open_interval(3, 4))
-        with pytest.raises(ValueError):
-            exclusion_certificate(self.U, Fraction(1, 2), terms=family)
-        with pytest.raises(ValueError):
-            interior_recovery_check(self.U, 3, terms=family)
+    def test_decides_regularity_once(self, monkeypatch):
+        decided = []
+        original = rl.is_regular
+        monkeypatch.setattr(rl, "is_regular", lambda a: decided.append(a) or original(a))
+        PaddedTerms(self.U).upto(6)
+        assert decided == [self.U]
+
+    def test_lemma_invariants_decides_containment_once_per_stage(self, monkeypatch):
+        pairs = []
+        original = rl.is_subset
+        monkeypatch.setattr(rl, "is_subset", lambda a, b: pairs.append((a, b)) or original(a, b))
+        assert checks.lemma_invariants(self.U, [Fraction(1, 2)]).ok
+        assert sum(a == self.U for a, _ in pairs) == rl.STAGES
 
     @pytest.mark.parametrize("points,stages", [([Fraction(5)], 20),
                                                ([Fraction(1, 2), Fraction(-1, 30)], 31),
@@ -355,9 +362,8 @@ class TestPaddedTerms:
         family = PaddedTerms(u)
         for x in points:
             if x != 0 and not contains_point(u, x):
-                assert exclusion_certificate(u, x, terms=family) == exclusion_certificate(u, x)
-        assert (interior_recovery_check(u, 8, terms=family)
-                == interior_recovery_check(u, 8))
+                assert family.certificate(x) == exclusion_certificate(u, x)
+        assert recovery_report(u, 8, containment=True) == interior_recovery_check(u, 8)
 
 
 class TestInteriorRecovery:
@@ -378,9 +384,9 @@ class TestInteriorRecovery:
 
 
 def _swap_stage(monkeypatch, bad_stage, replacement_stage):
-    """Make zero_padded_term return another stage's term at bad_stage."""
-    original = rl.zero_padded_term
-    monkeypatch.setattr(rl, "zero_padded_term",
+    """Make _padded_term return another stage's term at bad_stage."""
+    original = rl._padded_term
+    monkeypatch.setattr(rl, "_padded_term",
                         lambda u, n: original(u, replacement_stage if n == bad_stage else n))
 
 
@@ -411,10 +417,10 @@ class TestLemmaInvariantFaults:
             checks.lemma_invariants(self.U, [Fraction(5), Fraction(1, 30)])
 
     def test_certificate_term_containing_the_point_is_a_violation(self, monkeypatch):
-        def lying(u, x, *args, **kwargs):
+        def lying(family, x):
             return rl.ObstructionCertificate(point=x, stage=3, term=RationalOpen.reals(),
                                              antitone_checked=3)
-        monkeypatch.setattr(rl, "exclusion_certificate", lying)
+        monkeypatch.setattr(rl.PaddedTerms, "certificate", lying)
         report = checks.lemma_invariants(self.U, [Fraction(1, 2)])
         assert (report.level, report.witness) == (VIOLATION, "certificate term contains 1/2")
 
