@@ -10,8 +10,10 @@ output is deterministic for fixed campaign parameters and seed: no
 timing, no environment, generation order only.
 
 Exit codes: 0 all checks hold/consistent, 1 some axiom failed (reported as
-data with a witness), 2 internal violation (including a failed internal
-cross-check, raised as AssertionError) or unusable input.
+data with a witness), 2 internal violation or unusable input. An internal
+cross-check that breaks raises one of BREACHES. A campaign records it as a
+`verdict=violation` record of that item and check and goes on to the next;
+anywhere else `main` reports it on stderr.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ from .common import (PASS, FAIL, VIOLATION, BudgetExceeded, CheckReport, Equival
                      TheoremViolation, within_budget)
 from .lattice import NotALattice, NotDistributive
 from .spaces import FiniteSpace
+
+
+# A broken internal cross-check: a bug, never a property of the input.
+BREACHES = (AssertionError, TheoremViolation, EquivalenceViolation)
 
 
 class UnknownCheck(ValueError):
@@ -140,10 +146,11 @@ def _closed_joins(args, report: Report) -> None:
 def _separation(args, report: Report) -> None:
     frame = io.load_lattice_text(Path(args.file).read_text())
     if args.axiom == "ppt":
-        _record_from(report, args.file, checks.subfit_correspondence(frame, budget=args.budget))
+        _record_from(report, args.file,
+                     separation.subfit_correspondence_check(frame, budget=args.budget))
         return
     if args.axiom == "pcformula":
-        _record_from(report, args.file, checks.pc_formula(frame))
+        _record_from(report, args.file, separation.pseudocomplement_formula_check(frame))
         return
     verdict = {"subfit": separation.is_subfit, "weak": separation.is_weakly_subfit,
                "symmetric": separation.is_symmetric}[args.axiom](frame)
@@ -163,21 +170,22 @@ def _spaces_check(args, report: Report) -> None:
     report.add(human=f"symmetric: {proposition.holds}", item=args.file,
                check="space-proposition", verdict=PASS if proposition.holds else FAIL)
     _record_conditions(report, args.file, proposition.conditions)
-    _record_from(report, args.file, checks.td_remark(space))
+    _record_from(report, args.file, sp.td_remark_check(space))
 
 
 def _spaces_enumerate(args, report: Report) -> None:
-    count = 0
-    for i, space in enumerate(sp.enumerate_topologies(args.points, t0_only=args.t0,
-                                                      budget=args.budget)):
-        count += 1
-        item = f"topo{args.points}:{i:04d}"
-        opens = ",".join(sp.bitstring(o, space.points) for o in space.opens)
-        report.add(human=f"{item} opens={opens}", item=item, check="topology",
-                   verdict=PASS, opens=opens)
-        if args.report:
-            for check in checks.SPACE_CHECKS.values():
-                _record_from(report, item, check(space))
+    def listed():
+        """Each topology after its record; --report checks it next."""
+        for i, space in enumerate(sp.enumerate_topologies(args.points, t0_only=args.t0,
+                                                          budget=args.budget)):
+            item = f"topo{args.points}:{i:04d}"
+            opens = ",".join(sp.bitstring(o, space.points) for o in space.opens)
+            report.add(human=f"{item} opens={opens}", item=item, check="topology",
+                       verdict=PASS, opens=opens)
+            yield item, space
+
+    names = list(checks.SPACE_CHECKS) if args.report else []
+    count = _campaign(report, listed(), checks.SPACE_CHECKS, names)
     report.add(human=f"count: {count}", item="enumerator", check="count",
                verdict=PASS, count=str(count))
 
@@ -219,11 +227,17 @@ def _check_names(text: str, registry, default: str) -> list[str]:
 
 def _campaign(report: Report, items, registry, names) -> int:
     """Record each named check of the registry on every (item, subject) pair,
-    an item at a time; returns the number of items."""
+    an item at a time; returns the number of items. A check that breaches
+    is recorded as that item's violation of that check, with the breach as
+    its witness, and the campaign goes on."""
     count = 0
     for count, (item, subject) in enumerate(items, start=1):
         for name in names:
-            _record_from(report, item, registry[name](subject))
+            try:
+                check = registry[name](subject)
+            except BREACHES as exc:
+                check = CheckReport.violated(name, str(exc))
+            _record_from(report, item, check)
     return count
 
 
@@ -254,12 +268,14 @@ def _campaign_spaces(args, report: Report) -> None:
 
 def _campaign_realline(args, report: Report) -> None:
     names = _check_names(args.checks, [*checks.REALLINE_CHECKS, "prop1-forcing"], "boolean-laws")
-    rng = Random(args.seed)
-    samples = ((f"sample:{i:04d}", corpus.real_sample(rng)) for i in range(args.count))
-    _campaign(report, samples, checks.REALLINE_CHECKS,
-              [name for name in names if name != "prop1-forcing"])
+    per_sample = [name for name in names if name != "prop1-forcing"]
+    if per_sample:  # no sample is drawn when no check reads one
+        rng = Random(args.seed)
+        samples = ((f"sample:{i:04d}", corpus.real_sample(rng)) for i in range(args.count))
+        _campaign(report, samples, checks.REALLINE_CHECKS, per_sample)
     if "prop1-forcing" in names:
-        _record_from(report, "forcing-cases", checks.forcing_cases())
+        _campaign(report, [("forcing-cases", None)],
+                  {"prop1-forcing": lambda _: checks.forcing_cases()}, ["prop1-forcing"])
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +437,7 @@ def main(argv=None) -> int:
             NotALattice, NotDistributive, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EquivalenceViolation, TheoremViolation, AssertionError) as exc:
+    except BREACHES as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 2
     if code is not None:  # export-dot wrote its own output

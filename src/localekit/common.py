@@ -47,6 +47,15 @@ def slice_len(cells: int) -> int:
     return max(1, STACK_CELLS // cells)
 
 
+def settled(outcome):
+    """A batch's outcome for one member: its result, or the AssertionError
+    stored in its place, raised now so it is charged to that member alone.
+    Each raise starts a fresh traceback, so asking again does not grow it."""
+    if isinstance(outcome, AssertionError):
+        raise outcome.with_traceback(None)
+    return outcome
+
+
 def bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of mask, lowest first."""
     while mask:

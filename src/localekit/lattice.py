@@ -49,8 +49,9 @@ class NotDistributive(Exception):
         super().__init__(f"distributivity fails on {triple}")
 
 
-class ClosureViolation(Exception):
-    """A derived carrier was not closed under its defining operations."""
+class ClosureViolation(AssertionError):
+    """A derived carrier was not closed under its defining operations: an
+    internal breach, like every AssertionError."""
 
 
 class FinitePoset:

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .common import EquivalenceViolation, TheoremViolation
+from .common import CheckReport, EquivalenceViolation, TheoremViolation
 from .lattice import FiniteFrame
 from .sublocales import (ClosedJoinFrame, SublocaleLattice, all_sublocales,
                          closed_join_frame, dual_booleanization)
@@ -115,98 +115,63 @@ def is_symmetric(frame: FiniteFrame,
                             conditions=(cond1, cond2, cond3))
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
-    """Subfitness against Booleanness of the dual closed-join frame.
+def subfit_correspondence_check(frame: FiniteFrame,
+                                lattice: Optional[SublocaleLattice] = None,
+                                budget: Optional[int] = None,
+                                cjf: Optional[ClosedJoinFrame] = None) -> CheckReport:
+    """Verify the subfit/Boolean correspondence on one frame.
 
     Three facts are computed independently: the subfitness verdict, whether
     every closed-join element is complemented, and whether the closed-join
     elements coincide with the double-supplement fixed points of S(L). The
-    first two must match, and subfitness forces the coincidence; any breach
-    raises TheoremViolation before a report is returned.
+    first two must match, and subfitness forces the coincidence; a breach
+    raises TheoremViolation, and otherwise "ppt" passes.
     """
-
-    subfit: SeparationReport
-    op_boolean: bool
-    op_boolean_witness: Optional[str]
-    coincide: bool
-    closed_join_count: int
-    dual_regular_count: int
-
-
-def subfit_correspondence_check(frame: FiniteFrame,
-                                lattice: Optional[SublocaleLattice] = None,
-                                budget: Optional[int] = None,
-                                cjf: Optional[ClosedJoinFrame] = None) -> CorrespondenceReport:
-    """Verify the subfit/Boolean correspondence on one frame."""
     sub = is_subfit(frame)
     if cjf is None:
         cjf = closed_join_frame(frame)
     sc = cjf.frame
     complemented = ((sc.join == sc.top) & (sc.meet == sc.bottom)).any(axis=1)
     boolean = bool(complemented.all())
-    witness = None
-    if not boolean:
-        i = int(np.nonzero(~complemented)[0][0])
-        witness = cjf.elements[i].label()
     lat = lattice if lattice is not None else all_sublocales(frame, budget)
     dual = dual_booleanization(frame, lat)
-    coincide = {s.mask for s in dual} == set(cjf.masks)
     if sub.holds != boolean:
+        witness = None if boolean else cjf.elements[int(np.argmin(complemented))].label()
         raise TheoremViolation(
             f"subfit={sub.holds} but closed-join complementation={boolean}; "
             f"witness={witness}, frame labels={frame.labels}")
-    if sub.holds and not coincide:
+    if sub.holds and {s.mask for s in dual} != set(cjf.masks):
         raise TheoremViolation(
             "subfit frame where closed joins differ from the dual Booleanization: "
             f"closed joins {[s.label() for s in cjf.elements]} vs "
             f"fixed points {[s.label() for s in dual]}")
-    return CorrespondenceReport(sub, boolean, witness, coincide,
-                                len(cjf.masks), len(dual))
+    return CheckReport.passed("ppt")
 
 
-@dataclass(frozen=True)
-class PcFormulaReport:
+def pseudocomplement_formula_check(frame: FiniteFrame) -> CheckReport:
     """The pseudocomplement-via-covers formula under weak subfitness.
 
-    Not applicable (all None) when the frame is not weakly subfit. When it
-    is, a* must equal the meet of {x : x ∨ a = 1}; finite frames are also
-    coframes, so a ∨ a* = 1 must follow and the frame must be Boolean.
+    "pcformula" passes as not-applicable when the frame is not weakly
+    subfit. When it is, a* must equal the meet of {x : x ∨ a = 1}; finite
+    frames are also coframes, so a ∨ a* = 1 must follow and the frame must
+    be Boolean. The first of these to break is a violation, with a witness.
     """
-
-    applicable: bool
-    formula_ok: Optional[bool] = None
-    complements_ok: Optional[bool] = None
-    boolean_ok: Optional[bool] = None
-    witness: Optional[str] = None
-
-    @property
-    def passed(self) -> bool:
-        if not self.applicable:
-            return True
-        return bool(self.formula_ok and self.complements_ok and self.boolean_ok)
-
-
-def pseudocomplement_formula_check(frame: FiniteFrame) -> PcFormulaReport:
-    """Check a* = ⋀{x : x ∨ a = 1} and its Boolean consequences."""
-    weak = is_weakly_subfit(frame)
-    if not weak.holds:
-        return PcFormulaReport(applicable=False)
+    name = "pcformula"
+    if not is_weakly_subfit(frame).holds:
+        return CheckReport.passed(name, "not-applicable")
     n, top = frame.n, frame.top
     join, meet, star = frame.join, frame.meet, frame.star
     for a in range(n):
         covers = [x for x in range(n) if join[x, a] == top]
         bound = reduce(lambda u, v: int(meet[u, v]), covers)
         if bound != int(star[a]):
-            return PcFormulaReport(True, False, None, None,
-                                   f"a={frame.labels[a]}: meet of covers is "
-                                   f"{frame.labels[bound]}, a*={frame.labels[int(star[a])]}")
+            labels = frame.labels
+            return CheckReport.violated(name, f"a={labels[a]}: meet of covers is "
+                                              f"{labels[bound]}, a*={labels[int(star[a])]}")
     for a in range(n):
         if int(join[a, star[a]]) != top:
-            return PcFormulaReport(True, True, False, None,
-                                   f"a ∨ a* ≠ 1 at {frame.labels[a]}")
+            return CheckReport.violated(name, f"a ∨ a* ≠ 1 at {frame.labels[a]}")
     for a in range(n):
         if not any(int(meet[a, c]) == 0 and int(join[a, c]) == top for c in range(n)):
-            return PcFormulaReport(True, True, True, False,
-                                   f"{frame.labels[a]} has no complement")
-    return PcFormulaReport(True, True, True, True)
+            return CheckReport.violated(name, f"{frame.labels[a]} has no complement")
+    return CheckReport.passed(name)

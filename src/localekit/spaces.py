@@ -13,19 +13,14 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .common import (EquivalenceViolation, TheoremViolation, bits, pack_rows, unpack_rows,
-                     within_budget)
+from .common import (CheckReport, EquivalenceViolation, TheoremViolation, bits, pack_rows,
+                     unpack_rows, within_budget)
 from .lattice import FiniteFrame, containment_order, set_frame
-from .separation import (ConditionVerdict, SeparationReport, is_symmetric,
-                         is_weakly_subfit)
+from .separation import ConditionVerdict, is_symmetric, is_weakly_subfit
 
 
 class InvalidTopology(ValueError):
     """The open-set family violates the topology axioms."""
-
-
-class NotT0(ValueError):
-    """The check requires a T_0 space (antisymmetric specialization)."""
 
 
 def bitstring(mask: int, points: int) -> str:
@@ -229,33 +224,21 @@ def space_proposition_check(space: FiniteSpace,
     return SpacePropositionReport(c1.holds, conditions)
 
 
-@dataclass(frozen=True)
-class TdRemarkReport:
-    """Space symmetry against locale symmetry of the open-set frame."""
-
-    space_symmetric: SpaceVerdict
-    locale_symmetric: SeparationReport
-
-    @property
-    def agree(self) -> bool:
-        return self.space_symmetric.ok == self.locale_symmetric.holds
-
-
-def td_remark_check(space: FiniteSpace) -> TdRemarkReport:
+def td_remark_check(space: FiniteSpace) -> CheckReport:
     """For T_0 spaces, the space is symmetric iff its open-set frame is.
 
-    Refuses non-T_0 inputs: the subspace/sublocale correspondence behind the
-    statement needs the T_D property, which finite T_0 spaces satisfy.
+    A non-T_0 space passes as skipped-not-t0: the subspace/sublocale
+    correspondence behind the statement needs the T_D property, which finite
+    T_0 spaces satisfy. Disagreement raises TheoremViolation.
     """
     if not is_t0(space):
-        raise NotT0("the statement is checked for T_0 spaces only")
+        return CheckReport.passed("td-remark", "skipped-not-t0")
     sym = is_symmetric_space(space)
     loc = is_symmetric(omega(space))
-    report = TdRemarkReport(sym, loc)
-    if not report.agree:
+    if sym.ok != loc.holds:
         raise TheoremViolation(
             f"space symmetry {sym.ok} but locale symmetry {loc.holds} on {space!r}")
-    return report
+    return CheckReport.passed("td-remark")
 
 
 def space_from_preorder(rows: tuple[int, ...]) -> FiniteSpace:

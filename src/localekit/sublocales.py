@@ -34,7 +34,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .common import CheckReport, bits, pack_rows, slice_len, unpack_rows, within_budget
+from .common import (CheckReport, bits, pack_rows, settled, slice_len, unpack_rows,
+                     within_budget)
 from .lattice import (FiniteFrame, FinitePoset, containment_order, cover_pairs,
                       distributivity_witness, heyting_tables)
 
@@ -356,20 +357,21 @@ class ClosedJoinFrame:
         return CheckReport.failed("closed-join-frame-law", f"triple {names}")
 
 
-def closed_join_frames(parents: Iterable[FiniteFrame]) -> list[ClosedJoinFrame]:
+def closed_join_frames(parents: Iterable[FiniteFrame]) -> list[ClosedJoinFrame | AssertionError]:
     """The joins of closed sublocales (the up-sets, in (size, mask) order) of
     every parent, built from its tables, one stack per carrier size.
 
     The containment order must be the parent order reversed, each join
     c(a ∧ b) must contain both arguments and each meet c(a ∨ b) lie inside
-    both, and `heyting_tables` proves the Heyting table. A batch that fails
-    raises what its first failing parent raises alone.
+    both, and `heyting_tables` proves the Heyting table. The outcome of a
+    parent that fails is the AssertionError it raises alone, so the rest of
+    the batch is built all the same.
     """
     parents = list(parents)
     by_size = defaultdict(list)
     for k, parent in enumerate(parents):
         by_size[parent.n].append(k)
-    built, failures = [None] * len(parents), []
+    built = [None] * len(parents)
     for n, ks in by_size.items():
         group = [parents[k] for k in ks]
         gens = np.array([sorted(range(n), key=lambda a, up=p.up_masks: (up[a].bit_count(), up[a]))
@@ -397,19 +399,17 @@ def closed_join_frames(parents: Iterable[FiniteFrame]) -> list[ClosedJoinFrame]:
                 where = ", ".join(labels[v] for v in np.unravel_index(at, (n,) * (2 + stage // 3)))
                 law = ("order is not the parent's reversed", "join is not above both",
                        "meet is not below both", "Heyting adjunction breaks")[stage]
-                failures.append((k, f"closed-join {law} at ({where})"))
-                break
+                built[k] = AssertionError(f"closed-join {law} at ({where})")
+                continue
             frame = FiniteFrame(FinitePoset._checked(leq[g], 0, n - 1), meet[g], join[g], imp[g],
                                 labels)
             built[k] = ClosedJoinFrame(parent, tuple(gens[g].tolist()), frame)
-    if failures:
-        raise AssertionError(min(failures)[1])
     return built
 
 
 def closed_join_frame(parent: FiniteFrame) -> ClosedJoinFrame:
     """The joins of closed sublocales (the up-sets), built as a frame."""
-    return closed_join_frames([parent])[0]
+    return settled(closed_join_frames([parent])[0])
 
 
 def closed_join_meet(cjf: ClosedJoinFrame, s: Sublocale, t: Sublocale) -> Sublocale:

@@ -66,7 +66,7 @@ def test_03_closed_join_frame_law(corpus6):
 def test_04_subfit_boolean_correspondence(corpus6):
     violations = []
     for name, frame in corpus6:
-        report = checks.subfit_correspondence(frame)
+        report = separation.subfit_correspondence_check(frame)  # TheoremViolation on a breach
         if not report.ok:
             violations.append((name, report))
     _verdict(4, "subfit iff closed joins complemented, with coincidence",
@@ -78,12 +78,10 @@ def test_05_symmetry_equivalence_and_cover_formula(corpus6):
     violations = []
     applicable = 0
     for name, frame in corpus6:
-        sym = checks.symmetry_equivalence(frame)
-        if not sym.ok:
-            violations.append((name, sym))
+        separation.is_symmetric(frame)  # EquivalenceViolation on a breach
         pc = separation.pseudocomplement_formula_check(frame)
-        applicable += pc.applicable
-        if not pc.passed:
+        applicable += pc.witness != "not-applicable"
+        if not pc.ok:
             violations.append((name, pc))
     _verdict(5, "three-way symmetry equivalence and the cover formula",
              not violations, f"{applicable} weakly subfit frames")
@@ -136,10 +134,8 @@ def test_08_space_proposition_exhaustive():
         for space in spaces.enumerate_topologies(n):
             if n == 4:
                 count_at_four += 1
-            report = checks.space_proposition(space)
-            if not report.ok:
-                violations.append((n, report))
-            td = checks.td_remark(space)
+            spaces.space_proposition_check(space)  # EquivalenceViolation on a breach
+            td = spaces.td_remark_check(space)  # TheoremViolation on a breach
             if not td.ok:
                 violations.append((n, td))
     elapsed = time.monotonic() - started

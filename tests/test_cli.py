@@ -1,12 +1,16 @@
+import ast
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from localekit import checks, cli, common, corpus, io, realline, sublocales as sub
-from localekit.lattice import NotALattice
+from localekit import checks, cli, common, corpus, io, realline, spaces, sublocales as sub
+from localekit.lattice import ClosureViolation, NotALattice
 from localekit.spaces import discrete, sierpinski
+
+from oracles import tampered
 
 
 @pytest.fixture
@@ -212,6 +216,13 @@ class TestCliCommands:
         assert cli.main(["realline", "lemma1", "--set", "(1,2)", "--n", "4"]) == 2
         assert "violation: injected" in capsys.readouterr().err
 
+    def test_closure_violation_exits_2(self, monkeypatch, sier_file, capsys):
+        def broken(rows, labels):
+            raise ClosureViolation("injected closure failure")
+        monkeypatch.setattr(spaces, "set_frame", broken)
+        assert cli.main(["spaces", "check", sier_file]) == 2
+        assert capsys.readouterr().err == "violation: injected closure failure\n"
+
     def test_obstruct_stage_check_exits_2(self, monkeypatch, capsys):
         monkeypatch.setattr(realline, "_padded_term",
                             lambda u, n: realline.RationalOpen.reals())
@@ -280,11 +291,12 @@ class TestCliCommands:
             assert "negative" in capsys.readouterr().err
 
 
-# Every name a campaign's --checks accepts, with the kind that runs it.
-REGISTERED_CHECKS = ([("lattices", name) for name in checks.LATTICE_CHECKS]
-                     + [("spaces", name) for name in checks.SPACE_CHECKS]
-                     + [("realline", name) for name in checks.REALLINE_CHECKS]
-                     + [("realline", "prop1-forcing")])
+REGISTRIES = {"lattices": checks.LATTICE_CHECKS, "spaces": checks.SPACE_CHECKS,
+              "realline": checks.REALLINE_CHECKS}
+# Every check a campaign runs on each of its items, with the kind that runs it.
+ITEM_CHECKS = [(kind, name) for kind, registry in REGISTRIES.items() for name in registry]
+# Every name a campaign's --checks accepts.
+REGISTERED_CHECKS = ITEM_CHECKS + [("realline", "prop1-forcing")]
 # The two registry names whose records carry the name of the report behind them.
 RECORD_NAMES = {"identities": "closed-open-identities", "sc-frame-law": "closed-join-frame-law"}
 SMALL_INPUT = {"lattices": ["--max-size", "3"], "spaces": ["--points", "2"],
@@ -373,6 +385,18 @@ class TestCampaigns:
         expected = RECORD_NAMES.get(name, name)
         assert checked and all(record["check"] == expected for record in checked)
 
+    def test_forcing_alone_draws_no_sample(self, monkeypatch, capsys):
+        drawn = []
+        real_sample = corpus.real_sample
+        monkeypatch.setattr(corpus, "real_sample", lambda rng: drawn.append(1) or real_sample(rng))
+        assert cli.main(["--machine", "campaign", "realline", "--checks", "prop1-forcing"]) == 0
+        assert capsys.readouterr().out == ("item=forcing-cases check=prop1-forcing verdict=pass\n"
+                                           "summary records=1 pass=1 fail=0 violation=0\n")
+        assert not drawn
+        assert cli.main(["campaign", "realline", "--count", "3",
+                         "--checks", "prop1-forcing,boolean-laws"]) == 0
+        assert len(drawn) == 3
+
     def test_machine_reports_are_deterministic(self, capsys):
         argv = ["--machine", "--seed", "42", "campaign", "realline", "--count", "15",
                 "--checks", "boolean-laws,lemma1-invariants"]
@@ -446,3 +470,150 @@ class TestFileInput:
         fuzz_file.write_text("\n".join([f"space {size}"] + lines) + "\n")
         assert cli.main(["spaces", "check", str(fuzz_file)]) in (0, 1, 2)
         assert cli.main(["export-dot", str(fuzz_file), "--target", "specialization"]) in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# A broken internal cross-check is charged to its own item and check
+
+
+def _run(argv, capsys):
+    """(exit code, stdout lines) of one CLI run."""
+    code = cli.main(argv)
+    return code, capsys.readouterr().out.splitlines()
+
+
+def _fields(line):
+    return dict(field.split("=", 1) for field in line.split())
+
+
+def _summary(lines):
+    """The summary line that a --machine run prints after these records."""
+    verdicts = [_fields(line)["verdict"] for line in lines]
+    return (f"summary records={len(verdicts)} pass={verdicts.count('pass')} "
+            f"fail={verdicts.count('fail')} violation={verdicts.count('violation')}")
+
+
+class TestIsolation:
+    @pytest.mark.parametrize("breach", list(cli.BREACHES))
+    @pytest.mark.parametrize("kind,name", ITEM_CHECKS)
+    def test_breach_is_charged_to_its_item(self, monkeypatch, capsys, kind, name, breach):
+        argv = ["--machine", "campaign", kind, "--checks", name] + SMALL_INPUT[kind]
+        code, clean = _run(argv, capsys)
+        assert code == 0
+        check, seen = REGISTRIES[kind][name], []
+
+        def breaking(subject):  # the second item breaks
+            seen.append(subject)
+            if len(seen) == 2:
+                raise breach("injected breach")
+            return check(subject)
+        monkeypatch.setitem(REGISTRIES[kind], name, breaking)
+        code, broken = _run(argv, capsys)
+        assert code == 2
+        item = _fields(clean[1])["item"]
+        expected = clean[:-1]
+        expected[1] = f"item={item} check={name} verdict=violation witness=injected_breach"
+        assert broken[:-1] == expected
+        assert broken[-1] == _summary(expected)
+        assert [line for line in broken if "verdict=violation" in line] == [expected[1]]
+
+    def test_breach_in_forcing_is_charged_to_it(self, monkeypatch, capsys):
+        argv = ["--machine", "campaign", "realline", "--count", "2",
+                "--checks", "boolean-laws,prop1-forcing"]
+        code, clean = _run(argv, capsys)
+        assert code == 0
+
+        def broken():
+            raise common.TheoremViolation("injected breach")
+        monkeypatch.setattr(checks, "forcing_cases", broken)
+        code, broken_run = _run(argv, capsys)
+        assert code == 2
+        expected = clean[:2] + [
+            "item=forcing-cases check=prop1-forcing verdict=violation witness=injected_breach"]
+        assert broken_run == expected + [_summary(expected)]
+
+    def test_broken_closed_join_parent_is_charged_to_its_item(self, monkeypatch, capsys):
+        argv = ["--machine", "campaign", "lattices", "--max-size", "3",
+                "--checks", ",".join(checks.LATTICE_CHECKS)]
+        batches, closed_join_frames = [], sub.closed_join_frames
+
+        def counted(parents):
+            parents = list(parents)
+            batches.append(tuple(frame.n for frame in parents))
+            return closed_join_frames(parents)
+        monkeypatch.setattr(sub, "closed_join_frames", counted)
+        code, clean = _run(argv, capsys)
+        assert code == 0
+        clean_batches, batches[:] = batches[:], []
+        errors = []
+
+        def tampering(parents):  # the third parent of the 3-element chunk loses a meet
+            parents = list(parents)
+            if {frame.n for frame in parents} == {3}:
+                frame = parents[2]
+                middle = next(a for a in range(3) if a not in (frame.bottom, frame.top))
+                parents[2] = tampered(frame, "meet", {(frame.bottom, middle): middle})
+                alone = closed_join_frames(parents[2:3])[0]
+                assert isinstance(alone, AssertionError)
+                errors.append(str(alone))
+            return counted(parents)
+        monkeypatch.setattr(sub, "closed_join_frames", tampering)
+        code, broken = _run(argv, capsys)
+        assert code == 2
+        assert batches == clean_batches  # every batch built once
+        assert len(errors) == 1
+        breached = {"sc-frame-law", "ppt", "weaksub-equiv", "axiom-monotonicity"}
+        names = list(checks.LATTICE_CHECKS) * ((len(clean) - 1) // len(checks.LATTICE_CHECKS))
+        assert len(names) == len(clean) - 1  # one record per check of every item
+        expected = [f"item=dist3:0002 check={name} verdict=violation "
+                    f"witness={cli._sanitize(errors[0])}"
+                    if _fields(line)["item"] == "dist3:0002" and name in breached else line
+                    for line, name in zip(clean[:-1], names)]
+        assert broken[:-1] == expected
+        assert broken[-1] == _summary(expected)
+        assert sum("verdict=violation" in line for line in broken) == len(breached)
+
+
+# Names that make an except clause catch a breach: the three types, the
+# tuple cli.BREACHES that holds them, and their bases.
+BREACH_NAMES = {"AssertionError", "TheoremViolation", "EquivalenceViolation", "BREACHES",
+                "Exception", "BaseException"}
+# The one function that records a breach as a violation, and the one that reports it.
+BREACH_CATCHERS = {("cli.py", "main"), ("cli.py", "_campaign")}
+
+
+def breach_handlers(source):
+    """(enclosing function, line) of every except clause in source that would
+    catch a breach: a bare except, or one naming a breach type by name or
+    attribute. A subclass such as realline.NotDescending is not one."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.ExceptHandler):
+            named = {sub.id if isinstance(sub, ast.Name) else sub.attr
+                     for sub in ast.walk(node.type) if isinstance(sub, (ast.Name, ast.Attribute))
+                     } if node.type is not None else BREACH_NAMES
+            if named & BREACH_NAMES:
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+    visit(ast.parse(source), None)
+    return found
+
+
+class TestBreachPolicy:
+    def test_scanner_sees_every_form(self):
+        source = ("def f():\n"
+                  "    try: pass\n    except AssertionError: pass\n"
+                  "    try: pass\n    except (ValueError, common.TheoremViolation): pass\n"
+                  "    try: pass\n    except: pass\n"
+                  "    try: pass\n    except rl.NotDescending: pass\n")
+        assert breach_handlers(source) == [("f", 3), ("f", 5), ("f", 7)]
+
+    def test_only_the_cli_catches_breaches(self):
+        found = {(path.name, function, line)
+                 for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+                 for function, line in breach_handlers(path.read_text())}
+        assert {(name, function) for name, function, _ in found} == BREACH_CATCHERS

@@ -1,9 +1,10 @@
+import traceback
 from random import Random
 
 import pytest
 
 from localekit import cli, corpus
-from localekit.common import BUDGETS, BudgetExceeded, pack_rows, unpack_rows
+from localekit.common import BUDGETS, BudgetExceeded, pack_rows, settled, unpack_rows
 from localekit.lattice import validate_frame
 from localekit.spaces import indiscrete, uc_lattice
 
@@ -17,6 +18,18 @@ def test_pack_unpack_round_trip(n):
     assert rows.tolist() == [[bool(m >> k & 1) for k in range(n)] for m in masks]
     assert pack_rows(rows) == masks
     assert unpack_rows((), n).shape == (0, n)
+
+
+def test_settled_raises_a_stored_error_afresh():
+    stored = AssertionError("stored")
+    depths = []
+    for _ in range(3):  # as when several checks of one item ask for it
+        with pytest.raises(AssertionError) as err:
+            settled(stored)
+        assert err.value is stored
+        depths.append(len(traceback.extract_tb(err.value.__traceback__)))
+    assert depths == [depths[0]] * 3
+    assert settled("result") == "result"
 
 
 def _chain_text(n):

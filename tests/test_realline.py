@@ -401,9 +401,10 @@ class TestLemmaInvariantFaults:
         def widened(lo, hi):  # the second form's interval at stage 5 only
             return original(2 * lo, 2 * hi) if hi == Fraction(1, 5) else original(lo, hi)
         monkeypatch.setattr(rl, "open_interval", widened)
-        report = checks.lemma_invariants(self.U, [Fraction(5)])
-        assert report.level == VIOLATION
-        assert report.witness == "term forms disagree at stage 5 for (1,2)"
+        # a breach: the campaign loop records it as this sample's violation
+        with pytest.raises(AssertionError,
+                           match=r"^term forms disagree at stage 5 for \(1,2\)$"):
+            checks.lemma_invariants(self.U, [Fraction(5)])
 
     def test_ascent_within_the_stages_fails(self, monkeypatch):
         _swap_stage(monkeypatch, 7, 3)

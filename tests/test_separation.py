@@ -1,8 +1,17 @@
-from localekit import corpus
-from localekit.separation import (is_subfit, is_symmetric, is_weakly_subfit,
+import pytest
+
+from localekit import corpus, separation
+from localekit.common import CheckReport, TheoremViolation
+from localekit.separation import (SeparationReport, is_subfit, is_symmetric, is_weakly_subfit,
                                   pseudocomplement_formula_check,
                                   subfit_correspondence_check)
-from localekit.sublocales import all_sublocales, closed_join_frame
+from localekit.sublocales import all_sublocales, closed_join_frame, dual_booleanization
+
+
+def complemented(frame):
+    """Which elements of the closed-join frame of frame have a complement."""
+    sc = closed_join_frame(frame).frame
+    return ((sc.join == sc.top) & (sc.meet == sc.bottom)).any(axis=1)
 
 
 class TestSubfit:
@@ -78,21 +87,29 @@ class TestSymmetric:
 
 class TestCorrespondence:
     def test_boolean_square(self, b2):
-        report = subfit_correspondence_check(b2)
-        assert report.subfit.holds and report.op_boolean and report.coincide
+        assert subfit_correspondence_check(b2) == CheckReport.passed("ppt")
+        assert is_subfit(b2).holds and complemented(b2).all()
+        assert {s.mask for s in dual_booleanization(b2)} == set(closed_join_frame(b2).masks)
 
     def test_chain3_consistent(self, c3):
-        report = subfit_correspondence_check(c3)
-        assert not report.subfit.holds
-        assert not report.op_boolean
-        assert report.op_boolean_witness == "{1,2}"
-        assert report.closed_join_count == 3
-        assert report.dual_regular_count == 4
+        assert subfit_correspondence_check(c3) == CheckReport.passed("ppt")
+        assert not is_subfit(c3).holds
+        cjf = closed_join_frame(c3)
+        assert cjf.elements[int(complemented(c3).argmin())].label() == "{1,2}"
+        assert len(cjf) == 3
+        assert len(dual_booleanization(c3)) == 4
 
     def test_regular_pairs_of_chain3(self, c3):
         frame = corpus.named_frames()["pairs(chain3)"]
-        report = subfit_correspondence_check(frame)
-        assert not report.subfit.holds and not report.op_boolean
+        assert subfit_correspondence_check(frame).ok
+        assert not is_subfit(frame).holds and not complemented(frame).all()
+
+    def test_disagreement_raises(self, c3, monkeypatch):
+        monkeypatch.setattr(separation, "is_subfit",
+                            lambda frame: SeparationReport("subfit", True))
+        with pytest.raises(TheoremViolation, match="^subfit=True but closed-join "
+                                                   r"complementation=False; witness=\{1,2\}"):
+            subfit_correspondence_check(c3)
 
     def test_corpus_never_violates(self, small_corpus):
         for frame in small_corpus:
@@ -102,25 +119,22 @@ class TestCorrespondence:
 
 class TestPseudocomplementFormula:
     def test_boolean_square(self, b2):
-        report = pseudocomplement_formula_check(b2)
-        assert report.applicable and report.passed
-        assert report.formula_ok and report.complements_ok and report.boolean_ok
+        assert pseudocomplement_formula_check(b2) == CheckReport.passed("pcformula")
 
     def test_chain3_not_applicable(self, c3):
-        report = pseudocomplement_formula_check(c3)
-        assert not report.applicable
-        assert report.formula_ok is None
-        assert report.passed  # N/A counts as passing the guard
+        # N/A counts as passing the guard
+        assert pseudocomplement_formula_check(c3) == CheckReport.passed("pcformula",
+                                                                        "not-applicable")
 
     def test_degenerate(self, c1):
-        assert pseudocomplement_formula_check(c1).passed
+        assert pseudocomplement_formula_check(c1).ok
 
     def test_weakly_subfit_corpus_members_pass(self, small_corpus):
         applicable = 0
         for frame in small_corpus:
             report = pseudocomplement_formula_check(frame)
-            assert report.passed
-            applicable += report.applicable
+            assert report.ok
+            applicable += report.witness != "not-applicable"
         assert applicable  # the Boolean members are in the corpus
 
 
@@ -135,5 +149,5 @@ class TestImplications:
         # On finite carriers the correspondence collapses subfitness to
         # complementedness; spot-check the equivalence both ways.
         for frame in small_corpus:
-            report = subfit_correspondence_check(frame)
-            assert report.subfit.holds == report.op_boolean
+            assert subfit_correspondence_check(frame).ok
+            assert is_subfit(frame).holds == complemented(frame).all()

@@ -3,8 +3,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from localekit.common import BudgetExceeded
-from localekit.spaces import (FiniteSpace, InvalidTopology, NotT0, UnionsOfClosed,
+from localekit import spaces
+from localekit.common import BudgetExceeded, CheckReport, TheoremViolation
+from localekit.separation import is_symmetric
+from localekit.spaces import (FiniteSpace, InvalidTopology, UnionsOfClosed,
                               bitstring, discrete, enumerate_topologies,
                               indiscrete, is_symmetric_space, is_t0, omega,
                               sierpinski, space_from_preorder,
@@ -247,20 +249,24 @@ class TestEnumeration:
 
 class TestTdRemark:
     def test_sierpinski_agrees_on_false(self):
-        report = td_remark_check(sierpinski())
-        assert report.agree
-        assert not report.space_symmetric.ok
-        assert not report.locale_symmetric.holds
+        assert td_remark_check(sierpinski()) == CheckReport.passed("td-remark")
+        assert not is_symmetric_space(sierpinski()).ok
+        assert not is_symmetric(omega(sierpinski())).holds
 
     def test_discrete_agrees_on_true(self):
-        report = td_remark_check(discrete(2))
-        assert report.space_symmetric.ok and report.locale_symmetric.holds
+        assert td_remark_check(discrete(2)) == CheckReport.passed("td-remark")
+        assert is_symmetric_space(discrete(2)).ok and is_symmetric(omega(discrete(2))).holds
 
-    def test_rejects_non_t0(self):
-        with pytest.raises(NotT0):
-            td_remark_check(indiscrete(2))
+    def test_skips_non_t0(self):
+        assert td_remark_check(indiscrete(2)) == CheckReport.passed("td-remark", "skipped-not-t0")
+
+    def test_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(spaces, "is_symmetric_space", lambda space: spaces.SpaceVerdict(True))
+        with pytest.raises(TheoremViolation,
+                           match=r"^space symmetry True but locale symmetry False on "):
+            td_remark_check(sierpinski())
 
     def test_all_t0_spaces_up_to_three_points(self):
         for n in range(4):
             for space in enumerate_topologies(n, t0_only=True):
-                assert td_remark_check(space).agree
+                assert td_remark_check(space) == CheckReport.passed("td-remark")

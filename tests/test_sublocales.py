@@ -479,7 +479,7 @@ class TestClosedJoinFrames:
 
     @pytest.mark.parametrize("position", [0, 2])
     @pytest.mark.parametrize("bad", ["meet", "join"])
-    def test_failing_frame_raises_its_own_error(self, tiny_corpus, bad, position):
+    def test_failing_frame_gets_its_own_error(self, tiny_corpus, bad, position):
         # the parent order is intact; one entry of the table carried over is not
         broken = tampered(tiny_corpus["bool2"], bad, {(1, 2): {"meet": 3, "join": 1}[bad]})
         message = {"meet": "closed-join join is not above both at (c(1), c(2))",
@@ -487,10 +487,18 @@ class TestClosedJoinFrames:
         alone = raised(lambda: closed_join_frame(broken))
         assert alone == (AssertionError, message, (message,))
         good = [tiny_corpus[name] for name in ("chain3", "bool3", "chain4", "grid2x3")]
-        # a later failing frame must not mask the first, even when its carrier size is built first
+        # each failing frame gets its own error, even when its carrier size is built first,
+        # and the frames around them are built as if alone
         later = tampered(tiny_corpus["chain3"], "meet", {(0, 1): 2})
         batch = good[:position] + [broken] + good[position:] + [later]
-        assert raised(lambda: closed_join_frames(batch)) == alone
+        outcomes = closed_join_frames(batch)
+        failed = {k for k, outcome in enumerate(outcomes) if isinstance(outcome, AssertionError)}
+        assert failed == {position, len(batch) - 1}
+        assert (type(outcomes[position]), str(outcomes[position])) == alone[:2]
+        assert str(outcomes[-1]) == raised(lambda: closed_join_frame(later))[1]
+        for outcome, frame in zip(outcomes, batch):
+            if not isinstance(outcome, AssertionError):
+                assert outcome.masks == closed_join_frame(frame).masks
 
 
 class TestClosedJoinMeet:
