@@ -9,9 +9,9 @@ replays for the statements that quantify over infinitely many stages.
 
 from .common import (BudgetExceeded, CheckReport, EquivalenceViolation,
                      TheoremViolation)
-from .lattice import (BooleanizationView, FiniteFrame, FinitePoset,
-                      NotALattice, NotDistributive, RegularPairFrame,
-                      booleanization, heyting, product_frame, pseudocomplement,
+from .lattice import (BooleanizationView, FiniteFrame, NotALattice,
+                      NotDistributive, RegularPairFrame, booleanization,
+                      heyting, order_closure, product_frame, pseudocomplement,
                       regular_pair_frame, validate_frame)
 from .sublocales import (ClosedJoinFrame, Sublocale, SublocaleLattice,
                          all_sublocales, closed_join_frame, closed_join_meet,

@@ -178,14 +178,14 @@ def sublocale_laws(frame: FiniteFrame,
 
 def axiom_monotonicity(frame: FiniteFrame,
                        cjf: Optional[sub.ClosedJoinFrame] = None) -> CheckReport:
-    """subfit implies weakly subfit and symmetric."""
+    """subfit implies weakly subfit and symmetric; a breach raises AssertionError."""
     sub_rep = separation.is_subfit(frame)
     if not sub_rep.holds:
         return CheckReport.passed("axiom-monotonicity", "not-subfit")
     if not separation.is_weakly_subfit(frame).holds:
-        return CheckReport.violated("axiom-monotonicity", "subfit but not weakly subfit")
+        raise AssertionError("subfit but not weakly subfit")
     if not separation.is_symmetric(frame, cjf).holds:
-        return CheckReport.violated("axiom-monotonicity", "subfit but not symmetric")
+        raise AssertionError("subfit but not symmetric")
     return CheckReport.passed("axiom-monotonicity")
 
 
@@ -268,14 +268,13 @@ def lemma_invariants(u: rl.RationalOpen, points: list[Fraction]) -> CheckReport:
 
     One family of terms is built per call: stages 1..max(STAGES, N) are each
     built and checked for descent once, and shared by the certificates; u ⊆
-    term is decided once per stage, and the recovery check reads that."""
+    term is decided once per stage, and the recovery check reads that. The
+    terms are antitone for every regular u, so a stage outside its
+    predecessor (NotDescending) or a certificate term holding its point is
+    a breach and raises, whichever stage it is found at."""
     name = "lemma1-invariants"
     family = rl.PaddedTerms(u)
-    try:
-        terms = family.upto(rl.STAGES)
-    except rl.NotDescending as exc:
-        return CheckReport.failed(name, f"terms not descending at stage {exc.stage}")
-    for n, term in enumerate(terms, start=1):
+    for n, term in enumerate(family.upto(rl.STAGES), start=1):
         if not rl.is_subset(u, term):
             return CheckReport.failed(name, f"u ⊄ term at stage {n}")
         if not rl.contains_point(term, 0):
@@ -286,7 +285,7 @@ def lemma_invariants(u: rl.RationalOpen, points: list[Fraction]) -> CheckReport:
         except (rl.PointInU, rl.ZeroPoint):
             return CheckReport.failed(name, f"sampler offered an in-set point {x}")
         if rl.contains_point(cert.term, x):
-            return CheckReport.violated(name, f"certificate term contains {x}")
+            raise AssertionError(f"certificate term contains {x}")
         if Fraction(1, cert.stage) >= abs(x):
             return CheckReport.failed(name, f"stage {cert.stage} too coarse for {x}")
     if not rl.recovery_report(u, rl.STAGES, containment=True).passed:

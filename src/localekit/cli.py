@@ -31,7 +31,7 @@ from typing import Optional
 from . import checks, corpus, io, realline as rl, separation, spaces as sp, sublocales as sub
 from .common import (PASS, FAIL, VIOLATION, BudgetExceeded, CheckReport, EquivalenceViolation,
                      TheoremViolation, within_budget)
-from .lattice import NotALattice, NotDistributive
+from .lattice import NotALattice, NotDistributive, cover_pairs
 from .spaces import FiniteSpace
 
 
@@ -121,7 +121,7 @@ def _check_frame(args, report: Report) -> None:
         return
     fields = {"item": args.file, "check": "frame", "verdict": checks.frame_laws(frame).level,
               "elements": str(frame.n),
-              "covers": ";".join(f"{i}<{j}" for i, j in frame.poset.covers())}
+              "covers": ";".join(f"{i}<{j}" for i, j in zip(*cover_pairs(frame.leq)))}
     report.add(human=f"valid frame with {frame.n} elements", **fields)
     report.human_lines.append(io.format_lattice(frame).rstrip("\n"))
 
@@ -236,7 +236,7 @@ def _campaign(report: Report, items, registry, names) -> int:
             try:
                 check = registry[name](subject)
             except BREACHES as exc:
-                check = CheckReport.violated(name, str(exc))
+                check = CheckReport(name, VIOLATION, str(exc))
             _record_from(report, item, check)
     return count
 

@@ -108,8 +108,9 @@ VIOLATION = "violation"
 class CheckReport:
     """Outcome of one named law check.
 
-    level is "pass", "fail" (counterexample found, witness says where) or
-    "violation" (internal consistency broken, see TheoremViolation).
+    level is "pass" or "fail" (counterexample found, witness says where). A
+    check whose own cross-check breaks raises instead, and only the campaign
+    loop records that breach, under level "violation".
     """
 
     name: str
@@ -130,7 +131,3 @@ class CheckReport:
     @classmethod
     def failed(cls, name: str, witness: str) -> "CheckReport":
         return cls(name, FAIL, witness)
-
-    @classmethod
-    def violated(cls, name: str, witness: str) -> "CheckReport":
-        return cls(name, VIOLATION, witness)

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .common import bits, slice_len, unpack_rows
-from .lattice import (FinitePoset, FiniteFrame, distributivity_witness, lattice_tables,
+from .lattice import (FiniteFrame, distributivity_witness, lattice_tables, order_closure,
                       validate_frame, validate_frames)
 from . import realline
 
@@ -144,10 +144,6 @@ def labeled_lattice_rows(n: int, distributive_only: bool = False) -> list[tuple[
     return _key_rows(_relabeled_keys(np.concatenate(natural)), n)
 
 
-def rows_to_poset(rows: tuple[int, ...]) -> FinitePoset:
-    return FinitePoset(unpack_rows(rows, len(rows)))
-
-
 def iter_distributive_frames(max_size: int) -> Iterator[tuple[str, FiniteFrame]]:
     """The labeled corpus: every labeled distributive lattice with <= max_size
     elements, validated as a frame, with a stable per-item name."""
@@ -176,35 +172,15 @@ def chunked(items: Iterable[tuple[str, FiniteFrame]]) -> Iterator[list[tuple[str
 # Named instances
 
 
-def chain_poset(n: int) -> FinitePoset:
-    return FinitePoset.from_relation(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def chain(n: int) -> FiniteFrame:
     """The n-element chain 0 < 1 < ... < n-1."""
-    return validate_frame(chain_poset(n))
+    return validate_frame(order_closure(n, [(i, i + 1) for i in range(n - 1)]))
 
 
 def boolean_cube(k: int) -> FiniteFrame:
     """Powerset of k atoms: the 2^k-element Boolean frame."""
     i = np.arange(1 << k)
-    return validate_frame(FinitePoset((i[:, None] & ~i) == 0))
-
-
-def diamond_poset() -> FinitePoset:
-    """M3: three incomparable atoms under a common top (not distributive)."""
-    return FinitePoset.from_relation(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
-
-
-def pentagon_poset() -> FinitePoset:
-    """N5 (a lattice, not distributive)."""
-    return FinitePoset.from_relation(5, [(0, 1), (1, 2), (0, 3), (2, 4), (3, 4)])
-
-
-def hexagon_poset() -> FinitePoset:
-    """Bounded poset where the two atoms have no supremum (not a lattice)."""
-    return FinitePoset.from_relation(
-        6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
+    return validate_frame((i[:, None] & ~i) == 0)
 
 
 def named_frames() -> dict[str, FiniteFrame]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from .common import within_budget
-from .lattice import FiniteFrame, FinitePoset, cover_pairs, validate_frame
+from .lattice import FiniteFrame, cover_pairs, order_closure, validate_frame
 from .spaces import FiniteSpace, bitstring
 from .sublocales import ClosedJoinFrame, SublocaleLattice
 
@@ -70,8 +70,7 @@ def load_lattice_text(text: str, budget: Optional[int] = None) -> FiniteFrame:
         except ValueError:
             raise ParseError(number, f"non-integer element in {line!r}") from None
     try:
-        poset = FinitePoset.from_relation(n, pairs)
-        return validate_frame(poset, max_size=budget)
+        return validate_frame(order_closure(n, pairs), max_size=budget)
     except ValueError as exc:
         raise ParseError(number, str(exc)) from exc
 
@@ -79,7 +78,7 @@ def load_lattice_text(text: str, budget: Optional[int] = None) -> FiniteFrame:
 def format_lattice(frame: FiniteFrame) -> str:
     """Canonical echo: header plus the cover relation of the canonical order."""
     lines = [f"lattice {frame.n}"]
-    lines += [f"{i} < {j}" for i, j in frame.poset.covers()]
+    lines += [f"{i} < {j}" for i, j in zip(*cover_pairs(frame.leq))]
     return "\n".join(lines) + "\n"
 
 
@@ -130,7 +129,7 @@ def _digraph(name: str, nodes: list[tuple[str, str]], edges: list[tuple[str, str
 
 def dot_hasse(frame: FiniteFrame) -> str:
     nodes = [(str(i), frame.labels[i]) for i in range(frame.n)]
-    edges = [(str(i), str(j)) for i, j in frame.poset.covers()]
+    edges = [(str(i), str(j)) for i, j in zip(*cover_pairs(frame.leq))]
     return _digraph("hasse", nodes, edges)
 
 
@@ -142,7 +141,7 @@ def dot_sublocales(lattice: SublocaleLattice) -> str:
 
 def dot_closed_joins(cjf: ClosedJoinFrame) -> str:
     nodes = [(str(i), cjf.frame.labels[i]) for i in range(len(cjf))]
-    edges = [(str(i), str(j)) for i, j in cjf.frame.poset.covers()]
+    edges = [(str(i), str(j)) for i, j in zip(*cover_pairs(cjf.frame.leq))]
     return _digraph("closed_joins", nodes, edges)
 
 

@@ -1,20 +1,23 @@
 """Finite frames: bounded distributive lattices with Heyting structure.
 
-Elements are dense integer indices. After validation the carrier is in
-canonical order: 0 is the bottom, n-1 the top, everything else keeps its
-relative input order. All derived tables (meet, join, Heyting implication)
-are precomputed eagerly, so quantified law checks reduce to table lookups.
-Frames are immutable after construction and safe to share.
+Elements are dense integer indices, and an order is an (n, n) boolean
+relation; `order_closure` builds one from order pairs. A frame holds its
+order itself, and `validate_frames` is the one place an order is checked.
+After validation the carrier is in canonical order: 0 is the bottom, n-1
+the top, everything else keeps its relative input order. All derived
+tables (meet, join, Heyting implication) are precomputed eagerly, so
+quantified law checks reduce to table lookups. Frames are immutable after
+construction and safe to share.
 
 This module is the one frame core, and it works on stacks: every check
 takes F orders of one carrier size as an (F, n, n) array and decides all
 of them with a fixed number of numpy calls. `validate_frames` validates a
-bare order: the poset checks, canonical order, meet/join tables from
+bare order: the order checks, canonical order, meet/join tables from
 `lattice_tables` (the common bound of largest rank, proved against every
 common bound), `distributivity_witness` on every triple, and the Heyting
 table a -> b, read off the adjunction a ∧ x <= b iff x <= a -> b as the
 greatest x on the left and proved by the adjunction check that follows.
-`validate_frame` and `FinitePoset` run the same code on a stack of one.
+`validate_frame` runs the same code on a stack of one.
 `set_frame` reads a ring of sets' tables off ∩ and ∪ instead.
 """
 
@@ -54,98 +57,39 @@ class ClosureViolation(AssertionError):
     internal breach, like every AssertionError."""
 
 
-class FinitePoset:
-    """An immutable bounded partial order on indices 0..n-1.
-
-    leq is a read-only boolean matrix; leq[i, j] holds iff i <= j. The
-    constructor verifies reflexivity, antisymmetry, transitivity, and the
-    existence of a unique bottom and a unique top.
-    """
-
-    def __init__(self, leq):
-        leq = np.array(leq, dtype=bool)
-        if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
-            raise InvalidPoset("leq must be a square boolean matrix")
-        if leq.shape[0] == 0:
-            raise InvalidPoset("empty carrier has no bottom or top")
-        checks, bad = _order_checks(leq[None])
-        if bad[0]:
-            raise _order_error(checks, 0)
-        leq.flags.writeable = False
-        self._set(leq, int(checks.bottoms[0].argmax()), int(checks.tops[0].argmax()))
-
-    def _set(self, leq, bottom: int, top: int) -> None:
-        self.n = int(leq.shape[0])
-        self.leq = leq
-        self.bottom = bottom
-        self.top = top
-
-    @classmethod
-    def _checked(cls, leq, bottom: int, top: int) -> "FinitePoset":
-        """A poset on a read-only relation known to be a bounded order: one that
-        passed _order_checks, or such an order reversed and relabelled."""
-        poset = cls.__new__(cls)
-        poset._set(leq, bottom, top)
-        return poset
-
-    @classmethod
-    def from_relation(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "FinitePoset":
-        """Build from asserted order pairs (covers or full leq, mixed is fine).
-
-        The reflexive-transitive closure is taken, so a Hasse diagram and a
-        full relation produce the same poset.
-        """
-        rel = np.eye(n, dtype=bool)
-        for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < n):
-                raise InvalidPoset(f"pair ({i}, {j}) out of range for carrier {n}")
-            rel[i, j] = True
-        while True:
-            closed = rel | (rel @ rel)
-            if np.array_equal(closed, rel):
-                break
-            rel = closed
-        return cls(rel)
-
-    def covers(self) -> list[tuple[int, int]]:
-        """Pairs (i, j) where j covers i: i < j with nothing in between."""
-        return list(zip(*(side.tolist() for side in cover_pairs(self.leq))))
-
-    def __repr__(self):
-        return f"FinitePoset(n={self.n}, covers={self.covers()})"
+def order_closure(n: int, pairs: Iterable[tuple[int, int]]):
+    """The reflexive-transitive closure of asserted order pairs on 0..n-1
+    (covers or full leq, mixed is fine), as an (n, n) boolean relation: a
+    Hasse diagram and its full order give the same relation."""
+    rel = np.eye(n, dtype=bool)
+    for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < n):
+            raise InvalidPoset(f"pair ({i}, {j}) out of range for carrier {n}")
+        rel[i, j] = True
+    while True:
+        closed = rel | (rel @ rel)
+        if np.array_equal(closed, rel):
+            return rel
+        rel = closed
 
 
 class FiniteFrame:
-    """A validated frame: canonical poset plus meet/join/Heyting tables.
+    """A validated frame: its canonical order plus meet/join/Heyting tables.
 
-    Not constructed directly; use validate_frame or validate_frames,
-    set_frame for a ring of sets, or sublocales.closed_join_frames, which
-    reads a validated frame upside down. Instances are immutable (tables
-    carry read-only numpy flags) and safe to share between workers.
+    leq is a read-only boolean matrix, leq[i, j] iff i <= j, with the bottom
+    at 0 and the top at n-1. Not constructed directly; use validate_frame or
+    validate_frames, set_frame for a ring of sets, or
+    sublocales.closed_join_frames, which reads a validated frame upside down.
+    Instances are immutable (tables carry read-only numpy flags) and safe to
+    share between workers.
     """
 
-    def __init__(self, poset: FinitePoset, meet, join, imp, labels):
-        self.poset = poset
-        self.meet = meet
-        self.join = join
-        self.imp = imp
-        self.labels = labels
+    bottom = 0
 
-    @property
-    def n(self) -> int:
-        return self.poset.n
-
-    @property
-    def leq(self):
-        return self.poset.leq
-
-    @property
-    def bottom(self) -> int:
-        return 0
-
-    @property
-    def top(self) -> int:
-        return self.poset.n - 1
+    def __init__(self, leq, meet, join, imp, labels):
+        self.leq, self.meet, self.join, self.imp, self.labels = leq, meet, join, imp, labels
+        self.n = len(leq)
+        self.top = self.n - 1
 
     @cached_property
     def star(self):
@@ -343,9 +287,7 @@ def validate_frames(leqs, labels: Optional[Sequence[Sequence[str]]] = None) -> l
 
     for table in (canon, meet, join, imp):
         table.flags.writeable = False
-    return [FiniteFrame(FinitePoset._checked(canon[k], 0, n - 1), meet[k], join[k], imp[k],
-                        labels[k])
-            for k in range(count)]
+    return [FiniteFrame(canon[k], meet[k], join[k], imp[k], labels[k]) for k in range(count)]
 
 
 def set_frame(rows, labels: Sequence[str]) -> FiniteFrame:
@@ -374,23 +316,22 @@ def set_frame(rows, labels: Sequence[str]) -> FiniteFrame:
         raise AssertionError(f"heyting adjunction broke at ({a}, {x}, {b})")
     for table in (leq, meet, join, imp):
         table.flags.writeable = False
-    return FiniteFrame(FinitePoset._checked(leq, 0, m - 1), meet, join, imp[0], tuple(labels))
+    return FiniteFrame(leq, meet, join, imp[0], tuple(labels))
 
 
-def validate_frame(poset: FinitePoset, labels: Optional[Sequence[str]] = None,
+def validate_frame(leq, labels: Optional[Sequence[str]] = None,
                    max_size: Optional[int] = None) -> FiniteFrame:
-    """Check a bounded poset is a frame and precompute its tables.
+    """Check an order relation (n, n) is a frame and precompute its tables.
 
-    The budget and label checks, then validate_frames on a stack of one:
-    canonical carrier (bottom to 0, top to n-1), meet/join tables,
-    distributivity on every triple, and the Heyting table with the
+    The frame budget check, then validate_frames on a stack of one: the
+    order checks, canonical carrier (bottom to 0, top to n-1), meet/join
+    tables, distributivity on every triple, and the Heyting table with the
     adjunction x ∧ a <= b iff x <= a -> b checked on every triple. Raises
-    NotALattice or NotDistributive with a witness.
+    InvalidPoset, NotALattice or NotDistributive with a witness.
     """
-    within_budget("frame", poset.n, max_size)
-    if labels is not None and len(labels) != poset.n:
-        raise ValueError("labels length must match carrier size")
-    return validate_frames(poset.leq[None], None if labels is None else [labels])[0]
+    leq = np.asarray(leq, dtype=bool)
+    within_budget("frame", len(leq) if leq.ndim else 0, max_size)
+    return validate_frames(leq[None], None if labels is None else [labels])[0]
 
 
 def heyting(frame: FiniteFrame, a: int, b: int) -> int:
@@ -449,8 +390,7 @@ class BooleanizationView:
     def as_frame(self) -> FiniteFrame:
         """The view as a standalone frame (a Boolean algebra)."""
         sub = self.parent.leq[np.ix_(self.carrier, self.carrier)]
-        frame = validate_frame(FinitePoset(sub),
-                               labels=[self.parent.labels[a] for a in self.carrier])
+        frame = validate_frame(sub, labels=[self.parent.labels[a] for a in self.carrier])
         # Carrier is ascending with parent bottom/top at the ends, so the
         # canonical order is the identity and tables line up positionally.
         expected = np.array([[self.position[int(self.join_table[i, j])]
@@ -474,7 +414,7 @@ def product_frame(left: FiniteFrame, right: FiniteFrame) -> FiniteFrame:
     """
     leq = np.kron(left.leq.astype(np.uint8), right.leq.astype(np.uint8)).astype(bool)
     labels = tuple(f"({a},{b})" for a in left.labels for b in right.labels)
-    frame = validate_frame(FinitePoset(leq), labels)
+    frame = validate_frame(leq, labels)
     if frame.labels != labels:
         raise AssertionError("product carrier left canonical order")
     return frame
@@ -495,8 +435,7 @@ class RegularPairFrame:
         b = np.array(view.carrier, dtype=np.intp)[k]
         pairs = tuple(zip(a.tolist(), b.tolist()))
         labels = tuple(f"({base.labels[x]},{base.labels[y]})" for x, y in pairs)
-        frame = validate_frame(FinitePoset(base.leq[np.ix_(a, a)] & base.leq[np.ix_(b, b)]),
-                               labels)
+        frame = validate_frame(base.leq[np.ix_(a, a)] & base.leq[np.ix_(b, b)], labels)
         if frame.labels != labels:
             raise AssertionError("pair carrier left canonical order")
         position = np.full((base.n, base.n), -1, dtype=np.intp)

@@ -154,7 +154,8 @@ def pseudocomplement_formula_check(frame: FiniteFrame) -> CheckReport:
     "pcformula" passes as not-applicable when the frame is not weakly
     subfit. When it is, a* must equal the meet of {x : x ∨ a = 1}; finite
     frames are also coframes, so a ∨ a* = 1 must follow and the frame must
-    be Boolean. The first of these to break is a violation, with a witness.
+    be Boolean. The first of these to break raises AssertionError with a
+    witness.
     """
     name = "pcformula"
     if not is_weakly_subfit(frame).holds:
@@ -166,12 +167,12 @@ def pseudocomplement_formula_check(frame: FiniteFrame) -> CheckReport:
         bound = reduce(lambda u, v: int(meet[u, v]), covers)
         if bound != int(star[a]):
             labels = frame.labels
-            return CheckReport.violated(name, f"a={labels[a]}: meet of covers is "
-                                              f"{labels[bound]}, a*={labels[int(star[a])]}")
+            raise AssertionError(f"a={labels[a]}: meet of covers is "
+                                 f"{labels[bound]}, a*={labels[int(star[a])]}")
     for a in range(n):
         if int(join[a, star[a]]) != top:
-            return CheckReport.violated(name, f"a ∨ a* ≠ 1 at {frame.labels[a]}")
+            raise AssertionError(f"a ∨ a* ≠ 1 at {frame.labels[a]}")
     for a in range(n):
         if not any(int(meet[a, c]) == 0 and int(join[a, c]) == top for c in range(n)):
-            return CheckReport.violated(name, f"{frame.labels[a]} has no complement")
+            raise AssertionError(f"{frame.labels[a]} has no complement")
     return CheckReport.passed(name)

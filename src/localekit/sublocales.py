@@ -36,8 +36,8 @@ import numpy as np
 
 from .common import (CheckReport, bits, pack_rows, settled, slice_len, unpack_rows,
                      within_budget)
-from .lattice import (FiniteFrame, FinitePoset, containment_order, cover_pairs,
-                      distributivity_witness, heyting_tables)
+from .lattice import (FiniteFrame, containment_order, cover_pairs, distributivity_witness,
+                      heyting_tables)
 
 
 class MixedParents(ValueError):
@@ -341,7 +341,7 @@ class ClosedJoinFrame:
         """Meet distributes over binary joins on every triple (plus the dual).
 
         Finite lattices are distributive iff dually distributive, so the two
-        verdicts must agree; pass means both hold.
+        verdicts must agree (AssertionError if not); pass means both hold.
         """
         meet, join = self.frame.meet[None], self.frame.join[None]
         down, up = distributivity_witness(meet, join)[0], distributivity_witness(join, meet)[0]
@@ -349,9 +349,7 @@ class ClosedJoinFrame:
         if frame_ok and co_ok:
             return CheckReport.passed("closed-join-frame-law")
         if frame_ok != co_ok:
-            return CheckReport.violated(
-                "closed-join-frame-law",
-                f"distributive={frame_ok} but dually distributive={co_ok}")
+            raise AssertionError(f"distributive={frame_ok} but dually distributive={co_ok}")
         names = [self.elements[int(k)].label()
                  for k in np.unravel_index(down, (len(self),) * 3)]
         return CheckReport.failed("closed-join-frame-law", f"triple {names}")
@@ -401,8 +399,7 @@ def closed_join_frames(parents: Iterable[FiniteFrame]) -> list[ClosedJoinFrame |
                        "meet is not below both", "Heyting adjunction breaks")[stage]
                 built[k] = AssertionError(f"closed-join {law} at ({where})")
                 continue
-            frame = FiniteFrame(FinitePoset._checked(leq[g], 0, n - 1), meet[g], join[g], imp[g],
-                                labels)
+            frame = FiniteFrame(leq[g], meet[g], join[g], imp[g], labels)
             built[k] = ClosedJoinFrame(parent, tuple(gens[g].tolist()), frame)
     return built
 

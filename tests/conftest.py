@@ -54,14 +54,13 @@ def tiny_corpus():
 @pytest.fixture(scope="session")
 def chain65():
     """The 65-element chain: one element past the default frame budget."""
-    from localekit.lattice import validate_frame
-    return validate_frame(corpus.chain_poset(65), max_size=65)
+    from localekit.lattice import order_closure, validate_frame
+    return validate_frame(order_closure(65, [(i, i + 1) for i in range(64)]), max_size=65)
 
 
 @pytest.fixture(scope="session")
 def cube7():
     """The 128-element Boolean cube (7 atoms), past the default frame budget."""
-    from localekit.lattice import FinitePoset, validate_frame
+    from localekit.lattice import validate_frame
     n = 128
-    return validate_frame(FinitePoset([[i & ~j == 0 for j in range(n)] for i in range(n)]),
-                          max_size=n)
+    return validate_frame([[i & ~j == 0 for j in range(n)] for i in range(n)], max_size=n)

@@ -15,7 +15,7 @@ import numpy as np
 from localekit import realline as rl
 from localekit.common import CheckReport, bits, unpack_rows
 from localekit.corpus import iter_natural_posets
-from localekit.lattice import FiniteFrame, validate_frames
+from localekit.lattice import FiniteFrame, order_closure, validate_frames
 from localekit.sublocales import meet_closure
 
 
@@ -25,7 +25,30 @@ def tampered(frame: FiniteFrame, table: str, entries) -> FiniteFrame:
     tables = {name: getattr(frame, name).copy() for name in ("meet", "join", "imp")}
     for (i, j), value in entries.items():
         tables[table][i, j] = value
-    return FiniteFrame(frame.poset, tables["meet"], tables["join"], tables["imp"], frame.labels)
+    return FiniteFrame(frame.leq, tables["meet"], tables["join"], tables["imp"], frame.labels)
+
+
+# ---------------------------------------------------------------------------
+# Named orders that are no frames, as (n, n) relations
+
+
+def rows_to_leq(rows: tuple[int, ...]):
+    return unpack_rows(rows, len(rows))
+
+
+def diamond_leq():
+    """M3: three incomparable atoms under a common top (not distributive)."""
+    return order_closure(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+
+
+def pentagon_leq():
+    """N5 (a lattice, not distributive)."""
+    return order_closure(5, [(0, 1), (1, 2), (0, 3), (2, 4), (3, 4)])
+
+
+def hexagon_leq():
+    """Bounded poset where the two atoms have no supremum (not a lattice)."""
+    return order_closure(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
 
 
 # ---------------------------------------------------------------------------

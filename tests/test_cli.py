@@ -2,12 +2,15 @@ import ast
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from localekit import checks, cli, common, corpus, io, realline, spaces, sublocales as sub
+from localekit import (checks, cli, common, corpus, io, realline, separation, spaces,
+                       sublocales as sub)
 from localekit.lattice import ClosureViolation, NotALattice
+from localekit.separation import SeparationReport
 from localekit.spaces import discrete, sierpinski
 
 from oracles import tampered
@@ -532,6 +535,43 @@ class TestIsolation:
             "item=forcing-cases check=prop1-forcing verdict=violation witness=injected_breach"]
         assert broken_run == expected + [_summary(expected)]
 
+    @staticmethod
+    def one_sided(monkeypatch, breaking_call):
+        """Make the dual distributivity verdict of the closed-join frame law
+        fail on its given call (1-based, counting both directions)."""
+        calls, witness = [], sub.distributivity_witness
+
+        def counted(meet, join):
+            calls.append(1)
+            return witness(meet, join) if len(calls) != breaking_call else np.array([0])
+        monkeypatch.setattr(sub, "distributivity_witness", counted)
+
+    def test_one_sided_closed_join_law_is_an_sc_frame_law_violation(self, monkeypatch, capsys):
+        argv = ["--machine", "campaign", "lattices", "--max-size", "2", "--checks", "sc-frame-law"]
+        code, clean = _run(argv, capsys)
+        assert code == 0
+        self.one_sided(monkeypatch, 4)  # the dual verdict of the second item
+        code, broken = _run(argv, capsys)
+        assert code == 2
+        expected = clean[:-1]
+        expected[1] = ("item=dist2:0000 check=sc-frame-law verdict=violation "
+                       "witness=distributive=True_but_dually_distributive=False")
+        assert broken == expected + [_summary(expected)]
+
+    def test_one_sided_closed_join_law_in_sc_exits_2(self, monkeypatch, c3_file, capsys):
+        self.one_sided(monkeypatch, 2)
+        assert cli.main(["--machine", "sc", c3_file]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "violation: distributive=True but dually distributive=False\n")
+
+    def test_cover_formula_breach_in_separation_exits_2(self, monkeypatch, c3_file, capsys):
+        # the 3-chain taken for weakly subfit: the covers of 1 meet in 2, but 1* = 0
+        monkeypatch.setattr(separation, "is_weakly_subfit",
+                            lambda frame: SeparationReport("weakly-subfit", True))
+        assert cli.main(["--machine", "separation", c3_file, "--axiom", "pcformula"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "violation: a=1: meet of covers is 2, a*=0\n")
+
     def test_broken_closed_join_parent_is_charged_to_its_item(self, monkeypatch, capsys):
         argv = ["--machine", "campaign", "lattices", "--max-size", "3",
                 "--checks", ",".join(checks.LATTICE_CHECKS)]
@@ -617,3 +657,34 @@ class TestBreachPolicy:
                  for path in sorted(Path(cli.__file__).parent.glob("*.py"))
                  for function, line in breach_handlers(path.read_text())}
         assert {(name, function) for name, function, _ in found} == BREACH_CATCHERS
+
+
+# The names that turn a breach into data: a check raises instead, and only
+# common (which defines the level) and cli (whose campaign loop records a
+# breach) may name them.
+VIOLATION_NAMES = {"VIOLATION", "violated"}
+VIOLATION_MODULES = {"common.py", "cli.py"}
+
+
+def violation_names(source):
+    """The lines of source that use a name of VIOLATION_NAMES: as a name, an
+    attribute, an import, a definition or a keyword."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   for attr in ("id", "attr", "name", "arg")
+                   if getattr(node, attr, None) in VIOLATION_NAMES})
+
+
+class TestViolationPolicy:
+    def test_scanner_sees_every_form(self):
+        source = ("from .common import VIOLATION\n"
+                  "level = common.VIOLATION\n"
+                  "report = CheckReport.violated('name', 'witness')\n"
+                  "def violated(): pass\n"
+                  "record(violated=True)\n"
+                  "violation = 'violation'\n")
+        assert violation_names(source) == [1, 2, 3, 4, 5]
+
+    def test_only_common_and_cli_name_a_violation(self):
+        found = {path.name for path in Path(cli.__file__).parent.glob("*.py")
+                 if violation_names(path.read_text())}
+        assert found <= VIOLATION_MODULES

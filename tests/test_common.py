@@ -3,9 +3,9 @@ from random import Random
 
 import pytest
 
-from localekit import cli, corpus
+from localekit import cli
 from localekit.common import BUDGETS, BudgetExceeded, pack_rows, settled, unpack_rows
-from localekit.lattice import validate_frame
+from localekit.lattice import order_closure, validate_frame
 from localekit.spaces import indiscrete, uc_lattice
 
 
@@ -48,8 +48,8 @@ CLI_SITES = {
 }
 # site: (bound, size, call with a budget), for sites no flag reaches.
 DIRECT_SITES = {
-    "lattice.validate_frame": ("frame", 65, lambda budget: validate_frame(corpus.chain_poset(65),
-                                                                          max_size=budget)),
+    "lattice.validate_frame": ("frame", 65, lambda budget: validate_frame(
+        order_closure(65, [(i, i + 1) for i in range(64)]), max_size=budget)),
     "spaces.uc_lattice": ("space", 9, lambda budget: uc_lattice(indiscrete(9), budget)),
 }
 

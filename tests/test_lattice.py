@@ -4,41 +4,76 @@ from random import Random
 import numpy as np
 import pytest
 
-from localekit import corpus
+from localekit import corpus, io, lattice
 from localekit.common import BudgetExceeded
-from localekit.lattice import (ClosureViolation, FiniteFrame, FinitePoset, InvalidPoset,
+from localekit.lattice import (ClosureViolation, FiniteFrame, InvalidPoset,
                                NotALattice, NotDistributive, booleanization, containment_order,
-                               heyting, heyting_tables,
+                               cover_pairs, heyting, heyting_tables, order_closure,
                                product_frame, pseudocomplement, regular_pair_frame, set_frame,
                                validate_frame, validate_frames)
 
 from oracles import (brute_heyting, brute_is_distributive, brute_join, brute_meet,
-                     find_order_isomorphism)
+                     diamond_leq, find_order_isomorphism, hexagon_leq, pentagon_leq)
 
 
 def as_rows(frame):
     return [[bool(frame.leq[i, j]) for j in range(frame.n)] for i in range(frame.n)]
 
 
-class TestFinitePoset:
-    def test_rejects_missing_bottom(self):
-        with pytest.raises(InvalidPoset, match="bottom"):
-            FinitePoset([[True, False], [False, True]])
+# Relations that are no bounded orders, and the InvalidPoset message of each.
+BAD_ORDERS = {
+    "not reflexive": ([[False, True], [False, True]], "^not reflexive at 0$"),
+    "cycle": (order_closure(3, [(0, 1), (1, 2), (2, 0)]), r"^antisymmetry fails on \(0, 1\)$"),
+    "not transitive": ([[True, True, False], [False, True, True], [False, False, True]],
+                       r"^transitivity fails on \(0, 2\)$"),
+    "two minimal elements": ([[True, False], [False, True]],
+                             r"^need exactly one bottom, found \[\]$"),
+    "two maximal elements": (order_closure(3, [(0, 1), (0, 2)]),
+                             r"^need exactly one top, found \[\]$"),
+    "empty": (np.zeros((0, 0), dtype=bool), "^empty carrier has no bottom or top$"),
+    "non-square": (np.ones((2, 3), dtype=bool), "^leq must be a square boolean matrix$"),
+    "scalar": (True, "^leq must be a square boolean matrix$"),
+}
 
-    def test_rejects_cycle(self):
-        with pytest.raises(InvalidPoset, match="antisymmetry"):
-            FinitePoset.from_relation(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
+
+class TestOrderChecks:
+    @pytest.mark.parametrize("case", BAD_ORDERS)
+    def test_validate_frame_names_the_broken_order_law(self, case):
+        leq, message = BAD_ORDERS[case]
+        with pytest.raises(InvalidPoset, match=message):
+            validate_frame(leq)
+
+    def test_closure_rejects_a_pair_out_of_range(self):
+        with pytest.raises(InvalidPoset, match=r"^pair \(0, 3\) out of range for carrier 3$"):
+            order_closure(3, [(0, 1), (0, 3)])
 
     def test_covers_and_closure_agree(self):
-        covers = FinitePoset.from_relation(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        explicit = FinitePoset.from_relation(
-            4, [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)])
-        assert np.array_equal(covers.leq, explicit.leq)
-        assert covers.covers() == [(0, 1), (0, 2), (1, 3), (2, 3)]
+        covers = order_closure(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        explicit = order_closure(4, [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)])
+        assert np.array_equal(covers, explicit)
+        assert [tuple(side.tolist()) for side in cover_pairs(covers)] == [(0, 0, 1, 2),
+                                                                           (1, 2, 3, 3)]
 
-    def test_empty_carrier_rejected(self):
-        with pytest.raises(InvalidPoset):
-            FinitePoset(np.zeros((0, 0), dtype=bool))
+    @pytest.mark.parametrize("build", ["load_lattice_text", "named_frames"])
+    def test_each_order_is_checked_once(self, monkeypatch, build):
+        calls = {"validate_frames": 0, "_order_checks": 0}
+
+        def counted(name):
+            original = getattr(lattice, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(lattice, name, wrapper)
+        for name in calls:
+            counted(name)
+        if build == "load_lattice_text":
+            io.load_lattice_text("lattice 3\n0 < 1\n1 < 2\n")
+            assert calls["validate_frames"] == 1
+        else:
+            corpus.named_frames()
+            assert calls["validate_frames"] == 18
+        assert calls["_order_checks"] == calls["validate_frames"]
 
 
 class TestValidateFrame:
@@ -56,35 +91,37 @@ class TestValidateFrame:
 
     def test_diamond_is_not_distributive(self):
         with pytest.raises(NotDistributive) as err:
-            validate_frame(corpus.diamond_poset())
+            validate_frame(diamond_leq())
         a, b, c = (int(v) for v in err.value.triple)
-        rows = [[bool(v) for v in row]
-                for row in corpus.diamond_poset().leq]
+        rows = [[bool(v) for v in row] for row in diamond_leq()]
         lhs = brute_meet(rows, a, brute_join(rows, b, c))
         rhs = brute_join(rows, brute_meet(rows, a, b), brute_meet(rows, a, c))
         assert lhs != rhs
 
     def test_pentagon_is_not_distributive(self):
         with pytest.raises(NotDistributive):
-            validate_frame(corpus.pentagon_poset())
+            validate_frame(pentagon_leq())
 
     def test_hexagon_is_not_a_lattice(self):
         with pytest.raises(NotALattice) as err:
-            validate_frame(corpus.hexagon_poset())
+            validate_frame(hexagon_leq())
         # pairs are scanned (i, j >= i), infimum first: the atoms lack a join
         assert err.value.pair == ("1", "2")
         assert err.value.kind == "supremum"
 
     def test_canonicalization_moves_bounds(self):
         # 3-chain entered upside down: 2 < 1 < 0
-        poset = FinitePoset.from_relation(3, [(2, 1), (1, 0)])
-        frame = validate_frame(poset)
+        frame = validate_frame(order_closure(3, [(2, 1), (1, 0)]))
         assert frame.labels == ("2", "1", "0")
-        assert frame.poset.bottom == 0 and frame.poset.top == 2
+        assert frame.bottom == 0 and frame.top == 2
 
     def test_budget(self, c3):
         with pytest.raises(BudgetExceeded):
-            validate_frame(c3.poset, max_size=2)
+            validate_frame(c3.leq, max_size=2)
+
+    def test_rejects_a_wrong_label_count(self, c3):
+        with pytest.raises(ValueError, match="^labels length must match carrier size$"):
+            validate_frame(c3.leq, ["a", "b"])
 
     def test_tables_match_brute_force_on_corpus(self, small_corpus, tiny_corpus):
         # the named frames add carriers up to 12 elements (products, pairs)
@@ -134,9 +171,9 @@ class TestValidateFrames:
             stacked = validate_frames(leqs, [labels for _, labels in items])
             assert len(stacked) == len(items)
             for got, (leq, labels) in zip(stacked, items):
-                want = validate_frame(FinitePoset(leq), labels)
+                want = validate_frame(leq, labels)
                 assert got.labels == want.labels
-                assert (got.poset.bottom, got.poset.top) == (0, n - 1)
+                assert (got.bottom, got.top) == (0, n - 1)
                 for name in ("leq", "meet", "join", "imp"):
                     table, expected = getattr(got, name), getattr(want, name)
                     assert table.dtype == expected.dtype
@@ -145,7 +182,7 @@ class TestValidateFrames:
                 assert got.up_masks == want.up_masks
 
     def test_default_labels_are_input_indices(self):
-        upside_down = FinitePoset.from_relation(3, [(2, 1), (1, 0)]).leq
+        upside_down = order_closure(3, [(2, 1), (1, 0)])
         frames = validate_frames(np.stack([upside_down, upside_down[::-1, ::-1]]))
         assert [frame.labels for frame in frames] == [("2", "1", "0"), ("0", "1", "2")]
 
@@ -154,9 +191,8 @@ class TestValidateFrames:
     def test_failing_frame_raises_its_own_witness(self, bad, position):
         rng = Random(position)
         if bad in ("pentagon", "diamond", "hexagon"):
-            poset = getattr(corpus, f"{bad}_poset")()
-            leq, labels = poset.leq, [f"e{i}" for i in range(poset.n)]
-            alone = raised(lambda: validate_frame(poset, labels))
+            leq = {"pentagon": pentagon_leq, "diamond": diamond_leq, "hexagon": hexagon_leq}[bad]()
+            labels = [f"e{i}" for i in range(len(leq))]
         else:
             leq = np.eye(5, dtype=bool)
             if bad == "cycle":
@@ -164,11 +200,11 @@ class TestValidateFrames:
             else:
                 leq[0, :] = True
             labels = [f"e{i}" for i in range(5)]
-            alone = raised(lambda: FinitePoset(leq))
+        alone = raised(lambda: validate_frame(leq, labels))
         good = [shuffled(corpus.chain(len(leq)), rng) for _ in range(4)]
         items = good[:position] + [(leq, labels)] + good[position:]
         if bad != "hexagon":  # a later failing frame must not mask the first one
-            items.append((corpus.pentagon_poset().leq, list("abcde")))
+            items.append((pentagon_leq(), list("abcde")))
         leqs = np.stack([item for item, _ in items])
         batch = raised(lambda: validate_frames(leqs, [item for _, item in items]))
         assert batch == alone
@@ -216,7 +252,7 @@ class TestSetFrame:
             for j, b in enumerate(members):
                 assert set(members[frame.meet[i, j]]) == set(a) & set(b)
                 assert set(members[frame.join[i, j]]) == set(a) | set(b)
-                assert frame.imp[i, j] == heyting(validate_frame(frame.poset), i, j)
+                assert frame.imp[i, j] == heyting(validate_frame(frame.leq), i, j)
 
     # rows missing one union or intersection, and the first pair (row-major,
     # union before intersection) whose result is not a row
@@ -374,7 +410,7 @@ class TestRegularPairs:
         tables = {t: getattr(frame, t).copy() for t in ("meet", "join", "imp")}
         for table, a, b, value in edits:
             tables[table][a, b] = value
-        broken = FiniteFrame(frame.poset, tables["meet"], tables["join"], tables["imp"],
+        broken = FiniteFrame(frame.leq, tables["meet"], tables["join"], tables["imp"],
                              frame.labels)
         with pytest.raises(ClosureViolation) as err:
             regular_pair_frame(broken)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from localekit import checks
 from localekit import realline as rl
-from localekit.common import FAIL, VIOLATION
 from localekit.realline import (NEG_INF, POS_INF, EmptyInterval,
                                 InvalidPair, KRealPair, NotRegular, PointInside,
                                 NotDescending, PaddedTerms, PointInU,
@@ -406,10 +405,10 @@ class TestLemmaInvariantFaults:
                            match=r"^term forms disagree at stage 5 for \(1,2\)$"):
             checks.lemma_invariants(self.U, [Fraction(5)])
 
-    def test_ascent_within_the_stages_fails(self, monkeypatch):
+    def test_ascent_within_the_stages_raises(self, monkeypatch):
         _swap_stage(monkeypatch, 7, 3)
-        report = checks.lemma_invariants(self.U, [Fraction(5)])
-        assert (report.level, report.witness) == (FAIL, "terms not descending at stage 7")
+        with pytest.raises(AssertionError, match="^terms are not descending at stage 7$"):
+            checks.lemma_invariants(self.U, [Fraction(5)])
 
     def test_ascent_beyond_the_stages_raises_from_the_certificate(self, monkeypatch):
         _swap_stage(monkeypatch, 25, 3)
@@ -417,13 +416,13 @@ class TestLemmaInvariantFaults:
         with pytest.raises(AssertionError, match="^terms are not descending at stage 25$"):
             checks.lemma_invariants(self.U, [Fraction(5), Fraction(1, 30)])
 
-    def test_certificate_term_containing_the_point_is_a_violation(self, monkeypatch):
+    def test_certificate_term_containing_the_point_raises(self, monkeypatch):
         def lying(family, x):
             return rl.ObstructionCertificate(point=x, stage=3, term=RationalOpen.reals(),
                                              antitone_checked=3)
         monkeypatch.setattr(rl.PaddedTerms, "certificate", lying)
-        report = checks.lemma_invariants(self.U, [Fraction(1, 2)])
-        assert (report.level, report.witness) == (VIOLATION, "certificate term contains 1/2")
+        with pytest.raises(AssertionError, match="^certificate term contains 1/2$"):
+            checks.lemma_invariants(self.U, [Fraction(1, 2)])
 
 
 class TestDescendingPairs:
