@@ -39,7 +39,8 @@ from . import sublocales as sub
 class FrameStructure:
     """One campaign item: its frame, S(L) and closed-join frame, each built
     at most once, on first use; closed_joins and laws supply the item's
-    outcomes of its closed-join frame (L upside down) and its frame laws."""
+    outcomes of its closed-join frame (L upside down) and its frame laws,
+    and its subfitness is decided once for ppt and axiom-monotonicity."""
 
     def __init__(self, frame: FiniteFrame,
                  closed_joins: Callable[[], sub.ClosedJoinFrame | AssertionError],
@@ -56,6 +57,10 @@ class FrameStructure:
     def closed_joins(self) -> sub.ClosedJoinFrame:
         """closed_join_frame(self.frame), read off the batch it was built in."""
         return settled(self._closed_joins())
+
+    @cached_property
+    def subfit(self) -> separation.SeparationReport:
+        return separation.is_subfit(self.frame)
 
     def frame_laws(self) -> CheckReport:
         """frame_laws(self.frame), read off the batch it was decided in."""
@@ -177,9 +182,10 @@ def sublocale_laws(frame: FiniteFrame,
 
 
 def axiom_monotonicity(frame: FiniteFrame,
-                       cjf: Optional[sub.ClosedJoinFrame] = None) -> CheckReport:
+                       cjf: Optional[sub.ClosedJoinFrame] = None,
+                       subfit: Optional[separation.SeparationReport] = None) -> CheckReport:
     """subfit implies weakly subfit and symmetric; a breach raises AssertionError."""
-    sub_rep = separation.is_subfit(frame)
+    sub_rep = subfit if subfit is not None else separation.is_subfit(frame)
     if not sub_rep.holds:
         return CheckReport.passed("axiom-monotonicity", "not-subfit")
     if not separation.is_weakly_subfit(frame).holds:
@@ -202,12 +208,13 @@ LATTICE_CHECKS: dict[str, Callable[[FrameStructure], CheckReport]] = {
     "coframe-law": lambda item: item.lattice.laws,
     "sublocale-laws": lambda item: sublocale_laws(item.frame, item.lattice),
     "sc-frame-law": lambda item: item.closed_joins.frame_law_report(),
-    "ppt": lambda item: separation.subfit_correspondence_check(item.frame, item.lattice,
-                                                              cjf=item.closed_joins),
+    "ppt": lambda item: separation.subfit_correspondence_check(
+        item.frame, item.lattice, cjf=item.closed_joins, subfit=item.subfit),
     "weaksub-equiv": lambda item: _consistent(
         "weaksub-equiv", separation.is_symmetric(item.frame, item.closed_joins)),
     "pcformula": lambda item: separation.pseudocomplement_formula_check(item.frame),
-    "axiom-monotonicity": lambda item: axiom_monotonicity(item.frame, item.closed_joins),
+    "axiom-monotonicity": lambda item: axiom_monotonicity(item.frame, item.closed_joins,
+                                                          item.subfit),
 }
 
 

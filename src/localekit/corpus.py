@@ -217,7 +217,7 @@ RealSample = namedtuple("RealSample", "regular other raw pair points")
 def random_rational(rng: Random, span: int = 12) -> Fraction:
     den = rng.randint(1, MAX_DEN)
     num = rng.randint(-span * den, span * den)
-    return Fraction(num, den)
+    return realline.Rat(num, den)
 
 
 def random_open(rng: Random, max_components: int = 6) -> realline.RationalOpen:

@@ -2,10 +2,10 @@
 
 This is the representable fragment of the open-set lattice of the reals:
 finite unions of open intervals with endpoints in Q ∪ {-inf, +inf}: a
-`Fraction`, or the float NEG_INF or POS_INF (±math.inf), which Fractions
-compare against exactly. All arithmetic is exact, so interior/closure/
-pseudocomplement and the certificates below decide membership with no
-rounding.
+`Rat` (a `Fraction` compared by integer cross-multiplication), or the float
+NEG_INF or POS_INF (±math.inf), which a Rat treats as sentinels below and
+above it. All arithmetic is exact, so interior/closure/pseudocomplement and
+the certificates below decide membership with no rounding.
 
 Infinite meets never materialize; the operations that would need them
 return certificates instead: an exclusion stage for a point outside the
@@ -16,6 +16,7 @@ but not to the limit.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,6 +66,34 @@ NEG_INF = -math.inf
 POS_INF = math.inf
 STAGES = 20  # stages replayed by the stagewise checks and the descent certificates
 
+
+def _exact(op):
+    """op on a Rat and b: numerators cross-multiplied by the (positive)
+    denominators when b is a Rat; against NEG_INF or POS_INF the Rat counts
+    as 0 and the infinity as -1 or 1; any other b takes Fraction's route."""
+    fallback = getattr(Fraction, f"__{op.__name__}__")
+
+    def compare(a, b):
+        if type(b) is Rat:
+            return op(a._numerator * b._denominator, b._numerator * a._denominator)
+        if b is POS_INF or b is NEG_INF:
+            return op(0, 1 if b is POS_INF else -1)
+        return fallback(a, b)
+    return compare
+
+
+class Rat(Fraction):
+    """A finite endpoint: a Fraction with the exact integer comparisons of
+    `_exact`, equal and hash-equal to the plain Fraction of its value. Python
+    tries a subclass's reflected operator first, so a plain Fraction or a
+    float on the left reaches them too. Arithmetic gives plain Fractions."""
+
+    __slots__ = ()
+    __lt__, __le__, __eq__, __gt__, __ge__ = map(_exact, (
+        operator.lt, operator.le, operator.eq, operator.gt, operator.ge))
+    __hash__ = Fraction.__hash__
+
+
 _FINITE_ENDPOINT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
@@ -79,7 +108,7 @@ def parse_endpoint(text: str) -> Endpoint:
     den = int(match.group(2) or 1) if match else 0
     if den == 0:
         raise ValueError(f"invalid endpoint {text!r}: expected p, p/q, -inf or inf")
-    return Fraction(int(match.group(1)), den)
+    return Rat(int(match.group(1)), den)
 
 
 def format_endpoint(value: Endpoint) -> str:
@@ -88,9 +117,11 @@ def format_endpoint(value: Endpoint) -> str:
 
 
 def _as_endpoint(value: RatLike) -> Endpoint:
-    if isinstance(value, Fraction) or value in (NEG_INF, POS_INF):
+    if type(value) is Rat:
         return value
-    return Fraction(value)
+    if value in (NEG_INF, POS_INF):
+        return NEG_INF if value < 0 else POS_INF
+    return Rat(value)
 
 
 Component = tuple[Endpoint, Endpoint]
@@ -288,13 +319,12 @@ def is_subset(a: RationalOpen, b: RationalOpen) -> bool:
 
 def punctured_reals() -> RationalOpen:
     """The line without the origin."""
-    return RationalOpen(((NEG_INF, Fraction(0)), (Fraction(0), POS_INF)))
+    return RationalOpen(((NEG_INF, Rat(0)), (Rat(0), POS_INF)))
 
 
 def punctured_interval(n: int) -> RationalOpen:
     """(-1/n, 1/n) with the origin removed."""
-    w = Fraction(1, n)
-    return RationalOpen(((-w, Fraction(0)), (Fraction(0), w)))
+    return RationalOpen(((Rat(-1, n), Rat(0)), (Rat(0), Rat(1, n))))
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +445,9 @@ def _padded_term(u: RationalOpen, n: int) -> RationalOpen:
     Computed as interior(closure(u) ∪ [-1/n, 1/n]) and cross-checked against
     the equal form (u ∪ (-1/n, 1/n))**.
     """
-    w = Fraction(1, n)
-    first_form = interior(union_closed(closure(u), closed_interval(-w, w)))
-    second_form = regularize(union(u, open_interval(-w, w)))
+    lo, hi = Rat(-1, n), Rat(1, n)
+    first_form = interior(union_closed(closure(u), closed_interval(lo, hi)))
+    second_form = regularize(union(u, open_interval(lo, hi)))
     if first_form != second_form:
         raise AssertionError(f"term forms disagree at stage {n} for {u}")
     return first_form
@@ -467,7 +497,7 @@ class PaddedTerms:
 
 def _excluded_point(u: RationalOpen, x: Fraction) -> Fraction:
     """x as a Fraction, once it is known to be neither the origin nor in u."""
-    x = Fraction(x)
+    x = Rat(x)
     if x == 0:
         raise ZeroPoint("the origin belongs to every stage")
     if contains_point(u, x):
@@ -513,9 +543,8 @@ def descending_pair(pair: KRealPair, n: int) -> KRealPair:
     """
     if n < 1:
         raise ValueError("stage must be a positive integer")
-    w = Fraction(1, n)
     punct = punctured_interval(n)
-    full = open_interval(-w, w)
+    full = open_interval(Rat(-1, n), Rat(1, n))
     first_n = union(punct, pair.first)
     mid_u = union(full, pair.first)
     mid_v = union(full, pair.second)
@@ -538,7 +567,7 @@ def descent_certificate(pair: KRealPair, x: Fraction, which: str):
     """
     if which not in ("first", "second"):
         raise ValueError("which must be 'first' or 'second'")
-    x = Fraction(x)
+    x = Rat(x)
     coord = pair.first if which == "first" else pair.second
     if contains_point(coord, x):
         raise PointInside(f"{x} already belongs to the {which} coordinate")
@@ -566,9 +595,8 @@ def forcing_check(candidate: KRealPair, n: int) -> ForcingVerdict:
     """
     if n < 1:
         raise ValueError("stage must be a positive integer")
-    w = Fraction(1, n)
     has_line = is_subset(punctured_reals(), candidate.first)
-    has_interval = is_subset(open_interval(-w, w), candidate.first)
+    has_interval = is_subset(open_interval(Rat(-1, n), Rat(1, n)), candidate.first)
     forced = has_line and has_interval
     first_line = candidate.first == RationalOpen.reals()
     second_line = candidate.second == RationalOpen.reals()

@@ -118,16 +118,18 @@ def is_symmetric(frame: FiniteFrame,
 def subfit_correspondence_check(frame: FiniteFrame,
                                 lattice: Optional[SublocaleLattice] = None,
                                 budget: Optional[int] = None,
-                                cjf: Optional[ClosedJoinFrame] = None) -> CheckReport:
+                                cjf: Optional[ClosedJoinFrame] = None,
+                                subfit: Optional[SeparationReport] = None) -> CheckReport:
     """Verify the subfit/Boolean correspondence on one frame.
 
     Three facts are computed independently: the subfitness verdict, whether
     every closed-join element is complemented, and whether the closed-join
     elements coincide with the double-supplement fixed points of S(L). The
     first two must match, and subfitness forces the coincidence; a breach
-    raises TheoremViolation, and otherwise "ppt" passes.
+    raises TheoremViolation, and otherwise "ppt" passes. `subfit`, when
+    given, is the caller's is_subfit(frame).
     """
-    sub = is_subfit(frame)
+    sub = subfit if subfit is not None else is_subfit(frame)
     if cjf is None:
         cjf = closed_join_frame(frame)
     sc = cjf.frame

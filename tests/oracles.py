@@ -491,3 +491,43 @@ def oracle_pseudocomplement_member(a: rl.RationalOpen, x: Fraction) -> bool:
         return False
     d = _gap(x, finite_endpoints(a))
     return not (open_member(a, x - d) or open_member(a, x + d))
+
+
+# ---------------------------------------------------------------------------
+# The plain-Fraction route of the interval-set primitives: every comparison
+# goes through Fraction's own, none through realline.Rat's integer one.
+
+
+def _plain(end):
+    """A finite endpoint as a plain Fraction; an infinite one as is."""
+    return end if isinstance(end, float) else Fraction(end)
+
+
+def _plain_components(a: rl.RationalOpen) -> list[tuple]:
+    return [(_plain(lo), _plain(hi)) for lo, hi in a.components]
+
+
+def fraction_normalize(intervals) -> tuple:
+    """The components of normalize(intervals): sort, then merge overlaps."""
+    merged: list[tuple] = []
+    for lo, hi in sorted((_plain(lo), _plain(hi)) for lo, hi in intervals):
+        if merged and lo < merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
+def fraction_intersect(a: rl.RationalOpen, b: rl.RationalOpen) -> tuple:
+    """The components of a ∩ b: every nonempty meet of a component of a with
+    one of b, which are pairwise disjoint as the components are."""
+    return tuple(sorted((max(alo, blo), min(ahi, bhi))
+                        for alo, ahi in _plain_components(a)
+                        for blo, bhi in _plain_components(b)
+                        if max(alo, blo) < min(ahi, bhi)))
+
+
+def fraction_is_subset(a: rl.RationalOpen, b: rl.RationalOpen) -> bool:
+    """a ⊆ b: every component of a lies inside one component of b."""
+    return all(any(blo <= lo and hi <= bhi for blo, bhi in _plain_components(b))
+               for lo, hi in _plain_components(a))

@@ -11,7 +11,7 @@ no table reaches it.
 
 import pytest
 
-from localekit import checks, corpus
+from localekit import checks, cli, corpus, separation
 
 from oracles import tampered
 
@@ -99,3 +99,16 @@ class TestStackedFrameLaws:
         for item in structures:
             item.frame_laws()
         assert sorted(stacks) == [2, 2]
+
+
+def test_subfit_is_decided_once_per_item(monkeypatch, capsys):
+    """ppt and axiom-monotonicity read one subfitness verdict per item."""
+    decided = []
+    is_subfit = separation.is_subfit
+    monkeypatch.setattr(separation, "is_subfit",
+                        lambda frame: decided.append(frame) or is_subfit(frame))
+    argv = ["--machine", "campaign", "lattices", "--max-size", "4",
+            "--checks", "ppt,axiom-monotonicity"]
+    assert cli.main(argv) == 0
+    items = {line.split()[0] for line in capsys.readouterr().out.splitlines()[:-1]}
+    assert len(decided) == len(items) == len({id(frame) for frame in decided})

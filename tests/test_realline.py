@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,73 @@ class TestExtRat:
             normalize([(float("nan"), 1)])
         with pytest.raises(ValueError):
             open_interval(0, float("nan"))
+
+
+extended = st.one_of(st.just(Fraction(0)), rationals, st.sampled_from([NEG_INF, POS_INF]))
+COMPARISONS = (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge)
+
+
+@st.composite
+def endpoint_pairs(draw):
+    """Two extended rationals, equal about as often as not."""
+    a = draw(extended)
+    return a, draw(st.one_of(st.just(a), extended))
+
+
+def _native(value):
+    return rl.Rat(value) if isinstance(value, Fraction) else value
+
+
+def _endpoints(a: RationalOpen):
+    return [end for component in a.components for end in component]
+
+
+class TestNativeComparison:
+    """rl.Rat against plain Fraction comparison, the oracle of its integer route."""
+
+    @given(endpoint_pairs(), st.booleans(), st.booleans())
+    def test_operators_agree_with_fraction(self, pair, native_a, native_b):
+        a, b = pair
+        left = _native(a) if native_a else a
+        right = _native(b) if native_b else b
+        for op in COMPARISONS:
+            assert op(left, right) is op(a, b), (op.__name__, left, right)
+
+    @given(rationals)
+    def test_hash_and_value_match_fraction(self, x):
+        native = rl.Rat(x)
+        assert hash(native) == hash(x) and native == x
+        assert {native: 1}[x] == 1 and x in {native}
+        assert type(-native) is Fraction and -native == -x
+
+    @given(open_sets(), open_sets())
+    def test_built_endpoints_are_native(self, a, b):
+        for end in _endpoints(a) + _endpoints(intersect(a, b)) + _endpoints(union(a, b)):
+            assert type(end) is rl.Rat or end is NEG_INF or end is POS_INF
+
+    def test_any_infinity_becomes_its_sentinel(self):
+        (lo, hi), = normalize([(float("-inf"), Fraction(1, 2))]).components
+        assert lo is NEG_INF and type(hi) is rl.Rat
+        assert normalize([(0, -NEG_INF)]).components[0][1] is POS_INF
+
+
+class TestFractionRoute:
+    """normalize, intersect and is_subset against their plain-Fraction routes."""
+
+    @given(open_sets(), open_sets())
+    def test_normalize(self, a, b):
+        intervals = list(reversed(a.components + b.components))
+        assert normalize(intervals).components == oracles.fraction_normalize(intervals)
+
+    @given(open_sets(), open_sets())
+    def test_intersect(self, a, b):
+        assert intersect(a, b).components == oracles.fraction_intersect(a, b)
+
+    @given(open_sets(), open_sets())
+    def test_is_subset(self, a, b):
+        both = intersect(a, b)  # a subset of each, so both verdicts are drawn
+        for smaller, larger in ((a, b), (both, a), (both, b)):
+            assert is_subset(smaller, larger) == oracles.fraction_is_subset(smaller, larger)
 
 
 class TestNormalize:
