@@ -182,11 +182,10 @@ def sublocale_laws(frame: FiniteFrame,
 
 
 def axiom_monotonicity(frame: FiniteFrame,
-                       cjf: Optional[sub.ClosedJoinFrame] = None,
-                       subfit: Optional[separation.SeparationReport] = None) -> CheckReport:
+                       cjf: Optional[sub.ClosedJoinFrame] = None, *,
+                       subfit: separation.SeparationReport) -> CheckReport:
     """subfit implies weakly subfit and symmetric; a breach raises AssertionError."""
-    sub_rep = subfit if subfit is not None else separation.is_subfit(frame)
-    if not sub_rep.holds:
+    if not subfit.holds:
         return CheckReport.passed("axiom-monotonicity", "not-subfit")
     if not separation.is_weakly_subfit(frame).holds:
         raise AssertionError("subfit but not weakly subfit")
@@ -214,7 +213,7 @@ LATTICE_CHECKS: dict[str, Callable[[FrameStructure], CheckReport]] = {
         "weaksub-equiv", separation.is_symmetric(item.frame, item.closed_joins)),
     "pcformula": lambda item: separation.pseudocomplement_formula_check(item.frame),
     "axiom-monotonicity": lambda item: axiom_monotonicity(item.frame, item.closed_joins,
-                                                          item.subfit),
+                                                          subfit=item.subfit),
 }
 
 

@@ -47,7 +47,7 @@ def bench():
 @pytest.mark.parametrize("name", ["lattices6", "spaces4", "realline"])
 def test_machine_output_matches_the_stored_digest(bench, capsys, name):
     assert cli.main(bench.WORKLOADS[name].argv(bench.DEFAULT_SEED)) == 0
-    digest = sha256(capsys.readouterr().out)
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == json.loads(bench.DIGESTS.read_text())[name]
 
 
