@@ -14,10 +14,10 @@ from .lattice import (BooleanizationView, FiniteFrame, NotALattice,
                       heyting, order_closure, product_frame, pseudocomplement,
                       regular_pair_frame, validate_frame)
 from .sublocales import (ClosedJoinFrame, Sublocale, SublocaleLattice,
-                         all_sublocales, closed_join_frame, closed_join_meet,
+                         all_sublocales, closed_join_frame,
                          closed_open_identities_check, closed_sublocale,
                          dual_booleanization, is_sublocale, open_sublocale,
-                         sublocale_join, supplement)
+                         supplement)
 from .separation import (SeparationReport, is_subfit, is_symmetric,
                          is_weakly_subfit, pseudocomplement_formula_check,
                          subfit_correspondence_check)

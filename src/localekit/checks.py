@@ -7,24 +7,24 @@ witness and passes are silent. An internal cross-check that breaks raises
 campaign loop records it as that item's violation of that check.
 
 Every LATTICE_CHECKS entry takes a FrameStructure: one campaign item's
-frame, with its S(L) and closed-join frame built at most once, on first
-use, and shared by every check of the item. `frame_structures` makes them
-for a batch of frames, whose closed-join frames are then read off their
-tables in one `closed_join_frames` call. Sharing an object does not merge
-routes: each law keeps its own two computations.
+frame, whose S(L), closed-join frame, frame laws and closed/open identities
+are each built for its whole batch in one stacked call (`sublocale_lattices`,
+`closed_join_frames`, `frame_law_outcomes`, `closed_open_identities_outcomes`)
+when the first item asks. Each item reads its own outcome, and raises what
+it raises alone. Sharing does not merge routes: each law keeps its own two
+computations.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .common import CheckReport, settled, slice_len
-from .lattice import FiniteFrame, containment_order
+from .common import CheckReport, grouped, settled, slice_len
+from .lattice import FiniteFrame, containment_order, stacked
 from . import corpus
 from . import realline as rl
 from . import separation
@@ -37,44 +37,47 @@ from . import sublocales as sub
 
 
 class FrameStructure:
-    """One campaign item: its frame, S(L) and closed-join frame, each built
-    at most once, on first use; closed_joins and laws supply the item's
-    outcomes of its closed-join frame (L upside down) and its frame laws,
-    and its subfitness is decided once for ppt and axiom-monotonicity."""
+    """One campaign item: its frame, its outcomes read off the batches of
+    frame_structures, and its subfitness, decided once for all checks."""
 
-    def __init__(self, frame: FiniteFrame,
-                 closed_joins: Callable[[], sub.ClosedJoinFrame | AssertionError],
-                 laws: Callable[[], CheckReport | AssertionError]):
-        self.frame = frame
-        self._closed_joins = closed_joins
-        self._laws = laws
+    def __init__(self, frame: FiniteFrame, k: int, batches: dict[str, Callable[[], list]]):
+        self.frame, self._k, self._batches = frame, k, batches
+
+    def _outcome(self, name: str):
+        return settled(self._batches[name]()[self._k])
+
+    def _take(self, name: str):
+        """The outcome, which its batch then no longer holds: it is freed with the item."""
+        outcome = self._outcome(name)  # a stored error stays in the batch, and raises
+        self._batches[name]()[self._k] = None
+        return outcome
 
     @cached_property
     def lattice(self) -> sub.SublocaleLattice:
-        return sub.all_sublocales(self.frame)
+        return self._take("lattice")
 
     @cached_property
     def closed_joins(self) -> sub.ClosedJoinFrame:
-        """closed_join_frame(self.frame), read off the batch it was built in."""
-        return settled(self._closed_joins())
+        return self._take("closed_joins")
 
     @cached_property
     def subfit(self) -> separation.SeparationReport:
         return separation.is_subfit(self.frame)
 
     def frame_laws(self) -> CheckReport:
-        """frame_laws(self.frame), read off the batch it was decided in."""
-        return settled(self._laws())
+        return self._outcome("frame_laws")
+
+    def identities(self) -> CheckReport:
+        return self._outcome("identities")
 
 
 def frame_structures(frames: Sequence[FiniteFrame]) -> Iterator[FrameStructure]:
-    """A FrameStructure per frame, in order; the first closed-join frame asked
-    for builds all of theirs in one closed_join_frames batch, and the first
-    frame-laws check decides all of theirs in one frame_law_outcomes batch."""
-    batch = cache(lambda: sub.closed_join_frames(frames))
-    laws = cache(lambda: frame_law_outcomes(frames))
+    """A FrameStructure per frame, in order, sharing four lazily built batches."""
+    batches = {name: cache(lambda build=build: build(frames)) for name, build in (
+        ("lattice", sub.sublocale_lattices), ("closed_joins", sub.closed_join_frames),
+        ("frame_laws", frame_law_outcomes), ("identities", sub.closed_open_identities_outcomes))}
     for k, frame in enumerate(frames):
-        yield FrameStructure(frame, lambda k=k: batch()[k], lambda k=k: laws()[k])
+        yield FrameStructure(frame, k, batches)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +103,7 @@ def _frame_law_stack(frames: Sequence[FiniteFrame]) -> list[CheckReport | Assert
     regular elements with (F, n, n) and (F, n, n, n) gathers.
     """
     n = frames[0].n
-    leq, meet, join, imp = (np.stack([getattr(f, name) for f in frames])
-                            for name in ("leq", "meet", "join", "imp"))
+    leq, meet, join, imp = stacked(frames)
     star = imp[:, :, 0]
     stack = np.arange(len(frames))[:, None]
     idx = np.arange(n)
@@ -146,11 +148,8 @@ def frame_law_outcomes(frames: Sequence[FiniteFrame]) -> list[CheckReport | Asse
     size, in slices of at most STACK_CELLS cells of (F, n, n, n) or one frame.
     """
     outcomes: list = [None] * len(frames)
-    by_size = defaultdict(list)
-    for k, frame in enumerate(frames):
-        by_size[frame.n].append(k)
-    for n, ks in by_size.items():
-        step = slice_len(n**3)
+    for ks in grouped(frame.n for frame in frames).values():
+        step = slice_len(frames[ks[0]].n ** 3)
         for start in range(0, len(ks), step):
             part = ks[start:start + step]
             for k, outcome in zip(part, _frame_law_stack([frames[k] for k in part])):
@@ -203,7 +202,7 @@ def _consistent(name: str, _verdict) -> CheckReport:
 
 LATTICE_CHECKS: dict[str, Callable[[FrameStructure], CheckReport]] = {
     "frame-laws": lambda item: item.frame_laws(),
-    "identities": lambda item: sub.closed_open_identities_check(item.frame),
+    "identities": lambda item: item.identities(),
     "coframe-law": lambda item: item.lattice.laws,
     "sublocale-laws": lambda item: sublocale_laws(item.frame, item.lattice),
     "sc-frame-law": lambda item: item.closed_joins.frame_law_report(),

@@ -13,12 +13,14 @@ Exit codes: 0 all checks hold/consistent, 1 some axiom failed (reported as
 data with a witness), 2 internal violation or unusable input. An internal
 cross-check that breaks raises one of BREACHES. A campaign records it as a
 `verdict=violation` record of that item and check and goes on to the next;
-anywhere else `main` reports it on stderr.
+anywhere else `main` reports it on stderr. A reader that closes stdout
+early (`| head`) leaves the exit code the verdict's, with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -433,6 +435,14 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         code = args.run(args, report)
+        if code is None:  # export-dot writes its own output and returns its code
+            report.elapsed = time.monotonic() - started
+            report.emit(machine=args.machine)
+            code = report.exit_code
+        sys.stdout.flush()
+    except BrokenPipeError:  # the verdict stands; the exit-time flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return report.exit_code
     except (io.ParseError, BudgetExceeded, UnknownCheck, OSError, ValueError,
             NotALattice, NotDistributive, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -440,11 +450,7 @@ def main(argv=None) -> int:
     except BREACHES as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 2
-    if code is not None:  # export-dot wrote its own output
-        return code
-    report.elapsed = time.monotonic() - started
-    report.emit(machine=args.machine)
-    return report.exit_code
+    return code
 
 
 if __name__ == "__main__":

@@ -48,12 +48,20 @@ def slice_len(cells: int) -> int:
 
 
 def settled(outcome):
-    """A batch's outcome for one member: its result, or the AssertionError
-    stored in its place, raised now so it is charged to that member alone.
-    Each raise starts a fresh traceback, so asking again does not grow it."""
-    if isinstance(outcome, AssertionError):
+    """A batch's outcome for one member: its result, or the exception stored
+    in its place, raised now so it is charged to that member alone. Each
+    raise starts a fresh traceback, so asking again does not grow it."""
+    if isinstance(outcome, Exception):
         raise outcome.with_traceback(None)
     return outcome
+
+
+def grouped(keys: Iterable) -> dict[object, list[int]]:
+    """{key: the positions holding it}: how a batch splits into stacks."""
+    groups: dict = {}
+    for k, key in enumerate(keys):
+        groups.setdefault(key, []).append(k)
+    return groups
 
 
 def bits(mask: int) -> Iterator[int]:

@@ -156,7 +156,7 @@ def iter_distributive_frames(max_size: int) -> Iterator[tuple[str, FiniteFrame]]
 def chunked(items: Iterable[tuple[str, FiniteFrame]]) -> Iterator[list[tuple[str, FiniteFrame]]]:
     """The (name, frame) items of iter_distributive_frames regrouped into the
     chunks it validated them in: lists of one carrier size, _chunks long,
-    each one closed-join batch and one frame-laws batch of a campaign."""
+    each one batch of a campaign's FrameStructures."""
     batch: list[tuple[str, FiniteFrame]] = []
     for item in items:
         n = item[1].n

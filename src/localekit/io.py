@@ -12,7 +12,7 @@ from typing import Optional, Union
 
 from .common import within_budget
 from .lattice import FiniteFrame, cover_pairs, order_closure, validate_frame
-from .spaces import FiniteSpace, bitstring
+from .spaces import FiniteSpace
 from .sublocales import ClosedJoinFrame, SublocaleLattice
 
 
@@ -95,12 +95,6 @@ def load_space_text(text: str, budget: Optional[int] = None) -> FiniteSpace:
         return FiniteSpace(n, opens)
     except ValueError as exc:
         raise ParseError(lines[-1][0], str(exc)) from exc
-
-
-def format_space(space: FiniteSpace) -> str:
-    lines = [f"space {space.points}"]
-    lines += [bitstring(o, space.points) for o in space.opens]
-    return "\n".join(lines) + "\n"
 
 
 def load_any(text: str, budget: Optional[int] = None) -> Union[FiniteFrame, FiniteSpace]:

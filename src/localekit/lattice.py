@@ -126,11 +126,20 @@ def containment_order(rows):
     return ~(rows @ ~np.swapaxes(rows, -1, -2))
 
 
+def cover_relation(leqs):
+    """covers[..., x, y]: y covers x (x < y, nothing between) in (..., n, n) preorders."""
+    lt = leqs & ~np.eye(leqs.shape[-1], dtype=bool)
+    return lt & ~(lt @ lt)
+
+
 def cover_pairs(leq):
-    """The cover relation of an (n, n) order or preorder as index arrays (xs,
-    ys), row-major: y covers x when x < y with nothing strictly between."""
-    lt = leq & ~np.eye(len(leq), dtype=bool)
-    return np.nonzero(lt & ~(lt @ lt))
+    """The cover relation of an (n, n) preorder as index arrays (xs, ys), row-major."""
+    return np.nonzero(cover_relation(leq))
+
+
+def stacked(items: Sequence, names=("leq", "meet", "join", "imp")):
+    """Each named table of the items as one stack (F, ...): by default the frame tables."""
+    return tuple(np.stack([getattr(item, name) for item in items]) for name in names)
 
 
 def _first(mask):

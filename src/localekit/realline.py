@@ -294,11 +294,6 @@ def contains_point(a: RationalOpen, x: RatLike) -> bool:
     return any(lo < x < hi for lo, hi in a.components)
 
 
-def closed_contains_point(c: RationalClosed, x: RatLike) -> bool:
-    x = _as_endpoint(x)
-    return any(lo <= x <= hi for lo, hi in c.components)
-
-
 def is_subset(a: RationalOpen, b: RationalOpen) -> bool:
     """Whether a ⊆ b, by one merge walk over the sorted, disjoint components.
 

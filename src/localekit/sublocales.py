@@ -1,50 +1,43 @@
 """Sublocales of a finite frame.
 
 A sublocale is a subset of the carrier containing the top, closed under
-meets, and closed under a -> (-) for every a. A sublocale is identified by
-its element bitmask over the parent frame; S(L) also keeps its members as
-boolean rows, on which its order and the meet cross-check are computed at
-any carrier size. Every sublocale of a finite frame
-is spatial, so S(L) is exactly the family of meet-closures M(Y) of the sets
-Y of primes (meet-irreducibles) of L: M(Y) ∩ M(Z) = M(Y ∩ Z) and
-M(Y) ∨ M(Z) = M(Y ∪ Z). A join in S(L) is the meet-closure M(A ∪ {1}) of
-the union A, and `meet_closure` is its one closed form: x ∈ M(A ∪ {1}) iff,
-for every upper cover y of x, A meets ↑x ∖ ↑y. Closed sublocales are
-up-sets and join by c(a) ∨ c(b) = c(a ∧ b), so their joins are the up-sets
-themselves: L turned upside down. `closed_join_frames` reads that frame
-off the parents' tables, one stack per carrier size, so a campaign
-builds them a corpus chunk at a time. The one sublocale budget counts
-primes, since |S(L)| = 2^|primes|; it bounds the enumeration and the
-(|S(L)|, |S(L)|) tables alike. The sublocale test of every closure runs
-in slices of at most STACK_CELLS cells. The laws of S(L), the coframe law
-and join-is-lub, are decided by comparing two orders: the containment of
-the closures and the subset order of their prime sets. Equal orders make
-S(L) isomorphic to a Boolean algebra, which is a coframe, so no law is
-checked triple by triple. The closed/open identities are decided by their
-nullary and binary cases on every pair, at every carrier size; the
-families follow by induction.
+meets, and closed under a -> (-) for every a, identified by its element
+bitmask. Every sublocale of a finite frame is spatial, so S(L) is exactly
+the meet-closures M(Y) of the sets Y of primes (meet-irreducibles) of L,
+with M(Y) ∩ M(Z) = M(Y ∩ Z) and M(Y) ∨ M(Z) = M(Y ∪ Z); `meet_closure` is
+the one closed form of M(A ∪ {1}): x is in it iff, for every upper cover y
+of x, A meets ↑x ∖ ↑y. Closed sublocales join by c(a) ∨ c(b) = c(a ∧ b),
+so their joins are the up-sets: L turned upside down.
+
+Everything works on stacks, one frame being a stack of one, and a frame
+that fails in a batch gets the outcome it gets alone: `sublocale_lattices`
+works one stack per (carrier size, number of primes), `closed_join_frames`
+and `closed_open_identities_outcomes` one per carrier size. The sublocale
+budget counts primes, since |S(L)| = 2^|primes|. The laws of S(L) are
+decided by comparing the containment of the closures with the subset
+order of their prime sets, the closed/open identities by their nullary
+and binary cases.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .common import (CheckReport, bits, pack_rows, settled, slice_len, unpack_rows,
-                     within_budget)
-from .lattice import (FiniteFrame, containment_order, cover_pairs, distributivity_witness,
-                      heyting_tables)
+from .common import (BudgetExceeded, CheckReport, bits, grouped, pack_rows, settled,
+                     slice_len, unpack_rows, within_budget)
+from .lattice import (FiniteFrame, containment_order, cover_relation, distributivity_witness,
+                      heyting_tables, stacked)
 
 
 class MixedParents(ValueError):
     """Operands live over different parent frames."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sublocale:
     """An element of S(L): the parent frame plus a member bitmask."""
 
@@ -54,12 +47,6 @@ class Sublocale:
     @property
     def members(self) -> tuple[int, ...]:
         return tuple(bits(self.mask))
-
-    @property
-    def is_dense(self) -> bool:
-        # Meet-closed and finite, so dense (closure is everything) iff the
-        # bottom element is a member.
-        return bool(self.mask & 1)
 
     def label(self) -> str:
         frame = self.parent
@@ -91,36 +78,41 @@ def mask_of(members: Iterable[int]) -> int:
 
 def is_sublocale(frame: FiniteFrame, members: Iterable[int]) -> SubsetVerdict:
     """Check the three closure conditions, reporting the first failure."""
-    return _sublocale_rows(frame, unpack_rows([mask_of(members)], frame.n))
+    rows = unpack_rows([mask_of(members)], frame.n)
+    return _sublocale_rows(frame.meet[None], frame.imp[None], rows[None])[0]
 
 
-def _sublocale_rows(frame: FiniteFrame, rows) -> SubsetVerdict:
-    """The sublocale test on every row of an (R, n) member array: the
-    verdict on the first failing row, or a passing verdict.
-
-    Checked a slice of at most STACK_CELLS cells at a time: the top is a
-    member, meet[s, t] is a member for members s <= t (by index), and
-    imp[a, s] is a member for every a and every member s. The verdict names
-    the first of these that fails, with its first witness: (s, t) in
-    row-major order, or (a, s) by ascending s, then a.
+def _sublocale_rows(meet, imp, rows) -> list[SubsetVerdict]:
+    """The sublocale test on an (F, R, n) member stack over the (F, n, n)
+    meet and Heyting tables: per frame, the verdict on its first failing
+    row, or a passing verdict. Checked a slice of at most STACK_CELLS cells
+    at a time: the top is a member, meet[s, t] is a member for members
+    s <= t (by index), and imp[a, s] is a member for every a and every
+    member s. The verdict names the first of these that fails, with its
+    first witness: (s, t) in row-major order, or (a, s) by ascending s, then a.
     """
-    n = frame.n
+    count, per, n = rows.shape
+    flat, owner = rows.reshape(-1, n), np.repeat(np.arange(count), per)
     upper = np.triu(np.ones((n, n), dtype=bool))
+    verdicts = [SubsetVerdict(True)] * count
     step = slice_len(n * n)
-    for start in range(0, len(rows), step):
-        members = rows[start:start + step]
-        meets = members[:, :, None] & members[:, None, :] & upper & ~members[:, frame.meet]
-        heyting = members[:, :, None] & ~members[:, frame.imp.T]  # [r, s, a]: imp[a, s] missing
-        bad = ~members[:, frame.top] | meets.any(axis=(1, 2)) | heyting.any(axis=(1, 2))
-        if bad.any():
-            r = int(bad.argmax())
-            if not members[r, frame.top]:
-                return SubsetVerdict(False, "missing-top", (frame.top,))
-            if meets[r].any():
-                return SubsetVerdict(False, "meet", divmod(int(meets[r].argmax()), n))
-            s, a = divmod(int(heyting[r].argmax()), n)
-            return SubsetVerdict(False, "heyting", (a, s))
-    return SubsetVerdict(True)
+    for start in range(0, len(flat), step):
+        members, f = flat[start:start + step], owner[start:start + step]
+        r = np.arange(len(members))[:, None, None]
+        meets = members[:, :, None] & members[:, None, :] & upper & ~members[r, meet[f]]
+        heyting = members[:, :, None] & ~members[r, imp[f].transpose(0, 2, 1)]  # [r, s, a]
+        bad = ~members[:, n - 1] | meets.any(axis=(1, 2)) | heyting.any(axis=(1, 2))
+        for row, k in zip(np.flatnonzero(bad).tolist(), f[bad].tolist()):
+            if not verdicts[k]:  # not the first failing row of its frame
+                continue
+            if not members[row, n - 1]:
+                verdicts[k] = SubsetVerdict(False, "missing-top", (n - 1,))
+            elif meets[row].any():
+                verdicts[k] = SubsetVerdict(False, "meet", divmod(int(meets[row].argmax()), n))
+            else:
+                s, a = divmod(int(heyting[row].argmax()), n)
+                verdicts[k] = SubsetVerdict(False, "heyting", (a, s))
+    return verdicts
 
 
 def closed_sublocale(frame: FiniteFrame, a: int) -> Sublocale:
@@ -133,101 +125,54 @@ def open_sublocale(frame: FiniteFrame, a: int) -> Sublocale:
     return Sublocale(frame, frame.imp_image_masks[a])
 
 
-def meet_closure(frame: FiniteFrame, rows):
-    """M(A ∪ {1}) for every row A of an (F, n) member array, as (F, n) bools.
-
-    x is the meet of A ∪ {1} above it iff, for every upper cover y of x, A
-    meets ↑x ∖ ↑y: that meet is at least x, and it is above x exactly when
-    it lies above some cover of x. The test is two boolean matrix products.
+def meet_closure(leqs, rows):
+    """M(A ∪ {1}) for every row A of an (F, R, n) member stack over the
+    (F, n, n) orders, as (F, R, n) bools: x is in it iff the meet of the
+    members above x is x, which fails exactly when A misses ↑x ∖ ↑y for an
+    upper cover y of x. Two batched boolean products over one slot per
+    cover of each frame, padded to the most covers in the stack.
     """
-    leq = frame.leq
-    xs, ys = cover_pairs(leq)                                          # y covers x
-    missed = ~(np.asarray(rows, dtype=bool) @ (leq[xs] & ~leq[ys]).T)  # A misses ↑x ∖ ↑y
-    return ~(missed @ (xs[:, None] == np.arange(frame.n)))
-
-
-def sublocale_join(family: Iterable[Sublocale],
-                   parent: Optional[FiniteFrame] = None) -> Sublocale:
-    """Join in S(L): all meets of subsets of the union of the members.
-
-    The empty subset contributes the top, so the empty join is O. An empty
-    family needs an explicit parent.
-    """
-    family = tuple(family)
-    if parent is None:
-        if not family:
-            raise ValueError("empty family needs an explicit parent frame")
-        parent = family[0].parent
-    for s in family:
-        if s.parent is not parent:
-            raise MixedParents("sublocales must share one parent frame")
-    union = unpack_rows((s.mask for s in family), parent.n).any(axis=0, keepdims=True)
-    closed = meet_closure(parent, union)
-    verdict = _sublocale_rows(parent, closed)
-    if not verdict:
-        raise AssertionError(f"join formula produced a non-sublocale: {verdict}")
-    return Sublocale(parent, pack_rows(closed)[0])
+    count, n = leqs.shape[:2]
+    f, xs, ys = np.nonzero(cover_relation(leqs))                   # ys[c] covers xs[c]
+    slot = np.arange(len(f)) - np.searchsorted(f, f)               # c's place in its frame
+    gaps = np.zeros((count, int(slot.max(initial=-1)) + 1, n), dtype=bool)
+    below = np.zeros_like(gaps)                                    # empty in padding slots
+    gaps[f, slot] = leqs[f, xs] & ~leqs[f, ys]
+    below[f, slot, xs] = True
+    return ~(~(rows @ gaps.transpose(0, 2, 1)) @ below)           # no cover's gap missed
 
 
 class SublocaleLattice:
     """All sublocales of a frame, ordered by inclusion (a coframe).
 
     Element order is by (size, mask), so index 0 is O and the last index is
-    the whole frame. rows[i] holds the members of masks[i] as a boolean row
-    over the carrier, and prime_sets[i] is the set Y of primes with masks[i]
-    = M(Y), as a bitmask over the positions in primes(parent). Join/meet/
-    supplement tables and the `laws` report are built lazily and cached; the
-    sublocale budget of all_sublocales bounds them too. `laws` decides the
-    coframe law and join-is-lub by comparing `leq` with the subset order of
-    the prime sets.
+    the whole frame. rows[i] holds the members of masks[i] as a boolean row,
+    and prime_sets[i] is the set Y of primes with masks[i] = M(Y), as a
+    bitmask over the positions in primes(parent). The order, the tables and
+    the `laws` verdict come from the stack it was built in; given none, or
+    once a table is replaced, from a stack of one.
     """
 
     def __init__(self, parent: FiniteFrame, masks: tuple[int, ...],
-                 prime_sets: tuple[int, ...], rows: np.ndarray):
-        self.parent = parent
-        self.masks = masks
-        self.prime_sets = prime_sets
-        self.rows = rows
+                 prime_sets: tuple[int, ...], rows: np.ndarray, tables=None, laws=None):
+        self.parent, self.masks, self.prime_sets, self.rows = parent, masks, prime_sets, rows
         self.index = {m: i for i, m in enumerate(masks)}
         self.sublocales = tuple(Sublocale(parent, m) for m in masks)
         self.bottom_index = self.index[1 << parent.top]
         self.top_index = self.index[(1 << parent.n) - 1]
         self._ys = np.array(prime_sets, dtype=np.intp)
-        self._by_primes = np.argsort(self._ys)  # _by_primes[Y]: the index of M(Y)
+        self.leq, self.join_table, self.meet_table = tables or (
+            table[0] for table in _tables(rows[None], self._ys[None])[0])
+        self._laws = laws  # (the tables a stack decided on, its verdict), or None
 
     def __len__(self):
         return len(self.masks)
 
     @cached_property
-    def leq(self):
-        rel = containment_order(self.rows)
-        rel.flags.writeable = False
-        return rel
-
-    @cached_property
-    def join_table(self):
-        """M(Y) ∨ M(Z) = M(Y ∪ Z): a lookup of the union of the prime sets."""
-        ys = self._ys
-        table = self._by_primes[ys[:, None] | ys[None, :]]
-        table.flags.writeable = False
-        return table
-
-    @cached_property
-    def meet_table(self):
-        """M(Y) ∩ M(Z) = M(Y ∩ Z), checked against the intersection of the masks."""
-        ys = self._ys
-        table = self._by_primes[ys[:, None] & ys[None, :]]
-        packed = np.packbits(self.rows, axis=1)
-        if not np.array_equal(packed[table], packed[:, None] & packed[None, :]):
-            raise AssertionError("meet of prime sets differs from the intersection")
-        table.flags.writeable = False
-        return table
-
-    @cached_property
     def supplements(self):
         """supplements[i]: index of the least T with S_i ∨ T = L, M of the primes
         outside S_i; checked to join S_i to L and to lie inside every such T."""
-        out = self._by_primes[self._ys ^ (len(self.masks) - 1)]
+        out = np.argsort(self._ys)[self._ys ^ (len(self.masks) - 1)]
         partners = self.join_table == self.top_index
         if not (partners[np.arange(len(out)), out].all()
                 and (self.leq[out] | ~partners).all()):
@@ -235,31 +180,51 @@ class SublocaleLattice:
         out.flags.writeable = False
         return out
 
-    def supplement_of(self, i: int) -> int:
-        return int(self.supplements[i])
-
-    @cached_property
+    @property
     def laws(self) -> CheckReport:
-        """The coframe law and join-is-lub, decided through S(L) ≅ 2^P.
+        """The coframe law and join-is-lub, decided through S(L) ≅ 2^P."""
+        now = (self.leq, self.join_table, self.meet_table)
+        if self._laws is None or any(a is not b for a, b in zip(now, self._laws[0])):
+            self._laws = now, _broken_laws(self._ys[None], *(table[None] for table in now))[0]
+        if self._laws[1] is None:
+            return CheckReport.passed("coframe-law")
+        law, pair = self._laws[1]
+        a, b = (self.sublocales[k].label() for k in pair)
+        return CheckReport.failed("coframe-law", f"{law}pair ({a}, {b})")
 
-        `leq`, the containment of the member rows, must equal the subset
-        order of the prime sets. all_sublocales checked that the closures
-        M(Y) are distinct sublocales, so equal orders make Y ↦ M(Y) a lattice
-        isomorphism from the Boolean algebra of prime sets onto S(L), and a
-        Boolean algebra is a coframe. The tables must then land on Y ∪ Z
-        and Y ∩ Z, which for joins is join-is-lub. A failure names the first
-        pair in row-major order of the first comparison that fails.
-        """
-        ys = self._ys
-        for law, got, want in (
-                ("order at ", self.leq, (ys[:, None] & ~ys[None, :]) == 0),
-                ("", ys[self.join_table], ys[:, None] | ys[None, :]),
-                ("meet at ", ys[self.meet_table], ys[:, None] & ys[None, :])):
-            bad = got != want
-            if bad.any():
-                a, b = (self.sublocales[k].label() for k in divmod(int(bad.argmax()), len(ys)))
-                return CheckReport.failed("coframe-law", f"{law}pair ({a}, {b})")
-        return CheckReport.passed("coframe-law")
+
+def _tables(rows, ys):
+    """The containment order and the join and meet tables (F, m, m) of a stack
+    of S(L)s, from their member rows (F, m, n) and prime sets (F, m): M(Y ∪ Z)
+    and M(Y ∩ Z) are lookups of the prime sets. Also returns, per S(L),
+    whether every meet is the intersection of its arguments' members."""
+    f = np.arange(len(ys))[:, None, None]
+    by_primes = np.argsort(ys, axis=1).astype(ys.dtype)  # by_primes[f, Y]: the index of M(Y)
+    tables = (containment_order(rows), by_primes[f, ys[:, :, None] | ys[:, None, :]],
+              by_primes[f, ys[:, :, None] & ys[:, None, :]])
+    for table in tables:
+        table.flags.writeable = False
+    packed = np.packbits(rows, axis=2)
+    intersect = packed[f, tables[2]] == packed[:, :, None] & packed[:, None, :]
+    return tables, intersect.all(axis=(1, 2, 3))
+
+
+def _broken_laws(ys, leq, join, meet) -> list[Optional[tuple[str, tuple[int, int]]]]:
+    """The `laws` of a stack of S(L)s, from their (F, m) prime sets and
+    (F, m, m) tables: per S(L), None, or the first comparison that fails and
+    its first pair in row-major order. `leq` must equal the subset order of
+    the prime sets: the closures M(Y) are distinct sublocales, so Y ↦ M(Y) is
+    then an isomorphism from a Boolean algebra, which is a coframe. The
+    tables must then land on Y ∪ Z (join-is-lub) and Y ∩ Z.
+    """
+    f, left, right = np.arange(len(ys))[:, None, None], ys[:, :, None], ys[:, None, :]
+    bad = np.stack([leq != ((left & ~right) == 0), ys[f, join] != (left | right),
+                    ys[f, meet] != (left & right)], axis=1).reshape(len(ys), 3, -1)
+    broken = bad.any(axis=2)
+    law = broken.argmax(axis=1)
+    at = bad[f[:, 0, 0], law].argmax(axis=1)
+    return [(("order at ", "", "meet at ")[first], divmod(pair, ys.shape[1])) if fails else None
+            for fails, first, pair in zip(broken.any(axis=1).tolist(), law.tolist(), at.tolist())]
 
 
 def supplement(s: Sublocale, lattice: Optional[SublocaleLattice] = None) -> Sublocale:
@@ -271,40 +236,75 @@ def supplement(s: Sublocale, lattice: Optional[SublocaleLattice] = None) -> Subl
     lat = lattice if lattice is not None else all_sublocales(s.parent)
     if lat.parent is not s.parent:
         raise MixedParents("lattice belongs to a different frame")
-    i = lat.index[s.mask]
-    return lat.sublocales[lat.supplement_of(i)]
+    return lat.sublocales[int(lat.supplements[lat.index[s.mask]])]
 
 
 def primes(frame: FiniteFrame) -> tuple[int, ...]:
     """The meet-irreducibles: the elements with exactly one upper cover (the top has none)."""
-    upper = np.bincount(cover_pairs(frame.leq)[0], minlength=frame.n)
-    return tuple(np.flatnonzero(upper == 1).tolist())
+    return tuple(np.flatnonzero(cover_relation(frame.leq).sum(axis=1) == 1).tolist())
+
+
+def sublocale_lattices(frames: Iterable[FiniteFrame], budget: Optional[int] = None
+                       ) -> list[SublocaleLattice | AssertionError | BudgetExceeded]:
+    """S(L) of every frame, in order: one meet_closure call per (carrier
+    size, number of primes) stack builds the closures M(Y) of all sets Y of
+    primes. They must be distinct and pass the stacked sublocale test (the
+    first failing one is named), and each meet must be the intersection of
+    its arguments. The budget bounds the number of primes.
+    """
+    frames = list(frames)
+    built: list = [None] * len(frames)
+    for ks in grouped(frame.n for frame in frames).values():
+        tables = stacked([frames[k] for k in ks], ("leq", "meet", "imp"))
+        prime = cover_relation(tables[0]).sum(axis=2) == 1  # exactly one upper cover
+        for k, part in grouped(prime.sum(axis=1).tolist()).items():
+            group = [frames[ks[g]] for g in part]
+            outcomes = _sublocale_stack(group, *(t[part] for t in tables), prime[part], k, budget)
+            for g, outcome in zip(part, outcomes):
+                built[ks[g]] = outcome
+    return built
+
+
+def _sublocale_stack(frames, leq, meet, imp, prime, k, budget) -> list:
+    """sublocale_lattices on frames of one carrier size with k primes each."""
+    count, n = prime.shape
+    try:
+        within_budget("primes", k, budget)
+    except BudgetExceeded as exc:
+        return [exc] * count
+    m, f = 1 << k, np.arange(count)[:, None]
+    members = np.zeros((count, m, n), dtype=bool)
+    members[f[:, :, None], np.arange(m)[:, None], np.nonzero(prime)[1].reshape(count, 1, k)] = (
+        np.arange(m)[:, None] >> np.arange(k) & 1)
+    closures = meet_closure(leq, members)  # closures[f, y]: M(Y), bit j of y for the j-th prime
+    verdicts = _sublocale_rows(meet, imp, closures)
+    # (size, mask) order: by size, then by the members from the top index down; the
+    # prime sets, and the tables that index by them, in the least dtype that holds m
+    ys = np.lexsort(np.concatenate([closures.transpose(2, 0, 1), closures.sum(axis=2)[None]]))
+    ys = ys.astype(np.min_scalar_type(m - 1))
+    rows = closures[f, ys]
+    rows.flags.writeable = False
+    repeated = (rows[:, 1:] == rows[:, :-1]).all(axis=2).any(axis=1)
+    tables, intersect = _tables(rows, ys)
+    broken = _broken_laws(ys, *tables)
+    masks, sets = pack_rows(rows.reshape(-1, n)), ys.tolist()
+    outcomes: list = []
+    for g, frame in enumerate(frames):
+        if repeated[g] or not verdicts[g] or not intersect[g]:
+            outcomes.append(AssertionError(
+                "two sets of primes have the same meet-closure" if repeated[g]
+                else f"meet-closure of primes is not a sublocale: {verdicts[g]}" if not verdicts[g]
+                else "meet of prime sets differs from the intersection"))
+            continue
+        own = [table[g] for table in tables]
+        outcomes.append(SublocaleLattice(frame, masks[g * m:(g + 1) * m], tuple(sets[g]), rows[g],
+                                         own, (own, broken[g])))
+    return outcomes
 
 
 def all_sublocales(frame: FiniteFrame, budget: Optional[int] = None) -> SublocaleLattice:
-    """Enumerate S(L) as the meet-closures M(Y) of the sets Y of primes.
-
-    One meet_closure call builds all 2^|primes| of them, which must be
-    distinct and must all pass the stacked sublocale test (a failure reports
-    the verdict on the first failing one). The budget bounds the number of
-    primes, since the count of sublocales, and of table cells, is
-    exponential in it.
-    """
-    ps = primes(frame)
-    within_budget("primes", len(ps), budget)
-    members = np.zeros((1 << len(ps), frame.n), dtype=bool)
-    members[:, list(ps)] = np.arange(1 << len(ps))[:, None] >> np.arange(len(ps)) & 1
-    rows = meet_closure(frame, members)  # rows[y]: M(Y), bit k of y for ps[k]
-    closures = pack_rows(rows)
-    if len(set(closures)) != len(closures):
-        raise AssertionError("two sets of primes have the same meet-closure")
-    verdict = _sublocale_rows(frame, rows)
-    if not verdict:
-        raise AssertionError(f"meet-closure of primes is not a sublocale: {verdict}")
-    order = sorted(range(len(closures)), key=lambda y: (closures[y].bit_count(), closures[y]))
-    rows = rows[order]
-    rows.flags.writeable = False
-    return SublocaleLattice(frame, tuple(closures[y] for y in order), tuple(order), rows)
+    """S(L) of one frame: sublocale_lattices on a stack of one."""
+    return settled(sublocale_lattices([frame], budget)[0])
 
 
 class ClosedJoinFrame:
@@ -313,14 +313,15 @@ class ClosedJoinFrame:
     Since c(a) ∨ c(b) = c(a ∧ b), the joins of closed sublocales are the
     closed sublocales themselves: element i is the up-set of generators[i],
     and the frame is L turned upside down. `frame` is that frame, built by
-    `closed_join_frames` from the parent's tables: its element i is
-    masks[i], its joins are c(a ∧ b) and its induced meets c(a ∨ b).
+    `closed_join_frames`: element i is masks[i], joins are c(a ∧ b) and
+    meets c(a ∨ b). `law` reads its frame law off the stack it was built in.
     """
 
-    def __init__(self, parent: FiniteFrame, generators: tuple[int, ...], frame: FiniteFrame):
+    def __init__(self, parent: FiniteFrame, generators: tuple[int, ...], frame: FiniteFrame,
+                 law=None):
         self.parent, self.generators, self.frame = parent, generators, frame
         self.masks = tuple(parent.up_masks[a] for a in generators)
-        self.index = {m: i for i, m in enumerate(self.masks)}
+        self._law = law or (lambda: _distributivity(frame.meet[None], frame.join[None])[0])
 
     def __len__(self):
         return len(self.masks)
@@ -329,30 +330,25 @@ class ClosedJoinFrame:
     def elements(self) -> tuple[Sublocale, ...]:
         return tuple(Sublocale(self.parent, m) for m in self.masks)
 
-    def element_index(self, s: Sublocale) -> int:
-        if s.parent is not self.parent:
-            raise MixedParents("sublocale belongs to a different frame")
-        got = self.index.get(s.mask)
-        if got is None:
-            raise ValueError(f"{s.label()} is not a join of closed sublocales")
-        return got
-
     def frame_law_report(self) -> CheckReport:
-        """Meet distributes over binary joins on every triple (plus the dual).
-
-        Finite lattices are distributive iff dually distributive, so the two
-        verdicts must agree (AssertionError if not); pass means both hold.
-        """
-        meet, join = self.frame.meet[None], self.frame.join[None]
-        down, up = distributivity_witness(meet, join)[0], distributivity_witness(join, meet)[0]
-        frame_ok, co_ok = bool(down < 0), bool(up < 0)
-        if frame_ok and co_ok:
+        """Meet distributes over binary joins on every triple, and so must join
+        over meet: a finite lattice is distributive iff dually distributive,
+        so differing verdicts raise AssertionError."""
+        down, up = self._law()
+        if (down < 0) != (up < 0):
+            raise AssertionError(f"distributive={down < 0} but dually distributive={up < 0}")
+        if down < 0:
             return CheckReport.passed("closed-join-frame-law")
-        if frame_ok != co_ok:
-            raise AssertionError(f"distributive={frame_ok} but dually distributive={co_ok}")
         names = [self.elements[int(k)].label()
                  for k in np.unravel_index(down, (len(self),) * 3)]
         return CheckReport.failed("closed-join-frame-law", f"triple {names}")
+
+
+def _distributivity(meet, join) -> list[tuple[int, int]]:
+    """Per frame of an (F, n, n) stack: the first triple, flat and row-major,
+    where meet fails to distribute over join, then join over meet, or -1."""
+    return list(zip(distributivity_witness(meet, join).tolist(),
+                    distributivity_witness(join, meet).tolist()))
 
 
 def closed_join_frames(parents: Iterable[FiniteFrame]) -> list[ClosedJoinFrame | AssertionError]:
@@ -361,21 +357,18 @@ def closed_join_frames(parents: Iterable[FiniteFrame]) -> list[ClosedJoinFrame |
 
     The containment order must be the parent order reversed, each join
     c(a ∧ b) must contain both arguments and each meet c(a ∨ b) lie inside
-    both, and `heyting_tables` proves the Heyting table. The outcome of a
-    parent that fails is the AssertionError it raises alone, so the rest of
-    the batch is built all the same.
+    both, and `heyting_tables` proves the Heyting table. A parent that fails
+    gets the AssertionError it raises alone. A stack's frame law is decided
+    when the first of its frames asks.
     """
     parents = list(parents)
-    by_size = defaultdict(list)
-    for k, parent in enumerate(parents):
-        by_size[parent.n].append(k)
-    built = [None] * len(parents)
-    for n, ks in by_size.items():
+    built: list = [None] * len(parents)
+    for ks in grouped(parent.n for parent in parents).values():
         group = [parents[k] for k in ks]
+        n = group[0].n
         gens = np.array([sorted(range(n), key=lambda a, up=p.up_masks: (up[a].bit_count(), up[a]))
                          for p in group], dtype=np.intp)
-        leqs, meets, joins = (np.stack([getattr(p, name) for p in group])
-                              for name in ("leq", "meet", "join"))
+        leqs, meets, joins = stacked(group, ("leq", "meet", "join"))
         f, idx = np.arange(len(group))[:, None, None], np.arange(n)
         rows, cols = gens[:, :, None], gens[:, None, :]
         position = np.argsort(gens, axis=1)           # position[f, gens[f, i]] = i
@@ -389,6 +382,7 @@ def closed_join_frames(parents: Iterable[FiniteFrame]) -> list[ClosedJoinFrame |
         failed = np.concatenate([bad.any(axis=(2, 3)), broken[:, None] >= 0], axis=1)
         for table in (leq, meet, join, imp):
             table.flags.writeable = False
+        laws = cache(lambda meet=meet, join=join: _distributivity(meet, join))
         for g, (k, parent) in enumerate(zip(ks, group)):
             labels = tuple(f"c({parent.labels[a]})" for a in gens[g].tolist())
             if failed[g].any():
@@ -400,19 +394,14 @@ def closed_join_frames(parents: Iterable[FiniteFrame]) -> list[ClosedJoinFrame |
                 built[k] = AssertionError(f"closed-join {law} at ({where})")
                 continue
             frame = FiniteFrame(leq[g], meet[g], join[g], imp[g], labels)
-            built[k] = ClosedJoinFrame(parent, tuple(gens[g].tolist()), frame)
+            built[k] = ClosedJoinFrame(parent, tuple(gens[g].tolist()), frame,
+                                       lambda g=g, laws=laws: laws()[g])
     return built
 
 
 def closed_join_frame(parent: FiniteFrame) -> ClosedJoinFrame:
     """The joins of closed sublocales (the up-sets), built as a frame."""
     return settled(closed_join_frames([parent])[0])
-
-
-def closed_join_meet(cjf: ClosedJoinFrame, s: Sublocale, t: Sublocale) -> Sublocale:
-    """Induced meet: the join of every element below both arguments."""
-    i, j = cjf.element_index(s), cjf.element_index(t)
-    return cjf.elements[int(cjf.frame.meet[i, j])]
 
 
 def dual_booleanization(frame: FiniteFrame,
@@ -425,15 +414,14 @@ def dual_booleanization(frame: FiniteFrame,
     """
     lat = lattice if lattice is not None else all_sublocales(frame)
     supp = lat.supplements
-    return tuple(lat.sublocales[i] for i in range(len(lat))
-                 if int(supp[supp[i]]) == i)
+    return tuple(lat.sublocales[i] for i in range(len(lat)) if int(supp[supp[i]]) == i)
 
 
 def closed_open_complements_report(frame: FiniteFrame) -> CheckReport:
     """c(a) and o(a) are complements in S(L) for every a."""
     up, opens = frame.leq, unpack_rows(frame.imp_image_masks, frame.n)
     apart = ((up & opens) != (np.arange(frame.n) == frame.top)).any(axis=1)
-    bad = apart | ~meet_closure(frame, up | opens).all(axis=1)
+    bad = apart | ~meet_closure(frame.leq[None], (up | opens)[None])[0].all(axis=1)
     if not bad.any():
         return CheckReport.passed("closed-open-complements")
     a = int(bad.argmax())
@@ -441,29 +429,39 @@ def closed_open_complements_report(frame: FiniteFrame) -> CheckReport:
     return CheckReport.failed("closed-open-complements", f"{law} at {frame.labels[a]}")
 
 
-def closed_open_identities_check(frame: FiniteFrame) -> CheckReport:
-    """The closed/open interaction identities by their nullary and binary
-    cases: c(0) = L, o(0) = O and, on every pair, c(a) ∩ c(b) = c(a ∨ b),
-    o(a) ∨ o(b) = o(a ∨ b), c(a) ∨ c(b) = c(a ∧ b), o(a) ∩ o(b) = o(a ∧ b),
-    the joins one meet_closure of the 2n² pair unions. ⋂c(a) = c(⋁a) and
-    ⋁o(a) = o(⋁a) on families follow by induction (the test oracle
-    `generic_closed_open_identities` walks the 2^n families). A failure
-    names the first law that fails at its first pair, row-major.
+def closed_open_identities_outcomes(frames: Iterable[FiniteFrame]) -> list[CheckReport]:
+    """The closed/open interaction identities of every frame, in order, by
+    their nullary and binary cases: c(0) = L, o(0) = O and, on every pair,
+    c(a) ∩ c(b) = c(a ∨ b), o(a) ∨ o(b) = o(a ∨ b), c(a) ∨ c(b) = c(a ∧ b),
+    o(a) ∩ o(b) = o(a ∧ b), the joins one meet_closure per carrier size.
+    The family laws follow by induction. A failure names the first law that
+    fails at its first pair, row-major.
     """
-    n, labels = frame.n, frame.labels
-    up, opens = frame.leq, unpack_rows(frame.imp_image_masks, n)
-    a, b = np.divmod(np.arange(n * n), n)  # every pair; a nullary law's one row reads as (0, 0)
-    joins, meets = frame.join[a, b], frame.meet[a, b]
-    unions = meet_closure(frame, np.concatenate([up[a] | up[b], opens[a] | opens[b]]))
-    for law, got, want in (("c({}) ≠ L", up[:1], True),
-                           ("o({}) ≠ O", opens[:1], np.arange(n) == frame.top),
-                           ("c({})∩c({}) ≠ c(join)", up[a] & up[b], up[joins]),
-                           ("o({})∨o({}) ≠ o(join)", unions[n * n:], opens[joins]),
-                           ("c({})∨c({}) ≠ c(meet)", unions[:n * n], up[meets]),
-                           ("o({})∩o({}) ≠ o(meet)", opens[a] & opens[b], opens[meets])):
-        bad = (got != want).any(axis=1)
-        if bad.any():
-            k = int(bad.argmax())
-            return CheckReport.failed("closed-open-identities",
-                                      law.format(labels[a[k]], labels[b[k]]))
-    return CheckReport.passed("closed-open-identities")
+    frames = list(frames)
+    reports = [CheckReport.passed("closed-open-identities")] * len(frames)
+    for ks in grouped(frame.n for frame in frames).values():
+        up, meet, join, imp = stacked([frames[k] for k in ks])
+        n, f, opens = up.shape[1], np.arange(len(ks))[:, None], np.zeros_like(up)
+        opens[f[:, :, None], np.arange(n)[:, None], imp] = True  # opens[f, a]: o(a), the image
+        a, b = np.divmod(np.arange(n * n), n)  # every pair; a nullary law reads its row as (0, 0)
+        joins, meets = join[:, a, b], meet[:, a, b]
+        unions = meet_closure(up, np.concatenate([up[:, a] | up[:, b], opens[:, a] | opens[:, b]],
+                                                 axis=1))
+        bad = [(got != want).any(axis=2) for got, want in (
+            (up[:, :1], True), (opens[:, :1], np.arange(n) == n - 1),
+            (up[:, a] & up[:, b], up[f, joins]), (unions[:, n * n:], opens[f, joins]),
+            (unions[:, :n * n], up[f, meets]), (opens[:, a] & opens[:, b], opens[f, meets]))]
+        broken = np.stack([law.any(axis=1) for law in bad], axis=1)
+        for g in np.flatnonzero(broken.any(axis=1)).tolist():
+            law, labels = int(broken[g].argmax()), frames[ks[g]].labels
+            pair = int(bad[law][g].argmax())
+            text = ("c({}) ≠ L", "o({}) ≠ O", "c({})∩c({}) ≠ c(join)", "o({})∨o({}) ≠ o(join)",
+                    "c({})∨c({}) ≠ c(meet)", "o({})∩o({}) ≠ o(meet)")[law]
+            reports[ks[g]] = CheckReport.failed("closed-open-identities",
+                                                text.format(labels[a[pair]], labels[b[pair]]))
+    return reports
+
+
+def closed_open_identities_check(frame: FiniteFrame) -> CheckReport:
+    """The closed/open identities of one frame, on a stack of one."""
+    return closed_open_identities_outcomes([frame])[0]

@@ -13,10 +13,12 @@ from math import factorial
 import numpy as np
 
 from localekit import realline as rl
-from localekit.common import CheckReport, bits, unpack_rows
+from localekit.common import CheckReport, bits, pack_rows, unpack_rows
 from localekit.corpus import iter_natural_posets
 from localekit.lattice import FiniteFrame, order_closure, validate_frames
-from localekit.sublocales import meet_closure
+from localekit.spaces import bitstring
+from localekit.sublocales import (MixedParents, Sublocale, is_sublocale, meet_closure,
+                                  primes)
 
 
 def tampered(frame: FiniteFrame, table: str, entries) -> FiniteFrame:
@@ -373,7 +375,7 @@ def generic_closed_open_identities(frame: FiniteFrame) -> CheckReport:
 
     pair_meets = frame.meet.reshape(-1)
     pair_ups = (up[:, None, :] | up[None, :, :]).reshape(n * n, n)
-    closures = meet_closure(frame, np.concatenate([members @ opens, pair_ups]))
+    closures = meet_closure(frame.leq[None], np.concatenate([members @ opens, pair_ups])[None])[0]
     o_join_bad = (closures[:len(members)] != opens[joined]).any(axis=1)
     c_join_bad = (closures[len(members):] != up[pair_meets]).any(axis=1)
     o_meet_bad = ((opens[:, None, :] & opens[None, :, :]).reshape(n * n, n)
@@ -394,6 +396,92 @@ def generic_closed_open_identities(frame: FiniteFrame) -> CheckReport:
     return CheckReport.passed("closed-open-identities")
 
 
+def per_item_sublocales(frame: FiniteFrame):
+    """S(L) of one frame by the per-item route: the meet-closures of the sets
+    of primes, checked distinct and each a sublocale, in (size, mask) order;
+    the containment order of the masks; the joins and meets as lookups of
+    the union and intersection of the prime sets, the meets checked against
+    the intersection of the masks; and the laws compared one after another,
+    as `SublocaleLattice.laws` words them. Returns (masks, prime sets, leq,
+    join, meet, laws report), or raises what the library raises."""
+    ps = primes(frame)
+    members = np.zeros((1 << len(ps), frame.n), dtype=bool)
+    members[:, list(ps)] = np.arange(1 << len(ps))[:, None] >> np.arange(len(ps)) & 1
+    closures = pack_rows(meet_closure(frame.leq[None], members[None])[0])
+    if len(set(closures)) != len(closures):
+        raise AssertionError("two sets of primes have the same meet-closure")
+    for mask in closures:
+        verdict = is_sublocale(frame, bits(mask))
+        if not verdict:
+            raise AssertionError(f"meet-closure of primes is not a sublocale: {verdict}")
+    order = sorted(range(len(closures)), key=lambda y: (closures[y].bit_count(), closures[y]))
+    masks = tuple(closures[y] for y in order)
+    ys = np.array(order)
+    by_primes = np.argsort(ys)
+    leq = np.array([[a & ~b == 0 for b in masks] for a in masks])
+    join = by_primes[ys[:, None] | ys[None, :]]
+    meet = by_primes[ys[:, None] & ys[None, :]]
+    if any(masks[meet[i, j]] != a & b for i, a in enumerate(masks) for j, b in enumerate(masks)):
+        raise AssertionError("meet of prime sets differs from the intersection")
+    report = CheckReport.passed("coframe-law")
+    for law, got, want in (("order at ", leq, (ys[:, None] & ~ys[None, :]) == 0),
+                           ("", ys[join], ys[:, None] | ys[None, :]),
+                           ("meet at ", ys[meet], ys[:, None] & ys[None, :])):
+        bad = got != want
+        if bad.any():
+            a, b = (Sublocale(frame, masks[k]).label()
+                    for k in divmod(int(bad.argmax()), len(ys)))
+            report = CheckReport.failed("coframe-law", f"{law}pair ({a}, {b})")
+            break
+    return masks, tuple(order), leq, join, meet, report
+
+
+def per_item_identities(frame: FiniteFrame) -> CheckReport:
+    """The closed/open identities of one frame by the per-item route: the six
+    nullary and binary laws in order, each on every pair at once, the first
+    failing law named at its first pair in row-major order."""
+    n, labels = frame.n, frame.labels
+    up, opens = frame.leq, unpack_rows(frame.imp_image_masks, n)
+    a, b = np.divmod(np.arange(n * n), n)
+    joins, meets = frame.join[a, b], frame.meet[a, b]
+    unions = meet_closure(up[None], np.concatenate([up[a] | up[b], opens[a] | opens[b]])[None])[0]
+    for law, got, want in (("c({}) ≠ L", up[:1], True),
+                           ("o({}) ≠ O", opens[:1], np.arange(n) == frame.top),
+                           ("c({})∩c({}) ≠ c(join)", up[a] & up[b], up[joins]),
+                           ("o({})∨o({}) ≠ o(join)", unions[n * n:], opens[joins]),
+                           ("c({})∨c({}) ≠ c(meet)", unions[:n * n], up[meets]),
+                           ("o({})∩o({}) ≠ o(meet)", opens[a] & opens[b], opens[meets])):
+        bad = (got != want).any(axis=1)
+        if bad.any():
+            k = int(bad.argmax())
+            return CheckReport.failed("closed-open-identities",
+                                      law.format(labels[a[k]], labels[b[k]]))
+    return CheckReport.passed("closed-open-identities")
+
+
+def sublocale_join(family, parent=None) -> Sublocale:
+    """Join in S(L): the meet-closure of the union of the members, checked to
+    be a sublocale. The empty family joins to O and needs an explicit parent."""
+    family = tuple(family)
+    if parent is None:
+        if not family:
+            raise ValueError("empty family needs an explicit parent frame")
+        parent = family[0].parent
+    if any(s.parent is not parent for s in family):
+        raise MixedParents("sublocales must share one parent frame")
+    union = unpack_rows((s.mask for s in family), parent.n).any(axis=0)
+    joined = pack_rows(meet_closure(parent.leq[None], union[None, None])[0])[0]
+    assert is_sublocale(parent, bits(joined)), "join formula produced a non-sublocale"
+    return Sublocale(parent, joined)
+
+
+def closed_join_meet(cjf, s: Sublocale, t: Sublocale) -> Sublocale:
+    """Induced meet in the closed-join frame: the join of every element below both."""
+    assert s.parent is t.parent is cjf.parent
+    i, j = cjf.masks.index(s.mask), cjf.masks.index(t.mask)
+    return cjf.elements[int(cjf.frame.meet[i, j])]
+
+
 def brute_topologies(n):
     """All topologies on n labeled points by scanning subset families."""
     full = (1 << n) - 1
@@ -407,6 +495,13 @@ def brute_topologies(n):
         if all(a | b in family and a & b in family for a in family for b in family):
             found.append(tuple(sorted(family)))
     return sorted(set(found))
+
+
+def format_space(space) -> str:
+    """A space file of the space: its header, then one membership string per open."""
+    lines = [f"space {space.points}"]
+    lines += [bitstring(o, space.points) for o in space.opens]
+    return "\n".join(lines) + "\n"
 
 
 def saturated_sets(space):
@@ -429,7 +524,7 @@ def open_member(a: rl.RationalOpen, x: Fraction) -> bool:
 
 
 def closed_member(c: rl.RationalClosed, x: Fraction) -> bool:
-    return rl.closed_contains_point(c, x)
+    return any(lo <= x <= hi for lo, hi in c.components)
 
 
 def finite_endpoints(*sets) -> list[Fraction]:

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -13,7 +16,7 @@ from localekit.lattice import ClosureViolation, NotALattice
 from localekit.separation import SeparationReport
 from localekit.spaces import discrete, sierpinski
 
-from oracles import tampered
+from oracles import format_space, tampered
 
 
 @pytest.fixture
@@ -64,7 +67,7 @@ class TestIO:
     def test_space_roundtrip(self):
         space = io.load_space_text("space 2\n01\n")  # empty/full implied
         assert space.opens == (0, 2, 3)
-        assert io.format_space(space) == "space 2\n00\n01\n11\n"
+        assert format_space(space) == "space 2\n00\n01\n11\n"
 
     def test_space_bad_width(self):
         with pytest.raises(io.ParseError):
@@ -143,7 +146,7 @@ class TestCliCommands:
         # 128 and 256 opens: the space budget admits up to 8 points, so the
         # frame budget does not apply
         path = tmp_path / f"disc{points}.space"
-        path.write_text(io.format_space(discrete(points)))
+        path.write_text(format_space(discrete(points)))
         assert cli.main(["--machine", "spaces", "check", str(path)]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == (
             "summary records=7 pass=7 fail=0 violation=0")
@@ -350,28 +353,49 @@ class TestCampaigns:
                 "frame-laws,identities,coframe-law,sc-frame-law,ppt,weaksub-equiv,pcformula"]
         assert cli.main(argv) == 0
         whole = capsys.readouterr().out
-        built, batches = [], []
-        all_sublocales, closed_join_frames = sub.all_sublocales, sub.closed_join_frames
+        batches = {name: [] for name in ("sublocale_lattices", "closed_join_frames",
+                                         "closed_open_identities_outcomes")}
 
-        def counted_sublocales(frame, *args, **kwargs):
-            built.append(frame)
-            return all_sublocales(frame, *args, **kwargs)
+        def counted(name, build):
+            def batch(frames):
+                frames = list(frames)
+                batches[name].append(tuple(frame.n for frame in frames))
+                return build(frames)
+            return batch
 
-        def counted_batches(parents):
-            parents = list(parents)
-            batches.append(tuple(frame.n for frame in parents))
-            return closed_join_frames(parents)
-
-        monkeypatch.setattr(sub, "all_sublocales", counted_sublocales)
-        monkeypatch.setattr(sub, "closed_join_frames", counted_batches)
+        for name in batches:
+            monkeypatch.setattr(sub, name, counted(name, getattr(sub, name)))
+        monkeypatch.setattr(sub, "all_sublocales", None)  # no S(L) is built one item at a time
         monkeypatch.setattr(common, "STACK_CELLS", 200)  # 12 chunks of 3 frames at n = 4
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == whole
         named = corpus.named_frames()
-        assert len(built) == len({id(frame) for frame in built}) == 1 + 2 + 6 + 36 + len(named)
         expected = [(1,), (2, 2), (3,) * 6] + [(4, 4, 4)] * 12
         expected.append(tuple(frame.n for _, frame in sorted(named.items())))
-        assert batches == expected
+        assert batches == {name: expected for name in batches}
+
+    # At --max-size 6 the report (about 150 kB) is more than a pipe buffers,
+    # so writing it meets the pipe closed after one line; at 3 the report
+    # fits, and with buffered stdout only the last flush meets the pipe,
+    # closed before any read.
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("max_size, lines", [(6, 1), (3, 0)])
+    def test_closed_pipe_keeps_the_verdict_without_a_traceback(self, max_size, lines, buffered):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [sys.executable, "-m", "localekit.cli", "campaign", "lattices",
+                "--max-size", str(max_size), "--checks", "frame-laws,pcformula"]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as child:
+            read = [child.stdout.readline() for _ in range(lines)]
+            child.stdout.close()
+            err = child.stderr.read()
+            code = child.wait(timeout=120)
+        assert read == [b"dist1:0000: frame-laws ok\n"][:lines]
+        assert (code, err) == (0, b"")
 
     @pytest.mark.parametrize("kind", ["lattices", "spaces", "realline"])
     def test_unknown_check_rejected(self, capsys, kind):
@@ -538,12 +562,16 @@ class TestIsolation:
     @staticmethod
     def one_sided(monkeypatch, breaking_call):
         """Make the dual distributivity verdict of the closed-join frame law
-        fail on its given call (1-based, counting both directions)."""
+        fail, for the first frame of its stack, on its given call (1-based,
+        counting both directions; a stack is decided by one call each way)."""
         calls, witness = [], sub.distributivity_witness
 
         def counted(meet, join):
             calls.append(1)
-            return witness(meet, join) if len(calls) != breaking_call else np.array([0])
+            got = witness(meet, join)
+            if len(calls) == breaking_call:
+                got[0] = 0
+            return got
         monkeypatch.setattr(sub, "distributivity_witness", counted)
 
     def test_one_sided_closed_join_law_is_an_sc_frame_law_violation(self, monkeypatch, capsys):

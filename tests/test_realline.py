@@ -249,7 +249,7 @@ class TestClosureInterior:
     def test_closure_membership(self, a):
         c = closure(a)
         for x in oracles.probe_points(a):
-            assert rl.closed_contains_point(c, x) == oracles.oracle_closure_member(a, x)
+            assert oracles.closed_member(c, x) == oracles.oracle_closure_member(a, x)
 
     @given(open_sets())
     def test_interior_of_closure_membership(self, a):

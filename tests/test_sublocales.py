@@ -7,22 +7,23 @@ from random import Random
 import numpy as np
 import pytest
 
-from localekit import common, corpus, sublocales
-from localekit.common import BudgetExceeded, bits, pack_rows, unpack_rows
+from localekit import checks, common, corpus, sublocales
+from localekit.common import BudgetExceeded, bits, pack_rows, settled, unpack_rows
 from localekit.lattice import FiniteFrame, cover_pairs, validate_frame
 from localekit.sublocales import (ClosedJoinFrame, MixedParents, Sublocale, SublocaleLattice,
                                   all_sublocales, closed_join_frame, closed_join_frames,
-                                  closed_join_meet,
                                   closed_open_complements_report,
                                   closed_open_identities_check,
+                                  closed_open_identities_outcomes,
                                   closed_sublocale, dual_booleanization,
                                   is_sublocale, mask_of, meet_closure,
-                                  open_sublocale, primes, sublocale_join,
+                                  open_sublocale, primes, sublocale_lattices,
                                   supplement)
 
 from oracles import (brute_closed_join_elements, brute_primes, brute_sublocales,
-                     find_order_isomorphism, generic_closed_join_frame,
+                     closed_join_meet, find_order_isomorphism, generic_closed_join_frame,
                      generic_closed_open_identities, generic_sublocale_laws, meet_close,
+                     per_item_identities, per_item_sublocales, sublocale_join,
                      sublocale_witness, tampered)
 
 
@@ -97,7 +98,7 @@ class TestMeetClosure:
     def test_matches_fixpoint_oracle(self, small_corpus, tiny_corpus):
         for frame in [*small_corpus, *tiny_corpus.values()]:
             masks = range(1 << frame.n)
-            got = pack_rows(meet_closure(frame, unpack_rows(masks, frame.n)))
+            got = pack_rows(meet_closure(frame.leq[None], unpack_rows(masks, frame.n)[None])[0])
             assert got == tuple(meet_close(frame, m | 1 << frame.top) for m in masks)
 
 
@@ -372,6 +373,110 @@ class TestSupplement:
                 assert int(join[i, supp[i]]) == lattice.top_index
 
 
+def hand_frame(leq):
+    """A FiniteFrame on a bare relation whose meet and Heyting tables are
+    all the top, so that every member row holding the top is a sublocale."""
+    leq = np.array(leq, dtype=bool)
+    top = np.full(leq.shape, len(leq) - 1)
+    return FiniteFrame(leq, top, top, top, tuple(map(str, range(len(leq)))))
+
+
+# Frames whose S(L) fails, and how: a tampered Heyting entry fails the
+# sublocale test (two of them fail it on two closures, with different
+# witnesses, so only the first failing closure names the right one), a
+# non-transitive relation gives two prime sets one closure, the diamond's
+# meet table breaks its cross-check against the intersections, and the
+# 12-chain's 11 primes exceed the budget.
+FAULTS = {
+    "heyting": lambda named: tampered(named["bool3"], "imp", {(3, 4): 0}),
+    "heyting-twice": lambda named: tampered(named["chain3"], "imp", {(0, 0): 1, (0, 2): 1}),
+    "repeated": lambda named: hand_frame([[1, 1, 1, 1, 1], [0, 1, 1, 0, 1], [0, 0, 1, 1, 1],
+                                          [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]]),
+    "meets": lambda named: hand_frame([[1, 1, 1, 1, 1], [0, 1, 0, 0, 1], [0, 0, 1, 0, 1],
+                                       [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]]),
+    "budget": lambda named: corpus.chain(12),
+}
+
+
+class TestSublocaleLattices:
+    def test_batch_matches_per_item_oracle(self, tiny_corpus):
+        frames = [frame for _, frame in corpus.iter_distributive_frames(6)]
+        frames += list(tiny_corpus.values())
+        Random(0).shuffle(frames)  # carrier sizes and prime counts mixed in one batch
+        for lattice, frame in zip(sublocale_lattices(frames), frames):
+            masks, prime_sets, leq, join, meet, laws = per_item_sublocales(frame)
+            assert lattice.parent is frame
+            assert (lattice.masks, lattice.prime_sets) == (masks, prime_sets)
+            for got, want in ((lattice.leq, leq), (lattice.join_table, join),
+                              (lattice.meet_table, meet)):
+                assert np.array_equal(got, want) and not got.flags.writeable
+            assert pack_rows(lattice.rows) == masks and not lattice.rows.flags.writeable
+            assert lattice.laws == laws
+        assert closed_open_identities_outcomes(frames) == [per_item_identities(frame)
+                                                            for frame in frames]
+
+    def test_empty_batch(self):
+        assert sublocale_lattices([]) == [] == closed_open_identities_outcomes([])
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("position", [0, 3])
+    def test_faulty_frame_keeps_its_own_outcome(self, tiny_corpus, fault, position):
+        broken = FAULTS[fault](tiny_corpus)
+        alone = raised(lambda: all_sublocales(broken).laws)
+        if fault == "budget":
+            assert alone[:2] == (BudgetExceeded, "11 primes exceed the sublocale budget 10 "
+                                                 "(override with --budget)")
+        else:  # the per-item route raises the same
+            assert raised(lambda: per_item_sublocales(broken)) == alone
+        good = [tiny_corpus[name] for name in ("chain3", "bool3", "grid2x3", "chain5", "bool2")]
+        good += [frame for _, frame in corpus.iter_distributive_frames(5)  # stacks with the
+                 if frame.n == 5 and len(primes(frame)) == 3][:2]          # 5-element faults
+        batch = good[:position] + [broken] + good[position:]
+        outcomes = sublocale_lattices(batch)
+        assert raised(lambda: settled(outcomes[position]).laws) == alone
+        structures = list(checks.frame_structures(batch))
+        for name in ("coframe-law", "ppt"):  # every check of the item that reads S(L) raises
+            assert raised(lambda: checks.LATTICE_CHECKS[name](structures[position])) == alone
+        for k, (outcome, frame) in enumerate(zip(outcomes, batch)):
+            if k != position:
+                assert outcome.masks == per_item_sublocales(frame)[0]
+                assert outcome.laws.ok and structures[k].lattice.laws.ok
+
+    def test_tampered_table_fails_only_its_own_laws(self, tiny_corpus):
+        batch = sublocale_lattices([tiny_corpus["bool3"]] * 3)
+        join = batch[1].join_table.copy()
+        join[2, 5] = 0
+        batch[1].join_table = join
+        assert [lattice.laws.witness for lattice in batch] == ["", "pair ({5,7}, {2,3,6,7})", ""]
+
+    def test_laws_are_decided_once_per_stack(self, tiny_corpus, monkeypatch):
+        stacks = []
+        broken_laws = sublocales._broken_laws
+        monkeypatch.setattr(sublocales, "_broken_laws",
+                            lambda ys, *tables: stacks.append(len(ys)) or broken_laws(ys, *tables))
+        # chain4 and bool2 have 3 and 2 primes, chain3 and bool2 both have 2
+        names = ["chain4", "chain3", "bool2", "chain4", "bool2"]
+        batch = sublocale_lattices([tiny_corpus[name] for name in names])
+        assert sorted(stacks) == [1, 2, 2]
+        assert all(lattice.laws.ok for lattice in batch + batch)
+        assert sorted(stacks) == [1, 2, 2]  # reading the verdicts decides nothing again
+
+    # tampered frames with an identities failure, among frames without one
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_identities_keep_each_frames_witness(self, tiny_corpus, position):
+        broken = [tampered(tiny_corpus[name], table, {(a, b): value})
+                  for name, table, a, b, value in (
+                      ("chain3", "imp", 2, 0, 1), ("bool2", "join", 0, 0, 1),
+                      ("bool2xchain3", "join", 1, 2, 0), ("bool2", "meet", 1, 2, 3))]
+        good = [tiny_corpus[name] for name in ("chain3", "bool2", "bool2xchain3")]
+        batch = good[:position] + broken + good[position:]
+        expected = [per_item_identities(frame) for frame in batch]
+        assert closed_open_identities_outcomes(batch) == expected
+        assert [closed_open_identities_check(frame) for frame in batch] == expected
+        assert [report.ok for report in expected] == [True] * position + [False] * 4 + [
+            True] * (3 - position)
+
+
 class TestClosedJoinFrame:
     def test_chain3_is_three_chain(self, c3):
         cjf = closed_join_frame(c3)
@@ -480,6 +585,20 @@ class TestClosedJoinFrames:
 
     def test_empty_batch(self):
         assert closed_join_frames([]) == []
+
+    def test_frame_law_is_decided_once_per_stack(self, small_corpus, tiny_corpus, monkeypatch):
+        calls = []
+        witness = sublocales.distributivity_witness
+        monkeypatch.setattr(sublocales, "distributivity_witness",
+                            lambda meet, join: calls.append(len(meet)) or witness(meet, join))
+        frames = small_corpus + list(tiny_corpus.values())
+        batch = closed_join_frames(frames)
+        assert calls == []
+        reports = [cjf.frame_law_report() for cjf in batch]
+        sizes = {frame.n for frame in frames}
+        assert sorted(calls) == sorted(2 * [sum(f.n == n for f in frames) for n in sizes])
+        assert reports == [closed_join_frame(frame).frame_law_report() for frame in frames]
+        assert all(report.ok for report in reports)
 
     @pytest.mark.parametrize("position", [0, 2])
     @pytest.mark.parametrize("bad", ["meet", "join"])
