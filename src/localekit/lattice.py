@@ -13,12 +13,14 @@ This module is the one frame core, and it works on stacks: every check
 takes F orders of one carrier size as an (F, n, n) array and decides all
 of them with a fixed number of numpy calls. `validate_frames` validates a
 bare order: the order checks, canonical order, meet/join tables from
-`lattice_tables` (the common bound of largest rank, proved against every
-common bound), `distributivity_witness` on every triple, and the Heyting
+`lattice_tables`, `distributivity_witness` on every triple, and the Heyting
 table a -> b, read off the adjunction a ∧ x <= b iff x <= a -> b as the
 greatest x on the left and proved by the adjunction check that follows.
-`validate_frame` runs the same code on a stack of one.
-`set_frame` reads a ring of sets' tables off ∩ and ∪ instead.
+`lattice_tables` looks i ∧ j up as the element whose down-set is ↓i ∩ ↓j
+among those of its size, unique when the order is antisymmetric and proved
+by comparing packed uint64 down-set words, exact at any width. A stack of
+one is `validate_frame`, and `stacked` reads a run of one call's frames
+back as views. `set_frame` reads a ring of sets' tables off ∩ and ∪ instead.
 """
 
 from __future__ import annotations
@@ -81,14 +83,14 @@ class FiniteFrame:
     validate_frames, set_frame for a ring of sets, or
     sublocales.closed_join_frames, which reads a validated frame upside down.
     Instances are immutable (tables carry read-only numpy flags) and safe to
-    share between workers.
+    share between workers. `stack` is (tables by name, k) when they are row k of a batch.
     """
 
     bottom = 0
 
-    def __init__(self, leq, meet, join, imp, labels):
+    def __init__(self, leq, meet, join, imp, labels, stack=None):
         self.leq, self.meet, self.join, self.imp, self.labels = leq, meet, join, imp, labels
-        self.n = len(leq)
+        self.n, self.stack = len(leq), stack
         self.top = self.n - 1
 
     @cached_property
@@ -137,9 +139,23 @@ def cover_pairs(leq):
     return np.nonzero(cover_relation(leq))
 
 
-def stacked(items: Sequence, names=("leq", "meet", "join", "imp")):
-    """Each named table of the items as one stack (F, ...): by default the frame tables."""
-    return tuple(np.stack([getattr(item, name) for item in items]) for name in names)
+def stacked(frames: Sequence[FiniteFrame], names=("leq", "meet", "join", "imp")):
+    """Each named table of the frames as one stack (F, ...), by default all four:
+    a view when the frames are a run of rows of one batch, such as a corpus chunk."""
+    tables, start = frames[0].stack or (None, 0)
+    if all(f.stack and f.stack[0] is tables and f.stack[1] == start + k
+           for k, f in enumerate(frames)):
+        return tuple(tables[name][start:start + len(frames)] for name in names)
+    return tuple(np.stack([getattr(frame, name) for frame in frames]) for name in names)
+
+
+def _words(rows):
+    """Boolean rows (..., n) as uint64 words (..., ⌈n / 64⌉): column k
+    is bit k % 64 of word k // 64, so rows are equal iff their words are."""
+    packed = np.packbits(rows, axis=-1, bitorder="little")
+    words = np.zeros(packed.shape[:-1] + (-(-packed.shape[-1] // 8) * 8,), np.uint8)
+    words[..., :packed.shape[-1]] = packed
+    return words.view("<u8")
 
 
 def _first(mask):
@@ -199,23 +215,30 @@ def _order_error(checks: _OrderChecks, k: int) -> InvalidPoset:
 def lattice_tables(leqs):
     """Meet and join tables of a stack of orders (F, n, n), with witnesses.
 
-    The meet of i and j is the common lower bound with the most elements
-    below it, proved by the common lower bounds being exactly the elements
-    below it; joins are the meets of the opposite order, computed in the
-    same stack. Returns (meet, join, missing), where missing[f] is -1 if
-    frame f is a lattice and otherwise names its first pair (i, j >= i) in
-    row-major order without an infimum or, checked second, a supremum,
-    encoded as 2 * (i * n + j) + kind with kind 0 for infimum, 1 for supremum.
+    i ∧ j is the x with ↓x = ↓i ∩ ↓j: as every x in ↓i ∩ ↓j has ↓x ⊆ ↓i ∩ ↓j,
+    the candidates are the x there with |↓x| = |↓i ∩ ↓j|, at most one when
+    the order is antisymmetric. The lowest is kept where its down-set's uint64
+    words equal the query's, so every entry is proved, and on a partial order
+    so is a miss (-1): a meet would be that candidate. Joins are the meets of
+    the opposite order; no (n, n, n) table is built. missing[f] is -1 for a
+    lattice, else its first pair (i, j >= i), row-major, without an infimum
+    or, checked second, a supremum, as 2 * (i * n + j) + kind, kind 0 for
+    infimum, 1 for supremum.
     """
     count, n = leqs.shape[:2]
-    orders = np.concatenate([leqs, leqs.transpose(0, 2, 1)])   # each order, then its opposite
-    below = orders.transpose(0, 2, 1)                           # [g, i, x] : x <= i
-    lows = below[:, :, None, :] & below[:, None, :, :]          # [g, i, j, x] : x <= i, j
-    best = np.argmax(np.where(lows, orders.sum(axis=1)[:, None, None, :], -1), axis=3)
-    proved = (lows == below[np.arange(2 * count)[:, None, None], best]).all(axis=3)
-    idx = np.arange(n)
-    failed = ~np.stack([proved[:count], proved[count:]], axis=3) & (idx[:, None] <= idx)[..., None]
-    return best[:count], best[count:], _first(failed)
+    downs = _words(np.concatenate([leqs.transpose(0, 2, 1), leqs]))  # ↓x, then ↑x
+    base, width = np.arange(2 * count)[:, None, None], downs.shape[2]
+    rank = np.bitwise_count(downs).sum(axis=2, dtype=np.intp)
+    by_rank = _words(rank[:, None, :] == np.arange(n + 1)[:, None]).reshape(-1, width)
+    lows = downs[:, :, None] & downs[:, None, :]                        # ↓i ∩ ↓j
+    found = by_rank[base * (n + 1) + np.bitwise_count(lows).sum(axis=3, dtype=np.intp)] & lows
+    found &= ~found + 1                      # the lowest candidate bit of each word
+    bit = np.frexp(found.astype(float))[1]   # exact on a power of two: its bit plus one
+    x = np.where(found != 0, bit + np.arange(-1, 64 * width - 1, 64), -1).max(axis=3)
+    proved = (x >= 0) & (downs.reshape(-1, width)[base * n + x] == lows).all(axis=3)
+    table, upper = np.where(proved, x, -1), np.triu(np.ones((n, n), dtype=bool))[..., None]
+    failed = ~proved.reshape(2, count, n, n).transpose(1, 2, 3, 0) & upper
+    return table[:count], table[count:], _first(failed)
 
 
 def distributivity_witness(meet, join):
@@ -262,9 +285,10 @@ def validate_frames(leqs, labels: Optional[Sequence[Sequence[str]]] = None) -> l
     if n == 0:
         raise InvalidPoset("empty carrier has no bottom or top")
     if labels is None:
-        labels = [tuple(str(i) for i in range(n))] * count
+        labels = [[str(i) for i in range(n)]]  # one row for every frame
     elif len(labels) != count or any(len(row) != n for row in labels):
         raise ValueError("labels length must match carrier size")
+    label_rows = np.broadcast_to(np.array(list(map(tuple, labels)), dtype=object), (count, n))
 
     checks, bad = _order_checks(leqs)
     # The order checks are invariant under relabelling, so they hold on the
@@ -272,7 +296,7 @@ def validate_frames(leqs, labels: Optional[Sequence[Sequence[str]]] = None) -> l
     key = np.where(checks.bottoms, -1, np.where(checks.tops, n, np.arange(n)))
     order = np.argsort(key, axis=1, kind="stable")
     canon = leqs[np.arange(count)[:, None, None], order[:, :, None], order[:, None, :]]
-    labels = [tuple(row[i] for i in perm) for row, perm in zip(labels, order.tolist())]
+    labels = list(map(tuple, np.take_along_axis(label_rows, order, axis=1).tolist()))
     meet, join, missing = lattice_tables(canon)
     triples = distributivity_witness(meet, join)
     imp, broken = heyting_tables(canon, meet)
@@ -294,9 +318,11 @@ def validate_frames(leqs, labels: Optional[Sequence[Sequence[str]]] = None) -> l
         a, x, b = (int(v) for v in np.unravel_index(broken[k], (n, n, n)))
         raise AssertionError(f"heyting adjunction broke at ({a}, {x}, {b})")
 
-    for table in (canon, meet, join, imp):
+    tables = {"leq": canon, "meet": meet, "join": join, "imp": imp}
+    for table in tables.values():
         table.flags.writeable = False
-    return [FiniteFrame(canon[k], meet[k], join[k], imp[k], labels[k]) for k in range(count)]
+    return [FiniteFrame(canon[k], meet[k], join[k], imp[k], labels[k], (tables, k))
+            for k in range(count)]
 
 
 def set_frame(rows, labels: Sequence[str]) -> FiniteFrame:
@@ -402,10 +428,7 @@ class BooleanizationView:
         frame = validate_frame(sub, labels=[self.parent.labels[a] for a in self.carrier])
         # Carrier is ascending with parent bottom/top at the ends, so the
         # canonical order is the identity and tables line up positionally.
-        expected = np.array([[self.position[int(self.join_table[i, j])]
-                              for j in range(len(self.carrier))]
-                             for i in range(len(self.carrier))])
-        if not np.array_equal(frame.join, expected):
+        if not np.array_equal(frame.join, np.searchsorted(self.carrier, self.join_table)):
             raise AssertionError("view join disagrees with order-theoretic join")
         return frame
 
@@ -436,15 +459,17 @@ class RegularPairFrame:
     the (parent element, regular element) behind carrier index i. Closure
     under componentwise meets, and under joins whose second coordinate join
     is the regularized one, is verified as two table lookups over all pairs.
+    The frame budget (max_size, default the bound's) counts the pairs.
     """
 
-    def __init__(self, base: FiniteFrame):
+    def __init__(self, base: FiniteFrame, max_size: Optional[int] = None):
         view = booleanization(base)
         a, k = np.nonzero(base.leq[:, list(view.carrier)])  # a <= b = carrier[k], a then b
+        within_budget("frame", len(a), max_size)
         b = np.array(view.carrier, dtype=np.intp)[k]
         pairs = tuple(zip(a.tolist(), b.tolist()))
         labels = tuple(f"({base.labels[x]},{base.labels[y]})" for x, y in pairs)
-        frame = validate_frame(base.leq[np.ix_(a, a)] & base.leq[np.ix_(b, b)], labels)
+        frame = validate_frame(base.leq[np.ix_(a, a)] & base.leq[np.ix_(b, b)], labels, max_size)
         if frame.labels != labels:
             raise AssertionError("pair carrier left canonical order")
         position = np.full((base.n, base.n), -1, dtype=np.intp)
@@ -469,6 +494,6 @@ class RegularPairFrame:
         return self.frame.n
 
 
-def regular_pair_frame(base: FiniteFrame) -> RegularPairFrame:
+def regular_pair_frame(base: FiniteFrame, max_size: Optional[int] = None) -> RegularPairFrame:
     """Pair every element with the regular elements above it: {(a,b) : a <= b}."""
-    return RegularPairFrame(base)
+    return RegularPairFrame(base, max_size)

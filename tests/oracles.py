@@ -302,6 +302,26 @@ def brute_closed_join_elements(frame):
     return sorted(out)
 
 
+def generic_lattice_tables(leqs):
+    """`lattice.lattice_tables` by search: the meet of i and j is the common
+    lower bound with the most elements below it, proved by the common lower
+    bounds being exactly the elements below it; joins are the meets of the
+    opposite order. Same (meet, join, missing) contract: -1 where a pair has
+    no infimum or supremum, and missing names each frame's first such pair
+    (i, j >= i), row-major, infimum first, as 2 * (i * n + j) + kind."""
+    count, n = leqs.shape[:2]
+    orders = np.concatenate([leqs, leqs.transpose(0, 2, 1)])   # each order, then its opposite
+    below = orders.transpose(0, 2, 1)                           # [g, i, x] : x <= i
+    lows = below[:, :, None, :] & below[:, None, :, :]          # [g, i, j, x] : x <= i, j
+    best = np.argmax(np.where(lows, orders.sum(axis=1)[:, None, None, :], -1), axis=3)
+    proved = (lows == below[np.arange(2 * count)[:, None, None], best]).all(axis=3)
+    best = np.where(proved, best, -1)
+    idx = np.arange(n)
+    failed = ~np.stack([proved[:count], proved[count:]], axis=3) & (idx[:, None] <= idx)[..., None]
+    flat = failed.reshape(count, -1)
+    return best[:count], best[count:], np.where(flat.any(axis=1), flat.argmax(axis=1), -1)
+
+
 def generic_closed_join_frame(frame: FiniteFrame):
     """The closed-join frame derived from its order alone: the up-sets of
     `frame` in (size, mask) order, validated by `validate_frames` as the

@@ -5,7 +5,8 @@ import pytest
 
 from localekit import cli
 from localekit.common import BUDGETS, BudgetExceeded, pack_rows, settled, unpack_rows
-from localekit.lattice import order_closure, validate_frame
+from localekit.corpus import chain
+from localekit.lattice import order_closure, regular_pair_frame, validate_frame
 from localekit.spaces import indiscrete, uc_lattice
 
 
@@ -51,6 +52,9 @@ DIRECT_SITES = {
     "lattice.validate_frame": ("frame", 65, lambda budget: validate_frame(
         order_closure(65, [(i, i + 1) for i in range(64)]), max_size=budget)),
     "spaces.uc_lattice": ("space", 9, lambda budget: uc_lattice(indiscrete(9), budget)),
+    # chain(64) has 65 pairs (a, b) with a <= b regular
+    "lattice.regular_pair_frame": ("frame", 65, lambda budget: regular_pair_frame(chain(64),
+                                                                                 budget)),
 }
 
 

@@ -8,12 +8,14 @@ from localekit import corpus, io, lattice
 from localekit.common import BudgetExceeded
 from localekit.lattice import (ClosureViolation, FiniteFrame, InvalidPoset,
                                NotALattice, NotDistributive, booleanization, containment_order,
-                               cover_pairs, heyting, heyting_tables, order_closure,
-                               product_frame, pseudocomplement, regular_pair_frame, set_frame,
-                               validate_frame, validate_frames)
+                               cover_pairs, heyting, heyting_tables, lattice_tables,
+                               order_closure, product_frame, pseudocomplement,
+                               regular_pair_frame, set_frame, stacked, validate_frame,
+                               validate_frames)
 
 from oracles import (brute_heyting, brute_is_distributive, brute_join, brute_meet,
-                     diamond_leq, find_order_isomorphism, hexagon_leq, pentagon_leq)
+                     diamond_leq, find_order_isomorphism, generic_lattice_tables,
+                     hexagon_leq, pentagon_leq)
 
 
 def as_rows(frame):
@@ -26,6 +28,9 @@ BAD_ORDERS = {
     "cycle": (order_closure(3, [(0, 1), (1, 2), (2, 0)]), r"^antisymmetry fails on \(0, 1\)$"),
     "not transitive": ([[True, True, False], [False, True, True], [False, False, True]],
                        r"^transitivity fails on \(0, 2\)$"),
+    # every element below every other: 64 candidates for each meet, which the
+    # lookup must read as one of them, not as a rounded float of all 64 bits
+    "all equivalent": (np.ones((64, 64), dtype=bool), r"^antisymmetry fails on \(0, 1\)$"),
     "two minimal elements": ([[True, False], [False, True]],
                              r"^need exactly one bottom, found \[\]$"),
     "two maximal elements": (order_closure(3, [(0, 1), (0, 2)]),
@@ -160,6 +165,70 @@ def raised(action):
     return type(exc), str(exc), getattr(exc, "pair", None), getattr(exc, "triple", None)
 
 
+def bounded_posets(n):
+    """Every bounded naturally labeled poset on n elements, lattice or not, as (K, n, n)."""
+    return np.concatenate([orders for _, _, orders in
+                           corpus._chunks(list(corpus._bounded_rows(n)), n)])
+
+
+def wide_orders(n):
+    """Three bounded orders on n elements, each relabeled at random: a chain, a
+    lattice (a 7 x 9 grid, or the 6-cube under a chain of the rest) and a
+    random bounded poset, which is almost never a lattice."""
+    rng = np.random.default_rng(n)
+    idx = np.arange(n)
+    if n == 63:
+        grid = (idx[:, None] // 9 <= idx // 9) & (idx[:, None] % 9 <= idx % 9)
+    else:
+        cube = (idx[:, None] & ~idx) == 0
+        grid = np.where((idx[:, None] < 64) & (idx < 64), cube, idx[:, None] <= idx)
+    random = np.triu(rng.random((n, n)) < 3 / n)
+    random[0] = random[:, -1] = True
+    orders = np.stack([idx[:, None] <= idx, grid,
+                       order_closure(n, zip(*np.nonzero(random)))])
+    perms = [rng.permutation(n) for _ in orders]
+    return np.stack([order[np.ix_(p, p)] for order, p in zip(orders, perms)])
+
+
+class TestLatticeTables:
+    def same_as_search(self, orders):
+        got = lattice_tables(orders)
+        want = [np.concatenate(parts) for parts in
+                zip(*(generic_lattice_tables(order[None]) for order in orders))]
+        for table, expected in zip(got, want):
+            assert table.dtype == expected.dtype
+            assert np.array_equal(table, expected)
+        return got
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_lookup_matches_search_on_every_bounded_poset(self, n):
+        orders = bounded_posets(n)
+        meet, join, missing = self.same_as_search(orders)
+        if n == 7:
+            assert len(orders) == 357 and 0 < (missing >= 0).sum() < 357  # both kinds
+        # a frame misses a pair exactly where one of its tables holds -1
+        lacking = (missing >= 0) == ((meet < 0) | (join < 0)).any(axis=(1, 2))
+        assert lacking.all()
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 130])
+    def test_lookup_matches_search_across_word_boundaries(self, n):
+        _, _, missing = self.same_as_search(wide_orders(n))
+        assert (missing[:2] < 0).all() and missing[2] >= 0
+
+    def test_a_broken_order_gets_no_unproved_entry(self):
+        # not transitive: 2 <= 0 <= 3, 4 without 2 <= 3, 4. ↓3 ∩ ↓4 = {0, 1}, and 0
+        # is the one element of that rank in it, but ↓0 = {0, 2}: no meet
+        leq = order_closure(5, [(2, 0), (0, 3), (1, 3), (0, 4), (1, 4)])
+        leq[2, 3:] = False
+        meet, join, missing = lattice_tables(leq[None])
+        assert meet[0, 3, 4] == -1 and missing[0] >= 0
+        for table, rows in ((meet[0], leq.T), (join[0], leq)):
+            for i, j in zip(*np.nonzero(table >= 0)):
+                assert np.array_equal(rows[table[i, j]], rows[i] & rows[j])
+        meet, join, missing = lattice_tables(np.ones((1, 64, 64), dtype=bool))
+        assert (meet == 0).all() and (join == 0).all() and missing[0] == -1  # the lowest
+
+
 class TestValidateFrames:
     def test_stacks_match_single_frames(self, small_corpus, tiny_corpus):
         rng = Random(0)
@@ -180,6 +249,19 @@ class TestValidateFrames:
                     assert np.array_equal(table, expected)
                     assert not table.flags.writeable
                 assert got.up_masks == want.up_masks
+
+    def test_stacked_reads_a_corpus_chunk_as_views(self):
+        frames = [frame for _, frame in max(corpus.chunked(corpus.iter_distributive_frames(6)),
+                                            key=len)]
+        assert len(frames) > 1
+        names = ("leq", "meet", "join", "imp")
+        for name, table in zip(names, stacked(frames)):
+            assert np.shares_memory(table, getattr(frames[0], name))
+            assert np.array_equal(table, np.stack([getattr(f, name) for f in frames]))
+        for others in (frames[::-1], frames[:1] + frames[2:], frames[:1] * 2):
+            (copied,) = stacked(others, ("meet",))
+            assert not np.shares_memory(copied, frames[0].meet)
+            assert np.array_equal(copied, np.stack([f.meet for f in others]))
 
     def test_default_labels_are_input_indices(self):
         upside_down = order_closure(3, [(2, 1), (1, 0)])
@@ -374,6 +456,12 @@ class TestRegularPairs:
 
     def test_degenerate(self, c1):
         assert regular_pair_frame(c1).n == 1
+
+    def test_budget_counts_the_pairs_before_validating(self, monkeypatch):
+        base = corpus.chain(64)  # 65 pairs: (0, 0) and every a below the top
+        monkeypatch.setattr(lattice, "validate_frame", lambda *args: pytest.fail("validated"))
+        with pytest.raises(BudgetExceeded, match="^carrier size 65 exceeds the frame budget 64 "):
+            regular_pair_frame(base)
 
     def test_carrier_closure_on_corpus(self, small_corpus):
         # construction re-verifies closure internally; run it broadly
