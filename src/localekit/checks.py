@@ -7,11 +7,12 @@ witness and passes are silent. An internal cross-check that breaks raises
 campaign loop records it as that item's violation of that check.
 
 Every LATTICE_CHECKS entry takes a FrameStructure: one campaign item's
-frame, whose S(L), closed-join frame, frame laws and closed/open identities
-are each built for its whole batch in one stacked call (`sublocale_lattices`,
-`closed_join_frames`, `frame_law_outcomes`, `closed_open_identities_outcomes`)
-when the first item asks. Each item reads its own outcome, and raises what
-it raises alone. Sharing does not merge routes: each law keeps its own two
+frame, whose S(L), closed-join frame, frame laws, closed/open identities and
+complements, and separation battery are each built for its whole batch in
+one stacked call (`sublocale_lattices`, `closed_join_frames`,
+`frame_law_outcomes`, `closed_open_outcomes`, `SeparationBattery`) when the
+first item asks. Each item reads its own outcome, and raises what it raises
+alone. Sharing does not merge routes: each law keeps its own two
 computations.
 """
 
@@ -37,8 +38,9 @@ from . import sublocales as sub
 
 
 class FrameStructure:
-    """One campaign item: its frame, its outcomes read off the batches of
-    frame_structures, and its subfitness, decided once for all checks."""
+    """One campaign item: its frame and its outcomes, read off the batches of
+    frame_structures. Its subfitness, decided once in the separation battery,
+    serves ppt and axiom-monotonicity alike."""
 
     def __init__(self, frame: FiniteFrame, k: int, batches: dict[str, Callable[[], list]]):
         self.frame, self._k, self._batches = frame, k, batches
@@ -46,36 +48,42 @@ class FrameStructure:
     def _outcome(self, name: str):
         return settled(self._batches[name]()[self._k])
 
-    def _take(self, name: str):
-        """The outcome, which its batch then no longer holds: it is freed with the item."""
-        outcome = self._outcome(name)  # a stored error stays in the batch, and raises
-        self._batches[name]()[self._k] = None
+    @cached_property
+    def lattice(self) -> sub.SublocaleLattice:
+        """The item's S(L), which its batch then no longer holds: it is freed with the item."""
+        outcome = self._outcome("lattice")  # a stored error stays in the batch, and raises
+        self._batches["lattice"]()[self._k] = None
         return outcome
 
     @cached_property
-    def lattice(self) -> sub.SublocaleLattice:
-        return self._take("lattice")
-
-    @cached_property
     def closed_joins(self) -> sub.ClosedJoinFrame:
-        return self._take("closed_joins")
+        """The closed-join frame, which stays in its batch: the separation battery reads it."""
+        return self._outcome("closed_joins")
+
+    def separation(self, part: str):
+        """The item's outcome `part` of the separation battery (see SeparationBattery)."""
+        return settled(getattr(self._batches["separation"](), part)[self._k])
 
     @cached_property
     def subfit(self) -> separation.SeparationReport:
-        return separation.is_subfit(self.frame)
+        return self.separation("subfit")
 
     def frame_laws(self) -> CheckReport:
         return self._outcome("frame_laws")
 
-    def identities(self) -> CheckReport:
-        return self._outcome("identities")
+    def closed_open(self, part: int) -> CheckReport:
+        """The closed/open identities (0) or complements (1) report."""
+        return self._outcome("closed_open")[part]
 
 
 def frame_structures(frames: Sequence[FiniteFrame]) -> Iterator[FrameStructure]:
-    """A FrameStructure per frame, in order, sharing four lazily built batches."""
+    """A FrameStructure per frame, in order, sharing five lazily built batches;
+    the separation battery reads the closed-join frames' batch."""
     batches = {name: cache(lambda build=build: build(frames)) for name, build in (
         ("lattice", sub.sublocale_lattices), ("closed_joins", sub.closed_join_frames),
-        ("frame_laws", frame_law_outcomes), ("identities", sub.closed_open_identities_outcomes))}
+        ("frame_laws", frame_law_outcomes), ("closed_open", sub.closed_open_outcomes))}
+    closed_joins = batches["closed_joins"]  # not `batches`: a cycle would outlive the chunk
+    batches["separation"] = cache(lambda: separation.SeparationBattery(frames, closed_joins))
     for k, frame in enumerate(frames):
         yield FrameStructure(frame, k, batches)
 
@@ -166,11 +174,14 @@ def frame_laws(frame: FiniteFrame) -> CheckReport:
     return settled(frame_law_outcomes([frame])[0])
 
 
-def sublocale_laws(frame: FiniteFrame,
-                   lattice: Optional[sub.SublocaleLattice] = None) -> CheckReport:
-    """S(L): coframe law, join-is-lub, complements, antitone embedding."""
+def sublocale_laws(frame: FiniteFrame, lattice: Optional[sub.SublocaleLattice] = None,
+                   complements: Optional[CheckReport] = None) -> CheckReport:
+    """S(L): coframe law, join-is-lub, complements (the caller's
+    closed_open_complements_report, when given), antitone embedding."""
     lat = lattice if lattice is not None else sub.all_sublocales(frame)
-    for report in (lat.laws, sub.closed_open_complements_report(frame)):
+    if complements is None:
+        complements = sub.closed_open_complements_report(frame)
+    for report in (lat.laws, complements):
         if not report.ok:
             return report
     broken = frame.leq != containment_order(frame.leq).T   # a <= b iff c(b) ⊆ c(a)
@@ -180,15 +191,14 @@ def sublocale_laws(frame: FiniteFrame,
     return CheckReport.passed("sublocale-laws")
 
 
-def axiom_monotonicity(frame: FiniteFrame,
-                       cjf: Optional[sub.ClosedJoinFrame] = None, *,
-                       subfit: separation.SeparationReport) -> CheckReport:
+def axiom_monotonicity(item: FrameStructure) -> CheckReport:
     """subfit implies weakly subfit and symmetric; a breach raises AssertionError."""
-    if not subfit.holds:
+    item.closed_joins  # read first: a breach of the closed-join frame is this check's too
+    if not item.subfit.holds:
         return CheckReport.passed("axiom-monotonicity", "not-subfit")
-    if not separation.is_weakly_subfit(frame).holds:
+    if not item.separation("weakly_subfit").holds:
         raise AssertionError("subfit but not weakly subfit")
-    if not separation.is_symmetric(frame, cjf).holds:
+    if not item.separation("symmetric").holds:
         raise AssertionError("subfit but not symmetric")
     return CheckReport.passed("axiom-monotonicity")
 
@@ -202,17 +212,16 @@ def _consistent(name: str, _verdict) -> CheckReport:
 
 LATTICE_CHECKS: dict[str, Callable[[FrameStructure], CheckReport]] = {
     "frame-laws": lambda item: item.frame_laws(),
-    "identities": lambda item: item.identities(),
+    "identities": lambda item: item.closed_open(0),
     "coframe-law": lambda item: item.lattice.laws,
-    "sublocale-laws": lambda item: sublocale_laws(item.frame, item.lattice),
+    "sublocale-laws": lambda item: sublocale_laws(item.frame, item.lattice, item.closed_open(1)),
     "sc-frame-law": lambda item: item.closed_joins.frame_law_report(),
     "ppt": lambda item: separation.subfit_correspondence_check(
-        item.frame, item.lattice, cjf=item.closed_joins, subfit=item.subfit),
-    "weaksub-equiv": lambda item: _consistent(
-        "weaksub-equiv", separation.is_symmetric(item.frame, item.closed_joins)),
-    "pcformula": lambda item: separation.pseudocomplement_formula_check(item.frame),
-    "axiom-monotonicity": lambda item: axiom_monotonicity(item.frame, item.closed_joins,
-                                                          subfit=item.subfit),
+        item.frame, item.lattice, cjf=item.closed_joins, subfit=item.subfit,
+        outcome=item.separation("ppt")),
+    "weaksub-equiv": lambda item: _consistent("weaksub-equiv", item.separation("symmetric")),
+    "pcformula": lambda item: item.separation("pcformula"),
+    "axiom-monotonicity": axiom_monotonicity,
 }
 
 

@@ -19,8 +19,9 @@ greatest x on the left and proved by the adjunction check that follows.
 `lattice_tables` looks i ∧ j up as the element whose down-set is ↓i ∩ ↓j
 among those of its size, unique when the order is antisymmetric and proved
 by comparing packed uint64 down-set words, exact at any width. A stack of
-one is `validate_frame`, and `stacked` reads a run of one call's frames
-back as views. `set_frame` reads a ring of sets' tables off ∩ and ∪ instead.
+one is `validate_frame`; `stacked` reads a run of one call's frames back as
+views, and `by_size` gives the stacks of a batch of mixed carrier sizes.
+`set_frame` reads a ring of sets' tables off ∩ and ∪ instead.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .common import pack_rows, within_budget
+from .common import grouped, pack_rows, within_budget
 
 
 class InvalidPoset(ValueError):
@@ -105,11 +106,6 @@ class FiniteFrame:
         """up_masks[i]: bitmask of {k : i <= k}."""
         return pack_rows(self.leq)
 
-    @cached_property
-    def imp_image_masks(self) -> tuple[int, ...]:
-        """imp_image_masks[a]: bitmask of {a -> b : b in L} (the open sublocale)."""
-        return pack_rows((self.imp[:, :, None] == np.arange(self.n)).any(axis=1))
-
     def label(self, i: int) -> str:
         return self.labels[i]
 
@@ -146,7 +142,16 @@ def stacked(frames: Sequence[FiniteFrame], names=("leq", "meet", "join", "imp"))
     if all(f.stack and f.stack[0] is tables and f.stack[1] == start + k
            for k, f in enumerate(frames)):
         return tuple(tables[name][start:start + len(frames)] for name in names)
+    if len(frames) == 1:
+        return tuple(getattr(frames[0], name)[None] for name in names)
     return tuple(np.stack([getattr(frame, name) for frame in frames]) for name in names)
+
+
+def by_size(frames: Sequence[FiniteFrame], names=("leq", "meet", "join", "imp")):
+    """(positions, tables) per carrier size of frames: the positions of the
+    frames of that size and their named tables, `stacked`."""
+    for ks in grouped(frame.n for frame in frames).values():
+        yield ks, stacked([frames[k] for k in ks], names)
 
 
 def _words(rows):

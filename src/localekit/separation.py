@@ -1,22 +1,27 @@
 """Separation axioms for finite frames and their verified correspondences.
 
-Every decision procedure returns a report whose failure witness can be
-re-checked independently against the axiom's defining condition. Witnesses
-are minimal in lexicographic element order, so reports are reproducible.
+`SeparationBattery` decides subfitness, weak subfitness, symmetry, the
+subfit/Boolean correspondence ("ppt") and the pseudocomplement formula
+("pcformula") for a batch of frames, one stack per carrier size, each list
+when first read. It is the fifth batch of `checks.frame_structures`, and
+each public function here is the battery on a stack of one. Products are
+bool `@`, exact at any width. A frame whose cross-check breaks gets the
+exception it raises alone. Witnesses are minimal in lexicographic element
+order, so reports are reproducible and can be re-checked independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from typing import Optional
+from functools import cached_property, reduce
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .common import CheckReport, EquivalenceViolation, TheoremViolation
-from .lattice import FiniteFrame
-from .sublocales import (ClosedJoinFrame, SublocaleLattice, all_sublocales,
-                         closed_join_frame, dual_booleanization)
+from .common import CheckReport, EquivalenceViolation, TheoremViolation, settled
+from .lattice import FiniteFrame, by_size
+from .sublocales import (ClosedJoinFrame, SublocaleLattice, all_sublocales, closed_join_frame,
+                         dual_booleanization, open_rows)
 
 
 @dataclass(frozen=True)
@@ -30,12 +35,9 @@ class ConditionVerdict:
 
 @dataclass(frozen=True)
 class SeparationReport:
-    """Verdict for one separation axiom on one frame.
-
-    witness names the offending element(s) when the axiom fails and is
-    absent when it holds; conditions carries the per-condition breakdown
-    for axioms defined by an equivalence.
-    """
+    """Verdict for one separation axiom on one frame: the offending
+    element(s) when it fails, and the per-condition breakdown of an axiom
+    defined by an equivalence."""
 
     axiom: str
     holds: bool
@@ -44,137 +46,195 @@ class SeparationReport:
     conditions: tuple[ConditionVerdict, ...] = ()
 
 
+def _failures(frames, names, laws, count=1) -> list[dict[int, int]]:
+    """Per failure mask (F, ...) of the `count` that laws(*tables) returns,
+    one call per carrier size: {position: first failing flat index}."""
+    found: list[dict[int, int]] = [{} for _ in range(count)]
+    for ks, tables in by_size(frames, names):
+        for into, bad in zip(found, laws(*tables)):
+            bad = bad.reshape(len(ks), -1)
+            for g in bad.any(axis=1).nonzero()[0].tolist():
+                into[ks[g]] = int(bad[g].argmax())
+    return found
+
+
+def _report(axiom, frame, witness, conditions=()) -> SeparationReport:
+    labels = witness and tuple(frame.labels[v] for v in witness)
+    return SeparationReport(axiom, witness is None, witness, labels, conditions)
+
+
+def _weakly_subfit(frames) -> list[SeparationReport]:
+    """Every a ≠ 0 has a c ≠ 1 with a ∨ c = 1."""
+    found = _failures(frames, ("join",), lambda join: (  # rows a ≠ 0, columns c ≠ 1
+        ~(join[:, 1:, :-1] == join.shape[1] - 1).any(axis=2),))[0]
+    return [_report("weakly-subfit", frame, (found[k] + 1,) if k in found else None)
+            for k, frame in enumerate(frames)]
+
+
+def _uncovered(leq, imp):
+    """Proper opens o(a) inside no proper ↑g, ~(opens @ ~ups.T), and the dense ones."""
+    opens = open_rows(imp)
+    inside = ~(opens @ ~leq.transpose(0, 2, 1)) & ~leq.all(axis=2)[:, None, :]
+    bad = ~opens.all(axis=2) & ~inside.any(axis=2)
+    return bad, bad & opens[:, :, 0]
+
+
+def _pcformula_laws(leq, meet, join, imp):
+    """a* is not the meet of the covers {x : x ∨ a = 1} (their lower bounds,
+    one bool product against the order, are not ↓a*); a ∨ a* ≠ 1; a has no
+    complement."""
+    top, f, star = leq.shape[1] - 1, np.arange(len(leq))[:, None], imp[:, :, 0]
+    lower = ~((join == top).transpose(0, 2, 1) @ ~leq.transpose(0, 2, 1))
+    return ((lower != leq.transpose(0, 2, 1)[f, star]).any(axis=2),
+            join[f, np.arange(top + 1), star] != top, ~((meet == 0) & (join == top)).any(axis=2))
+
+
+class SeparationBattery:
+    """The separation battery of a batch of frames: one list per outcome, in
+    frame order, each entry a report or the breach it raises. symmetric and
+    ppt read the closed-join frames that `closed_joins()` returns, and a
+    frame whose closed-join frame failed gets that exception as both. The
+    half of ppt that reads S(L) is `subfit_correspondence_check`'s."""
+
+    def __init__(self, frames: Sequence[FiniteFrame],
+                 closed_joins: Optional[Callable[[], Sequence]] = None):
+        self.frames, self._closed_joins = frames, closed_joins
+
+    @cached_property
+    def subfit(self) -> list[SeparationReport]:
+        """a ≰ b needs some c with a ∨ c = 1 ≠ b ∨ c: one bool product over
+        the join == top stack; the witness is the first (a, b), row-major."""
+        def law(leq, join):
+            hits = join == leq.shape[1] - 1
+            return (~leq & ~(hits @ ~hits.transpose(0, 2, 1)),)
+        found = _failures(self.frames, ("leq", "join"), law)[0]
+        return [_report("subfit", frame, divmod(found[k], frame.n) if k in found else None)
+                for k, frame in enumerate(self.frames)]
+
+    @cached_property
+    def weakly_subfit(self) -> list[SeparationReport]:
+        return _weakly_subfit(self.frames)
+
+    @cached_property
+    def pcformula(self) -> list[CheckReport | AssertionError]:
+        """Not applicable unless weakly subfit; then a* is the meet of the
+        covers of a and, finite frames being coframes, a ∨ a* = 1 and every
+        element has a complement. The first law to break, at its first
+        element, is the AssertionError."""
+        weak = [k for k, report in enumerate(self.weakly_subfit) if report.holds]
+        laws = _failures([self.frames[k] for k in weak], ("leq", "meet", "join", "imp"),
+                         _pcformula_laws, 3)
+        outcomes: list = [CheckReport.passed("pcformula", "not-applicable")] * len(self.frames)
+        for g, k in enumerate(weak):
+            frame, law = self.frames[k], next((law for law in range(3) if g in laws[law]), None)
+            outcomes[k] = CheckReport.passed("pcformula")
+            if law is not None:
+                labels, a = frame.labels, laws[law][g]
+                covers = np.flatnonzero(frame.join[:, a] == frame.top).tolist()
+                bound = reduce(lambda u, v: int(frame.meet[u, v]), covers, frame.top)
+                outcomes[k] = AssertionError((
+                    f"a={labels[a]}: meet of covers is {labels[bound]}, "
+                    f"a*={labels[frame.star[a]]}", f"a ∨ a* ≠ 1 at {labels[a]}",
+                    f"{labels[a]} has no complement")[law])
+        return outcomes
+
+    @cached_property
+    def _built(self) -> tuple[list, list[int]]:
+        """The closed-join frames, and the positions of those that were built."""
+        cjfs = self._closed_joins()
+        return cjfs, [k for k, cjf in enumerate(cjfs) if not isinstance(cjf, Exception)]
+
+    @cached_property
+    def symmetric(self) -> list[SeparationReport | Exception]:
+        """Three readings of symmetry, evaluated independently: (1) the
+        closed-join frame is weakly subfit; (2) every proper open o(a) sits
+        inside a proper join of closed sublocales ↑g; (3) so does every dense
+        one. Disagreeing verdicts are an EquivalenceViolation."""
+        (cjfs, built), frames = self._built, self.frames
+        inner = _weakly_subfit([cjfs[k].frame for k in built])
+        opens = _failures([frames[k] for k in built], ("leq", "imp"), _uncovered, 2)
+        reports = list(cjfs)
+        for g, k in enumerate(built):
+            labels, weak, w2 = frames[k].labels, inner[g], opens[0].get(g)
+            conditions = (ConditionVerdict("closed-join-weakly-subfit", weak.holds,
+                                           weak.witness_labels and weak.witness_labels[0]),
+                          *(ConditionVerdict(name, g not in found,
+                                             f"o({labels[found[g]]})" if g in found else None)
+                            for name, found in zip(("proper-opens-covered",
+                                                    "dense-proper-opens-covered"), opens)))
+            reports[k] = _report("symmetric", frames[k], None if w2 is None else (w2,), conditions)
+            if len({c.holds for c in conditions}) != 1:
+                reports[k] = EquivalenceViolation(
+                    f"symmetry conditions disagree on a frame with {frames[k].n} elements: "
+                    f"{[(c.name, c.holds, c.witness) for c in conditions]}")
+        return reports
+
+    @cached_property
+    def ppt(self) -> list[CheckReport | Exception]:
+        """Subfit iff every element of the closed-join frame has a complement
+        in its own tables; where the two differ, a TheoremViolation names the
+        first uncomplemented element."""
+        cjfs, built = self._built
+        missing = _failures([cjfs[k].frame for k in built], ("meet", "join"), lambda meet, join: (
+            ~((join == join.shape[1] - 1) & (meet == 0)).any(axis=2),))[0]
+        outcomes = list(cjfs)
+        for g, k in enumerate(built):
+            subfit, boolean = self.subfit[k].holds, g not in missing
+            outcomes[k] = CheckReport.passed("ppt")
+            if subfit != boolean:
+                witness = None if boolean else cjfs[k].elements[missing[g]].label()
+                outcomes[k] = TheoremViolation(
+                    f"subfit={subfit} but closed-join complementation={boolean}; "
+                    f"witness={witness}, frame labels={self.frames[k].labels}")
+        return outcomes
+
+
 def is_subfit(frame: FiniteFrame) -> SeparationReport:
     """a ≰ b demands some c with a ∨ c = 1 ≠ b ∨ c."""
-    n, top = frame.n, frame.top
-    leq, join = frame.leq, frame.join
-    for a in range(n):
-        a_hits = join[a] == top
-        for b in range(n):
-            if leq[a, b]:
-                continue
-            if not (a_hits & (join[b] != top)).any():
-                return SeparationReport("subfit", False, (a, b),
-                                        (frame.labels[a], frame.labels[b]))
-    return SeparationReport("subfit", True)
+    return SeparationBattery([frame]).subfit[0]
 
 
 def is_weakly_subfit(frame: FiniteFrame) -> SeparationReport:
     """Every a ≠ 0 has a c ≠ 1 with a ∨ c = 1."""
-    n, top = frame.n, frame.top
-    join = frame.join
-    for a in range(1, n):
-        if not (join[a, :top] == top).any():
-            return SeparationReport("weakly-subfit", False, (a,), (frame.labels[a],))
-    return SeparationReport("weakly-subfit", True)
+    return SeparationBattery([frame]).weakly_subfit[0]
 
 
-def is_symmetric(frame: FiniteFrame,
-                 cjf: Optional[ClosedJoinFrame] = None) -> SeparationReport:
-    """Three equivalent readings of symmetry, evaluated independently.
-
-    (1) the closed-join frame is weakly subfit, as an abstract frame whose
-    bottom is O and top is the whole frame; (2) every proper open sublocale
-    sits inside a proper join of closed sublocales; (3) the same restricted
-    to dense proper opens. The three verdicts must agree; disagreement is an
-    implementation bug and raises EquivalenceViolation.
-    """
-    if cjf is None:
-        cjf = closed_join_frame(frame)
-    inner = is_weakly_subfit(cjf.frame)
-    cond1 = ConditionVerdict("closed-join-weakly-subfit", inner.holds,
-                             inner.witness_labels[0] if inner.witness_labels else None)
-
-    full = (1 << frame.n) - 1
-    proper = [m for m in cjf.masks if m != full]
-
-    def covered(o_mask: int) -> bool:
-        return any(o_mask & ~t == 0 for t in proper)
-
-    w2 = next((a for a in range(frame.n)
-               if frame.imp_image_masks[a] != full
-               and not covered(frame.imp_image_masks[a])), None)
-    cond2 = ConditionVerdict("proper-opens-covered", w2 is None,
-                             None if w2 is None else f"o({frame.labels[w2]})")
-
-    w3 = next((a for a in range(frame.n)
-               if frame.imp_image_masks[a] != full
-               and frame.imp_image_masks[a] & 1
-               and not covered(frame.imp_image_masks[a])), None)
-    cond3 = ConditionVerdict("dense-proper-opens-covered", w3 is None,
-                             None if w3 is None else f"o({frame.labels[w3]})")
-
-    verdicts = (cond1.holds, cond2.holds, cond3.holds)
-    if len(set(verdicts)) != 1:
-        raise EquivalenceViolation(
-            f"symmetry conditions disagree on a frame with {frame.n} elements: "
-            f"{[(c.name, c.holds, c.witness) for c in (cond1, cond2, cond3)]}")
-    witness = None if w2 is None else (w2,)
-    witness_labels = None if w2 is None else (frame.labels[w2],)
-    return SeparationReport("symmetric", cond2.holds, witness, witness_labels,
-                            conditions=(cond1, cond2, cond3))
+def is_symmetric(frame: FiniteFrame, cjf: Optional[ClosedJoinFrame] = None) -> SeparationReport:
+    """The three readings of symmetry; disagreement raises EquivalenceViolation."""
+    closed_joins = [closed_join_frame(frame) if cjf is None else cjf]
+    return settled(SeparationBattery([frame], lambda: closed_joins).symmetric[0])
 
 
 def subfit_correspondence_check(frame: FiniteFrame,
                                 lattice: Optional[SublocaleLattice] = None,
                                 budget: Optional[int] = None,
                                 cjf: Optional[ClosedJoinFrame] = None,
-                                subfit: Optional[SeparationReport] = None) -> CheckReport:
-    """Verify the subfit/Boolean correspondence on one frame.
-
-    Three facts are computed independently: the subfitness verdict, whether
-    every closed-join element is complemented, and whether the closed-join
-    elements coincide with the double-supplement fixed points of S(L). The
-    first two must match, and subfitness forces the coincidence; a breach
-    raises TheoremViolation, and otherwise "ppt" passes. `subfit`, when
-    given, is the caller's is_subfit(frame).
-    """
-    sub = subfit if subfit is not None else is_subfit(frame)
-    if cjf is None:
-        cjf = closed_join_frame(frame)
-    sc = cjf.frame
-    complemented = ((sc.join == sc.top) & (sc.meet == sc.bottom)).any(axis=1)
-    boolean = bool(complemented.all())
-    lat = lattice if lattice is not None else all_sublocales(frame, budget)
-    dual = dual_booleanization(frame, lat)
-    if sub.holds != boolean:
-        witness = None if boolean else cjf.elements[int(np.argmin(complemented))].label()
-        raise TheoremViolation(
-            f"subfit={sub.holds} but closed-join complementation={boolean}; "
-            f"witness={witness}, frame labels={frame.labels}")
-    if sub.holds and {s.mask for s in dual} != set(cjf.masks):
+                                subfit: Optional[SeparationReport] = None,
+                                outcome: Optional[CheckReport] = None) -> CheckReport:
+    """The subfit/Boolean correspondence on one frame: the battery's ppt
+    (`outcome`, when the caller has it), and on a subfit frame, that the
+    closed-join rows are the fixed points of the double supplement of S(L),
+    Y ↦ P ∖ Y on its prime sets. A breach raises TheoremViolation, and
+    otherwise "ppt" passes. `subfit`, when given, is is_subfit(frame)."""
+    cjf = closed_join_frame(frame) if cjf is None else cjf
+    lat = all_sublocales(frame, budget) if lattice is None else lattice
+    subfit = is_subfit(frame) if subfit is None else subfit
+    if outcome is None:
+        battery = SeparationBattery([frame], lambda: [cjf])
+        battery.subfit = [subfit]
+        outcome = settled(battery.ppt[0])
+    if not subfit.holds:
+        return outcome
+    supplement = np.argsort(lat.ys)[lat.ys ^ (len(lat) - 1)]
+    fixed = lat.rows[supplement[supplement] == np.arange(len(lat))]
+    if not np.array_equal(fixed, frame.leq[list(cjf.generators)]):
         raise TheoremViolation(
             "subfit frame where closed joins differ from the dual Booleanization: "
             f"closed joins {[s.label() for s in cjf.elements]} vs "
-            f"fixed points {[s.label() for s in dual]}")
-    return CheckReport.passed("ppt")
+            f"fixed points {[s.label() for s in dual_booleanization(frame, lat)]}")
+    return outcome
 
 
 def pseudocomplement_formula_check(frame: FiniteFrame) -> CheckReport:
-    """The pseudocomplement-via-covers formula under weak subfitness.
-
-    "pcformula" passes as not-applicable when the frame is not weakly
-    subfit. When it is, a* must equal the meet of {x : x ∨ a = 1}; finite
-    frames are also coframes, so a ∨ a* = 1 must follow and the frame must
-    be Boolean. The first of these to break raises AssertionError with a
-    witness.
-    """
-    name = "pcformula"
-    if not is_weakly_subfit(frame).holds:
-        return CheckReport.passed(name, "not-applicable")
-    n, top = frame.n, frame.top
-    join, meet, star = frame.join, frame.meet, frame.star
-    for a in range(n):
-        covers = [x for x in range(n) if join[x, a] == top]
-        bound = reduce(lambda u, v: int(meet[u, v]), covers)
-        if bound != int(star[a]):
-            labels = frame.labels
-            raise AssertionError(f"a={labels[a]}: meet of covers is "
-                                 f"{labels[bound]}, a*={labels[int(star[a])]}")
-    for a in range(n):
-        if int(join[a, star[a]]) != top:
-            raise AssertionError(f"a ∨ a* ≠ 1 at {frame.labels[a]}")
-    for a in range(n):
-        if not any(int(meet[a, c]) == 0 and int(join[a, c]) == top for c in range(n)):
-            raise AssertionError(f"{frame.labels[a]} has no complement")
-    return CheckReport.passed(name)
+    """pcformula on one frame; a broken law raises AssertionError."""
+    return settled(SeparationBattery([frame]).pcformula[0])

@@ -12,11 +12,10 @@ so their joins are the up-sets: L turned upside down.
 Everything works on stacks, one frame being a stack of one, and a frame
 that fails in a batch gets the outcome it gets alone: `sublocale_lattices`
 works one stack per (carrier size, number of primes), `closed_join_frames`
-and `closed_open_identities_outcomes` one per carrier size. The sublocale
-budget counts primes, since |S(L)| = 2^|primes|. The laws of S(L) are
-decided by comparing the containment of the closures with the subset
-order of their prime sets, the closed/open identities by their nullary
-and binary cases.
+and `closed_open_outcomes` one per carrier size. The sublocale budget
+counts primes, since |S(L)| = 2^|primes|. The laws of S(L) are decided by
+comparing the containment of the closures with the subset order of their
+prime sets, the closed/open identities by their nullary and binary cases.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ import numpy as np
 
 from .common import (BudgetExceeded, CheckReport, bits, grouped, pack_rows, settled,
                      slice_len, unpack_rows, within_budget)
-from .lattice import (FiniteFrame, containment_order, cover_relation, distributivity_witness,
-                      heyting_tables, stacked)
+from .lattice import (FiniteFrame, by_size, containment_order, cover_relation,
+                      distributivity_witness, heyting_tables)
 
 
 class MixedParents(ValueError):
@@ -122,7 +121,21 @@ def closed_sublocale(frame: FiniteFrame, a: int) -> Sublocale:
 
 def open_sublocale(frame: FiniteFrame, a: int) -> Sublocale:
     """o(a): the image of a -> (-)."""
-    return Sublocale(frame, frame.imp_image_masks[a])
+    return Sublocale(frame, pack_rows(open_rows(frame.imp[None])[0, a:a + 1])[0])
+
+
+def open_rows(imp):
+    """o(a), the image of a -> (-), for every a of an (F, n, n) Heyting stack, as member rows."""
+    count, n = imp.shape[:2]
+    opens = np.zeros(imp.shape, dtype=bool)
+    opens[np.arange(count)[:, None, None], np.arange(n)[:, None], imp] = True
+    return opens
+
+
+def size_mask_order(rows):
+    """The (size, mask) order of (F, m, n) member rows as (F, m) indices: by
+    size, then by the members from the top index down."""
+    return np.lexsort(np.concatenate([rows.transpose(2, 0, 1), rows.sum(axis=2)[None]]))
 
 
 def meet_closure(leqs, rows):
@@ -146,33 +159,46 @@ class SublocaleLattice:
     """All sublocales of a frame, ordered by inclusion (a coframe).
 
     Element order is by (size, mask), so index 0 is O and the last index is
-    the whole frame. rows[i] holds the members of masks[i] as a boolean row,
-    and prime_sets[i] is the set Y of primes with masks[i] = M(Y), as a
-    bitmask over the positions in primes(parent). The order, the tables and
-    the `laws` verdict come from the stack it was built in; given none, or
-    once a table is replaced, from a stack of one.
+    the whole frame. rows[i] holds the members of sublocale i as a boolean
+    row, and ys[i] is the set Y of primes with rows[i] = M(Y), as a bitmask
+    over the positions in primes(parent). Its masks, prime_sets, sublocales
+    and index are built from these when first read. The order, the tables
+    and the `laws` verdict come from the stack it was built in; given none,
+    or once a table is replaced, from a stack of one.
     """
 
-    def __init__(self, parent: FiniteFrame, masks: tuple[int, ...],
-                 prime_sets: tuple[int, ...], rows: np.ndarray, tables=None, laws=None):
-        self.parent, self.masks, self.prime_sets, self.rows = parent, masks, prime_sets, rows
-        self.index = {m: i for i, m in enumerate(masks)}
-        self.sublocales = tuple(Sublocale(parent, m) for m in masks)
-        self.bottom_index = self.index[1 << parent.top]
-        self.top_index = self.index[(1 << parent.n) - 1]
-        self._ys = np.array(prime_sets, dtype=np.intp)
+    def __init__(self, parent: FiniteFrame, ys: np.ndarray, rows: np.ndarray, tables=None,
+                 laws=None):
+        self.parent, self.ys, self.rows = parent, ys, rows
+        self.bottom_index, self.top_index = 0, len(ys) - 1
         self.leq, self.join_table, self.meet_table = tables or (
-            table[0] for table in _tables(rows[None], self._ys[None])[0])
+            table[0] for table in _tables(rows[None], ys[None])[0])
         self._laws = laws  # (the tables a stack decided on, its verdict), or None
 
     def __len__(self):
-        return len(self.masks)
+        return len(self.ys)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        return pack_rows(self.rows)
+
+    @cached_property
+    def prime_sets(self) -> tuple[int, ...]:
+        return tuple(self.ys.tolist())
+
+    @cached_property
+    def sublocales(self) -> tuple[Sublocale, ...]:
+        return tuple(Sublocale(self.parent, m) for m in self.masks)
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        return {m: i for i, m in enumerate(self.masks)}
 
     @cached_property
     def supplements(self):
         """supplements[i]: index of the least T with S_i ∨ T = L, M of the primes
         outside S_i; checked to join S_i to L and to lie inside every such T."""
-        out = np.argsort(self._ys)[self._ys ^ (len(self.masks) - 1)]
+        out = np.argsort(self.ys)[self.ys ^ (len(self) - 1)]
         partners = self.join_table == self.top_index
         if not (partners[np.arange(len(out)), out].all()
                 and (self.leq[out] | ~partners).all()):
@@ -185,7 +211,7 @@ class SublocaleLattice:
         """The coframe law and join-is-lub, decided through S(L) ≅ 2^P."""
         now = (self.leq, self.join_table, self.meet_table)
         if self._laws is None or any(a is not b for a, b in zip(now, self._laws[0])):
-            self._laws = now, _broken_laws(self._ys[None], *(table[None] for table in now))[0]
+            self._laws = now, _broken_laws(self.ys[None], *(table[None] for table in now))[0]
         if self._laws[1] is None:
             return CheckReport.passed("coframe-law")
         law, pair = self._laws[1]
@@ -254,8 +280,7 @@ def sublocale_lattices(frames: Iterable[FiniteFrame], budget: Optional[int] = No
     """
     frames = list(frames)
     built: list = [None] * len(frames)
-    for ks in grouped(frame.n for frame in frames).values():
-        tables = stacked([frames[k] for k in ks], ("leq", "meet", "imp"))
+    for ks, tables in by_size(frames, ("leq", "meet", "imp")):
         prime = cover_relation(tables[0]).sum(axis=2) == 1  # exactly one upper cover
         for k, part in grouped(prime.sum(axis=1).tolist()).items():
             group = [frames[ks[g]] for g in part]
@@ -278,16 +303,14 @@ def _sublocale_stack(frames, leq, meet, imp, prime, k, budget) -> list:
         np.arange(m)[:, None] >> np.arange(k) & 1)
     closures = meet_closure(leq, members)  # closures[f, y]: M(Y), bit j of y for the j-th prime
     verdicts = _sublocale_rows(meet, imp, closures)
-    # (size, mask) order: by size, then by the members from the top index down; the
-    # prime sets, and the tables that index by them, in the least dtype that holds m
-    ys = np.lexsort(np.concatenate([closures.transpose(2, 0, 1), closures.sum(axis=2)[None]]))
-    ys = ys.astype(np.min_scalar_type(m - 1))
+    # the prime sets in (size, mask) order of their closures, and so the tables that
+    # index by them, in the least dtype that holds m
+    ys = size_mask_order(closures).astype(np.min_scalar_type(m - 1))
     rows = closures[f, ys]
     rows.flags.writeable = False
     repeated = (rows[:, 1:] == rows[:, :-1]).all(axis=2).any(axis=1)
     tables, intersect = _tables(rows, ys)
     broken = _broken_laws(ys, *tables)
-    masks, sets = pack_rows(rows.reshape(-1, n)), ys.tolist()
     outcomes: list = []
     for g, frame in enumerate(frames):
         if repeated[g] or not verdicts[g] or not intersect[g]:
@@ -297,8 +320,7 @@ def _sublocale_stack(frames, leq, meet, imp, prime, k, budget) -> list:
                 else "meet of prime sets differs from the intersection"))
             continue
         own = [table[g] for table in tables]
-        outcomes.append(SublocaleLattice(frame, masks[g * m:(g + 1) * m], tuple(sets[g]), rows[g],
-                                         own, (own, broken[g])))
+        outcomes.append(SublocaleLattice(frame, ys[g], rows[g], own, (own, broken[g])))
     return outcomes
 
 
@@ -320,11 +342,14 @@ class ClosedJoinFrame:
     def __init__(self, parent: FiniteFrame, generators: tuple[int, ...], frame: FiniteFrame,
                  law=None):
         self.parent, self.generators, self.frame = parent, generators, frame
-        self.masks = tuple(parent.up_masks[a] for a in generators)
         self._law = law or (lambda: _distributivity(frame.meet[None], frame.join[None])[0])
 
     def __len__(self):
-        return len(self.masks)
+        return len(self.generators)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        return tuple(self.parent.up_masks[a] for a in self.generators)
 
     @cached_property
     def elements(self) -> tuple[Sublocale, ...]:
@@ -363,13 +388,9 @@ def closed_join_frames(parents: Iterable[FiniteFrame]) -> list[ClosedJoinFrame |
     """
     parents = list(parents)
     built: list = [None] * len(parents)
-    for ks in grouped(parent.n for parent in parents).values():
-        group = [parents[k] for k in ks]
-        n = group[0].n
-        gens = np.array([sorted(range(n), key=lambda a, up=p.up_masks: (up[a].bit_count(), up[a]))
-                         for p in group], dtype=np.intp)
-        leqs, meets, joins = stacked(group, ("leq", "meet", "join"))
-        f, idx = np.arange(len(group))[:, None, None], np.arange(n)
+    for ks, (leqs, meets, joins) in by_size(parents, ("leq", "meet", "join")):
+        n, gens = leqs.shape[1], size_mask_order(leqs)
+        f, idx = np.arange(len(ks))[:, None, None], np.arange(n)
         rows, cols = gens[:, :, None], gens[:, None, :]
         position = np.argsort(gens, axis=1)           # position[f, gens[f, i]] = i
         leq = leqs[f, cols, rows]                     # c(a) ⊆ c(b) iff b <= a
@@ -383,7 +404,9 @@ def closed_join_frames(parents: Iterable[FiniteFrame]) -> list[ClosedJoinFrame |
         for table in (leq, meet, join, imp):
             table.flags.writeable = False
         laws = cache(lambda meet=meet, join=join: _distributivity(meet, join))
-        for g, (k, parent) in enumerate(zip(ks, group)):
+        tables = {"leq": leq, "meet": meet, "join": join, "imp": imp}
+        for g, k in enumerate(ks):
+            parent = parents[k]
             labels = tuple(f"c({parent.labels[a]})" for a in gens[g].tolist())
             if failed[g].any():
                 stage = int(failed[g].argmax())
@@ -393,7 +416,7 @@ def closed_join_frames(parents: Iterable[FiniteFrame]) -> list[ClosedJoinFrame |
                        "meet is not below both", "Heyting adjunction breaks")[stage]
                 built[k] = AssertionError(f"closed-join {law} at ({where})")
                 continue
-            frame = FiniteFrame(leq[g], meet[g], join[g], imp[g], labels)
+            frame = FiniteFrame(leq[g], meet[g], join[g], imp[g], labels, (tables, g))
             built[k] = ClosedJoinFrame(parent, tuple(gens[g].tolist()), frame,
                                        lambda g=g, laws=laws: laws()[g])
     return built
@@ -417,39 +440,26 @@ def dual_booleanization(frame: FiniteFrame,
     return tuple(lat.sublocales[i] for i in range(len(lat)) if int(supp[supp[i]]) == i)
 
 
-def closed_open_complements_report(frame: FiniteFrame) -> CheckReport:
-    """c(a) and o(a) are complements in S(L) for every a."""
-    up, opens = frame.leq, unpack_rows(frame.imp_image_masks, frame.n)
-    apart = ((up & opens) != (np.arange(frame.n) == frame.top)).any(axis=1)
-    bad = apart | ~meet_closure(frame.leq[None], (up | opens)[None])[0].all(axis=1)
-    if not bad.any():
-        return CheckReport.passed("closed-open-complements")
-    a = int(bad.argmax())
-    law = "c∩o ≠ O" if apart[a] else "c∨o ≠ L"
-    return CheckReport.failed("closed-open-complements", f"{law} at {frame.labels[a]}")
-
-
-def closed_open_identities_outcomes(frames: Iterable[FiniteFrame]) -> list[CheckReport]:
-    """The closed/open interaction identities of every frame, in order, by
-    their nullary and binary cases: c(0) = L, o(0) = O and, on every pair,
-    c(a) ∩ c(b) = c(a ∨ b), o(a) ∨ o(b) = o(a ∨ b), c(a) ∨ c(b) = c(a ∧ b),
-    o(a) ∩ o(b) = o(a ∧ b), the joins one meet_closure per carrier size.
-    The family laws follow by induction. A failure names the first law that
-    fails at its first pair, row-major.
-    """
+def closed_open_outcomes(frames: Iterable[FiniteFrame]) -> list[tuple[CheckReport, CheckReport]]:
+    """The (identities, complements) reports of every frame, in order, the
+    joins in S(L) one meet_closure per carrier size. The identities by their
+    nullary and binary cases (the family laws follow by induction): c(0) = L,
+    o(0) = O and, on every pair, c(a) ∩ c(b) = c(a ∨ b), o(a) ∨ o(b) =
+    o(a ∨ b), c(a) ∨ c(b) = c(a ∧ b), o(a) ∩ o(b) = o(a ∧ b), the first
+    failure named at its first pair, row-major. The complements: c(a) ∩ o(a)
+    = O and c(a) ∨ o(a) = L, the first failure named at its first a."""
     frames = list(frames)
-    reports = [CheckReport.passed("closed-open-identities")] * len(frames)
-    for ks in grouped(frame.n for frame in frames).values():
-        up, meet, join, imp = stacked([frames[k] for k in ks])
-        n, f, opens = up.shape[1], np.arange(len(ks))[:, None], np.zeros_like(up)
-        opens[f[:, :, None], np.arange(n)[:, None], imp] = True  # opens[f, a]: o(a), the image
+    identities = [CheckReport.passed("closed-open-identities")] * len(frames)
+    complements = [CheckReport.passed("closed-open-complements")] * len(frames)
+    for ks, (up, meet, join, imp) in by_size(frames):
+        n, f, opens = up.shape[1], np.arange(len(ks))[:, None], open_rows(imp)
         a, b = np.divmod(np.arange(n * n), n)  # every pair; a nullary law reads its row as (0, 0)
-        joins, meets = join[:, a, b], meet[:, a, b]
-        unions = meet_closure(up, np.concatenate([up[:, a] | up[:, b], opens[:, a] | opens[:, b]],
-                                                 axis=1))
+        joins, meets, pairs = join[:, a, b], meet[:, a, b], slice(n * n, 2 * n * n)
+        unions = meet_closure(up, np.concatenate([up[:, a] | up[:, b], opens[:, a] | opens[:, b],
+                                                  up | opens], axis=1))
         bad = [(got != want).any(axis=2) for got, want in (
             (up[:, :1], True), (opens[:, :1], np.arange(n) == n - 1),
-            (up[:, a] & up[:, b], up[f, joins]), (unions[:, n * n:], opens[f, joins]),
+            (up[:, a] & up[:, b], up[f, joins]), (unions[:, pairs], opens[f, joins]),
             (unions[:, :n * n], up[f, meets]), (opens[:, a] & opens[:, b], opens[f, meets]))]
         broken = np.stack([law.any(axis=1) for law in bad], axis=1)
         for g in np.flatnonzero(broken.any(axis=1)).tolist():
@@ -457,11 +467,23 @@ def closed_open_identities_outcomes(frames: Iterable[FiniteFrame]) -> list[Check
             pair = int(bad[law][g].argmax())
             text = ("c({}) ≠ L", "o({}) ≠ O", "c({})∩c({}) ≠ c(join)", "o({})∨o({}) ≠ o(join)",
                     "c({})∨c({}) ≠ c(meet)", "o({})∩o({}) ≠ o(meet)")[law]
-            reports[ks[g]] = CheckReport.failed("closed-open-identities",
-                                                text.format(labels[a[pair]], labels[b[pair]]))
-    return reports
+            text = text.format(labels[a[pair]], labels[b[pair]])
+            identities[ks[g]] = CheckReport.failed("closed-open-identities", text)
+        apart = ((up & opens) != (np.arange(n) == n - 1)).any(axis=2)
+        unequal = apart | ~unions[:, 2 * n * n:].all(axis=2)
+        for g in np.flatnonzero(unequal.any(axis=1)).tolist():
+            at = int(unequal[g].argmax())
+            law = "c∩o ≠ O" if apart[g, at] else "c∨o ≠ L"
+            complements[ks[g]] = CheckReport.failed("closed-open-complements",
+                                                    f"{law} at {frames[ks[g]].labels[at]}")
+    return list(zip(identities, complements))
 
 
 def closed_open_identities_check(frame: FiniteFrame) -> CheckReport:
     """The closed/open identities of one frame, on a stack of one."""
-    return closed_open_identities_outcomes([frame])[0]
+    return closed_open_outcomes([frame])[0][0]
+
+
+def closed_open_complements_report(frame: FiniteFrame) -> CheckReport:
+    """c(a) and o(a) are complements in S(L) for every a, on a stack of one."""
+    return closed_open_outcomes([frame])[0][1]

@@ -7,18 +7,26 @@ point membership) and deliberately avoids the code paths under test.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
 from math import factorial
 
 import numpy as np
 
 from localekit import realline as rl
-from localekit.common import CheckReport, bits, pack_rows, unpack_rows
+from localekit.common import (CheckReport, EquivalenceViolation, TheoremViolation, bits,
+                             pack_rows, unpack_rows)
 from localekit.corpus import iter_natural_posets
 from localekit.lattice import FiniteFrame, order_closure, validate_frames
 from localekit.spaces import bitstring
-from localekit.sublocales import (MixedParents, Sublocale, is_sublocale, meet_closure,
-                                  primes)
+from localekit.separation import ConditionVerdict, SeparationReport
+from localekit.sublocales import (MixedParents, Sublocale, all_sublocales, closed_join_frame,
+                                  dual_booleanization, is_sublocale, meet_closure, primes)
+
+
+def image_masks(frame: FiniteFrame) -> tuple[int, ...]:
+    """The open sublocales o(a) = {a -> b : b in L} as bitmasks, one Python set each."""
+    return tuple(sum(1 << v for v in set(frame.imp[a].tolist())) for a in range(frame.n))
 
 
 def tampered(frame: FiniteFrame, table: str, entries) -> FiniteFrame:
@@ -386,7 +394,7 @@ def generic_closed_open_identities(frame: FiniteFrame) -> CheckReport:
       = M(o(a ∨ b) ∪ …), which carries ⋁o from pairs to families.
     """
     n = frame.n
-    up, opens, labels = frame.leq, unpack_rows(frame.imp_image_masks, n), frame.labels
+    up, opens, labels = frame.leq, unpack_rows(image_masks(frame), n), frame.labels
     members = unpack_rows(range(1 << n), n)
     joined = np.zeros(len(members), dtype=np.intp)  # the join of each family, 0 ∨ a ∨ b ...
     for a in range(n):
@@ -461,7 +469,7 @@ def per_item_identities(frame: FiniteFrame) -> CheckReport:
     nullary and binary laws in order, each on every pair at once, the first
     failing law named at its first pair in row-major order."""
     n, labels = frame.n, frame.labels
-    up, opens = frame.leq, unpack_rows(frame.imp_image_masks, n)
+    up, opens = frame.leq, unpack_rows(image_masks(frame), n)
     a, b = np.divmod(np.arange(n * n), n)
     joins, meets = frame.join[a, b], frame.meet[a, b]
     unions = meet_closure(up[None], np.concatenate([up[a] | up[b], opens[a] | opens[b]])[None])[0]
@@ -477,6 +485,122 @@ def per_item_identities(frame: FiniteFrame) -> CheckReport:
             return CheckReport.failed("closed-open-identities",
                                       law.format(labels[a[k]], labels[b[k]]))
     return CheckReport.passed("closed-open-identities")
+
+
+def per_item_complements(frame: FiniteFrame) -> CheckReport:
+    """c(a) and o(a) are complements in S(L) for every a, by the per-item
+    route: the open sublocales unpacked from their masks and one meet_closure
+    per frame; the first failing element is named."""
+    up, opens = frame.leq, unpack_rows(image_masks(frame), frame.n)
+    apart = ((up & opens) != (np.arange(frame.n) == frame.top)).any(axis=1)
+    bad = apart | ~meet_closure(frame.leq[None], (up | opens)[None])[0].all(axis=1)
+    if not bad.any():
+        return CheckReport.passed("closed-open-complements")
+    a = int(bad.argmax())
+    law = "c∩o ≠ O" if apart[a] else "c∨o ≠ L"
+    return CheckReport.failed("closed-open-complements", f"{law} at {frame.labels[a]}")
+
+
+def _raised(decide):
+    """decide()'s result, or the exception it raises."""
+    try:
+        return decide()
+    except Exception as exc:  # noqa: BLE001 - the outcome under comparison
+        return exc
+
+
+def per_item_separation(frame: FiniteFrame, lattice=None, cjf=None) -> dict:
+    """The separation battery of one frame by the per-item route: Python
+    loops over elements and bitmasks, read off the frame's tables, its
+    closed-join frame's masks and tables, and the supplements of its S(L).
+    Each outcome, by SeparationBattery's name for it, is a report or the
+    exception its cross-check raises; symmetric and ppt raise what building
+    the closed-join frame raises, and ppt first what building S(L) raises."""
+    n, top, labels = frame.n, frame.top, frame.labels
+    built = _raised(lambda: closed_join_frame(frame)) if cjf is None else cjf
+
+    def closed_joins():
+        if isinstance(built, Exception):
+            raise built
+        return built
+
+    def weakly_subfit(f):
+        for a in range(1, f.n):
+            if not (f.join[a, :f.top] == f.top).any():
+                return SeparationReport("weakly-subfit", False, (a,), (f.labels[a],))
+        return SeparationReport("weakly-subfit", True)
+
+    def subfit():
+        for a in range(n):
+            a_hits = frame.join[a] == top
+            for b in range(n):
+                if not frame.leq[a, b] and not (a_hits & (frame.join[b] != top)).any():
+                    return SeparationReport("subfit", False, (a, b), (labels[a], labels[b]))
+        return SeparationReport("subfit", True)
+
+    def symmetric():
+        cjf = closed_joins()
+        inner = weakly_subfit(cjf.frame)
+        cond1 = ConditionVerdict("closed-join-weakly-subfit", inner.holds,
+                                 inner.witness_labels[0] if inner.witness_labels else None)
+        full = (1 << n) - 1
+        proper = [m for m in cjf.masks if m != full]
+        opens = image_masks(frame)
+        uncovered = [a for a in range(n)
+                     if opens[a] != full and not any(opens[a] & ~t == 0 for t in proper)]
+        w2 = next(iter(uncovered), None)
+        w3 = next((a for a in uncovered if opens[a] & 1), None)
+        cond2 = ConditionVerdict("proper-opens-covered", w2 is None,
+                                 None if w2 is None else f"o({labels[w2]})")
+        cond3 = ConditionVerdict("dense-proper-opens-covered", w3 is None,
+                                 None if w3 is None else f"o({labels[w3]})")
+        if len({cond1.holds, cond2.holds, cond3.holds}) != 1:
+            raise EquivalenceViolation(
+                f"symmetry conditions disagree on a frame with {n} elements: "
+                f"{[(c.name, c.holds, c.witness) for c in (cond1, cond2, cond3)]}")
+        return SeparationReport("symmetric", cond2.holds, None if w2 is None else (w2,),
+                                None if w2 is None else (labels[w2],), (cond1, cond2, cond3))
+
+    def ppt(sub):
+        lat = lattice if lattice is not None else all_sublocales(frame)
+        cjf = closed_joins()
+        sc = cjf.frame
+        complemented = ((sc.join == sc.top) & (sc.meet == sc.bottom)).any(axis=1)
+        boolean = bool(complemented.all())
+        dual = dual_booleanization(frame, lat)
+        if sub.holds != boolean:
+            witness = None if boolean else cjf.elements[int(np.argmin(complemented))].label()
+            raise TheoremViolation(
+                f"subfit={sub.holds} but closed-join complementation={boolean}; "
+                f"witness={witness}, frame labels={labels}")
+        if sub.holds and {s.mask for s in dual} != set(cjf.masks):
+            raise TheoremViolation(
+                "subfit frame where closed joins differ from the dual Booleanization: "
+                f"closed joins {[s.label() for s in cjf.elements]} vs "
+                f"fixed points {[s.label() for s in dual]}")
+        return CheckReport.passed("ppt")
+
+    def pcformula(weak):
+        if not weak.holds:
+            return CheckReport.passed("pcformula", "not-applicable")
+        join, meet, star = frame.join, frame.meet, frame.star
+        for a in range(n):
+            covers = [x for x in range(n) if join[x, a] == top]
+            bound = reduce(lambda u, v: int(meet[u, v]), covers)
+            if bound != int(star[a]):
+                raise AssertionError(f"a={labels[a]}: meet of covers is "
+                                     f"{labels[bound]}, a*={labels[int(star[a])]}")
+        for a in range(n):
+            if int(join[a, star[a]]) != top:
+                raise AssertionError(f"a ∨ a* ≠ 1 at {labels[a]}")
+        for a in range(n):
+            if not any(int(meet[a, c]) == 0 and int(join[a, c]) == top for c in range(n)):
+                raise AssertionError(f"{labels[a]} has no complement")
+        return CheckReport.passed("pcformula")
+
+    sub, weak = subfit(), weakly_subfit(frame)
+    return {"subfit": sub, "weakly_subfit": weak, "symmetric": _raised(symmetric),
+            "ppt": _raised(lambda: ppt(sub)), "pcformula": _raised(lambda: pcformula(weak))}
 
 
 def sublocale_join(family, parent=None) -> Sublocale:

@@ -9,6 +9,8 @@ a <= a** and a* = a*** hold, {a : a** = a} and {a* : a in L} coincide, so
 no table reaches it.
 """
 
+from functools import cached_property
+
 import pytest
 
 from localekit import checks, cli, corpus, separation
@@ -102,11 +104,18 @@ class TestStackedFrameLaws:
 
 
 def test_subfit_is_decided_once_per_item(monkeypatch, capsys):
-    """ppt and axiom-monotonicity read one subfitness verdict per item."""
+    """ppt and axiom-monotonicity read one subfitness verdict per item: the
+    item's separation battery decides it, and every frame of the campaign is
+    in exactly one battery whose subfit list is built, once."""
     decided = []
-    is_subfit = separation.is_subfit
-    monkeypatch.setattr(separation, "is_subfit",
-                        lambda frame: decided.append(frame) or is_subfit(frame))
+    subfit = separation.SeparationBattery.subfit
+
+    def counted(battery):
+        decided.extend(battery.frames)
+        return subfit.func(battery)
+    counting = cached_property(counted)
+    counting.__set_name__(separation.SeparationBattery, "subfit")
+    monkeypatch.setattr(separation.SeparationBattery, "subfit", counting)
     argv = ["--machine", "campaign", "lattices", "--max-size", "4",
             "--checks", "ppt,axiom-monotonicity"]
     assert cli.main(argv) == 0

@@ -353,19 +353,22 @@ class TestCampaigns:
                 "frame-laws,identities,coframe-law,sc-frame-law,ppt,weaksub-equiv,pcformula"]
         assert cli.main(argv) == 0
         whole = capsys.readouterr().out
-        batches = {name: [] for name in ("sublocale_lattices", "closed_join_frames",
-                                         "closed_open_identities_outcomes")}
+        builders = ((sub, "sublocale_lattices"), (sub, "closed_join_frames"),
+                    (sub, "closed_open_outcomes"), (separation, "SeparationBattery"))
+        batches = {name: [] for _, name in builders}
 
         def counted(name, build):
-            def batch(frames):
+            def batch(frames, *rest):
                 frames = list(frames)
                 batches[name].append(tuple(frame.n for frame in frames))
-                return build(frames)
+                return build(frames, *rest)
             return batch
 
-        for name in batches:
-            monkeypatch.setattr(sub, name, counted(name, getattr(sub, name)))
-        monkeypatch.setattr(sub, "all_sublocales", None)  # no S(L) is built one item at a time
+        for module, name in builders:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for module in (sub, separation):  # no S(L) or closed-join frame is built one item at a time
+            monkeypatch.setattr(module, "all_sublocales", None)
+            monkeypatch.setattr(module, "closed_join_frame", None)
         monkeypatch.setattr(common, "STACK_CELLS", 200)  # 12 chunks of 3 frames at n = 4
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == whole
@@ -594,8 +597,8 @@ class TestIsolation:
 
     def test_cover_formula_breach_in_separation_exits_2(self, monkeypatch, c3_file, capsys):
         # the 3-chain taken for weakly subfit: the covers of 1 meet in 2, but 1* = 0
-        monkeypatch.setattr(separation, "is_weakly_subfit",
-                            lambda frame: SeparationReport("weakly-subfit", True))
+        monkeypatch.setattr(separation.SeparationBattery, "weakly_subfit", property(
+            lambda battery: [SeparationReport("weakly-subfit", True)] * len(battery.frames)))
         assert cli.main(["--machine", "separation", c3_file, "--axiom", "pcformula"]) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", "violation: a=1: meet of covers is 2, a*=0\n")

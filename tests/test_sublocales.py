@@ -7,14 +7,13 @@ from random import Random
 import numpy as np
 import pytest
 
-from localekit import checks, common, corpus, sublocales
+from localekit import checks, cli, common, corpus, lattice, sublocales
 from localekit.common import BudgetExceeded, bits, pack_rows, settled, unpack_rows
 from localekit.lattice import FiniteFrame, cover_pairs, validate_frame
 from localekit.sublocales import (ClosedJoinFrame, MixedParents, Sublocale, SublocaleLattice,
                                   all_sublocales, closed_join_frame, closed_join_frames,
                                   closed_open_complements_report,
-                                  closed_open_identities_check,
-                                  closed_open_identities_outcomes,
+                                  closed_open_identities_check, closed_open_outcomes,
                                   closed_sublocale, dual_booleanization,
                                   is_sublocale, mask_of, meet_closure,
                                   open_sublocale, primes, sublocale_lattices,
@@ -23,7 +22,7 @@ from localekit.sublocales import (ClosedJoinFrame, MixedParents, Sublocale, Subl
 from oracles import (brute_closed_join_elements, brute_primes, brute_sublocales,
                      closed_join_meet, find_order_isomorphism, generic_closed_join_frame,
                      generic_closed_open_identities, generic_sublocale_laws, meet_close,
-                     per_item_identities, per_item_sublocales, sublocale_join,
+                     per_item_complements, per_item_identities, per_item_sublocales, sublocale_join,
                      sublocale_witness, tampered)
 
 
@@ -228,7 +227,7 @@ class TestSublocaleLattice:
         m = len(built)
 
         def caught(attr, i, j, value):
-            lattice = SublocaleLattice(built.parent, built.masks, built.prime_sets, built.rows)
+            lattice = SublocaleLattice(built.parent, built.ys, built.rows)
             table = getattr(built, attr).copy()
             table[i, j] = value
             lattice.__dict__[attr] = table
@@ -412,11 +411,12 @@ class TestSublocaleLattices:
                 assert np.array_equal(got, want) and not got.flags.writeable
             assert pack_rows(lattice.rows) == masks and not lattice.rows.flags.writeable
             assert lattice.laws == laws
-        assert closed_open_identities_outcomes(frames) == [per_item_identities(frame)
-                                                            for frame in frames]
+        assert closed_open_outcomes(frames) == [(per_item_identities(frame),
+                                                 per_item_complements(frame))
+                                                for frame in frames]
 
     def test_empty_batch(self):
-        assert sublocale_lattices([]) == [] == closed_open_identities_outcomes([])
+        assert sublocale_lattices([]) == [] == closed_open_outcomes([])
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     @pytest.mark.parametrize("position", [0, 3])
@@ -449,6 +449,17 @@ class TestSublocaleLattices:
         batch[1].join_table = join
         assert [lattice.laws.witness for lattice in batch] == ["", "pair ({5,7}, {2,3,6,7})", ""]
 
+    def test_a_passing_campaign_packs_no_masks(self, monkeypatch, capsys):
+        """S(L)'s masks, Sublocales and index, closed-join masks and up-set
+        masks are built only when read, and a campaign that passes reads none."""
+        packed = []
+        for module in (common, sublocales, lattice):
+            monkeypatch.setattr(module, "pack_rows", lambda rows: packed.append(len(rows)))
+        argv = ["--machine", "campaign", "lattices", "--max-size", "5",
+                "--checks", ",".join(checks.LATTICE_CHECKS)]
+        assert cli.main(argv) == 0 and packed == []
+        assert capsys.readouterr().out.endswith("violation=0\n")
+
     def test_laws_are_decided_once_per_stack(self, tiny_corpus, monkeypatch):
         stacks = []
         broken_laws = sublocales._broken_laws
@@ -471,10 +482,24 @@ class TestSublocaleLattices:
         good = [tiny_corpus[name] for name in ("chain3", "bool2", "bool2xchain3")]
         batch = good[:position] + broken + good[position:]
         expected = [per_item_identities(frame) for frame in batch]
-        assert closed_open_identities_outcomes(batch) == expected
+        assert [identities for identities, _ in closed_open_outcomes(batch)] == expected
         assert [closed_open_identities_check(frame) for frame in batch] == expected
         assert [report.ok for report in expected] == [True] * position + [False] * 4 + [
             True] * (3 - position)
+
+    # tampered Heyting entries that break c(a) ∩ o(a) = O or c(a) ∨ o(a) = L
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_complements_keep_each_frames_witness(self, tiny_corpus, position):
+        broken = [tampered(tiny_corpus[name], "imp", {(a, b): value})
+                  for name, a, b, value in (("chain3", 1, 0, 2), ("bool2", 0, 0, 0),
+                                            ("bool2xchain3", 10, 9, 0), ("bool2", 3, 1, 0))]
+        good = [tiny_corpus[name] for name in ("chain3", "bool2", "bool2xchain3")]
+        batch = good[:position] + broken + good[position:]
+        expected = [per_item_complements(frame) for frame in batch]
+        assert [complements for _, complements in closed_open_outcomes(batch)] == expected
+        assert [closed_open_complements_report(frame) for frame in batch] == expected
+        assert [report.witness for report in expected if not report.ok] == [
+            "c∨o ≠ L at 1", "c∩o ≠ O at 0", "c∨o ≠ L at (3,1)", "c∨o ≠ L at 3"]
 
 
 class TestClosedJoinFrame:
