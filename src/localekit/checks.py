@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .common import CheckReport, grouped, settled, slice_len
-from .lattice import FiniteFrame, containment_order, stacked
+from .lattice import FiniteFrame, containment_order, element_dtype, gather, stacked
 from . import corpus
 from . import realline as rl
 from . import separation
@@ -102,37 +102,46 @@ _FRAME_LAWS = ("a ≤ a** fails at {}", "a* = a*** fails at {}",
                "view join not associative")
 
 
-def _frame_law_stack(frames: Sequence[FiniteFrame]) -> list[CheckReport | AssertionError]:
-    """Every frame law on a stack of frames of one carrier size.
+def _frame_law_masks(leq, meet, join, imp):
+    """Every frame law on a stack of tables (F, n, n): failed[law, f] in
+    _FRAME_LAWS order, and below[f, a] and triple[f, a], where a ≤ a** and
+    a* = a*** fail.
 
     The Booleanization is the regular elements {a : a** = a}, which must be
     exactly {a* : a in L}, closed under meet and contain 0 and 1; its join
     is the parent join followed by **, decided on every pair and triple of
-    regular elements with (F, n, n) and (F, n, n, n) gathers.
+    regular elements. Each lookup is one `lattice.gather` over element
+    tables in `element_dtype(n)`; the two sides of associativity gather
+    whole rows, of the view table for (i ∨ j) ∨ m and of its transpose for
+    i ∨ (j ∨ m).
     """
-    n = frames[0].n
-    leq, meet, join, imp = stacked(frames)
-    star = imp[:, :, 0]
-    stack = np.arange(len(frames))[:, None]
-    idx = np.arange(n)
-    dstar = star[stack, star]
-    below = ~leq[stack, idx, dstar]                                  # not a <= a**
-    triple = star[stack, dstar] != star                              # a*** != a*
+    n = leq.shape[1]
+    star, meet, join = (table.astype(element_dtype(n)) for table in (imp[:, :, 0], meet, join))
+    idx = np.arange(n, dtype=star.dtype)
+    dstar = gather(star, star)
+    below = ~gather(leq, idx, dstar)                                 # not a <= a**
+    triple = gather(star, dstar) != star                             # a*** != a*
     regular = dstar == idx
     image = np.zeros_like(regular)
-    image[stack, star] = True
+    image[np.arange(len(leq))[:, None], star] = True
     pairs = regular[:, :, None] & regular[:, None, :]
-    view = dstar[stack[:, :, None], join]                            # (i ∨ j)** on all pairs
-    grid = stack[:, :, None, None]
-    left = view[grid, view[:, :, :, None], idx]                      # (i ∨ j) ∨ m
-    right = view[grid, idx[:, None, None], view[:, None, :, :]]      # i ∨ (j ∨ m)
-    failed = np.stack([
+    view = gather(dstar, join)                                       # (i ∨ j)** on all pairs
+    left = gather(view, view)                                        # (i ∨ j) ∨ m
+    right = gather(view.transpose(0, 2, 1), view).transpose(0, 3, 1, 2)  # i ∨ (j ∨ m)
+    failed = np.array([
         below.any(axis=1), triple.any(axis=1), (regular != image).any(axis=1),
-        (pairs & ~regular[stack[:, :, None], meet]).any(axis=(1, 2)),
+        (pairs & ~gather(regular, meet)).any(axis=(1, 2)),
         ~(regular[:, 0] & regular[:, n - 1]),
         (pairs & (view != view.transpose(0, 2, 1))).any(axis=(1, 2)),
         (regular & (view.diagonal(axis1=1, axis2=2) != idx)).any(axis=1),
         (pairs[:, :, :, None] & regular[:, None, None, :] & (left != right)).any(axis=(1, 2, 3))])
+    return failed, below, triple
+
+
+def _frame_law_stack(frames: Sequence[FiniteFrame]) -> list[CheckReport | AssertionError]:
+    """Every frame law on a stack of frames of one carrier size, each
+    frame's outcome named by the first law that `_frame_law_masks` fails."""
+    failed, below, triple = _frame_law_masks(*stacked(frames))
     first = np.where(failed.any(axis=0), failed.argmax(axis=0), -1).tolist()
     outcomes = []
     for k, (frame, law) in enumerate(zip(frames, first)):

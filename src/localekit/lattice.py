@@ -16,6 +16,10 @@ bare order: the order checks, canonical order, meet/join tables from
 `lattice_tables`, `distributivity_witness` on every triple, and the Heyting
 table a -> b, read off the adjunction a ∧ x <= b iff x <= a -> b as the
 greatest x on the left and proved by the adjunction check that follows.
+Those two and the frame laws look up through `gather`, one take from the
+flattened stack at (f * n + row) * n + col (or of rows at f * n + row), not
+a fancy index with a broadcast array per axis; element tables are read in
+`element_dtype(n)`, int16 while n < 2^15, so a gathered cell takes 2 bytes.
 `lattice_tables` looks i ∧ j up as the element whose down-set is ↓i ∩ ↓j
 among those of its size, unique when the order is antisymmetric and proved
 by comparing packed uint64 down-set words, exact at any width. A stack of
@@ -246,28 +250,48 @@ def lattice_tables(leqs):
     return table[:count], table[count:], _first(failed)
 
 
+def element_dtype(n: int):
+    """The dtype of gathered n-element tables: int16 while -1..n-1 fit, else intp."""
+    return np.int16 if n < 1 << 15 else np.intp
+
+
+def gather(table, *at):
+    """table[f, *at] for every frame f of a stack of (F, n, n) or (F, n) tables,
+    the coordinates broadcasting to (F, ...): one take from the flattened stack
+    at (f * n + row) * n + col, or of its rows at f * n + row when only the row
+    is given. The index is intp: np.take copies a narrower one to intp first."""
+    count, n = table.shape[:2]
+    flat = at[0].astype(np.intp)
+    if count > 1:  # frame f's rows start at row f * n; a stack of one has no offset
+        ndim = max(c.ndim for c in at)
+        flat = flat + np.arange(0, count * n, n).reshape((count,) + (1,) * (ndim - 1))
+    for col in at[1:]:
+        flat = flat * n + col
+    return table.reshape((-1,) + table.shape[1 + len(at):]).take(flat, axis=0)
+
+
 def distributivity_witness(meet, join):
     """Per frame of a stack of tables (F, n, n): the first triple (a, b, c)
     with a ∧ (b ∨ c) != (a ∧ b) ∨ (a ∧ c), flattened as (a * n + b) * n + c,
     or -1 where distributivity holds."""
-    count, n = meet.shape[:2]
-    stack = np.arange(count)[:, None, None, None]
-    lhs = meet[stack, np.arange(n)[:, None, None], join[:, None, :, :]]
-    rhs = join[stack, meet[:, :, :, None], meet[:, :, None, :]]
+    n = meet.shape[1]
+    meet, join = meet.astype(element_dtype(n)), join.astype(element_dtype(n))
+    idx = np.arange(n, dtype=meet.dtype)
+    lhs = gather(meet, idx[:, None, None], join[:, None])               # a ∧ (b ∨ c)
+    rhs = gather(join, meet[:, :, :, None], meet[:, :, None, :])        # (a ∧ b) ∨ (a ∧ c)
     return _first(lhs != rhs)
 
 
 def heyting_tables(leqs, meet):
     """a -> b on a stack of lattices, and per frame the first triple
     (a, x, b), flattened, where a ∧ x <= b iff x <= a -> b fails (or -1)."""
-    stack = np.arange(len(leqs))[:, None, None]
     # a -> b is the greatest x with a ∧ x <= b; among those x it has the most
     # elements below it, and the adjunction check below proves it is greatest.
-    adj_lhs = leqs[stack, meet]                                   # [f, a, x, b] : a ∧ x <= b
-    # int16 holds ranks (<= n) to n = 32,767 in a quarter of int64's memory; int8 slows np.where
-    rank = leqs.sum(axis=1, dtype=np.int16 if leqs.shape[1] < 1 << 15 else np.intp)
+    adj_lhs = gather(leqs, meet)                                 # [f, a, x, b] : a ∧ x <= b
+    # ranks (<= n) fit the element dtype: int16 to n = 32,767, a quarter of int64's memory
+    rank = leqs.sum(axis=1, dtype=element_dtype(leqs.shape[1]))
     imp = np.argmax(np.where(adj_lhs, rank[:, None, :, None], -1), axis=2)
-    adj_rhs = leqs.transpose(0, 2, 1)[stack, imp].transpose(0, 1, 3, 2)  # x <= a -> b
+    adj_rhs = gather(leqs.transpose(0, 2, 1), imp).transpose(0, 1, 3, 2)  # x <= a -> b
     return imp, _first(adj_lhs != adj_rhs)
 
 

@@ -64,3 +64,24 @@ def cube7():
     from localekit.lattice import validate_frame
     n = 128
     return validate_frame([[i & ~j == 0 for j in range(n)] for i in range(n)], max_size=n)
+
+
+@pytest.fixture(scope="session")
+def bounded_lattices():
+    """Per n <= 7: the tables (leq, meet, join, imp) of every bounded naturally
+    labeled lattice on n elements, distributive or not, imp being the
+    candidate `heyting_tables` reads off whether or not it is an implication;
+    then the same lattices, each read through its own random relabeling."""
+    import numpy as np
+    from localekit.lattice import heyting_tables, lattice_tables
+    from oracles import relabeled
+    stacks = {}
+    for n in range(1, 8):
+        orders = np.concatenate([orders for _, _, orders in
+                                 corpus._chunks(list(corpus._bounded_rows(n)), n)])
+        meet, join, missing = lattice_tables(orders)
+        lattices = missing < 0
+        leq, meet, join = orders[lattices], meet[lattices], join[lattices]
+        tables = (leq, meet, join, heyting_tables(leq, meet)[0])
+        stacks[n] = [tables, relabeled(tables, np.random.default_rng(n))]
+    return stacks

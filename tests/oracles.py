@@ -38,6 +38,41 @@ def tampered(frame: FiniteFrame, table: str, entries) -> FiniteFrame:
     return FiniteFrame(frame.leq, tables["meet"], tables["join"], tables["imp"], frame.labels)
 
 
+def relabeled(tables, rng):
+    """Stacked tables (leq, then element tables, each (F, n, n)) with every
+    frame read through its own random relabeling: element i becomes p[i]."""
+    leq, *elements = tables
+    count, n = leq.shape[:2]
+    perm = np.argsort(rng.random((count, n)), axis=1)
+    inv = np.argsort(perm, axis=1)
+    at = np.arange(count)[:, None, None], inv[:, :, None], inv[:, None, :]
+    return (leq[at],) + tuple(np.take_along_axis(perm[:, None, :], table[at], axis=2)
+                              for table in elements)
+
+
+def closed_form(kind, n):
+    """Tables (leq, meet, join, imp) of the n-chain or of the Boolean cube on
+    n = 2^k elements, read off their closed forms with no frame built."""
+    i = np.arange(n)
+    if kind == "chain":
+        leq = i[:, None] <= i
+        return leq, np.minimum.outer(i, i), np.maximum.outer(i, i), np.where(leq, n - 1, i)
+    return (i[:, None] & ~i) == 0, i[:, None] & i, i[:, None] | i, (~i[:, None] | i) & (n - 1)
+
+
+def broken_copies(tables):
+    """The tables as a stack of four: as given, then with the top's meet with
+    the element below it, the top's join with the bottom, and the top's
+    pseudocomplement each set wrong, so laws fail at the largest elements."""
+    stack = tuple(np.stack([table] * 4) for table in tables)
+    _, meet, join, imp = stack
+    top = len(tables[0]) - 1
+    meet[1, top, top - 1] = 0
+    join[2, top, 0] = 0
+    imp[3, top, 0] = top
+    return stack
+
+
 # ---------------------------------------------------------------------------
 # Named orders that are no frames, as (n, n) relations
 
@@ -84,6 +119,24 @@ def brute_heyting(leq, a, b):
     solutions = [x for x in range(n) if leq[brute_meet(leq, a, x)][b]]
     best = [x for x in solutions if all(leq[y][x] for y in solutions)]
     return best[0] if len(best) == 1 else None
+
+
+def brute_heyting_break(leq):
+    """`lattice.heyting_tables` on one lattice by search: a -> b is the x with
+    a ∧ x <= b that has the most elements below it, the least such x on a
+    tie, and the break is the first (a, x, b), row-major, where a ∧ x <= b
+    and x <= a -> b disagree. Returns (imp rows, break or None)."""
+    n = len(leq)
+    meet = [[brute_meet(leq, a, b) for b in range(n)] for a in range(n)]
+    size = [sum(leq[y][x] for y in range(n)) for x in range(n)]
+    imp = [[max((x for x in range(n) if leq[meet[a][x]][b]), key=lambda x: (size[x], -x))
+            for b in range(n)] for a in range(n)]
+    for a in range(n):
+        for x in range(n):
+            for b in range(n):
+                if leq[meet[a][x]][b] != leq[x][imp[a][b]]:
+                    return imp, (a, x, b)
+    return imp, None
 
 
 def brute_is_lattice(leq):
@@ -328,6 +381,48 @@ def generic_lattice_tables(leqs):
     failed = ~np.stack([proved[:count], proved[count:]], axis=3) & (idx[:, None] <= idx)[..., None]
     flat = failed.reshape(count, -1)
     return best[:count], best[count:], np.where(flat.any(axis=1), flat.argmax(axis=1), -1)
+
+
+def generic_distributivity_witness(meet, join):
+    """`lattice.distributivity_witness` by broadcast fancy indexing: a ∧ (b ∨ c)
+    and (a ∧ b) ∨ (a ∧ c) gathered from the (F, n, n) tables with one index
+    array per axis, and per frame the first triple where they differ,
+    flattened as (a * n + b) * n + c, or -1."""
+    count, n = meet.shape[:2]
+    stack = np.arange(count)[:, None, None, None]
+    lhs = meet[stack, np.arange(n)[:, None, None], join[:, None, :, :]]
+    rhs = join[stack, meet[:, :, :, None], meet[:, :, None, :]]
+    flat = (lhs != rhs).reshape(count, -1)
+    return np.where(flat.any(axis=1), flat.argmax(axis=1), -1)
+
+
+def generic_frame_law_masks(leq, meet, join, imp):
+    """`checks._frame_law_masks` by broadcast fancy indexing over the tables
+    (F, n, n) as given: failed[law, f] in `checks._FRAME_LAWS` order, and
+    below[f, a] and triple[f, a], where a ≤ a** and a* = a*** fail."""
+    n = leq.shape[1]
+    star = imp[:, :, 0]
+    stack = np.arange(len(leq))[:, None]
+    idx = np.arange(n)
+    dstar = star[stack, star]
+    below = ~leq[stack, idx, dstar]                                  # not a <= a**
+    triple = star[stack, dstar] != star                              # a*** != a*
+    regular = dstar == idx
+    image = np.zeros_like(regular)
+    image[stack, star] = True
+    pairs = regular[:, :, None] & regular[:, None, :]
+    view = dstar[stack[:, :, None], join]                            # (i ∨ j)** on all pairs
+    grid = stack[:, :, None, None]
+    left = view[grid, view[:, :, :, None], idx]                      # (i ∨ j) ∨ m
+    right = view[grid, idx[:, None, None], view[:, None, :, :]]      # i ∨ (j ∨ m)
+    failed = np.stack([
+        below.any(axis=1), triple.any(axis=1), (regular != image).any(axis=1),
+        (pairs & ~regular[stack[:, :, None], meet]).any(axis=(1, 2)),
+        ~(regular[:, 0] & regular[:, n - 1]),
+        (pairs & (view != view.transpose(0, 2, 1))).any(axis=(1, 2)),
+        (regular & (view.diagonal(axis1=1, axis2=2) != idx)).any(axis=1),
+        (pairs[:, :, :, None] & regular[:, None, None, :] & (left != right)).any(axis=(1, 2, 3))])
+    return failed, below, triple
 
 
 def generic_closed_join_frame(frame: FiniteFrame):

@@ -11,11 +11,13 @@ no table reaches it.
 
 from functools import cached_property
 
+import numpy as np
 import pytest
 
 from localekit import checks, cli, corpus, separation
+from localekit.lattice import stacked
 
-from oracles import tampered
+from oracles import broken_copies, closed_form, generic_frame_law_masks, tampered
 
 TAMPERS = [
     # (frame, table, entries set, expected outcome)
@@ -101,6 +103,41 @@ class TestStackedFrameLaws:
         for item in structures:
             item.frame_laws()
         assert sorted(stacks) == [2, 2]
+
+
+class TestFrameLawMasks:
+    """`_frame_law_masks` reads every table with one flat take; the masks of
+    the broadcast fancy-index oracle must come out of it law for law."""
+
+    def same_as_broadcast(self, tables):
+        got = checks._frame_law_masks(*tables)
+        for mask, expected in zip(got, generic_frame_law_masks(*tables)):
+            assert np.array_equal(mask, expected)
+        return got[0]
+
+    def test_every_tamper_alone_and_stacked_per_size(self, named):
+        frames = [tampered(named[name], table, entries) for name, table, entries, _ in TAMPERS]
+        for frame in frames:
+            assert self.same_as_broadcast(stacked([frame])).any()
+        for name in {name for name, *_ in TAMPERS}:   # with the untampered frame last
+            same = [frame for frame in frames if frame.n == named[name].n] + [named[name]]
+            failed = self.same_as_broadcast(stacked(same))
+            assert failed[:, :-1].any(axis=0).all() and not failed[:, -1].any()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_bounded_lattice(self, n, bounded_lattices):
+        # non-distributive lattices have no implication, so their candidate
+        # tables break laws; relabeled ones also move the bounds off 0 and n - 1
+        natural, relabeled = bounded_lattices[n]
+        assert self.same_as_broadcast(natural).any() == (n >= 5)
+        self.same_as_broadcast(relabeled)
+
+    @pytest.mark.parametrize("kind, n", [("chain", 127), ("chain", 128), ("chain", 129),
+                                         ("cube", 128)])
+    def test_where_the_dtype_matters(self, kind, n):
+        # four frames of up to 129 elements take the flat index past 2^15
+        failed = self.same_as_broadcast(broken_copies(closed_form(kind, n)))
+        assert not failed[:, 0].any() and failed[:, 2:].any(axis=0).all()
 
 
 def test_subfit_is_decided_once_per_item(monkeypatch, capsys):

@@ -8,14 +8,15 @@ from localekit import corpus, io, lattice
 from localekit.common import BudgetExceeded
 from localekit.lattice import (ClosureViolation, FiniteFrame, InvalidPoset,
                                NotALattice, NotDistributive, booleanization, containment_order,
-                               cover_pairs, heyting, heyting_tables, lattice_tables,
-                               order_closure, product_frame, pseudocomplement,
-                               regular_pair_frame, set_frame, stacked, validate_frame,
-                               validate_frames)
+                               cover_pairs, distributivity_witness, element_dtype, gather,
+                               heyting, heyting_tables, lattice_tables, order_closure,
+                               product_frame, pseudocomplement, regular_pair_frame, set_frame,
+                               stacked, validate_frame, validate_frames)
 
-from oracles import (brute_heyting, brute_is_distributive, brute_join, brute_meet,
-                     diamond_leq, find_order_isomorphism, generic_lattice_tables,
-                     hexagon_leq, pentagon_leq)
+from oracles import (broken_copies, brute_heyting, brute_heyting_break, brute_is_distributive,
+                     brute_is_lattice, brute_join, brute_meet, closed_form, diamond_leq,
+                     find_order_isomorphism, generic_distributivity_witness,
+                     generic_lattice_tables, hexagon_leq, pentagon_leq)
 
 
 def as_rows(frame):
@@ -229,6 +230,58 @@ class TestLatticeTables:
         assert (meet == 0).all() and (join == 0).all() and missing[0] == -1  # the lowest
 
 
+class TestFlatGather:
+    """`gather` reads one flat take, and the frame core's laws through it
+    match their broadcast fancy-index oracles."""
+
+    @pytest.mark.parametrize("n, dtype", [(1, np.int16), (127, np.int16), (128, np.int16),
+                                          ((1 << 15) - 1, np.int16), (1 << 15, np.intp),
+                                          (1 << 31, np.intp)])
+    def test_element_dtype_at_the_int16_boundary(self, n, dtype):
+        # the carrier size alone: nothing of that size is allocated
+        assert element_dtype(n) == dtype
+        assert np.iinfo(dtype).min <= -1 and n - 1 <= np.iinfo(dtype).max
+
+    def test_gather_is_the_fancy_index(self):
+        # int16 coordinates of two 130-element frames reach flat indices past 2^15
+        rng = np.random.default_rng(0)
+        for count, n in [(1, 1), (1, 4), (5, 7), (2, 130)]:
+            values = element_dtype(n)
+            table = rng.integers(0, n, (count, n, n)).astype(values)
+            rows, cols = (rng.integers(0, n, (count, 3, n, n)) for _ in range(2))
+            f = np.arange(count)[:, None, None, None]
+            for at in [(rows, cols), (rows.astype(values), cols[:, :1]),
+                       (np.arange(n)[:, None], cols)]:
+                assert np.array_equal(gather(table, *at), table[(f,) + at])
+            assert np.array_equal(gather(table[:, 0], cols), table[:, 0][f, cols])
+            above = table > n // 2
+            assert np.array_equal(gather(above, rows, cols), above[f, rows, cols])
+            assert np.array_equal(gather(above, rows), above[f, rows])       # whole rows
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_distributivity_matches_broadcast_on_every_bounded_lattice(self, n, bounded_lattices):
+        failing = 0
+        for _, meet, join, _ in bounded_lattices[n]:     # natural labels, then relabeled
+            for down, up in ((meet, join), (join, meet)):
+                got = distributivity_witness(down, up)
+                assert np.array_equal(got, generic_distributivity_witness(down, up))
+                failing += (got >= 0).sum()
+        assert (failing > 0) == (n >= 5)                 # M3 and N5 have 5 elements
+
+    @pytest.mark.parametrize("kind, n", [("chain", 127), ("chain", 128), ("chain", 129),
+                                         ("cube", 128), ("chain", 256), ("cube", 256)])
+    def test_distributivity_matches_broadcast_where_the_dtype_matters(self, kind, n):
+        if n < 256:   # four frames of up to 129 elements take the flat index past 2^15
+            _, meet, join, _ = broken_copies(closed_form(kind, n))
+        else:         # one frame of 256 elements does alone
+            _, meet, join, _ = (table[None].copy() for table in closed_form(kind, n))
+            meet[0, -1, -2] = 0
+        got = distributivity_witness(meet, join)
+        assert np.array_equal(got, generic_distributivity_witness(meet, join))
+        broken = 0 if n == 256 else 1
+        assert (got[:broken] < 0).all() and got[broken] >= n ** 3 - n * n  # a triple (top, b, c)
+
+
 class TestValidateFrames:
     def test_stacks_match_single_frames(self, small_corpus, tiny_corpus):
         rng = Random(0)
@@ -369,6 +422,25 @@ class TestHeytingOps:
         imp, broken = heyting_tables(leq[None], meet[None])
         assert broken[0] == -1
         assert np.array_equal(imp[0], np.where(leq, n - 1, np.arange(n)))
+
+    def test_first_broken_triple_matches_search(self):
+        """On M3, N5 and every non-distributive bounded lattice up to 6 elements
+        (which has no implication, so the adjunction breaks), stacked per
+        size: the candidate table and the first (a, x, b) row-major."""
+        lattices = defaultdict(list, {5: [diamond_leq(), pentagon_leq()]})
+        for n in range(1, 7):
+            for leq in bounded_posets(n):
+                rows = leq.tolist()
+                if brute_is_lattice(rows) and not brute_is_distributive(rows):
+                    lattices[n].append(leq)
+        assert sorted(lattices) == [5, 6] and len(lattices[6]) > 1
+        for n, orders in lattices.items():
+            leqs = np.stack(orders)
+            imp, broken = heyting_tables(leqs, lattice_tables(leqs)[0])
+            for leq, got_imp, got in zip(leqs, imp, broken):
+                want_imp, want = brute_heyting_break(leq.tolist())
+                assert np.array_equal(got_imp, want_imp)
+                assert tuple(int(v) for v in np.unravel_index(got, (n, n, n))) == want
 
     def test_top_implies_is_identity(self, c4):
         for b in range(c4.n):
