@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .common import CheckReport, grouped, settled, slice_len
+from .common import CheckReport, first_failures, grouped, settled, slice_len
 from .lattice import FiniteFrame, containment_order, element_dtype, gather, stacked
 from . import corpus
 from . import realline as rl
@@ -142,19 +142,11 @@ def _frame_law_stack(frames: Sequence[FiniteFrame]) -> list[CheckReport | Assert
     """Every frame law on a stack of frames of one carrier size, each
     frame's outcome named by the first law that `_frame_law_masks` fails."""
     failed, below, triple = _frame_law_masks(*stacked(frames))
-    first = np.where(failed.any(axis=0), failed.argmax(axis=0), -1).tolist()
-    outcomes = []
-    for k, (frame, law) in enumerate(zip(frames, first)):
-        if law < 0:
-            outcomes.append(CheckReport.passed("frame-laws"))
-        elif law < 2:
-            a = int((below, triple)[law][k].argmax())
-            witness = _FRAME_LAWS[law].format(frame.labels[a])
-            outcomes.append(CheckReport.failed("frame-laws", witness))
-        elif law < 5:
-            outcomes.append(AssertionError(_FRAME_LAWS[law]))
-        else:
-            outcomes.append(CheckReport.failed("frame-laws", _FRAME_LAWS[law]))
+    outcomes: list = [CheckReport.passed("frame-laws")] * len(frames)
+    for k, (law, at) in first_failures([below, triple, *failed[2:]]).items():
+        witness = _FRAME_LAWS[law].format(*(frames[k].labels[a] for a in at))
+        outcomes[k] = (AssertionError(witness) if 2 <= law < 5
+                       else CheckReport.failed("frame-laws", witness))
     return outcomes
 
 
@@ -194,8 +186,8 @@ def sublocale_laws(frame: FiniteFrame, lattice: Optional[sub.SublocaleLattice] =
         if not report.ok:
             return report
     broken = frame.leq != containment_order(frame.leq).T   # a <= b iff c(b) ⊆ c(a)
-    if broken.any():
-        a, b = (frame.labels[v] for v in divmod(int(broken.argmax()), frame.n))
+    for _, at in first_failures([broken[None]]).values():
+        a, b = (frame.labels[v] for v in at)
         return CheckReport.failed("sublocale-laws", f"antitone embedding breaks at ({a},{b})")
     return CheckReport.passed("sublocale-laws")
 

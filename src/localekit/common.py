@@ -6,7 +6,10 @@ width; no set test depends on a machine word.
 
 Every bound on an exhaustive scan is one entry of BUDGETS: its default and
 the text of the BudgetExceeded that names it and the flag that raises it.
-`within_budget` is the only check against them."""
+`within_budget` is the only check against them.
+
+`first_failures` holds the one witness order of every stacked check: the
+first law that fails, then its first entry in row-major order."""
 
 from __future__ import annotations
 
@@ -45,6 +48,25 @@ def within_budget(name: str, size: int, budget: Optional[int] = None) -> None:
 def slice_len(cells: int) -> int:
     """Items of `cells` cells each per slice: STACK_CELLS cells, at least one item."""
     return max(1, STACK_CELLS // cells)
+
+
+def first_failures(masks) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """{k: (law, coords)} for every item k of a stack where some law fails,
+    in ascending k, from one failure mask (F, ...) per law, in the order the
+    laws are decided: the first law that fails on item k, and the coordinates
+    of its first true entry in row-major order, () for an (F,) mask. A law
+    that fails nowhere costs one `any`, and only failing items are decoded."""
+    found: dict = {}
+    for law, mask in enumerate(masks):
+        if not mask.any():
+            continue
+        flat = mask.reshape(len(mask), -1)
+        ks = flat.any(axis=1).nonzero()[0]
+        firsts = (flat if len(ks) == len(flat) else flat[ks]).argmax(axis=1)
+        at = np.unravel_index(firsts, mask.shape[1:]) if mask.ndim > 1 else ()
+        for k, *coords in zip(ks.tolist(), *(c.tolist() for c in at)):
+            found.setdefault(k, (law, tuple(coords)))
+    return dict(sorted(found.items()))
 
 
 def settled(outcome):

@@ -25,7 +25,9 @@ among those of its size, unique when the order is antisymmetric and proved
 by comparing packed uint64 down-set words, exact at any width. A stack of
 one is `validate_frame`; `stacked` reads a run of one call's frames back as
 views, and `by_size` gives the stacks of a batch of mixed carrier sizes.
-`set_frame` reads a ring of sets' tables off ∩ and ∪ instead.
+`set_frame` reads a ring of sets' tables off ∩ and ∪ instead. Every
+failure is named in the one witness order of `common.first_failures`: the
+first law that fails, at its first entry in row-major order.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .common import grouped, pack_rows, within_budget
+from .common import first_failures, grouped, pack_rows, within_budget
 
 
 class InvalidPoset(ValueError):
@@ -174,51 +176,15 @@ def _first(mask):
     return np.where(flat.any(axis=1), flat.argmax(axis=1), -1)
 
 
-class _OrderChecks(NamedTuple):
-    """Failures of the bounded-partial-order checks on a stack, per frame."""
-
-    irreflexive: np.ndarray   # (F, n): i with not i <= i
-    cycles: np.ndarray        # (F, n*n): (i, j), i != j, with i <= j <= i
-    broken: np.ndarray        # (F, n*n): (i, j) with i <= k <= j but not i <= j
-    bottoms: np.ndarray       # (F, n): i below everything
-    tops: np.ndarray          # (F, n): i above everything
-
-
-def _order_checks(leqs) -> tuple[_OrderChecks, np.ndarray]:
-    """Run the poset checks on a stack of relations (F, n, n).
-
-    Returns the per-check failures and bad[f], true where frame f is not a
-    partial order with exactly one bottom and one top.
-    """
-    count, n = leqs.shape[:2]
-    off = ~np.eye(n, dtype=bool)
-    checks = _OrderChecks(
-        ~leqs.diagonal(axis1=1, axis2=2),
-        (leqs & leqs.transpose(0, 2, 1) & off).reshape(count, -1),
-        ((leqs @ leqs) & ~leqs).reshape(count, -1),
-        leqs.all(axis=2),
-        leqs.all(axis=1))
-    bad = (checks.irreflexive.any(axis=1) | checks.cycles.any(axis=1)
-           | checks.broken.any(axis=1) | (checks.bottoms.sum(axis=1) != 1)
-           | (checks.tops.sum(axis=1) != 1))
-    return checks, bad
-
-
-def _order_error(checks: _OrderChecks, k: int) -> InvalidPoset:
-    """The failure of frame k that the checks meet first, with its witness."""
-    irreflexive, cycles, broken, bottoms, tops = (c[k] for c in checks)
-    n = len(bottoms)
-    if irreflexive.any():
-        return InvalidPoset(f"not reflexive at {int(irreflexive.argmax())}")
-    if cycles.any():
-        i, j = divmod(int(cycles.argmax()), n)
-        return InvalidPoset(f"antisymmetry fails on ({i}, {j})")
-    if broken.any():
-        i, j = divmod(int(broken.argmax()), n)
-        return InvalidPoset(f"transitivity fails on ({i}, {j})")
-    if bottoms.sum() != 1:
-        return InvalidPoset(f"need exactly one bottom, found {np.flatnonzero(bottoms).tolist()}")
-    return InvalidPoset(f"need exactly one top, found {np.flatnonzero(tops).tolist()}")
+def _order_checks(leqs, bottoms, tops) -> list:
+    """The bounded-partial-order laws of a stack of relations (F, n, n), whose
+    bottoms[f, i] and tops[f, i] say i is below or above everything, as
+    failure masks in the order they are decided: i with not i <= i; (i, j),
+    i != j, with i <= j <= i; (i, j) with i <= k <= j but not i <= j; not
+    exactly one bottom; not exactly one top."""
+    return [~leqs.diagonal(axis1=1, axis2=2),
+            leqs & leqs.transpose(0, 2, 1) & ~np.eye(leqs.shape[1], dtype=bool),
+            (leqs @ leqs) & ~leqs, bottoms.sum(axis=1) != 1, tops.sum(axis=1) != 1]
 
 
 def lattice_tables(leqs):
@@ -259,12 +225,16 @@ def gather(table, *at):
     """table[f, *at] for every frame f of a stack of (F, n, n) or (F, n) tables,
     the coordinates broadcasting to (F, ...): one take from the flattened stack
     at (f * n + row) * n + col, or of its rows at f * n + row when only the row
-    is given. The index is intp: np.take copies a narrower one to intp first."""
+    is given. The index is intp, as the frame offsets are: np.take copies a
+    narrower one to intp first. A stack of one has no offsets, and indexing its
+    frame directly builds no flat index: on small tables that costs less than
+    the index arithmetic, and on one 256-element frame it spares the 128 MiB
+    intp index of an (n, n, n) law."""
     count, n = table.shape[:2]
-    flat = at[0].astype(np.intp)
-    if count > 1:  # frame f's rows start at row f * n; a stack of one has no offset
-        ndim = max(c.ndim for c in at)
-        flat = flat + np.arange(0, count * n, n).reshape((count,) + (1,) * (ndim - 1))
+    if count == 1:
+        return table[0][at]
+    ndim = max(c.ndim for c in at)
+    flat = at[0] + np.arange(0, count * n, n).reshape((count,) + (1,) * (ndim - 1))
     for col in at[1:]:
         flat = flat * n + col
     return table.reshape((-1,) + table.shape[1 + len(at):]).take(flat, axis=0)
@@ -319,33 +289,33 @@ def validate_frames(leqs, labels: Optional[Sequence[Sequence[str]]] = None) -> l
         raise ValueError("labels length must match carrier size")
     label_rows = np.broadcast_to(np.array(list(map(tuple, labels)), dtype=object), (count, n))
 
-    checks, bad = _order_checks(leqs)
+    bottoms, tops = leqs.all(axis=2), leqs.all(axis=1)
+    laws = _order_checks(leqs, bottoms, tops)
     # The order checks are invariant under relabelling, so they hold on the
     # canonical stack too.
-    key = np.where(checks.bottoms, -1, np.where(checks.tops, n, np.arange(n)))
+    key = np.where(bottoms, -1, np.where(tops, n, np.arange(n)))
     order = np.argsort(key, axis=1, kind="stable")
-    canon = leqs[np.arange(count)[:, None, None], order[:, :, None], order[:, None, :]]
+    canon = gather(leqs, order[:, :, None], order[:, None, :])
     labels = list(map(tuple, np.take_along_axis(label_rows, order, axis=1).tolist()))
     meet, join, missing = lattice_tables(canon)
     triples = distributivity_witness(meet, join)
     imp, broken = heyting_tables(canon, meet)
 
-    failed = np.stack([bad, missing >= 0, triples >= 0, broken >= 0])
-    if failed.any():
-        k = int(failed.any(axis=0).argmax())
-        stage = int(failed[:, k].argmax())
-        names = labels[k]
-        if stage == 0:
-            raise _order_error(checks, k)
-        if stage == 1:
+    for k, (law, at) in first_failures(laws + [missing >= 0, triples >= 0, broken >= 0]).items():
+        if law < 3:
+            raise InvalidPoset(("not reflexive at {}", "antisymmetry fails on ({}, {})",
+                                "transitivity fails on ({}, {})")[law].format(*at))
+        if law < 5:
+            found = np.flatnonzero((bottoms, tops)[law - 3][k]).tolist()
+            raise InvalidPoset(f"need exactly one {('bottom', 'top')[law - 3]}, found {found}")
+        if law == 5:
             pair, kind = divmod(int(missing[k]), 2)
-            raise NotALattice(tuple(names[v] for v in divmod(pair, n)),
+            raise NotALattice(tuple(labels[k][v] for v in divmod(pair, n)),
                               ("infimum", "supremum")[kind])
-        if stage == 2:
-            raise NotDistributive(tuple(names[int(v)]
-                                        for v in np.unravel_index(triples[k], (n, n, n))))
-        a, x, b = (int(v) for v in np.unravel_index(broken[k], (n, n, n)))
-        raise AssertionError(f"heyting adjunction broke at ({a}, {x}, {b})")
+        triple = tuple(int(v) for v in np.unravel_index((triples, broken)[law - 6][k], (n, n, n)))
+        if law == 6:
+            raise NotDistributive(tuple(labels[k][v] for v in triple))
+        raise AssertionError("heyting adjunction broke at ({}, {}, {})".format(*triple))
 
     tables = {"leq": canon, "meet": meet, "join": join, "imp": imp}
     for table in tables.values():
@@ -369,10 +339,8 @@ def set_frame(rows, labels: Sequence[str]) -> FiniteFrame:
     tables = np.array([[index.get(a | b, -1) for a in masks for b in masks],
                        [index.get(a & b, -1) for a in masks for b in masks]],
                       dtype=np.intp).reshape(2, m, m)
-    if (tables < 0).any():
-        i, j = divmod(int((tables < 0).any(axis=0).argmax()), m)
-        op = "∪∩"[int((tables[:, i, j] < 0).argmax())]
-        raise ClosureViolation(f"{labels[i]} {op} {labels[j]} is not a member")
+    for _, (i, j, op) in first_failures([(tables < 0).transpose(1, 2, 0)[None]]).values():
+        raise ClosureViolation(f"{labels[i]} {'∪∩'[op]} {labels[j]} is not a member")
     join, meet = tables
     imp, broken = heyting_tables(leq[None], meet[None])
     if broken[0] >= 0:
@@ -507,9 +475,7 @@ class RegularPairFrame:
         firsts = np.stack([base.meet[np.ix_(a, a)], base.join[np.ix_(a, a)]])
         seconds = np.stack([base.meet[np.ix_(b, b)], view.join_table[np.ix_(k, k)]])
         bad = position[firsts, seconds] != np.stack([frame.meet, frame.join])
-        if bad.any():
-            i, j = divmod(int(bad.any(axis=0).argmax()), len(pairs))
-            op = int(bad[:, i, j].argmax())
+        for _, (i, j, op) in first_failures([bad.transpose(1, 2, 0)[None]]).values():
             got = (int(firsts[op, i, j]), int(seconds[op, i, j]))
             raise ClosureViolation(f"{('meet', 'join')[op]} of {labels[i]}, {labels[j]} -> {got}")
         self.base = base

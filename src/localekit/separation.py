@@ -7,7 +7,8 @@ when first read. It is the fifth batch of `checks.frame_structures`, and
 each public function here is the battery on a stack of one. Products are
 bool `@`, exact at any width. A frame whose cross-check breaks gets the
 exception it raises alone. Witnesses are minimal in lexicographic element
-order, so reports are reproducible and can be re-checked independently.
+order, the witness order of `common.first_failures`, so reports are
+reproducible and can be re-checked independently.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .common import CheckReport, EquivalenceViolation, TheoremViolation, settled
+from .common import CheckReport, EquivalenceViolation, TheoremViolation, first_failures, settled
 from .lattice import FiniteFrame, by_size
 from .sublocales import (ClosedJoinFrame, SublocaleLattice, all_sublocales, closed_join_frame,
                          dual_booleanization, open_rows)
@@ -46,15 +47,13 @@ class SeparationReport:
     conditions: tuple[ConditionVerdict, ...] = ()
 
 
-def _failures(frames, names, laws, count=1) -> list[dict[int, int]]:
+def _failures(frames, names, laws, count=1) -> list[dict[int, tuple[int, ...]]]:
     """Per failure mask (F, ...) of the `count` that laws(*tables) returns,
-    one call per carrier size: {position: first failing flat index}."""
-    found: list[dict[int, int]] = [{} for _ in range(count)]
+    one call per carrier size: {position: coordinates of its first failure}."""
+    found: list[dict] = [{} for _ in range(count)]
     for ks, tables in by_size(frames, names):
         for into, bad in zip(found, laws(*tables)):
-            bad = bad.reshape(len(ks), -1)
-            for g in bad.any(axis=1).nonzero()[0].tolist():
-                into[ks[g]] = int(bad[g].argmax())
+            into.update((ks[g], at) for g, (_, at) in first_failures([bad]).items())
     return found
 
 
@@ -67,7 +66,7 @@ def _weakly_subfit(frames) -> list[SeparationReport]:
     """Every a ≠ 0 has a c ≠ 1 with a ∨ c = 1."""
     found = _failures(frames, ("join",), lambda join: (  # rows a ≠ 0, columns c ≠ 1
         ~(join[:, 1:, :-1] == join.shape[1] - 1).any(axis=2),))[0]
-    return [_report("weakly-subfit", frame, (found[k] + 1,) if k in found else None)
+    return [_report("weakly-subfit", frame, (found[k][0] + 1,) if k in found else None)
             for k, frame in enumerate(frames)]
 
 
@@ -108,8 +107,7 @@ class SeparationBattery:
             hits = join == leq.shape[1] - 1
             return (~leq & ~(hits @ ~hits.transpose(0, 2, 1)),)
         found = _failures(self.frames, ("leq", "join"), law)[0]
-        return [_report("subfit", frame, divmod(found[k], frame.n) if k in found else None)
-                for k, frame in enumerate(self.frames)]
+        return [_report("subfit", frame, found.get(k)) for k, frame in enumerate(self.frames)]
 
     @cached_property
     def weakly_subfit(self) -> list[SeparationReport]:
@@ -129,7 +127,7 @@ class SeparationBattery:
             frame, law = self.frames[k], next((law for law in range(3) if g in laws[law]), None)
             outcomes[k] = CheckReport.passed("pcformula")
             if law is not None:
-                labels, a = frame.labels, laws[law][g]
+                labels, (a,) = frame.labels, laws[law][g]
                 covers = np.flatnonzero(frame.join[:, a] == frame.top).tolist()
                 bound = reduce(lambda u, v: int(frame.meet[u, v]), covers, frame.top)
                 outcomes[k] = AssertionError((
@@ -159,10 +157,10 @@ class SeparationBattery:
             conditions = (ConditionVerdict("closed-join-weakly-subfit", weak.holds,
                                            weak.witness_labels and weak.witness_labels[0]),
                           *(ConditionVerdict(name, g not in found,
-                                             f"o({labels[found[g]]})" if g in found else None)
+                                             f"o({labels[found[g][0]]})" if g in found else None)
                             for name, found in zip(("proper-opens-covered",
                                                     "dense-proper-opens-covered"), opens)))
-            reports[k] = _report("symmetric", frames[k], None if w2 is None else (w2,), conditions)
+            reports[k] = _report("symmetric", frames[k], w2, conditions)
             if len({c.holds for c in conditions}) != 1:
                 reports[k] = EquivalenceViolation(
                     f"symmetry conditions disagree on a frame with {frames[k].n} elements: "
@@ -182,7 +180,7 @@ class SeparationBattery:
             subfit, boolean = self.subfit[k].holds, g not in missing
             outcomes[k] = CheckReport.passed("ppt")
             if subfit != boolean:
-                witness = None if boolean else cjfs[k].elements[missing[g]].label()
+                witness = None if boolean else cjfs[k].elements[missing[g][0]].label()
                 outcomes[k] = TheoremViolation(
                     f"subfit={subfit} but closed-join complementation={boolean}; "
                     f"witness={witness}, frame labels={self.frames[k].labels}")
@@ -199,10 +197,9 @@ def is_weakly_subfit(frame: FiniteFrame) -> SeparationReport:
     return SeparationBattery([frame]).weakly_subfit[0]
 
 
-def is_symmetric(frame: FiniteFrame, cjf: Optional[ClosedJoinFrame] = None) -> SeparationReport:
+def is_symmetric(frame: FiniteFrame) -> SeparationReport:
     """The three readings of symmetry; disagreement raises EquivalenceViolation."""
-    closed_joins = [closed_join_frame(frame) if cjf is None else cjf]
-    return settled(SeparationBattery([frame], lambda: closed_joins).symmetric[0])
+    return settled(SeparationBattery([frame], lambda: [closed_join_frame(frame)]).symmetric[0])
 
 
 def subfit_correspondence_check(frame: FiniteFrame,

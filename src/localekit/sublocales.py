@@ -16,6 +16,7 @@ and `closed_open_outcomes` one per carrier size. The sublocale budget
 counts primes, since |S(L)| = 2^|primes|. The laws of S(L) are decided by
 comparing the containment of the closures with the subset order of their
 prime sets, the closed/open identities by their nullary and binary cases.
+Each failure is named in the witness order of `common.first_failures`.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .common import (BudgetExceeded, CheckReport, bits, grouped, pack_rows, settled,
-                     slice_len, unpack_rows, within_budget)
+from .common import (BudgetExceeded, CheckReport, bits, first_failures, grouped, pack_rows,
+                     settled, slice_len, unpack_rows, within_budget)
 from .lattice import (FiniteFrame, by_size, containment_order, cover_relation,
-                      distributivity_witness, heyting_tables)
+                      distributivity_witness, gather, heyting_tables)
 
 
 class MixedParents(ValueError):
@@ -100,17 +101,11 @@ def _sublocale_rows(meet, imp, rows) -> list[SubsetVerdict]:
         r = np.arange(len(members))[:, None, None]
         meets = members[:, :, None] & members[:, None, :] & upper & ~members[r, meet[f]]
         heyting = members[:, :, None] & ~members[r, imp[f].transpose(0, 2, 1)]  # [r, s, a]
-        bad = ~members[:, n - 1] | meets.any(axis=(1, 2)) | heyting.any(axis=(1, 2))
-        for row, k in zip(np.flatnonzero(bad).tolist(), f[bad].tolist()):
-            if not verdicts[k]:  # not the first failing row of its frame
-                continue
-            if not members[row, n - 1]:
-                verdicts[k] = SubsetVerdict(False, "missing-top", (n - 1,))
-            elif meets[row].any():
-                verdicts[k] = SubsetVerdict(False, "meet", divmod(int(meets[row].argmax()), n))
-            else:
-                s, a = divmod(int(heyting[row].argmax()), n)
-                verdicts[k] = SubsetVerdict(False, "heyting", (a, s))
+        for row, (law, at) in first_failures([~members[:, n - 1], meets, heyting]).items():
+            k = int(f[row])
+            if verdicts[k]:  # the first failing row of its frame
+                verdicts[k] = SubsetVerdict(False, ("missing-top", "meet", "heyting")[law],
+                                            ((n - 1,), at, at[::-1])[law])
     return verdicts
 
 
@@ -244,13 +239,10 @@ def _broken_laws(ys, leq, join, meet) -> list[Optional[tuple[str, tuple[int, int
     tables must then land on Y ∪ Z (join-is-lub) and Y ∩ Z.
     """
     f, left, right = np.arange(len(ys))[:, None, None], ys[:, :, None], ys[:, None, :]
-    bad = np.stack([leq != ((left & ~right) == 0), ys[f, join] != (left | right),
-                    ys[f, meet] != (left & right)], axis=1).reshape(len(ys), 3, -1)
-    broken = bad.any(axis=2)
-    law = broken.argmax(axis=1)
-    at = bad[f[:, 0, 0], law].argmax(axis=1)
-    return [(("order at ", "", "meet at ")[first], divmod(pair, ys.shape[1])) if fails else None
-            for fails, first, pair in zip(broken.any(axis=1).tolist(), law.tolist(), at.tolist())]
+    found = first_failures([leq != ((left & ~right) == 0), ys[f, join] != (left | right),
+                            ys[f, meet] != (left & right)])
+    return [(("order at ", "", "meet at ")[found[k][0]], found[k][1]) if k in found else None
+            for k in range(len(ys))]
 
 
 def supplement(s: Sublocale, lattice: Optional[SublocaleLattice] = None) -> Sublocale:
@@ -390,17 +382,16 @@ def closed_join_frames(parents: Iterable[FiniteFrame]) -> list[ClosedJoinFrame |
     built: list = [None] * len(parents)
     for ks, (leqs, meets, joins) in by_size(parents, ("leq", "meet", "join")):
         n, gens = leqs.shape[1], size_mask_order(leqs)
-        f, idx = np.arange(len(ks))[:, None, None], np.arange(n)
-        rows, cols = gens[:, :, None], gens[:, None, :]
-        position = np.argsort(gens, axis=1)           # position[f, gens[f, i]] = i
-        leq = leqs[f, cols, rows]                     # c(a) ⊆ c(b) iff b <= a
-        join = position[f, meets[f, rows, cols]]      # c(a) ∨ c(b) = c(a ∧ b)
-        meet = position[f, joins[f, rows, cols]]      # c(a) ∧ c(b) = c(a ∨ b)
+        idx, rows, cols = np.arange(n), gens[:, :, None], gens[:, None, :]
+        position = np.argsort(gens, axis=1)            # position[f, gens[f, i]] = i
+        leq = gather(leqs, cols, rows)                 # c(a) ⊆ c(b) iff b <= a
+        join = gather(position, gather(meets, rows, cols))  # c(a) ∨ c(b) = c(a ∧ b)
+        meet = gather(position, gather(joins, rows, cols))  # c(a) ∧ c(b) = c(a ∨ b)
         imp, broken = heyting_tables(leq, meet)
-        bad = np.stack([containment_order(leqs[f[:, :, 0], gens]) != leq,
-                        ~(leq[f, idx[:, None], join] & leq[f, idx, join]),
-                        ~(leq[f, meet, idx[:, None]] & leq[f, meet, idx])], axis=1)
-        failed = np.concatenate([bad.any(axis=(2, 3)), broken[:, None] >= 0], axis=1)
+        failures = first_failures([containment_order(gather(leqs, gens)) != leq,
+                                   ~(gather(leq, idx[:, None], join) & gather(leq, idx, join)),
+                                   ~(gather(leq, meet, idx[:, None]) & gather(leq, meet, idx)),
+                                   broken >= 0])
         for table in (leq, meet, join, imp):
             table.flags.writeable = False
         laws = cache(lambda meet=meet, join=join: _distributivity(meet, join))
@@ -408,12 +399,12 @@ def closed_join_frames(parents: Iterable[FiniteFrame]) -> list[ClosedJoinFrame |
         for g, k in enumerate(ks):
             parent = parents[k]
             labels = tuple(f"c({parent.labels[a]})" for a in gens[g].tolist())
-            if failed[g].any():
-                stage = int(failed[g].argmax())
-                at = int(bad[g, stage].argmax()) if stage < 3 else int(broken[g])
-                where = ", ".join(labels[v] for v in np.unravel_index(at, (n,) * (2 + stage // 3)))
+            if g in failures:
+                law, at = failures[g]
+                where = ", ".join(labels[v] for v in (
+                    at if law < 3 else np.unravel_index(broken[g], (n, n, n))))
                 law = ("order is not the parent's reversed", "join is not above both",
-                       "meet is not below both", "Heyting adjunction breaks")[stage]
+                       "meet is not below both", "Heyting adjunction breaks")[law]
                 built[k] = AssertionError(f"closed-join {law} at ({where})")
                 continue
             frame = FiniteFrame(leq[g], meet[g], join[g], imp[g], labels, (tables, g))
@@ -461,19 +452,16 @@ def closed_open_outcomes(frames: Iterable[FiniteFrame]) -> list[tuple[CheckRepor
             (up[:, :1], True), (opens[:, :1], np.arange(n) == n - 1),
             (up[:, a] & up[:, b], up[f, joins]), (unions[:, pairs], opens[f, joins]),
             (unions[:, :n * n], up[f, meets]), (opens[:, a] & opens[:, b], opens[f, meets]))]
-        broken = np.stack([law.any(axis=1) for law in bad], axis=1)
-        for g in np.flatnonzero(broken.any(axis=1)).tolist():
-            law, labels = int(broken[g].argmax()), frames[ks[g]].labels
-            pair = int(bad[law][g].argmax())
+        for g, (law, (pair,)) in first_failures(bad).items():
+            labels = frames[ks[g]].labels
             text = ("c({}) ≠ L", "o({}) ≠ O", "c({})∩c({}) ≠ c(join)", "o({})∨o({}) ≠ o(join)",
                     "c({})∨c({}) ≠ c(meet)", "o({})∩o({}) ≠ o(meet)")[law]
             text = text.format(labels[a[pair]], labels[b[pair]])
             identities[ks[g]] = CheckReport.failed("closed-open-identities", text)
         apart = ((up & opens) != (np.arange(n) == n - 1)).any(axis=2)
-        unequal = apart | ~unions[:, 2 * n * n:].all(axis=2)
-        for g in np.flatnonzero(unequal.any(axis=1)).tolist():
-            at = int(unequal[g].argmax())
-            law = "c∩o ≠ O" if apart[g, at] else "c∨o ≠ L"
+        unequal = np.stack([apart, ~unions[:, 2 * n * n:].all(axis=2)], axis=2)  # a, then law
+        for g, (_, (at, law)) in first_failures([unequal]).items():
+            law = ("c∩o ≠ O", "c∨o ≠ L")[law]
             complements[ks[g]] = CheckReport.failed("closed-open-complements",
                                                     f"{law} at {frames[ks[g]].labels[at]}")
     return list(zip(identities, complements))

@@ -1,10 +1,14 @@
+import ast
 import traceback
+from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
 
 from localekit import cli
-from localekit.common import BUDGETS, BudgetExceeded, pack_rows, settled, unpack_rows
+from localekit.common import (BUDGETS, BudgetExceeded, first_failures, pack_rows, settled,
+                              unpack_rows)
 from localekit.corpus import chain
 from localekit.lattice import order_closure, regular_pair_frame, validate_frame
 from localekit.spaces import indiscrete, uc_lattice
@@ -31,6 +35,78 @@ def test_settled_raises_a_stored_error_afresh():
         depths.append(len(traceback.extract_tb(err.value.__traceback__)))
     assert depths == [depths[0]] * 3
     assert settled("result") == "result"
+
+
+def brute_first_failures(masks):
+    """`first_failures` by a loop over items, laws and entries in row-major order."""
+    found = {}
+    for k in range(len(masks[0])):
+        for law, mask in enumerate(masks):
+            at = next((at for at in np.ndindex(mask.shape[1:]) if mask[k][at]), None)
+            if at is not None:
+                found[k] = (law, at)
+                break
+    return found
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 40])
+def test_first_failures_is_the_per_item_loop(count):
+    rng = np.random.default_rng(count)
+    for density in (0.0, 0.01, 0.05, 0.3):
+        masks = [rng.random((count,) + shape) < density
+                 for shape in ((), (5,), (3, 4), (2, 3, 2), ())]
+        masks.append((rng.random((4, 3, count)) < density).transpose(2, 1, 0))  # not contiguous
+        got = first_failures(masks)
+        assert got == brute_first_failures(masks)
+        assert list(got) == sorted(got)
+        assert set(got) == {k for k in range(count) if any(mask[k].any() for mask in masks)}
+        assert all(type(k) is int and all(type(v) is int for v in at)
+                   for k, (_, at) in got.items())
+
+
+def test_first_failures_reads_laws_in_order_then_row_major():
+    masks = [np.zeros((3, 2, 2), dtype=bool), np.zeros(3, dtype=bool)]
+    masks[0][2, 1, 0] = masks[0][2, 1, 1] = masks[1][2] = masks[1][0] = True
+    assert first_failures(masks) == {0: (1, ()), 2: (0, (1, 0))}
+    assert first_failures([mask[:0] for mask in masks]) == {}
+
+
+# The functions of src/localekit that may call argmax: the one witness
+# order, the vectorised one-law form the corpus filters with, and the
+# greatest-x search of the Heyting table.
+ARGMAX_CALLERS = {("common.py", "first_failures"), ("lattice.py", "_first"),
+                  ("lattice.py", "heyting_tables")}
+
+
+def argmax_calls(source):
+    """(enclosing function, line) of every call of argmax in source, as a
+    method or as a function reached by name or attribute."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and "argmax" in (getattr(node.func, "attr", None),
+                                                       getattr(node.func, "id", None)):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+    visit(ast.parse(source), None)
+    return found
+
+
+class TestWitnessOrderPolicy:
+    def test_scanner_sees_every_form(self):
+        source = ("def f(x):\n"
+                  "    x.argmax()\n    np.argmax(x, axis=1)\n    argmax(x)\n"
+                  "    x.argmin()\n    x.any(axis=0).argmax()\n")
+        assert argmax_calls(source) == [("f", 2), ("f", 3), ("f", 4), ("f", 6)]
+
+    def test_only_the_witness_order_calls_argmax(self):
+        found = {(path.name, function)
+                 for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+                 for function, _ in argmax_calls(path.read_text())}
+        assert found == ARGMAX_CALLERS
 
 
 def _chain_text(n):

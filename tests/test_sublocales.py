@@ -351,6 +351,21 @@ class TestAntitoneEmbedding:
         for frame in small_corpus[:40]:
             assert sublocale_laws(frame).ok
 
+    def test_bundled_check_names_the_first_broken_pair(self, c3):
+        """One tampered order entry of chain3, with S(L) and the complements
+        report of the clean frame, so the antitone embedding is what breaks."""
+        from localekit.checks import sublocale_laws
+        leq = c3.leq.copy()
+        leq[2, 0] = True
+        frame = FiniteFrame(leq, c3.meet, c3.join, c3.imp, c3.labels)
+        # c(b) ⊆ c(a) iff everything above b is above a; a <= b must say the same
+        expected = next((a, b) for a in range(3) for b in range(3)
+                        if leq[a, b] != all(leq[a, k] for k in range(3) if leq[b, k]))
+        report = sublocale_laws(frame, all_sublocales(c3), closed_open_complements_report(c3))
+        assert (report.name, report.ok) == ("sublocale-laws", False)
+        a, b = (c3.labels[v] for v in expected)
+        assert report.witness == f"antitone embedding breaks at ({a},{b})"
+
 
 class TestSupplement:
     def test_chain3_supplements(self, c3):
