@@ -22,7 +22,7 @@ import numpy as np
 from .common import CheckReport, EquivalenceViolation, TheoremViolation, first_failures, settled
 from .lattice import FiniteFrame, by_size
 from .sublocales import (ClosedJoinFrame, SublocaleLattice, all_sublocales, closed_join_frame,
-                         dual_booleanization, open_rows)
+                         open_rows)
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,14 @@ def _uncovered(leq, imp):
 
 
 def _pcformula_laws(leq, meet, join, imp):
-    """a* is not the meet of the covers {x : x ∨ a = 1} (their lower bounds,
-    one bool product against the order, are not ↓a*); a ∨ a* ≠ 1; a has no
-    complement."""
+    """(F, law, a): a* is not the meet of the covers {x : x ∨ a = 1} (their
+    lower bounds, one bool product against the order, are not ↓a*); a ∨ a* ≠ 1;
+    a has no complement. Its first failure is the first law to fail, at its first a."""
     top, f, star = leq.shape[1] - 1, np.arange(len(leq))[:, None], imp[:, :, 0]
     lower = ~((join == top).transpose(0, 2, 1) @ ~leq.transpose(0, 2, 1))
-    return ((lower != leq.transpose(0, 2, 1)[f, star]).any(axis=2),
-            join[f, np.arange(top + 1), star] != top, ~((meet == 0) & (join == top)).any(axis=2))
+    return (np.stack([(lower != leq.transpose(0, 2, 1)[f, star]).any(axis=2),
+                      join[f, np.arange(top + 1), star] != top,
+                      ~((meet == 0) & (join == top)).any(axis=2)], axis=1),)
 
 
 class SeparationBattery:
@@ -120,14 +121,14 @@ class SeparationBattery:
         element has a complement. The first law to break, at its first
         element, is the AssertionError."""
         weak = [k for k, report in enumerate(self.weakly_subfit) if report.holds]
-        laws = _failures([self.frames[k] for k in weak], ("leq", "meet", "join", "imp"),
-                         _pcformula_laws, 3)
+        broken = _failures([self.frames[k] for k in weak], ("leq", "meet", "join", "imp"),
+                           _pcformula_laws)[0]
         outcomes: list = [CheckReport.passed("pcformula", "not-applicable")] * len(self.frames)
         for g, k in enumerate(weak):
-            frame, law = self.frames[k], next((law for law in range(3) if g in laws[law]), None)
+            frame = self.frames[k]
             outcomes[k] = CheckReport.passed("pcformula")
-            if law is not None:
-                labels, (a,) = frame.labels, laws[law][g]
+            if g in broken:
+                labels, (law, a) = frame.labels, broken[g]
                 covers = np.flatnonzero(frame.join[:, a] == frame.top).tolist()
                 bound = reduce(lambda u, v: int(frame.meet[u, v]), covers, frame.top)
                 outcomes[k] = AssertionError((
@@ -210,9 +211,10 @@ def subfit_correspondence_check(frame: FiniteFrame,
                                 outcome: Optional[CheckReport] = None) -> CheckReport:
     """The subfit/Boolean correspondence on one frame: the battery's ppt
     (`outcome`, when the caller has it), and on a subfit frame, that the
-    closed-join rows are the fixed points of the double supplement of S(L),
-    Y ↦ P ∖ Y on its prime sets. A breach raises TheoremViolation, and
-    otherwise "ppt" passes. `subfit`, when given, is is_subfit(frame)."""
+    closed-join rows are the fixed points of the double supplement of S(L).
+    That is Y ↦ P ∖ Y twice on its prime sets, the identity, so they are
+    the rows of S(L). A breach raises TheoremViolation, and otherwise "ppt"
+    passes. `subfit`, when given, is is_subfit(frame)."""
     cjf = closed_join_frame(frame) if cjf is None else cjf
     lat = all_sublocales(frame, budget) if lattice is None else lattice
     subfit = is_subfit(frame) if subfit is None else subfit
@@ -222,13 +224,11 @@ def subfit_correspondence_check(frame: FiniteFrame,
         outcome = settled(battery.ppt[0])
     if not subfit.holds:
         return outcome
-    supplement = np.argsort(lat.ys)[lat.ys ^ (len(lat) - 1)]
-    fixed = lat.rows[supplement[supplement] == np.arange(len(lat))]
-    if not np.array_equal(fixed, frame.leq[list(cjf.generators)]):
+    if not np.array_equal(lat.rows, frame.leq[list(cjf.generators)]):
         raise TheoremViolation(
             "subfit frame where closed joins differ from the dual Booleanization: "
             f"closed joins {[s.label() for s in cjf.elements]} vs "
-            f"fixed points {[s.label() for s in dual_booleanization(frame, lat)]}")
+            f"fixed points {[s.label() for s in lat.sublocales]}")
     return outcome
 
 

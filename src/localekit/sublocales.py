@@ -4,10 +4,11 @@ A sublocale is a subset of the carrier containing the top, closed under
 meets, and closed under a -> (-) for every a, identified by its element
 bitmask. Every sublocale of a finite frame is spatial, so S(L) is exactly
 the meet-closures M(Y) of the sets Y of primes (meet-irreducibles) of L,
-with M(Y) ∩ M(Z) = M(Y ∩ Z) and M(Y) ∨ M(Z) = M(Y ∪ Z); `meet_closure` is
-the one closed form of M(A ∪ {1}): x is in it iff, for every upper cover y
-of x, A meets ↑x ∖ ↑y. Closed sublocales join by c(a) ∨ c(b) = c(a ∧ b),
-so their joins are the up-sets: L turned upside down.
+with M(Y) ∩ M(Z) = M(Y ∩ Z) and M(Y) ∨ M(Z) = M(Y ∪ Z), so the prime sets
+carry its algebra. `meet_closure` is the one closed form of M(A ∪ {1}): x
+is in it iff, for every upper cover y of x, A meets ↑x ∖ ↑y. Closed
+sublocales join by c(a) ∨ c(b) = c(a ∧ b), so their joins are the up-sets:
+L turned upside down.
 
 Everything works on stacks, one frame being a stack of one, and a frame
 that fails in a batch gets the outcome it gets alone: `sublocale_lattices`
@@ -156,19 +157,18 @@ class SublocaleLattice:
     Element order is by (size, mask), so index 0 is O and the last index is
     the whole frame. rows[i] holds the members of sublocale i as a boolean
     row, and ys[i] is the set Y of primes with rows[i] = M(Y), as a bitmask
-    over the positions in primes(parent). Its masks, prime_sets, sublocales
-    and index are built from these when first read. The order, the tables
-    and the `laws` verdict come from the stack it was built in; given none,
-    or once a table is replaced, from a stack of one.
+    over the positions in primes(parent): meets and joins of S(L) are
+    Y ∩ Z and Y ∪ Z. leq is the containment order of the rows. Its masks,
+    prime_sets, sublocales and index are built from these when first read.
+    leq and the `laws` verdict come from the stack it was built in; given
+    none, or once leq is replaced, from a stack of one.
     """
 
-    def __init__(self, parent: FiniteFrame, ys: np.ndarray, rows: np.ndarray, tables=None,
-                 laws=None):
+    def __init__(self, parent: FiniteFrame, ys: np.ndarray, rows: np.ndarray, laws=None):
         self.parent, self.ys, self.rows = parent, ys, rows
         self.bottom_index, self.top_index = 0, len(ys) - 1
-        self.leq, self.join_table, self.meet_table = tables or (
-            table[0] for table in _tables(rows[None], ys[None])[0])
-        self._laws = laws  # (the tables a stack decided on, its verdict), or None
+        self._laws = laws  # (the leq a stack decided on, its verdict), or None
+        self.leq = containment_order(rows[None])[0] if laws is None else laws[0]
 
     def __len__(self):
         return len(self.ys)
@@ -191,65 +191,39 @@ class SublocaleLattice:
 
     @cached_property
     def supplements(self):
-        """supplements[i]: index of the least T with S_i ∨ T = L, M of the primes
-        outside S_i; checked to join S_i to L and to lie inside every such T."""
+        """supplements[i]: index of the least T with S_i ∨ T = L, M of the
+        primes outside S_i's, since Y ∪ Z = P iff Z contains P ∖ Y."""
         out = np.argsort(self.ys)[self.ys ^ (len(self) - 1)]
-        partners = self.join_table == self.top_index
-        if not (partners[np.arange(len(out)), out].all()
-                and (self.leq[out] | ~partners).all()):
-            raise AssertionError("a supplement is not the least T joining to the top")
         out.flags.writeable = False
         return out
 
     @property
     def laws(self) -> CheckReport:
-        """The coframe law and join-is-lub, decided through S(L) ≅ 2^P."""
-        now = (self.leq, self.join_table, self.meet_table)
-        if self._laws is None or any(a is not b for a, b in zip(now, self._laws[0])):
-            self._laws = now, _broken_laws(self.ys[None], *(table[None] for table in now))[0]
+        """The coframe law and join-is-lub, decided through S(L) ≅ 2^P: leq
+        must be the subset order of the prime sets. The closures M(Y) are
+        distinct and are all of S(L), so Y ↦ M(Y) is then an order
+        isomorphism from the Boolean algebra 2^P. It carries joins to least
+        upper bounds, M(Y) ∨ M(Z) = M(Y ∪ Z), and 2^P's coframe law to S(L)."""
+        if self._laws is None or self._laws[0] is not self.leq:
+            self._laws = self.leq, _order_laws(self.ys[None], self.leq[None])[0]
         if self._laws[1] is None:
             return CheckReport.passed("coframe-law")
-        law, pair = self._laws[1]
-        a, b = (self.sublocales[k].label() for k in pair)
-        return CheckReport.failed("coframe-law", f"{law}pair ({a}, {b})")
+        a, b = (self.sublocales[k].label() for k in self._laws[1])
+        return CheckReport.failed("coframe-law", f"order at pair ({a}, {b})")
 
 
-def _tables(rows, ys):
-    """The containment order and the join and meet tables (F, m, m) of a stack
-    of S(L)s, from their member rows (F, m, n) and prime sets (F, m): M(Y ∪ Z)
-    and M(Y ∩ Z) are lookups of the prime sets. Also returns, per S(L),
-    whether every meet is the intersection of its arguments' members."""
-    f = np.arange(len(ys))[:, None, None]
-    by_primes = np.argsort(ys, axis=1).astype(ys.dtype)  # by_primes[f, Y]: the index of M(Y)
-    tables = (containment_order(rows), by_primes[f, ys[:, :, None] | ys[:, None, :]],
-              by_primes[f, ys[:, :, None] & ys[:, None, :]])
-    for table in tables:
-        table.flags.writeable = False
-    packed = np.packbits(rows, axis=2)
-    intersect = packed[f, tables[2]] == packed[:, :, None] & packed[:, None, :]
-    return tables, intersect.all(axis=(1, 2, 3))
-
-
-def _broken_laws(ys, leq, join, meet) -> list[Optional[tuple[str, tuple[int, int]]]]:
+def _order_laws(ys, leq) -> list[Optional[tuple[int, int]]]:
     """The `laws` of a stack of S(L)s, from their (F, m) prime sets and
-    (F, m, m) tables: per S(L), None, or the first comparison that fails and
-    its first pair in row-major order. `leq` must equal the subset order of
-    the prime sets: the closures M(Y) are distinct sublocales, so Y ↦ M(Y) is
-    then an isomorphism from a Boolean algebra, which is a coframe. The
-    tables must then land on Y ∪ Z (join-is-lub) and Y ∩ Z.
-    """
-    f, left, right = np.arange(len(ys))[:, None, None], ys[:, :, None], ys[:, None, :]
-    found = first_failures([leq != ((left & ~right) == 0), ys[f, join] != (left | right),
-                            ys[f, meet] != (left & right)])
-    return [(("order at ", "", "meet at ")[found[k][0]], found[k][1]) if k in found else None
-            for k in range(len(ys))]
+    (F, m, m) containment orders: per S(L), None, or the first pair in
+    row-major order where leq differs from the subset order of the prime sets."""
+    found = first_failures([leq != ((ys[:, :, None] & ~ys[:, None, :]) == 0)])
+    return [found[k][1] if k in found else None for k in range(len(ys))]
 
 
 def supplement(s: Sublocale, lattice: Optional[SublocaleLattice] = None) -> Sublocale:
     """S^#: the least sublocale joining S to the whole frame.
 
-    Computed as the intersection of every T with S ∨ T = L; the coframe law
-    makes the intersection itself such a T (verified during table build).
+    For S = M(Y) it is M(P ∖ Y): the join M(Y ∪ Z) is L iff Z contains P ∖ Y.
     """
     lat = lattice if lattice is not None else all_sublocales(s.parent)
     if lat.parent is not s.parent:
@@ -267,8 +241,8 @@ def sublocale_lattices(frames: Iterable[FiniteFrame], budget: Optional[int] = No
     """S(L) of every frame, in order: one meet_closure call per (carrier
     size, number of primes) stack builds the closures M(Y) of all sets Y of
     primes. They must be distinct and pass the stacked sublocale test (the
-    first failing one is named), and each meet must be the intersection of
-    its arguments. The budget bounds the number of primes.
+    first failing one is named), and each meet M(Y ∩ Z) must be the
+    intersection of its arguments. The budget bounds the number of primes.
     """
     frames = list(frames)
     built: list = [None] * len(frames)
@@ -295,14 +269,17 @@ def _sublocale_stack(frames, leq, meet, imp, prime, k, budget) -> list:
         np.arange(m)[:, None] >> np.arange(k) & 1)
     closures = meet_closure(leq, members)  # closures[f, y]: M(Y), bit j of y for the j-th prime
     verdicts = _sublocale_rows(meet, imp, closures)
-    # the prime sets in (size, mask) order of their closures, and so the tables that
-    # index by them, in the least dtype that holds m
+    # the prime sets in (size, mask) order of their closures, in the least dtype that holds m
     ys = size_mask_order(closures).astype(np.min_scalar_type(m - 1))
     rows = closures[f, ys]
-    rows.flags.writeable = False
+    order = containment_order(rows)
+    rows.flags.writeable = order.flags.writeable = False
     repeated = (rows[:, 1:] == rows[:, :-1]).all(axis=2).any(axis=1)
-    tables, intersect = _tables(rows, ys)
-    broken = _broken_laws(ys, *tables)
+    f, by_primes = f[:, :, None], np.argsort(ys, axis=1).astype(ys.dtype)  # [f, Y]: M(Y)
+    packed = np.packbits(rows, axis=2)
+    meets = packed[f, by_primes[f, ys[:, :, None] & ys[:, None, :]]]  # M(Y ∩ Z), packed
+    intersect = (meets == packed[:, :, None] & packed[:, None, :]).all(axis=(1, 2, 3))
+    decided = list(zip(order, _order_laws(ys, order)))
     outcomes: list = []
     for g, frame in enumerate(frames):
         if repeated[g] or not verdicts[g] or not intersect[g]:
@@ -311,8 +288,7 @@ def _sublocale_stack(frames, leq, meet, imp, prime, k, budget) -> list:
                 else f"meet-closure of primes is not a sublocale: {verdicts[g]}" if not verdicts[g]
                 else "meet of prime sets differs from the intersection"))
             continue
-        own = [table[g] for table in tables]
-        outcomes.append(SublocaleLattice(frame, ys[g], rows[g], own, (own, broken[g])))
+        outcomes.append(SublocaleLattice(frame, ys[g], rows[g], decided[g]))
     return outcomes
 
 
@@ -420,15 +396,10 @@ def closed_join_frame(parent: FiniteFrame) -> ClosedJoinFrame:
 
 def dual_booleanization(frame: FiniteFrame,
                         lattice: Optional[SublocaleLattice] = None) -> tuple[Sublocale, ...]:
-    """Fixed points of the double supplement inside S(L).
-
-    This is the Booleanization of the order-dual of S(L): the supplement is
-    the pseudocomplement over there, so the regular elements are exactly the
-    S with S^## = S.
-    """
-    lat = lattice if lattice is not None else all_sublocales(frame)
-    supp = lat.supplements
-    return tuple(lat.sublocales[i] for i in range(len(lat)) if int(supp[supp[i]]) == i)
+    """Fixed points of the double supplement inside S(L): the Booleanization
+    of its order-dual, where the supplement is the pseudocomplement. S(L) ≅
+    2^P is Boolean and M(Y)^# = M(P ∖ Y), so every sublocale is fixed."""
+    return (lattice if lattice is not None else all_sublocales(frame)).sublocales
 
 
 def closed_open_outcomes(frames: Iterable[FiniteFrame]) -> list[tuple[CheckReport, CheckReport]]:

@@ -1,5 +1,7 @@
 import ast
+import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -107,6 +109,19 @@ class TestCliCommands:
         assert cli.main(["sublocales", c3_file]) == 0
         out = capsys.readouterr().out
         assert "4 sublocales" in out
+
+    # stdout of the S(L) commands, human and --machine, by "<frame> [--machine] <command>":
+    # argv with {file} for the lattice file, exit code, and stdout split at "\n", with
+    # {file} for its path and (…s) for the summary's wall time
+    PINS = json.loads((Path(__file__).parent / "cli_stdout_pins.json").read_text())
+
+    @pytest.mark.parametrize("key", sorted(PINS))
+    def test_sublocale_commands_stdout_is_pinned(self, tmp_path, tiny_corpus, capsys, key):
+        pin, path = self.PINS[key], tmp_path / f"{key.split()[0]}.lat"
+        path.write_text(io.format_lattice(tiny_corpus[key.split()[0]]))
+        assert cli.main([arg.replace("{file}", str(path)) for arg in pin["argv"]]) == pin["exit"]
+        out = capsys.readouterr().out.replace(str(path), "{file}")
+        assert re.sub(r"\(\d+\.\d+s\)", "(…s)", out).split("\n") == pin["stdout"]
 
     def test_sc_listing(self, c3_file, capsys):
         assert cli.main(["--machine", "sc", c3_file]) == 0

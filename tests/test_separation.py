@@ -275,6 +275,17 @@ class TestStackedBattery:
         assert outcome(lambda: checks.LATTICE_CHECKS["weaksub-equiv"](items[position])) == (
             weaksub or CheckReport.passed("weaksub-equiv"))
 
+    def test_each_pcformula_law_keeps_its_witness_in_one_stack(self, b2):
+        """Three 4-element frames in one stack: a join entry that breaks the
+        cover formula, a meet entry a ∧ a* ≠ 0 that breaks only the third law
+        (the cover formula and a ∨ a* = 1 read no meet), and a clean one."""
+        batch = [tampered(b2, "join", {(0, 1): 3}), tampered(b2, "meet", {(1, 2): 1}), b2]
+        got = [outcome(lambda: settled(report)) for report in SeparationBattery(batch).pcformula]
+        assert got == [outcome(lambda: settled(per_item_separation(frame)["pcformula"]))
+                       for frame in batch]
+        assert got == [("AssertionError", "a=1: meet of covers is 0, a*=2"),
+                       ("AssertionError", "1 has no complement"), CheckReport.passed("pcformula")]
+
     # Symmetry reads the join table only through the closed-join frame, which
     # a changed join entry breaks (above). A changed Heyting entry changes an
     # open sublocale o(a) and leaves the closed-join frame whole.

@@ -21,9 +21,9 @@ from localekit.sublocales import (ClosedJoinFrame, MixedParents, Sublocale, Subl
 
 from oracles import (brute_closed_join_elements, brute_primes, brute_sublocales,
                      closed_join_meet, find_order_isomorphism, generic_closed_join_frame,
-                     generic_closed_open_identities, generic_sublocale_laws, meet_close,
-                     per_item_complements, per_item_identities, per_item_sublocales, sublocale_join,
-                     sublocale_witness, tampered)
+                     generic_closed_open_identities, generic_sublocale_laws, least_upper_bounds,
+                     meet_close, per_item_complements, per_item_identities, per_item_sublocales,
+                     sublocale_join, sublocale_witness, tampered)
 
 
 def raised(action):
@@ -194,21 +194,19 @@ class TestSublocaleLattice:
 
     def test_budget_also_bounds_the_tables(self):
         lattice = all_sublocales(corpus.chain(12), budget=11)
-        assert len(lattice) == 2048
-        join, meet = lattice.join_table, lattice.meet_table
-        assert join.shape == meet.shape == (2048, 2048)
+        assert len(lattice) == 2048 and lattice.leq.shape == (2048, 2048)
         ys = np.array(lattice.prime_sets)
-        assert (ys[join] == ys[:, None] | ys[None, :]).all()
-        assert (ys[meet] == ys[:, None] & ys[None, :]).all()
+        assert (lattice.leq == ((ys[:, None] & ~ys[None, :]) == 0)).all()
+        assert (ys[lattice.supplements] == ys ^ 2047).all()
         assert lattice.laws.ok
 
     def test_meets_are_intersections(self, small_corpus):
         for frame in small_corpus[:40]:
             lattice = all_sublocales(frame)
-            meet = lattice.meet_table
+            ys = lattice.prime_sets
             for i, a in enumerate(lattice.masks):
-                for j, b in enumerate(lattice.masks):
-                    assert lattice.masks[int(meet[i, j])] == a & b
+                for j, b in enumerate(lattice.masks):  # M(Y) ∩ M(Z) = M(Y ∩ Z)
+                    assert ys[lattice.index[a & b]] == ys[i] & ys[j]
 
     def test_coframe_law_and_lub(self, small_corpus):
         for frame in small_corpus:
@@ -226,22 +224,16 @@ class TestSublocaleLattice:
         built = all_sublocales(tiny_corpus[name])
         m = len(built)
 
-        def caught(attr, i, j, value):
+        def caught(i, j, value):
             lattice = SublocaleLattice(built.parent, built.ys, built.rows)
-            table = getattr(built, attr).copy()
-            table[i, j] = value
-            lattice.__dict__[attr] = table
-            try:
-                return not lattice.laws.ok
-            except AssertionError:
-                return True
+            leq = built.leq.copy()
+            leq[i, j] = value
+            lattice.leq = leq
+            return not lattice.laws.ok
 
-        tampers = [(attr, i, j, value)
-                   for attr, values in (("leq", (False, True)), ("join_table", range(m)),
-                                        ("meet_table", range(m)))
-                   for i in range(m) for j in range(m) for value in values
-                   if value != getattr(built, attr)[i, j]]
-        assert len(tampers) == m * m * (1 + 2 * (m - 1))
+        tampers = [(i, j, value) for i in range(m) for j in range(m) for value in (False, True)
+                   if value != built.leq[i, j]]
+        assert len(tampers) == m * m
         assert [t for t in tampers if not caught(*t)] == []
 
     # (frame, table, a, b, value) tampered, and the message that a per-closure
@@ -272,16 +264,8 @@ class TestSublocaleLattice:
 
     # a tampered table entry, and the pair the laws name
     @pytest.mark.parametrize("name, table, i, j, value, witness", [
-        ("bool2", "join_table", 1, 2, 2, "pair ({1,3}, {2,3})"),
-        ("bool3", "join_table", 2, 5, 0, "pair ({5,7}, {2,3,6,7})"),
-        ("bool3", "join_table", 7, 7, 6, "pair (L, L)"),
-        ("chain4", "join_table", 3, 1, 2, "pair ({2,3}, {0,3})"),
-        ("chain5", "join_table", 12, 3, 14, "pair ({0,1,3,4}, {2,4})"),
-        ("chain5", "join_table", 9, 14, 2, "pair ({1,3,4}, {1,2,3,4})"),
-        ("chain5", "join_table", 15, 15, 13, "pair (L, L)"),
         ("chain4", "leq", 1, 0, True, "order at pair ({0,3}, O)"),
         ("bool3", "leq", 6, 3, True, "order at pair ({4,5,6,7}, {6,7})"),
-        ("bool3", "meet_table", 2, 5, 7, "meet at pair ({5,7}, {2,3,6,7})"),
     ])
     def test_sliced_laws_name_the_first_witness(self, tiny_corpus, name, table, i, j, value,
                                                 witness):
@@ -291,23 +275,23 @@ class TestSublocaleLattice:
         lattice.__dict__[table] = entries
         assert lattice.laws.witness == witness
 
-    def test_join_is_lub_names_the_first_pair_in_row_major_order(self, tiny_corpus):
+    def test_order_names_the_first_pair_in_row_major_order(self, tiny_corpus):
         lattice = all_sublocales(tiny_corpus["bool3"])
-        join = lattice.join_table.copy()
-        join[1, 6] = join[5, 2] = lattice.bottom_index
-        lattice.__dict__["join_table"] = join
+        leq = lattice.leq.copy()
+        leq[5, 2], leq[1, 6] = ~leq[5, 2], ~leq[1, 6]
+        lattice.leq = leq
         labels = [s.label() for s in lattice.sublocales]
-        assert lattice.laws.witness == f"pair ({labels[1]}, {labels[6]})"
+        assert lattice.laws.witness == f"order at pair ({labels[1]}, {labels[6]})"
 
     def test_cube7_past_64_elements(self, cube7):
         lattice = all_sublocales(cube7)
         assert len(lattice) == 128
         # in a Boolean frame every sublocale is closed: S(L) is the up-sets ↑a
         assert sorted(lattice.masks) == sorted(cube7.up_masks)
-        meet = lattice.meet_table
+        ys = lattice.prime_sets
         for i, a in enumerate(lattice.masks):
             for j, b in enumerate(lattice.masks):
-                assert lattice.masks[int(meet[i, j])] == a & b
+                assert ys[lattice.index[a & b]] == ys[i] & ys[j]
                 assert lattice.leq[i, j] == (a & ~b == 0)
         assert lattice.laws.ok
 
@@ -329,7 +313,8 @@ class TestSublocaleLattice:
     def test_join_monotone(self, small_corpus):
         for frame in small_corpus[:30]:
             lattice = all_sublocales(frame)
-            join, leq = lattice.join_table, lattice.leq
+            ys, leq = np.array(lattice.prime_sets), lattice.leq
+            join = np.argsort(ys)[ys[:, None] | ys[None, :]]  # M(Y ∪ Z)
             for i in range(len(lattice)):
                 for j in range(len(lattice)):
                     for k in range(len(lattice)):
@@ -378,13 +363,18 @@ class TestSupplement:
         assert supplement(whole, lattice).mask == least.mask
         assert supplement(least, lattice).mask == whole.mask
 
-    def test_supplement_joins_to_top(self, small_corpus):
-        for frame in small_corpus[:40]:
+    def test_supplement_is_the_least_t_joining_to_the_top(self, small_corpus):
+        """With joins read off leq alone, supplements[i] is the one T that
+        joins S_i to L and lies inside every such T. Applied twice it gives
+        S_i back, so the dual Booleanization is all of S(L)."""
+        for frame in small_corpus:
             lattice = all_sublocales(frame)
-            join = lattice.join_table
-            supp = lattice.supplements
-            for i in range(len(lattice)):
-                assert int(join[i, supp[i]]) == lattice.top_index
+            partners = least_upper_bounds(lattice.leq) == lattice.top_index  # [i, t]
+            least = [np.flatnonzero(row & lattice.leq[:, row].all(axis=1)).tolist()
+                     for row in partners]
+            assert least == [[t] for t in lattice.supplements.tolist()]
+            assert (lattice.supplements[lattice.supplements] == np.arange(len(lattice))).all()
+            assert dual_booleanization(frame) == lattice.sublocales
 
 
 def hand_frame(leq):
@@ -418,12 +408,10 @@ class TestSublocaleLattices:
         frames += list(tiny_corpus.values())
         Random(0).shuffle(frames)  # carrier sizes and prime counts mixed in one batch
         for lattice, frame in zip(sublocale_lattices(frames), frames):
-            masks, prime_sets, leq, join, meet, laws = per_item_sublocales(frame)
+            masks, prime_sets, leq, laws = per_item_sublocales(frame)
             assert lattice.parent is frame
             assert (lattice.masks, lattice.prime_sets) == (masks, prime_sets)
-            for got, want in ((lattice.leq, leq), (lattice.join_table, join),
-                              (lattice.meet_table, meet)):
-                assert np.array_equal(got, want) and not got.flags.writeable
+            assert np.array_equal(lattice.leq, leq) and not lattice.leq.flags.writeable
             assert pack_rows(lattice.rows) == masks and not lattice.rows.flags.writeable
             assert lattice.laws == laws
         assert closed_open_outcomes(frames) == [(per_item_identities(frame),
@@ -459,10 +447,11 @@ class TestSublocaleLattices:
 
     def test_tampered_table_fails_only_its_own_laws(self, tiny_corpus):
         batch = sublocale_lattices([tiny_corpus["bool3"]] * 3)
-        join = batch[1].join_table.copy()
-        join[2, 5] = 0
-        batch[1].join_table = join
-        assert [lattice.laws.witness for lattice in batch] == ["", "pair ({5,7}, {2,3,6,7})", ""]
+        leq = batch[1].leq.copy()
+        leq[6, 3] = True
+        batch[1].leq = leq
+        assert [lattice.laws.witness for lattice in batch] == [
+            "", "order at pair ({4,5,6,7}, {6,7})", ""]
 
     def test_a_passing_campaign_packs_no_masks(self, monkeypatch, capsys):
         """S(L)'s masks, Sublocales and index, closed-join masks and up-set
@@ -477,9 +466,9 @@ class TestSublocaleLattices:
 
     def test_laws_are_decided_once_per_stack(self, tiny_corpus, monkeypatch):
         stacks = []
-        broken_laws = sublocales._broken_laws
-        monkeypatch.setattr(sublocales, "_broken_laws",
-                            lambda ys, *tables: stacks.append(len(ys)) or broken_laws(ys, *tables))
+        order_laws = sublocales._order_laws
+        monkeypatch.setattr(sublocales, "_order_laws",
+                            lambda ys, leq: stacks.append(len(ys)) or order_laws(ys, leq))
         # chain4 and bool2 have 3 and 2 primes, chain3 and bool2 both have 2
         names = ["chain4", "chain3", "bool2", "chain4", "bool2"]
         batch = sublocale_lattices([tiny_corpus[name] for name in names])
