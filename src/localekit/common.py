@@ -27,7 +27,7 @@ BUDGETS = {
                   "(override with --budget on check-frame, sc or export-dot)"),
     # campaign lattices --max-size: 26,460 labeled frames at 7
     "corpus": (7, "--max-size {size} exceeds the corpus budget {limit} (override with --budget)"),
-    # bounds S(L), 2^primes elements, and its order and meet cross-check, 4^primes cells
+    # bounds S(L): 2^primes sublocales of n cells each
     "primes": (10, "{size} primes exceed the sublocale budget {limit} (override with --budget)"),
     "topology": (4, "{size} points exceed the topology budget {limit} (override with --budget)"),
     # a space's closed-set frame has up to 2^points elements

@@ -128,9 +128,13 @@ def dot_hasse(frame: FiniteFrame) -> str:
 
 
 def dot_sublocales(lattice: SublocaleLattice) -> str:
+    """S(L) ≅ 2^P, so sublocale j covers i iff ys[j] adds one prime to ys[i]."""
     nodes = [(str(i), s.label()) for i, s in enumerate(lattice.sublocales)]
-    edges = [(str(i), str(j)) for i, j in zip(*cover_pairs(lattice.leq))]
-    return _digraph("sublocales", nodes, edges)
+    ys, k = lattice.prime_sets, len(lattice).bit_length() - 1
+    index = {y: j for j, y in enumerate(ys)}
+    covers = sorted((i, index[y | 1 << p]) for i, y in enumerate(ys) for p in range(k)
+                    if not y >> p & 1)
+    return _digraph("sublocales", nodes, [(str(i), str(j)) for i, j in covers])
 
 
 def dot_closed_joins(cjf: ClosedJoinFrame) -> str:

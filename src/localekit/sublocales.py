@@ -14,9 +14,10 @@ Everything works on stacks, one frame being a stack of one, and a frame
 that fails in a batch gets the outcome it gets alone: `sublocale_lattices`
 works one stack per (carrier size, number of primes), `closed_join_frames`
 and `closed_open_outcomes` one per carrier size. The sublocale budget
-counts primes, since |S(L)| = 2^|primes|. The laws of S(L) are decided by
-comparing the containment of the closures with the subset order of their
-prime sets, the closed/open identities by their nullary and binary cases.
+counts primes, since |S(L)| = 2^|primes|. S(L) is decided by its prime
+decomposition: by Birkhoff's representation, M(Y) = {x : E(x) ⊆ Y} for
+E(x) the minimal primes above x, and each closure must agree with it.
+The closed/open identities are decided by their nullary and binary cases.
 Each failure is named in the witness order of `common.first_failures`.
 """
 
@@ -157,18 +158,14 @@ class SublocaleLattice:
     Element order is by (size, mask), so index 0 is O and the last index is
     the whole frame. rows[i] holds the members of sublocale i as a boolean
     row, and ys[i] is the set Y of primes with rows[i] = M(Y), as a bitmask
-    over the positions in primes(parent): meets and joins of S(L) are
-    Y ∩ Z and Y ∪ Z. leq is the containment order of the rows. Its masks,
-    prime_sets, sublocales and index are built from these when first read.
-    leq and the `laws` verdict come from the stack it was built in; given
-    none, or once leq is replaced, from a stack of one.
+    over the positions in primes(parent). Y ↦ M(Y) is an order isomorphism
+    (see `laws`), so meets and joins of S(L) are Y ∩ Z and Y ∪ Z, and its
+    covers add one prime. Its masks, prime_sets, sublocales and index are
+    built from these when first read.
     """
 
-    def __init__(self, parent: FiniteFrame, ys: np.ndarray, rows: np.ndarray, laws=None):
+    def __init__(self, parent: FiniteFrame, ys: np.ndarray, rows: np.ndarray):
         self.parent, self.ys, self.rows = parent, ys, rows
-        self.bottom_index, self.top_index = 0, len(ys) - 1
-        self._laws = laws  # (the leq a stack decided on, its verdict), or None
-        self.leq = containment_order(rows[None])[0] if laws is None else laws[0]
 
     def __len__(self):
         return len(self.ys)
@@ -199,25 +196,12 @@ class SublocaleLattice:
 
     @property
     def laws(self) -> CheckReport:
-        """The coframe law and join-is-lub, decided through S(L) ≅ 2^P: leq
-        must be the subset order of the prime sets. The closures M(Y) are
-        distinct and are all of S(L), so Y ↦ M(Y) is then an order
-        isomorphism from the Boolean algebra 2^P. It carries joins to least
-        upper bounds, M(Y) ∨ M(Z) = M(Y ∪ Z), and 2^P's coframe law to S(L)."""
-        if self._laws is None or self._laws[0] is not self.leq:
-            self._laws = self.leq, _order_laws(self.ys[None], self.leq[None])[0]
-        if self._laws[1] is None:
-            return CheckReport.passed("coframe-law")
-        a, b = (self.sublocales[k].label() for k in self._laws[1])
-        return CheckReport.failed("coframe-law", f"order at pair ({a}, {b})")
-
-
-def _order_laws(ys, leq) -> list[Optional[tuple[int, int]]]:
-    """The `laws` of a stack of S(L)s, from their (F, m) prime sets and
-    (F, m, m) containment orders: per S(L), None, or the first pair in
-    row-major order where leq differs from the subset order of the prime sets."""
-    found = first_failures([leq != ((ys[:, :, None] & ~ys[:, None, :]) == 0)])
-    return [found[k][1] if k in found else None for k in range(len(ys))]
+        """The coframe law and join-is-lub, which hold once the stack is built:
+        each M(Y) is then a sublocale equal to {x : E(x) ⊆ Y}, and E(p) = {p}
+        for each prime p. So Y ↦ M(Y) is injective, monotone, order-reflecting
+        and ∩-preserving: an order isomorphism from 2^P onto S(L), which
+        carries joins to least upper bounds and 2^P's coframe law to S(L)."""
+        return CheckReport.passed("coframe-law")
 
 
 def supplement(s: Sublocale, lattice: Optional[SublocaleLattice] = None) -> Sublocale:
@@ -240,9 +224,9 @@ def sublocale_lattices(frames: Iterable[FiniteFrame], budget: Optional[int] = No
                        ) -> list[SublocaleLattice | AssertionError | BudgetExceeded]:
     """S(L) of every frame, in order: one meet_closure call per (carrier
     size, number of primes) stack builds the closures M(Y) of all sets Y of
-    primes. They must be distinct and pass the stacked sublocale test (the
-    first failing one is named), and each meet M(Y ∩ Z) must be the
-    intersection of its arguments. The budget bounds the number of primes.
+    primes. They must pass the stacked sublocale test, then agree with the
+    prime decomposition {x : E(x) ⊆ Y}; the first failing closure is named.
+    The budget bounds the number of primes.
     """
     frames = list(frames)
     built: list = [None] * len(frames)
@@ -264,32 +248,42 @@ def _sublocale_stack(frames, leq, meet, imp, prime, k, budget) -> list:
     except BudgetExceeded as exc:
         return [exc] * count
     m, f = 1 << k, np.arange(count)[:, None]
+    at = np.nonzero(prime)[1].reshape(count, k)                        # at[f, j]: the j-th prime
+    chosen = (np.arange(m)[:, None] >> np.arange(k) & 1).astype(bool)  # [y, j]: j in Y
     members = np.zeros((count, m, n), dtype=bool)
-    members[f[:, :, None], np.arange(m)[:, None], np.nonzero(prime)[1].reshape(count, 1, k)] = (
-        np.arange(m)[:, None] >> np.arange(k) & 1)
+    members[f[:, :, None], np.arange(m)[:, None], at[:, None, :]] = chosen
     closures = meet_closure(leq, members)  # closures[f, y]: M(Y), bit j of y for the j-th prime
     verdicts = _sublocale_rows(meet, imp, closures)
+    apart = first_failures([closures != _decomposition(leq, at, chosen)])
     # the prime sets in (size, mask) order of their closures, in the least dtype that holds m
     ys = size_mask_order(closures).astype(np.min_scalar_type(m - 1))
     rows = closures[f, ys]
-    order = containment_order(rows)
-    rows.flags.writeable = order.flags.writeable = False
-    repeated = (rows[:, 1:] == rows[:, :-1]).all(axis=2).any(axis=1)
-    f, by_primes = f[:, :, None], np.argsort(ys, axis=1).astype(ys.dtype)  # [f, Y]: M(Y)
-    packed = np.packbits(rows, axis=2)
-    meets = packed[f, by_primes[f, ys[:, :, None] & ys[:, None, :]]]  # M(Y ∩ Z), packed
-    intersect = (meets == packed[:, :, None] & packed[:, None, :]).all(axis=(1, 2, 3))
-    decided = list(zip(order, _order_laws(ys, order)))
+    rows.flags.writeable = False
     outcomes: list = []
     for g, frame in enumerate(frames):
-        if repeated[g] or not verdicts[g] or not intersect[g]:
+        if not verdicts[g]:
             outcomes.append(AssertionError(
-                "two sets of primes have the same meet-closure" if repeated[g]
-                else f"meet-closure of primes is not a sublocale: {verdicts[g]}" if not verdicts[g]
-                else "meet of prime sets differs from the intersection"))
-            continue
-        outcomes.append(SublocaleLattice(frame, ys[g], rows[g], decided[g]))
+                f"meet-closure of primes is not a sublocale: {verdicts[g]}"))
+        elif g in apart:
+            y, x = apart[g][1]
+            s = Sublocale(frame, pack_rows(closures[g, y:y + 1])[0]).label()
+            outcomes.append(AssertionError(f"meet-closure of primes differs from its prime "
+                                           f"decomposition at ({s}, {frame.labels[x]})"))
+        else:
+            outcomes.append(SublocaleLattice(frame, ys[g], rows[g]))
     return outcomes
+
+
+def _decomposition(leq, at, chosen):
+    """{x : E(x) ⊆ Y} for every row Y of the (m, k) prime-set bits, over the
+    (F, n, n) orders whose j-th prime is at[f, j], as (F, m, n) bools. E(x),
+    the minimal primes above x, are the primes p >= x with no prime q such
+    that x <= q < p: one (F, n, k) @ (F, k, k) product."""
+    f = np.arange(len(at))[:, None]
+    above = np.take_along_axis(leq, at[:, None, :], axis=2)  # [f, x, j]: x <= p_j
+    under = above[f, at] & ~np.eye(at.shape[1], dtype=bool)  # [f, i, j]: p_i < p_j
+    minimal = above & ~(above @ under)                       # [f, x, j]: p_j in E(x)
+    return ~(~chosen @ minimal.transpose(0, 2, 1))           # no prime of E(x) outside Y
 
 
 def all_sublocales(frame: FiniteFrame, budget: Optional[int] = None) -> SublocaleLattice:

@@ -7,10 +7,10 @@ from random import Random
 import numpy as np
 import pytest
 
-from localekit import checks, cli, common, corpus, lattice, sublocales
+from localekit import checks, cli, common, corpus, io, lattice, sublocales
 from localekit.common import BudgetExceeded, bits, pack_rows, settled, unpack_rows
 from localekit.lattice import FiniteFrame, cover_pairs, validate_frame
-from localekit.sublocales import (ClosedJoinFrame, MixedParents, Sublocale, SublocaleLattice,
+from localekit.sublocales import (ClosedJoinFrame, MixedParents, Sublocale,
                                   all_sublocales, closed_join_frame, closed_join_frames,
                                   closed_open_complements_report,
                                   closed_open_identities_check, closed_open_outcomes,
@@ -20,7 +20,7 @@ from localekit.sublocales import (ClosedJoinFrame, MixedParents, Sublocale, Subl
                                   supplement)
 
 from oracles import (brute_closed_join_elements, brute_primes, brute_sublocales,
-                     closed_join_meet, find_order_isomorphism, generic_closed_join_frame,
+                     closed_join_meet, containment, find_order_isomorphism, generic_closed_join_frame,
                      generic_closed_open_identities, generic_sublocale_laws, least_upper_bounds,
                      meet_close, per_item_complements, per_item_identities, per_item_sublocales,
                      sublocale_join, sublocale_witness, tampered)
@@ -31,6 +31,20 @@ def raised(action):
     with pytest.raises(Exception) as err:
         action()
     return type(err.value), str(err.value), err.value.args
+
+
+def flipped(*entries):
+    """meet_closure with the entries (f, y, x) of its (F, R, n) closures negated."""
+    def closure(leqs, rows):
+        out = meet_closure(leqs, rows)
+        for entry in entries:
+            out[entry] = ~out[entry]
+        return out
+    return closure
+
+
+def decomposition_error(sublocale, element):
+    return f"meet-closure of primes differs from its prime decomposition at ({sublocale}, {element})"
 
 
 class TestIsSublocale:
@@ -163,7 +177,7 @@ class TestSublocaleLattice:
 
     def test_chain3_is_boolean_square(self, c3, b2):
         lattice = all_sublocales(c3)
-        frame = validate_frame(lattice.leq)
+        frame = validate_frame(containment(lattice.rows))
         assert find_order_isomorphism(frame, b2) is not None
 
     def test_chain2_trivial(self, c2):
@@ -192,11 +206,10 @@ class TestSublocaleLattice:
             all_sublocales(corpus.chain(12))
         assert str(err.value) == "11 primes exceed the sublocale budget 10 (override with --budget)"
 
-    def test_budget_also_bounds_the_tables(self):
+    def test_budget_reaches_2048_sublocales(self):
         lattice = all_sublocales(corpus.chain(12), budget=11)
-        assert len(lattice) == 2048 and lattice.leq.shape == (2048, 2048)
+        assert len(lattice) == 2048 and lattice.rows.shape == (2048, 12)
         ys = np.array(lattice.prime_sets)
-        assert (lattice.leq == ((ys[:, None] & ~ys[None, :]) == 0)).all()
         assert (ys[lattice.supplements] == ys ^ 2047).all()
         assert lattice.laws.ok
 
@@ -220,21 +233,15 @@ class TestSublocaleLattice:
             assert lattice.laws.ok
 
     @pytest.mark.parametrize("name", ["chain3", "bool2", "chain4", "bool3"])
-    def test_every_single_entry_tamper_fails(self, tiny_corpus, name):
-        built = all_sublocales(tiny_corpus[name])
-        m = len(built)
+    def test_every_single_closure_flip_fails(self, tiny_corpus, monkeypatch, name):
+        frame = tiny_corpus[name]
 
-        def caught(i, j, value):
-            lattice = SublocaleLattice(built.parent, built.ys, built.rows)
-            leq = built.leq.copy()
-            leq[i, j] = value
-            lattice.leq = leq
-            return not lattice.laws.ok
+        def caught(y, x):
+            monkeypatch.setattr(sublocales, "meet_closure", flipped((0, y, x)))
+            return isinstance(sublocale_lattices([frame])[0], AssertionError)
 
-        tampers = [(i, j, value) for i in range(m) for j in range(m) for value in (False, True)
-                   if value != built.leq[i, j]]
-        assert len(tampers) == m * m
-        assert [t for t in tampers if not caught(*t)] == []
+        flips = [(y, x) for y in range(len(all_sublocales(frame))) for x in range(frame.n)]
+        assert [flip for flip in flips if not caught(*flip)] == []
 
     # (frame, table, a, b, value) tampered, and the message that a per-closure
     # is_sublocale loop gives; "" where all_sublocales passes (a tampered meet
@@ -262,26 +269,23 @@ class TestSublocaleLattice:
             AssertionError, f"meet-closure of primes is not a sublocale: {message}",
             (f"meet-closure of primes is not a sublocale: {message}",))
 
-    # a tampered table entry, and the pair the laws name
-    @pytest.mark.parametrize("name, table, i, j, value, witness", [
-        ("chain4", "leq", 1, 0, True, "order at pair ({0,3}, O)"),
-        ("bool3", "leq", 6, 3, True, "order at pair ({4,5,6,7}, {6,7})"),
+    # flipped closure entries (y, x), and the error that names the first:
+    # the decomposition where each flipped closure is still a sublocale (on
+    # bool3, M({p_2}) = {6,7} loses 6 and becomes O, a second M(∅)), the
+    # sublocale test where one is not
+    @pytest.mark.parametrize("name, flips, message", [
+        ("chain4", [(0, 0)], decomposition_error("{0,3}", 0)),
+        ("chain4", [(5, 2), (1, 1)], decomposition_error("{0,1,3}", 1)),
+        ("chain4", [(3, 2), (3, 0)], decomposition_error("{1,2,3}", 0)),
+        ("bool3", [(4, 6)], decomposition_error("O", 6)),
+        ("bool3", [(4, 6), (0, 0)], "meet-closure of primes is not a sublocale: "
+                                    "SubsetVerdict(ok=False, condition='heyting', witness=(1, 0))"),
     ])
-    def test_sliced_laws_name_the_first_witness(self, tiny_corpus, name, table, i, j, value,
-                                                witness):
-        lattice = all_sublocales(tiny_corpus[name])
-        entries = getattr(lattice, table).copy()
-        entries[i, j] = value
-        lattice.__dict__[table] = entries
-        assert lattice.laws.witness == witness
-
-    def test_order_names_the_first_pair_in_row_major_order(self, tiny_corpus):
-        lattice = all_sublocales(tiny_corpus["bool3"])
-        leq = lattice.leq.copy()
-        leq[5, 2], leq[1, 6] = ~leq[5, 2], ~leq[1, 6]
-        lattice.leq = leq
-        labels = [s.label() for s in lattice.sublocales]
-        assert lattice.laws.witness == f"order at pair ({labels[1]}, {labels[6]})"
+    def test_closure_flip_names_the_first_witness(self, tiny_corpus, monkeypatch, name, flips,
+                                                  message):
+        monkeypatch.setattr(sublocales, "meet_closure", flipped(*((0, y, x) for y, x in flips)))
+        assert raised(lambda: all_sublocales(tiny_corpus[name])) == (
+            AssertionError, message, (message,))
 
     def test_cube7_past_64_elements(self, cube7):
         lattice = all_sublocales(cube7)
@@ -292,28 +296,42 @@ class TestSublocaleLattice:
         for i, a in enumerate(lattice.masks):
             for j, b in enumerate(lattice.masks):
                 assert ys[lattice.index[a & b]] == ys[i] & ys[j]
-                assert lattice.leq[i, j] == (a & ~b == 0)
+        ys = np.array(ys)
+        assert (containment(lattice.rows) == ((ys[:, None] & ~ys[None, :]) == 0)).all()
         assert lattice.laws.ok
 
-    def test_chain10_laws_stay_in_bounded_memory(self):
-        # 512 sublocales: (m, m, m) arrays of the laws would take 1 GB each
-        script = ("import resource\n"
-                  "from localekit import corpus, sublocales\n"
-                  "lattice = sublocales.all_sublocales(corpus.chain(10))\n"
-                  "assert len(lattice) == 512\n"
+    # 512 sublocales: (m, m, m) arrays of the laws would take 1 GB each; 16,384
+    # sublocales: an (m, m) order alone would take 256 MB
+    @pytest.mark.parametrize("n, budget, size, megabytes", [(10, None, 512, 400),
+                                                            (15, 14, 16384, 150)])
+    def test_chain10_laws_stay_in_bounded_memory(self, n, budget, size, megabytes):
+        # VmHWM is the peak of this interpreter's own address space: Linux
+        # carries the peak of the process that starts it over exec into ru_maxrss
+        script = ("from localekit import corpus, sublocales\n"
+                  f"lattice = sublocales.all_sublocales(corpus.chain({n}), budget={budget})\n"
+                  f"assert len(lattice) == {size}\n"
                   "assert lattice.laws.ok\n"
-                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+                  "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+                  "           if line.startswith('VmHWM:')))\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=300, check=True)
-        assert int(done.stdout) < 400 * 1024  # ru_maxrss is in KiB
+        assert int(done.stdout) < megabytes * 1024  # VmHWM is in KiB
+
+    def test_dot_edges_are_the_covers_of_the_containment_order(self, tiny_corpus):
+        frames = [frame for _, frame in corpus.iter_distributive_frames(5)]
+        for frame in frames + list(tiny_corpus.values()):
+            lattice = all_sublocales(frame)
+            nodes = [(str(i), s.label()) for i, s in enumerate(lattice.sublocales)]
+            edges = [(str(i), str(j)) for i, j in zip(*cover_pairs(containment(lattice.rows)))]
+            assert io.dot_sublocales(lattice) == io._digraph("sublocales", nodes, edges)
 
     def test_join_monotone(self, small_corpus):
         for frame in small_corpus[:30]:
             lattice = all_sublocales(frame)
-            ys, leq = np.array(lattice.prime_sets), lattice.leq
+            ys, leq = np.array(lattice.prime_sets), containment(lattice.rows)
             join = np.argsort(ys)[ys[:, None] | ys[None, :]]  # M(Y ∪ Z)
             for i in range(len(lattice)):
                 for j in range(len(lattice)):
@@ -364,14 +382,14 @@ class TestSupplement:
         assert supplement(least, lattice).mask == whole.mask
 
     def test_supplement_is_the_least_t_joining_to_the_top(self, small_corpus):
-        """With joins read off leq alone, supplements[i] is the one T that
-        joins S_i to L and lies inside every such T. Applied twice it gives
-        S_i back, so the dual Booleanization is all of S(L)."""
+        """With joins read off the containment order alone, supplements[i] is
+        the one T that joins S_i to L and lies inside every such T. Applied
+        twice it gives S_i back, so the dual Booleanization is all of S(L)."""
         for frame in small_corpus:
             lattice = all_sublocales(frame)
-            partners = least_upper_bounds(lattice.leq) == lattice.top_index  # [i, t]
-            least = [np.flatnonzero(row & lattice.leq[:, row].all(axis=1)).tolist()
-                     for row in partners]
+            leq = containment(lattice.rows)
+            partners = least_upper_bounds(leq) == len(lattice) - 1  # [i, t]
+            least = [np.flatnonzero(row & leq[:, row].all(axis=1)).tolist() for row in partners]
             assert least == [[t] for t in lattice.supplements.tolist()]
             assert (lattice.supplements[lattice.supplements] == np.arange(len(lattice))).all()
             assert dual_booleanization(frame) == lattice.sublocales
@@ -389,8 +407,10 @@ def hand_frame(leq):
 # sublocale test (two of them fail it on two closures, with different
 # witnesses, so only the first failing closure names the right one), a
 # non-transitive relation gives two prime sets one closure, the diamond's
-# meet table breaks its cross-check against the intersections, and the
-# 12-chain's 11 primes exceed the budget.
+# meets are no intersections of closures, and the 12-chain's 11 primes
+# exceed the budget. The library decides the relations by the prime
+# decomposition, and the per-item route by its own comparisons, so each
+# names them in its own words (below).
 FAULTS = {
     "heyting": lambda named: tampered(named["bool3"], "imp", {(3, 4): 0}),
     "heyting-twice": lambda named: tampered(named["chain3"], "imp", {(0, 0): 1, (0, 2): 1}),
@@ -400,6 +420,12 @@ FAULTS = {
                                        [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]]),
     "budget": lambda named: corpus.chain(12),
 }
+WORDED = {
+    "repeated": (decomposition_error("{0,3,4}", 0),
+                 "two sets of primes have the same meet-closure"),
+    "meets": (decomposition_error("{0,1,2,4}", 0),
+              "meet of prime sets differs from the intersection"),
+}
 
 
 class TestSublocaleLattices:
@@ -408,10 +434,9 @@ class TestSublocaleLattices:
         frames += list(tiny_corpus.values())
         Random(0).shuffle(frames)  # carrier sizes and prime counts mixed in one batch
         for lattice, frame in zip(sublocale_lattices(frames), frames):
-            masks, prime_sets, leq, laws = per_item_sublocales(frame)
+            masks, prime_sets, laws = per_item_sublocales(frame)
             assert lattice.parent is frame
             assert (lattice.masks, lattice.prime_sets) == (masks, prime_sets)
-            assert np.array_equal(lattice.leq, leq) and not lattice.leq.flags.writeable
             assert pack_rows(lattice.rows) == masks and not lattice.rows.flags.writeable
             assert lattice.laws == laws
         assert closed_open_outcomes(frames) == [(per_item_identities(frame),
@@ -429,6 +454,11 @@ class TestSublocaleLattices:
         if fault == "budget":
             assert alone[:2] == (BudgetExceeded, "11 primes exceed the sublocale budget 10 "
                                                  "(override with --budget)")
+        elif fault in WORDED:
+            library, per_item = WORDED[fault]
+            assert alone == (AssertionError, library, (library,))
+            assert raised(lambda: per_item_sublocales(broken)) == (
+                AssertionError, per_item, (per_item,))
         else:  # the per-item route raises the same
             assert raised(lambda: per_item_sublocales(broken)) == alone
         good = [tiny_corpus[name] for name in ("chain3", "bool3", "grid2x3", "chain5", "bool2")]
@@ -445,13 +475,14 @@ class TestSublocaleLattices:
                 assert outcome.masks == per_item_sublocales(frame)[0]
                 assert outcome.laws.ok and structures[k].lattice.laws.ok
 
-    def test_tampered_table_fails_only_its_own_laws(self, tiny_corpus):
+    def test_flipped_closure_fails_only_its_own_frame(self, tiny_corpus, monkeypatch):
+        masks = all_sublocales(tiny_corpus["bool3"]).masks
+        monkeypatch.setattr(sublocales, "meet_closure", flipped((1, 4, 6)))
         batch = sublocale_lattices([tiny_corpus["bool3"]] * 3)
-        leq = batch[1].leq.copy()
-        leq[6, 3] = True
-        batch[1].leq = leq
-        assert [lattice.laws.witness for lattice in batch] == [
-            "", "order at pair ({4,5,6,7}, {6,7})", ""]
+        assert isinstance(batch[1], AssertionError)
+        assert str(batch[1]) == decomposition_error("O", 6)
+        assert batch[0].laws.ok and batch[2].laws.ok
+        assert batch[0].masks == batch[2].masks == masks
 
     def test_a_passing_campaign_packs_no_masks(self, monkeypatch, capsys):
         """S(L)'s masks, Sublocales and index, closed-join masks and up-set
@@ -466,9 +497,9 @@ class TestSublocaleLattices:
 
     def test_laws_are_decided_once_per_stack(self, tiny_corpus, monkeypatch):
         stacks = []
-        order_laws = sublocales._order_laws
-        monkeypatch.setattr(sublocales, "_order_laws",
-                            lambda ys, leq: stacks.append(len(ys)) or order_laws(ys, leq))
+        decomposition = sublocales._decomposition
+        monkeypatch.setattr(sublocales, "_decomposition", lambda leq, at, chosen: stacks.append(
+            len(leq)) or decomposition(leq, at, chosen))
         # chain4 and bool2 have 3 and 2 primes, chain3 and bool2 both have 2
         names = ["chain4", "chain3", "bool2", "chain4", "bool2"]
         batch = sublocale_lattices([tiny_corpus[name] for name in names])
