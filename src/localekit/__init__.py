@@ -21,9 +21,8 @@ from .sublocales import (ClosedJoinFrame, Sublocale, SublocaleLattice,
 from .separation import (SeparationReport, is_subfit, is_symmetric,
                          is_weakly_subfit, pseudocomplement_formula_check,
                          subfit_correspondence_check)
-from .spaces import (FiniteSpace, enumerate_topologies, is_symmetric_space,
-                     omega, space_proposition_check, td_remark_check,
-                     uc_lattice)
+from .spaces import (FiniteSpace, enumerate_topologies, omega, space_proposition_check,
+                     td_remark_check, uc_lattice)
 from . import realline
 
 __version__ = "0.1.0"

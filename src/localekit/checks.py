@@ -230,10 +230,9 @@ LATTICE_CHECKS: dict[str, Callable[[FrameStructure], CheckReport]] = {
 # Space-level checks
 
 
-SPACE_CHECKS: dict[str, Callable[[sp.FiniteSpace], CheckReport]] = {
-    "space-proposition": lambda space: _consistent("space-proposition",
-                                                   sp.space_proposition_check(space)),
-    "td-remark": lambda space: sp.td_remark_check(space),
+SPACE_CHECKS: dict[str, Callable[[sp.SpaceStructure], CheckReport]] = {
+    "space-proposition": lambda item: _consistent("space-proposition", item.proposition()),
+    "td-remark": lambda item: item.td_remark(),
 }
 
 

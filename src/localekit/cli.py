@@ -177,14 +177,15 @@ def _spaces_check(args, report: Report) -> None:
 
 def _spaces_enumerate(args, report: Report) -> None:
     def listed():
-        """Each topology after its record; --report checks it next."""
-        for i, space in enumerate(sp.enumerate_topologies(args.points, t0_only=args.t0,
-                                                          budget=args.budget)):
-            item = f"topo{args.points}:{i:04d}"
+        """Each topology after its record, added only now although its chunk
+        was enumerated before, so --report checks it next."""
+        spaces = sp.enumerate_topologies(args.points, t0_only=args.t0, budget=args.budget)
+        for i, structure in enumerate(sp.space_structures(spaces)):
+            item, space = f"topo{args.points}:{i:04d}", structure.space
             opens = ",".join(sp.bitstring(o, space.points) for o in space.opens)
             report.add(human=f"{item} opens={opens}", item=item, check="topology",
                        verdict=PASS, opens=opens)
-            yield item, space
+            yield item, structure
 
     names = list(checks.SPACE_CHECKS) if args.report else []
     count = _campaign(report, listed(), checks.SPACE_CHECKS, names)
@@ -261,9 +262,9 @@ def _campaign_lattices(args, report: Report) -> None:
 
 def _campaign_spaces(args, report: Report) -> None:
     names = _check_names(args.checks, checks.SPACE_CHECKS, "space-proposition")
-    spaces = sp.enumerate_topologies(args.points, budget=args.budget)
-    count = _campaign(report, ((f"topo{args.points}:{i:04d}", space)
-                               for i, space in enumerate(spaces)), checks.SPACE_CHECKS, names)
+    spaces = sp.space_structures(sp.enumerate_topologies(args.points, budget=args.budget))
+    count = _campaign(report, ((f"topo{args.points}:{i:04d}", structure)
+                               for i, structure in enumerate(spaces)), checks.SPACE_CHECKS, names)
     report.add(human=f"{count} topologies on {args.points} points",
                item="enumerator", check="count", verdict=PASS, count=str(count))
 

@@ -37,7 +37,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .common import first_failures, grouped, pack_rows, within_budget
+from .common import first_failures, grouped, pack_rows, settled, within_budget
 
 
 class InvalidPoset(ValueError):
@@ -324,31 +324,64 @@ def validate_frames(leqs, labels: Optional[Sequence[Sequence[str]]] = None) -> l
             for k in range(count)]
 
 
+def _lookups(stack):
+    """∪ and ∩ of every pair of a stack of member rows (F, m, p), as the index
+    of the equal member or -1, (2, F, m, m), ∪ first: one np.searchsorted among
+    the members' keys, each its frame's index, then its packed bytes (one
+    uint64 where that fits), held after its row's pairs."""
+    (count, m), packed = stack.shape[:2], np.packbits(stack, axis=2, bitorder="little")
+    f, width = np.arange(count), packed.shape[2]
+    keys = np.zeros((2, count, m, m + 1, max(8, 4 + width)), np.uint8)   # [op, f, i, j]
+    keys[..., :4] = f.astype(">u4").view(np.uint8).reshape(count, 1, 1, 4)
+    np.bitwise_or(packed[:, :, None], packed[:, None], out=keys[0, :, :, :m, 4:4 + width])
+    np.bitwise_and(packed[:, :, None], packed[:, None], out=keys[1, :, :, :m, 4:4 + width])
+    keys[0, :, :, m, 4:4 + width] = packed
+    keys = keys.view("u8" if keys.shape[-1] == 8 else f"V{keys.shape[-1]}")[..., 0]
+    members = keys[0, :, :, m].reshape(-1)
+    order = np.argsort(members)
+    at = np.minimum(np.searchsorted(members[order], keys[..., :m]), len(order) - 1)
+    hit, at = members[order][at] == keys[..., :m], order[at]
+    at -= m * f[:, None, None]                                 # each frame's own index
+    at[~hit] = -1
+    return at.astype(element_dtype(m))
+
+
+def set_frames(rows: Sequence[np.ndarray], labels: Sequence[Sequence[str]]) -> list:
+    """The frames of rings of sets, in order: each rows[k] distinct boolean
+    member rows (m, p) closed under ∪ and ∩, from the least set to the
+    greatest, so (size, mask) order will do; one stack per (m, p). Meet and
+    join are ∩ and ∪ by `_lookups`, and `heyting_tables` proves the Heyting
+    table. A ring that fails gets what it raises alone: InvalidPoset for rows
+    out of order, ClosureViolation at the first pair, row-major, ∪ before ∩,
+    whose result is no member, or a broken adjunction's AssertionError."""
+    built: list = [None] * len(rows)
+    for ks in grouped(r.shape for r in rows).values():
+        stack = np.array([rows[k] for k in ks], dtype=bool)               # (F, m, p)
+        leq, (join, meet), m = containment_order(stack), _lookups(stack), stack.shape[1]
+        imp, broken = heyting_tables(leq, meet)
+        unordered = ((leq & leq.transpose(0, 2, 1)).sum(axis=(1, 2)) > m) | ~(
+            leq[:, 0].all(axis=1) & leq[:, :, -1].all(axis=1))
+        failures = first_failures([unordered, np.stack([join < 0, meet < 0], axis=3), broken >= 0])
+        tables = {"leq": leq, "meet": meet, "join": join, "imp": imp}
+        for table in tables.values():
+            table.flags.writeable = False
+        for g, k in enumerate(ks):
+            names, (law, at) = tuple(labels[k]), failures.get(g, (-1, ()))
+            built[k] = FiniteFrame(leq[g], meet[g], join[g], imp[g], names, (tables, g))
+            if law == 0:
+                built[k] = InvalidPoset("rows must be distinct sets from the least to the greatest")
+            elif law == 1:
+                i, j, op = at
+                built[k] = ClosureViolation(f"{names[i]} {'∪∩'[op]} {names[j]} is not a member")
+            elif law == 2:
+                built[k] = AssertionError("heyting adjunction broke at ({}, {}, {})".format(
+                    *np.unravel_index(broken[g], (m, m, m))))
+    return built
+
+
 def set_frame(rows, labels: Sequence[str]) -> FiniteFrame:
-    """The frame of a ring of sets: distinct boolean member rows (m, p) closed
-    under ∪ and ∩, the least set first and the greatest last, so (size, mask)
-    order will do. Meet and join are ∩ and ∪, looked up among the rows; a miss
-    raises ClosureViolation at the first pair in row-major order, ∪ before ∩.
-    `heyting_tables` proves the Heyting table; ∩ and ∪ distribute."""
-    leq = containment_order(rows)
-    masks = pack_rows(rows)
-    index = {mask: i for i, mask in enumerate(masks)}
-    m = len(masks)
-    if len(index) < m or not (leq[0].all() and leq[:, -1].all()):
-        raise InvalidPoset("rows must be distinct sets from the least to the greatest")
-    tables = np.array([[index.get(a | b, -1) for a in masks for b in masks],
-                       [index.get(a & b, -1) for a in masks for b in masks]],
-                      dtype=np.intp).reshape(2, m, m)
-    for _, (i, j, op) in first_failures([(tables < 0).transpose(1, 2, 0)[None]]).values():
-        raise ClosureViolation(f"{labels[i]} {'∪∩'[op]} {labels[j]} is not a member")
-    join, meet = tables
-    imp, broken = heyting_tables(leq[None], meet[None])
-    if broken[0] >= 0:
-        a, x, b = (int(v) for v in np.unravel_index(broken[0], (m, m, m)))
-        raise AssertionError(f"heyting adjunction broke at ({a}, {x}, {b})")
-    for table in (leq, meet, join, imp):
-        table.flags.writeable = False
-    return FiniteFrame(leq, meet, join, imp[0], tuple(labels))
+    """The frame of one ring of sets: set_frames on a stack of one, raising what it raises."""
+    return settled(set_frames([np.asarray(rows, dtype=bool)], [labels])[0])
 
 
 def validate_frame(leq, labels: Optional[Sequence[str]] = None,

@@ -3,20 +3,25 @@
 Point sets are bitmasks; a space is the family of its open masks. Finite
 topologies correspond exactly to preorders (opens are the up-sets of
 specialization), which both the enumerator and the checks below exploit.
+The space checks decide a chunk of spaces at a time (`space_structures`),
+a stack of one being `space_proposition_check` and `td_remark_check`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from typing import Iterator, Optional
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .common import (CheckReport, EquivalenceViolation, TheoremViolation, bits, pack_rows,
-                     unpack_rows, within_budget)
-from .lattice import FiniteFrame, containment_order, set_frame
-from .separation import ConditionVerdict, is_symmetric, is_weakly_subfit
+from . import common
+from .common import (CheckReport, EquivalenceViolation, TheoremViolation, bits, first_failures,
+                     grouped, settled, unpack_rows, within_budget)
+from .lattice import FiniteFrame, containment_order, set_frame, set_frames
+from .separation import ConditionVerdict, SeparationBattery
+from .sublocales import closed_join_frames
 
 
 class InvalidTopology(ValueError):
@@ -24,7 +29,12 @@ class InvalidTopology(ValueError):
 
 
 def bitstring(mask: int, points: int) -> str:
-    return "".join("1" if mask >> p & 1 else "0" for p in range(points))
+    return f"{mask:0{points}b}"[::-1] if points else ""
+
+
+def _by_size(masks: Iterable[int]) -> list[int]:
+    """(size, mask) order: the least set first and the greatest last."""
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
 
 
 class FiniteSpace:
@@ -52,26 +62,12 @@ class FiniteSpace:
 
     @cached_property
     def specialization(self):
-        """x <= y iff x lies in the closure of {y}; reflexive and transitive.
-
-        Equivalently every open containing x contains y: the containment
-        order of the open-membership columns, then re-checked for
-        reflexivity and transitivity."""
+        """x <= y iff x lies in the closure of {y}, that is, every open holding
+        x holds y: the containment order of the open-membership columns, so
+        a preorder by construction."""
         rel = containment_order(unpack_rows(self.opens, self.points).T)
-        if not rel.diagonal().all():
-            raise AssertionError("specialization lost reflexivity")
-        if ((rel @ rel) & ~rel).any():
-            raise AssertionError("specialization lost transitivity")
         rel.flags.writeable = False
         return rel
-
-    @cached_property
-    def closed_sets(self) -> tuple[int, ...]:
-        return tuple(sorted(self.full ^ o for o in self.opens))
-
-    def closure_of(self, mask: int) -> int:
-        return reduce(lambda acc, c: acc & c,
-                      (c for c in self.closed_sets if mask & ~c == 0), self.full)
 
     def __repr__(self):
         return (f"FiniteSpace({self.points}, "
@@ -91,84 +87,20 @@ def indiscrete(points: int) -> FiniteSpace:
     return FiniteSpace(points, (0, (1 << points) - 1))
 
 
-@dataclass(frozen=True)
-class SpaceVerdict:
-    ok: bool
-    witness: Optional[tuple[int, int]] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_symmetric_space(space: FiniteSpace) -> SpaceVerdict:
-    """Specialization is symmetric (an equivalence relation)."""
-    rel = space.specialization
-    bad = rel & ~rel.T
-    if bad.any():
-        x, y = (int(v) for v in np.argwhere(bad)[0])
-        return SpaceVerdict(False, (x, y))
-    return SpaceVerdict(True)
-
-
-def is_t0(space: FiniteSpace) -> bool:
-    rel = space.specialization
-    return not (rel & rel.T & ~np.eye(space.points, dtype=bool)).any()
-
-
-class UnionsOfClosed:
-    """All unions of closed subsets, a frame and a coframe under inclusion.
-
-    In a finite space this is exactly the closed-set lattice: the complements
-    of the opens in (size, mask) order, closed under ∪ and ∩ because the opens
-    are. `set_frame` re-proves that closure when it builds `as_frame`, and the
-    anti-isomorphism with the saturated sets via complement is checked too.
-    """
-
-    def __init__(self, space: FiniteSpace):
-        self.space = space
-        self.elements = tuple(sorted(space.closed_sets, key=lambda m: (m.bit_count(), m)))
-        self.index = {m: i for i, m in enumerate(self.elements)}
-
-    def __len__(self):
-        return len(self.elements)
-
-    @cached_property
-    def as_frame(self) -> FiniteFrame:
-        return set_frame(unpack_rows(self.elements, self.space.points),
-                         [bitstring(m, self.space.points) for m in self.elements])
-
-    def is_boolean(self) -> SpaceVerdict:
-        """Every element complemented; witnesses the first that is not."""
-        for i, a in enumerate(self.elements):
-            if self.space.full ^ a not in self.index:
-                return SpaceVerdict(False, (i, i))
-        return SpaceVerdict(True)
-
-    def saturated_anti_isomorphism_ok(self) -> bool:
-        """Complements of the carrier are the saturated sets, the up-sets of
-        specialization: each member is a down-set, and each principal down-set
-        ↓y, the closure of {y}, is a member, so by ∪ every down-set is one."""
-        spec = self.space.specialization
-        rows = unpack_rows(self.elements, self.space.points)
-        return (not ((rows @ spec.T) & ~rows).any()
-                and set(pack_rows(spec.T)) <= set(self.index))
-
-
-def uc_lattice(space: FiniteSpace, budget: Optional[int] = None) -> UnionsOfClosed:
+def uc_lattice(space: FiniteSpace, budget: Optional[int] = None) -> FiniteFrame:
+    """The frame of unions of closed sets, within the space budget: in a finite
+    space, the closed sets, a ring of sets as the opens are, by `set_frame`."""
     within_budget("space", space.points, budget)
-    uc = UnionsOfClosed(space)
-    if not uc.saturated_anti_isomorphism_ok():
-        raise AssertionError("complementation fails to reach the saturated sets")
-    return uc
+    closed = _by_size(space.full ^ o for o in space.opens)
+    return set_frame(unpack_rows(closed, space.points),
+                     [bitstring(c, space.points) for c in closed])
 
 
 def omega(space: FiniteSpace) -> FiniteFrame:
-    """The open-set frame: the opens as a ring of sets in (size, mask) order,
-    built by `set_frame` and labeled by membership bitstrings; the point
-    budget that admitted the space bounds it, not the frame budget."""
-    opens = sorted(space.opens, key=lambda m: (m.bit_count(), m))
-    return set_frame(unpack_rows(opens, space.points),
-                     [bitstring(o, space.points) for o in opens])
+    """The open-set frame, a ring of sets, by `set_frame`; the point budget
+    that admitted the space bounds it, not the frame budget."""
+    opens = _by_size(space.opens)
+    return set_frame(unpack_rows(opens, space.points), [bitstring(o, space.points) for o in opens])
 
 
 @dataclass(frozen=True)
@@ -179,66 +111,156 @@ class SpacePropositionReport:
     conditions: tuple[ConditionVerdict, ...]
 
 
+class _Chunk:
+    """The batches of a chunk of spaces, each built for the whole chunk when
+    first read, one stack per (points, opens) count: a list in space order
+    of results, or of what that space's result raises."""
+
+    def __init__(self, spaces: list[FiniteSpace], budget: Optional[int]):
+        self.spaces, self.budget = spaces, budget
+
+    @cached_property
+    def stacks(self) -> list[tuple[list[int], np.ndarray]]:
+        """(positions, opens (F, m, p) in each space's order) per (points, opens) count."""
+        return [(ks, unpack_rows(chain.from_iterable(self.spaces[k].opens for k in ks), p)
+                 .reshape(len(ks), m, p))
+                for (p, m), ks in grouped((s.points, len(s.opens)) for s in self.spaces).items()]
+
+    @cached_property
+    def symmetry(self) -> list[tuple[bool, Optional[tuple[int, int]]]]:
+        """Per space: T_0, and the first pair (x, y), row-major, with x <= y
+        but not y <= x, or None where specialization is symmetric."""
+        out: list = [None] * len(self.spaces)
+        for ks, opens in self.stacks:
+            spec = containment_order(opens.transpose(0, 2, 1))  # every open holding x holds y
+            apart, p = spec & ~spec.transpose(0, 2, 1), spec.shape[1]
+            t0, pairs = ((spec & ~apart).sum(axis=(1, 2)) == p).tolist(), first_failures([apart])
+            for g, k in enumerate(ks):
+                out[k] = t0[g], pairs[g][1] if g in pairs else None
+        return out
+
+    def _battery(self, rings: dict, part: str, closed_joins=None) -> dict:
+        """{position: the separation battery's `part` of its ring of sets
+        (masks, rows), or what building that frame raises}: one set_frames
+        call, then one SeparationBattery over the frames it built."""
+        labels = [[bitstring(m, self.spaces[k].points) for m in masks]
+                  for k, (masks, _) in rings.items()]
+        frames = dict(zip(rings, set_frames([rows for _, rows in rings.values()], labels)))
+        built = [k for k, frame in frames.items() if isinstance(frame, FiniteFrame)]
+        parents = [frames[k] for k in built]
+        battery = SeparationBattery(parents, closed_joins and (lambda: closed_joins(parents)))
+        return {**frames, **dict(zip(built, getattr(battery, part)))}
+
+    @cached_property
+    def proposition(self) -> list:
+        """Each space's SpacePropositionReport (see space_proposition_check):
+        the space-side conditions as masks, then the frames of unions of
+        closed sets, in (size, mask) order, and their weak subfitness."""
+        rings, found = {}, {}
+        for ks, opens in self.stacks:
+            _, m, p = opens.shape
+            within_budget("space", p, self.budget)
+            masks = [_by_size(self.spaces[k].full ^ o for o in self.spaces[k].opens) for k in ks]
+            closed = unpack_rows(chain.from_iterable(masks), p).reshape(len(ks), m, p)
+            # lonely: no closed set is the complement; inside: o within a proper closed set
+            lonely = ~(closed[:, :, None] != closed[:, None]).all(axis=3).any(axis=2)
+            inside = ~(opens @ ~closed.transpose(0, 2, 1)) & ~closed.all(axis=2)[:, None]
+            uncovered = ~opens.all(axis=2) & ~inside.any(axis=2)
+            apart = ~(opens @ opens.transpose(0, 2, 1)) & opens.any(axis=2)[:, None]
+            dense = ~apart.any(axis=2)                        # meeting every nonempty open
+            firsts = [first_failures([mask]) for mask in (lonely, uncovered, uncovered & dense)]
+            for g, k in enumerate(ks):  # each first failure as the closed set or open it names
+                rings[k], opens_k = (masks[g], closed[g]), self.spaces[k].opens
+                found[k] = [bitstring(family[at[g][1][0]], p) if g in at else None
+                            for at, family in zip(firsts, (masks[g], opens_k, opens_k))]
+        out: list = [None] * len(self.spaces)
+        for k, weak in self._battery(rings, "weakly_subfit").items():
+            if isinstance(weak, Exception):
+                out[k] = weak
+                continue
+            space, pair, (w2, w4, w5) = self.spaces[k], self.symmetry[k][1], found[k]
+            conditions = tuple(ConditionVerdict(name, w is None, w) for name, w in (
+                ("specialization-symmetric", None if pair is None else f"pair {pair}"),
+                ("unions-of-closed-boolean", w2),
+                ("unions-of-closed-weakly-subfit", weak.witness_labels and weak.witness_labels[0]),
+                ("proper-opens-covered", w4), ("dense-proper-opens-covered", w5)))
+            out[k] = SpacePropositionReport(pair is None, conditions)
+            if len({c.holds for c in conditions}) != 1:
+                out[k] = EquivalenceViolation(
+                    f"space conditions disagree on {space!r}: "
+                    f"{[(c.name, c.holds, c.witness) for c in conditions]}")
+        return out
+
+    @cached_property
+    def td_remark(self) -> list:
+        """Each space's td-remark report (see td_remark_check): Ω(X) of each
+        T_0 space, its opens in (size, mask) order, and its symmetry, read off
+        the closed-join frames."""
+        rings = {k: (masks, unpack_rows(masks, space.points))
+                 for k, space in enumerate(self.spaces) if self.symmetry[k][0]
+                 for masks in [_by_size(space.opens)]}
+        out = [CheckReport.passed("td-remark", "skipped-not-t0")] * len(self.spaces)
+        for k, loc in self._battery(rings, "symmetric", closed_join_frames).items():
+            space, pair = self.spaces[k], self.symmetry[k][1]
+            out[k] = loc if isinstance(loc, Exception) else CheckReport.passed("td-remark")
+            if not isinstance(loc, Exception) and (pair is None) != loc.holds:
+                out[k] = TheoremViolation(f"space symmetry {pair is None} but locale "
+                                          f"symmetry {loc.holds} on {space!r}")
+        return out
+
+
+class SpaceStructure:
+    """One campaign item: its space, and its two outcomes read off the
+    batches of its chunk; each raises what it raises alone."""
+
+    def __init__(self, space: FiniteSpace, k: int, chunk: _Chunk):
+        self.space, self._k, self._chunk = space, k, chunk
+
+    def proposition(self) -> SpacePropositionReport:
+        return settled(self._chunk.proposition[self._k])
+
+    def td_remark(self) -> CheckReport:
+        return settled(self._chunk.td_remark[self._k])
+
+
+def space_structures(spaces: Iterable[FiniteSpace],
+                     budget: Optional[int] = None) -> Iterator[SpaceStructure]:
+    """A SpaceStructure per space, in order. The spaces are cut into chunks
+    whose open-set frames hold at most STACK_CELLS cells of (n, n, n)
+    together, at least one space each, and a chunk's structures share its
+    batches; the budget bounds the points of the unions-of-closed frames."""
+    chunk, cells = [], 0
+    for space in chain(spaces, [None]):  # None closes the last chunk
+        size = 0 if space is None else len(space.opens) ** 3
+        if chunk and (space is None or cells + size > common.STACK_CELLS):
+            batches, chunk, cells = _Chunk(chunk, budget), [], 0
+            yield from (SpaceStructure(s, k, batches) for k, s in enumerate(batches.spaces))
+        chunk.append(space)
+        cells += size
+
+
 def space_proposition_check(space: FiniteSpace,
                             budget: Optional[int] = None) -> SpacePropositionReport:
-    """Symmetry of the space against four lattice-side readings.
+    """Symmetry of the space against four lattice-side readings, on a stack of one.
 
     (1) the specialization preorder is symmetric; (2) the unions of closed
     sets form a Boolean algebra; (3) that lattice is weakly subfit, checked
     through the same abstract-frame code path the locale side uses; (4)
     every proper open subspace sits inside a proper union of closed sets;
-    (5) the same for dense proper opens. All five verdicts must agree.
+    (5) the same for dense proper opens, an open being dense when it meets
+    every nonempty open. All five verdicts must agree, or EquivalenceViolation.
     """
-    sym = is_symmetric_space(space)
-    c1 = ConditionVerdict("specialization-symmetric", sym.ok,
-                          None if sym.ok else f"pair {sym.witness}")
-    uc = uc_lattice(space, budget)
-    boolean = uc.is_boolean()
-    c2 = ConditionVerdict(
-        "unions-of-closed-boolean", boolean.ok,
-        None if boolean.ok else bitstring(uc.elements[boolean.witness[0]], space.points))
-    weak = is_weakly_subfit(uc.as_frame)
-    c3 = ConditionVerdict("unions-of-closed-weakly-subfit", weak.holds,
-                          weak.witness_labels[0] if weak.witness_labels else None)
-
-    proper = [e for e in uc.elements if e != space.full]
-
-    def covered(o: int) -> bool:
-        return any(o & ~t == 0 for t in proper)
-
-    w4 = next((o for o in space.opens if o != space.full and not covered(o)), None)
-    c4 = ConditionVerdict("proper-opens-covered", w4 is None,
-                          None if w4 is None else bitstring(w4, space.points))
-    w5 = next((o for o in space.opens
-               if o != space.full and space.closure_of(o) == space.full
-               and not covered(o)), None)
-    c5 = ConditionVerdict("dense-proper-opens-covered", w5 is None,
-                          None if w5 is None else bitstring(w5, space.points))
-
-    conditions = (c1, c2, c3, c4, c5)
-    verdicts = {c.holds for c in conditions}
-    if len(verdicts) != 1:
-        raise EquivalenceViolation(
-            f"space conditions disagree on {space!r}: "
-            f"{[(c.name, c.holds, c.witness) for c in conditions]}")
-    return SpacePropositionReport(c1.holds, conditions)
+    return next(space_structures([space], budget)).proposition()
 
 
 def td_remark_check(space: FiniteSpace) -> CheckReport:
-    """For T_0 spaces, the space is symmetric iff its open-set frame is.
+    """For T_0 spaces, the space is symmetric iff its open-set frame is, on a stack of one.
 
     A non-T_0 space passes as skipped-not-t0: the subspace/sublocale
     correspondence behind the statement needs the T_D property, which finite
     T_0 spaces satisfy. Disagreement raises TheoremViolation.
     """
-    if not is_t0(space):
-        return CheckReport.passed("td-remark", "skipped-not-t0")
-    sym = is_symmetric_space(space)
-    loc = is_symmetric(omega(space))
-    if sym.ok != loc.holds:
-        raise TheoremViolation(
-            f"space symmetry {sym.ok} but locale symmetry {loc.holds} on {space!r}")
-    return CheckReport.passed("td-remark")
+    return next(space_structures([space])).td_remark()
 
 
 def space_from_preorder(rows: tuple[int, ...]) -> FiniteSpace:

@@ -15,10 +15,10 @@ import numpy as np
 
 from localekit import realline as rl
 from localekit.common import (CheckReport, EquivalenceViolation, TheoremViolation, bits,
-                             pack_rows, unpack_rows)
+                             pack_rows, unpack_rows, within_budget)
 from localekit.corpus import iter_natural_posets
 from localekit.lattice import FiniteFrame, order_closure, validate_frames
-from localekit.spaces import bitstring
+from localekit.spaces import SpacePropositionReport, bitstring
 from localekit.separation import ConditionVerdict, SeparationReport
 from localekit.sublocales import (MixedParents, Sublocale, all_sublocales, closed_join_frame,
                                   dual_booleanization, is_sublocale, meet_closure, primes)
@@ -541,17 +541,24 @@ def per_item_sublocales(frame: FiniteFrame):
     sets; and the meets as lookups of the intersection of the prime sets,
     checked against the intersection of the members. Returns (masks, prime
     sets, laws report), or raises AssertionError: with the library's text
-    where a closure is no sublocale, with its own text otherwise."""
+    where a closure is no sublocale, `is_sublocale` on the first such one
+    only, and with its own text otherwise."""
     ps = primes(frame)
     members = np.zeros((1 << len(ps), frame.n), dtype=bool)
     members[:, list(ps)] = np.arange(1 << len(ps))[:, None] >> np.arange(len(ps)) & 1
     closures = pack_rows(meet_closure(frame.leq[None], members[None])[0])
     if len(set(closures)) != len(closures):
         raise AssertionError("two sets of primes have the same meet-closure")
-    for mask in closures:
-        verdict = is_sublocale(frame, bits(mask))
-        if not verdict:
-            raise AssertionError(f"meet-closure of primes is not a sublocale: {verdict}")
+    # every closure at once: rows[y, s] iff s is in the y-th closure; it must hold the top,
+    # s ∧ t for members s <= t by index (the pairs is_sublocale reads), and a -> s for members s
+    rows = unpack_rows(closures, frame.n)
+    upper = np.triu(np.ones((frame.n, frame.n), dtype=bool))
+    meets = rows[:, :, None] & rows[:, None, :] & upper & ~rows[:, frame.meet]
+    broken = ~rows[:, frame.top] | meets.any(axis=(1, 2)) | (
+        rows[:, None, :] & ~rows[:, frame.imp]).any(axis=(1, 2))
+    if broken.any():  # the library's text names the first closure that is no sublocale
+        verdict = is_sublocale(frame, bits(closures[int(broken.argmax())]))
+        raise AssertionError(f"meet-closure of primes is not a sublocale: {verdict}")
     order = sorted(range(len(closures)), key=lambda y: (closures[y].bit_count(), closures[y]))
     masks = tuple(closures[y] for y in order)
     ys, rows = np.array(order), unpack_rows(masks, frame.n)
@@ -608,6 +615,41 @@ def _raised(decide):
         return exc
 
 
+def per_item_weakly_subfit(frame: FiniteFrame) -> SeparationReport:
+    """Every a ≠ 0 has a c ≠ 1 with a ∨ c = 1, by a loop over a."""
+    for a in range(1, frame.n):
+        if not (frame.join[a, :frame.top] == frame.top).any():
+            return SeparationReport("weakly-subfit", False, (a,), (frame.labels[a],))
+    return SeparationReport("weakly-subfit", True)
+
+
+def per_item_symmetric(frame: FiniteFrame, cjf) -> SeparationReport:
+    """The three readings of symmetry by loops over bitmasks: the closed-join
+    frame `cjf` weakly subfit, and every proper (dense) open o(a) inside a
+    proper closed join; disagreement raises EquivalenceViolation."""
+    n, labels = frame.n, frame.labels
+    inner = per_item_weakly_subfit(cjf.frame)
+    cond1 = ConditionVerdict("closed-join-weakly-subfit", inner.holds,
+                             inner.witness_labels[0] if inner.witness_labels else None)
+    full = (1 << n) - 1
+    proper = [m for m in cjf.masks if m != full]
+    opens = image_masks(frame)
+    uncovered = [a for a in range(n)
+                 if opens[a] != full and not any(opens[a] & ~t == 0 for t in proper)]
+    w2 = next(iter(uncovered), None)
+    w3 = next((a for a in uncovered if opens[a] & 1), None)
+    cond2 = ConditionVerdict("proper-opens-covered", w2 is None,
+                             None if w2 is None else f"o({labels[w2]})")
+    cond3 = ConditionVerdict("dense-proper-opens-covered", w3 is None,
+                             None if w3 is None else f"o({labels[w3]})")
+    if len({cond1.holds, cond2.holds, cond3.holds}) != 1:
+        raise EquivalenceViolation(
+            f"symmetry conditions disagree on a frame with {n} elements: "
+            f"{[(c.name, c.holds, c.witness) for c in (cond1, cond2, cond3)]}")
+    return SeparationReport("symmetric", cond2.holds, None if w2 is None else (w2,),
+                            None if w2 is None else (labels[w2],), (cond1, cond2, cond3))
+
+
 def per_item_separation(frame: FiniteFrame, lattice=None, cjf=None) -> dict:
     """The separation battery of one frame by the per-item route: Python
     loops over elements and bitmasks, read off the frame's tables, its
@@ -623,12 +665,6 @@ def per_item_separation(frame: FiniteFrame, lattice=None, cjf=None) -> dict:
             raise built
         return built
 
-    def weakly_subfit(f):
-        for a in range(1, f.n):
-            if not (f.join[a, :f.top] == f.top).any():
-                return SeparationReport("weakly-subfit", False, (a,), (f.labels[a],))
-        return SeparationReport("weakly-subfit", True)
-
     def subfit():
         for a in range(n):
             a_hits = frame.join[a] == top
@@ -638,27 +674,7 @@ def per_item_separation(frame: FiniteFrame, lattice=None, cjf=None) -> dict:
         return SeparationReport("subfit", True)
 
     def symmetric():
-        cjf = closed_joins()
-        inner = weakly_subfit(cjf.frame)
-        cond1 = ConditionVerdict("closed-join-weakly-subfit", inner.holds,
-                                 inner.witness_labels[0] if inner.witness_labels else None)
-        full = (1 << n) - 1
-        proper = [m for m in cjf.masks if m != full]
-        opens = image_masks(frame)
-        uncovered = [a for a in range(n)
-                     if opens[a] != full and not any(opens[a] & ~t == 0 for t in proper)]
-        w2 = next(iter(uncovered), None)
-        w3 = next((a for a in uncovered if opens[a] & 1), None)
-        cond2 = ConditionVerdict("proper-opens-covered", w2 is None,
-                                 None if w2 is None else f"o({labels[w2]})")
-        cond3 = ConditionVerdict("dense-proper-opens-covered", w3 is None,
-                                 None if w3 is None else f"o({labels[w3]})")
-        if len({cond1.holds, cond2.holds, cond3.holds}) != 1:
-            raise EquivalenceViolation(
-                f"symmetry conditions disagree on a frame with {n} elements: "
-                f"{[(c.name, c.holds, c.witness) for c in (cond1, cond2, cond3)]}")
-        return SeparationReport("symmetric", cond2.holds, None if w2 is None else (w2,),
-                                None if w2 is None else (labels[w2],), (cond1, cond2, cond3))
+        return per_item_symmetric(frame, closed_joins())
 
     def ppt(sub):
         lat = lattice if lattice is not None else all_sublocales(frame)
@@ -697,7 +713,7 @@ def per_item_separation(frame: FiniteFrame, lattice=None, cjf=None) -> dict:
                 raise AssertionError(f"{labels[a]} has no complement")
         return CheckReport.passed("pcformula")
 
-    sub, weak = subfit(), weakly_subfit(frame)
+    sub, weak = subfit(), per_item_weakly_subfit(frame)
     return {"subfit": sub, "weakly_subfit": weak, "symmetric": _raised(symmetric),
             "ppt": _raised(lambda: ppt(sub)), "pcformula": _raised(lambda: pcformula(weak))}
 
@@ -761,6 +777,93 @@ def saturated_sets(space):
 # ---------------------------------------------------------------------------
 # Point-level oracles for interval sets
 
+
+
+def is_symmetric_space(space):
+    """(symmetric, witness) of the specialization preorder: the first pair
+    (x, y) from np.argwhere with x <= y but not y <= x, or None."""
+    rel = space.specialization
+    bad = np.argwhere(rel & ~rel.T)
+    return (True, None) if not len(bad) else (False, tuple(int(v) for v in bad[0]))
+
+
+def is_t0(space) -> bool:
+    """No two points are below each other: specialization is antisymmetric."""
+    rel = space.specialization
+    return not (rel & rel.T & ~np.eye(space.points, dtype=bool)).any()
+
+
+def closed_sets(space) -> list[int]:
+    """The complements of the opens, in (size, mask) order."""
+    return sorted((space.full ^ o for o in space.opens), key=lambda m: (m.bit_count(), m))
+
+
+def closure_of(space, mask: int) -> int:
+    """The least closed set containing mask: the intersection of those that do."""
+    return reduce(lambda acc, c: acc & c,
+                  (c for c in closed_sets(space) if mask & ~c == 0), space.full)
+
+
+def first_uncomplemented(space):
+    """The first closed set, in (size, mask) order, whose complement is not closed, or None."""
+    closed = closed_sets(space)
+    return next((a for a in closed if space.full ^ a not in closed), None)
+
+
+def per_space_proposition(space, budget=None) -> SpacePropositionReport:
+    """space_proposition_check by the per-space route: the specialization's
+    own symmetry, complements looked up among the closed sets, which must be
+    the complements of the saturated sets, weak subfitness by a loop over
+    `generic_set_frame`, covering by loops over the masks, and density through
+    `closure_of`. Disagreeing conditions raise EquivalenceViolation."""
+    sym, pair = is_symmetric_space(space)
+    c1 = ConditionVerdict("specialization-symmetric", sym, None if sym else f"pair {pair}")
+    within_budget("space", space.points, budget)
+    closed = closed_sets(space)
+    if saturated_sets(space) != {space.full ^ c for c in closed}:
+        raise AssertionError("complementation fails to reach the saturated sets")
+    lonely = first_uncomplemented(space)
+    c2 = ConditionVerdict("unions-of-closed-boolean", lonely is None,
+                          None if lonely is None else bitstring(lonely, space.points))
+    frame = generic_set_frame(closed, [bitstring(m, space.points) for m in closed])
+    weak = per_item_weakly_subfit(frame)
+    c3 = ConditionVerdict("unions-of-closed-weakly-subfit", weak.holds,
+                          weak.witness_labels[0] if weak.witness_labels else None)
+    proper = [e for e in closed if e != space.full]
+
+    def covered(o: int) -> bool:
+        return any(o & ~t == 0 for t in proper)
+
+    w4 = next((o for o in space.opens if o != space.full and not covered(o)), None)
+    c4 = ConditionVerdict("proper-opens-covered", w4 is None,
+                          None if w4 is None else bitstring(w4, space.points))
+    w5 = next((o for o in space.opens
+               if o != space.full and closure_of(space, o) == space.full
+               and not covered(o)), None)
+    c5 = ConditionVerdict("dense-proper-opens-covered", w5 is None,
+                          None if w5 is None else bitstring(w5, space.points))
+    conditions = (c1, c2, c3, c4, c5)
+    if len({c.holds for c in conditions}) != 1:
+        raise EquivalenceViolation(
+            f"space conditions disagree on {space!r}: "
+            f"{[(c.name, c.holds, c.witness) for c in conditions]}")
+    return SpacePropositionReport(c1.holds, conditions)
+
+
+def per_space_td_remark(space) -> CheckReport:
+    """td_remark_check by the per-space route: a T_0 space's own symmetry
+    against that of Ω(X), built by `generic_set_frame` and read by
+    `per_item_symmetric`; disagreement raises TheoremViolation."""
+    if not is_t0(space):
+        return CheckReport.passed("td-remark", "skipped-not-t0")
+    sym, _ = is_symmetric_space(space)
+    opens = sorted(space.opens, key=lambda m: (m.bit_count(), m))
+    frame = generic_set_frame(opens, [bitstring(o, space.points) for o in opens])
+    loc = per_item_symmetric(frame, closed_join_frame(frame))
+    if sym != loc.holds:
+        raise TheoremViolation(
+            f"space symmetry {sym} but locale symmetry {loc.holds} on {space!r}")
+    return CheckReport.passed("td-remark")
 
 def open_member(a: rl.RationalOpen, x: Fraction) -> bool:
     return rl.contains_point(a, x)

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import os
 import re
@@ -16,9 +17,9 @@ from localekit import (checks, cli, common, corpus, io, realline, separation, sp
                        sublocales as sub)
 from localekit.lattice import ClosureViolation, NotALattice
 from localekit.separation import SeparationReport
-from localekit.spaces import discrete, sierpinski
+from localekit.spaces import discrete, indiscrete, sierpinski
 
-from oracles import format_space, tampered
+from oracles import format_space, is_t0, tampered
 
 
 @pytest.fixture
@@ -110,18 +111,32 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "4 sublocales" in out
 
-    # stdout of the S(L) commands, human and --machine, by "<frame> [--machine] <command>":
-    # argv with {file} for the lattice file, exit code, and stdout split at "\n", with
-    # {file} for its path and (…s) for the summary's wall time
+    # stdout of the S(L) and spaces commands, human and --machine, by "<input> [--machine]
+    # <command>": argv with {file} for the lattice or space file, exit code, and stdout split
+    # at "\n", with {file} for its path and (…s) for the summary's wall time
     PINS = json.loads((Path(__file__).parent / "cli_stdout_pins.json").read_text())
+    SPACE_PINS = {key: pin for key, pin in PINS.items() if "spaces" in pin["argv"]}
+    SPACES = {"sierpinski": sierpinski(), "discrete2": discrete(2), "indiscrete3": indiscrete(3)}
 
-    @pytest.mark.parametrize("key", sorted(PINS))
-    def test_sublocale_commands_stdout_is_pinned(self, tmp_path, tiny_corpus, capsys, key):
-        pin, path = self.PINS[key], tmp_path / f"{key.split()[0]}.lat"
-        path.write_text(io.format_lattice(tiny_corpus[key.split()[0]]))
+    @staticmethod
+    def pinned(pin, path, capsys):
         assert cli.main([arg.replace("{file}", str(path)) for arg in pin["argv"]]) == pin["exit"]
         out = capsys.readouterr().out.replace(str(path), "{file}")
         assert re.sub(r"\(\d+\.\d+s\)", "(…s)", out).split("\n") == pin["stdout"]
+
+    @pytest.mark.parametrize("key", sorted(set(PINS) - set(SPACE_PINS)))
+    def test_sublocale_commands_stdout_is_pinned(self, tmp_path, tiny_corpus, capsys, key):
+        path = tmp_path / f"{key.split()[0]}.lat"
+        path.write_text(io.format_lattice(tiny_corpus[key.split()[0]]))
+        self.pinned(self.PINS[key], path, capsys)
+
+    # `spaces enumerate --n 3 --report` keeps each topology's record before its checks
+    @pytest.mark.parametrize("key", sorted(SPACE_PINS))
+    def test_space_commands_stdout_is_pinned(self, tmp_path, capsys, key):
+        path = tmp_path / f"{key.split()[0]}.space"
+        if key.split()[0] in self.SPACES:
+            path.write_text(format_space(self.SPACES[key.split()[0]]))
+        self.pinned(self.PINS[key], path, capsys)
 
     def test_sc_listing(self, c3_file, capsys):
         assert cli.main(["--machine", "sc", c3_file]) == 0
@@ -240,7 +255,7 @@ class TestCliCommands:
     def test_closure_violation_exits_2(self, monkeypatch, sier_file, capsys):
         def broken(rows, labels):
             raise ClosureViolation("injected closure failure")
-        monkeypatch.setattr(spaces, "set_frame", broken)
+        monkeypatch.setattr(spaces, "set_frames", broken)
         assert cli.main(["spaces", "check", sier_file]) == 2
         assert capsys.readouterr().err == "violation: injected closure failure\n"
 
@@ -658,6 +673,65 @@ class TestIsolation:
         assert broken[:-1] == expected
         assert broken[-1] == _summary(expected)
         assert sum("verdict=violation" in line for line in broken) == len(breached)
+
+
+    @pytest.mark.parametrize("check", ["space-proposition", "td-remark"])
+    def test_broken_ring_of_sets_is_charged_to_its_item(self, monkeypatch, capsys, check):
+        # unions-of-closed frames for space-proposition, Ω(X) for td-remark
+        argv = ["--machine", "campaign", "spaces", "--points", "3", "--checks", check]
+        monkeypatch.setattr(common, "STACK_CELLS", 1500)  # chunks from topo3:0000, 0006, ...
+        chunks = [chunk.spaces for chunk, _ in itertools.groupby(
+            spaces.space_structures(spaces.enumerate_topologies(3)), key=lambda item: item._chunk)]
+        target = chunks[0][4]  # topo3:0004, inside the first chunk
+        family = target.opens if check == "td-remark" else [target.full ^ o for o in target.opens]
+        ring = [spaces.bitstring(m, 3) for m in spaces._by_size(family)]
+        builders = {name: getattr(spaces, name)
+                    for name in ("set_frames", "SeparationBattery", "closed_join_frames")}
+        batches = {name: [] for name in builders}
+
+        def counted(name):
+            def batch(frames, *rest):
+                frames = list(frames)
+                batches[name].append(len(frames))
+                return builders[name](frames, *rest)
+            return batch
+        for name in builders:
+            monkeypatch.setattr(spaces, name, counted(name))
+        code, clean = _run(argv, capsys)
+        assert code == 0
+        t0 = [sum(is_t0(space) for space in chunk) for chunk in chunks]
+        assert batches == ({"set_frames": t0, "SeparationBattery": t0, "closed_join_frames": t0}
+                           if check == "td-remark" else  # one batch each per chunk
+                           {"set_frames": [len(chunk) for chunk in chunks],
+                            "SeparationBattery": [len(chunk) for chunk in chunks],
+                            "closed_join_frames": []})
+        clean_batches, errors = {name: sizes[:] for name, sizes in batches.items()}, []
+        for sizes in batches.values():
+            sizes.clear()
+
+        def tampering(rows, labels):  # the target's ring loses its second member
+            rows, labels = list(rows), [list(row) for row in labels]
+            if ring in labels:
+                at = labels.index(ring)
+                rows[at], labels[at] = np.delete(rows[at], 1, axis=0), ring[:1] + ring[2:]
+                alone = builders["set_frames"](rows[at:at + 1], labels[at:at + 1])[0]
+                assert isinstance(alone, ClosureViolation)
+                errors.append(str(alone))
+            return counted("set_frames")(rows, labels)
+        monkeypatch.setattr(spaces, "set_frames", tampering)
+        code, broken = _run(argv, capsys)
+        assert code == 2
+        # every batch built once per chunk, the broken frame left out of the battery
+        assert {name: len(sizes) for name, sizes in batches.items()} == {
+            name: len(sizes) for name, sizes in clean_batches.items()}
+        assert batches["set_frames"] == clean_batches["set_frames"]
+        assert len(errors) == 1
+        expected = [f"item=topo3:0004 check={check} verdict=violation "
+                    f"witness={cli._sanitize(errors[0])}"
+                    if _fields(line)["item"] == "topo3:0004" else line for line in clean[:-1]]
+        assert broken[:-1] == expected
+        assert broken[-1] == _summary(expected)
+        assert sum("verdict=violation" in line for line in broken) == 1
 
 
 # Names that make an except clause catch a breach: the three types, the

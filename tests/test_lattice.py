@@ -1,22 +1,24 @@
+import re
 from collections import defaultdict
+from functools import reduce
 from random import Random
 
 import numpy as np
 import pytest
 
 from localekit import corpus, io, lattice
-from localekit.common import BudgetExceeded
+from localekit.common import BudgetExceeded, pack_rows
 from localekit.lattice import (ClosureViolation, FiniteFrame, InvalidPoset,
                                NotALattice, NotDistributive, booleanization, containment_order,
                                cover_pairs, distributivity_witness, element_dtype, gather,
                                heyting, heyting_tables, lattice_tables, order_closure,
                                product_frame, pseudocomplement, regular_pair_frame, set_frame,
-                               stacked, validate_frame, validate_frames)
+                               set_frames, stacked, validate_frame, validate_frames)
 
 from oracles import (broken_copies, brute_heyting, brute_heyting_break, brute_is_distributive,
                      brute_is_lattice, brute_join, brute_meet, closed_form, diamond_leq,
                      find_order_isomorphism, generic_distributivity_witness,
-                     generic_lattice_tables, hexagon_leq, pentagon_leq)
+                     generic_lattice_tables, generic_set_frame, hexagon_leq, pentagon_leq)
 
 
 def as_rows(frame):
@@ -412,6 +414,41 @@ class TestSetFrame:
             set_frame(*sets(*members))
         assert str(err.value) == "rows must be distinct sets from the least to the greatest"
 
+
+    def test_mixed_batch_matches_the_generic_frame(self):
+        """One set_frames call over rings of several sizes and widths, clean and
+        broken, interleaved: each frame equals generic_set_frame's, its tables
+        views of its stack's, and each broken ring raises what it raises alone."""
+        rng, batch = Random(5), []
+        for points in (0, 3, 4, 9):
+            for _ in range(6):  # the opens of a random preorder: its up-sets
+                up = [1 << i | rng.getrandbits(points) & rng.getrandbits(points)
+                      & rng.getrandbits(points) for i in range(points)]  # sparse
+                for _ in range(points):
+                    up = [u | reduce(int.__or__, (up[j] for j in range(points) if u >> j & 1), 0)
+                          for u in up]
+                opens = sorted((m for m in range(1 << points)
+                                if all(up[i] & ~m == 0 for i in range(points) if m >> i & 1)),
+                               key=lambda m: (m.bit_count(), m))
+                batch.append(([[m >> i & 1 for i in range(points)] for m in opens],
+                              [format(m, "b") for m in opens]))
+        batch[3:3] = [sets((), (0,), (1,), (0, 1, 2)), sets((), (0,), (0,), (0, 1))]
+        batch.append(sets((), (0, 1), (1, 2), (0, 1, 2)))
+        built = set_frames([np.array(rows, dtype=bool).reshape(len(rows), -1) for rows, _ in batch],
+                           [labels for _, labels in batch])
+        assert sum(isinstance(frame, Exception) for frame in built) == 3
+        for (rows, labels), frame in zip(batch, built):
+            rows = np.array(rows, dtype=bool).reshape(len(rows), -1)
+            if isinstance(frame, Exception):
+                with pytest.raises(type(frame), match=f"^{re.escape(str(frame))}$"):
+                    set_frame(rows, labels)
+                continue
+            generic = generic_set_frame(list(pack_rows(rows)), labels)
+            assert frame.labels == generic.labels == tuple(labels)
+            for name in ("leq", "meet", "join", "imp"):
+                assert np.array_equal(getattr(frame, name), getattr(generic, name)), name
+            tables, k = frame.stack
+            assert all(np.shares_memory(tables[name], getattr(frame, name)) for name in tables)
 
 class TestHeytingOps:
     @pytest.mark.parametrize("n", [127, 128])

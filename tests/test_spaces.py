@@ -1,18 +1,20 @@
+import itertools
 from itertools import product
 
 import numpy as np
 import pytest
 
-from localekit import spaces
+from localekit import common, spaces
 from localekit.common import BudgetExceeded, CheckReport, TheoremViolation
 from localekit.separation import is_symmetric
-from localekit.spaces import (FiniteSpace, InvalidTopology, UnionsOfClosed,
-                              bitstring, discrete, enumerate_topologies,
-                              indiscrete, is_symmetric_space, is_t0, omega,
-                              sierpinski, space_from_preorder,
-                              space_proposition_check, td_remark_check, uc_lattice)
+from localekit.spaces import (FiniteSpace, InvalidTopology, bitstring, discrete,
+                              enumerate_topologies, indiscrete, omega, sierpinski,
+                              space_from_preorder, space_proposition_check, space_structures,
+                              td_remark_check, uc_lattice)
 
-from oracles import brute_topologies, find_order_isomorphism, generic_set_frame, saturated_sets
+from oracles import (_raised, brute_topologies, closed_sets, closure_of, find_order_isomorphism,
+                     first_uncomplemented, generic_set_frame, is_symmetric_space, is_t0,
+                     per_space_proposition, per_space_td_remark, saturated_sets)
 
 
 class TestFiniteSpace:
@@ -26,18 +28,18 @@ class TestFiniteSpace:
 
     def test_closed_sets_are_complements(self):
         s = sierpinski()
-        assert s.closed_sets == tuple(sorted(s.full ^ o for o in s.opens))
+        assert set(uc_lattice(s).labels) == {bitstring(s.full ^ o, 2) for o in s.opens}
 
     def test_closure_operator_laws(self):
         for space in (sierpinski(), discrete(2), indiscrete(3)):
             masks = range(1 << space.points)
             for m in masks:
-                cl = space.closure_of(m)
+                cl = closure_of(space, m)
                 assert m & ~cl == 0                       # extensive
-                assert space.closure_of(cl) == cl          # idempotent
+                assert closure_of(space, cl) == cl         # idempotent
                 for other in masks:
                     if m & ~other == 0:
-                        assert cl & ~space.closure_of(other) == 0  # monotone
+                        assert cl & ~closure_of(space, other) == 0  # monotone
 
 
 class TestSpecialization:
@@ -53,20 +55,19 @@ class TestSpecialization:
 
     def test_computed_once_per_space(self):
         space = sierpinski()
-        assert is_t0(space) and not is_symmetric_space(space)
+        assert is_t0(space) and not is_symmetric_space(space)[0]
         assert space.specialization is space.specialization
         assert not space.specialization.flags.writeable
 
     def test_symmetry_verdicts(self):
-        assert not is_symmetric_space(sierpinski()).ok
-        assert is_symmetric_space(sierpinski()).witness == (0, 1)
-        assert is_symmetric_space(discrete(2)).ok
-        assert is_symmetric_space(indiscrete(2)).ok
+        assert is_symmetric_space(sierpinski()) == (False, (0, 1))
+        assert is_symmetric_space(discrete(2)) == (True, None)
+        assert is_symmetric_space(indiscrete(2)) == (True, None)
 
     def test_symmetric_iff_equivalence_relation(self):
         for space in enumerate_topologies(3):
             rel = space.specialization
-            assert is_symmetric_space(space).ok == np.array_equal(rel, rel.T)
+            assert is_symmetric_space(space)[0] == np.array_equal(rel, rel.T)
 
     def test_preorder_roundtrip(self):
         # every reflexive transitive relation on 3 points, rows[x] = {y : x <= y}
@@ -87,57 +88,71 @@ class TestSpecialization:
 
 class TestUnionsOfClosed:
     def test_sierpinski_is_a_chain(self):
-        uc = uc_lattice(sierpinski())
-        assert [bitstring(e, 2) for e in uc.elements] == ["00", "10", "11"]
-        assert not uc.is_boolean().ok
+        assert uc_lattice(sierpinski()).labels == ("00", "10", "11")
+        assert first_uncomplemented(sierpinski()) == 0b01  # "10", whose complement is not closed
 
     def test_discrete_is_full_powerset(self):
-        uc = uc_lattice(discrete(2))
-        assert len(uc) == 4
-        assert uc.is_boolean().ok
+        assert uc_lattice(discrete(2)).n == 4
+        assert first_uncomplemented(discrete(2)) is None
 
     def test_indiscrete_is_two_element(self):
-        uc = uc_lattice(indiscrete(2))
-        assert len(uc) == 2
+        assert uc_lattice(indiscrete(2)).n == 2
 
     def test_both_distributive_laws(self):
         for space in (sierpinski(), discrete(2), indiscrete(3)):
-            uc = uc_lattice(space)
-            idx = uc.index
-            for a in uc.elements:
-                for b in uc.elements:
-                    for c in uc.elements:
+            closed = closed_sets(space)
+            for a in closed:
+                for b in closed:
+                    for c in closed:
                         assert a & (b | c) == (a & b) | (a & c)
                         assert a | (b & c) == (a | b) & (a | c)
-                        assert a | b in idx and a & b in idx
+                        assert a | b in closed and a & b in closed
 
     def test_anti_isomorphism_with_saturated_sets(self):
+        # the complements of the closed sets are the saturated sets, the up-sets
+        # of specialization: each closed set is a down-set, and each ↓y is closed
         for n in range(5):
             for space in enumerate_topologies(n):
-                assert UnionsOfClosed(space).saturated_anti_isomorphism_ok()
+                closed, spec = set(closed_sets(space)), space.specialization
+                downs = {sum(1 << x for x in range(n) if spec[x, y]) for y in range(n)}
+                assert downs <= closed
+                assert all(not spec[x, y] or c >> x & 1
+                           for c in closed for y in range(n) if c >> y & 1 for x in range(n))
                 assert saturated_sets(space) == set(space.opens)
-
-    # the discrete order makes ↓1 = {1}, which is not closed; the full one
-    # puts 1 below 0, so the closed set {0} is no down-set
-    @pytest.mark.parametrize("corrupted", [np.eye(2, dtype=bool), np.ones((2, 2), dtype=bool)],
-                             ids=["discrete", "full"])
-    def test_corrupted_specialization_is_caught(self, corrupted):
-        space = sierpinski()
-        space.__dict__["specialization"] = corrupted
-        with pytest.raises(AssertionError,
-                           match="^complementation fails to reach the saturated sets$"):
-            uc_lattice(space)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             uc_lattice(discrete(3), budget=2)
 
 
+def sampled_five_point_spaces():
+    """60 seeded 5-point spaces: random relations, each closed to a preorder."""
+    from random import Random
+    rng = Random(17)
+    n, spaces = 5, []
+    for _ in range(60):
+        rows = [1 << i for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i != j and rng.random() < 0.25:
+                    rows[i] |= 1 << j
+        while True:  # transitive closure
+            grown = list(rows)
+            for i in range(n):
+                for j in range(n):
+                    if rows[i] >> j & 1:
+                        grown[i] |= rows[j]
+            if grown == rows:
+                break
+            rows = grown
+        spaces.append(space_from_preorder(tuple(rows)))
+    return spaces
+
+
 def ring_frames(space):
     """(masks, frame) for the open-set frame and the unions-of-closed frame."""
-    uc = UnionsOfClosed(space)
     return [(sorted(space.opens, key=lambda m: (m.bit_count(), m)), omega(space)),
-            (uc.elements, uc.as_frame)]
+            (closed_sets(space), uc_lattice(space))]
 
 
 class TestRingOfSetsFrames:
@@ -184,26 +199,41 @@ class TestSpaceProposition:
                 space_proposition_check(space)  # EquivalenceViolation would raise
 
     def test_agreement_on_sampled_five_point_spaces(self):
-        from random import Random
-        rng = Random(17)
-        n = 5
-        for _ in range(60):
-            rows = [1 << i for i in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    if i != j and rng.random() < 0.25:
-                        rows[i] |= 1 << j
-            while True:  # transitive closure
-                grown = list(rows)
-                for i in range(n):
-                    for j in range(n):
-                        if rows[i] >> j & 1:
-                            grown[i] |= rows[j]
-                if grown == rows:
-                    break
-                rows = grown
-            space_proposition_check(space_from_preorder(tuple(rows)))
+        for space in sampled_five_point_spaces():
+            space_proposition_check(space)
 
+
+class TestStackedStructures:
+    """space_structures against the per-space oracles, outcome by outcome."""
+
+    @pytest.mark.parametrize("cells", [None, 600], ids=["default-chunks", "small-chunks"])
+    @pytest.mark.parametrize("spaces", [
+        [s for n in range(5) for s in enumerate_topologies(n)], sampled_five_point_spaces()],
+        ids=["n<=4", "sampled-5"])
+    def test_matches_the_per_space_oracle(self, monkeypatch, spaces, cells):
+        if cells:
+            monkeypatch.setattr(common, "STACK_CELLS", cells)
+        items = list(space_structures(spaces))
+        assert [item.space for item in items] == spaces
+        for item in items:
+            for got, want in ((item.proposition, lambda: per_space_proposition(item.space)),
+                              (item.td_remark, lambda: per_space_td_remark(item.space))):
+                got, want = _raised(got), _raised(want)
+                assert got == want or (type(got), str(got)) == (type(want), str(want))
+
+    def test_chunks_hold_at_most_stack_cells(self):
+        spaces = list(enumerate_topologies(4))
+        chunks = [chunk for chunk, _ in itertools.groupby(
+            space_structures(spaces), key=lambda item: item._chunk)]
+        sizes = [[len(space.opens) ** 3 for space in chunk.spaces] for chunk in chunks]
+        assert [space for chunk in chunks for space in chunk.spaces] == spaces
+        assert 1 < len(chunks) < 10
+        assert all(sum(size) <= common.STACK_CELLS for size in sizes)
+        assert all(sum(size) + after[0] > common.STACK_CELLS
+                   for size, after in zip(sizes, sizes[1:]))
+        big = [discrete(7), sierpinski(), discrete(7)]  # 128^3 cells each: one a chunk
+        assert [len(chunk.spaces) for chunk, _ in itertools.groupby(
+            space_structures(big), key=lambda item: item._chunk)] == [1, 1, 1]
 
 class TestOmega:
     def test_sierpinski_gives_three_chain(self, c3):
@@ -250,18 +280,21 @@ class TestEnumeration:
 class TestTdRemark:
     def test_sierpinski_agrees_on_false(self):
         assert td_remark_check(sierpinski()) == CheckReport.passed("td-remark")
-        assert not is_symmetric_space(sierpinski()).ok
+        assert not is_symmetric_space(sierpinski())[0]
         assert not is_symmetric(omega(sierpinski())).holds
 
     def test_discrete_agrees_on_true(self):
         assert td_remark_check(discrete(2)) == CheckReport.passed("td-remark")
-        assert is_symmetric_space(discrete(2)).ok and is_symmetric(omega(discrete(2))).holds
+        assert is_symmetric_space(discrete(2))[0] and is_symmetric(omega(discrete(2))).holds
 
     def test_skips_non_t0(self):
         assert td_remark_check(indiscrete(2)) == CheckReport.passed("td-remark", "skipped-not-t0")
 
     def test_disagreement_raises(self, monkeypatch):
-        monkeypatch.setattr(spaces, "is_symmetric_space", lambda space: spaces.SpaceVerdict(True))
+        # the space read as discrete, so T_0 and symmetric, while Ω is the 3-chain
+        monkeypatch.setattr(spaces, "containment_order",
+                            lambda rows: np.broadcast_to(np.eye(rows.shape[-2], dtype=bool),
+                                                         rows.shape[:-1] + rows.shape[-2:-1]))
         with pytest.raises(TheoremViolation,
                            match=r"^space symmetry True but locale symmetry False on "):
             td_remark_check(sierpinski())
