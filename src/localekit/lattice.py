@@ -326,24 +326,20 @@ def validate_frames(leqs, labels: Optional[Sequence[Sequence[str]]] = None) -> l
 
 def _lookups(stack):
     """∪ and ∩ of every pair of a stack of member rows (F, m, p), as the index
-    of the equal member or -1, (2, F, m, m), ∪ first: one np.searchsorted among
-    the members' keys, each its frame's index, then its packed bytes (one
-    uint64 where that fits), held after its row's pairs."""
+    of the equal member or -1, (2, F, m, m), ∪ first: one np.searchsorted
+    among the members' keys, compared as raw bytes, each the 4 bytes of its
+    frame's index and then its packed row, held after its row's ∪ keys."""
     (count, m), packed = stack.shape[:2], np.packbits(stack, axis=2, bitorder="little")
-    f, width = np.arange(count), packed.shape[2]
-    keys = np.zeros((2, count, m, m + 1, max(8, 4 + width)), np.uint8)   # [op, f, i, j]
-    keys[..., :4] = f.astype(">u4").view(np.uint8).reshape(count, 1, 1, 4)
-    np.bitwise_or(packed[:, :, None], packed[:, None], out=keys[0, :, :, :m, 4:4 + width])
-    np.bitwise_and(packed[:, :, None], packed[:, None], out=keys[1, :, :, :m, 4:4 + width])
-    keys[0, :, :, m, 4:4 + width] = packed
-    keys = keys.view("u8" if keys.shape[-1] == 8 else f"V{keys.shape[-1]}")[..., 0]
-    members = keys[0, :, :, m].reshape(-1)
+    keys = np.zeros((2, count, m, m + 1, 4 + packed.shape[2]), np.uint8)   # [op, f, i, j]
+    keys[..., :4] = np.arange(count, dtype=np.uint32).view(np.uint8).reshape(count, 1, 1, 4)
+    np.bitwise_or(packed[:, :, None], packed[:, None], out=keys[0, :, :, :m, 4:])
+    np.bitwise_and(packed[:, :, None], packed[:, None], out=keys[1, :, :, :m, 4:])
+    keys[0, :, :, m, 4:] = packed
+    keys = keys.view(f"V{keys.shape[-1]}")[..., 0]
+    members, pairs = keys[0, :, :, m].reshape(-1), keys[..., :m]
     order = np.argsort(members)
-    at = np.minimum(np.searchsorted(members[order], keys[..., :m]), len(order) - 1)
-    hit, at = members[order][at] == keys[..., :m], order[at]
-    at -= m * f[:, None, None]                                 # each frame's own index
-    at[~hit] = -1
-    return at.astype(element_dtype(m))
+    at = order[np.minimum(np.searchsorted(members, pairs, sorter=order), len(order) - 1)]
+    return np.where(members[at] == pairs, at % m, -1).astype(element_dtype(m))
 
 
 def set_frames(rows: Sequence[np.ndarray], labels: Sequence[Sequence[str]]) -> list:

@@ -62,10 +62,16 @@ class FiniteSpace:
 
     @cached_property
     def specialization(self):
-        """x <= y iff x lies in the closure of {y}, that is, every open holding
-        x holds y: the containment order of the open-membership columns, so
-        a preorder by construction."""
+        """x <= y iff x lies in the closure of {y}; reflexive and transitive.
+
+        Equivalently every open containing x contains y: the containment
+        order of the open-membership columns, then re-checked for
+        reflexivity and transitivity."""
         rel = containment_order(unpack_rows(self.opens, self.points).T)
+        if not rel.diagonal().all():
+            raise AssertionError("specialization lost reflexivity")
+        if ((rel @ rel) & ~rel).any():
+            raise AssertionError("specialization lost transitivity")
         rel.flags.writeable = False
         return rel
 
@@ -89,11 +95,24 @@ def indiscrete(points: int) -> FiniteSpace:
 
 def uc_lattice(space: FiniteSpace, budget: Optional[int] = None) -> FiniteFrame:
     """The frame of unions of closed sets, within the space budget: in a finite
-    space, the closed sets, a ring of sets as the opens are, by `set_frame`."""
+    space, the closed sets, a ring of sets as the opens are, by `set_frame`,
+    once they are cross-checked against the space's specialization."""
     within_budget("space", space.points, budget)
     closed = _by_size(space.full ^ o for o in space.opens)
-    return set_frame(unpack_rows(closed, space.points),
-                     [bitstring(c, space.points) for c in closed])
+    rows = unpack_rows(closed, space.points)
+    if _unsaturated(rows[None], space.specialization[None])[0]:
+        raise AssertionError("complementation fails to reach the saturated sets")
+    return set_frame(rows, [bitstring(c, space.points) for c in closed])
+
+
+def _unsaturated(closed, specs):
+    """Per space of a stack, whether its closed rows (F, m, p) are not the
+    complements of the saturated sets, the up-sets of its specialization
+    (F, p, p): some member is no down-set, or some ↓y, the closure of {y},
+    is no member (when each is, every down-set is, as a union of them)."""
+    downs = specs.transpose(0, 2, 1)                                     # ↓y, row y
+    return (((closed @ downs) & ~closed).any(axis=(1, 2))
+            | ~(downs[:, :, None] == closed[:, None]).all(axis=3).any(axis=2).all(axis=1))
 
 
 def omega(space: FiniteSpace) -> FiniteFrame:
@@ -156,12 +175,13 @@ class _Chunk:
         """Each space's SpacePropositionReport (see space_proposition_check):
         the space-side conditions as masks, then the frames of unions of
         closed sets, in (size, mask) order, and their weak subfitness."""
-        rings, found = {}, {}
+        rings, found, out = {}, {}, [None] * len(self.spaces)
         for ks, opens in self.stacks:
             _, m, p = opens.shape
             within_budget("space", p, self.budget)
             masks = [_by_size(self.spaces[k].full ^ o for o in self.spaces[k].opens) for k in ks]
             closed = unpack_rows(chain.from_iterable(masks), p).reshape(len(ks), m, p)
+            unsaturated = _unsaturated(closed, containment_order(opens.transpose(0, 2, 1)))
             # lonely: no closed set is the complement; inside: o within a proper closed set
             lonely = ~(closed[:, :, None] != closed[:, None]).all(axis=3).any(axis=2)
             inside = ~(opens @ ~closed.transpose(0, 2, 1)) & ~closed.all(axis=2)[:, None]
@@ -170,10 +190,12 @@ class _Chunk:
             dense = ~apart.any(axis=2)                        # meeting every nonempty open
             firsts = [first_failures([mask]) for mask in (lonely, uncovered, uncovered & dense)]
             for g, k in enumerate(ks):  # each first failure as the closed set or open it names
+                if unsaturated[g]:
+                    out[k] = AssertionError("complementation fails to reach the saturated sets")
+                    continue
                 rings[k], opens_k = (masks[g], closed[g]), self.spaces[k].opens
                 found[k] = [bitstring(family[at[g][1][0]], p) if g in at else None
                             for at, family in zip(firsts, (masks[g], opens_k, opens_k))]
-        out: list = [None] * len(self.spaces)
         for k, weak in self._battery(rings, "weakly_subfit").items():
             if isinstance(weak, Exception):
                 out[k] = weak
@@ -226,13 +248,14 @@ class SpaceStructure:
 def space_structures(spaces: Iterable[FiniteSpace],
                      budget: Optional[int] = None) -> Iterator[SpaceStructure]:
     """A SpaceStructure per space, in order. The spaces are cut into chunks
-    whose open-set frames hold at most STACK_CELLS cells of (n, n, n)
-    together, at least one space each, and a chunk's structures share its
-    batches; the budget bounds the points of the unions-of-closed frames."""
-    chunk, cells = [], 0
+    whose open-set frames hold at most STACK_CELLS / 8 cells of (n, n, n)
+    together, at least one space each, so that a stacked gather's intp index
+    of a cell each stays within STACK_CELLS bytes. A chunk's structures share
+    its batches; the budget bounds the points of the unions-of-closed frames."""
+    chunk, cells, bound = [], 0, common.STACK_CELLS // np.dtype(np.intp).itemsize
     for space in chain(spaces, [None]):  # None closes the last chunk
         size = 0 if space is None else len(space.opens) ** 3
-        if chunk and (space is None or cells + size > common.STACK_CELLS):
+        if chunk and (space is None or cells + size > bound):
             batches, chunk, cells = _Chunk(chunk, budget), [], 0
             yield from (SpaceStructure(s, k, batches) for k, s in enumerate(batches.spaces))
         chunk.append(space)

@@ -679,7 +679,7 @@ class TestIsolation:
     def test_broken_ring_of_sets_is_charged_to_its_item(self, monkeypatch, capsys, check):
         # unions-of-closed frames for space-proposition, Ω(X) for td-remark
         argv = ["--machine", "campaign", "spaces", "--points", "3", "--checks", check]
-        monkeypatch.setattr(common, "STACK_CELLS", 1500)  # chunks from topo3:0000, 0006, ...
+        monkeypatch.setattr(common, "STACK_CELLS", 12000)  # chunks from topo3:0000, 0006, ...
         chunks = [chunk.spaces for chunk, _ in itertools.groupby(
             spaces.space_structures(spaces.enumerate_topologies(3)), key=lambda item: item._chunk)]
         target = chunks[0][4]  # topo3:0004, inside the first chunk

@@ -434,9 +434,12 @@ class TestSetFrame:
                               [format(m, "b") for m in opens]))
         batch[3:3] = [sets((), (0,), (1,), (0, 1, 2)), sets((), (0,), (0,), (0, 1))]
         batch.append(sets((), (0, 1), (1, 2), (0, 1, 2)))
+        chain = [[p < k for p in range(70)] for k in range(0, 71, 10)]  # two words a row
+        batch += [(chain, [f"s{k}" for k in range(8)]),  # and one with 0..9 ∪ 60..69 no member
+                  (chain[:1] + [[p >= 60 for p in range(70)]] + chain[1:], [f"s{k}" for k in range(9)])]
         built = set_frames([np.array(rows, dtype=bool).reshape(len(rows), -1) for rows, _ in batch],
                            [labels for _, labels in batch])
-        assert sum(isinstance(frame, Exception) for frame in built) == 3
+        assert sum(isinstance(frame, Exception) for frame in built) == 4
         for (rows, labels), frame in zip(batch, built):
             rows = np.array(rows, dtype=bool).reshape(len(rows), -1)
             if isinstance(frame, Exception):

@@ -53,6 +53,15 @@ class TestSpecialization:
     def test_indiscrete_is_total(self):
         assert indiscrete(2).specialization.all()
 
+    @pytest.mark.parametrize("relation, law", [
+        ([[0, 0], [0, 1]], "reflexivity"),
+        ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], "transitivity")], ids=["reflexivity", "transitivity"])
+    def test_broken_preorder_is_caught(self, monkeypatch, relation, law):
+        space = discrete(len(relation))
+        monkeypatch.setattr(spaces, "containment_order", lambda rows: np.array(relation, dtype=bool))
+        with pytest.raises(AssertionError, match=f"^specialization lost {law}$"):
+            space.specialization
+
     def test_computed_once_per_space(self):
         space = sierpinski()
         assert is_t0(space) and not is_symmetric_space(space)[0]
@@ -119,6 +128,32 @@ class TestUnionsOfClosed:
                 assert all(not spec[x, y] or c >> x & 1
                            for c in closed for y in range(n) if c >> y & 1 for x in range(n))
                 assert saturated_sets(space) == set(space.opens)
+
+    # the discrete order makes ↓1 = {1}, which is not closed; the full one
+    # puts 1 below 0, so the closed set {0} is no down-set
+    @pytest.mark.parametrize("corrupted", [np.eye(2, dtype=bool), np.ones((2, 2), dtype=bool)],
+                             ids=["discrete", "full"])
+    def test_corrupted_specialization_is_caught(self, corrupted):
+        space = sierpinski()
+        space.__dict__["specialization"] = corrupted
+        with pytest.raises(AssertionError,
+                           match="^complementation fails to reach the saturated sets$"):
+            uc_lattice(space)
+
+    def test_unsaturated_space_in_a_chunk_is_charged_alone(self, monkeypatch):
+        # the stacked route's check, handed the discrete order for the first of
+        # the two Sierpiński spaces on 2 points (one stack), fails on it alone
+        real = spaces._unsaturated
+        monkeypatch.setattr(spaces, "_unsaturated", lambda closed, specs: real(closed, np.concatenate(
+            [np.eye(2, dtype=bool)[None], specs[1:]]) if specs.shape[:2] == (2, 2) else specs))
+        items = list(space_structures(enumerate_topologies(2)))
+        assert len({id(item._chunk) for item in items}) == 1
+        for item in items:
+            got, want = _raised(item.proposition), _raised(lambda: per_space_proposition(item.space))
+            if item is items[1]:
+                assert item.space.opens == (0b00, 0b10, 0b11)
+                want = AssertionError("complementation fails to reach the saturated sets")
+            assert got == want or (type(got), str(got)) == (type(want), str(want))
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -206,7 +241,7 @@ class TestSpaceProposition:
 class TestStackedStructures:
     """space_structures against the per-space oracles, outcome by outcome."""
 
-    @pytest.mark.parametrize("cells", [None, 600], ids=["default-chunks", "small-chunks"])
+    @pytest.mark.parametrize("cells", [None, 4800], ids=["default-chunks", "small-chunks"])
     @pytest.mark.parametrize("spaces", [
         [s for n in range(5) for s in enumerate_topologies(n)], sampled_five_point_spaces()],
         ids=["n<=4", "sampled-5"])
@@ -227,10 +262,10 @@ class TestStackedStructures:
             space_structures(spaces), key=lambda item: item._chunk)]
         sizes = [[len(space.opens) ** 3 for space in chunk.spaces] for chunk in chunks]
         assert [space for chunk in chunks for space in chunk.spaces] == spaces
-        assert 1 < len(chunks) < 10
-        assert all(sum(size) <= common.STACK_CELLS for size in sizes)
-        assert all(sum(size) + after[0] > common.STACK_CELLS
-                   for size, after in zip(sizes, sizes[1:]))
+        bound = common.STACK_CELLS // 8  # an intp index of a cell each in STACK_CELLS bytes
+        assert 1 < len(chunks) < 40
+        assert all(sum(size) <= bound for size in sizes)
+        assert all(sum(size) + after[0] > bound for size, after in zip(sizes, sizes[1:]))
         big = [discrete(7), sierpinski(), discrete(7)]  # 128^3 cells each: one a chunk
         assert [len(chunk.spaces) for chunk, _ in itertools.groupby(
             space_structures(big), key=lambda item: item._chunk)] == [1, 1, 1]
