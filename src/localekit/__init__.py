@@ -13,16 +13,11 @@ from .lattice import (BooleanizationView, FiniteFrame, NotALattice,
                       NotDistributive, RegularPairFrame, booleanization,
                       heyting, order_closure, product_frame, pseudocomplement,
                       regular_pair_frame, validate_frame)
-from .sublocales import (ClosedJoinFrame, Sublocale, SublocaleLattice,
-                         all_sublocales, closed_join_frame,
-                         closed_open_identities_check, closed_sublocale,
-                         dual_booleanization, is_sublocale, open_sublocale,
-                         supplement)
-from .separation import (SeparationReport, is_subfit, is_symmetric,
-                         is_weakly_subfit, pseudocomplement_formula_check,
-                         subfit_correspondence_check)
-from .spaces import (FiniteSpace, enumerate_topologies, omega, space_proposition_check,
-                     td_remark_check, uc_lattice)
+from .sublocales import (ClosedJoinFrame, Sublocale, SublocaleLattice, all_sublocales,
+                         closed_join_frame, closed_sublocale, dual_booleanization,
+                         is_sublocale, open_sublocale, supplement)
+from .separation import SeparationReport
+from .spaces import FiniteSpace, enumerate_topologies, omega, uc_lattice
 from . import realline
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .common import CheckReport, first_failures, grouped, settled, slice_len
+from .common import CheckReport, TheoremViolation, first_failures, grouped, settled, slice_len
 from .lattice import FiniteFrame, containment_order, element_dtype, gather, stacked
 from . import corpus
 from . import realline as rl
@@ -38,9 +38,9 @@ from . import sublocales as sub
 
 
 class FrameStructure:
-    """One campaign item: its frame and its outcomes, read off the batches of
-    frame_structures. Its subfitness, decided once in the separation battery,
-    serves ppt and axiom-monotonicity alike."""
+    """One campaign item, or one command's input: its frame and its outcomes,
+    read off the batches of frame_structures. Its subfitness, decided once in
+    the separation battery, serves ppt and axiom-monotonicity alike."""
 
     def __init__(self, frame: FiniteFrame, k: int, batches: dict[str, Callable[[], list]]):
         self.frame, self._k, self._batches = frame, k, batches
@@ -64,10 +64,6 @@ class FrameStructure:
         """The item's outcome `part` of the separation battery (see SeparationBattery)."""
         return settled(getattr(self._batches["separation"](), part)[self._k])
 
-    @cached_property
-    def subfit(self) -> separation.SeparationReport:
-        return self.separation("subfit")
-
     def frame_laws(self) -> CheckReport:
         return self._outcome("frame_laws")
 
@@ -76,11 +72,14 @@ class FrameStructure:
         return self._outcome("closed_open")[part]
 
 
-def frame_structures(frames: Sequence[FiniteFrame]) -> Iterator[FrameStructure]:
+def frame_structures(frames: Sequence[FiniteFrame],
+                     budget: Optional[int] = None) -> Iterator[FrameStructure]:
     """A FrameStructure per frame, in order, sharing five lazily built batches;
-    the separation battery reads the closed-join frames' batch."""
+    the separation battery reads the closed-join frames' batch. The budget
+    bounds the primes of S(L). A single input is a batch of one."""
     batches = {name: cache(lambda build=build: build(frames)) for name, build in (
-        ("lattice", sub.sublocale_lattices), ("closed_joins", sub.closed_join_frames),
+        ("lattice", lambda frames: sub.sublocale_lattices(frames, budget)),
+        ("closed_joins", sub.closed_join_frames),
         ("frame_laws", frame_law_outcomes), ("closed_open", sub.closed_open_outcomes))}
     closed_joins = batches["closed_joins"]  # not `batches`: a cycle would outlive the chunk
     batches["separation"] = cache(lambda: separation.SeparationBattery(frames, closed_joins))
@@ -155,7 +154,7 @@ def frame_law_outcomes(frames: Sequence[FiniteFrame]) -> list[CheckReport | Asse
     AssertionError its Booleanization breaks with, which the caller raises
     when it reaches that frame. Frames are decided one stack per carrier
     size, in slices of at most STACK_CELLS cells of (F, n, n, n) or one frame.
-    """
+    `heyting_tables`, which every FiniteFrame builder runs, checks the Heyting adjunction."""
     outcomes: list = [None] * len(frames)
     for ks in grouped(frame.n for frame in frames).values():
         step = slice_len(frames[ks[0]].n ** 3)
@@ -166,23 +165,10 @@ def frame_law_outcomes(frames: Sequence[FiniteFrame]) -> list[CheckReport | Asse
     return outcomes
 
 
-def frame_laws(frame: FiniteFrame) -> CheckReport:
-    """Double-negation laws and the Booleanization laws, on a stack of one.
-
-    The Heyting adjunction is checked by `heyting_tables`, which every
-    builder of a FiniteFrame runs.
-    """
-    return settled(frame_law_outcomes([frame])[0])
-
-
-def sublocale_laws(frame: FiniteFrame, lattice: Optional[sub.SublocaleLattice] = None,
-                   complements: Optional[CheckReport] = None) -> CheckReport:
-    """S(L): coframe law, join-is-lub, complements (the caller's
-    closed_open_complements_report, when given), antitone embedding."""
-    lat = lattice if lattice is not None else sub.all_sublocales(frame)
-    if complements is None:
-        complements = sub.closed_open_complements_report(frame)
-    for report in (lat.laws, complements):
+def sublocale_laws(item: FrameStructure) -> CheckReport:
+    """S(L): coframe law, join-is-lub, the closed/open complements, antitone embedding."""
+    frame = item.frame
+    for report in (item.lattice.laws, item.closed_open(1)):
         if not report.ok:
             return report
     broken = frame.leq != containment_order(frame.leq).T   # a <= b iff c(b) ⊆ c(a)
@@ -192,10 +178,26 @@ def sublocale_laws(frame: FiniteFrame, lattice: Optional[sub.SublocaleLattice] =
     return CheckReport.passed("sublocale-laws")
 
 
+def subfit_correspondence(item: FrameStructure) -> CheckReport:
+    """The subfit/Boolean correspondence: the battery's ppt, and on a subfit
+    frame, that the closed-join rows are the fixed points of the double
+    supplement of S(L). That is Y ↦ P ∖ Y twice on its prime sets, the
+    identity, so they are the rows of S(L). A breach raises
+    TheoremViolation, and otherwise "ppt" passes."""
+    lattice, cjf, subfit = item.lattice, item.closed_joins, item.separation("subfit")
+    outcome = item.separation("ppt")
+    if subfit.holds and not np.array_equal(lattice.rows, item.frame.leq[list(cjf.generators)]):
+        raise TheoremViolation(
+            "subfit frame where closed joins differ from the dual Booleanization: "
+            f"closed joins {[s.label() for s in cjf.elements]} vs "
+            f"fixed points {[s.label() for s in lattice.sublocales]}")
+    return outcome
+
+
 def axiom_monotonicity(item: FrameStructure) -> CheckReport:
     """subfit implies weakly subfit and symmetric; a breach raises AssertionError."""
     item.closed_joins  # read first: a breach of the closed-join frame is this check's too
-    if not item.subfit.holds:
+    if not item.separation("subfit").holds:
         return CheckReport.passed("axiom-monotonicity", "not-subfit")
     if not item.separation("weakly_subfit").holds:
         raise AssertionError("subfit but not weakly subfit")
@@ -215,11 +217,9 @@ LATTICE_CHECKS: dict[str, Callable[[FrameStructure], CheckReport]] = {
     "frame-laws": lambda item: item.frame_laws(),
     "identities": lambda item: item.closed_open(0),
     "coframe-law": lambda item: item.lattice.laws,
-    "sublocale-laws": lambda item: sublocale_laws(item.frame, item.lattice, item.closed_open(1)),
+    "sublocale-laws": sublocale_laws,
     "sc-frame-law": lambda item: item.closed_joins.frame_law_report(),
-    "ppt": lambda item: separation.subfit_correspondence_check(
-        item.frame, item.lattice, cjf=item.closed_joins, subfit=item.subfit,
-        outcome=item.separation("ppt")),
+    "ppt": subfit_correspondence,
     "weaksub-equiv": lambda item: _consistent("weaksub-equiv", item.separation("symmetric")),
     "pcformula": lambda item: item.separation("pcformula"),
     "axiom-monotonicity": axiom_monotonicity,

@@ -30,7 +30,7 @@ from pathlib import Path
 from random import Random
 from typing import Optional
 
-from . import checks, corpus, io, realline as rl, separation, spaces as sp, sublocales as sub
+from . import checks, corpus, io, realline as rl, spaces as sp, sublocales as sub
 from .common import (PASS, FAIL, VIOLATION, BudgetExceeded, CheckReport, EquivalenceViolation,
                      TheoremViolation, within_budget)
 from .lattice import NotALattice, NotDistributive, cover_pairs
@@ -121,7 +121,8 @@ def _check_frame(args, report: Report) -> None:
         report.add(human=f"invalid frame: {exc}", item=args.file, check="frame",
                    verdict=FAIL, witness=str(exc))
         return
-    fields = {"item": args.file, "check": "frame", "verdict": checks.frame_laws(frame).level,
+    verdict = next(checks.frame_structures([frame])).frame_laws().level
+    fields = {"item": args.file, "check": "frame", "verdict": verdict,
               "elements": str(frame.n),
               "covers": ";".join(f"{i}<{j}" for i, j in zip(*cover_pairs(frame.leq)))}
     report.add(human=f"valid frame with {frame.n} elements", **fields)
@@ -147,15 +148,11 @@ def _closed_joins(args, report: Report) -> None:
 
 def _separation(args, report: Report) -> None:
     frame = io.load_lattice_text(Path(args.file).read_text())
-    if args.axiom == "ppt":
-        _record_from(report, args.file,
-                     separation.subfit_correspondence_check(frame, budget=args.budget))
+    item = next(checks.frame_structures([frame], args.budget))
+    if args.axiom in ("ppt", "pcformula"):
+        _record_from(report, args.file, checks.LATTICE_CHECKS[args.axiom](item))
         return
-    if args.axiom == "pcformula":
-        _record_from(report, args.file, separation.pseudocomplement_formula_check(frame))
-        return
-    verdict = {"subfit": separation.is_subfit, "weak": separation.is_weakly_subfit,
-               "symmetric": separation.is_symmetric}[args.axiom](frame)
+    verdict = item.separation({"weak": "weakly_subfit"}.get(args.axiom, args.axiom))
     fields = {"item": args.file, "check": args.axiom,
               "verdict": PASS if verdict.holds else FAIL}
     human = f"{args.axiom}: {'holds' if verdict.holds else 'fails'}"
@@ -168,11 +165,12 @@ def _separation(args, report: Report) -> None:
 
 def _spaces_check(args, report: Report) -> None:
     space = io.load_space_text(Path(args.file).read_text(), args.budget)
-    proposition = sp.space_proposition_check(space, args.budget)
+    item = next(sp.space_structures([space], args.budget))
+    proposition = item.proposition()
     report.add(human=f"symmetric: {proposition.holds}", item=args.file,
                check="space-proposition", verdict=PASS if proposition.holds else FAIL)
     _record_conditions(report, args.file, proposition.conditions)
-    _record_from(report, args.file, sp.td_remark_check(space))
+    _record_from(report, args.file, item.td_remark())
 
 
 def _spaces_enumerate(args, report: Report) -> None:

@@ -3,8 +3,8 @@
 `SeparationBattery` decides subfitness, weak subfitness, symmetry, the
 subfit/Boolean correspondence ("ppt") and the pseudocomplement formula
 ("pcformula") for a batch of frames, one stack per carrier size, each list
-when first read. It is the fifth batch of `checks.frame_structures`, and
-each public function here is the battery on a stack of one. Products are
+when first read. It is the fifth batch of `checks.frame_structures`, which
+every command reads, a single frame being a batch of one. Products are
 bool `@`, exact at any width. A frame whose cross-check breaks gets the
 exception it raises alone. Witnesses are minimal in lexicographic element
 order, the witness order of `common.first_failures`, so reports are
@@ -19,10 +19,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .common import CheckReport, EquivalenceViolation, TheoremViolation, first_failures, settled
+from .common import CheckReport, EquivalenceViolation, TheoremViolation, first_failures
 from .lattice import FiniteFrame, by_size
-from .sublocales import (ClosedJoinFrame, SublocaleLattice, all_sublocales, closed_join_frame,
-                         open_rows)
+from .sublocales import open_rows
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ class SeparationBattery:
     frame order, each entry a report or the breach it raises. symmetric and
     ppt read the closed-join frames that `closed_joins()` returns, and a
     frame whose closed-join frame failed gets that exception as both. The
-    half of ppt that reads S(L) is `subfit_correspondence_check`'s."""
+    half of ppt that reads S(L) is `checks.subfit_correspondence`'s."""
 
     def __init__(self, frames: Sequence[FiniteFrame],
                  closed_joins: Optional[Callable[[], Sequence]] = None):
@@ -148,7 +147,11 @@ class SeparationBattery:
         """Three readings of symmetry, evaluated independently: (1) the
         closed-join frame is weakly subfit; (2) every proper open o(a) sits
         inside a proper join of closed sublocales ↑g; (3) so does every dense
-        one. Disagreeing verdicts are an EquivalenceViolation."""
+        one. Disagreeing verdicts are an EquivalenceViolation. (3) holds
+        with (2) by construction, so it is no second route: a*, the least
+        member of o(a), is 0 exactly when 0 ∈ o(a) (o(a) dense), and o(a)
+        lies inside a proper ↑g iff a* ≠ 0, so every uncovered open is dense.
+        It stays: the records are fixed."""
         (cjfs, built), frames = self._built, self.frames
         inner = _weakly_subfit([cjfs[k].frame for k in built])
         opens = _failures([frames[k] for k in built], ("leq", "imp"), _uncovered, 2)
@@ -186,52 +189,3 @@ class SeparationBattery:
                     f"subfit={subfit} but closed-join complementation={boolean}; "
                     f"witness={witness}, frame labels={self.frames[k].labels}")
         return outcomes
-
-
-def is_subfit(frame: FiniteFrame) -> SeparationReport:
-    """a ≰ b demands some c with a ∨ c = 1 ≠ b ∨ c."""
-    return SeparationBattery([frame]).subfit[0]
-
-
-def is_weakly_subfit(frame: FiniteFrame) -> SeparationReport:
-    """Every a ≠ 0 has a c ≠ 1 with a ∨ c = 1."""
-    return SeparationBattery([frame]).weakly_subfit[0]
-
-
-def is_symmetric(frame: FiniteFrame) -> SeparationReport:
-    """The three readings of symmetry; disagreement raises EquivalenceViolation."""
-    return settled(SeparationBattery([frame], lambda: [closed_join_frame(frame)]).symmetric[0])
-
-
-def subfit_correspondence_check(frame: FiniteFrame,
-                                lattice: Optional[SublocaleLattice] = None,
-                                budget: Optional[int] = None,
-                                cjf: Optional[ClosedJoinFrame] = None,
-                                subfit: Optional[SeparationReport] = None,
-                                outcome: Optional[CheckReport] = None) -> CheckReport:
-    """The subfit/Boolean correspondence on one frame: the battery's ppt
-    (`outcome`, when the caller has it), and on a subfit frame, that the
-    closed-join rows are the fixed points of the double supplement of S(L).
-    That is Y ↦ P ∖ Y twice on its prime sets, the identity, so they are
-    the rows of S(L). A breach raises TheoremViolation, and otherwise "ppt"
-    passes. `subfit`, when given, is is_subfit(frame)."""
-    cjf = closed_join_frame(frame) if cjf is None else cjf
-    lat = all_sublocales(frame, budget) if lattice is None else lattice
-    subfit = is_subfit(frame) if subfit is None else subfit
-    if outcome is None:
-        battery = SeparationBattery([frame], lambda: [cjf])
-        battery.subfit = [subfit]
-        outcome = settled(battery.ppt[0])
-    if not subfit.holds:
-        return outcome
-    if not np.array_equal(lat.rows, frame.leq[list(cjf.generators)]):
-        raise TheoremViolation(
-            "subfit frame where closed joins differ from the dual Booleanization: "
-            f"closed joins {[s.label() for s in cjf.elements]} vs "
-            f"fixed points {[s.label() for s in lat.sublocales]}")
-    return outcome
-
-
-def pseudocomplement_formula_check(frame: FiniteFrame) -> CheckReport:
-    """pcformula on one frame; a broken law raises AssertionError."""
-    return settled(SeparationBattery([frame]).pcformula[0])

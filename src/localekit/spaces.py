@@ -4,7 +4,7 @@ Point sets are bitmasks; a space is the family of its open masks. Finite
 topologies correspond exactly to preorders (opens are the up-sets of
 specialization), which both the enumerator and the checks below exploit.
 The space checks decide a chunk of spaces at a time (`space_structures`),
-a stack of one being `space_proposition_check` and `td_remark_check`.
+a single space being a chunk of one.
 """
 
 from __future__ import annotations
@@ -139,19 +139,22 @@ class _Chunk:
         self.spaces, self.budget = spaces, budget
 
     @cached_property
-    def stacks(self) -> list[tuple[list[int], np.ndarray]]:
-        """(positions, opens (F, m, p) in each space's order) per (points, opens) count."""
-        return [(ks, unpack_rows(chain.from_iterable(self.spaces[k].opens for k in ks), p)
-                 .reshape(len(ks), m, p))
-                for (p, m), ks in grouped((s.points, len(s.opens)) for s in self.spaces).items()]
+    def stacks(self) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+        """(positions, opens (F, m, p) in each space's order, specializations
+        (F, p, p)) per (points, opens) count: x <= y iff every open holding x holds y."""
+        out = []
+        for (p, m), ks in grouped((s.points, len(s.opens)) for s in self.spaces).items():
+            opens = unpack_rows(chain.from_iterable(self.spaces[k].opens for k in ks), p)
+            opens = opens.reshape(len(ks), m, p)
+            out.append((ks, opens, containment_order(opens.transpose(0, 2, 1))))
+        return out
 
     @cached_property
     def symmetry(self) -> list[tuple[bool, Optional[tuple[int, int]]]]:
         """Per space: T_0, and the first pair (x, y), row-major, with x <= y
         but not y <= x, or None where specialization is symmetric."""
         out: list = [None] * len(self.spaces)
-        for ks, opens in self.stacks:
-            spec = containment_order(opens.transpose(0, 2, 1))  # every open holding x holds y
+        for ks, _, spec in self.stacks:
             apart, p = spec & ~spec.transpose(0, 2, 1), spec.shape[1]
             t0, pairs = ((spec & ~apart).sum(axis=(1, 2)) == p).tolist(), first_failures([apart])
             for g, k in enumerate(ks):
@@ -172,16 +175,21 @@ class _Chunk:
 
     @cached_property
     def proposition(self) -> list:
-        """Each space's SpacePropositionReport (see space_proposition_check):
-        the space-side conditions as masks, then the frames of unions of
-        closed sets, in (size, mask) order, and their weak subfitness."""
+        """Each space's SpacePropositionReport, five conditions that must agree
+        or raise EquivalenceViolation: (1) the specialization is symmetric;
+        (2) the unions of closed sets, a frame in (size, mask) order, are
+        Boolean; (3) that frame is weakly subfit, by the separation battery;
+        (4) every proper open lies inside a proper closed set; (5) so does
+        every dense one, meeting every nonempty open. (5) holds with (4) by
+        construction, so it is no second route: an open inside no proper
+        closed set has closure X, so it is dense. It stays: the records are fixed."""
         rings, found, out = {}, {}, [None] * len(self.spaces)
-        for ks, opens in self.stacks:
+        for ks, opens, spec in self.stacks:
             _, m, p = opens.shape
             within_budget("space", p, self.budget)
             masks = [_by_size(self.spaces[k].full ^ o for o in self.spaces[k].opens) for k in ks]
             closed = unpack_rows(chain.from_iterable(masks), p).reshape(len(ks), m, p)
-            unsaturated = _unsaturated(closed, containment_order(opens.transpose(0, 2, 1)))
+            unsaturated = _unsaturated(closed, spec)
             # lonely: no closed set is the complement; inside: o within a proper closed set
             lonely = ~(closed[:, :, None] != closed[:, None]).all(axis=3).any(axis=2)
             inside = ~(opens @ ~closed.transpose(0, 2, 1)) & ~closed.all(axis=2)[:, None]
@@ -215,9 +223,11 @@ class _Chunk:
 
     @cached_property
     def td_remark(self) -> list:
-        """Each space's td-remark report (see td_remark_check): Ω(X) of each
-        T_0 space, its opens in (size, mask) order, and its symmetry, read off
-        the closed-join frames."""
+        """Each space's td-remark report: a T_0 space is symmetric iff Ω(X),
+        its opens in (size, mask) order, is, by its closed-join frame, or
+        TheoremViolation. A non-T_0 space passes as skipped-not-t0: the
+        subspace/sublocale correspondence behind the remark needs the T_D
+        property, which finite T_0 spaces have."""
         rings = {k: (masks, unpack_rows(masks, space.points))
                  for k, space in enumerate(self.spaces) if self.symmetry[k][0]
                  for masks in [_by_size(space.opens)]}
@@ -260,30 +270,6 @@ def space_structures(spaces: Iterable[FiniteSpace],
             yield from (SpaceStructure(s, k, batches) for k, s in enumerate(batches.spaces))
         chunk.append(space)
         cells += size
-
-
-def space_proposition_check(space: FiniteSpace,
-                            budget: Optional[int] = None) -> SpacePropositionReport:
-    """Symmetry of the space against four lattice-side readings, on a stack of one.
-
-    (1) the specialization preorder is symmetric; (2) the unions of closed
-    sets form a Boolean algebra; (3) that lattice is weakly subfit, checked
-    through the same abstract-frame code path the locale side uses; (4)
-    every proper open subspace sits inside a proper union of closed sets;
-    (5) the same for dense proper opens, an open being dense when it meets
-    every nonempty open. All five verdicts must agree, or EquivalenceViolation.
-    """
-    return next(space_structures([space], budget)).proposition()
-
-
-def td_remark_check(space: FiniteSpace) -> CheckReport:
-    """For T_0 spaces, the space is symmetric iff its open-set frame is, on a stack of one.
-
-    A non-T_0 space passes as skipped-not-t0: the subspace/sublocale
-    correspondence behind the statement needs the T_D property, which finite
-    T_0 spaces satisfy. Disagreement raises TheoremViolation.
-    """
-    return next(space_structures([space])).td_remark()
 
 
 def space_from_preorder(rows: tuple[int, ...]) -> FiniteSpace:

@@ -430,13 +430,3 @@ def closed_open_outcomes(frames: Iterable[FiniteFrame]) -> list[tuple[CheckRepor
             complements[ks[g]] = CheckReport.failed("closed-open-complements",
                                                     f"{law} at {frames[ks[g]].labels[at]}")
     return list(zip(identities, complements))
-
-
-def closed_open_identities_check(frame: FiniteFrame) -> CheckReport:
-    """The closed/open identities of one frame, on a stack of one."""
-    return closed_open_outcomes([frame])[0][0]
-
-
-def closed_open_complements_report(frame: FiniteFrame) -> CheckReport:
-    """c(a) and o(a) are complements in S(L) for every a, on a stack of one."""
-    return closed_open_outcomes([frame])[0][1]

@@ -811,7 +811,7 @@ def first_uncomplemented(space):
 
 
 def per_space_proposition(space, budget=None) -> SpacePropositionReport:
-    """space_proposition_check by the per-space route: the specialization's
+    """The space-proposition report by the per-space route: the specialization's
     own symmetry, complements looked up among the closed sets, which must be
     the complements of the saturated sets, weak subfitness by a loop over
     `generic_set_frame`, covering by loops over the masks, and density through
@@ -851,7 +851,7 @@ def per_space_proposition(space, budget=None) -> SpacePropositionReport:
 
 
 def per_space_td_remark(space) -> CheckReport:
-    """td_remark_check by the per-space route: a T_0 space's own symmetry
+    """The td-remark report by the per-space route: a T_0 space's own symmetry
     against that of Ω(X), built by `generic_set_frame` and read by
     `per_item_symmetric`; disagreement raises TheoremViolation."""
     if not is_t0(space):

@@ -13,7 +13,7 @@ import pytest
 
 from localekit import checks, cli, corpus
 from localekit import realline as rl
-from localekit import separation, spaces, sublocales
+from localekit import spaces, sublocales
 
 from oracles import find_order_isomorphism
 
@@ -21,6 +21,11 @@ from oracles import find_order_isomorphism
 @pytest.fixture(scope="module")
 def corpus6():
     return list(corpus.iter_distributive_frames(6))
+
+
+def _one(frame):
+    """frame as a batch of one: the FrameStructure a single-input command reads."""
+    return next(checks.frame_structures([frame]))
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -32,7 +37,7 @@ def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
 def test_01_frame_laws_on_labeled_corpus(corpus6):
     started = time.monotonic()
     failures = [(name, report) for name, frame in corpus6
-                for report in [checks.frame_laws(frame)] if not report.ok]
+                for report in [_one(frame).frame_laws()] if not report.ok]
     elapsed = time.monotonic() - started
     ok = not failures and elapsed < 60.0
     _verdict(1, "frame laws on every labeled distributive lattice <= 6",
@@ -44,10 +49,8 @@ def test_01_frame_laws_on_labeled_corpus(corpus6):
 def test_02_sublocale_coframe_and_identities(corpus6):
     failures = []
     for name, frame in corpus6:
-        lattice = sublocales.all_sublocales(frame)
-        for report in (lattice.laws,
-                       sublocales.closed_open_identities_check(frame),
-                       sublocales.closed_open_complements_report(frame)):
+        lattice, item = sublocales.all_sublocales(frame), _one(frame)
+        for report in (lattice.laws, item.closed_open(0), item.closed_open(1)):
             if not report.ok:
                 failures.append((name, report))
     _verdict(2, "S(L) coframe law and the four closed/open identities",
@@ -66,7 +69,7 @@ def test_03_closed_join_frame_law(corpus6):
 def test_04_subfit_boolean_correspondence(corpus6):
     violations = []
     for name, frame in corpus6:
-        report = separation.subfit_correspondence_check(frame)  # TheoremViolation on a breach
+        report = checks.LATTICE_CHECKS["ppt"](_one(frame))  # TheoremViolation on a breach
         if not report.ok:
             violations.append((name, report))
     _verdict(4, "subfit iff closed joins complemented, with coincidence",
@@ -78,8 +81,9 @@ def test_05_symmetry_equivalence_and_cover_formula(corpus6):
     violations = []
     applicable = 0
     for name, frame in corpus6:
-        separation.is_symmetric(frame)  # EquivalenceViolation on a breach
-        pc = separation.pseudocomplement_formula_check(frame)
+        item = _one(frame)
+        item.separation("symmetric")  # EquivalenceViolation on a breach
+        pc = item.separation("pcformula")
         applicable += pc.witness != "not-applicable"
         if not pc.ok:
             violations.append((name, pc))
@@ -134,8 +138,9 @@ def test_08_space_proposition_exhaustive():
         for space in spaces.enumerate_topologies(n):
             if n == 4:
                 count_at_four += 1
-            spaces.space_proposition_check(space)  # EquivalenceViolation on a breach
-            td = spaces.td_remark_check(space)  # TheoremViolation on a breach
+            item = next(spaces.space_structures([space]))
+            item.proposition()  # EquivalenceViolation on a breach
+            td = item.td_remark()  # TheoremViolation on a breach
             if not td.ok:
                 violations.append((n, td))
     elapsed = time.monotonic() - started
@@ -157,15 +162,15 @@ def test_09_named_instance_regressions():
         cjf.frame.leq[i, j] for i in range(3) for j in range(i, 3))
     checks_ok.append(("closed joins of the 3-chain form a 3-chain", chain_like))
     checks_ok.append(("that chain is not weakly subfit",
-                      not separation.is_weakly_subfit(cjf.frame).holds))
+                      not _one(cjf.frame).separation("weakly_subfit").holds))
     checks_ok.append(("3-chain is not subfit",
-                      not separation.is_subfit(c3).holds))
+                      not _one(c3).separation("subfit").holds))
     checks_ok.append(("3-chain is not symmetric",
-                      not separation.is_symmetric(c3).holds))
+                      not _one(c3).separation("symmetric").holds))
     checks_ok.append(("Boolean square is subfit",
-                      separation.is_subfit(b2).holds))
+                      _one(b2).separation("subfit").holds))
     checks_ok.append(("Boolean square is symmetric",
-                      separation.is_symmetric(b2).holds))
+                      _one(b2).separation("symmetric").holds))
     checks_ok.append(("closed joins of the square reproduce the square",
                       find_order_isomorphism(
                           sublocales.closed_join_frame(b2).frame, b2) is not None))
@@ -173,7 +178,7 @@ def test_09_named_instance_regressions():
     checks_ok.append(("pair frame over the 3-chain has 4 elements",
                       pairs.n == 4))
     try:
-        separation.subfit_correspondence_check(pairs)
+        checks.LATTICE_CHECKS["ppt"](_one(pairs))
         checks_ok.append(("pair frame passes the correspondence check", True))
     except Exception:  # noqa: BLE001 - verdict recorded below
         checks_ok.append(("pair frame passes the correspondence check", False))

@@ -106,6 +106,21 @@ class TestCliCommands:
         assert cli.main(["separation", c3_file, "--axiom", "symmetric"]) == 1
         assert cli.main(["separation", c3_file, "--axiom", "pcformula"]) == 0
 
+    def test_single_input_is_a_batch_of_one(self, c3_file, sier_file, monkeypatch, capsys):
+        """A single-input command builds the batches a campaign chunk does, once."""
+        built = []
+
+        def counted(name, build):
+            return lambda *args: built.append(name) or build(*args)
+        for module, name in ((spaces, "_Chunk"), (sub, "closed_join_frames"),
+                             (separation, "SeparationBattery")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        assert cli.main(["spaces", "check", sier_file]) == 1
+        assert built == ["_Chunk"]
+        built.clear()
+        assert cli.main(["separation", c3_file, "--axiom", "symmetric"]) == 1
+        assert sorted(built) == ["SeparationBattery", "closed_join_frames"]
+
     def test_sublocales_listing(self, c3_file, capsys):
         assert cli.main(["sublocales", c3_file]) == 0
         out = capsys.readouterr().out
@@ -396,9 +411,9 @@ class TestCampaigns:
 
         for module, name in builders:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        for module in (sub, separation):  # no S(L) or closed-join frame is built one item at a time
-            monkeypatch.setattr(module, "all_sublocales", None)
-            monkeypatch.setattr(module, "closed_join_frame", None)
+        # no S(L) or closed-join frame is built one item at a time
+        monkeypatch.setattr(sub, "all_sublocales", None)
+        monkeypatch.setattr(sub, "closed_join_frame", None)
         monkeypatch.setattr(common, "STACK_CELLS", 200)  # 12 chunks of 3 frames at n = 4
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == whole

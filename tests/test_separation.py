@@ -3,18 +3,22 @@ from random import Random
 import numpy as np
 import pytest
 
-from localekit import checks, corpus, separation
+from localekit import checks, corpus, sublocales
 from localekit.common import CheckReport, TheoremViolation, settled
 from localekit.lattice import FiniteFrame, validate_frame
-from localekit.separation import (SeparationBattery, SeparationReport, is_subfit, is_symmetric,
-                                  is_weakly_subfit, pseudocomplement_formula_check,
-                                  subfit_correspondence_check)
+from localekit.separation import SeparationBattery, SeparationReport
 from localekit.sublocales import (SublocaleLattice, all_sublocales, closed_join_frame,
                                   closed_join_frames, dual_booleanization)
 
 from oracles import per_item_separation, tampered
 
 PARTS = ("subfit", "weakly_subfit", "symmetric", "ppt", "pcformula")
+PPT = checks.LATTICE_CHECKS["ppt"]
+
+
+def one(frame):
+    """frame as a batch of one, the FrameStructure a single-input command reads."""
+    return next(checks.frame_structures([frame]))
 
 
 def complemented(frame):
@@ -25,19 +29,19 @@ def complemented(frame):
 
 class TestSubfit:
     def test_boolean_square_holds(self, b2):
-        assert is_subfit(b2).holds
+        assert one(b2).separation("subfit").holds
 
     def test_chain3_fails_with_minimal_witness(self, c3):
-        report = is_subfit(c3)
+        report = one(c3).separation("subfit")
         assert not report.holds
         assert report.witness == (1, 0)
 
     def test_degenerate_holds_vacuously(self, c1):
-        assert is_subfit(c1).holds
+        assert one(c1).separation("subfit").holds
 
     def test_witness_rechecks(self, small_corpus):
         for frame in small_corpus:
-            report = is_subfit(frame)
+            report = one(frame).separation("subfit")
             if report.holds:
                 continue
             a, b = report.witness
@@ -49,21 +53,21 @@ class TestSubfit:
 
 class TestWeaklySubfit:
     def test_boolean_square_holds(self, b2):
-        assert is_weakly_subfit(b2).holds
+        assert one(b2).separation("weakly_subfit").holds
 
     def test_chain3_fails_at_middle(self, c3):
-        report = is_weakly_subfit(c3)
+        report = one(c3).separation("weakly_subfit")
         assert not report.holds
         assert report.witness == (1,)
 
     def test_closed_join_frame_of_chain3_fails(self, c3):
-        report = is_weakly_subfit(closed_join_frame(c3).frame)
+        report = one(closed_join_frame(c3).frame).separation("weakly_subfit")
         assert not report.holds
         assert report.witness_labels == ("c(1)",)
 
     def test_witness_rechecks(self, small_corpus):
         for frame in small_corpus:
-            report = is_weakly_subfit(frame)
+            report = one(frame).separation("weakly_subfit")
             if report.holds:
                 continue
             (a,) = report.witness
@@ -73,36 +77,36 @@ class TestWeaklySubfit:
 
 class TestSymmetric:
     def test_chain3_fails_on_open_middle(self, c3):
-        report = is_symmetric(c3)
+        report = one(c3).separation("symmetric")
         assert not report.holds
         assert report.witness_labels == ("1",)
         assert [c.holds for c in report.conditions] == [False, False, False]
 
     def test_boolean_square_holds(self, b2):
-        report = is_symmetric(b2)
+        report = one(b2).separation("symmetric")
         assert report.holds
         assert len(report.conditions) == 3
 
     def test_degenerate_holds(self, c1):
-        assert is_symmetric(c1).holds
+        assert one(c1).separation("symmetric").holds
 
     def test_grid_fails(self, grid):
-        assert not is_symmetric(grid).holds
+        assert not one(grid).separation("symmetric").holds
 
     def test_conditions_agree_on_corpus(self, small_corpus):
         for frame in small_corpus:
-            is_symmetric(frame)  # EquivalenceViolation would propagate
+            one(frame).separation("symmetric")  # EquivalenceViolation would propagate
 
 
 class TestCorrespondence:
     def test_boolean_square(self, b2):
-        assert subfit_correspondence_check(b2) == CheckReport.passed("ppt")
-        assert is_subfit(b2).holds and complemented(b2).all()
+        assert PPT(one(b2)) == CheckReport.passed("ppt")
+        assert one(b2).separation("subfit").holds and complemented(b2).all()
         assert {s.mask for s in dual_booleanization(b2)} == set(closed_join_frame(b2).masks)
 
     def test_chain3_consistent(self, c3):
-        assert subfit_correspondence_check(c3) == CheckReport.passed("ppt")
-        assert not is_subfit(c3).holds
+        assert PPT(one(c3)) == CheckReport.passed("ppt")
+        assert not one(c3).separation("subfit").holds
         cjf = closed_join_frame(c3)
         assert cjf.elements[int(complemented(c3).argmin())].label() == "{1,2}"
         assert len(cjf) == 3
@@ -110,38 +114,37 @@ class TestCorrespondence:
 
     def test_regular_pairs_of_chain3(self, c3):
         frame = corpus.named_frames()["pairs(chain3)"]
-        assert subfit_correspondence_check(frame).ok
-        assert not is_subfit(frame).holds and not complemented(frame).all()
+        assert PPT(one(frame)).ok
+        assert not one(frame).separation("subfit").holds and not complemented(frame).all()
 
     def test_disagreement_raises(self, c3, monkeypatch):
-        monkeypatch.setattr(separation, "is_subfit",
-                            lambda frame: SeparationReport("subfit", True))
+        monkeypatch.setattr(SeparationBattery, "subfit", property(  # every frame subfit
+            lambda battery: [SeparationReport("subfit", True)] * len(battery.frames)))
         with pytest.raises(TheoremViolation, match="^subfit=True but closed-join "
                                                    r"complementation=False; witness=\{1,2\}"):
-            subfit_correspondence_check(c3)
+            PPT(one(c3))
 
     def test_corpus_never_violates(self, small_corpus):
-        for frame in small_corpus:
-            lattice = all_sublocales(frame)
-            subfit_correspondence_check(frame, lattice)
+        for item in checks.frame_structures(small_corpus):  # one batch, as in a campaign
+            PPT(item)
 
 
 class TestPseudocomplementFormula:
     def test_boolean_square(self, b2):
-        assert pseudocomplement_formula_check(b2) == CheckReport.passed("pcformula")
+        assert one(b2).separation("pcformula") == CheckReport.passed("pcformula")
 
     def test_chain3_not_applicable(self, c3):
         # N/A counts as passing the guard
-        assert pseudocomplement_formula_check(c3) == CheckReport.passed("pcformula",
+        assert one(c3).separation("pcformula") == CheckReport.passed("pcformula",
                                                                         "not-applicable")
 
     def test_degenerate(self, c1):
-        assert pseudocomplement_formula_check(c1).ok
+        assert one(c1).separation("pcformula").ok
 
     def test_weakly_subfit_corpus_members_pass(self, small_corpus):
         applicable = 0
         for frame in small_corpus:
-            report = pseudocomplement_formula_check(frame)
+            report = one(frame).separation("pcformula")
             assert report.ok
             applicable += report.witness != "not-applicable"
         assert applicable  # the Boolean members are in the corpus
@@ -150,16 +153,16 @@ class TestPseudocomplementFormula:
 class TestImplications:
     def test_subfit_implies_weaker_axioms(self, small_corpus):
         for frame in small_corpus:
-            if is_subfit(frame).holds:
-                assert is_weakly_subfit(frame).holds
-                assert is_symmetric(frame).holds
+            if one(frame).separation("subfit").holds:
+                assert one(frame).separation("weakly_subfit").holds
+                assert one(frame).separation("symmetric").holds
 
     def test_finite_subfit_means_boolean(self, small_corpus):
         # On finite carriers the correspondence collapses subfitness to
         # complementedness; spot-check the equivalence both ways.
         for frame in small_corpus:
-            assert subfit_correspondence_check(frame).ok
-            assert is_subfit(frame).holds == complemented(frame).all()
+            assert PPT(one(frame)).ok
+            assert one(frame).separation("subfit").holds == complemented(frame).all()
 
 
 def outcome(read):
@@ -181,15 +184,6 @@ def stacked_route(frames):
 def per_item_route(frames):
     return [{part: outcome(lambda: settled(value))
              for part, value in per_item_separation(frame).items()} for frame in frames]
-
-
-def single_frame_route(frame):
-    """The battery's outcomes through the public functions, each a stack of one."""
-    return {"subfit": outcome(lambda: is_subfit(frame)),
-            "weakly_subfit": outcome(lambda: is_weakly_subfit(frame)),
-            "symmetric": outcome(lambda: is_symmetric(frame)),
-            "ppt": outcome(lambda: subfit_correspondence_check(frame)),
-            "pcformula": outcome(lambda: pseudocomplement_formula_check(frame))}
 
 
 def boolean_algebra(k):
@@ -227,11 +221,12 @@ class TestStackedBattery:
         assert {report["pcformula"].witness for report in got} == {"", "not-applicable"}
         assert {report["symmetric"].holds for report in got} == {True, False}
         for frame in list(tiny_corpus.values()) + frames[:200]:
-            assert single_frame_route(frame) == per_item_route([frame])[0]
+            assert stacked_route([frame]) == per_item_route([frame])  # a batch of one
 
     def test_symmetry_reports_match_per_condition(self, tiny_corpus):
         for frame in tiny_corpus.values():
-            got, want = is_symmetric(frame), per_item_separation(frame)["symmetric"]
+            got = one(frame).separation("symmetric")
+            want = per_item_separation(frame)["symmetric"]
             assert got == want and [c.witness for c in got.conditions] == [
                 c.witness for c in want.conditions]
 
@@ -307,7 +302,7 @@ class TestStackedBattery:
             symmetric = [condition.witness for condition in symmetric.conditions]
         assert symmetric == expected
 
-    def test_injected_complementation_fault(self, c3):
+    def test_injected_complementation_fault(self, c3, monkeypatch):
         # meet[1, 2] = 0 makes c(1) ∨ c(2) = L one way round in the closed-join
         # frame, so c(1) gains a complement there while c3 stays not subfit
         broken = tampered(c3, "meet", {(1, 2): 0})
@@ -316,10 +311,11 @@ class TestStackedBattery:
         battery = SeparationBattery([broken], lambda: closed_join_frames([broken]))
         assert outcome(lambda: settled(battery.ppt[0])) == expected
         lattice = all_sublocales(c3)  # the broken meet makes no S(L)
-        assert outcome(lambda: subfit_correspondence_check(broken, lattice)) == expected
+        monkeypatch.setattr(sublocales, "sublocale_lattices", lambda frames, budget: [lattice])
+        assert outcome(lambda: PPT(one(broken))) == expected
         assert outcome(lambda: settled(per_item_separation(broken, lattice)["ppt"])) == expected
 
-    def test_injected_sublocale_fault(self, b2):
+    def test_injected_sublocale_fault(self, b2, monkeypatch):
         # an S(L) whose second member row is {0, 3}, not the closed {1, 3}
         lattice = all_sublocales(b2)
         rows = lattice.rows.copy()
@@ -328,5 +324,6 @@ class TestStackedBattery:
         expected = ("TheoremViolation", "subfit frame where closed joins differ from the dual "
                                          "Booleanization: closed joins ['O', '{1,3}', '{2,3}', "
                                          "'L'] vs fixed points ['O', '{0,3}', '{2,3}', 'L']")
-        assert outcome(lambda: subfit_correspondence_check(b2, broken)) == expected
+        monkeypatch.setattr(sublocales, "sublocale_lattices", lambda frames, budget: [broken])
+        assert outcome(lambda: PPT(one(b2))) == expected
         assert outcome(lambda: settled(per_item_separation(b2, broken)["ppt"])) == expected

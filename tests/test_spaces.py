@@ -4,17 +4,25 @@ from itertools import product
 import numpy as np
 import pytest
 
-from localekit import common, spaces
+from localekit import checks, common, spaces
 from localekit.common import BudgetExceeded, CheckReport, TheoremViolation
-from localekit.separation import is_symmetric
 from localekit.spaces import (FiniteSpace, InvalidTopology, bitstring, discrete,
                               enumerate_topologies, indiscrete, omega, sierpinski,
-                              space_from_preorder, space_proposition_check, space_structures,
-                              td_remark_check, uc_lattice)
+                              space_from_preorder, space_structures, uc_lattice)
 
 from oracles import (_raised, brute_topologies, closed_sets, closure_of, find_order_isomorphism,
                      first_uncomplemented, generic_set_frame, is_symmetric_space, is_t0,
                      per_space_proposition, per_space_td_remark, saturated_sets)
+
+
+def alone(space):
+    """space as a chunk of one: the SpaceStructure `spaces check` reads."""
+    return next(space_structures([space]))
+
+
+def frame_symmetry(frame):
+    """The symmetry report of frame as a batch of one."""
+    return next(checks.frame_structures([frame])).separation("symmetric")
 
 
 class TestFiniteSpace:
@@ -212,7 +220,7 @@ class TestRingOfSetsFrames:
 
 class TestSpaceProposition:
     def test_sierpinski_all_false(self):
-        report = space_proposition_check(sierpinski())
+        report = alone(sierpinski()).proposition()
         assert not report.holds
         by_name = {c.name: c for c in report.conditions}
         assert by_name["proper-opens-covered"].witness == "01"
@@ -220,22 +228,22 @@ class TestSpaceProposition:
 
     def test_discrete_all_true(self):
         for n in range(3):
-            assert space_proposition_check(discrete(n)).holds
+            assert alone(discrete(n)).proposition().holds
 
     def test_indiscrete_is_symmetric(self):
-        assert space_proposition_check(indiscrete(2)).holds
+        assert alone(indiscrete(2)).proposition().holds
 
     def test_empty_space_vacuous(self):
-        assert space_proposition_check(FiniteSpace(0, (0,))).holds
+        assert alone(FiniteSpace(0, (0,))).proposition().holds
 
     def test_agreement_up_to_three_points(self):
         for n in range(4):
             for space in enumerate_topologies(n):
-                space_proposition_check(space)  # EquivalenceViolation would raise
+                alone(space).proposition()  # EquivalenceViolation would raise
 
     def test_agreement_on_sampled_five_point_spaces(self):
         for space in sampled_five_point_spaces():
-            space_proposition_check(space)
+            alone(space).proposition()
 
 
 class TestStackedStructures:
@@ -269,6 +277,18 @@ class TestStackedStructures:
         big = [discrete(7), sierpinski(), discrete(7)]  # 128^3 cells each: one a chunk
         assert [len(chunk.spaces) for chunk, _ in itertools.groupby(
             space_structures(big), key=lambda item: item._chunk)] == [1, 1, 1]
+
+    def test_one_specialization_per_stack(self, monkeypatch):
+        """Both checks read one specialization per (points, opens) stack: the
+        symmetry and the saturated-set cross-check share it."""
+        order, stacks = spaces.containment_order, []
+        monkeypatch.setattr(spaces, "containment_order",
+                            lambda rows: stacks.append(len(rows)) or order(rows))
+        items = list(space_structures(enumerate_topologies(3)))
+        for item in items:
+            item.proposition(), item.td_remark()
+        chunks = {id(item._chunk): item._chunk for item in items}.values()
+        assert stacks == [len(ks) for chunk in chunks for ks, *_ in chunk.stacks]
 
 class TestOmega:
     def test_sierpinski_gives_three_chain(self, c3):
@@ -314,16 +334,17 @@ class TestEnumeration:
 
 class TestTdRemark:
     def test_sierpinski_agrees_on_false(self):
-        assert td_remark_check(sierpinski()) == CheckReport.passed("td-remark")
+        assert alone(sierpinski()).td_remark() == CheckReport.passed("td-remark")
         assert not is_symmetric_space(sierpinski())[0]
-        assert not is_symmetric(omega(sierpinski())).holds
+        assert not frame_symmetry(omega(sierpinski())).holds
 
     def test_discrete_agrees_on_true(self):
-        assert td_remark_check(discrete(2)) == CheckReport.passed("td-remark")
-        assert is_symmetric_space(discrete(2))[0] and is_symmetric(omega(discrete(2))).holds
+        assert alone(discrete(2)).td_remark() == CheckReport.passed("td-remark")
+        assert is_symmetric_space(discrete(2))[0] and frame_symmetry(omega(discrete(2))).holds
 
     def test_skips_non_t0(self):
-        assert td_remark_check(indiscrete(2)) == CheckReport.passed("td-remark", "skipped-not-t0")
+        assert alone(indiscrete(2)).td_remark() == CheckReport.passed("td-remark",
+                                                                      "skipped-not-t0")
 
     def test_disagreement_raises(self, monkeypatch):
         # the space read as discrete, so T_0 and symmetric, while Ω is the 3-chain
@@ -332,9 +353,9 @@ class TestTdRemark:
                                                          rows.shape[:-1] + rows.shape[-2:-1]))
         with pytest.raises(TheoremViolation,
                            match=r"^space symmetry True but locale symmetry False on "):
-            td_remark_check(sierpinski())
+            alone(sierpinski()).td_remark()
 
     def test_all_t0_spaces_up_to_three_points(self):
         for n in range(4):
             for space in enumerate_topologies(n, t0_only=True):
-                assert td_remark_check(space) == CheckReport.passed("td-remark")
+                assert alone(space).td_remark() == CheckReport.passed("td-remark")

@@ -12,8 +12,7 @@ from localekit.common import BudgetExceeded, bits, pack_rows, settled, unpack_ro
 from localekit.lattice import FiniteFrame, cover_pairs, validate_frame
 from localekit.sublocales import (ClosedJoinFrame, MixedParents, Sublocale,
                                   all_sublocales, closed_join_frame, closed_join_frames,
-                                  closed_open_complements_report,
-                                  closed_open_identities_check, closed_open_outcomes,
+                                  closed_open_outcomes,
                                   closed_sublocale, dual_booleanization,
                                   is_sublocale, mask_of, meet_closure,
                                   open_sublocale, primes, sublocale_lattices,
@@ -24,6 +23,11 @@ from oracles import (brute_closed_join_elements, brute_primes, brute_sublocales,
                      generic_closed_open_identities, generic_sublocale_laws, least_upper_bounds,
                      meet_close, per_item_complements, per_item_identities, per_item_sublocales,
                      sublocale_join, sublocale_witness, tampered)
+
+
+def closed_open(frame, part):
+    """The identities (0) or complements (1) report of frame as a batch of one."""
+    return next(checks.frame_structures([frame])).closed_open(part)
 
 
 def raised(action):
@@ -104,7 +108,7 @@ class TestClosedAndOpen:
 
     def test_complements(self, small_corpus):
         for frame in small_corpus:
-            assert closed_open_complements_report(frame).ok
+            assert closed_open(frame, 1).ok
 
 
 class TestMeetClosure:
@@ -351,10 +355,10 @@ class TestAntitoneEmbedding:
 
     def test_bundled_check(self, small_corpus):
         from localekit.checks import sublocale_laws
-        for frame in small_corpus[:40]:
-            assert sublocale_laws(frame).ok
+        for item in checks.frame_structures(small_corpus[:40]):
+            assert sublocale_laws(item).ok
 
-    def test_bundled_check_names_the_first_broken_pair(self, c3):
+    def test_bundled_check_names_the_first_broken_pair(self, c3, monkeypatch):
         """One tampered order entry of chain3, with S(L) and the complements
         report of the clean frame, so the antitone embedding is what breaks."""
         from localekit.checks import sublocale_laws
@@ -364,7 +368,10 @@ class TestAntitoneEmbedding:
         # c(b) ⊆ c(a) iff everything above b is above a; a <= b must say the same
         expected = next((a, b) for a in range(3) for b in range(3)
                         if leq[a, b] != all(leq[a, k] for k in range(3) if leq[b, k]))
-        report = sublocale_laws(frame, all_sublocales(c3), closed_open_complements_report(c3))
+        lattice, reports = all_sublocales(c3), closed_open_outcomes([c3])
+        monkeypatch.setattr(sublocales, "sublocale_lattices", lambda frames, budget: [lattice])
+        monkeypatch.setattr(sublocales, "closed_open_outcomes", lambda frames: reports)
+        report = sublocale_laws(next(checks.frame_structures([frame])))
         assert (report.name, report.ok) == ("sublocale-laws", False)
         a, b = (c3.labels[v] for v in expected)
         assert report.witness == f"antitone embedding breaks at ({a},{b})"
@@ -518,7 +525,7 @@ class TestSublocaleLattices:
         batch = good[:position] + broken + good[position:]
         expected = [per_item_identities(frame) for frame in batch]
         assert [identities for identities, _ in closed_open_outcomes(batch)] == expected
-        assert [closed_open_identities_check(frame) for frame in batch] == expected
+        assert [closed_open(frame, 0) for frame in batch] == expected
         assert [report.ok for report in expected] == [True] * position + [False] * 4 + [
             True] * (3 - position)
 
@@ -532,7 +539,7 @@ class TestSublocaleLattices:
         batch = good[:position] + broken + good[position:]
         expected = [per_item_complements(frame) for frame in batch]
         assert [complements for _, complements in closed_open_outcomes(batch)] == expected
-        assert [closed_open_complements_report(frame) for frame in batch] == expected
+        assert [closed_open(frame, 1) for frame in batch] == expected
         assert [report.witness for report in expected if not report.ok] == [
             "c∨o ≠ L at 1", "c∩o ≠ O at 0", "c∨o ≠ L at (3,1)", "c∨o ≠ L at 3"]
 
@@ -715,13 +722,13 @@ class TestIdentitiesAndDualBooleanization:
     def test_identities_hold_on_corpus(self, tiny_corpus):
         frames = [frame for _, frame in corpus.iter_distributive_frames(6)]
         for frame in frames + list(tiny_corpus.values()):
-            assert closed_open_identities_check(frame).ok
+            assert closed_open(frame, 0).ok
             assert generic_closed_open_identities(frame).ok
 
     def test_twelve_elements_agree_with_the_family_oracle(self, tiny_corpus):
         frame = tiny_corpus["bool2xchain3"]  # 4,096 families
         assert frame.n == 12
-        assert closed_open_identities_check(frame) == generic_closed_open_identities(frame)
+        assert closed_open(frame, 0) == generic_closed_open_identities(frame)
 
     def test_every_single_entry_change_the_families_catch_fails(self, tiny_corpus):
         frames = [frame for _, frame in corpus.iter_distributive_frames(4)]
@@ -737,7 +744,7 @@ class TestIdentitiesAndDualBooleanization:
                             if generic_closed_open_identities(broken).ok:
                                 continue
                             caught += 1
-                            if closed_open_identities_check(broken).ok:
+                            if closed_open(broken, 0).ok:
                                 missed.append((k, table, a, b, value))
         assert missed == []
         assert caught > 0
@@ -755,14 +762,14 @@ class TestIdentitiesAndDualBooleanization:
     def test_tampered_tables_name_the_first_witness(self, tiny_corpus, name, table, a, b,
                                                     value, identities, complements):
         frame = tampered(tiny_corpus[name], table, {(a, b): value})
-        assert closed_open_identities_check(frame).witness == identities
-        assert closed_open_complements_report(frame).witness == complements
+        assert closed_open(frame, 0).witness == identities
+        assert closed_open(frame, 1).witness == complements
 
     def test_an_order_with_no_bottom_names_the_nullary_law(self, c3):
         leq = c3.leq.copy()
         leq[0, 1] = False  # c(0) is no longer L
         frame = FiniteFrame(leq, c3.meet, c3.join, c3.imp, c3.labels)
-        assert closed_open_identities_check(frame).witness == "c(0) ≠ L"
+        assert closed_open(frame, 0).witness == "c(0) ≠ L"
         assert generic_closed_open_identities(frame).witness == "⋂c over ()"
 
     def test_chain3_every_sublocale_is_fixed(self, c3):
