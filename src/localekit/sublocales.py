@@ -204,15 +204,14 @@ class SublocaleLattice:
         return CheckReport.passed("coframe-law")
 
 
-def supplement(s: Sublocale, lattice: Optional[SublocaleLattice] = None) -> Sublocale:
-    """S^#: the least sublocale joining S to the whole frame.
+def supplement(s: Sublocale, lattice: SublocaleLattice) -> Sublocale:
+    """S^#: the least sublocale joining S to the whole frame, read in S(L).
 
     For S = M(Y) it is M(P ∖ Y): the join M(Y ∪ Z) is L iff Z contains P ∖ Y.
     """
-    lat = lattice if lattice is not None else all_sublocales(s.parent)
-    if lat.parent is not s.parent:
+    if lattice.parent is not s.parent:
         raise MixedParents("lattice belongs to a different frame")
-    return lat.sublocales[int(lat.supplements[lat.index[s.mask]])]
+    return lattice.sublocales[int(lattice.supplements[lattice.index[s.mask]])]
 
 
 def primes(frame: FiniteFrame) -> tuple[int, ...]:
@@ -388,12 +387,12 @@ def closed_join_frame(parent: FiniteFrame) -> ClosedJoinFrame:
     return settled(closed_join_frames([parent])[0])
 
 
-def dual_booleanization(frame: FiniteFrame,
-                        lattice: Optional[SublocaleLattice] = None) -> tuple[Sublocale, ...]:
-    """Fixed points of the double supplement inside S(L): the Booleanization
-    of its order-dual, where the supplement is the pseudocomplement. S(L) ≅
-    2^P is Boolean and M(Y)^# = M(P ∖ Y), so every sublocale is fixed."""
-    return (lattice if lattice is not None else all_sublocales(frame)).sublocales
+def dual_booleanization(frame: FiniteFrame, lattice: SublocaleLattice) -> tuple[Sublocale, ...]:
+    """Fixed points of the double supplement inside lattice, frame's S(L):
+    the Booleanization of its order-dual, where the supplement is the
+    pseudocomplement. S(L) ≅ 2^P is Boolean and M(Y)^# = M(P ∖ Y), so every
+    sublocale is fixed."""
+    return lattice.sublocales
 
 
 def closed_open_outcomes(frames: Iterable[FiniteFrame]) -> list[tuple[CheckReport, CheckReport]]:

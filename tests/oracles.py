@@ -16,8 +16,8 @@ import numpy as np
 from localekit import realline as rl
 from localekit.common import (CheckReport, EquivalenceViolation, TheoremViolation, bits,
                              pack_rows, unpack_rows, within_budget)
-from localekit.corpus import iter_natural_posets
-from localekit.lattice import FiniteFrame, order_closure, validate_frames
+from localekit.corpus import iter_natural_posets, labeled_lattice_rows
+from localekit.lattice import FiniteFrame, order_closure, validate_frame, validate_frames
 from localekit.spaces import SpacePropositionReport, bitstring
 from localekit.separation import ConditionVerdict, SeparationReport
 from localekit.sublocales import (MixedParents, Sublocale, all_sublocales, closed_join_frame,
@@ -243,6 +243,14 @@ def natural_labeled_lattices(n, distributive_only=False):
         if brute_is_lattice(leq) and (not distributive_only or brute_is_distributive(leq)):
             natural.append(up)
     return _labeled_closure(natural, n)
+
+
+def per_item_corpus(max_size: int):
+    """The labeled corpus as (name, frame), one validate_frame per labeled
+    row on that row's own order: no canonical order is shared between items."""
+    for n in range(1, max_size + 1):
+        for k, rows in enumerate(labeled_lattice_rows(n, distributive_only=True)):
+            yield f"dist{n}:{k:04d}", validate_frame(rows_to_leq(rows))
 
 
 def _linear_extensions(up: tuple[int, ...], downsets: list[int]) -> int:

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from localekit import common, corpus, realline as rl
-from localekit.lattice import validate_frame
+from localekit.common import pack_rows
+from localekit.lattice import (InvalidPoset, NotALattice, NotDistributive, order_closure,
+                               validate_frame)
 
 from oracles import (_permuted_rows, brute_is_distributive, brute_labeled_lattices,
-                     labeled_distributive_count, natural_labeled_lattices, rows_to_leq)
+                     hexagon_leq, labeled_distributive_count, natural_labeled_lattices,
+                     per_item_corpus, rows_to_leq)
 
 
 def rows_to_rel(rows):
@@ -90,6 +93,55 @@ class TestLatticeEnumeration:
         monkeypatch.setattr(common, "STACK_CELLS", 200)  # 1 to 25 frames a chunk
         assert snapshot() == whole
         assert corpus.labeled_lattice_rows(5) == lattices
+
+    def test_matches_one_validation_per_item(self):
+        # Each distinct canonical order is validated once and its tables are
+        # shared; the oracle validates every labeled row on its own order.
+        def tables(items):
+            return [(name, frame.labels, *(getattr(frame, table).tobytes()
+                                           for table in ("leq", "meet", "join", "imp")))
+                    for name, frame in items]
+        assert tables(corpus.iter_distributive_frames(6)) == tables(per_item_corpus(6))
+
+    def test_validates_each_distinct_canonical_order_once(self, monkeypatch):
+        # 1, 2, 6, 36, 240, 2520 labeled frames over n(n - 1) placements of
+        # the bottom and top labels (one for n = 1).
+        validated, real = [], corpus.validate_frames
+
+        def counted(leqs, labels=None):
+            validated.append(len(leqs))
+            return real(leqs, labels)
+        monkeypatch.setattr(corpus, "validate_frames", counted)
+        assert sum(1 for _ in corpus.iter_distributive_frames(6)) == 2805
+        assert sum(validated) == 1 + 1 + 1 + 3 + 12 + 84
+
+    @pytest.mark.parametrize("cells", [common.STACK_CELLS, 200])
+    @pytest.mark.parametrize("first", [0, 1, 2])
+    def test_the_first_failing_row_raises_what_it_raises_alone(self, monkeypatch, cells, first):
+        # A non-lattice, a non-distributive and a non-transitive order among
+        # the real rows at n = 6 (every bounded poset on 5 elements is a
+        # lattice), each with its bottom at 2 and its top at 4, so a witness
+        # in canonical indices would not read as one in the row's own labels.
+        chain = order_closure(6, [(i, i + 1) for i in range(5)])
+        chain[1, 3] = False
+        relabel = [4, 2, 0, 1, 5, 3]
+        bad = [pack_rows(leq[np.ix_(relabel, relabel)]) for leq in (
+            hexagon_leq(), order_closure(6, [(0, 1), (1, 2), (0, 3), (2, 4), (3, 4), (4, 5)]),
+            chain)]
+        errors = (InvalidPoset, NotALattice, NotDistributive)
+        with pytest.raises(errors) as alone:
+            validate_frame(rows_to_leq(bad[first]))
+        real = corpus.labeled_lattice_rows
+        rows = real(6, distributive_only=True)
+        others = [row for k, row in enumerate(bad) if k != first]
+        rows = rows[:100] + bad[first:first + 1] + rows[100:1500] + others + rows[1500:]
+        monkeypatch.setattr(corpus, "labeled_lattice_rows", lambda n, distributive_only: (
+            rows if n == 6 else real(n, distributive_only)))
+        monkeypatch.setattr(common, "STACK_CELLS", cells)
+        with pytest.raises(errors) as raised:
+            list(corpus.iter_distributive_frames(6))
+        assert type(raised.value) is type(alone.value)
+        assert str(raised.value) == str(alone.value)
 
     def test_rows_unpack_to_their_order(self):
         for rows in corpus.labeled_lattice_rows(4):

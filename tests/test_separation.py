@@ -102,7 +102,8 @@ class TestCorrespondence:
     def test_boolean_square(self, b2):
         assert PPT(one(b2)) == CheckReport.passed("ppt")
         assert one(b2).separation("subfit").holds and complemented(b2).all()
-        assert {s.mask for s in dual_booleanization(b2)} == set(closed_join_frame(b2).masks)
+        dual = dual_booleanization(b2, all_sublocales(b2))
+        assert {s.mask for s in dual} == set(closed_join_frame(b2).masks)
 
     def test_chain3_consistent(self, c3):
         assert PPT(one(c3)) == CheckReport.passed("ppt")
@@ -110,7 +111,7 @@ class TestCorrespondence:
         cjf = closed_join_frame(c3)
         assert cjf.elements[int(complemented(c3).argmin())].label() == "{1,2}"
         assert len(cjf) == 3
-        assert len(dual_booleanization(c3)) == 4
+        assert len(dual_booleanization(c3, all_sublocales(c3))) == 4
 
     def test_regular_pairs_of_chain3(self, c3):
         frame = corpus.named_frames()["pairs(chain3)"]

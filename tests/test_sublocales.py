@@ -399,7 +399,7 @@ class TestSupplement:
             least = [np.flatnonzero(row & leq[:, row].all(axis=1)).tolist() for row in partners]
             assert least == [[t] for t in lattice.supplements.tolist()]
             assert (lattice.supplements[lattice.supplements] == np.arange(len(lattice))).all()
-            assert dual_booleanization(frame) == lattice.sublocales
+            assert dual_booleanization(frame, lattice) == lattice.sublocales
 
 
 def hand_frame(leq):
@@ -773,15 +773,15 @@ class TestIdentitiesAndDualBooleanization:
         assert generic_closed_open_identities(frame).witness == "⋂c over ()"
 
     def test_chain3_every_sublocale_is_fixed(self, c3):
-        fixed = dual_booleanization(c3)
+        fixed = dual_booleanization(c3, all_sublocales(c3))
         assert len(fixed) == 4
 
     def test_square_coincides_with_closed_joins(self, b2):
-        fixed = {s.mask for s in dual_booleanization(b2)}
+        fixed = {s.mask for s in dual_booleanization(b2, all_sublocales(b2))}
         assert fixed == set(closed_join_frame(b2).masks)
 
     def test_degenerate(self, c1):
-        fixed = dual_booleanization(c1)
+        fixed = dual_booleanization(c1, all_sublocales(c1))
         assert [s.mask for s in fixed] == [1]
 
     def test_distributive_iff_dually_distributive(self, small_corpus):
