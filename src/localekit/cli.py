@@ -30,7 +30,7 @@ from pathlib import Path
 from random import Random
 from typing import Optional
 
-from . import checks, corpus, io, realline as rl, spaces as sp, sublocales as sub
+from . import checks, corpus, io, realline as rl, spaces as sp
 from .common import (PASS, FAIL, VIOLATION, BudgetExceeded, CheckReport, EquivalenceViolation,
                      TheoremViolation, within_budget)
 from .lattice import NotALattice, NotDistributive, cover_pairs
@@ -130,7 +130,8 @@ def _check_frame(args, report: Report) -> None:
 
 
 def _sublocales(args, report: Report) -> None:
-    lattice = sub.all_sublocales(io.load_lattice_text(Path(args.file).read_text()), args.budget)
+    frame = io.load_lattice_text(Path(args.file).read_text())
+    lattice = next(checks.frame_structures([frame], args.budget)).lattice
     report.human_lines.append(f"{len(lattice)} sublocales")
     for i, s in enumerate(lattice.sublocales):
         report.add(human=f"  {s.label()}", item=f"sublocale:{i}", label=s.label(), verdict=PASS)
@@ -138,7 +139,8 @@ def _sublocales(args, report: Report) -> None:
 
 
 def _closed_joins(args, report: Report) -> None:
-    cjf = sub.closed_join_frame(io.load_lattice_text(Path(args.file).read_text(), args.budget))
+    frame = io.load_lattice_text(Path(args.file).read_text(), args.budget)
+    cjf = next(checks.frame_structures([frame])).closed_joins
     report.human_lines.append(f"{len(cjf)} joins of closed sublocales")
     for i in range(len(cjf)):
         report.add(human=f"  {cjf.frame.labels[i]} = {cjf.elements[i].label()}",
@@ -205,10 +207,10 @@ def _export_dot(args, report: Report) -> int:
         return 2
     if args.target == "hasse":
         sys.stdout.write(io.dot_hasse(loaded))
-    elif args.target == "sublocales":
-        sys.stdout.write(io.dot_sublocales(sub.all_sublocales(loaded, args.budget)))
-    else:
-        sys.stdout.write(io.dot_closed_joins(sub.closed_join_frame(loaded)))
+        return 0
+    item = next(checks.frame_structures([loaded], args.budget))
+    sys.stdout.write(io.dot_sublocales(item.lattice) if args.target == "sublocales"
+                     else io.dot_closed_joins(item.closed_joins))
     return 0
 
 

@@ -28,7 +28,7 @@ among those of its size, unique when the order is antisymmetric and proved
 by comparing packed uint64 down-set words, exact at any width. A stack of
 one is `validate_frame`; `stacked` reads a run of one call's frames back as
 views, and `by_size` gives the stacks of a batch of mixed carrier sizes.
-`set_frame` reads a ring of sets' tables off ∩ and ∪ instead. Every
+`set_frames` reads the tables of rings of sets off ∩ and ∪ instead. Every
 failure is named in the one witness order of `common.first_failures`: the
 first law that fails, at its first entry in row-major order.
 """
@@ -36,11 +36,11 @@ first law that fails, at its first entry in row-major order.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .common import first_failures, grouped, pack_rows, settled, within_budget
+from .common import first_failures, grouped, pack_rows, within_budget
 
 
 class InvalidPoset(ValueError):
@@ -90,7 +90,7 @@ class FiniteFrame:
 
     leq is a read-only boolean matrix, leq[i, j] iff i <= j, with the bottom
     at 0 and the top at n-1. Not constructed directly; use validate_frame or
-    validate_frames, set_frame for a ring of sets, or
+    validate_frames, set_frames for rings of sets, or
     sublocales.closed_join_frames, which reads a validated frame upside down.
     Instances are immutable (tables carry read-only numpy flags) and safe to
     share between workers. `stack` is (tables by name, k) when they are row k of a batch.
@@ -115,16 +115,8 @@ class FiniteFrame:
         """up_masks[i]: bitmask of {k : i <= k}."""
         return pack_rows(self.leq)
 
-    def label(self, i: int) -> str:
-        return self.labels[i]
-
     def __repr__(self):
         return f"FiniteFrame(n={self.n})"
-
-
-class PseudocomplementResult(NamedTuple):
-    value: int
-    is_dense: bool
 
 
 def containment_order(rows):
@@ -394,11 +386,6 @@ def set_frames(rows: Sequence[np.ndarray], labels: Sequence[Sequence[str]]) -> l
     return built
 
 
-def set_frame(rows, labels: Sequence[str]) -> FiniteFrame:
-    """The frame of one ring of sets: set_frames on a stack of one, raising what it raises."""
-    return settled(set_frames([np.asarray(rows, dtype=bool)], [labels])[0])
-
-
 def validate_frame(leq, labels: Optional[Sequence[str]] = None,
                    max_size: Optional[int] = None) -> FiniteFrame:
     """Check an order relation (n, n) is a frame and precompute its tables.
@@ -414,26 +401,13 @@ def validate_frame(leq, labels: Optional[Sequence[str]] = None,
     return validate_frames(leq[None], None if labels is None else [labels])[0]
 
 
-def heyting(frame: FiniteFrame, a: int, b: int) -> int:
-    """Largest x with a ∧ x <= b (table lookup on a validated frame)."""
-    n = frame.n
-    if not (0 <= a < n and 0 <= b < n):
-        raise IndexError(f"element out of range for carrier {n}")
-    return int(frame.imp[a, b])
-
-
-def pseudocomplement(frame: FiniteFrame, a: int) -> PseudocomplementResult:
-    """a* = a -> 0, together with the density flag (a is dense iff a* = 0)."""
-    value = heyting(frame, a, frame.bottom)
-    return PseudocomplementResult(value, value == frame.bottom)
-
-
 class BooleanizationView:
     """The regular elements of a frame, with their own regularized joins.
 
     The carrier is {a : a** = a} = {a* : a in L}; both characterizations are
-    computed and must agree. Meets are the parent's, the join of a family is
-    the parent join followed by double pseudocomplementation.
+    computed and must agree. Meets are the parent's; join_table[i, j], the
+    join of carrier[i] and carrier[j], is their parent join followed by
+    double pseudocomplementation.
     """
 
     def __init__(self, parent: FiniteFrame):
@@ -446,36 +420,9 @@ class BooleanizationView:
             raise AssertionError("regular elements not closed under meet")
         table = star[star[parent.join[fixed[:, None], fixed]]]
         table.flags.writeable = False
-        self.parent = parent
-        self.carrier = tuple(fixed.tolist())
-        self.position = {a: i for i, a in enumerate(self.carrier)}
-        self.join_table = table
+        self.carrier, self.join_table = tuple(fixed.tolist()), table
         if not (regular[parent.bottom] and regular[parent.top]):
             raise AssertionError("regular elements must contain 0 and 1")
-
-    def join(self, *elements: int) -> int:
-        """Join in the view (parent elements in, parent element out)."""
-        return self.join_family(elements)
-
-    def join_family(self, elements: Iterable[int]) -> int:
-        acc = self.parent.bottom
-        for a in elements:
-            if a not in self.position:
-                raise ValueError(f"{a} is not a regular element")
-            acc = int(self.parent.join[acc, a])
-        star = self.parent.star
-        return int(star[star[acc]])
-
-    @cached_property
-    def as_frame(self) -> FiniteFrame:
-        """The view as a standalone frame (a Boolean algebra)."""
-        sub = self.parent.leq[np.ix_(self.carrier, self.carrier)]
-        frame = validate_frame(sub, labels=[self.parent.labels[a] for a in self.carrier])
-        # Carrier is ascending with parent bottom/top at the ends, so the
-        # canonical order is the identity and tables line up positionally.
-        if not np.array_equal(frame.join, np.searchsorted(self.carrier, self.join_table)):
-            raise AssertionError("view join disagrees with order-theoretic join")
-        return frame
 
 
 def booleanization(frame: FiniteFrame) -> BooleanizationView:
@@ -526,15 +473,7 @@ class RegularPairFrame:
         for _, (i, j, op) in first_failures([bad.transpose(1, 2, 0)[None]]).values():
             got = (int(firsts[op, i, j]), int(seconds[op, i, j]))
             raise ClosureViolation(f"{('meet', 'join')[op]} of {labels[i]}, {labels[j]} -> {got}")
-        self.base = base
-        self.view = view
-        self.pairs = pairs
-        self.index = {pair: i for i, pair in enumerate(pairs)}
-        self.frame = frame
-
-    @property
-    def n(self) -> int:
-        return self.frame.n
+        self.pairs, self.frame = pairs, frame
 
 
 def regular_pair_frame(base: FiniteFrame, max_size: Optional[int] = None) -> RegularPairFrame:

@@ -9,8 +9,8 @@ the certificates below decide membership with no rounding.
 
 Infinite meets never materialize; the operations that would need them
 return certificates instead: an exclusion stage for a point outside the
-limit, or a boundary report for the one point that belongs to every stage
-but not to the limit.
+limit, and an interior-recovery report for the origin, which belongs to
+every stage: the interior of the limit must still be the set.
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ class ZeroPoint(ValueError):
     """Zero belongs to every stage; no exclusion certificate exists for it."""
 
 
-class PointInside(ValueError):
-    """The point already belongs to the requested coordinate."""
-
-
 class InvalidPair(ValueError):
     """Pair violates its contract (second not regular, or first not below it)."""
 
@@ -64,7 +60,7 @@ class NotDescending(AssertionError):
 
 NEG_INF = -math.inf
 POS_INF = math.inf
-STAGES = 20  # stages replayed by the stagewise checks and the descent certificates
+STAGES = 20  # stages replayed by the stagewise checks
 
 
 def _exact(op):
@@ -163,10 +159,6 @@ class RationalClosed:
     """
 
     components: tuple[Component, ...]
-
-    @classmethod
-    def empty(cls) -> "RationalClosed":
-        return cls(())
 
     @classmethod
     def reals(cls) -> "RationalClosed":
@@ -373,36 +365,6 @@ class InteriorRecoveryReport:
 
 
 @dataclass(frozen=True)
-class DescentCertificate:
-    """Stage N excluding a point from one coordinate of the descending pairs."""
-
-    point: Fraction
-    which: str
-    stage: int
-    coordinate: RationalOpen
-
-
-@dataclass(frozen=True)
-class PointBoundaryReport:
-    """The origin sits in every stage's second coordinate but not in the limit.
-
-    The limit of the second coordinates, computed among regular opens, is the
-    pair's own second coordinate; the report verifies the origin is in every
-    checked stage yet is not interior to second ∪ {0} (exact endpoint check),
-    so it drops out of the limit.
-    """
-
-    stages_checked: int
-    zero_in_all_stages: bool
-    interior_excluded: bool
-    limit: RationalOpen
-
-    @property
-    def passed(self) -> bool:
-        return self.zero_in_all_stages and self.interior_excluded
-
-
-@dataclass(frozen=True)
 class ForcingVerdict:
     """Whether covering the punctured line plus a zero interval forces the top."""
 
@@ -519,15 +481,6 @@ def recovery_report(u: RationalOpen, stages: int, containment: bool) -> Interior
     return InteriorRecoveryReport(stages, containment, False, not _zero_touched_twice(u))
 
 
-def interior_recovery_check(u: RationalOpen, stages: int) -> InteriorRecoveryReport:
-    """Verify u is the interior of the intersection of its padded terms,
-    deciding u ⊆ term_n for every stage up to the bound."""
-    if stages < 1:
-        raise ValueError("need at least one stage")
-    containment = all(is_subset(u, term) for term in PaddedTerms(u).upto(stages))
-    return recovery_report(u, stages, containment)
-
-
 def descending_pair(pair: KRealPair, n: int) -> KRealPair:
     """Stage n of the descending family of pairs converging to the given pair.
 
@@ -550,35 +503,6 @@ def descending_pair(pair: KRealPair, n: int) -> KRealPair:
     if not (is_subset(punct, first_n) and is_subset(full, second_n)):
         raise AssertionError(f"stage {n} pair is not above its generator")
     return KRealPair(first_n, second_n)
-
-
-def descent_certificate(pair: KRealPair, x: Fraction, which: str):
-    """Certify x drops out of the chosen coordinate of the descending pairs.
-
-    Returns a DescentCertificate with the canonical stage (least N with
-    1/N < |x|; stage 1 for the origin in the first coordinate), with the
-    exclusion verified exactly. The origin in the second coordinate belongs
-    to every stage, so a PointBoundaryReport is returned instead.
-    """
-    if which not in ("first", "second"):
-        raise ValueError("which must be 'first' or 'second'")
-    x = Rat(x)
-    coord = pair.first if which == "first" else pair.second
-    if contains_point(coord, x):
-        raise PointInside(f"{x} already belongs to the {which} coordinate")
-    if x == 0 and which == "second":
-        zero_in_all = all(contains_point(descending_pair(pair, n).second, 0)
-                          for n in range(1, STAGES + 1))
-        return PointBoundaryReport(stages_checked=STAGES,
-                                   zero_in_all_stages=zero_in_all,
-                                   interior_excluded=not _zero_touched_twice(pair.second),
-                                   limit=pair.second)
-    n = 1 if x == 0 else _exclusion_stage(x)
-    stage = descending_pair(pair, n)
-    value = stage.first if which == "first" else stage.second
-    if contains_point(value, x):
-        raise AssertionError(f"{x} unexpectedly survives stage {n} in {which}")
-    return DescentCertificate(point=x, which=which, stage=n, coordinate=value)
 
 
 def forcing_check(candidate: KRealPair, n: int) -> ForcingVerdict:

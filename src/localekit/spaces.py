@@ -4,7 +4,9 @@ Point sets are bitmasks; a space is the family of its open masks. Finite
 topologies correspond exactly to preorders (opens are the up-sets of
 specialization), which both the enumerator and the checks below exploit.
 The space checks decide a chunk of spaces at a time (`space_structures`),
-a single space being a chunk of one.
+a single space being a chunk of one; the open-set frames and the frames of
+unions of closed sets are rings of sets, one `lattice.set_frames` call each
+per chunk.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import common
 from .common import (CheckReport, EquivalenceViolation, TheoremViolation, bits, first_failures,
                      grouped, settled, unpack_rows, within_budget)
-from .lattice import FiniteFrame, containment_order, set_frame, set_frames
+from .lattice import FiniteFrame, containment_order, set_frames
 from .separation import ConditionVerdict, SeparationBattery
 from .sublocales import closed_join_frames
 
@@ -80,31 +82,6 @@ class FiniteSpace:
                 f"[{','.join(bitstring(o, self.points) for o in self.opens)}])")
 
 
-def sierpinski() -> FiniteSpace:
-    """Two points with exactly one of the singletons open."""
-    return FiniteSpace(2, (0, 2, 3))
-
-
-def discrete(points: int) -> FiniteSpace:
-    return FiniteSpace(points, range(1 << points))
-
-
-def indiscrete(points: int) -> FiniteSpace:
-    return FiniteSpace(points, (0, (1 << points) - 1))
-
-
-def uc_lattice(space: FiniteSpace, budget: Optional[int] = None) -> FiniteFrame:
-    """The frame of unions of closed sets, within the space budget: in a finite
-    space, the closed sets, a ring of sets as the opens are, by `set_frame`,
-    once they are cross-checked against the space's specialization."""
-    within_budget("space", space.points, budget)
-    closed = _by_size(space.full ^ o for o in space.opens)
-    rows = unpack_rows(closed, space.points)
-    if _unsaturated(rows[None], space.specialization[None])[0]:
-        raise AssertionError("complementation fails to reach the saturated sets")
-    return set_frame(rows, [bitstring(c, space.points) for c in closed])
-
-
 def _unsaturated(closed, specs):
     """Per space of a stack, whether its closed rows (F, m, p) are not the
     complements of the saturated sets, the up-sets of its specialization
@@ -113,13 +90,6 @@ def _unsaturated(closed, specs):
     downs = specs.transpose(0, 2, 1)                                     # ↓y, row y
     return (((closed @ downs) & ~closed).any(axis=(1, 2))
             | ~(downs[:, :, None] == closed[:, None]).all(axis=3).any(axis=2).all(axis=1))
-
-
-def omega(space: FiniteSpace) -> FiniteFrame:
-    """The open-set frame, a ring of sets, by `set_frame`; the point budget
-    that admitted the space bounds it, not the frame budget."""
-    opens = _by_size(space.opens)
-    return set_frame(unpack_rows(opens, space.points), [bitstring(o, space.points) for o in opens])
 
 
 @dataclass(frozen=True)

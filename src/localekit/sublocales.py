@@ -10,33 +10,30 @@ is in it iff, for every upper cover y of x, A meets ↑x ∖ ↑y. Closed
 sublocales join by c(a) ∨ c(b) = c(a ∧ b), so their joins are the up-sets:
 L turned upside down.
 
-Everything works on stacks, one frame being a stack of one, and a frame
-that fails in a batch gets the outcome it gets alone: `sublocale_lattices`
-works one stack per (carrier size, number of primes), `closed_join_frames`
-and `closed_open_outcomes` one per carrier size. The sublocale budget
-counts primes, since |S(L)| = 2^|primes|. S(L) is decided by its prime
-decomposition: by Birkhoff's representation, M(Y) = {x : E(x) ⊆ Y} for
-E(x) the minimal primes above x, and each closure must agree with it.
-The closed/open identities are decided by their nullary and binary cases.
-Each failure is named in the witness order of `common.first_failures`.
+Everything works on stacks, and a frame that fails in a batch gets the
+outcome it gets alone; a single input is a batch of one, which the commands
+read through `checks.frame_structures` as a campaign reads a chunk.
+`sublocale_lattices` works one stack per (carrier size, number of primes),
+`closed_join_frames` and `closed_open_outcomes` one per carrier size. The
+sublocale budget counts primes, since |S(L)| = 2^|primes|. S(L) is decided
+by its prime decomposition: by Birkhoff's representation, M(Y) = {x : E(x)
+⊆ Y} for E(x) the minimal primes above x, and each closure must agree with
+it. The closed/open identities are decided by their nullary and binary
+cases. Each failure is named in the witness order of `common.first_failures`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .common import (BudgetExceeded, CheckReport, bits, first_failures, grouped, pack_rows,
-                     settled, slice_len, unpack_rows, within_budget)
+                     slice_len, within_budget)
 from .lattice import (FiniteFrame, by_size, containment_order, cover_relation,
                       distributivity_witness, gather, heyting_tables)
-
-
-class MixedParents(ValueError):
-    """Operands live over different parent frames."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,7 +61,7 @@ class Sublocale:
 
 @dataclass(frozen=True)
 class SubsetVerdict:
-    """is_sublocale outcome: ok, or the violated condition plus a witness."""
+    """The sublocale test's outcome: ok, or the violated condition plus a witness."""
 
     ok: bool
     condition: Optional[str] = None
@@ -72,16 +69,6 @@ class SubsetVerdict:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def mask_of(members: Iterable[int]) -> int:
-    return reduce(lambda acc, i: acc | (1 << i), members, 0)
-
-
-def is_sublocale(frame: FiniteFrame, members: Iterable[int]) -> SubsetVerdict:
-    """Check the three closure conditions, reporting the first failure."""
-    rows = unpack_rows([mask_of(members)], frame.n)
-    return _sublocale_rows(frame.meet[None], frame.imp[None], rows[None])[0]
 
 
 def _sublocale_rows(meet, imp, rows) -> list[SubsetVerdict]:
@@ -109,16 +96,6 @@ def _sublocale_rows(meet, imp, rows) -> list[SubsetVerdict]:
                 verdicts[k] = SubsetVerdict(False, ("missing-top", "meet", "heyting")[law],
                                             ((n - 1,), at, at[::-1])[law])
     return verdicts
-
-
-def closed_sublocale(frame: FiniteFrame, a: int) -> Sublocale:
-    """c(a): the up-set of a."""
-    return Sublocale(frame, frame.up_masks[a])
-
-
-def open_sublocale(frame: FiniteFrame, a: int) -> Sublocale:
-    """o(a): the image of a -> (-)."""
-    return Sublocale(frame, pack_rows(open_rows(frame.imp[None])[0, a:a + 1])[0])
 
 
 def open_rows(imp):
@@ -158,10 +135,10 @@ class SublocaleLattice:
     Element order is by (size, mask), so index 0 is O and the last index is
     the whole frame. rows[i] holds the members of sublocale i as a boolean
     row, and ys[i] is the set Y of primes with rows[i] = M(Y), as a bitmask
-    over the positions in primes(parent). Y ↦ M(Y) is an order isomorphism
+    over the parent's primes in index order. Y ↦ M(Y) is an order isomorphism
     (see `laws`), so meets and joins of S(L) are Y ∩ Z and Y ∪ Z, and its
-    covers add one prime. Its masks, prime_sets, sublocales and index are
-    built from these when first read.
+    covers add one prime. Its masks, prime_sets and sublocales are built
+    from these when first read.
     """
 
     def __init__(self, parent: FiniteFrame, ys: np.ndarray, rows: np.ndarray):
@@ -182,18 +159,6 @@ class SublocaleLattice:
     def sublocales(self) -> tuple[Sublocale, ...]:
         return tuple(Sublocale(self.parent, m) for m in self.masks)
 
-    @cached_property
-    def index(self) -> dict[int, int]:
-        return {m: i for i, m in enumerate(self.masks)}
-
-    @cached_property
-    def supplements(self):
-        """supplements[i]: index of the least T with S_i ∨ T = L, M of the
-        primes outside S_i's, since Y ∪ Z = P iff Z contains P ∖ Y."""
-        out = np.argsort(self.ys)[self.ys ^ (len(self) - 1)]
-        out.flags.writeable = False
-        return out
-
     @property
     def laws(self) -> CheckReport:
         """The coframe law and join-is-lub, which hold once the stack is built:
@@ -202,21 +167,6 @@ class SublocaleLattice:
         and ∩-preserving: an order isomorphism from 2^P onto S(L), which
         carries joins to least upper bounds and 2^P's coframe law to S(L)."""
         return CheckReport.passed("coframe-law")
-
-
-def supplement(s: Sublocale, lattice: SublocaleLattice) -> Sublocale:
-    """S^#: the least sublocale joining S to the whole frame, read in S(L).
-
-    For S = M(Y) it is M(P ∖ Y): the join M(Y ∪ Z) is L iff Z contains P ∖ Y.
-    """
-    if lattice.parent is not s.parent:
-        raise MixedParents("lattice belongs to a different frame")
-    return lattice.sublocales[int(lattice.supplements[lattice.index[s.mask]])]
-
-
-def primes(frame: FiniteFrame) -> tuple[int, ...]:
-    """The meet-irreducibles: the elements with exactly one upper cover (the top has none)."""
-    return tuple(np.flatnonzero(cover_relation(frame.leq).sum(axis=1) == 1).tolist())
 
 
 def sublocale_lattices(frames: Iterable[FiniteFrame], budget: Optional[int] = None
@@ -285,11 +235,6 @@ def _decomposition(leq, at, chosen):
     return ~(~chosen @ minimal.transpose(0, 2, 1))           # no prime of E(x) outside Y
 
 
-def all_sublocales(frame: FiniteFrame, budget: Optional[int] = None) -> SublocaleLattice:
-    """S(L) of one frame: sublocale_lattices on a stack of one."""
-    return settled(sublocale_lattices([frame], budget)[0])
-
-
 class ClosedJoinFrame:
     """Joins of closed sublocales with their induced frame structure.
 
@@ -300,10 +245,8 @@ class ClosedJoinFrame:
     meets c(a ∨ b). `law` reads its frame law off the stack it was built in.
     """
 
-    def __init__(self, parent: FiniteFrame, generators: tuple[int, ...], frame: FiniteFrame,
-                 law=None):
-        self.parent, self.generators, self.frame = parent, generators, frame
-        self._law = law or (lambda: _distributivity(frame.meet[None], frame.join[None])[0])
+    def __init__(self, parent: FiniteFrame, generators: tuple[int, ...], frame: FiniteFrame, law):
+        self.parent, self.generators, self.frame, self._law = parent, generators, frame, law
 
     def __len__(self):
         return len(self.generators)
@@ -380,19 +323,6 @@ def closed_join_frames(parents: Iterable[FiniteFrame]) -> list[ClosedJoinFrame |
             built[k] = ClosedJoinFrame(parent, tuple(gens[g].tolist()), frame,
                                        lambda g=g, laws=laws: laws()[g])
     return built
-
-
-def closed_join_frame(parent: FiniteFrame) -> ClosedJoinFrame:
-    """The joins of closed sublocales (the up-sets), built as a frame."""
-    return settled(closed_join_frames([parent])[0])
-
-
-def dual_booleanization(frame: FiniteFrame, lattice: SublocaleLattice) -> tuple[Sublocale, ...]:
-    """Fixed points of the double supplement inside lattice, frame's S(L):
-    the Booleanization of its order-dual, where the supplement is the
-    pseudocomplement. S(L) ≅ 2^P is Boolean and M(Y)^# = M(P ∖ Y), so every
-    sublocale is fixed."""
-    return lattice.sublocales
 
 
 def closed_open_outcomes(frames: Iterable[FiniteFrame]) -> list[tuple[CheckReport, CheckReport]]:

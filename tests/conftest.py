@@ -1,6 +1,27 @@
 import pytest
 
-from localekit import corpus
+from localekit import checks, corpus
+from localekit.spaces import FiniteSpace
+
+
+def alone(frame, budget=None):
+    """The FrameStructure of frame as a batch of one, as the single-input
+    commands read it: its S(L) is `.lattice`, its closed-join frame
+    `.closed_joins`, and each raises what building it raised."""
+    return next(checks.frame_structures([frame], budget))
+
+
+def sierpinski():
+    """Two points with exactly one of the singletons open."""
+    return FiniteSpace(2, (0, 2, 3))
+
+
+def discrete(points):
+    return FiniteSpace(points, range(1 << points))
+
+
+def indiscrete(points):
+    return FiniteSpace(points, (0, (1 << points) - 1))
 
 
 @pytest.fixture(scope="session")

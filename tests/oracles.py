@@ -15,13 +15,18 @@ import numpy as np
 
 from localekit import realline as rl
 from localekit.common import (CheckReport, EquivalenceViolation, TheoremViolation, bits,
-                             pack_rows, unpack_rows, within_budget)
+                             pack_rows, settled, unpack_rows, within_budget)
 from localekit.corpus import iter_natural_posets, labeled_lattice_rows
-from localekit.lattice import FiniteFrame, order_closure, validate_frame, validate_frames
+from localekit.lattice import (FiniteFrame, cover_relation, order_closure, validate_frame,
+                               validate_frames)
 from localekit.spaces import SpacePropositionReport, bitstring
 from localekit.separation import ConditionVerdict, SeparationReport
-from localekit.sublocales import (MixedParents, Sublocale, all_sublocales, closed_join_frame,
-                                  dual_booleanization, is_sublocale, meet_closure, primes)
+from localekit.sublocales import (Sublocale, SubsetVerdict, closed_join_frames, meet_closure,
+                                  sublocale_lattices)
+
+
+class MixedParents(ValueError):
+    """Operands live over different parent frames."""
 
 
 def image_masks(frame: FiniteFrame) -> tuple[int, ...]:
@@ -481,8 +486,9 @@ def generic_sublocale_laws(lattice):
     join = least_upper_bounds(containment(lattice.rows))
     if join is None:
         return "no least upper bound"
+    index = {m: i for i, m in enumerate(lattice.masks)}
     try:
-        meet = np.array([[lattice.index[a & b] for b in lattice.masks] for a in lattice.masks])
+        meet = np.array([[index[a & b] for b in lattice.masks] for a in lattice.masks])
     except KeyError:
         return "an intersection is no sublocale"
     if not np.array_equal(join[:, meet], meet[join[:, :, None], join[:, None, :]]):
@@ -549,23 +555,24 @@ def per_item_sublocales(frame: FiniteFrame):
     sets; and the meets as lookups of the intersection of the prime sets,
     checked against the intersection of the members. Returns (masks, prime
     sets, laws report), or raises AssertionError: with the library's text
-    where a closure is no sublocale, `is_sublocale` on the first such one
-    only, and with its own text otherwise."""
-    ps = primes(frame)
+    where a closure is no sublocale, `sublocale_witness` on the first such
+    one only, and with its own text otherwise."""
+    ps = tuple(np.flatnonzero(cover_relation(frame.leq).sum(axis=1) == 1).tolist())
     members = np.zeros((1 << len(ps), frame.n), dtype=bool)
     members[:, list(ps)] = np.arange(1 << len(ps))[:, None] >> np.arange(len(ps)) & 1
     closures = pack_rows(meet_closure(frame.leq[None], members[None])[0])
     if len(set(closures)) != len(closures):
         raise AssertionError("two sets of primes have the same meet-closure")
     # every closure at once: rows[y, s] iff s is in the y-th closure; it must hold the top,
-    # s ∧ t for members s <= t by index (the pairs is_sublocale reads), and a -> s for members s
+    # s ∧ t for members s <= t by index (the pairs the library reads), and a -> s for members s
     rows = unpack_rows(closures, frame.n)
     upper = np.triu(np.ones((frame.n, frame.n), dtype=bool))
     meets = rows[:, :, None] & rows[:, None, :] & upper & ~rows[:, frame.meet]
     broken = ~rows[:, frame.top] | meets.any(axis=(1, 2)) | (
         rows[:, None, :] & ~rows[:, frame.imp]).any(axis=(1, 2))
     if broken.any():  # the library's text names the first closure that is no sublocale
-        verdict = is_sublocale(frame, bits(closures[int(broken.argmax())]))
+        witness = sublocale_witness(frame, bits(closures[int(broken.argmax())]))
+        verdict = SubsetVerdict(*witness)
         raise AssertionError(f"meet-closure of primes is not a sublocale: {verdict}")
     order = sorted(range(len(closures)), key=lambda y: (closures[y].bit_count(), closures[y]))
     masks = tuple(closures[y] for y in order)
@@ -666,7 +673,7 @@ def per_item_separation(frame: FiniteFrame, lattice=None, cjf=None) -> dict:
     exception its cross-check raises; symmetric and ppt raise what building
     the closed-join frame raises, and ppt first what building S(L) raises."""
     n, top, labels = frame.n, frame.top, frame.labels
-    built = _raised(lambda: closed_join_frame(frame)) if cjf is None else cjf
+    built = _raised(lambda: settled(closed_join_frames([frame])[0])) if cjf is None else cjf
 
     def closed_joins():
         if isinstance(built, Exception):
@@ -685,12 +692,12 @@ def per_item_separation(frame: FiniteFrame, lattice=None, cjf=None) -> dict:
         return per_item_symmetric(frame, closed_joins())
 
     def ppt(sub):
-        lat = lattice if lattice is not None else all_sublocales(frame)
+        lat = lattice if lattice is not None else settled(sublocale_lattices([frame])[0])
         cjf = closed_joins()
         sc = cjf.frame
         complemented = ((sc.join == sc.top) & (sc.meet == sc.bottom)).any(axis=1)
         boolean = bool(complemented.all())
-        dual = dual_booleanization(frame, lat)
+        dual = lat.sublocales  # S(L) ≅ 2^P is Boolean: the double supplement fixes all of it
         if sub.holds != boolean:
             witness = None if boolean else cjf.elements[int(np.argmin(complemented))].label()
             raise TheoremViolation(
@@ -738,7 +745,7 @@ def sublocale_join(family, parent=None) -> Sublocale:
         raise MixedParents("sublocales must share one parent frame")
     union = unpack_rows((s.mask for s in family), parent.n).any(axis=0)
     joined = pack_rows(meet_closure(parent.leq[None], union[None, None])[0])[0]
-    assert is_sublocale(parent, bits(joined)), "join formula produced a non-sublocale"
+    assert sublocale_witness(parent, bits(joined))[0], "join formula produced a non-sublocale"
     return Sublocale(parent, joined)
 
 
@@ -867,7 +874,7 @@ def per_space_td_remark(space) -> CheckReport:
     sym, _ = is_symmetric_space(space)
     opens = sorted(space.opens, key=lambda m: (m.bit_count(), m))
     frame = generic_set_frame(opens, [bitstring(o, space.points) for o in opens])
-    loc = per_item_symmetric(frame, closed_join_frame(frame))
+    loc = per_item_symmetric(frame, settled(closed_join_frames([frame])[0]))
     if sym != loc.holds:
         raise TheoremViolation(
             f"space symmetry {sym} but locale symmetry {loc.holds} on {space!r}")

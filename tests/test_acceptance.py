@@ -13,19 +13,15 @@ import pytest
 
 from localekit import checks, cli, corpus
 from localekit import realline as rl
-from localekit import spaces, sublocales
+from localekit import spaces
 
+from conftest import alone
 from oracles import find_order_isomorphism
 
 
 @pytest.fixture(scope="module")
 def corpus6():
     return list(corpus.iter_distributive_frames(6))
-
-
-def _one(frame):
-    """frame as a batch of one: the FrameStructure a single-input command reads."""
-    return next(checks.frame_structures([frame]))
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -37,7 +33,7 @@ def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
 def test_01_frame_laws_on_labeled_corpus(corpus6):
     started = time.monotonic()
     failures = [(name, report) for name, frame in corpus6
-                for report in [_one(frame).frame_laws()] if not report.ok]
+                for report in [alone(frame).frame_laws()] if not report.ok]
     elapsed = time.monotonic() - started
     ok = not failures and elapsed < 60.0
     _verdict(1, "frame laws on every labeled distributive lattice <= 6",
@@ -49,8 +45,8 @@ def test_01_frame_laws_on_labeled_corpus(corpus6):
 def test_02_sublocale_coframe_and_identities(corpus6):
     failures = []
     for name, frame in corpus6:
-        lattice, item = sublocales.all_sublocales(frame), _one(frame)
-        for report in (lattice.laws, item.closed_open(0), item.closed_open(1)):
+        item = alone(frame)
+        for report in (item.lattice.laws, item.closed_open(0), item.closed_open(1)):
             if not report.ok:
                 failures.append((name, report))
     _verdict(2, "S(L) coframe law and the four closed/open identities",
@@ -60,7 +56,7 @@ def test_02_sublocale_coframe_and_identities(corpus6):
 
 def test_03_closed_join_frame_law(corpus6):
     failures = [(name, report) for name, frame in corpus6
-                for report in [sublocales.closed_join_frame(frame).frame_law_report()]
+                for report in [alone(frame).closed_joins.frame_law_report()]
                 if not report.ok]
     _verdict(3, "closed-join frame distributivity on the corpus", not failures)
     assert not failures
@@ -69,7 +65,7 @@ def test_03_closed_join_frame_law(corpus6):
 def test_04_subfit_boolean_correspondence(corpus6):
     violations = []
     for name, frame in corpus6:
-        report = checks.LATTICE_CHECKS["ppt"](_one(frame))  # TheoremViolation on a breach
+        report = checks.LATTICE_CHECKS["ppt"](alone(frame))  # TheoremViolation on a breach
         if not report.ok:
             violations.append((name, report))
     _verdict(4, "subfit iff closed joins complemented, with coincidence",
@@ -81,7 +77,7 @@ def test_05_symmetry_equivalence_and_cover_formula(corpus6):
     violations = []
     applicable = 0
     for name, frame in corpus6:
-        item = _one(frame)
+        item = alone(frame)
         item.separation("symmetric")  # EquivalenceViolation on a breach
         pc = item.separation("pcformula")
         applicable += pc.witness != "not-applicable"
@@ -157,28 +153,28 @@ def test_09_named_instance_regressions():
     b2 = corpus.boolean_cube(2)
     checks_ok = []
 
-    cjf = sublocales.closed_join_frame(c3)
+    cjf = alone(c3).closed_joins
     chain_like = len(cjf) == 3 and all(
         cjf.frame.leq[i, j] for i in range(3) for j in range(i, 3))
     checks_ok.append(("closed joins of the 3-chain form a 3-chain", chain_like))
     checks_ok.append(("that chain is not weakly subfit",
-                      not _one(cjf.frame).separation("weakly_subfit").holds))
+                      not alone(cjf.frame).separation("weakly_subfit").holds))
     checks_ok.append(("3-chain is not subfit",
-                      not _one(c3).separation("subfit").holds))
+                      not alone(c3).separation("subfit").holds))
     checks_ok.append(("3-chain is not symmetric",
-                      not _one(c3).separation("symmetric").holds))
+                      not alone(c3).separation("symmetric").holds))
     checks_ok.append(("Boolean square is subfit",
-                      _one(b2).separation("subfit").holds))
+                      alone(b2).separation("subfit").holds))
     checks_ok.append(("Boolean square is symmetric",
-                      _one(b2).separation("symmetric").holds))
+                      alone(b2).separation("symmetric").holds))
     checks_ok.append(("closed joins of the square reproduce the square",
                       find_order_isomorphism(
-                          sublocales.closed_join_frame(b2).frame, b2) is not None))
+                          alone(b2).closed_joins.frame, b2) is not None))
     pairs = corpus.named_frames()["pairs(chain3)"]
     checks_ok.append(("pair frame over the 3-chain has 4 elements",
                       pairs.n == 4))
     try:
-        checks.LATTICE_CHECKS["ppt"](_one(pairs))
+        checks.LATTICE_CHECKS["ppt"](alone(pairs))
         checks_ok.append(("pair frame passes the correspondence check", True))
     except Exception:  # noqa: BLE001 - verdict recorded below
         checks_ok.append(("pair frame passes the correspondence check", False))

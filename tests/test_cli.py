@@ -17,8 +17,8 @@ from localekit import (checks, cli, common, corpus, io, realline, separation, sp
                        sublocales as sub)
 from localekit.lattice import ClosureViolation, NotALattice
 from localekit.separation import SeparationReport
-from localekit.spaces import discrete, indiscrete, sierpinski
 
+from conftest import discrete, indiscrete, sierpinski
 from oracles import format_space, is_t0, tampered
 
 
@@ -113,13 +113,19 @@ class TestCliCommands:
         def counted(name, build):
             return lambda *args: built.append(name) or build(*args)
         for module, name in ((spaces, "_Chunk"), (sub, "closed_join_frames"),
-                             (separation, "SeparationBattery")):
+                             (separation, "SeparationBattery"), (checks, "frame_structures")):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         assert cli.main(["spaces", "check", sier_file]) == 1
         assert built == ["_Chunk"]
         built.clear()
         assert cli.main(["separation", c3_file, "--axiom", "symmetric"]) == 1
-        assert sorted(built) == ["SeparationBattery", "closed_join_frames"]
+        assert sorted(built) == ["SeparationBattery", "closed_join_frames", "frame_structures"]
+        for argv, batch in ((["sublocales"], []), (["sc"], ["closed_join_frames"]),
+                            (["export-dot", "--target", "sublocales"], []),
+                            (["export-dot", "--target", "sc"], ["closed_join_frames"])):
+            built.clear()
+            assert cli.main([argv[0], c3_file, *argv[1:]]) == 0
+            assert built == ["frame_structures", *batch]
 
     def test_sublocales_listing(self, c3_file, capsys):
         assert cli.main(["sublocales", c3_file]) == 0
@@ -411,9 +417,6 @@ class TestCampaigns:
 
         for module, name in builders:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        # no S(L) or closed-join frame is built one item at a time
-        monkeypatch.setattr(sub, "all_sublocales", None)
-        monkeypatch.setattr(sub, "closed_join_frame", None)
         monkeypatch.setattr(common, "STACK_CELLS", 200)  # 12 chunks of 3 frames at n = 4
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == whole

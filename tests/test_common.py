@@ -11,7 +11,9 @@ from localekit.common import (BUDGETS, BudgetExceeded, first_failures, pack_rows
                               unpack_rows)
 from localekit.corpus import chain
 from localekit.lattice import order_closure, regular_pair_frame, validate_frame
-from localekit.spaces import indiscrete, uc_lattice
+from localekit.spaces import space_structures
+
+from conftest import indiscrete
 
 
 @pytest.mark.parametrize("n", [0, 1, 8, 64, 65, 130])
@@ -109,6 +111,83 @@ class TestWitnessOrderPolicy:
         assert found == ARGMAX_CALLERS
 
 
+def definitions(sources):
+    """(module, name) of every top-level function and class of the modules
+    {name: source}, and (module, "Class.member") of every non-dunder method,
+    property and class attribute, each with its AST node. Dataclass and
+    NamedTuple fields are left out: the constructor writes them and the
+    generated repr and equality read them, which no name search sees."""
+    for module, tree in sources.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield module, node.name, node
+            for member in node.body if isinstance(node, ast.ClassDef) else ():
+                names = ([member.name] if isinstance(member, ast.FunctionDef) else
+                         [t.id for t in getattr(member, "targets", ()) if isinstance(t, ast.Name)])
+                for name in names:
+                    if not (name.startswith("__") and name.endswith("__")):
+                        yield module, f"{node.name}.{name}", member
+
+
+def references(sources, module, name, skip):
+    """Whether any module of sources names `module`'s definition `name`
+    outside the nodes in skip. A top-level name counts where it resolves to
+    that module: bare in its own module or where `from .module import name`
+    brought it, or as `alias.name` where `from . import module as alias`
+    did. A member, "Class.member", counts as any `.member` or as the string
+    "member" (read by getattr), since a receiver's class is not known
+    statically: `BooleanizationView.join` would pass on `frame.join`."""
+    member = name.rpartition(".")[2] if "." in name else None
+    for current, tree in sources.items():
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1]
+        names = {alias.asname or alias.name: (node.module, alias.name)
+                 for node in imports if node.module for alias in node.names}
+        modules = {alias.asname or alias.name: alias.name
+                   for node in imports if not node.module for alias in node.names}
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
+            if member is not None:
+                if getattr(node, "attr", None) == member or (
+                        isinstance(node, ast.Constant) and node.value == member):
+                    return True
+            elif isinstance(node, ast.Name):
+                if names.get(node.id, (current, node.id)) == (module, name):
+                    return True
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if (modules.get(node.value.id), node.attr) == (module, name):
+                    return True
+    return False
+
+
+def unreferenced(sources):
+    """The definitions of sources that no module names outside their own."""
+    return [f"{module}.{name}" for module, name, node in definitions(sources)
+            if not references(sources, module, name, {id(n) for n in ast.walk(node)})]
+
+
+# {qualified name: why it stays}, for a definition of src/localekit that no
+# other code there names. Empty: what no command reaches is deleted instead.
+UNREFERENCED = {}
+
+
+class TestEveryDefinitionIsReached:
+    def test_scanner_qualifies_names_by_module(self):
+        sources = {"a": ast.parse("def f():\n    return g()\n\ndef g():\n    return g()\n"
+                                  "class C:\n    def m(self):\n        pass\n"
+                                  "    def n(self):\n        return self.m()\n"),
+                   "b": ast.parse("from . import a as alias\nfrom .a import f\n\n"
+                                  "def g():\n    return alias.f(), f()\n")}
+        assert unreferenced(sources) == ["a.C", "a.C.n", "b.g"]
+
+    def test_every_definition_is_named_outside_itself(self):
+        package = Path(cli.__file__).parent
+        sources = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))
+                   if path.stem != "__init__"}
+        assert sorted(unreferenced(sources)) == sorted(UNREFERENCED)
+
+
 def _chain_text(n):
     return f"lattice {n}\n" + "".join(f"{i} < {i + 1}\n" for i in range(n - 1))
 
@@ -119,7 +198,7 @@ def _chain_text(n):
 CLI_SITES = {
     "io.load_lattice_text": ("frame", 65, None, ["check-frame"], _chain_text(65)),
     "io.load_space_text": ("space", 9, None, ["spaces", "check"], "space 9\n"),
-    "sublocales.all_sublocales": ("primes", 11, None, ["sublocales"], _chain_text(12)),
+    "sublocales._sublocale_stack": ("primes", 11, None, ["sublocales"], _chain_text(12)),
     "spaces.enumerate_topologies": ("topology", 3, 2, ["spaces", "enumerate", "--n", "3"], None),
     "cli._campaign_lattices": ("corpus", 3, 2, ["campaign", "lattices", "--max-size", "3"], None),
 }
@@ -127,7 +206,8 @@ CLI_SITES = {
 DIRECT_SITES = {
     "lattice.validate_frame": ("frame", 65, lambda budget: validate_frame(
         order_closure(65, [(i, i + 1) for i in range(64)]), max_size=budget)),
-    "spaces.uc_lattice": ("space", 9, lambda budget: uc_lattice(indiscrete(9), budget)),
+    "spaces.space_structures": ("space", 9, lambda budget: next(
+        space_structures([indiscrete(9)], budget)).proposition()),
     # chain(64) has 65 pairs (a, b) with a <= b regular
     "lattice.regular_pair_frame": ("frame", 65, lambda budget: regular_pair_frame(chain(64),
                                                                                  budget)),

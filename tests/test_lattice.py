@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from localekit import corpus, io, lattice
-from localekit.common import BudgetExceeded, pack_rows
+from localekit.common import BudgetExceeded, pack_rows, settled
 from localekit.lattice import (ClosureViolation, FiniteFrame, InvalidPoset,
                                NotALattice, NotDistributive, booleanization, containment_order,
                                cover_pairs, distributivity_witness, element_dtype, gather,
-                               heyting, heyting_tables, lattice_tables, order_closure,
-                               product_frame, pseudocomplement, regular_pair_frame, set_frame,
-                               set_frames, stacked, validate_frame, validate_frames)
+                               heyting_tables, lattice_tables, order_closure, product_frame,
+                               regular_pair_frame, set_frames, stacked, validate_frame,
+                               validate_frames)
 
 from oracles import (broken_copies, brute_heyting, brute_heyting_break, brute_is_distributive,
                      brute_is_lattice, brute_join, brute_meet, closed_form, diamond_leq,
@@ -89,8 +89,8 @@ class TestValidateFrame:
         rows = as_rows(c3)
         for a in range(3):
             for b in range(3):
-                assert heyting(c3, a, b) == brute_heyting(rows, a, b)
-        assert heyting(c3, 1, 0) == 0  # m -> 0 in the 3-chain
+                assert c3.imp[a, b] == brute_heyting(rows, a, b)
+        assert c3.imp[1, 0] == 0  # m -> 0 in the 3-chain
 
     def test_boolean_square_tables(self, b2):
         # atoms are 1 and 2, bottom 0, top 3
@@ -378,6 +378,11 @@ def sets(*members):
     return rows, ["".join(str(p) for p in m) or "-" for m in members]
 
 
+def set_frame(rows, labels):
+    """The frame of one ring of sets by `set_frames`, raising what it raises."""
+    return settled(set_frames([np.asarray(rows, dtype=bool)], [labels])[0])
+
+
 class TestSetFrame:
     def test_tables_are_intersection_and_union(self):
         members = [(), (0,), (1,), (0, 1), (0, 1, 2)]
@@ -389,7 +394,7 @@ class TestSetFrame:
             for j, b in enumerate(members):
                 assert set(members[frame.meet[i, j]]) == set(a) & set(b)
                 assert set(members[frame.join[i, j]]) == set(a) | set(b)
-                assert frame.imp[i, j] == heyting(validate_frame(frame.leq), i, j)
+                assert frame.imp[i, j] == validate_frame(frame.leq).imp[i, j]
 
     # rows missing one union or intersection, and the first pair (row-major,
     # union before intersection) whose result is not a row
@@ -484,20 +489,18 @@ class TestHeytingOps:
 
     def test_top_implies_is_identity(self, c4):
         for b in range(c4.n):
-            assert heyting(c4, c4.top, b) == b
+            assert c4.imp[c4.top, b] == b
 
     def test_below_gives_top(self, c4):
         for a in range(c4.n):
             for b in range(c4.n):
                 if c4.leq[a, b]:
-                    assert heyting(c4, a, b) == c4.top
+                    assert c4.imp[a, b] == c4.top
 
     def test_pseudocomplement_examples(self, c3, b2):
-        value, dense = pseudocomplement(c3, 1)
-        assert value == 0 and dense
-        assert pseudocomplement(b2, 1) == (2, False)
+        assert c3.star[1] == 0 and b2.star[1] == 2  # the middle of the chain is dense
         for frame in (c3, b2):
-            assert pseudocomplement(frame, 0).value == frame.top
+            assert frame.star[0] == frame.top
 
     def test_double_negation_laws(self, small_corpus):
         for frame in small_corpus:
@@ -521,22 +524,22 @@ class TestBooleanization:
             for a in view.carrier:
                 for b in view.carrier:
                     expected = int(star[star[frame.join[a, b]]])
-                    assert view.join(a, b) == expected
+                    i, j = view.carrier.index(a), view.carrier.index(b)
+                    assert view.join_table[i, j] == expected
 
-    def test_view_as_frame_is_boolean(self, c3, grid):
+    def test_view_is_a_boolean_frame(self, c3, grid):
+        """The regular elements under the parent order validate as a frame
+        whose join is the view's and where every element has a complement."""
         for frame in (c3, grid):
             view = booleanization(frame)
-            boolean = view.as_frame
+            boolean = validate_frame(frame.leq[np.ix_(view.carrier, view.carrier)])
+            # the carrier ascends from the bottom to the top: the canonical order is the identity
+            assert np.array_equal(boolean.join, np.searchsorted(view.carrier, view.join_table))
             for a in range(boolean.n):
                 complements = [c for c in range(boolean.n)
                                if int(boolean.meet[a, c]) == 0
                                and int(boolean.join[a, c]) == boolean.top]
                 assert complements
-
-    def test_rejects_non_regular_join_input(self, c3):
-        view = booleanization(c3)
-        with pytest.raises(ValueError):
-            view.join(1)  # the middle element is not regular
 
 
 class TestProducts:
@@ -559,7 +562,7 @@ class TestProducts:
 
 class TestRegularPairs:
     def test_boolean_square_has_nine_pairs(self, b2):
-        assert regular_pair_frame(b2).n == 9
+        assert regular_pair_frame(b2).frame.n == 9
 
     def test_chain3_carrier(self, c3):
         pairs = regular_pair_frame(c3)
@@ -567,7 +570,7 @@ class TestRegularPairs:
         assert pairs.frame.labels == ("(0,0)", "(0,2)", "(1,2)", "(2,2)")
 
     def test_degenerate(self, c1):
-        assert regular_pair_frame(c1).n == 1
+        assert regular_pair_frame(c1).frame.n == 1
 
     def test_budget_counts_the_pairs_before_validating(self, monkeypatch):
         base = corpus.chain(64)  # 65 pairs: (0, 0) and every a below the top

@@ -7,19 +7,13 @@ from hypothesis import strategies as st
 
 from localekit import checks
 from localekit import realline as rl
-from localekit.realline import (NEG_INF, POS_INF, EmptyInterval,
-                                InvalidPair, KRealPair, NotRegular, PointInside,
-                                NotDescending, PaddedTerms, PointInU,
-                                RationalOpen, ZeroPoint,
-                                closed_interval, closure, contains_point,
-                                descending_pair, descent_certificate,
-                                exclusion_certificate, forcing_check,
-                                format_open_set, interior,
-                                interior_recovery_check, intersect,
-                                is_subset, normalize, open_interval,
-                                parse_open_set, pseudocomplement,
-                                punctured_reals, recovery_report, regularize,
-                                union, zero_padded_term)
+from localekit.realline import (NEG_INF, POS_INF, EmptyInterval, InvalidPair, KRealPair,
+                                NotDescending, NotRegular, PaddedTerms, PointInU, RationalOpen,
+                                ZeroPoint, closed_interval, closure, contains_point,
+                                descending_pair, exclusion_certificate, forcing_check,
+                                format_open_set, interior, intersect, is_subset, normalize,
+                                open_interval, parse_open_set, pseudocomplement, punctured_reals,
+                                recovery_report, regularize, union, zero_padded_term)
 
 import oracles
 
@@ -430,24 +424,31 @@ class TestPaddedTerms:
         for x in points:
             if x != 0 and not contains_point(u, x):
                 assert family.certificate(x) == exclusion_certificate(u, x)
-        assert recovery_report(u, 8, containment=True) == interior_recovery_check(u, 8)
+        assert recovery_report(u, 8, containment=True) == recovery(u, 8)
+
+
+def recovery(u, stages):
+    """The interior-recovery report of u, with u ⊆ term_n decided for every
+    stage up to the bound on one family, as lemma1-invariants decides it."""
+    return recovery_report(u, stages, all(is_subset(u, term)
+                                          for term in PaddedTerms(u).upto(stages)))
 
 
 class TestInteriorRecovery:
     def test_gap_at_zero(self):
-        assert interior_recovery_check(open_interval(1, 2), 10).passed
+        assert recovery(open_interval(1, 2), 10).passed
 
     def test_zero_inside_is_trivial(self):
-        report = interior_recovery_check(open_interval(-1, 1), 5)
+        report = recovery(open_interval(-1, 1), 5)
         assert report.passed and report.zero_in_set
 
     def test_empty_set(self):
-        assert interior_recovery_check(RationalOpen.empty(), 5).passed
+        assert recovery(RationalOpen.empty(), 5).passed
 
     @given(regular_sets())
     @settings(max_examples=60)
     def test_always_passes_on_regular(self, u):
-        assert interior_recovery_check(u, 8).passed
+        assert recovery(u, 8).passed
 
 
 def _swap_stage(monkeypatch, bad_stage, replacement_stage):
@@ -517,54 +518,6 @@ class TestDescendingPairs:
             KRealPair(RationalOpen.reals(), open_interval(0, 1))
         with pytest.raises(InvalidPair):
             KRealPair(open_interval(0, 1), parse_open_set("(0,1);(1,2)"))
-
-
-class TestDescentCertificates:
-    def test_first_coordinate_boundary_point(self):
-        pair = KRealPair(open_interval(1, 2), open_interval(1, 2))
-        cert = descent_certificate(pair, Fraction(1, 2), "first")
-        assert cert.stage == 3
-        assert not contains_point(cert.coordinate, Fraction(1, 2))
-
-    def test_zero_first_coordinate_is_stage_one(self):
-        pair = KRealPair(RationalOpen.empty(), RationalOpen.empty())
-        cert = descent_certificate(pair, Fraction(0), "first")
-        assert cert.stage == 1
-
-    def test_zero_second_coordinate_is_boundary(self):
-        pair = KRealPair(RationalOpen.empty(), RationalOpen.empty())
-        report = descent_certificate(pair, Fraction(0), "second")
-        assert report.passed
-        assert report.zero_in_all_stages and report.interior_excluded
-        assert report.limit == RationalOpen.empty()
-
-    def test_inside_point_rejected(self):
-        pair = KRealPair(open_interval(1, 2), open_interval(1, 2))
-        with pytest.raises(PointInside):
-            descent_certificate(pair, Fraction(3, 2), "first")
-
-    @given(regular_sets(), rationals)
-    @settings(max_examples=60)
-    def test_second_coordinate_certificates(self, v, x):
-        pair = KRealPair(v, v)
-        if contains_point(v, x):
-            return
-        got = descent_certificate(pair, x, "second")
-        if x == 0:
-            assert got.passed
-        else:
-            assert not contains_point(got.coordinate, x)
-            assert Fraction(1, got.stage) < abs(x)
-            assert got.stage == 1 or Fraction(1, got.stage - 1) >= abs(x)
-
-    def test_tiny_point_stage_is_closed_form(self):
-        pair = KRealPair(open_interval(1, 2), open_interval(1, 2))
-        x = Fraction(1, 10**9)
-        for which in ("first", "second"):
-            cert = descent_certificate(pair, x, which)
-            assert cert.stage == 10**9 + 1
-            assert not contains_point(cert.coordinate, x)
-            assert contains_point(cert.coordinate, Fraction(1, 10**9 + 2))
 
 
 class TestForcing:

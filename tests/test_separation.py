@@ -7,41 +7,36 @@ from localekit import checks, corpus, sublocales
 from localekit.common import CheckReport, TheoremViolation, settled
 from localekit.lattice import FiniteFrame, validate_frame
 from localekit.separation import SeparationBattery, SeparationReport
-from localekit.sublocales import (SublocaleLattice, all_sublocales, closed_join_frame,
-                                  closed_join_frames, dual_booleanization)
+from localekit.sublocales import SublocaleLattice, closed_join_frames
 
+from conftest import alone
 from oracles import per_item_separation, tampered
 
 PARTS = ("subfit", "weakly_subfit", "symmetric", "ppt", "pcformula")
 PPT = checks.LATTICE_CHECKS["ppt"]
 
 
-def one(frame):
-    """frame as a batch of one, the FrameStructure a single-input command reads."""
-    return next(checks.frame_structures([frame]))
-
-
 def complemented(frame):
     """Which elements of the closed-join frame of frame have a complement."""
-    sc = closed_join_frame(frame).frame
+    sc = alone(frame).closed_joins.frame
     return ((sc.join == sc.top) & (sc.meet == sc.bottom)).any(axis=1)
 
 
 class TestSubfit:
     def test_boolean_square_holds(self, b2):
-        assert one(b2).separation("subfit").holds
+        assert alone(b2).separation("subfit").holds
 
     def test_chain3_fails_with_minimal_witness(self, c3):
-        report = one(c3).separation("subfit")
+        report = alone(c3).separation("subfit")
         assert not report.holds
         assert report.witness == (1, 0)
 
     def test_degenerate_holds_vacuously(self, c1):
-        assert one(c1).separation("subfit").holds
+        assert alone(c1).separation("subfit").holds
 
     def test_witness_rechecks(self, small_corpus):
         for frame in small_corpus:
-            report = one(frame).separation("subfit")
+            report = alone(frame).separation("subfit")
             if report.holds:
                 continue
             a, b = report.witness
@@ -53,21 +48,21 @@ class TestSubfit:
 
 class TestWeaklySubfit:
     def test_boolean_square_holds(self, b2):
-        assert one(b2).separation("weakly_subfit").holds
+        assert alone(b2).separation("weakly_subfit").holds
 
     def test_chain3_fails_at_middle(self, c3):
-        report = one(c3).separation("weakly_subfit")
+        report = alone(c3).separation("weakly_subfit")
         assert not report.holds
         assert report.witness == (1,)
 
     def test_closed_join_frame_of_chain3_fails(self, c3):
-        report = one(closed_join_frame(c3).frame).separation("weakly_subfit")
+        report = alone(alone(c3).closed_joins.frame).separation("weakly_subfit")
         assert not report.holds
         assert report.witness_labels == ("c(1)",)
 
     def test_witness_rechecks(self, small_corpus):
         for frame in small_corpus:
-            report = one(frame).separation("weakly_subfit")
+            report = alone(frame).separation("weakly_subfit")
             if report.holds:
                 continue
             (a,) = report.witness
@@ -77,53 +72,51 @@ class TestWeaklySubfit:
 
 class TestSymmetric:
     def test_chain3_fails_on_open_middle(self, c3):
-        report = one(c3).separation("symmetric")
+        report = alone(c3).separation("symmetric")
         assert not report.holds
         assert report.witness_labels == ("1",)
         assert [c.holds for c in report.conditions] == [False, False, False]
 
     def test_boolean_square_holds(self, b2):
-        report = one(b2).separation("symmetric")
+        report = alone(b2).separation("symmetric")
         assert report.holds
         assert len(report.conditions) == 3
 
     def test_degenerate_holds(self, c1):
-        assert one(c1).separation("symmetric").holds
+        assert alone(c1).separation("symmetric").holds
 
     def test_grid_fails(self, grid):
-        assert not one(grid).separation("symmetric").holds
+        assert not alone(grid).separation("symmetric").holds
 
     def test_conditions_agree_on_corpus(self, small_corpus):
         for frame in small_corpus:
-            one(frame).separation("symmetric")  # EquivalenceViolation would propagate
+            alone(frame).separation("symmetric")  # EquivalenceViolation would propagate
 
 
 class TestCorrespondence:
     def test_boolean_square(self, b2):
-        assert PPT(one(b2)) == CheckReport.passed("ppt")
-        assert one(b2).separation("subfit").holds and complemented(b2).all()
-        dual = dual_booleanization(b2, all_sublocales(b2))
-        assert {s.mask for s in dual} == set(closed_join_frame(b2).masks)
+        assert PPT(alone(b2)) == CheckReport.passed("ppt")
+        assert alone(b2).separation("subfit").holds and complemented(b2).all()
+        assert set(alone(b2).lattice.masks) == set(alone(b2).closed_joins.masks)
 
     def test_chain3_consistent(self, c3):
-        assert PPT(one(c3)) == CheckReport.passed("ppt")
-        assert not one(c3).separation("subfit").holds
-        cjf = closed_join_frame(c3)
+        assert PPT(alone(c3)) == CheckReport.passed("ppt")
+        assert not alone(c3).separation("subfit").holds
+        cjf = alone(c3).closed_joins
         assert cjf.elements[int(complemented(c3).argmin())].label() == "{1,2}"
         assert len(cjf) == 3
-        assert len(dual_booleanization(c3, all_sublocales(c3))) == 4
 
     def test_regular_pairs_of_chain3(self, c3):
         frame = corpus.named_frames()["pairs(chain3)"]
-        assert PPT(one(frame)).ok
-        assert not one(frame).separation("subfit").holds and not complemented(frame).all()
+        assert PPT(alone(frame)).ok
+        assert not alone(frame).separation("subfit").holds and not complemented(frame).all()
 
     def test_disagreement_raises(self, c3, monkeypatch):
         monkeypatch.setattr(SeparationBattery, "subfit", property(  # every frame subfit
             lambda battery: [SeparationReport("subfit", True)] * len(battery.frames)))
         with pytest.raises(TheoremViolation, match="^subfit=True but closed-join "
                                                    r"complementation=False; witness=\{1,2\}"):
-            PPT(one(c3))
+            PPT(alone(c3))
 
     def test_corpus_never_violates(self, small_corpus):
         for item in checks.frame_structures(small_corpus):  # one batch, as in a campaign
@@ -132,20 +125,20 @@ class TestCorrespondence:
 
 class TestPseudocomplementFormula:
     def test_boolean_square(self, b2):
-        assert one(b2).separation("pcformula") == CheckReport.passed("pcformula")
+        assert alone(b2).separation("pcformula") == CheckReport.passed("pcformula")
 
     def test_chain3_not_applicable(self, c3):
         # N/A counts as passing the guard
-        assert one(c3).separation("pcformula") == CheckReport.passed("pcformula",
+        assert alone(c3).separation("pcformula") == CheckReport.passed("pcformula",
                                                                         "not-applicable")
 
     def test_degenerate(self, c1):
-        assert one(c1).separation("pcformula").ok
+        assert alone(c1).separation("pcformula").ok
 
     def test_weakly_subfit_corpus_members_pass(self, small_corpus):
         applicable = 0
         for frame in small_corpus:
-            report = one(frame).separation("pcformula")
+            report = alone(frame).separation("pcformula")
             assert report.ok
             applicable += report.witness != "not-applicable"
         assert applicable  # the Boolean members are in the corpus
@@ -154,16 +147,16 @@ class TestPseudocomplementFormula:
 class TestImplications:
     def test_subfit_implies_weaker_axioms(self, small_corpus):
         for frame in small_corpus:
-            if one(frame).separation("subfit").holds:
-                assert one(frame).separation("weakly_subfit").holds
-                assert one(frame).separation("symmetric").holds
+            if alone(frame).separation("subfit").holds:
+                assert alone(frame).separation("weakly_subfit").holds
+                assert alone(frame).separation("symmetric").holds
 
     def test_finite_subfit_means_boolean(self, small_corpus):
         # On finite carriers the correspondence collapses subfitness to
         # complementedness; spot-check the equivalence both ways.
         for frame in small_corpus:
-            assert PPT(one(frame)).ok
-            assert one(frame).separation("subfit").holds == complemented(frame).all()
+            assert PPT(alone(frame)).ok
+            assert alone(frame).separation("subfit").holds == complemented(frame).all()
 
 
 def outcome(read):
@@ -226,7 +219,7 @@ class TestStackedBattery:
 
     def test_symmetry_reports_match_per_condition(self, tiny_corpus):
         for frame in tiny_corpus.values():
-            got = one(frame).separation("symmetric")
+            got = alone(frame).separation("symmetric")
             want = per_item_separation(frame)["symmetric"]
             assert got == want and [c.witness for c in got.conditions] == [
                 c.witness for c in want.conditions]
@@ -311,14 +304,14 @@ class TestStackedBattery:
                                          "witness=None, frame labels=('0', '1', '2')")
         battery = SeparationBattery([broken], lambda: closed_join_frames([broken]))
         assert outcome(lambda: settled(battery.ppt[0])) == expected
-        lattice = all_sublocales(c3)  # the broken meet makes no S(L)
+        lattice = alone(c3).lattice  # the broken meet makes no S(L)
         monkeypatch.setattr(sublocales, "sublocale_lattices", lambda frames, budget: [lattice])
-        assert outcome(lambda: PPT(one(broken))) == expected
+        assert outcome(lambda: PPT(alone(broken))) == expected
         assert outcome(lambda: settled(per_item_separation(broken, lattice)["ppt"])) == expected
 
     def test_injected_sublocale_fault(self, b2, monkeypatch):
         # an S(L) whose second member row is {0, 3}, not the closed {1, 3}
-        lattice = all_sublocales(b2)
+        lattice = alone(b2).lattice
         rows = lattice.rows.copy()
         rows[1] = [True, False, False, True]
         broken = SublocaleLattice(b2, lattice.ys, rows)
@@ -326,5 +319,5 @@ class TestStackedBattery:
                                          "Booleanization: closed joins ['O', '{1,3}', '{2,3}', "
                                          "'L'] vs fixed points ['O', '{0,3}', '{2,3}', 'L']")
         monkeypatch.setattr(sublocales, "sublocale_lattices", lambda frames, budget: [broken])
-        assert outcome(lambda: PPT(one(b2))) == expected
+        assert outcome(lambda: PPT(alone(b2))) == expected
         assert outcome(lambda: settled(per_item_separation(b2, broken)["ppt"])) == expected

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from localekit import checks, common, spaces
-from localekit.common import BudgetExceeded, CheckReport, TheoremViolation
-from localekit.spaces import (FiniteSpace, InvalidTopology, bitstring, discrete,
-                              enumerate_topologies, indiscrete, omega, sierpinski,
-                              space_from_preorder, space_structures, uc_lattice)
+from localekit.common import BudgetExceeded, CheckReport, TheoremViolation, settled, unpack_rows
+from localekit.lattice import set_frames
+from localekit.spaces import (FiniteSpace, InvalidTopology, bitstring, enumerate_topologies,
+                              space_from_preorder, space_structures)
 
+from conftest import discrete, indiscrete, sierpinski
 from oracles import (_raised, brute_topologies, closed_sets, closure_of, find_order_isomorphism,
                      first_uncomplemented, generic_set_frame, is_symmetric_space, is_t0,
                      per_space_proposition, per_space_td_remark, saturated_sets)
@@ -18,6 +19,23 @@ from oracles import (_raised, brute_topologies, closed_sets, closure_of, find_or
 def alone(space):
     """space as a chunk of one: the SpaceStructure `spaces check` reads."""
     return next(space_structures([space]))
+
+
+def ring_frames(space):
+    """(masks, frame) for the open-set frame Ω(X) and the unions-of-closed
+    frame, each a ring of sets in (size, mask) order, by one `set_frames` call."""
+    rings = [sorted(space.opens, key=lambda m: (m.bit_count(), m)), closed_sets(space)]
+    frames = set_frames([unpack_rows(masks, space.points) for masks in rings],
+                        [[bitstring(m, space.points) for m in masks] for masks in rings])
+    return list(zip(rings, map(settled, frames)))
+
+
+def omega(space):
+    return ring_frames(space)[0][1]
+
+
+def uc_lattice(space):
+    return ring_frames(space)[1][1]
 
 
 def frame_symmetry(frame):
@@ -138,22 +156,16 @@ class TestUnionsOfClosed:
                 assert saturated_sets(space) == set(space.opens)
 
     # the discrete order makes ↓1 = {1}, which is not closed; the full one
-    # puts 1 below 0, so the closed set {0} is no down-set
+    # puts 1 below 0, so the closed set {0} is no down-set: one disjunct of
+    # `_unsaturated` each
     @pytest.mark.parametrize("corrupted", [np.eye(2, dtype=bool), np.ones((2, 2), dtype=bool)],
                              ids=["discrete", "full"])
-    def test_corrupted_specialization_is_caught(self, corrupted):
-        space = sierpinski()
-        space.__dict__["specialization"] = corrupted
-        with pytest.raises(AssertionError,
-                           match="^complementation fails to reach the saturated sets$"):
-            uc_lattice(space)
-
-    def test_unsaturated_space_in_a_chunk_is_charged_alone(self, monkeypatch):
-        # the stacked route's check, handed the discrete order for the first of
+    def test_unsaturated_space_in_a_chunk_is_charged_alone(self, monkeypatch, corrupted):
+        # the stacked route's check, handed the corrupted order for the first of
         # the two Sierpiński spaces on 2 points (one stack), fails on it alone
         real = spaces._unsaturated
         monkeypatch.setattr(spaces, "_unsaturated", lambda closed, specs: real(closed, np.concatenate(
-            [np.eye(2, dtype=bool)[None], specs[1:]]) if specs.shape[:2] == (2, 2) else specs))
+            [corrupted[None], specs[1:]]) if specs.shape[:2] == (2, 2) else specs))
         items = list(space_structures(enumerate_topologies(2)))
         assert len({id(item._chunk) for item in items}) == 1
         for item in items:
@@ -165,7 +177,7 @@ class TestUnionsOfClosed:
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            uc_lattice(discrete(3), budget=2)
+            next(space_structures([discrete(3)], budget=2)).proposition()
 
 
 def sampled_five_point_spaces():
@@ -190,12 +202,6 @@ def sampled_five_point_spaces():
             rows = grown
         spaces.append(space_from_preorder(tuple(rows)))
     return spaces
-
-
-def ring_frames(space):
-    """(masks, frame) for the open-set frame and the unions-of-closed frame."""
-    return [(sorted(space.opens, key=lambda m: (m.bit_count(), m)), omega(space)),
-            (closed_sets(space), uc_lattice(space))]
 
 
 class TestRingOfSetsFrames:

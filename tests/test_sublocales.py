@@ -9,25 +9,49 @@ import pytest
 
 from localekit import checks, cli, common, corpus, io, lattice, sublocales
 from localekit.common import BudgetExceeded, bits, pack_rows, settled, unpack_rows
-from localekit.lattice import FiniteFrame, cover_pairs, validate_frame
-from localekit.sublocales import (ClosedJoinFrame, MixedParents, Sublocale,
-                                  all_sublocales, closed_join_frame, closed_join_frames,
-                                  closed_open_outcomes,
-                                  closed_sublocale, dual_booleanization,
-                                  is_sublocale, mask_of, meet_closure,
-                                  open_sublocale, primes, sublocale_lattices,
-                                  supplement)
+from localekit.lattice import FiniteFrame, cover_pairs, cover_relation, validate_frame
+from localekit.sublocales import (ClosedJoinFrame, Sublocale, closed_join_frames,
+                                  closed_open_outcomes, meet_closure, open_rows,
+                                  sublocale_lattices)
 
-from oracles import (brute_closed_join_elements, brute_primes, brute_sublocales,
-                     closed_join_meet, containment, find_order_isomorphism, generic_closed_join_frame,
-                     generic_closed_open_identities, generic_sublocale_laws, least_upper_bounds,
-                     meet_close, per_item_complements, per_item_identities, per_item_sublocales,
-                     sublocale_join, sublocale_witness, tampered)
+from conftest import alone
+from oracles import (MixedParents, brute_closed_join_elements, brute_primes, brute_sublocales,
+                     closed_join_meet, containment, find_order_isomorphism,
+                     generic_closed_join_frame, generic_closed_open_identities,
+                     generic_sublocale_laws, least_upper_bounds, meet_close, per_item_complements,
+                     per_item_identities, per_item_sublocales, sublocale_join, sublocale_witness,
+                     tampered)
 
 
 def closed_open(frame, part):
     """The identities (0) or complements (1) report of frame as a batch of one."""
-    return next(checks.frame_structures([frame])).closed_open(part)
+    return alone(frame).closed_open(part)
+
+
+def is_sublocale(frame, members):
+    """The stacked sublocale test of `sublocale_lattices` on one member set."""
+    rows = unpack_rows([sum(1 << i for i in set(members))], frame.n)
+    return sublocales._sublocale_rows(frame.meet[None], frame.imp[None], rows[None])[0]
+
+
+def closed_sublocale(frame, a):
+    """c(a): the up-set of a."""
+    return Sublocale(frame, frame.up_masks[a])
+
+
+def open_sublocale(frame, a):
+    """o(a): the image of a -> (-), as `closed_open_outcomes` reads it."""
+    return Sublocale(frame, pack_rows(open_rows(frame.imp[None])[0, a:a + 1])[0])
+
+
+def primes(frame):
+    """The meet-irreducibles as `sublocale_lattices` finds them: one upper cover each."""
+    return tuple(np.flatnonzero(cover_relation(frame.leq).sum(axis=1) == 1).tolist())
+
+
+def supplements(lattice):
+    """supplements[i]: the index in S(L) of M(P ∖ Y) for its i-th member M(Y)."""
+    return np.argsort(lattice.ys)[lattice.ys ^ (len(lattice) - 1)]
 
 
 def raised(action):
@@ -155,84 +179,83 @@ class TestPrimes:
 
     def test_count_is_power_of_two(self, small_corpus):
         for frame in small_corpus:
-            assert len(all_sublocales(frame)) == 2 ** len(brute_primes(frame))
+            assert len(alone(frame).lattice) == 2 ** len(brute_primes(frame))
 
     def test_prime_sets_are_the_members(self, small_corpus):
         for frame in small_corpus:
             ps = primes(frame)
-            lattice = all_sublocales(frame)
+            lattice = alone(frame).lattice
             for mask, y in zip(lattice.masks, lattice.prime_sets):
-                assert y == mask_of(k for k, p in enumerate(ps) if mask >> p & 1)
+                assert y == sum(1 << k for k, p in enumerate(ps) if mask >> p & 1)
 
     def test_supplement_complements_the_primes(self, small_corpus):
         for frame in small_corpus:
             ps = primes(frame)
-            lattice = all_sublocales(frame)
-            for s in lattice.sublocales:
-                rest = mask_of(p for p in ps if not s.mask >> p & 1)
-                expected = meet_close(frame, rest | 1 << frame.top)
-                assert supplement(s, lattice).mask == expected
+            lattice = alone(frame).lattice
+            for mask, t in zip(lattice.masks, supplements(lattice)):
+                rest = sum(1 << p for p in ps if not mask >> p & 1)
+                assert lattice.masks[t] == meet_close(frame, rest | 1 << frame.top)
 
 
 class TestSublocaleLattice:
     def test_chain3_has_four(self, c3):
-        lattice = all_sublocales(c3)
+        lattice = alone(c3).lattice
         assert [s.label() for s in lattice.sublocales] == ["O", "{0,2}", "{1,2}", "L"]
 
     def test_chain3_is_boolean_square(self, c3, b2):
-        lattice = all_sublocales(c3)
+        lattice = alone(c3).lattice
         frame = validate_frame(containment(lattice.rows))
         assert find_order_isomorphism(frame, b2) is not None
 
     def test_chain2_trivial(self, c2):
-        assert len(all_sublocales(c2)) == 2
+        assert len(alone(c2).lattice) == 2
 
     def test_square_contains_closed_and_open(self, b2):
-        masks = set(all_sublocales(b2).masks)
+        masks = set(alone(b2).lattice.masks)
         for a in range(b2.n):
             assert closed_sublocale(b2, a).mask in masks
             assert open_sublocale(b2, a).mask in masks
 
     def test_matches_naive_scan(self, small_corpus):
         for frame in small_corpus:
-            assert list(all_sublocales(frame).masks) == \
+            assert list(alone(frame).lattice.masks) == \
                 sorted(brute_sublocales(frame), key=lambda m: (bin(m).count("1"), m))
 
     def test_budget(self, c3):
         with pytest.raises(BudgetExceeded):
-            all_sublocales(c3, budget=1)
+            alone(c3, 1).lattice
 
     def test_default_budget_refuses_before_any_closure(self, monkeypatch):
         def unbuilt(frame, rows):
             raise AssertionError("a closure was built")
         monkeypatch.setattr(sublocales, "meet_closure", unbuilt)
         with pytest.raises(BudgetExceeded) as err:
-            all_sublocales(corpus.chain(12))
+            alone(corpus.chain(12)).lattice
         assert str(err.value) == "11 primes exceed the sublocale budget 10 (override with --budget)"
 
     def test_budget_reaches_2048_sublocales(self):
-        lattice = all_sublocales(corpus.chain(12), budget=11)
+        lattice = alone(corpus.chain(12), 11).lattice
         assert len(lattice) == 2048 and lattice.rows.shape == (2048, 12)
         ys = np.array(lattice.prime_sets)
-        assert (ys[lattice.supplements] == ys ^ 2047).all()
+        assert (ys[supplements(lattice)] == ys ^ 2047).all()
         assert lattice.laws.ok
 
     def test_meets_are_intersections(self, small_corpus):
         for frame in small_corpus[:40]:
-            lattice = all_sublocales(frame)
+            lattice = alone(frame).lattice
             ys = lattice.prime_sets
             for i, a in enumerate(lattice.masks):
                 for j, b in enumerate(lattice.masks):  # M(Y) ∩ M(Z) = M(Y ∩ Z)
-                    assert ys[lattice.index[a & b]] == ys[i] & ys[j]
+                    assert ys[lattice.masks.index(a & b)] == ys[i] & ys[j]
 
     def test_coframe_law_and_lub(self, small_corpus):
         for frame in small_corpus:
-            assert all_sublocales(frame).laws.ok
+            assert alone(frame).lattice.laws.ok
 
     def test_generic_laws_oracle(self, tiny_corpus):
         frames = [frame for _, frame in corpus.iter_distributive_frames(6)]
         for frame in frames + list(tiny_corpus.values()):
-            lattice = all_sublocales(frame)
+            lattice = alone(frame).lattice
             assert generic_sublocale_laws(lattice) is None
             assert lattice.laws.ok
 
@@ -244,7 +267,7 @@ class TestSublocaleLattice:
             monkeypatch.setattr(sublocales, "meet_closure", flipped((0, y, x)))
             return isinstance(sublocale_lattices([frame])[0], AssertionError)
 
-        flips = [(y, x) for y in range(len(all_sublocales(frame))) for x in range(frame.n)]
+        flips = [(y, x) for y in range(len(alone(frame).lattice)) for x in range(frame.n)]
         assert [flip for flip in flips if not caught(*flip)] == []
 
     # (frame, table, a, b, value) tampered, and the message that a per-closure
@@ -267,9 +290,9 @@ class TestSublocaleLattice:
             monkeypatch.setattr(common, "STACK_CELLS", cells)
         frame = tampered(tiny_corpus[name], table, {(a, b): value})
         if not message:
-            all_sublocales(frame)
+            alone(frame).lattice
             return
-        assert raised(lambda: all_sublocales(frame)) == (
+        assert raised(lambda: alone(frame).lattice) == (
             AssertionError, f"meet-closure of primes is not a sublocale: {message}",
             (f"meet-closure of primes is not a sublocale: {message}",))
 
@@ -288,18 +311,18 @@ class TestSublocaleLattice:
     def test_closure_flip_names_the_first_witness(self, tiny_corpus, monkeypatch, name, flips,
                                                   message):
         monkeypatch.setattr(sublocales, "meet_closure", flipped(*((0, y, x) for y, x in flips)))
-        assert raised(lambda: all_sublocales(tiny_corpus[name])) == (
+        assert raised(lambda: alone(tiny_corpus[name]).lattice) == (
             AssertionError, message, (message,))
 
     def test_cube7_past_64_elements(self, cube7):
-        lattice = all_sublocales(cube7)
+        lattice = alone(cube7).lattice
         assert len(lattice) == 128
         # in a Boolean frame every sublocale is closed: S(L) is the up-sets ↑a
         assert sorted(lattice.masks) == sorted(cube7.up_masks)
         ys = lattice.prime_sets
         for i, a in enumerate(lattice.masks):
             for j, b in enumerate(lattice.masks):
-                assert ys[lattice.index[a & b]] == ys[i] & ys[j]
+                assert ys[lattice.masks.index(a & b)] == ys[i] & ys[j]
         ys = np.array(ys)
         assert (containment(lattice.rows) == ((ys[:, None] & ~ys[None, :]) == 0)).all()
         assert lattice.laws.ok
@@ -312,7 +335,7 @@ class TestSublocaleLattice:
         # VmHWM is the peak of this interpreter's own address space: Linux
         # carries the peak of the process that starts it over exec into ru_maxrss
         script = ("from localekit import corpus, sublocales\n"
-                  f"lattice = sublocales.all_sublocales(corpus.chain({n}), budget={budget})\n"
+                  f"lattice = sublocales.sublocale_lattices([corpus.chain({n})], {budget})[0]\n"
                   f"assert len(lattice) == {size}\n"
                   "assert lattice.laws.ok\n"
                   "print(next(line.split()[1] for line in open('/proc/self/status')\n"
@@ -327,14 +350,14 @@ class TestSublocaleLattice:
     def test_dot_edges_are_the_covers_of_the_containment_order(self, tiny_corpus):
         frames = [frame for _, frame in corpus.iter_distributive_frames(5)]
         for frame in frames + list(tiny_corpus.values()):
-            lattice = all_sublocales(frame)
+            lattice = alone(frame).lattice
             nodes = [(str(i), s.label()) for i, s in enumerate(lattice.sublocales)]
             edges = [(str(i), str(j)) for i, j in zip(*cover_pairs(containment(lattice.rows)))]
             assert io.dot_sublocales(lattice) == io._digraph("sublocales", nodes, edges)
 
     def test_join_monotone(self, small_corpus):
         for frame in small_corpus[:30]:
-            lattice = all_sublocales(frame)
+            lattice = alone(frame).lattice
             ys, leq = np.array(lattice.prime_sets), containment(lattice.rows)
             join = np.argsort(ys)[ys[:, None] | ys[None, :]]  # M(Y ∪ Z)
             for i in range(len(lattice)):
@@ -368,10 +391,10 @@ class TestAntitoneEmbedding:
         # c(b) ⊆ c(a) iff everything above b is above a; a <= b must say the same
         expected = next((a, b) for a in range(3) for b in range(3)
                         if leq[a, b] != all(leq[a, k] for k in range(3) if leq[b, k]))
-        lattice, reports = all_sublocales(c3), closed_open_outcomes([c3])
+        lattice, reports = alone(c3).lattice, closed_open_outcomes([c3])
         monkeypatch.setattr(sublocales, "sublocale_lattices", lambda frames, budget: [lattice])
         monkeypatch.setattr(sublocales, "closed_open_outcomes", lambda frames: reports)
-        report = sublocale_laws(next(checks.frame_structures([frame])))
+        report = sublocale_laws(alone(frame))
         assert (report.name, report.ok) == ("sublocale-laws", False)
         a, b = (c3.labels[v] for v in expected)
         assert report.witness == f"antitone embedding breaks at ({a},{b})"
@@ -379,27 +402,24 @@ class TestAntitoneEmbedding:
 
 class TestSupplement:
     def test_chain3_supplements(self, c3):
-        lattice = all_sublocales(c3)
-        c_m = closed_sublocale(c3, 1)
-        o_m = open_sublocale(c3, 1)
-        assert supplement(c_m, lattice).mask == o_m.mask
-        whole = Sublocale(c3, (1 << c3.n) - 1)
-        least = Sublocale(c3, 1 << c3.top)
-        assert supplement(whole, lattice).mask == least.mask
-        assert supplement(least, lattice).mask == whole.mask
+        lattice = alone(c3).lattice
+        partner = dict(zip(lattice.masks, (lattice.masks[t] for t in supplements(lattice))))
+        assert partner[closed_sublocale(c3, 1).mask] == open_sublocale(c3, 1).mask
+        whole, least = (1 << c3.n) - 1, 1 << c3.top
+        assert partner[whole] == least and partner[least] == whole
 
     def test_supplement_is_the_least_t_joining_to_the_top(self, small_corpus):
         """With joins read off the containment order alone, supplements[i] is
         the one T that joins S_i to L and lies inside every such T. Applied
         twice it gives S_i back, so the dual Booleanization is all of S(L)."""
         for frame in small_corpus:
-            lattice = all_sublocales(frame)
+            lattice = alone(frame).lattice
             leq = containment(lattice.rows)
             partners = least_upper_bounds(leq) == len(lattice) - 1  # [i, t]
             least = [np.flatnonzero(row & leq[:, row].all(axis=1)).tolist() for row in partners]
-            assert least == [[t] for t in lattice.supplements.tolist()]
-            assert (lattice.supplements[lattice.supplements] == np.arange(len(lattice))).all()
-            assert dual_booleanization(frame, lattice) == lattice.sublocales
+            partner = supplements(lattice)
+            assert least == [[t] for t in partner.tolist()]
+            assert (partner[partner] == np.arange(len(lattice))).all()
 
 
 def hand_frame(leq):
@@ -457,33 +477,33 @@ class TestSublocaleLattices:
     @pytest.mark.parametrize("position", [0, 3])
     def test_faulty_frame_keeps_its_own_outcome(self, tiny_corpus, fault, position):
         broken = FAULTS[fault](tiny_corpus)
-        alone = raised(lambda: all_sublocales(broken).laws)
+        single = raised(lambda: alone(broken).lattice.laws)
         if fault == "budget":
-            assert alone[:2] == (BudgetExceeded, "11 primes exceed the sublocale budget 10 "
+            assert single[:2] == (BudgetExceeded, "11 primes exceed the sublocale budget 10 "
                                                  "(override with --budget)")
         elif fault in WORDED:
             library, per_item = WORDED[fault]
-            assert alone == (AssertionError, library, (library,))
+            assert single == (AssertionError, library, (library,))
             assert raised(lambda: per_item_sublocales(broken)) == (
                 AssertionError, per_item, (per_item,))
         else:  # the per-item route raises the same
-            assert raised(lambda: per_item_sublocales(broken)) == alone
+            assert raised(lambda: per_item_sublocales(broken)) == single
         good = [tiny_corpus[name] for name in ("chain3", "bool3", "grid2x3", "chain5", "bool2")]
         good += [frame for _, frame in corpus.iter_distributive_frames(5)  # stacks with the
                  if frame.n == 5 and len(primes(frame)) == 3][:2]          # 5-element faults
         batch = good[:position] + [broken] + good[position:]
         outcomes = sublocale_lattices(batch)
-        assert raised(lambda: settled(outcomes[position]).laws) == alone
+        assert raised(lambda: settled(outcomes[position]).laws) == single
         structures = list(checks.frame_structures(batch))
         for name in ("coframe-law", "ppt"):  # every check of the item that reads S(L) raises
-            assert raised(lambda: checks.LATTICE_CHECKS[name](structures[position])) == alone
+            assert raised(lambda: checks.LATTICE_CHECKS[name](structures[position])) == single
         for k, (outcome, frame) in enumerate(zip(outcomes, batch)):
             if k != position:
                 assert outcome.masks == per_item_sublocales(frame)[0]
                 assert outcome.laws.ok and structures[k].lattice.laws.ok
 
     def test_flipped_closure_fails_only_its_own_frame(self, tiny_corpus, monkeypatch):
-        masks = all_sublocales(tiny_corpus["bool3"]).masks
+        masks = alone(tiny_corpus["bool3"]).lattice.masks
         monkeypatch.setattr(sublocales, "meet_closure", flipped((1, 4, 6)))
         batch = sublocale_lattices([tiny_corpus["bool3"]] * 3)
         assert isinstance(batch[1], AssertionError)
@@ -492,7 +512,7 @@ class TestSublocaleLattices:
         assert batch[0].masks == batch[2].masks == masks
 
     def test_a_passing_campaign_packs_no_masks(self, monkeypatch, capsys):
-        """S(L)'s masks, Sublocales and index, closed-join masks and up-set
+        """S(L)'s masks and Sublocales, closed-join masks and up-set
         masks are built only when read, and a campaign that passes reads none."""
         packed = []
         for module in (common, sublocales, lattice):
@@ -546,30 +566,30 @@ class TestSublocaleLattices:
 
 class TestClosedJoinFrame:
     def test_chain3_is_three_chain(self, c3):
-        cjf = closed_join_frame(c3)
+        cjf = alone(c3).closed_joins
         assert len(cjf) == 3
         assert all(cjf.frame.leq[i, j] for i in range(3) for j in range(i, 3))
 
     def test_square_is_isomorphic_to_itself(self, b2):
-        cjf = closed_join_frame(b2)
+        cjf = alone(b2).closed_joins
         assert len(cjf) == 4
         assert find_order_isomorphism(cjf.frame, b2) is not None
 
     def test_degenerate(self, c1):
-        assert len(closed_join_frame(c1)) == 1
+        assert len(alone(c1).closed_joins) == 1
 
     def test_elements_match_join_formula_oracle(self, small_corpus):
         for frame in small_corpus:
-            cjf = closed_join_frame(frame)
+            cjf = alone(frame).closed_joins
             assert sorted(cjf.masks) == brute_closed_join_elements(frame)
 
     def test_frame_law(self, small_corpus):
         for frame in small_corpus:
-            assert closed_join_frame(frame).frame_law_report().ok
+            assert alone(frame).closed_joins.frame_law_report().ok
 
     def test_past_64_elements(self, chain65, cube7):
         for frame in (chain65, cube7):
-            cjf = closed_join_frame(frame)
+            cjf = alone(frame).closed_joins
             assert sorted(cjf.masks) == sorted(frame.up_masks)
             for i, a in enumerate(cjf.masks):
                 for j, b in enumerate(cjf.masks):
@@ -584,7 +604,7 @@ class TestClosedJoinFrame:
         elif not isinstance(frames, list):
             frames = [frames]
         for frame in frames:
-            cjf = closed_join_frame(frame)
+            cjf = alone(frame).closed_joins
             masks, generic = generic_closed_join_frame(frame)
             assert cjf.masks == masks
             assert cjf.frame.labels == generic.labels
@@ -593,7 +613,7 @@ class TestClosedJoinFrame:
 
     def test_joins_embed_into_sublocale_lattice(self, small_corpus):
         for frame in small_corpus[:40]:
-            cjf = closed_join_frame(frame)
+            cjf = alone(frame).closed_joins
             for i, a in enumerate(cjf.masks):
                 for j, b in enumerate(cjf.masks):
                     joined = sublocale_join([Sublocale(frame, a), Sublocale(frame, b)])
@@ -610,14 +630,15 @@ def first_undistributed(meet, join):
 
 class TestClosedJoinFrameLaw:
     def test_every_single_entry_change_matches_the_triple_loop(self, b2):
-        cjf = closed_join_frame(b2)
+        cjf = alone(b2).closed_joins
         levels = set()
         for table in ("meet", "join"):
             for a in range(4):
                 for b in range(4):
                     for value in range(4):
                         frame = tampered(cjf.frame, table, {(a, b): value})
-                        tampered_cjf = ClosedJoinFrame(b2, cjf.generators, frame)
+                        tampered_cjf = ClosedJoinFrame(b2, cjf.generators, frame, lambda: (
+                            sublocales._distributivity(frame.meet[None], frame.join[None])[0]))
                         down = first_undistributed(frame.meet, frame.join)
                         up = first_undistributed(frame.join, frame.meet)
                         if (down is None) != (up is None):  # a breach raises
@@ -642,13 +663,13 @@ class TestClosedJoinFrames:
         frames = small_corpus + list(tiny_corpus.values())
         Random(0).shuffle(frames)  # carrier sizes mixed in one batch
         for batch, frame in zip(closed_join_frames(frames), frames):
-            alone = closed_join_frame(frame)
+            single = alone(frame).closed_joins
             assert batch.parent is frame
-            assert batch.masks == alone.masks
-            assert batch.generators == alone.generators
-            assert batch.frame.labels == alone.frame.labels
+            assert batch.masks == single.masks
+            assert batch.generators == single.generators
+            assert batch.frame.labels == single.frame.labels
             for name in ("leq", "meet", "join", "imp"):
-                assert np.array_equal(getattr(batch.frame, name), getattr(alone.frame, name))
+                assert np.array_equal(getattr(batch.frame, name), getattr(single.frame, name))
 
     def test_empty_batch(self):
         assert closed_join_frames([]) == []
@@ -664,7 +685,7 @@ class TestClosedJoinFrames:
         reports = [cjf.frame_law_report() for cjf in batch]
         sizes = {frame.n for frame in frames}
         assert sorted(calls) == sorted(2 * [sum(f.n == n for f in frames) for n in sizes])
-        assert reports == [closed_join_frame(frame).frame_law_report() for frame in frames]
+        assert reports == [alone(frame).closed_joins.frame_law_report() for frame in frames]
         assert all(report.ok for report in reports)
 
     @pytest.mark.parametrize("position", [0, 2])
@@ -674,8 +695,8 @@ class TestClosedJoinFrames:
         broken = tampered(tiny_corpus["bool2"], bad, {(1, 2): {"meet": 3, "join": 1}[bad]})
         message = {"meet": "closed-join join is not above both at (c(1), c(2))",
                    "join": "closed-join meet is not below both at (c(1), c(2))"}[bad]
-        alone = raised(lambda: closed_join_frame(broken))
-        assert alone == (AssertionError, message, (message,))
+        single = raised(lambda: alone(broken).closed_joins)
+        assert single == (AssertionError, message, (message,))
         good = [tiny_corpus[name] for name in ("chain3", "bool3", "chain4", "grid2x3")]
         # each failing frame gets its own error, even when its carrier size is built first,
         # and the frames around them are built as if alone
@@ -684,22 +705,22 @@ class TestClosedJoinFrames:
         outcomes = closed_join_frames(batch)
         failed = {k for k, outcome in enumerate(outcomes) if isinstance(outcome, AssertionError)}
         assert failed == {position, len(batch) - 1}
-        assert (type(outcomes[position]), str(outcomes[position])) == alone[:2]
-        assert str(outcomes[-1]) == raised(lambda: closed_join_frame(later))[1]
+        assert (type(outcomes[position]), str(outcomes[position])) == single[:2]
+        assert str(outcomes[-1]) == raised(lambda: alone(later).closed_joins)[1]
         for outcome, frame in zip(outcomes, batch):
             if not isinstance(outcome, AssertionError):
-                assert outcome.masks == closed_join_frame(frame).masks
+                assert outcome.masks == alone(frame).closed_joins.masks
 
 
 class TestClosedJoinMeet:
     def test_square_atoms_meet_to_least(self, b2):
-        cjf = closed_join_frame(b2)
+        cjf = alone(b2).closed_joins
         meet = closed_join_meet(cjf, closed_sublocale(b2, 1), closed_sublocale(b2, 2))
         assert meet.mask == 1 << b2.top
 
     def test_top_is_neutral(self, small_corpus):
         for frame in small_corpus[:30]:
-            cjf = closed_join_frame(frame)
+            cjf = alone(frame).closed_joins
             whole = Sublocale(frame, (1 << frame.n) - 1)
             for s in cjf.elements:
                 assert closed_join_meet(cjf, s, whole).mask == s.mask
@@ -707,7 +728,7 @@ class TestClosedJoinMeet:
 
     def test_meet_is_largest_below_intersection(self, small_corpus):
         for frame in small_corpus[:30]:
-            cjf = closed_join_frame(frame)
+            cjf = alone(frame).closed_joins
             for s in cjf.elements:
                 for t in cjf.elements:
                     value = closed_join_meet(cjf, s, t).mask
@@ -772,19 +793,10 @@ class TestIdentitiesAndDualBooleanization:
         assert closed_open(frame, 0).witness == "c(0) ≠ L"
         assert generic_closed_open_identities(frame).witness == "⋂c over ()"
 
-    def test_chain3_every_sublocale_is_fixed(self, c3):
-        fixed = dual_booleanization(c3, all_sublocales(c3))
-        assert len(fixed) == 4
-
     def test_square_coincides_with_closed_joins(self, b2):
-        fixed = {s.mask for s in dual_booleanization(b2, all_sublocales(b2))}
-        assert fixed == set(closed_join_frame(b2).masks)
-
-    def test_degenerate(self, c1):
-        fixed = dual_booleanization(c1, all_sublocales(c1))
-        assert [s.mask for s in fixed] == [1]
+        assert set(alone(b2).lattice.masks) == set(alone(b2).closed_joins.masks)
 
     def test_distributive_iff_dually_distributive(self, small_corpus):
         # the report never raises a one-sided verdict on finite carriers
         for frame in small_corpus:
-            closed_join_frame(frame).frame_law_report()
+            alone(frame).closed_joins.frame_law_report()
