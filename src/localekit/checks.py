@@ -7,11 +7,15 @@ witness and passes are silent. An internal cross-check that breaks raises
 campaign loop records it as that item's violation of that check.
 
 Every LATTICE_CHECKS entry takes a FrameStructure: one campaign item's
-frame, whose S(L), closed-join frame, frame laws, closed/open identities and
-complements, and separation battery are each built for its whole batch in
-one stacked call (`sublocale_lattices`, `closed_join_frames`,
-`frame_law_outcomes`, `closed_open_outcomes`, `SeparationBattery`) when the
-first item asks. Each item reads its own outcome, and raises what it raises
+frame and its slot in a batch. The batch's S(L), closed-join frames, frame
+laws, closed/open identities and complements, antitone embeddings and
+separation battery are each built in one stacked call (`sublocale_lattices`,
+`closed_join_frames`, `frame_law_outcomes`, `closed_open_outcomes`,
+`antitone_outcomes`, `SeparationBattery`) when the first item asks. A
+frame's outcomes depend only on its tables, so a campaign builds its batches
+once per distinct canonical order of the labeled corpus, not per item: the
+30 (n = 6) to 56 (n = 8) items of an order read the same slot, and each reads
+its outcome in its own labels (`common.settled`), raising what it raises
 alone. Sharing does not merge routes: each law keeps its own two
 computations.
 """
@@ -19,13 +23,14 @@ computations.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .common import CheckReport, TheoremViolation, first_failures, grouped, settled, slice_len
-from .lattice import FiniteFrame, containment_order, element_dtype, gather, stacked
+from .common import (CheckReport, TheoremViolation, first_failures, grouped, named, settled,
+                     slice_len)
+from .lattice import FiniteFrame, by_size, containment_order, element_dtype, gather, stacked
 from . import corpus
 from . import realline as rl
 from . import separation
@@ -38,51 +43,72 @@ from . import sublocales as sub
 
 
 class FrameStructure:
-    """One campaign item, or one command's input: its frame and its outcomes,
-    read off the batches of frame_structures. Its subfitness, decided once in
-    the separation battery, serves ppt and axiom-monotonicity alike."""
+    """One campaign item, or one command's input: its frame and its slot k
+    in batches decided on frames with the same tables, from frame_batches.
+    Each outcome is read for this frame, in its labels. Its subfitness,
+    decided once in the separation battery, serves ppt and
+    axiom-monotonicity alike."""
 
     def __init__(self, frame: FiniteFrame, k: int, batches: dict[str, Callable[[], list]]):
         self.frame, self._k, self._batches = frame, k, batches
 
-    def _outcome(self, name: str):
-        return settled(self._batches[name]()[self._k])
+    def _outcome(self, name: str, part=None):
+        outcome = self._batches[name]()[self._k]
+        return settled(outcome if part is None else outcome[part], self.frame)
 
     @cached_property
     def lattice(self) -> sub.SublocaleLattice:
-        """The item's S(L), which its batch then no longer holds: it is freed with the item."""
-        outcome = self._outcome("lattice")  # a stored error stays in the batch, and raises
-        self._batches["lattice"]()[self._k] = None
-        return outcome
+        """The item's S(L), on its own frame; the batch keeps the shared one."""
+        return self._outcome("lattice")
 
     @cached_property
     def closed_joins(self) -> sub.ClosedJoinFrame:
-        """The closed-join frame, which stays in its batch: the separation battery reads it."""
+        """The closed-join frame, on its own frame; the separation battery reads the batch's."""
         return self._outcome("closed_joins")
 
     def separation(self, part: str):
         """The item's outcome `part` of the separation battery (see SeparationBattery)."""
-        return settled(getattr(self._batches["separation"](), part)[self._k])
+        return settled(getattr(self._batches["separation"](), part)[self._k], self.frame)
+
+    def holds(self, axiom: str) -> bool:
+        """Whether the battery's `axiom` holds, which its labels do not change:
+        its report is read only if it is a breach, which raises."""
+        outcome = getattr(self._batches["separation"](), axiom)[self._k]
+        if isinstance(outcome, Exception):
+            settled(outcome, self.frame)  # raises, in the item's labels
+        return outcome.holds
 
     def frame_laws(self) -> CheckReport:
         return self._outcome("frame_laws")
 
     def closed_open(self, part: int) -> CheckReport:
         """The closed/open identities (0) or complements (1) report."""
-        return self._outcome("closed_open")[part]
+        return self._outcome("closed_open", part)
+
+    def antitone(self) -> CheckReport:
+        """The antitone embedding a ↦ c(a) report (see antitone_outcomes)."""
+        return self._outcome("antitone")
+
+
+def frame_batches(frames: Sequence[FiniteFrame],
+                  budget: Optional[int] = None) -> dict[str, Callable[[], list]]:
+    """The six batches of frames, by name, each built when first asked; the
+    separation battery reads the closed-join frames' batch. The budget
+    bounds the primes of S(L)."""
+    batches = {name: cache(lambda build=build: build(frames)) for name, build in (
+        ("lattice", lambda frames: sub.sublocale_lattices(frames, budget)),
+        ("closed_joins", sub.closed_join_frames), ("frame_laws", frame_law_outcomes),
+        ("closed_open", sub.closed_open_outcomes), ("antitone", antitone_outcomes))}
+    closed_joins = batches["closed_joins"]  # not `batches`: a cycle would outlive the batch
+    batches["separation"] = cache(lambda: separation.SeparationBattery(frames, closed_joins))
+    return batches
 
 
 def frame_structures(frames: Sequence[FiniteFrame],
                      budget: Optional[int] = None) -> Iterator[FrameStructure]:
-    """A FrameStructure per frame, in order, sharing five lazily built batches;
-    the separation battery reads the closed-join frames' batch. The budget
-    bounds the primes of S(L). A single input is a batch of one."""
-    batches = {name: cache(lambda build=build: build(frames)) for name, build in (
-        ("lattice", lambda frames: sub.sublocale_lattices(frames, budget)),
-        ("closed_joins", sub.closed_join_frames),
-        ("frame_laws", frame_law_outcomes), ("closed_open", sub.closed_open_outcomes))}
-    closed_joins = batches["closed_joins"]  # not `batches`: a cycle would outlive the chunk
-    batches["separation"] = cache(lambda: separation.SeparationBattery(frames, closed_joins))
+    """A FrameStructure per frame, in order, sharing one frame_batches. A
+    single input is a batch of one."""
+    batches = frame_batches(frames, budget)
     for k, frame in enumerate(frames):
         yield FrameStructure(frame, k, batches)
 
@@ -143,9 +169,8 @@ def _frame_law_stack(frames: Sequence[FiniteFrame]) -> list[CheckReport | Assert
     failed, below, triple = _frame_law_masks(*stacked(frames))
     outcomes: list = [CheckReport.passed("frame-laws")] * len(frames)
     for k, (law, at) in first_failures([below, triple, *failed[2:]]).items():
-        witness = _FRAME_LAWS[law].format(*(frames[k].labels[a] for a in at))
-        outcomes[k] = (AssertionError(witness) if 2 <= law < 5
-                       else CheckReport.failed("frame-laws", witness))
+        outcomes[k] = (AssertionError(_FRAME_LAWS[law]) if 2 <= law < 5 else named(
+            partial(CheckReport.failed_at, "frame-laws", _FRAME_LAWS[law], at), frames[k]))
     return outcomes
 
 
@@ -165,17 +190,26 @@ def frame_law_outcomes(frames: Sequence[FiniteFrame]) -> list[CheckReport | Asse
     return outcomes
 
 
+def antitone_outcomes(frames: Sequence[FiniteFrame]) -> list[CheckReport]:
+    """The antitone embedding a ↦ c(a) = ↑a of every frame, in order: a <= b
+    iff c(b) ⊆ c(a), one containment order per carrier size, the first
+    failure named at its first pair, row-major."""
+    outcomes = [CheckReport.passed("sublocale-laws")] * len(frames)
+    for ks, (leq,) in by_size(frames, ("leq",)):
+        broken = leq != containment_order(leq).transpose(0, 2, 1)
+        for g, (_, at) in first_failures([broken]).items():
+            outcomes[ks[g]] = named(partial(CheckReport.failed_at, "sublocale-laws",
+                                            "antitone embedding breaks at ({},{})", at),
+                                    frames[ks[g]])
+    return outcomes
+
+
 def sublocale_laws(item: FrameStructure) -> CheckReport:
     """S(L): coframe law, join-is-lub, the closed/open complements, antitone embedding."""
-    frame = item.frame
     for report in (item.lattice.laws, item.closed_open(1)):
         if not report.ok:
             return report
-    broken = frame.leq != containment_order(frame.leq).T   # a <= b iff c(b) ⊆ c(a)
-    for _, at in first_failures([broken[None]]).values():
-        a, b = (frame.labels[v] for v in at)
-        return CheckReport.failed("sublocale-laws", f"antitone embedding breaks at ({a},{b})")
-    return CheckReport.passed("sublocale-laws")
+    return item.antitone()
 
 
 def subfit_correspondence(item: FrameStructure) -> CheckReport:
@@ -184,9 +218,9 @@ def subfit_correspondence(item: FrameStructure) -> CheckReport:
     supplement of S(L). That is Y ↦ P ∖ Y twice on its prime sets, the
     identity, so they are the rows of S(L). A breach raises
     TheoremViolation, and otherwise "ppt" passes."""
-    lattice, cjf, subfit = item.lattice, item.closed_joins, item.separation("subfit")
+    lattice, cjf, subfit = item.lattice, item.closed_joins, item.holds("subfit")
     outcome = item.separation("ppt")
-    if subfit.holds and not np.array_equal(lattice.rows, item.frame.leq[list(cjf.generators)]):
+    if subfit and not np.array_equal(lattice.rows, item.frame.leq[list(cjf.generators)]):
         raise TheoremViolation(
             "subfit frame where closed joins differ from the dual Booleanization: "
             f"closed joins {[s.label() for s in cjf.elements]} vs "
@@ -197,11 +231,11 @@ def subfit_correspondence(item: FrameStructure) -> CheckReport:
 def axiom_monotonicity(item: FrameStructure) -> CheckReport:
     """subfit implies weakly subfit and symmetric; a breach raises AssertionError."""
     item.closed_joins  # read first: a breach of the closed-join frame is this check's too
-    if not item.separation("subfit").holds:
+    if not item.holds("subfit"):
         return CheckReport.passed("axiom-monotonicity", "not-subfit")
-    if not item.separation("weakly_subfit").holds:
+    if not item.holds("weakly_subfit"):
         raise AssertionError("subfit but not weakly subfit")
-    if not item.separation("symmetric").holds:
+    if not item.holds("symmetric"):
         raise AssertionError("subfit but not symmetric")
     return CheckReport.passed("axiom-monotonicity")
 
@@ -220,7 +254,7 @@ LATTICE_CHECKS: dict[str, Callable[[FrameStructure], CheckReport]] = {
     "sublocale-laws": sublocale_laws,
     "sc-frame-law": lambda item: item.closed_joins.frame_law_report(),
     "ppt": subfit_correspondence,
-    "weaksub-equiv": lambda item: _consistent("weaksub-equiv", item.separation("symmetric")),
+    "weaksub-equiv": lambda item: _consistent("weaksub-equiv", item.holds("symmetric")),
     "pcformula": lambda item: item.separation("pcformula"),
     "axiom-monotonicity": axiom_monotonicity,
 }
@@ -302,7 +336,7 @@ def lemma_invariants(u: rl.RationalOpen, points: list[Fraction]) -> CheckReport:
             raise AssertionError(f"certificate term contains {x}")
         if Fraction(1, cert.stage) >= abs(x):
             return CheckReport.failed(name, f"stage {cert.stage} too coarse for {x}")
-    if not rl.recovery_report(u, rl.STAGES, containment=True).passed:
+    if not rl.recovery_report(u, containment=True).passed:
         return CheckReport.failed(name, "interior recovery failed")
     return CheckReport.passed(name)
 

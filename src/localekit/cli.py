@@ -25,15 +25,14 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from pathlib import Path
 from random import Random
 from typing import Optional
 
 from . import checks, corpus, io, realline as rl, spaces as sp
 from .common import (PASS, FAIL, VIOLATION, BudgetExceeded, CheckReport, EquivalenceViolation,
-                     TheoremViolation, within_budget)
-from .lattice import NotALattice, NotDistributive, cover_pairs
+                     TheoremViolation, slice_len, within_budget)
+from .lattice import NotALattice, NotDistributive, cover_pairs, table_frames
 from .spaces import FiniteSpace
 
 
@@ -245,13 +244,24 @@ def _campaign(report: Report, items, registry, names) -> int:
 
 
 def _lattice_items(max_size: int):
-    """(item, FrameStructure) for the labeled corpus, then the named frames;
-    each corpus chunk, and the named frames, share one batch of structures."""
-    batches = chain(corpus.chunked(corpus.iter_distributive_frames(max_size)),
-                    [sorted(corpus.named_frames().items())])
-    for batch in batches:
-        yield from zip([item for item, _ in batch],
-                       checks.frame_structures([frame for _, frame in batch]))
+    """(item, FrameStructure) for the labeled corpus, then the named frames.
+    A corpus item's frame is row j of its carrier size's validated tables, j
+    its canonical order (its `stack`). The canonical orders of a size share
+    one batch of structures per slice of slice_len(n**3) of them, the bound
+    of a corpus chunk, and each item reads slot j in its own labels. The
+    named frames share one batch."""
+    tables = None
+    for item, frame in corpus.iter_distributive_frames(max_size):
+        if frame.stack[0] is not tables:
+            tables, step = frame.stack[0], slice_len(frame.n ** 3)
+            orders = table_frames(tables, [tuple(map(str, range(frame.n)))] * len(tables["leq"]))
+            batches = [checks.frame_batches(orders[start:start + step])
+                       for start in range(0, len(orders), step)]
+        j = frame.stack[1]
+        yield item, checks.FrameStructure(frame, j % step, batches[j // step])
+    named = sorted(corpus.named_frames().items())
+    yield from zip([item for item, _ in named],
+                   checks.frame_structures([frame for _, frame in named]))
 
 
 def _campaign_lattices(args, report: Report) -> None:

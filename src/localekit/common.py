@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -69,10 +69,27 @@ def first_failures(masks) -> dict[int, tuple[int, tuple[int, ...]]]:
     return dict(sorted(found.items()))
 
 
-def settled(outcome):
+def named(build: Callable, frame):
+    """build(frame): a batch outcome, a report or an exception, whose text
+    names elements in the frame's labels. It keeps build as its `on`, so
+    that a frame with the same tables under other labels reads the same
+    outcome in its own (see `settled`). The attribute is set past the
+    frozen reports' __setattr__; it is no field, so equality ignores it."""
+    outcome = build(frame)
+    object.__setattr__(outcome, "on", build)
+    return outcome
+
+
+def settled(outcome, frame=None):
     """A batch's outcome for one member: its result, or the exception stored
-    in its place, raised now so it is charged to that member alone. Each
-    raise starts a fresh traceback, so asking again does not grow it."""
+    in its place, raised now so it is charged to that member alone. Given
+    the member's frame, an outcome decided on another frame with the same
+    tables that names elements or holds its frame (one with `on`) is first
+    read for this one, in its labels. Each raise starts a fresh traceback,
+    so asking again does not grow it."""
+    on = None if frame is None else getattr(outcome, "on", None)
+    if on is not None:
+        outcome = on(frame)
     if isinstance(outcome, Exception):
         raise outcome.with_traceback(None)
     return outcome
@@ -161,3 +178,9 @@ class CheckReport:
     @classmethod
     def failed(cls, name: str, witness: str) -> "CheckReport":
         return cls(name, FAIL, witness)
+
+    @classmethod
+    def failed_at(cls, name: str, text: str, at: tuple, frame) -> "CheckReport":
+        """A failure whose witness is text with its {} fields the labels of
+        the elements at `at` in frame: a build for `named`."""
+        return cls(name, FAIL, text.format(*(frame.labels[v] for v in at)))

@@ -15,12 +15,12 @@ Bit rows become order matrices in one vectorised unpack, a chunk at a time.
 A frame's tables depend only on its canonical order (`lattice.canonical`),
 so each carrier size is decided once per distinct canonical order: the
 labeled orders are canonicalized a chunk at a time and packed to byte keys,
-the distinct keys are validated as stacks, and each chunk of items takes its
-rows of the validated tables, under the items' own labels. At n = 7 that is
-630 validated orders for 26,460 frames (42 each, the 7 × 6 places of the
-bottom and top labels), at n = 6 84 for 2,520 (30 each). `chunked` hands
-those chunks on, so a campaign can build the closed-join frames and decide
-the frame laws of a chunk as one batch too.
+the distinct keys are validated as stacks, and each item's frame is views of
+its order's rows of the validated tables, under the item's own labels. At
+n = 7 that is 630 validated orders for 26,460 frames (42 each, the 7 × 6
+places of the bottom and top labels), at n = 6 84 for 2,520 (30 each). An
+item's `stack` names its size's validated tables and its order's row, so
+a campaign decides every check once per canonical order too.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations
 from random import Random
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -195,33 +195,18 @@ def _decided(n: int):
 
 def iter_distributive_frames(max_size: int) -> Iterator[tuple[str, FiniteFrame]]:
     """The labeled corpus: every labeled distributive lattice with <= max_size
-    elements, validated as a frame, with a stable per-item name. A chunk's
-    frames are its rows of the tables `_decided` validated, one take per
-    table, labeled as validate_frame labels them: by their input indices."""
+    elements, validated as a frame, with a stable per-item name. An item's
+    frame is row j of the tables `_decided` validated for its carrier size,
+    j the index of its canonical order, as views with (tables, j) as its
+    stack, labeled as validate_frame labels them: by their input indices."""
     for n in range(1, max_size + 1):
         tables, index, orders = _decided(n)
         labels, step = np.array([str(i) for i in range(n)], dtype=object), slice_len(n**3)
         for start in range(0, len(index), step):
-            chunk = {name: table.take(index[start:start + step], axis=0)
-                     for name, table in tables.items()}
-            names = list(map(tuple, labels[orders[start:start + step]].tolist()))
-            for k, frame in enumerate(table_frames(chunk, names), start):
+            names = map(tuple, labels[orders[start:start + step]].tolist())
+            rows = index[start:start + step].tolist()
+            for k, frame in enumerate(table_frames(tables, names, rows), start):
                 yield f"dist{n}:{k:04d}", frame
-
-
-def chunked(items: Iterable[tuple[str, FiniteFrame]]) -> Iterator[list[tuple[str, FiniteFrame]]]:
-    """The (name, frame) items of iter_distributive_frames regrouped into the
-    chunks whose tables it took together: lists of one carrier size, _chunks long,
-    each one batch of a campaign's FrameStructures."""
-    batch: list[tuple[str, FiniteFrame]] = []
-    for item in items:
-        n = item[1].n
-        if batch and (batch[0][1].n != n or len(batch) == slice_len(n**3)):
-            yield batch
-            batch = []
-        batch.append(item)
-    if batch:
-        yield batch
 
 
 # ---------------------------------------------------------------------------

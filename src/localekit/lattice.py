@@ -324,15 +324,17 @@ def validate_frames(leqs, labels: Optional[Sequence[Sequence[str]]] = None) -> l
     return table_frames({"leq": canon, "meet": meet, "join": join, "imp": imp}, labels)
 
 
-def table_frames(tables, labels: Sequence[tuple[str, ...]]) -> list[FiniteFrame]:
+def table_frames(tables, labels: Iterable[tuple[str, ...]],
+                 rows: Optional[Sequence[int]] = None) -> list[FiniteFrame]:
     """The frames of validated tables (F, ...) by name, leq, meet, join and
-    imp, one per label row: row k of every table, frozen, with (tables, k)
-    as its stack, so that `stacked` reads a run of them back as views."""
+    imp, one per label row: row rows[k] (by default k) of every table, frozen,
+    with (tables, row) as its stack, so that `stacked` reads a run of them
+    back as views."""
     for table in tables.values():
         table.flags.writeable = False
     leq, meet, join, imp = (tables[name] for name in ("leq", "meet", "join", "imp"))
-    return [FiniteFrame(leq[k], meet[k], join[k], imp[k], labels[k], (tables, k))
-            for k in range(len(labels))]
+    return [FiniteFrame(leq[j], meet[j], join[j], imp[j], names, (tables, j))
+            for j, names in zip(range(len(leq)) if rows is None else rows, labels)]
 
 
 def _lookups(stack):

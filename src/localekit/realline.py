@@ -344,17 +344,14 @@ class ObstructionCertificate:
     is verified to be descending up to that stage, so exclusion persists.
     """
 
-    point: Fraction
     stage: int
     term: RationalOpen
-    antitone_checked: int
 
 
 @dataclass(frozen=True)
 class InteriorRecoveryReport:
     """Verdict that the interior of the term intersection recovers the set."""
 
-    stages: int
     containment_ok: bool
     zero_in_set: bool
     zero_interior_excluded: Optional[bool]
@@ -449,7 +446,7 @@ class PaddedTerms:
         term = self.upto(n)[-1]
         if contains_point(term, x):
             raise AssertionError(f"{x} survives stage {n} in {self.u}")
-        return ObstructionCertificate(point=x, stage=n, term=term, antitone_checked=n)
+        return ObstructionCertificate(stage=n, term=term)
 
 
 def _excluded_point(u: RationalOpen, x: Fraction) -> Fraction:
@@ -469,16 +466,16 @@ def exclusion_certificate(u: RationalOpen, x: Fraction) -> ObstructionCertificat
     return PaddedTerms(u).certificate(x)
 
 
-def recovery_report(u: RationalOpen, stages: int, containment: bool) -> InteriorRecoveryReport:
-    """The interior-recovery verdict, given whether u ⊆ term_n for n = 1..stages.
+def recovery_report(u: RationalOpen, containment: bool) -> InteriorRecoveryReport:
+    """The interior-recovery verdict, given whether u ⊆ term_n for every stage checked.
 
     When the origin is outside u, the exact endpoint check confirms the
     origin is not interior to u ∪ {0} (no components of u touch 0 from both
     sides), so no open interval around the origin survives into every stage.
     """
     if contains_point(u, 0):
-        return InteriorRecoveryReport(stages, containment, True, None)
-    return InteriorRecoveryReport(stages, containment, False, not _zero_touched_twice(u))
+        return InteriorRecoveryReport(containment, True, None)
+    return InteriorRecoveryReport(containment, False, not _zero_touched_twice(u))
 
 
 def descending_pair(pair: KRealPair, n: int) -> KRealPair:

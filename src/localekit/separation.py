@@ -8,20 +8,23 @@ every command reads, a single frame being a batch of one. Products are
 bool `@`, exact at any width. A frame whose cross-check breaks gets the
 exception it raises alone. Witnesses are minimal in lexicographic element
 order, the witness order of `common.first_failures`, so reports are
-reproducible and can be re-checked independently.
+reproducible and can be re-checked independently. A witness is decided as
+element indices and named in a frame's labels by `common.named`, so that
+every frame with the same tables reads the report in its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .common import CheckReport, EquivalenceViolation, TheoremViolation, first_failures
+from .common import (CheckReport, EquivalenceViolation, TheoremViolation, first_failures,
+                     named)
 from .lattice import FiniteFrame, by_size
-from .sublocales import open_rows
+from .sublocales import Sublocale, open_rows
 
 
 @dataclass(frozen=True)
@@ -56,9 +59,12 @@ def _failures(frames, names, laws, count=1) -> list[dict[int, tuple[int, ...]]]:
     return found
 
 
-def _report(axiom, frame, witness, conditions=()) -> SeparationReport:
-    labels = witness and tuple(frame.labels[v] for v in witness)
-    return SeparationReport(axiom, witness is None, witness, labels, conditions)
+def _report(axiom: str, frame: FiniteFrame, witness: Optional[tuple[int, ...]]):
+    """The axiom's report on frame: a pass, or a failure at witness."""
+    if witness is None:
+        return SeparationReport(axiom, True)
+    return named(lambda frame: SeparationReport(
+        axiom, False, witness, tuple(frame.labels[v] for v in witness)), frame)
 
 
 def _weakly_subfit(frames) -> list[SeparationReport]:
@@ -67,6 +73,41 @@ def _weakly_subfit(frames) -> list[SeparationReport]:
         ~(join[:, 1:, :-1] == join.shape[1] - 1).any(axis=2),))[0]
     return [_report("weakly-subfit", frame, (found[k][0] + 1,) if k in found else None)
             for k, frame in enumerate(frames)]
+
+
+def _symmetric(weak: Optional[int], proper: Optional[int], dense: Optional[int],
+               frame: FiniteFrame) -> SeparationReport | EquivalenceViolation:
+    """symmetric's report on frame from its three conditions, or an
+    EquivalenceViolation where they disagree: each fails at an element a,
+    or holds (None), weak at c(a), the closed-join frame's witness, and
+    proper and dense at o(a), an open inside no proper ↑g."""
+    conditions = tuple(ConditionVerdict(name, a is None,
+                                        None if a is None else f"{kind}({frame.labels[a]})")
+                       for name, kind, a in (("closed-join-weakly-subfit", "c", weak),
+                                             ("proper-opens-covered", "o", proper),
+                                             ("dense-proper-opens-covered", "o", dense)))
+    if len({c.holds for c in conditions}) != 1:
+        return EquivalenceViolation(
+            f"symmetry conditions disagree on a frame with {frame.n} elements: "
+            f"{[(c.name, c.holds, c.witness) for c in conditions]}")
+    witness = None if proper is None else (proper,)
+    return SeparationReport("symmetric", proper is None, witness,
+                            witness and (frame.labels[proper],), conditions)
+
+
+def _pcformula_breach(law: int, a: int, bound: int, frame: FiniteFrame) -> AssertionError:
+    labels = frame.labels
+    return AssertionError((f"a={labels[a]}: meet of covers is {labels[bound]}, "
+                           f"a*={labels[frame.star[a]]}", f"a ∨ a* ≠ 1 at {labels[a]}",
+                           f"{labels[a]} has no complement")[law])
+
+
+def _ppt_breach(subfit: bool, mask: Optional[int], frame: FiniteFrame) -> TheoremViolation:
+    """subfit disagrees with closed-join complementation, which fails at the
+    closed sublocale `mask` (None where it holds)."""
+    witness = None if mask is None else Sublocale(frame, mask).label()
+    return TheoremViolation(f"subfit={subfit} but closed-join complementation={mask is None}; "
+                            f"witness={witness}, frame labels={frame.labels}")
 
 
 def _uncovered(leq, imp):
@@ -127,13 +168,10 @@ class SeparationBattery:
             frame = self.frames[k]
             outcomes[k] = CheckReport.passed("pcformula")
             if g in broken:
-                labels, (law, a) = frame.labels, broken[g]
+                law, a = broken[g]
                 covers = np.flatnonzero(frame.join[:, a] == frame.top).tolist()
                 bound = reduce(lambda u, v: int(frame.meet[u, v]), covers, frame.top)
-                outcomes[k] = AssertionError((
-                    f"a={labels[a]}: meet of covers is {labels[bound]}, "
-                    f"a*={labels[frame.star[a]]}", f"a ∨ a* ≠ 1 at {labels[a]}",
-                    f"{labels[a]} has no complement")[law])
+                outcomes[k] = named(partial(_pcformula_breach, law, a, bound), frame)
         return outcomes
 
     @cached_property
@@ -157,18 +195,11 @@ class SeparationBattery:
         opens = _failures([frames[k] for k in built], ("leq", "imp"), _uncovered, 2)
         reports = list(cjfs)
         for g, k in enumerate(built):
-            labels, weak, w2 = frames[k].labels, inner[g], opens[0].get(g)
-            conditions = (ConditionVerdict("closed-join-weakly-subfit", weak.holds,
-                                           weak.witness_labels and weak.witness_labels[0]),
-                          *(ConditionVerdict(name, g not in found,
-                                             f"o({labels[found[g][0]]})" if g in found else None)
-                            for name, found in zip(("proper-opens-covered",
-                                                    "dense-proper-opens-covered"), opens)))
-            reports[k] = _report("symmetric", frames[k], w2, conditions)
-            if len({c.holds for c in conditions}) != 1:
-                reports[k] = EquivalenceViolation(
-                    f"symmetry conditions disagree on a frame with {frames[k].n} elements: "
-                    f"{[(c.name, c.holds, c.witness) for c in conditions]}")
+            weak = None if inner[g].holds else cjfs[k].generators[inner[g].witness[0]]
+            proper, dense = (None if g not in found else found[g][0] for found in opens)
+            build = partial(_symmetric, weak, proper, dense)
+            reports[k] = (build(frames[k]) if weak is proper is dense is None  # names nothing
+                          else named(build, frames[k]))
         return reports
 
     @cached_property
@@ -184,8 +215,6 @@ class SeparationBattery:
             subfit, boolean = self.subfit[k].holds, g not in missing
             outcomes[k] = CheckReport.passed("ppt")
             if subfit != boolean:
-                witness = None if boolean else cjfs[k].elements[missing[g][0]].label()
-                outcomes[k] = TheoremViolation(
-                    f"subfit={subfit} but closed-join complementation={boolean}; "
-                    f"witness={witness}, frame labels={self.frames[k].labels}")
+                mask = None if boolean else cjfs[k].masks[missing[g][0]]
+                outcomes[k] = named(partial(_ppt_breach, subfit, mask), self.frames[k])
         return outcomes

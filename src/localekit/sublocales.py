@@ -12,7 +12,11 @@ L turned upside down.
 
 Everything works on stacks, and a frame that fails in a batch gets the
 outcome it gets alone; a single input is a batch of one, which the commands
-read through `checks.frame_structures` as a campaign reads a chunk.
+read through `checks.frame_structures` as a campaign reads a batch of
+canonical orders. An outcome depends only on its frame's tables: a witness
+is kept as element indices and named in a frame's labels by
+`common.named`, and S(L) and the closed-join frame are read on another
+frame with the same tables by their `on`.
 `sublocale_lattices` works one stack per (carrier size, number of primes),
 `closed_join_frames` and `closed_open_outcomes` one per carrier size. The
 sublocale budget counts primes, since |S(L)| = 2^|primes|. S(L) is decided
@@ -25,13 +29,13 @@ cases. Each failure is named in the witness order of `common.first_failures`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .common import (BudgetExceeded, CheckReport, bits, first_failures, grouped, pack_rows,
-                     slice_len, within_budget)
+from .common import (BudgetExceeded, CheckReport, bits, first_failures, grouped, named,
+                     pack_rows, slice_len, within_budget)
 from .lattice import (FiniteFrame, by_size, containment_order, cover_relation,
                       distributivity_witness, gather, heyting_tables)
 
@@ -147,6 +151,10 @@ class SublocaleLattice:
     def __len__(self):
         return len(self.ys)
 
+    def on(self, parent: FiniteFrame) -> "SublocaleLattice":
+        """The same S(L) on a frame with the same tables: its sublocales in that frame's labels."""
+        return SublocaleLattice(parent, self.ys, self.rows)
+
     @cached_property
     def masks(self) -> tuple[int, ...]:
         return pack_rows(self.rows)
@@ -215,12 +223,16 @@ def _sublocale_stack(frames, leq, meet, imp, prime, k, budget) -> list:
                 f"meet-closure of primes is not a sublocale: {verdicts[g]}"))
         elif g in apart:
             y, x = apart[g][1]
-            s = Sublocale(frame, pack_rows(closures[g, y:y + 1])[0]).label()
-            outcomes.append(AssertionError(f"meet-closure of primes differs from its prime "
-                                           f"decomposition at ({s}, {frame.labels[x]})"))
+            mask = pack_rows(closures[g, y:y + 1])[0]
+            outcomes.append(named(partial(_decomposition_breach, mask, x), frame))
         else:
             outcomes.append(SublocaleLattice(frame, ys[g], rows[g]))
     return outcomes
+
+
+def _decomposition_breach(mask: int, x: int, frame: FiniteFrame) -> AssertionError:
+    return AssertionError(f"meet-closure of primes differs from its prime decomposition at "
+                          f"({Sublocale(frame, mask).label()}, {frame.labels[x]})")
 
 
 def _decomposition(leq, at, chosen):
@@ -241,15 +253,27 @@ class ClosedJoinFrame:
     Since c(a) ∨ c(b) = c(a ∧ b), the joins of closed sublocales are the
     closed sublocales themselves: element i is the up-set of generators[i],
     and the frame is L turned upside down. `frame` is that frame, built by
-    `closed_join_frames`: element i is masks[i], joins are c(a ∧ b) and
-    meets c(a ∨ b). `law` reads its frame law off the stack it was built in.
+    `closed_join_frames`: element i is masks[i], labeled c(a) in the
+    parent's labels, joins are c(a ∧ b) and meets c(a ∨ b). `law` reads its
+    frame law off the stack it was built in.
     """
 
     def __init__(self, parent: FiniteFrame, generators: tuple[int, ...], frame: FiniteFrame, law):
-        self.parent, self.generators, self.frame, self._law = parent, generators, frame, law
+        self.parent, self.generators, self._frame, self._law = parent, generators, frame, law
 
     def __len__(self):
         return len(self.generators)
+
+    def on(self, parent: FiniteFrame) -> "ClosedJoinFrame":
+        """The same closed-join frame on a parent with the same tables, in its labels."""
+        return ClosedJoinFrame(parent, self.generators, self._frame, self._law)
+
+    @cached_property
+    def frame(self) -> FiniteFrame:
+        built = self._frame
+        labels = tuple(f"c({self.parent.labels[a]})" for a in self.generators)
+        return built if labels == built.labels else FiniteFrame(
+            built.leq, built.meet, built.join, built.imp, labels, built.stack)
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -309,20 +333,25 @@ def closed_join_frames(parents: Iterable[FiniteFrame]) -> list[ClosedJoinFrame |
         laws = cache(lambda meet=meet, join=join: _distributivity(meet, join))
         tables = {"leq": leq, "meet": meet, "join": join, "imp": imp}
         for g, k in enumerate(ks):
-            parent = parents[k]
-            labels = tuple(f"c({parent.labels[a]})" for a in gens[g].tolist())
+            gens_g = tuple(gens[g].tolist())
             if g in failures:
                 law, at = failures[g]
-                where = ", ".join(labels[v] for v in (
-                    at if law < 3 else np.unravel_index(broken[g], (n, n, n))))
-                law = ("order is not the parent's reversed", "join is not above both",
-                       "meet is not below both", "Heyting adjunction breaks")[law]
-                built[k] = AssertionError(f"closed-join {law} at ({where})")
+                at = at if law < 3 else tuple(np.unravel_index(broken[g], (n, n, n)))
+                built[k] = named(partial(_closed_join_breach, law, [gens_g[v] for v in at]),
+                                 parents[k])
                 continue
+            labels = tuple(f"c({parents[k].labels[a]})" for a in gens_g)
             frame = FiniteFrame(leq[g], meet[g], join[g], imp[g], labels, (tables, g))
-            built[k] = ClosedJoinFrame(parent, tuple(gens[g].tolist()), frame,
-                                       lambda g=g, laws=laws: laws()[g])
+            built[k] = ClosedJoinFrame(parents[k], gens_g, frame, lambda g=g, laws=laws: laws()[g])
     return built
+
+
+def _closed_join_breach(law: int, at: list[int], parent: FiniteFrame) -> AssertionError:
+    """The first law a closed-join frame breaks, at the closed sublocales c(a), a in at."""
+    law = ("order is not the parent's reversed", "join is not above both",
+           "meet is not below both", "Heyting adjunction breaks")[law]
+    where = ", ".join(f"c({parent.labels[a]})" for a in at)
+    return AssertionError(f"closed-join {law} at ({where})")
 
 
 def closed_open_outcomes(frames: Iterable[FiniteFrame]) -> list[tuple[CheckReport, CheckReport]]:
@@ -347,15 +376,17 @@ def closed_open_outcomes(frames: Iterable[FiniteFrame]) -> list[tuple[CheckRepor
             (up[:, a] & up[:, b], up[f, joins]), (unions[:, pairs], opens[f, joins]),
             (unions[:, :n * n], up[f, meets]), (opens[:, a] & opens[:, b], opens[f, meets]))]
         for g, (law, (pair,)) in first_failures(bad).items():
-            labels = frames[ks[g]].labels
-            text = ("c({}) ≠ L", "o({}) ≠ O", "c({})∩c({}) ≠ c(join)", "o({})∨o({}) ≠ o(join)",
-                    "c({})∨c({}) ≠ c(meet)", "o({})∩o({}) ≠ o(meet)")[law]
-            text = text.format(labels[a[pair]], labels[b[pair]])
-            identities[ks[g]] = CheckReport.failed("closed-open-identities", text)
+            identities[ks[g]] = named(partial(CheckReport.failed_at, "closed-open-identities",
+                                              _IDENTITIES[law], (a[pair], b[pair])),
+                                      frames[ks[g]])
         apart = ((up & opens) != (np.arange(n) == n - 1)).any(axis=2)
         unequal = np.stack([apart, ~unions[:, 2 * n * n:].all(axis=2)], axis=2)  # a, then law
         for g, (_, (at, law)) in first_failures([unequal]).items():
-            law = ("c∩o ≠ O", "c∨o ≠ L")[law]
-            complements[ks[g]] = CheckReport.failed("closed-open-complements",
-                                                    f"{law} at {frames[ks[g]].labels[at]}")
+            complements[ks[g]] = named(partial(CheckReport.failed_at, "closed-open-complements",
+                                               ("c∩o ≠ O at {}", "c∨o ≠ L at {}")[law], (at,)),
+                                       frames[ks[g]])
     return list(zip(identities, complements))
+
+
+_IDENTITIES = ("c({}) ≠ L", "o({}) ≠ O", "c({})∩c({}) ≠ c(join)", "o({})∨o({}) ≠ o(join)",
+               "c({})∨c({}) ≠ c(meet)", "o({})∩o({}) ≠ o(meet)")

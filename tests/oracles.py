@@ -8,14 +8,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import factorial
 
 import numpy as np
 
-from localekit import realline as rl
+from localekit import checks, corpus, realline as rl
 from localekit.common import (CheckReport, EquivalenceViolation, TheoremViolation, bits,
-                             pack_rows, settled, unpack_rows, within_budget)
+                             pack_rows, settled, slice_len, unpack_rows, within_budget)
 from localekit.corpus import iter_natural_posets, labeled_lattice_rows
 from localekit.lattice import (FiniteFrame, cover_relation, order_closure, validate_frame,
                                validate_frames)
@@ -256,6 +256,32 @@ def per_item_corpus(max_size: int):
     for n in range(1, max_size + 1):
         for k, rows in enumerate(labeled_lattice_rows(n, distributive_only=True)):
             yield f"dist{n}:{k:04d}", validate_frame(rows_to_leq(rows))
+
+
+def chunked(items):
+    """(name, frame) items regrouped into lists of one carrier size, at most
+    slice_len(n**3) long, in order: the corpus chunks of the labeled corpus."""
+    batch: list = []
+    for item in items:
+        n = item[1].n
+        if batch and (batch[0][1].n != n or len(batch) == slice_len(n**3)):
+            yield batch
+            batch = []
+        batch.append(item)
+    if batch:
+        yield batch
+
+
+def per_chunk_items(max_size: int):
+    """The lattice campaign's (item, FrameStructure) pairs by each item's own
+    route: one frame_structures batch per corpus chunk, decided on the
+    labeled items' frames themselves, so that no item reads an outcome
+    decided on another frame; then the named frames, one batch."""
+    batches = chain(chunked(corpus.iter_distributive_frames(max_size)),
+                    [sorted(corpus.named_frames().items())])
+    for batch in batches:
+        yield from zip([item for item, _ in batch],
+                       checks.frame_structures([frame for _, frame in batch]))
 
 
 def _linear_extensions(up: tuple[int, ...], downsets: list[int]) -> int:

@@ -9,15 +9,19 @@ a <= a** and a* = a*** hold, {a : a** = a} and {a* : a in L} coincide, so
 no table reaches it.
 """
 
+import io
+import re
+from contextlib import redirect_stdout
 from functools import cached_property
 
 import numpy as np
 import pytest
 
-from localekit import checks, cli, corpus, separation
+from localekit import checks, cli, corpus, separation, sublocales
 from localekit.lattice import stacked
 
-from oracles import broken_copies, closed_form, generic_frame_law_masks, tampered
+from oracles import (broken_copies, closed_form, generic_frame_law_masks, per_chunk_items,
+                     tampered)
 
 TAMPERS = [
     # (frame, table, entries set, expected outcome)
@@ -140,10 +144,11 @@ class TestFrameLawMasks:
         assert not failed[:, 0].any() and failed[:, 2:].any(axis=0).all()
 
 
-def test_subfit_is_decided_once_per_item(monkeypatch, capsys):
-    """ppt and axiom-monotonicity read one subfitness verdict per item: the
-    item's separation battery decides it, and every frame of the campaign is
-    in exactly one battery whose subfit list is built, once."""
+def test_subfit_is_decided_once_per_canonical_order(monkeypatch, capsys):
+    """ppt and axiom-monotonicity read one subfitness verdict per canonical
+    order: the order's separation battery decides it, and every canonical
+    order of the corpus, and every named frame, is in exactly one battery
+    whose subfit list is built, once."""
     decided = []
     subfit = separation.SeparationBattery.subfit
 
@@ -157,4 +162,97 @@ def test_subfit_is_decided_once_per_item(monkeypatch, capsys):
             "--checks", "ppt,axiom-monotonicity"]
     assert cli.main(argv) == 0
     items = {line.split()[0] for line in capsys.readouterr().out.splitlines()[:-1]}
-    assert len(decided) == len(items) == len({id(frame) for frame in decided})
+    orders = {frame.leq.tobytes() for _, frame in corpus.iter_distributive_frames(4)}
+    assert len(items) == 45 + 12 and len(orders) == 1 + 1 + 1 + 3
+    assert len(decided) == len({id(frame) for frame in decided}) == len(orders) + 12
+
+
+def lattice_campaign(machine, route=None, monkeypatch=None):
+    """stdout of every lattice check on the corpus of at most 6 elements and
+    the named frames, by the campaign's batches or by `route`, with the
+    human summary's timing cut, and its exit code."""
+    if route is not None:
+        monkeypatch.setattr(cli, "_lattice_items", route)
+    argv = ["campaign", "lattices", "--max-size", "6", "--checks", ",".join(checks.LATTICE_CHECKS)]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["--machine"] * machine + argv)
+    return code, re.sub(r" \(\d+\.\d+s\)\n$", "\n", out.getvalue())
+
+
+@pytest.mark.parametrize("machine", [False, True])
+def test_canonical_order_batches_match_each_items_own_route(monkeypatch, machine):
+    """Each canonical order decided once, every item reading it in its own
+    labels, gives every record that each chunk of items decided on its own
+    frames gives."""
+    code, shared = lattice_campaign(machine)
+    assert code == 0 and shared.count("\n") == 9 * 2817 + 1
+    assert lattice_campaign(machine, per_chunk_items, monkeypatch) == (code, shared)
+
+
+def frames_of(order):
+    """For a stack of orders (F, n, n), the positions of those that are `order`."""
+    return lambda leq: np.flatnonzero((leq == order).all(axis=(1, 2))
+                                      if leq.shape[1:] == order.shape else [])
+
+
+def break_lattice(monkeypatch, hit):
+    """The prime decomposition of the order differs from its meet-closure at
+    M({first prime}) and the bottom."""
+    decomposition = sublocales._decomposition
+
+    def broken(leq, at, chosen):
+        got = decomposition(leq, at, chosen)
+        for f in hit(leq):
+            got[f, 1, 0] ^= True
+        return got
+    monkeypatch.setattr(sublocales, "_decomposition", broken)
+
+
+def break_separation(monkeypatch, hit):
+    """The order is subfit, but its closed-join frame is no Boolean algebra."""
+    failures = separation._failures
+
+    def broken(frames, names, laws, count=1):
+        found = failures(frames, names, laws, count)
+        if names == ("leq", "join"):  # subfitness
+            for k, frame in enumerate(frames):
+                if len(hit(frame.leq[None])):
+                    found[0].pop(k, None)
+        return found
+    monkeypatch.setattr(separation, "_failures", broken)
+
+
+def break_frame_laws(monkeypatch, hit):
+    """a ≤ a** fails at element 1 of the order."""
+    masks = checks._frame_law_masks
+
+    def broken(leq, meet, join, imp):
+        failed, below, triple = masks(leq, meet, join, imp)
+        for f in hit(leq):
+            below[f, 1] = True
+        return failed, below, triple
+    monkeypatch.setattr(checks, "_frame_law_masks", broken)
+
+
+@pytest.mark.parametrize("fault, checks_hit", [
+    (break_lattice, {"coframe-law", "sublocale-laws", "ppt"}),
+    (break_separation, {"ppt", "axiom-monotonicity"}),
+    (break_frame_laws, {"frame-laws"})])
+def test_a_broken_canonical_order_is_charged_to_its_items(monkeypatch, fault, checks_hit):
+    """A fault in one 6-element canonical order's batch reaches exactly its 30
+    items, each with the witness it gets on its own frame, in its labels."""
+    items = list(corpus.iter_distributive_frames(6))
+    order = next(frame for _, frame in items if frame.n == 6 and frame.stack[1] == 5)
+    own = {item for item, frame in items if frame.n == 6 and frame.stack[1] == 5}
+    fault(monkeypatch, frames_of(order.leq))
+    code, shared = lattice_campaign(True)
+    assert code in (1, 2) and lattice_campaign(True, per_chunk_items, monkeypatch) == (code, shared)
+    records = [dict(field.split("=", 1) for field in line.split())
+               for line in shared.splitlines()[:-1]]
+    faulty = [record for record in records if record["verdict"] != "pass"]
+    assert {record["item"] for record in faulty} == own and len(own) == 30
+    assert {record["check"] for record in faulty} == checks_hit
+    for check in checks_hit:
+        witnesses = {record["witness"] for record in faulty if record["check"] == check}
+        assert len(witnesses) > 1 or witnesses == {"subfit_but_not_weakly_subfit"}

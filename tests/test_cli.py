@@ -399,13 +399,13 @@ class TestCampaigns:
                          "--max-size", "3"]) == 0
         assert "summary records=21 pass=21" in capsys.readouterr().out
 
-    def test_campaign_builds_shared_structure_once(self, monkeypatch, capsys):
-        argv = ["--machine", "campaign", "lattices", "--max-size", "4", "--checks",
-                "frame-laws,identities,coframe-law,sc-frame-law,ppt,weaksub-equiv,pcformula"]
-        assert cli.main(argv) == 0
-        whole = capsys.readouterr().out
+    @staticmethod
+    def counted_batches(monkeypatch):
+        """{builder: the carrier sizes of each batch it builds}, for the six
+        batches of checks.frame_batches, once this patches them."""
         builders = ((sub, "sublocale_lattices"), (sub, "closed_join_frames"),
-                    (sub, "closed_open_outcomes"), (separation, "SeparationBattery"))
+                    (sub, "closed_open_outcomes"), (separation, "SeparationBattery"),
+                    (checks, "frame_law_outcomes"), (checks, "antitone_outcomes"))
         batches = {name: [] for _, name in builders}
 
         def counted(name, build):
@@ -417,13 +417,33 @@ class TestCampaigns:
 
         for module, name in builders:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        monkeypatch.setattr(common, "STACK_CELLS", 200)  # 12 chunks of 3 frames at n = 4
+        return batches
+
+    def test_campaign_builds_shared_structure_once(self, monkeypatch, capsys):
+        argv = ["--machine", "campaign", "lattices", "--max-size", "4", "--checks",
+                ",".join(checks.LATTICE_CHECKS)]
+        assert cli.main(argv) == 0
+        whole = capsys.readouterr().out
+        batches = self.counted_batches(monkeypatch)
+        # 1, 1, 1 and 3 canonical orders of 1 to 4 elements, at n = 4 in slices of 2
+        monkeypatch.setattr(common, "STACK_CELLS", 128)
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == whole
         named = corpus.named_frames()
-        expected = [(1,), (2, 2), (3,) * 6] + [(4, 4, 4)] * 12
+        expected = [(1,), (2,), (3,), (4, 4), (4,)]
         expected.append(tuple(frame.n for _, frame in sorted(named.items())))
         assert batches == {name: expected for name in batches}
+
+    def test_campaign_decides_each_canonical_order_once(self, monkeypatch, capsys):
+        # 2,805 labeled frames of 1 to 6 elements hold 1 + 1 + 1 + 3 + 12 + 84
+        # canonical orders; the 12 named frames are one batch of their own
+        batches = self.counted_batches(monkeypatch)
+        argv = ["--machine", "campaign", "lattices", "--max-size", "6", "--checks",
+                ",".join(checks.LATTICE_CHECKS)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.endswith(" pass=25353 fail=0 violation=0\n")
+        assert {name: sum(map(len, sizes)) for name, sizes in batches.items()} == {
+            name: 102 + 12 for name in batches}
 
     # At --max-size 6 the report (about 150 kB) is more than a pipe buffers,
     # so writing it meets the pipe closed after one line; at 3 the report
@@ -629,12 +649,13 @@ class TestIsolation:
         argv = ["--machine", "campaign", "lattices", "--max-size", "2", "--checks", "sc-frame-law"]
         code, clean = _run(argv, capsys)
         assert code == 0
-        self.one_sided(monkeypatch, 4)  # the dual verdict of the second item
+        self.one_sided(monkeypatch, 4)  # the dual verdict of the one 2-element order
         code, broken = _run(argv, capsys)
         assert code == 2
         expected = clean[:-1]
-        expected[1] = ("item=dist2:0000 check=sc-frame-law verdict=violation "
-                       "witness=distributive=True_but_dually_distributive=False")
+        for k, item in ((1, "dist2:0000"), (2, "dist2:0001")):  # both items of that order
+            expected[k] = (f"item={item} check=sc-frame-law verdict=violation "
+                           "witness=distributive=True_but_dually_distributive=False")
         assert broken == expected + [_summary(expected)]
 
     def test_one_sided_closed_join_law_in_sc_exits_2(self, monkeypatch, c3_file, capsys):
@@ -651,8 +672,8 @@ class TestIsolation:
         out, err = capsys.readouterr()
         assert (out, err) == ("", "violation: a=1: meet of covers is 2, a*=0\n")
 
-    def test_broken_closed_join_parent_is_charged_to_its_item(self, monkeypatch, capsys):
-        argv = ["--machine", "campaign", "lattices", "--max-size", "3",
+    def test_broken_closed_join_parent_is_charged_to_its_items(self, monkeypatch, capsys):
+        argv = ["--machine", "campaign", "lattices", "--max-size", "4",
                 "--checks", ",".join(checks.LATTICE_CHECKS)]
         batches, closed_join_frames = [], sub.closed_join_frames
 
@@ -664,33 +685,37 @@ class TestIsolation:
         code, clean = _run(argv, capsys)
         assert code == 0
         clean_batches, batches[:] = batches[:], []
-        errors = []
 
-        def tampering(parents):  # the third parent of the 3-element chunk loses a meet
+        def broken(frame):  # a canonical order, or an item of it, that loses a meet
+            middle = next(a for a in range(4) if a not in (frame.bottom, frame.top))
+            return tampered(frame, "meet", {(frame.bottom, middle): middle})
+
+        def tampering(parents):  # the third of the three 4-element canonical orders
             parents = list(parents)
-            if {frame.n for frame in parents} == {3}:
-                frame = parents[2]
-                middle = next(a for a in range(3) if a not in (frame.bottom, frame.top))
-                parents[2] = tampered(frame, "meet", {(frame.bottom, middle): middle})
-                alone = closed_join_frames(parents[2:3])[0]
-                assert isinstance(alone, AssertionError)
-                errors.append(str(alone))
+            if {frame.n for frame in parents} == {4}:
+                parents[2] = broken(parents[2])
+                assert isinstance(closed_join_frames(parents[2:3])[0], AssertionError)
             return counted(parents)
         monkeypatch.setattr(sub, "closed_join_frames", tampering)
-        code, broken = _run(argv, capsys)
+        code, got = _run(argv, capsys)
         assert code == 2
         assert batches == clean_batches  # every batch built once
-        assert len(errors) == 1
+        # the order's 12 items, each with the error it raises alone, in its own labels
+        errors = {item: str(closed_join_frames([broken(frame)])[0])
+                  for item, frame in corpus.iter_distributive_frames(4)
+                  if frame.n == 4 and frame.stack[1] == 2}
+        assert len(errors) == 12 and len(set(errors.values())) > 1
         breached = {"sc-frame-law", "ppt", "weaksub-equiv", "axiom-monotonicity"}
         names = list(checks.LATTICE_CHECKS) * ((len(clean) - 1) // len(checks.LATTICE_CHECKS))
         assert len(names) == len(clean) - 1  # one record per check of every item
-        expected = [f"item=dist3:0002 check={name} verdict=violation "
-                    f"witness={cli._sanitize(errors[0])}"
-                    if _fields(line)["item"] == "dist3:0002" and name in breached else line
-                    for line, name in zip(clean[:-1], names)]
-        assert broken[:-1] == expected
-        assert broken[-1] == _summary(expected)
-        assert sum("verdict=violation" in line for line in broken) == len(breached)
+        expected = [f"item={item} check={name} verdict=violation "
+                    f"witness={cli._sanitize(errors[item])}"
+                    if item in errors and name in breached else line
+                    for line, name in zip(clean[:-1], names)
+                    for item in [_fields(line)["item"]]]
+        assert got[:-1] == expected
+        assert got[-1] == _summary(expected)
+        assert sum("verdict=violation" in line for line in got) == len(breached) * len(errors)
 
 
     @pytest.mark.parametrize("check", ["space-proposition", "td-remark"])

@@ -114,9 +114,8 @@ class TestWitnessOrderPolicy:
 def definitions(sources):
     """(module, name) of every top-level function and class of the modules
     {name: source}, and (module, "Class.member") of every non-dunder method,
-    property and class attribute, each with its AST node. Dataclass and
-    NamedTuple fields are left out: the constructor writes them and the
-    generated repr and equality read them, which no name search sees."""
+    property and class attribute, each with its AST node. Dataclass fields
+    are left to `dataclass_fields`: a constructor writes them."""
     for module, tree in sources.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -172,6 +171,32 @@ def unreferenced(sources):
 UNREFERENCED = {}
 
 
+def dataclass_fields(sources):
+    """(module, "Class.field", node) of every field of a @dataclass class of
+    the modules {name: source}."""
+    for module, tree in sources.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
+                for member in node.body:
+                    if isinstance(member, ast.AnnAssign):
+                        yield module, f"{node.name}.{member.target.id}", member
+
+
+def unread_fields(sources):
+    """The dataclass fields of sources that no code reads: named nowhere
+    outside their own declaration, where a method of their class counts (it
+    reads them) and a constructor's keyword does not (it writes them)."""
+    return [f"{module}.{name}" for module, name, node in dataclass_fields(sources)
+            if not references(sources, module, name, {id(n) for n in ast.walk(node)})]
+
+
+# {qualified name: the test module that reads it}, for a dataclass field of
+# src/localekit that only a test reads: the condition a sublocale test
+# names is what test_sublocales checks against the per-item oracle.
+TEST_READ_FIELDS = {"sublocales.SubsetVerdict.condition": "test_sublocales.py"}
+
+
 class TestEveryDefinitionIsReached:
     def test_scanner_qualifies_names_by_module(self):
         sources = {"a": ast.parse("def f():\n    return g()\n\ndef g():\n    return g()\n"
@@ -182,10 +207,31 @@ class TestEveryDefinitionIsReached:
         assert unreferenced(sources) == ["a.C", "a.C.n", "b.g"]
 
     def test_every_definition_is_named_outside_itself(self):
-        package = Path(cli.__file__).parent
-        sources = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))
-                   if path.stem != "__init__"}
-        assert sorted(unreferenced(sources)) == sorted(UNREFERENCED)
+        assert sorted(unreferenced(package_sources())) == sorted(UNREFERENCED)
+
+    def test_scanner_reads_dataclass_fields(self):
+        sources = {"a": ast.parse("from dataclasses import dataclass\n\n"
+                                  "@dataclass(frozen=True)\nclass D:\n    kept: int\n"
+                                  "    inner: int\n    written: int = 0\n"
+                                  "    def total(self):\n        return self.inner\n\n"
+                                  "class Plain:\n    note: int\n"),
+                   "b": ast.parse("from .a import D\n\n"
+                                  "def f():\n    return D(1, 2, written=3).kept\n")}
+        assert unread_fields(sources) == ["a.D.written"]
+
+    def test_every_dataclass_field_is_read(self):
+        assert sorted(unread_fields(package_sources())) == sorted(TEST_READ_FIELDS)
+        for name, test in TEST_READ_FIELDS.items():
+            field = name.rpartition(".")[2]
+            tree = ast.parse((Path(__file__).parent / test).read_text())
+            assert any(getattr(node, "attr", None) == field for node in ast.walk(tree)), name
+
+
+def package_sources():
+    """{module: AST} of every module of src/localekit but __init__."""
+    package = Path(cli.__file__).parent
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))
+            if path.stem != "__init__"}
 
 
 def _chain_text(n):

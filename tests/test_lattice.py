@@ -12,8 +12,8 @@ from localekit.lattice import (ClosureViolation, FiniteFrame, InvalidPoset,
                                NotALattice, NotDistributive, booleanization, containment_order,
                                cover_pairs, distributivity_witness, element_dtype, gather,
                                heyting_tables, lattice_tables, order_closure, product_frame,
-                               regular_pair_frame, set_frames, stacked, validate_frame,
-                               validate_frames)
+                               regular_pair_frame, set_frames, stacked, table_frames,
+                               validate_frame, validate_frames)
 
 from oracles import (broken_copies, brute_heyting, brute_heyting_break, brute_is_distributive,
                      brute_is_lattice, brute_join, brute_meet, closed_form, diamond_leq,
@@ -305,10 +305,13 @@ class TestValidateFrames:
                     assert not table.flags.writeable
                 assert got.up_masks == want.up_masks
 
-    def test_stacked_reads_a_corpus_chunk_as_views(self):
-        frames = [frame for _, frame in max(corpus.chunked(corpus.iter_distributive_frames(6)),
-                                            key=len)]
-        assert len(frames) > 1
+    def test_stacked_reads_the_canonical_orders_of_a_size_as_views(self):
+        items = [frame for _, frame in corpus.iter_distributive_frames(6) if frame.n == 6]
+        tables = items[0].stack[0]
+        assert all(item.stack[0] is tables for item in items)  # each item a row of them
+        assert all(np.shares_memory(item.meet, tables["meet"]) for item in items)
+        frames = table_frames(tables, [items[0].labels] * len(tables["leq"]))
+        assert len(frames) == 84
         names = ("leq", "meet", "join", "imp")
         for name, table in zip(names, stacked(frames)):
             assert np.shares_memory(table, getattr(frames[0], name))

@@ -414,7 +414,7 @@ class TestPaddedTerms:
     def test_standalone_certificate_builds_every_stage(self, monkeypatch):
         built = self._count_stages(monkeypatch)
         cert = exclusion_certificate(self.U, Fraction(1, 30))
-        assert cert.stage == cert.antitone_checked == 31
+        assert cert.stage == 31
         assert built == list(range(1, 32))
 
     @given(regular_sets(), st.lists(rationals, max_size=4))
@@ -424,14 +424,13 @@ class TestPaddedTerms:
         for x in points:
             if x != 0 and not contains_point(u, x):
                 assert family.certificate(x) == exclusion_certificate(u, x)
-        assert recovery_report(u, 8, containment=True) == recovery(u, 8)
+        assert recovery_report(u, containment=True) == recovery(u, 8)
 
 
 def recovery(u, stages):
     """The interior-recovery report of u, with u ⊆ term_n decided for every
     stage up to the bound on one family, as lemma1-invariants decides it."""
-    return recovery_report(u, stages, all(is_subset(u, term)
-                                          for term in PaddedTerms(u).upto(stages)))
+    return recovery_report(u, all(is_subset(u, term) for term in PaddedTerms(u).upto(stages)))
 
 
 class TestInteriorRecovery:
@@ -487,8 +486,7 @@ class TestLemmaInvariantFaults:
 
     def test_certificate_term_containing_the_point_raises(self, monkeypatch):
         def lying(family, x):
-            return rl.ObstructionCertificate(point=x, stage=3, term=RationalOpen.reals(),
-                                             antitone_checked=3)
+            return rl.ObstructionCertificate(stage=3, term=RationalOpen.reals())
         monkeypatch.setattr(rl.PaddedTerms, "certificate", lying)
         with pytest.raises(AssertionError, match="^certificate term contains 1/2$"):
             checks.lemma_invariants(self.U, [Fraction(1, 2)])
