@@ -228,23 +228,29 @@ def subfit_correspondence(item: FrameStructure) -> CheckReport:
     return outcome
 
 
+# The fixed passes, built once and shared by every item that passes.
+_MONOTONE = CheckReport.passed("axiom-monotonicity")
+_NOT_SUBFIT = CheckReport.passed("axiom-monotonicity", "not-subfit")
+_CONSISTENT = {name: CheckReport.passed(name) for name in ("weaksub-equiv", "space-proposition")}
+
+
 def axiom_monotonicity(item: FrameStructure) -> CheckReport:
     """subfit implies weakly subfit and symmetric; a breach raises AssertionError."""
     item.closed_joins  # read first: a breach of the closed-join frame is this check's too
     if not item.holds("subfit"):
-        return CheckReport.passed("axiom-monotonicity", "not-subfit")
+        return _NOT_SUBFIT
     if not item.holds("weakly_subfit"):
         raise AssertionError("subfit but not weakly subfit")
     if not item.holds("symmetric"):
         raise AssertionError("subfit but not symmetric")
-    return CheckReport.passed("axiom-monotonicity")
+    return _MONOTONE
 
 
 def _consistent(name: str, _verdict) -> CheckReport:
     """A pass for `name` once a verdict was reached: reaching it ran the
     equivalence's cross-checks, which raise on a breach. Whether the axiom
     holds is a property of the input, so either verdict passes."""
-    return CheckReport.passed(name)
+    return _CONSISTENT[name]
 
 
 LATTICE_CHECKS: dict[str, Callable[[FrameStructure], CheckReport]] = {

@@ -4,17 +4,21 @@ Each subcommand names its handler (`set_defaults(run=...)`), which `main`
 runs on a fresh Report; the three campaigns run their check registries
 (checks.LATTICE_CHECKS, SPACE_CHECKS, REALLINE_CHECKS) through one loop.
 
-Output comes in two flavors: human-readable lines (default) and a
-machine-readable `key=value` record per check item (--machine). Machine
-output is deterministic for fixed campaign parameters and seed: no
-timing, no environment, generation order only.
+Each record is written as it is decided, in one of two flavors: a
+human-readable line (default) or a machine-readable `key=value` record
+(--machine); a summary line comes last. Machine output is deterministic for
+fixed campaign parameters and seed: no timing, no environment, generation
+order only.
 
 Exit codes: 0 all checks hold/consistent, 1 some axiom failed (reported as
 data with a witness), 2 internal violation or unusable input. An internal
 cross-check that breaks raises one of BREACHES. A campaign records it as a
 `verdict=violation` record of that item and check and goes on to the next;
-anywhere else `main` reports it on stderr. A reader that closes stdout
-early (`| head`) leaves the exit code the verdict's, with no traceback.
+anywhere else `main` reports it on stderr. A budget hit, MemoryError or
+unusable input mid-campaign ends it on stderr, with the records written
+before it left on stdout and no summary line. A reader that closes stdout
+early (`| head`) stops the output, not the checks: every check still runs,
+and the exit code is the verdict's, with no traceback.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -48,47 +51,44 @@ def _sanitize(value: str) -> str:
     return "_".join(str(value).split()) or "-"
 
 
-@dataclass
+def _write(text: str, flush: bool = False) -> None:
+    """Write text to sys.stdout as it is now; once its reader has closed it,
+    to /dev/null, so that every check still runs for the exit code."""
+    try:
+        sys.stdout.write(text)
+        if flush:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 class Report:
-    """Accumulated check records plus the exit-code contract."""
+    """Writes each record as it is added, in the form --machine selects, and
+    keeps only the verdict counts, for the summary line and the exit code."""
 
-    records: list[dict] = field(default_factory=list)
-    human_lines: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
+    def __init__(self, machine: bool):
+        self.machine, self.started = machine, time.monotonic()
+        self.counts = dict.fromkeys((PASS, FAIL, VIOLATION), 0)
 
-    def add(self, human: Optional[str] = None, **fields) -> None:
-        self.records.append(fields)
-        if human is not None:
-            self.human_lines.append(human)
+    def add(self, human: str, **fields) -> None:
+        """One record, its fields naming its verdict; with no fields, a line
+        that only human output shows."""
+        if fields:
+            self.counts[fields["verdict"]] += 1
+        if not self.machine:
+            _write(human + "\n")
+        elif fields:
+            _write(" ".join(f"{k}={_sanitize(v)}" for k, v in fields.items()) + "\n")
 
-    @property
-    def counts(self) -> dict:
-        verdicts = [record.get("verdict") for record in self.records]
-        return {level: verdicts.count(level) for level in (PASS, FAIL, VIOLATION)}
-
-    @property
-    def exit_code(self) -> int:
-        counts = self.counts
-        if counts[VIOLATION]:
-            return 2
-        if counts[FAIL]:
-            return 1
-        return 0
-
-    def emit(self, machine: bool, out=None) -> None:
-        out = out if out is not None else sys.stdout
-        counts = self.counts
-        if machine:
-            for record in self.records:
-                print(" ".join(f"{k}={_sanitize(v)}" for k, v in record.items()), file=out)
-            print(f"summary records={len(self.records)} pass={counts[PASS]} "
-                  f"fail={counts[FAIL]} violation={counts[VIOLATION]}", file=out)
-        else:
-            for line in self.human_lines:
-                print(line, file=out)
-            print(f"summary: {len(self.records)} records, {counts[PASS]} pass, "
-                  f"{counts[FAIL]} fail, {counts[VIOLATION]} violation "
-                  f"({self.elapsed:.2f}s)", file=out)
+    def finish(self) -> int:
+        """Write the summary line; returns the exit code: 2 on a violation,
+        1 on a failure, else 0."""
+        passed, failed, violated = self.counts.values()
+        total = passed + failed + violated
+        _write(f"summary records={total} pass={passed} fail={failed} violation={violated}\n"
+               if self.machine else f"summary: {total} records, {passed} pass, {failed} fail, "
+               f"{violated} violation ({time.monotonic() - self.started:.2f}s)\n")
+        return 2 if violated else 1 if failed else 0
 
 
 def _record_conditions(report: Report, item: str, conditions) -> None:
@@ -101,12 +101,11 @@ def _record_conditions(report: Report, item: str, conditions) -> None:
 
 
 def _record_from(report: Report, item: str, check: CheckReport) -> None:
-    fields = {"item": item, "check": check.name, "verdict": check.level}
-    if check.witness:
-        fields["witness"] = check.witness
     marker = {PASS: "ok", FAIL: "FAIL", VIOLATION: "VIOLATION"}[check.level]
+    witness = {"witness": check.witness} if check.witness else {}
     suffix = f" [{check.witness}]" if check.witness else ""
-    report.add(human=f"{item}: {check.name} {marker}{suffix}", **fields)
+    report.add(human=f"{item}: {check.name} {marker}{suffix}", item=item, check=check.name,
+               verdict=check.level, **witness)
 
 
 # ---------------------------------------------------------------------------
@@ -121,17 +120,16 @@ def _check_frame(args, report: Report) -> None:
                    verdict=FAIL, witness=str(exc))
         return
     verdict = next(checks.frame_structures([frame])).frame_laws().level
-    fields = {"item": args.file, "check": "frame", "verdict": verdict,
-              "elements": str(frame.n),
+    fields = {"item": args.file, "check": "frame", "verdict": verdict, "elements": str(frame.n),
               "covers": ";".join(f"{i}<{j}" for i, j in zip(*cover_pairs(frame.leq)))}
     report.add(human=f"valid frame with {frame.n} elements", **fields)
-    report.human_lines.append(io.format_lattice(frame).rstrip("\n"))
+    report.add(io.format_lattice(frame).rstrip("\n"))
 
 
 def _sublocales(args, report: Report) -> None:
     frame = io.load_lattice_text(Path(args.file).read_text())
     lattice = next(checks.frame_structures([frame], args.budget)).lattice
-    report.human_lines.append(f"{len(lattice)} sublocales")
+    report.add(f"{len(lattice)} sublocales")
     for i, s in enumerate(lattice.sublocales):
         report.add(human=f"  {s.label()}", item=f"sublocale:{i}", label=s.label(), verdict=PASS)
     _record_from(report, args.file, lattice.laws)
@@ -140,11 +138,12 @@ def _sublocales(args, report: Report) -> None:
 def _closed_joins(args, report: Report) -> None:
     frame = io.load_lattice_text(Path(args.file).read_text(), args.budget)
     cjf = next(checks.frame_structures([frame])).closed_joins
-    report.human_lines.append(f"{len(cjf)} joins of closed sublocales")
+    laws = cjf.frame_law_report()  # decided before any line: a breach exits 2 with none
+    report.add(f"{len(cjf)} joins of closed sublocales")
     for i in range(len(cjf)):
         report.add(human=f"  {cjf.frame.labels[i]} = {cjf.elements[i].label()}",
                    item=f"element:{i}", label=cjf.frame.labels[i], verdict=PASS)
-    _record_from(report, args.file, cjf.frame_law_report())
+    _record_from(report, args.file, laws)
 
 
 def _separation(args, report: Report) -> None:
@@ -167,11 +166,11 @@ def _separation(args, report: Report) -> None:
 def _spaces_check(args, report: Report) -> None:
     space = io.load_space_text(Path(args.file).read_text(), args.budget)
     item = next(sp.space_structures([space], args.budget))
-    proposition = item.proposition()
+    proposition, remark = item.proposition(), item.td_remark()  # decided before any line
     report.add(human=f"symmetric: {proposition.holds}", item=args.file,
                check="space-proposition", verdict=PASS if proposition.holds else FAIL)
     _record_conditions(report, args.file, proposition.conditions)
-    _record_from(report, args.file, item.td_remark())
+    _record_from(report, args.file, remark)
 
 
 def _spaces_enumerate(args, report: Report) -> None:
@@ -199,17 +198,17 @@ def _export_dot(args, report: Report) -> int:
         if not isinstance(loaded, FiniteSpace):
             print("specialization export needs a space file", file=sys.stderr)
             return 2
-        sys.stdout.write(io.dot_specialization(loaded))
+        _write(io.dot_specialization(loaded))
         return 0
     if isinstance(loaded, FiniteSpace):
         print(f"{args.target} export needs a lattice file", file=sys.stderr)
         return 2
     if args.target == "hasse":
-        sys.stdout.write(io.dot_hasse(loaded))
+        _write(io.dot_hasse(loaded))
         return 0
     item = next(checks.frame_structures([loaded], args.budget))
-    sys.stdout.write(io.dot_sublocales(item.lattice) if args.target == "sublocales"
-                     else io.dot_closed_joins(item.closed_joins))
+    _write(io.dot_sublocales(item.lattice) if args.target == "sublocales"
+           else io.dot_closed_joins(item.closed_joins))
     return 0
 
 
@@ -442,25 +441,19 @@ def main(argv=None) -> int:
         # some argparse versions turn the option value "--" (as in --set=--) into []
         print("error: '--' is not a value", file=sys.stderr)
         return 2
-    report = Report()
-    started = time.monotonic()
+    report = Report(args.machine)
     try:
         code = args.run(args, report)
         if code is None:  # export-dot writes its own output and returns its code
-            report.elapsed = time.monotonic() - started
-            report.emit(machine=args.machine)
-            code = report.exit_code
-        sys.stdout.flush()
-    except BrokenPipeError:  # the verdict stands; the exit-time flush goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return report.exit_code
+            code = report.finish()
     except (io.ParseError, BudgetExceeded, UnknownCheck, OSError, ValueError,
             NotALattice, NotDistributive, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except BREACHES as exc:
         print(f"violation: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    _write("", flush=True)  # records written before an error stay on stdout
     return code
 
 

@@ -399,6 +399,17 @@ class TestCampaigns:
                          "--max-size", "3"]) == 0
         assert "summary records=21 pass=21" in capsys.readouterr().out
 
+    def test_budget_hit_mid_campaign_keeps_the_earlier_records(self, monkeypatch, capsys):
+        # the 4-chains are the first frames with 3 primes; B2, dist4:0000, has 2
+        monkeypatch.setitem(common.BUDGETS, "primes", (2, common.BUDGETS["primes"][1]))
+        argv = ["--machine", "campaign", "lattices", "--max-size", "4", "--checks", "coframe-law"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        items = ["dist1:0000", *(f"dist2:{k:04d}" for k in range(2)),
+                 *(f"dist3:{k:04d}" for k in range(6)), "dist4:0000"]
+        assert out.splitlines() == [f"item={item} check=coframe-law verdict=pass" for item in items]
+        assert err == "error: 3 primes exceed the sublocale budget 2 (override with --budget)\n"
+
     @staticmethod
     def counted_batches(monkeypatch):
         """{builder: the carrier sizes of each batch it builds}, for the six
@@ -445,19 +456,38 @@ class TestCampaigns:
         assert {name: sum(map(len, sizes)) for name, sizes in batches.items()} == {
             name: 102 + 12 for name in batches}
 
+    # Runs the CLI on the arguments after its first, which is the number of
+    # items: pcformula then fails on the last item, decided after the reader
+    # below has closed the pipe.
+    LAST_ITEM_FAILS = (
+        "import sys\n"
+        "from localekit import checks, cli, common\n"
+        "calls, last, pcformula = [], int(sys.argv.pop(1)), checks.LATTICE_CHECKS['pcformula']\n"
+        "def check(item):\n"
+        "    calls.append(item)\n"
+        "    if len(calls) == last:\n"
+        "        return common.CheckReport.failed('pcformula', 'late')\n"
+        "    return pcformula(item)\n"
+        "checks.LATTICE_CHECKS['pcformula'] = check\n"
+        "sys.exit(cli.main())\n")
+
     # At --max-size 6 the report (about 150 kB) is more than a pipe buffers,
     # so writing it meets the pipe closed after one line; at 3 the report
     # fits, and with buffered stdout only the last flush meets the pipe,
-    # closed before any read.
+    # closed before any read. Every check still runs, so a failure on the
+    # last item still makes the exit code 1.
+    @pytest.mark.parametrize("last_fails", [False, True])
     @pytest.mark.parametrize("buffered", [True, False])
-    @pytest.mark.parametrize("max_size, lines", [(6, 1), (3, 0)])
-    def test_closed_pipe_keeps_the_verdict_without_a_traceback(self, max_size, lines, buffered):
+    @pytest.mark.parametrize("max_size, lines, items", [(6, 1, 2817), (3, 0, 21)])
+    def test_closed_pipe_keeps_the_verdict_without_a_traceback(self, max_size, lines, items,
+                                                               buffered, last_fails):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         if not buffered:
             env["PYTHONUNBUFFERED"] = "1"
-        argv = [sys.executable, "-m", "localekit.cli", "campaign", "lattices",
+        run = ["-c", self.LAST_ITEM_FAILS, str(items)] if last_fails else ["-m", "localekit.cli"]
+        argv = [sys.executable, *run, "campaign", "lattices",
                 "--max-size", str(max_size), "--checks", "frame-laws,pcformula"]
         with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE) as child:
@@ -466,7 +496,7 @@ class TestCampaigns:
             err = child.stderr.read()
             code = child.wait(timeout=120)
         assert read == [b"dist1:0000: frame-laws ok\n"][:lines]
-        assert (code, err) == (0, b"")
+        assert (code, err) == (int(last_fails), b"")
 
     @pytest.mark.parametrize("kind", ["lattices", "spaces", "realline"])
     def test_unknown_check_rejected(self, capsys, kind):

@@ -1,5 +1,6 @@
 import ast
 import traceback
+from collections import defaultdict
 from pathlib import Path
 from random import Random
 
@@ -128,15 +129,16 @@ def definitions(sources):
                         yield module, f"{node.name}.{name}", member
 
 
-def references(sources, module, name, skip):
-    """Whether any module of sources names `module`'s definition `name`
-    outside the nodes in skip. A top-level name counts where it resolves to
-    that module: bare in its own module or where `from .module import name`
-    brought it, or as `alias.name` where `from . import module as alias`
-    did. A member, "Class.member", counts as any `.member` or as the string
-    "member" (read by getattr), since a receiver's class is not known
-    statically: `BooleanizationView.join` would pass on `frame.join`."""
-    member = name.rpartition(".")[2] if "." in name else None
+def name_index(sources):
+    """Every naming node of the modules {name: source}, walked once, as
+    {key: ids of the nodes}. A member, "Class.member", is named by any
+    `.member` or the string "member" (read by getattr), since a receiver's
+    class is not known statically: `BooleanizationView.join` would pass on
+    `frame.join`; such nodes are keyed by the string member. A top-level
+    name is keyed (module, name) where it resolves to that module: bare in
+    its own module or where `from .module import name` brought it, or as
+    `alias.name` where `from . import module as alias` did."""
+    index = defaultdict(set)
     for current, tree in sources.items():
         imports = [node for node in ast.walk(tree)
                    if isinstance(node, ast.ImportFrom) and node.level == 1]
@@ -145,25 +147,28 @@ def references(sources, module, name, skip):
         modules = {alias.asname or alias.name: alias.name
                    for node in imports if not node.module for alias in node.names}
         for node in ast.walk(tree):
-            if id(node) in skip:
-                continue
-            if member is not None:
-                if getattr(node, "attr", None) == member or (
-                        isinstance(node, ast.Constant) and node.value == member):
-                    return True
+            if isinstance(node, ast.Attribute):
+                index[node.attr].add(id(node))
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    index[modules[node.value.id], node.attr].add(id(node))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                index[node.value].add(id(node))
             elif isinstance(node, ast.Name):
-                if names.get(node.id, (current, node.id)) == (module, name):
-                    return True
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                if (modules.get(node.value.id), node.attr) == (module, name):
-                    return True
-    return False
+                index[names.get(node.id, (current, node.id))].add(id(node))
+    return index
+
+
+def references(index, module, name, node):
+    """Whether a node of name_index outside `node` names `module`'s definition `name`."""
+    key = name.rpartition(".")[2] if "." in name else (module, name)
+    return bool(index.get(key, set()) - {id(n) for n in ast.walk(node)})
 
 
 def unreferenced(sources):
     """The definitions of sources that no module names outside their own."""
+    index = name_index(sources)
     return [f"{module}.{name}" for module, name, node in definitions(sources)
-            if not references(sources, module, name, {id(n) for n in ast.walk(node)})]
+            if not references(index, module, name, node)]
 
 
 # {qualified name: why it stays}, for a definition of src/localekit that no
@@ -187,8 +192,9 @@ def unread_fields(sources):
     """The dataclass fields of sources that no code reads: named nowhere
     outside their own declaration, where a method of their class counts (it
     reads them) and a constructor's keyword does not (it writes them)."""
+    index = name_index(sources)
     return [f"{module}.{name}" for module, name, node in dataclass_fields(sources)
-            if not references(sources, module, name, {id(n) for n in ast.walk(node)})]
+            if not references(index, module, name, node)]
 
 
 # {qualified name: the test module that reads it}, for a dataclass field of
