@@ -222,7 +222,7 @@ def _check_names(text: str, registry, default: str) -> list[str]:
     names = text.split(",") if text else [default]
     for name in names:
         if name not in registry:
-            raise UnknownCheck(name)
+            raise UnknownCheck(f"unknown check {name!r}; known: {', '.join(registry)}")
     return names
 
 
@@ -362,6 +362,17 @@ def _prop1(args, report: Report) -> None:
 # Entry point
 
 
+def _size(text: str) -> int:
+    """The value of a size or count flag: an integer, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"need an integer >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser; every leaf subcommand sets `run`, its handler."""
     parser = argparse.ArgumentParser(prog="localekit")
@@ -408,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("file")
     check.set_defaults(run=_spaces_check)
     enum = ops.add_parser("enumerate")
-    enum.add_argument("--n", type=int, required=True, dest="points")
+    enum.add_argument("--n", type=_size, required=True, dest="points")
     enum.add_argument("--t0", action="store_true")
     enum.add_argument("--report", action="store_true")
     enum.set_defaults(run=_spaces_enumerate)
@@ -416,13 +427,13 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = commands.add_parser("campaign")
     kinds = cmd.add_subparsers(dest="campaign_kind", required=True)
     lat = kinds.add_parser("lattices")
-    lat.add_argument("--max-size", type=int, default=6)
+    lat.add_argument("--max-size", type=_size, default=6)
     lat.set_defaults(run=_campaign_lattices)
     spc = kinds.add_parser("spaces")
-    spc.add_argument("--points", type=int, default=4)
+    spc.add_argument("--points", type=_size, default=4)
     spc.set_defaults(run=_campaign_spaces)
     line = kinds.add_parser("realline")
-    line.add_argument("--count", type=int, default=200)
+    line.add_argument("--count", type=_size, default=200)
     line.set_defaults(run=_campaign_realline)
     for kind in (lat, spc, line):
         kind.add_argument("--checks", default="")

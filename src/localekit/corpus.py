@@ -1,26 +1,29 @@
 """Corpus generators: labeled lattice enumeration, named frames, fuzz inputs.
 
 The lattice corpus is every labeled (distributive) lattice up to a size
-bound. A naturally labeled poset adds each new element as a maximal one,
-so index order is a linear extension; a bounded one on n elements then
-has 0 at the bottom and n-1 at the top, and is a natural poset on the
-n - 2 inner elements with both bounds added, so only those are grown. The
-frame core's batched table builder and distributivity check (the ones
-validate_frames uses) keep the (distributive) lattices, and all n!
-relabelings of them are taken as array gathers, a slice of permutations
-at a time, packed to byte keys, sorted and deduplicated. Every labeled
-lattice relabels to a naturally labeled one along a linear extension, so
-the permutation closure of the natural ones is the full labeled count.
-Bit rows become order matrices in one vectorised unpack, a chunk at a time.
-A frame's tables depend only on its canonical order (`lattice.canonical`),
-so each carrier size is decided once per distinct canonical order: the
-labeled orders are canonicalized a chunk at a time and packed to byte keys,
-the distinct keys are validated as stacks, and each item's frame is views of
-its order's rows of the validated tables, under the item's own labels. At
-n = 7 that is 630 validated orders for 26,460 frames (42 each, the 7 × 6
-places of the bottom and top labels), at n = 6 84 for 2,520 (30 each). An
-item's `stack` names its size's validated tables and its order's row, so
-a campaign decides every check once per canonical order too.
+bound, built as canonical orders times placements. A canonical order has 0
+at the bottom and n-1 at the top (`lattice.canonical`). A placement is a
+permutation p whose inner part p[1:-1] ascends, n(n - 1) of them (one at
+n = 1): it relabels a canonical order c as the item with
+item[p[i], p[j]] = c[i, j] and labels str(p[i]), and `lattice.canonical`
+of that item gives back c with order p, so every labeled lattice is
+exactly one pair. A naturally labeled poset adds each new element as a
+maximal one, so index order is a linear extension; a bounded one on n
+elements is a natural poset on the n - 2 inner elements with 0 below and
+n-1 above, so only those are grown. The frame core's batched table builder
+and distributivity check (the ones validate_frames uses) keep the
+(distributive) lattices, and their relabelings by the (n - 2)! permutations
+that fix 0 and n-1 are the canonical orders: every canonical order relabels
+to a natural one along a linear extension. Relabelings are array gathers,
+a slice of permutations at a time, packed to byte keys whose byte order is
+the order of the up-mask row tuples. `_labeled` keys every (order,
+placement) pair and sorts the keys; `labeled_lattice_rows` decodes them,
+and `iter_distributive_frames` validates each canonical order once and
+gives each item its order's rows of the validated tables, as views, under
+its placement's labels. At n = 7 that is 630 validated orders for 26,460
+frames (42 placements each), at n = 6 84 for 2,520 (30 each). An item's
+`stack` names its size's validated tables and its order's row, so a
+campaign decides every check once per canonical order too.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from typing import Iterator
 import numpy as np
 
 from .common import bits, slice_len, unpack_rows
-from .lattice import (FiniteFrame, InvalidPoset, NotALattice, NotDistributive, canonical,
-                      distributivity_witness, lattice_tables, order_closure, stacked,
-                      table_frames, validate_frame, validate_frames)
+from .lattice import (FiniteFrame, RegularPairFrame, distributivity_witness, lattice_tables,
+                      order_closure, product_frame, stacked, table_frames, validate_frame,
+                      validate_frames)
 from . import realline
 
 
@@ -70,14 +73,12 @@ def iter_natural_posets(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ..
 
 
 def _chunks(rows: list, n: int):
-    """(start, chunk, orders) in order, chunk = rows[start:start + step] of step
-    frames of size n, and orders its up-mask rows as (F, n, n) order matrices.
-    step * n**3 stays under STACK_CELLS, which bounds the (F, n, n, n)
+    """rows of frames of size n as (F, n, n) order matrices, step of them at
+    a time. step * n**3 stays under STACK_CELLS, which bounds the (F, n, n, n)
     temporaries of the frame core (0.5 MB each at 8 bytes a cell)."""
     step = slice_len(n**3)
     for start in range(0, len(rows), step):
-        chunk = rows[start:start + step]
-        yield start, chunk, unpack_rows((m for up in chunk for m in up), n).reshape(-1, n, n)
+        yield unpack_rows((m for up in rows[start:start + step] for m in up), n).reshape(-1, n, n)
 
 
 def _bounded_rows(n: int) -> Iterator[tuple[int, ...]]:
@@ -117,95 +118,71 @@ def _key_rows(keys, n: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def _relabeled_keys(orders):
-    """The distinct relabelings of a stack of orders (K, n, n) under all n!
-    index permutations, as sorted keys.
-
-    A relabeling moves element i to p[i], so its order is the input read
-    through p's inverse. Each slice of permutations, of at most STACK_CELLS
-    order cells unless one permutation alone needs more, is one gather,
-    packed and deduplicated before the slices are merged.
-    """
-    count, n = orders.shape[:2]
-    inv = np.argsort(np.array(list(permutations(range(n))), dtype=np.intp), axis=1)
-    step = slice_len(count * n * n)
-    keys = []
-    for start in range(0, len(inv), step):
-        part = inv[start:start + step]
-        keys.append(_distinct(_keys(orders[:, part[:, :, None], part[:, None, :]])))
-    return _distinct(np.concatenate(keys))
-
-
-def labeled_lattice_rows(n: int, distributive_only: bool = False) -> list[tuple[int, ...]]:
-    """Every labeled (optionally distributive) lattice on 0..n-1, as up-mask
-    rows, in the sorted order of the row tuples."""
-    if n < 1:
-        return []
-    natural = []
-    for _, _, orders in _chunks(list(_bounded_rows(n)), n):
-        meet, join, missing = lattice_tables(orders)
-        keep = missing < 0
-        if distributive_only:
-            keep &= distributivity_witness(meet, join) < 0
-        natural.append(orders[keep])
-    return _key_rows(_relabeled_keys(np.concatenate(natural)), n)
-
-
-def _first_seen(keys):
-    """(firsts, index): the position of each distinct key's first occurrence,
-    in order of first occurrence, and each key's index into firsts."""
-    _, firsts, index = np.unique(keys, return_index=True, return_inverse=True)
-    rank = np.argsort(firsts)
-    return firsts[rank], np.argsort(rank)[index]
-
-
 def _key_orders(keys, n: int):
     """The inverse of _keys: keys as order matrices (K, n, n)."""
     packed = keys.view(np.uint8).reshape(len(keys), n, -1)[..., ::-1]
     return np.unpackbits(packed, axis=-1, count=n, bitorder="little").astype(bool)
 
 
-def _decided(n: int):
-    """The labeled distributive lattices on n elements, decided once per
-    distinct canonical order: (tables, index, orders), the validated tables
-    of those orders in order of first occurrence, each item's index into
-    them, and each item's canonical ordering. If an order fails, its first
-    item's own order is validated alone and raises what it raises; a broken
-    adjunction, a breach, names canonical indices and passes as is. The
-    labeled rows are dropped once canonicalized."""
-    keys, orders = [], []
-    for _, _, leqs in _chunks(labeled_lattice_rows(n, distributive_only=True), n):
-        order, canon = canonical(leqs)
-        orders.append(order.astype(np.min_scalar_type(n)))
-        keys.append(_keys(canon))
-    keys, orders = np.concatenate(keys), np.concatenate(orders)
-    firsts, index = _first_seen(keys)
-    canon, step, parts = _key_orders(keys[firsts], n), slice_len(n**3), []
-    for start in range(0, len(firsts), step):
-        try:
-            parts.append(stacked(validate_frames(canon[start:start + step])))
-        except (InvalidPoset, NotALattice, NotDistributive):  # witnesses in the item's labels
-            for j, i in enumerate(firsts[start:start + step].tolist(), start):
-                inv = np.argsort(orders[i])
-                validate_frames(canon[j][np.ix_(inv, inv)][None])
-            raise
-    tables = map(np.concatenate, zip(*parts))
-    return dict(zip(("leq", "meet", "join", "imp"), tables)), index, orders
+def _relabeled(orders, perms):
+    """The keys (K, S) of a stack of orders (K, n, n) relabeled by each
+    permutation p of a slice of perms (P, n), a slice at a time: element i
+    goes to p[i], so the order is the input read through p's inverse. A
+    slice is one gather of at most STACK_CELLS order cells unless one
+    permutation alone needs more."""
+    count, n = orders.shape[:2]
+    inv, step = np.argsort(perms, axis=1), slice_len(count * n * n)
+    for start in range(0, len(inv), step):
+        part = inv[start:start + step]
+        yield _keys(orders[:, part[:, :, None], part[:, None, :]]).reshape(count, -1)
+
+
+def _labeled(n: int, distributive_only: bool):
+    """(canon, keys, index, at, placements): the canonical orders (C, n, n) of
+    the labeled (distributive) lattices on 0..n-1 in key order, the sorted
+    keys of every (order, placement) pair, item k's canonical order
+    canon[index[k]] and its placement placements[at[k]], and the placements."""
+    natural = []
+    for orders in _chunks(list(_bounded_rows(n)), n):
+        meet, join, missing = lattice_tables(orders)
+        keep = missing < 0
+        if distributive_only:
+            keep &= distributivity_witness(meet, join) < 0
+        natural.append(orders[keep])
+    fixed = [(0,)] if n == 1 else [(0, *p, n - 1) for p in permutations(range(1, n - 1))]
+    canon = _key_orders(_distinct(np.concatenate(
+        [_distinct(keys.ravel()) for keys in _relabeled(np.concatenate(natural), fixed)])), n)
+    placements = np.array([(0,)] if n == 1 else [
+        (b, *(i for i in range(n) if i not in (b, t)), t) for b, t in permutations(range(n), 2)])
+    keys = np.concatenate(list(_relabeled(canon, placements)), axis=1).ravel()
+    by_key = np.argsort(keys)
+    return canon, keys[by_key], *np.divmod(by_key, len(placements)), placements
+
+
+def labeled_lattice_rows(n: int, distributive_only: bool = False) -> list[tuple[int, ...]]:
+    """Every labeled (optionally distributive) lattice on 0..n-1, as up-mask
+    rows, in the sorted order of the row tuples."""
+    return _key_rows(_labeled(n, distributive_only)[1], n) if n >= 1 else []
 
 
 def iter_distributive_frames(max_size: int) -> Iterator[tuple[str, FiniteFrame]]:
     """The labeled corpus: every labeled distributive lattice with <= max_size
-    elements, validated as a frame, with a stable per-item name. An item's
-    frame is row j of the tables `_decided` validated for its carrier size,
-    j the index of its canonical order, as views with (tables, j) as its
-    stack, labeled as validate_frame labels them: by their input indices."""
+    elements, validated as a frame, with a stable per-item name. Each
+    canonical order is validated once, a slice of slice_len(n**3) at a
+    time; an item's frame is row j of those tables, j the index of its
+    canonical order, as views with (tables, j) as its stack, labeled by its
+    placement p as validate_frame labels the item's order: str(p[i])."""
     for n in range(1, max_size + 1):
-        tables, index, orders = _decided(n)
-        labels, step = np.array([str(i) for i in range(n)], dtype=object), slice_len(n**3)
+        canon, _, index, at, placements = _labeled(n, True)
+        step = slice_len(n**3)
+        tables = map(np.concatenate, zip(*(stacked(validate_frames(canon[start:start + step]))
+                                           for start in range(0, len(canon), step))))
+        tables = dict(zip(("leq", "meet", "join", "imp"), tables))
+        names = [tuple(map(str, p)) for p in placements.tolist()]
         for start in range(0, len(index), step):
-            names = map(tuple, labels[orders[start:start + step]].tolist())
-            rows = index[start:start + step].tolist()
-            for k, frame in enumerate(table_frames(tables, names, rows), start):
+            labels = [names[q] for q in at[start:start + step].tolist()]
+            frames = table_frames(tables, labels, index[start:start + step].tolist())
+            for k, frame in enumerate(frames, start):
                 yield f"dist{n}:{k:04d}", frame
 
 
@@ -226,8 +203,6 @@ def boolean_cube(k: int) -> FiniteFrame:
 
 def named_frames() -> dict[str, FiniteFrame]:
     """The curated corpus used alongside the exhaustive one."""
-    from .lattice import product_frame, regular_pair_frame
-
     frames = {
         "chain1": chain(1),
         "chain2": chain(2),
@@ -238,8 +213,8 @@ def named_frames() -> dict[str, FiniteFrame]:
         "bool2": boolean_cube(2),
         "bool3": boolean_cube(3),
         "grid2x3": product_frame(chain(2), chain(3)),
-        "pairs(chain3)": regular_pair_frame(chain(3)).frame,
-        "pairs(bool2)": regular_pair_frame(boolean_cube(2)).frame,
+        "pairs(chain3)": RegularPairFrame(chain(3)).frame,
+        "pairs(bool2)": RegularPairFrame(boolean_cube(2)).frame,
         "bool2xchain3": product_frame(boolean_cube(2), chain(3)),
     }
     return frames

@@ -90,8 +90,9 @@ class FiniteFrame:
 
     leq is a read-only boolean matrix, leq[i, j] iff i <= j, with the bottom
     at 0 and the top at n-1. Not constructed directly; use validate_frame or
-    validate_frames, set_frames for rings of sets, or
-    sublocales.closed_join_frames, which reads a validated frame upside down.
+    validate_frames, table_frames for rows of tables they validated,
+    set_frames for rings of sets, or sublocales.closed_join_frames, which
+    reads a validated frame upside down.
     Instances are immutable (tables carry read-only numpy flags) and safe to
     share between workers. `stack` is (tables by name, k) when they are row k of a batch.
     """
@@ -404,7 +405,8 @@ def validate_frame(leq, labels: Optional[Sequence[str]] = None,
 
 
 class BooleanizationView:
-    """The regular elements of a frame, with their own regularized joins.
+    """The Booleanization of a frame: its regular elements, with their own
+    regularized joins.
 
     The carrier is {a : a** = a} = {a* : a in L}; both characterizations are
     computed and must agree. Meets are the parent's; join_table[i, j], the
@@ -425,11 +427,6 @@ class BooleanizationView:
         self.carrier, self.join_table = tuple(fixed.tolist()), table
         if not (regular[parent.bottom] and regular[parent.top]):
             raise AssertionError("regular elements must contain 0 and 1")
-
-
-def booleanization(frame: FiniteFrame) -> BooleanizationView:
-    """The Booleanization of a frame: its subset of regular elements."""
-    return BooleanizationView(frame)
 
 
 def product_frame(left: FiniteFrame, right: FiniteFrame) -> FiniteFrame:
@@ -457,7 +454,7 @@ class RegularPairFrame:
     """
 
     def __init__(self, base: FiniteFrame, max_size: Optional[int] = None):
-        view = booleanization(base)
+        view = BooleanizationView(base)
         a, k = np.nonzero(base.leq[:, list(view.carrier)])  # a <= b = carrier[k], a then b
         within_budget("frame", len(a), max_size)
         b = np.array(view.carrier, dtype=np.intp)[k]
@@ -476,8 +473,3 @@ class RegularPairFrame:
             got = (int(firsts[op, i, j]), int(seconds[op, i, j]))
             raise ClosureViolation(f"{('meet', 'join')[op]} of {labels[i]}, {labels[j]} -> {got}")
         self.pairs, self.frame = pairs, frame
-
-
-def regular_pair_frame(base: FiniteFrame, max_size: Optional[int] = None) -> RegularPairFrame:
-    """Pair every element with the regular elements above it: {(a,b) : a <= b}."""
-    return RegularPairFrame(base, max_size)

@@ -98,8 +98,7 @@ def bounded_lattices():
     from oracles import relabeled
     stacks = {}
     for n in range(1, 8):
-        orders = np.concatenate([orders for _, _, orders in
-                                 corpus._chunks(list(corpus._bounded_rows(n)), n)])
+        orders = np.concatenate(list(corpus._chunks(list(corpus._bounded_rows(n)), n)))
         meet, join, missing = lattice_tables(orders)
         lattices = missing < 0
         leq, meet, join = orders[lattices], meet[lattices], join[lattices]

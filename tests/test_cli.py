@@ -498,10 +498,25 @@ class TestCampaigns:
         assert read == [b"dist1:0000: frame-laws ok\n"][:lines]
         assert (code, err) == (int(last_fails), b"")
 
+    @pytest.mark.parametrize("value", ["nope", ","])
     @pytest.mark.parametrize("kind", ["lattices", "spaces", "realline"])
-    def test_unknown_check_rejected(self, capsys, kind):
-        assert cli.main(["campaign", kind, "--checks", "nope"]) == 2
-        assert "nope" in capsys.readouterr().err
+    def test_unknown_check_rejected(self, capsys, kind, value):
+        assert cli.main(["campaign", kind, "--checks", value]) == 2
+        err = capsys.readouterr().err
+        known = ", ".join(name for other, name in REGISTERED_CHECKS if other == kind)
+        assert err == f"error: unknown check {value.split(',')[0]!r}; known: {known}\n"
+
+    @pytest.mark.parametrize("argv", [["campaign", "spaces", "--points", "-1"],
+                                      ["spaces", "enumerate", "--n", "-2"],
+                                      ["campaign", "lattices", "--max-size", "-1"],
+                                      ["campaign", "realline", "--count", "-3"]])
+    def test_negative_sizes_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert f"argument {argv[-2]}: need an integer >= 0, got '{argv[-1]}'" in err
+        assert cli.main(argv[:-1] + ["0"]) == 0
 
     @pytest.mark.parametrize("kind,name", REGISTERED_CHECKS)
     def test_every_registered_check_runs_alone(self, capsys, kind, name):

@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from localekit import common, corpus, realline as rl
-from localekit.common import pack_rows
-from localekit.lattice import (InvalidPoset, NotALattice, NotDistributive, order_closure,
-                               validate_frame)
+from localekit.lattice import NotDistributive, validate_frame
 
 from oracles import (_permuted_rows, brute_is_distributive, brute_labeled_lattices,
-                     hexagon_leq, labeled_distributive_count, natural_labeled_lattices,
-                     per_item_corpus, rows_to_leq)
+                     labeled_distributive_count, natural_labeled_lattices, per_item_corpus,
+                     rows_to_leq)
 
 
 def rows_to_rel(rows):
@@ -33,11 +31,13 @@ class TestLatticeEnumeration:
                     if brute_is_distributive([list(row) for row in rel])}
         assert ours == expected
 
-    @pytest.mark.parametrize("n,total,distributive", [(5, 380, 240), (6, 6390, 2520)])
+    @pytest.mark.parametrize("n,total,distributive",
+                             [(5, 380, 240), (6, 6390, 2520), (7, 157962, 26460)])
     def test_larger_sizes_are_permutation_closed(self, n, total, distributive):
         # Completeness argument: the set contains every naturally labeled
         # lattice by construction and is closed under relabeling, hence it is
-        # all labeled lattices; the counts are then frozen as regressions.
+        # all labeled lattices; the counts are then frozen as regressions
+        # (the lattice counts are OEIS A055512).
         rows = corpus.labeled_lattice_rows(n, distributive_only=(n == 6))
         as_set = set(rows)
         assert len(as_set) == (distributive if n == 6 else total)
@@ -116,32 +116,28 @@ class TestLatticeEnumeration:
         assert sum(validated) == 1 + 1 + 1 + 3 + 12 + 84
 
     @pytest.mark.parametrize("cells", [common.STACK_CELLS, 200])
-    @pytest.mark.parametrize("first", [0, 1, 2])
-    def test_the_first_failing_row_raises_what_it_raises_alone(self, monkeypatch, cells, first):
-        # A non-lattice, a non-distributive and a non-transitive order among
-        # the real rows at n = 6 (every bounded poset on 5 elements is a
-        # lattice), each with its bottom at 2 and its top at 4, so a witness
-        # in canonical indices would not read as one in the row's own labels.
-        chain = order_closure(6, [(i, i + 1) for i in range(5)])
-        chain[1, 3] = False
-        relabel = [4, 2, 0, 1, 5, 3]
-        bad = [pack_rows(leq[np.ix_(relabel, relabel)]) for leq in (
-            hexagon_leq(), order_closure(6, [(0, 1), (1, 2), (0, 3), (2, 4), (3, 4), (4, 5)]),
-            chain)]
-        errors = (InvalidPoset, NotALattice, NotDistributive)
-        with pytest.raises(errors) as alone:
-            validate_frame(rows_to_leq(bad[first]))
-        real = corpus.labeled_lattice_rows
-        rows = real(6, distributive_only=True)
-        others = [row for k, row in enumerate(bad) if k != first]
-        rows = rows[:100] + bad[first:first + 1] + rows[100:1500] + others + rows[1500:]
-        monkeypatch.setattr(corpus, "labeled_lattice_rows", lambda n, distributive_only: (
-            rows if n == 6 else real(n, distributive_only)))
+    def test_the_first_failing_canonical_order_raises_what_it_raises_alone(self, monkeypatch,
+                                                                           cells):
+        # With the distributivity filter lifted at n = 6, the 213 canonical
+        # orders (0 the bottom, 5 the top) of all 6-element lattices reach
+        # validate_frames in key order, which is the order of their rows.
+        canonical = [row for row in corpus.labeled_lattice_rows(6)
+                     if row[0] == 0b111111 and all(mask & 0b100000 for mask in row)]
+        assert len(canonical) == 6390 // 30
+        alone = []
+        for row in canonical:
+            try:
+                validate_frame(rows_to_leq(row))
+            except NotDistributive as exc:
+                alone.append(str(exc))
+        assert len(set(alone)) > 1  # the message tells which order raised
+        real = corpus.distributivity_witness
+        monkeypatch.setattr(corpus, "distributivity_witness", lambda meet, join: (
+            np.full(len(meet), -1) if meet.shape[1] == 6 else real(meet, join)))
         monkeypatch.setattr(common, "STACK_CELLS", cells)
-        with pytest.raises(errors) as raised:
+        with pytest.raises(NotDistributive) as raised:
             list(corpus.iter_distributive_frames(6))
-        assert type(raised.value) is type(alone.value)
-        assert str(raised.value) == str(alone.value)
+        assert str(raised.value) == alone[0]
 
     def test_rows_unpack_to_their_order(self):
         for rows in corpus.labeled_lattice_rows(4):

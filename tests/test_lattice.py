@@ -8,12 +8,12 @@ import pytest
 
 from localekit import corpus, io, lattice
 from localekit.common import BudgetExceeded, pack_rows, settled
-from localekit.lattice import (ClosureViolation, FiniteFrame, InvalidPoset,
-                               NotALattice, NotDistributive, booleanization, containment_order,
+from localekit.lattice import (BooleanizationView, ClosureViolation, FiniteFrame, InvalidPoset,
+                               NotALattice, NotDistributive, RegularPairFrame, containment_order,
                                cover_pairs, distributivity_witness, element_dtype, gather,
                                heyting_tables, lattice_tables, order_closure, product_frame,
-                               regular_pair_frame, set_frames, stacked, table_frames,
-                               validate_frame, validate_frames)
+                               set_frames, stacked, table_frames, validate_frame,
+                               validate_frames)
 
 from oracles import (broken_copies, brute_heyting, brute_heyting_break, brute_is_distributive,
                      brute_is_lattice, brute_join, brute_meet, closed_form, diamond_leq,
@@ -170,8 +170,7 @@ def raised(action):
 
 def bounded_posets(n):
     """Every bounded naturally labeled poset on n elements, lattice or not, as (K, n, n)."""
-    return np.concatenate([orders for _, _, orders in
-                           corpus._chunks(list(corpus._bounded_rows(n)), n)])
+    return np.concatenate(list(corpus._chunks(list(corpus._bounded_rows(n)), n)))
 
 
 def wide_orders(n):
@@ -515,14 +514,14 @@ class TestHeytingOps:
 
 class TestBooleanization:
     def test_chain_collapses(self, c3):
-        assert booleanization(c3).carrier == (0, 2)
+        assert BooleanizationView(c3).carrier == (0, 2)
 
     def test_boolean_square_is_fixed(self, b2):
-        assert booleanization(b2).carrier == (0, 1, 2, 3)
+        assert BooleanizationView(b2).carrier == (0, 1, 2, 3)
 
     def test_join_is_regularized(self, small_corpus):
         for frame in small_corpus:
-            view = booleanization(frame)
+            view = BooleanizationView(frame)
             star = frame.star
             for a in view.carrier:
                 for b in view.carrier:
@@ -534,7 +533,7 @@ class TestBooleanization:
         """The regular elements under the parent order validate as a frame
         whose join is the view's and where every element has a complement."""
         for frame in (c3, grid):
-            view = booleanization(frame)
+            view = BooleanizationView(frame)
             boolean = validate_frame(frame.leq[np.ix_(view.carrier, view.carrier)])
             # the carrier ascends from the bottom to the top: the canonical order is the identity
             assert np.array_equal(boolean.join, np.searchsorted(view.carrier, view.join_table))
@@ -565,30 +564,30 @@ class TestProducts:
 
 class TestRegularPairs:
     def test_boolean_square_has_nine_pairs(self, b2):
-        assert regular_pair_frame(b2).frame.n == 9
+        assert RegularPairFrame(b2).frame.n == 9
 
     def test_chain3_carrier(self, c3):
-        pairs = regular_pair_frame(c3)
+        pairs = RegularPairFrame(c3)
         assert pairs.pairs == ((0, 0), (0, 2), (1, 2), (2, 2))
         assert pairs.frame.labels == ("(0,0)", "(0,2)", "(1,2)", "(2,2)")
 
     def test_degenerate(self, c1):
-        assert regular_pair_frame(c1).frame.n == 1
+        assert RegularPairFrame(c1).frame.n == 1
 
     def test_budget_counts_the_pairs_before_validating(self, monkeypatch):
         base = corpus.chain(64)  # 65 pairs: (0, 0) and every a below the top
         monkeypatch.setattr(lattice, "validate_frame", lambda *args: pytest.fail("validated"))
         with pytest.raises(BudgetExceeded, match="^carrier size 65 exceeds the frame budget 64 "):
-            regular_pair_frame(base)
+            RegularPairFrame(base)
 
     def test_carrier_closure_on_corpus(self, small_corpus):
         # construction re-verifies closure internally; run it broadly
         for frame in small_corpus[:80]:
-            regular_pair_frame(frame)
+            RegularPairFrame(frame)
 
     def test_tables_are_componentwise(self, small_corpus):
         for frame in small_corpus:
-            pf = regular_pair_frame(frame)
+            pf = RegularPairFrame(frame)
             star = frame.star
             regular = [b for b in range(frame.n) if star[star[b]] == b]
             assert pf.pairs == tuple((a, b) for a in range(frame.n) for b in regular
@@ -619,5 +618,5 @@ class TestRegularPairs:
         broken = FiniteFrame(frame.leq, tables["meet"], tables["join"], tables["imp"],
                              frame.labels)
         with pytest.raises(ClosureViolation) as err:
-            regular_pair_frame(broken)
+            RegularPairFrame(broken)
         assert str(err.value) == message

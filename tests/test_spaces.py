@@ -301,9 +301,9 @@ class TestOmega:
         assert find_order_isomorphism(omega(sierpinski()), c3) is not None
 
     def test_sierpinski_booleanization_collapses(self):
-        from localekit.lattice import booleanization
+        from localekit.lattice import BooleanizationView
         frame = omega(sierpinski())
-        view = booleanization(frame)
+        view = BooleanizationView(frame)
         assert [frame.labels[a] for a in view.carrier] == ["00", "11"]
 
     def test_discrete_two_gives_square(self, b2):
