@@ -17,13 +17,13 @@ that fix 0 and n-1 are the canonical orders: every canonical order relabels
 to a natural one along a linear extension. Relabelings are array gathers,
 a slice of permutations at a time, packed to byte keys whose byte order is
 the order of the up-mask row tuples. `_labeled` keys every (order,
-placement) pair and sorts the keys; `labeled_lattice_rows` decodes them,
-and `iter_distributive_frames` validates each canonical order once and
-gives each item its order's rows of the validated tables, as views, under
-its placement's labels. At n = 7 that is 630 validated orders for 26,460
-frames (42 placements each), at n = 6 84 for 2,520 (30 each). An item's
-`stack` names its size's validated tables and its order's row, so a
-campaign decides every check once per canonical order too.
+placement) pair and sorts the keys, and `iter_distributive_frames`
+validates each canonical order once and gives each item its order's rows
+of the validated tables, as views, under its placement's labels. At n = 7
+that is 630 validated orders for 26,460 frames (42 placements each), at
+n = 6 84 for 2,520 (30 each). An item's `stack` names its size's
+validated tables and its order's row, so a campaign decides every check
+once per canonical order too.
 """
 
 from __future__ import annotations
@@ -107,17 +107,6 @@ def _distinct(keys):
     return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
 
 
-def _key_rows(keys, n: int) -> list[tuple[int, ...]]:
-    """The inverse of _keys: each key as its tuple of n up-masks."""
-    masks = np.zeros((len(keys), n), dtype=np.min_scalar_type((1 << n) - 1))
-    for byte in keys.view(np.uint8).reshape(len(keys), n, -1).transpose(2, 0, 1):
-        masks = masks << 8 | byte
-    rows, step = [], slice_len(n)
-    for start in range(0, len(masks), step):
-        rows += zip(*masks[start:start + step].T.tolist())
-    return rows
-
-
 def _key_orders(keys, n: int):
     """The inverse of _keys: keys as order matrices (K, n, n)."""
     packed = keys.view(np.uint8).reshape(len(keys), n, -1)[..., ::-1]
@@ -157,12 +146,6 @@ def _labeled(n: int, distributive_only: bool):
     keys = np.concatenate(list(_relabeled(canon, placements)), axis=1).ravel()
     by_key = np.argsort(keys)
     return canon, keys[by_key], *np.divmod(by_key, len(placements)), placements
-
-
-def labeled_lattice_rows(n: int, distributive_only: bool = False) -> list[tuple[int, ...]]:
-    """Every labeled (optionally distributive) lattice on 0..n-1, as up-mask
-    rows, in the sorted order of the row tuples."""
-    return _key_rows(_labeled(n, distributive_only)[1], n) if n >= 1 else []
 
 
 def iter_distributive_frames(max_size: int) -> Iterator[tuple[str, FiniteFrame]]:

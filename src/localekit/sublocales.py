@@ -22,8 +22,12 @@ frame with the same tables by their `on`.
 sublocale budget counts primes, since |S(L)| = 2^|primes|. S(L) is decided
 by its prime decomposition: by Birkhoff's representation, M(Y) = {x : E(x)
 ⊆ Y} for E(x) the minimal primes above x, and each closure must agree with
-it. The closed/open identities are decided by their nullary and binary
-cases. Each failure is named in the witness order of `common.first_failures`.
+it. Then every M(Y) is a sublocale iff the tables keep the prime sets,
+E(s ∧ t) ⊆ E(s) ∪ E(t) and E(a → s) ⊆ E(s), one n² test per frame in
+place of one per closure: a prime is meet-prime in a distributive lattice,
+and a → ∧T = ∧(a → t) with a → p ∈ {p, 1} for a prime p. The closed/open
+identities are decided by their nullary and binary cases. Each failure is
+named in the witness order of `common.first_failures`.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .common import (BudgetExceeded, CheckReport, bits, first_failures, grouped, named,
-                     pack_rows, slice_len, within_budget)
+                     pack_rows, within_budget)
 from .lattice import (FiniteFrame, by_size, containment_order, cover_relation,
                       distributivity_witness, gather, heyting_tables)
 
@@ -75,31 +79,27 @@ class SubsetVerdict:
         return self.ok
 
 
-def _sublocale_rows(meet, imp, rows) -> list[SubsetVerdict]:
-    """The sublocale test on an (F, R, n) member stack over the (F, n, n)
-    meet and Heyting tables: per frame, the verdict on its first failing
-    row, or a passing verdict. Checked a slice of at most STACK_CELLS cells
-    at a time: the top is a member, meet[s, t] is a member for members
-    s <= t (by index), and imp[a, s] is a member for every a and every
-    member s. The verdict names the first of these that fails, with its
-    first witness: (s, t) in row-major order, or (a, s) by ascending s, then a.
+def _table_verdicts(meet, imp, minimal) -> dict[int, SubsetVerdict]:
+    """The sublocale test of every M(Y) = {x : E(x) ⊆ Y} over the (F, n, n)
+    meet and Heyting tables, with minimal[f, x] the k-bit mask of E(x):
+    {f: verdict} for each frame with a failing row Y. Row Y fails where
+    meet[s, t] for s <= t (by index), or imp[a, s], leaves Y while E(s) ∪
+    E(t), or E(s), lies in Y, so the first is the least E(s) ∪ E(t), or
+    E(s), that such an entry leaves. It is named by its first failing law
+    and witness: (s, t) in row-major order, or (a, s) by ascending s, then a.
     """
-    count, per, n = rows.shape
-    flat, owner = rows.reshape(-1, n), np.repeat(np.arange(count), per)
-    upper = np.triu(np.ones((n, n), dtype=bool))
-    verdicts = [SubsetVerdict(True)] * count
-    step = slice_len(n * n)
-    for start in range(0, len(flat), step):
-        members, f = flat[start:start + step], owner[start:start + step]
-        r = np.arange(len(members))[:, None, None]
-        meets = members[:, :, None] & members[:, None, :] & upper & ~members[r, meet[f]]
-        heyting = members[:, :, None] & ~members[r, imp[f].transpose(0, 2, 1)]  # [r, s, a]
-        for row, (law, at) in first_failures([~members[:, n - 1], meets, heyting]).items():
-            k = int(f[row])
-            if verdicts[k]:  # the first failing row of its frame
-                verdicts[k] = SubsetVerdict(False, ("missing-top", "meet", "heyting")[law],
-                                            ((n - 1,), at, at[::-1])[law])
-    return verdicts
+    count, n = minimal.shape
+    f, upper = np.arange(count)[:, None, None], np.triu(np.ones((n, n), dtype=bool))
+    pairs, single = minimal[:, :, None] | minimal[:, None, :], minimal[:, None, :]
+    every = np.iinfo(np.int64).max  # the row of every prime, which no entry leaves
+    # per entry, the least row where it fails: E(s) ∪ E(t) at [f, s, t], E(s) at [f, a, s]
+    meet_rows = np.where(upper & (minimal[f, meet] & ~pairs != 0), pairs, every)
+    imp_rows = np.where(minimal[f, imp] & ~single != 0, single, every)
+    outside = ~np.minimum(meet_rows.min(axis=(1, 2)), imp_rows.min(axis=(1, 2)))[:, None, None]
+    meets = upper & (pairs & outside == 0) & (minimal[f, meet] & outside != 0)
+    heyting = ((single & outside == 0) & (minimal[f, imp] & outside != 0)).transpose(0, 2, 1)
+    return {g: SubsetVerdict(False, ("meet", "heyting")[law], (at, at[::-1])[law])
+            for g, (law, at) in first_failures([meets, heyting]).items()}  # heyting at [f, s, a]
 
 
 def open_rows(imp):
@@ -179,9 +179,9 @@ def sublocale_lattices(frames: Iterable[FiniteFrame], budget: Optional[int] = No
                        ) -> list[SublocaleLattice | AssertionError | BudgetExceeded]:
     """S(L) of every frame, in order: one meet_closure call per (carrier
     size, number of primes) stack builds the closures M(Y) of all sets Y of
-    primes. They must pass the stacked sublocale test, then agree with the
-    prime decomposition {x : E(x) ⊆ Y}; the first failing closure is named.
-    The budget bounds the number of primes.
+    primes. They must agree with the prime decomposition {x : E(x) ⊆ Y},
+    and then the tables must keep the prime sets (the sublocale test); the
+    first failing closure is named. The budget bounds the number of primes.
     """
     frames = list(frames)
     built: list = [None] * len(frames)
@@ -196,7 +196,17 @@ def sublocale_lattices(frames: Iterable[FiniteFrame], budget: Optional[int] = No
 
 
 def _sublocale_stack(frames, leq, meet, imp, prime, k, budget) -> list:
-    """sublocale_lattices on frames of one carrier size with k primes each."""
+    """sublocale_lattices on frames of one carrier size with k primes each.
+
+    Each closure M(Y) must equal {x : E(x) ⊆ Y}; the first (Y, x) where one
+    differs is named. Then M(Y) holds the top and is a sublocale for every
+    Y iff no table entry leaves its prime sets, E(s ∧ t) ⊆ E(s) ∪ E(t) and
+    E(a → s) ⊆ E(s) (`_table_verdicts`). Both hold in a frame: a prime is
+    meet-prime in a distributive lattice, so a prime minimal above s ∧ t is
+    minimal above s or t; and s = ∧E(s), so a → s = ∧(a → p) over p in
+    E(s), with a → p ∈ {p, 1} as (a → p) ∧ a <= p. A failure is a table at
+    fault, named as a test of every closure names it.
+    """
     count, n = prime.shape
     try:
         within_budget("primes", k, budget)
@@ -208,21 +218,22 @@ def _sublocale_stack(frames, leq, meet, imp, prime, k, budget) -> list:
     members = np.zeros((count, m, n), dtype=bool)
     members[f[:, :, None], np.arange(m)[:, None], at[:, None, :]] = chosen
     closures = meet_closure(leq, members)  # closures[f, y]: M(Y), bit j of y for the j-th prime
-    verdicts = _sublocale_rows(meet, imp, closures)
     apart = first_failures([closures != _decomposition(leq, at, chosen)])
+    # E(x) as a k-bit mask, which holds since the (F, 2^k, n) closures fit: k < 63
+    verdicts = _table_verdicts(meet, imp, _minimal_primes(leq, at) @ (1 << np.arange(k)))
     # the prime sets in (size, mask) order of their closures, in the least dtype that holds m
     ys = size_mask_order(closures).astype(np.min_scalar_type(m - 1))
     rows = closures[f, ys]
     rows.flags.writeable = False
     outcomes: list = []
     for g, frame in enumerate(frames):
-        if not verdicts[g]:
-            outcomes.append(AssertionError(
-                f"meet-closure of primes is not a sublocale: {verdicts[g]}"))
-        elif g in apart:
+        if g in apart:
             y, x = apart[g][1]
             mask = pack_rows(closures[g, y:y + 1])[0]
             outcomes.append(named(partial(_decomposition_breach, mask, x), frame))
+        elif g in verdicts:
+            outcomes.append(AssertionError(
+                f"meet-closure of primes is not a sublocale: {verdicts[g]}"))
         else:
             outcomes.append(SublocaleLattice(frame, ys[g], rows[g]))
     return outcomes
@@ -235,14 +246,18 @@ def _decomposition_breach(mask: int, x: int, frame: FiniteFrame) -> AssertionErr
 
 def _decomposition(leq, at, chosen):
     """{x : E(x) ⊆ Y} for every row Y of the (m, k) prime-set bits, over the
-    (F, n, n) orders whose j-th prime is at[f, j], as (F, m, n) bools. E(x),
-    the minimal primes above x, are the primes p >= x with no prime q such
-    that x <= q < p: one (F, n, k) @ (F, k, k) product."""
+    (F, n, n) orders whose j-th prime is at[f, j], as (F, m, n) bools."""
+    return ~(~chosen @ _minimal_primes(leq, at).transpose(0, 2, 1))  # no prime of E(x) outside Y
+
+
+def _minimal_primes(leq, at):
+    """E(x), the minimal primes above x, as (F, n, k) bools [f, x, j] over
+    the (F, n, n) orders whose j-th prime is at[f, j]: the primes p >= x
+    with no prime q such that x <= q < p, one (F, n, k) @ (F, k, k) product."""
     f = np.arange(len(at))[:, None]
     above = np.take_along_axis(leq, at[:, None, :], axis=2)  # [f, x, j]: x <= p_j
     under = above[f, at] & ~np.eye(at.shape[1], dtype=bool)  # [f, i, j]: p_i < p_j
-    minimal = above & ~(above @ under)                       # [f, x, j]: p_j in E(x)
-    return ~(~chosen @ minimal.transpose(0, 2, 1))           # no prime of E(x) outside Y
+    return above & ~(above @ under)
 
 
 class ClosedJoinFrame:

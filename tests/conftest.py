@@ -88,6 +88,22 @@ def cube7():
 
 
 @pytest.fixture(scope="session")
+def endpoint_pairs():
+    """O_E for |E| = 3 and its pair frame. O_E is the frame of opens of the
+    7-point digital line: its endpoints (the odd points) are closed and its
+    gaps (the even points) open, so a set is open iff it holds both gaps
+    beside each endpoint in it. 34 opens, 116 pairs."""
+    import numpy as np
+    from localekit.lattice import RegularPairFrame, validate_frame
+
+    def is_open(u):
+        return all(u >> (e - 1) & u >> (e + 1) & 1 for e in (1, 3, 5) if u >> e & 1)
+    opens = [u for u in range(1 << 7) if is_open(u)]
+    base = validate_frame(np.array([[a & ~b == 0 for b in opens] for a in opens]))
+    return base, RegularPairFrame(base, max_size=200).frame
+
+
+@pytest.fixture(scope="session")
 def bounded_lattices():
     """Per n <= 7: the tables (leq, meet, join, imp) of every bounded naturally
     labeled lattice on n elements, distributive or not, imp being the

@@ -16,7 +16,7 @@ import numpy as np
 from localekit import checks, corpus, realline as rl
 from localekit.common import (CheckReport, EquivalenceViolation, TheoremViolation, bits,
                              pack_rows, settled, slice_len, unpack_rows, within_budget)
-from localekit.corpus import iter_natural_posets, labeled_lattice_rows
+from localekit.corpus import iter_natural_posets
 from localekit.lattice import (FiniteFrame, cover_relation, order_closure, validate_frame,
                                validate_frames)
 from localekit.spaces import SpacePropositionReport, bitstring
@@ -248,6 +248,24 @@ def natural_labeled_lattices(n, distributive_only=False):
         if brute_is_lattice(leq) and (not distributive_only or brute_is_distributive(leq)):
             natural.append(up)
     return _labeled_closure(natural, n)
+
+
+def _key_rows(keys, n: int) -> list[tuple[int, ...]]:
+    """The inverse of `corpus._keys`: each key as its tuple of n up-masks."""
+    masks = np.zeros((len(keys), n), dtype=np.min_scalar_type((1 << n) - 1))
+    for byte in keys.view(np.uint8).reshape(len(keys), n, -1).transpose(2, 0, 1):
+        masks = masks << 8 | byte
+    rows, step = [], slice_len(n)
+    for start in range(0, len(masks), step):
+        rows += zip(*masks[start:start + step].T.tolist())
+    return rows
+
+
+def labeled_lattice_rows(n: int, distributive_only: bool = False) -> list[tuple[int, ...]]:
+    """Every labeled (optionally distributive) lattice on 0..n-1, as up-mask
+    rows, in the sorted order of the row tuples: the keys of the corpus's
+    (canonical order, placement) pairs, decoded."""
+    return _key_rows(corpus._labeled(n, distributive_only)[1], n) if n >= 1 else []
 
 
 def per_item_corpus(max_size: int):
@@ -493,11 +511,13 @@ def least_upper_bounds(leq):
     return least.argmax(axis=2) if least.any(axis=2).all() else None
 
 
-def containment(rows):
+def containment(rows, columns=None):
     """The containment order of (m, n) boolean member rows: row i is below
-    row j iff no member of row i is missing from row j."""
+    row j iff no member of row i is missing from row j, with j a row of
+    columns where given."""
     rows = np.asarray(rows)
-    return ~(rows[:, None, :] & ~rows[None, :, :]).any(axis=2)
+    columns = rows if columns is None else columns
+    return ~(rows[:, None, :] & ~columns[None, :, :]).any(axis=2)
 
 
 def generic_sublocale_laws(lattice):
@@ -574,6 +594,41 @@ def generic_closed_open_identities(frame: FiniteFrame) -> CheckReport:
     return CheckReport.passed("closed-open-identities")
 
 
+def prime_closures(frame: FiniteFrame) -> tuple[int, ...]:
+    """M(Y ∪ {1}) for every set Y of primes of frame, bit j of Y for its
+    j-th prime by index, as bitmasks in the order of Y."""
+    ps = tuple(np.flatnonzero(cover_relation(frame.leq).sum(axis=1) == 1).tolist())
+    members = np.zeros((1 << len(ps), frame.n), dtype=bool)
+    members[:, list(ps)] = np.arange(1 << len(ps))[:, None] >> np.arange(len(ps)) & 1
+    return pack_rows(meet_closure(frame.leq[None], members[None])[0])
+
+
+def row_blocks(count: int, cells: int) -> list[slice]:
+    """Slices of range(count) of at most 2**22 cells, at `cells` cells a row."""
+    step = max(1, (1 << 22) // max(1, cells))
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def closure_verdict(frame: FiniteFrame, closures) -> SubsetVerdict:
+    """The library's verdict on the closures (bitmasks): `sublocale_witness`
+    on the first that is no sublocale, or a passing verdict. Every closure
+    is tested at once, a block of rows at a time: it must hold the top,
+    s ∧ t for members s <= t by index (the pairs the library reads), and
+    a -> s for members s."""
+    rows, n = unpack_rows(closures, frame.n), frame.n
+    upper = np.triu(np.ones((n, n), dtype=bool))
+
+    def broken(block):
+        part = rows[block]
+        meets = part[:, :, None] & part[:, None, :] & upper & ~part[:, frame.meet]
+        return ~part[:, frame.top] | meets.any(axis=(1, 2)) | (
+            part[:, None, :] & ~part[:, frame.imp]).any(axis=(1, 2))
+    broken = np.concatenate([broken(block) for block in row_blocks(len(rows), n * n)])
+    if not broken.any():
+        return SubsetVerdict(True)
+    return SubsetVerdict(*sublocale_witness(frame, bits(closures[int(broken.argmax())])))
+
+
 def per_item_sublocales(frame: FiniteFrame):
     """S(L) of one frame by the per-item route: the meet-closures of the sets
     of primes, checked distinct and each a sublocale, in (size, mask) order;
@@ -581,32 +636,24 @@ def per_item_sublocales(frame: FiniteFrame):
     sets; and the meets as lookups of the intersection of the prime sets,
     checked against the intersection of the members. Returns (masks, prime
     sets, laws report), or raises AssertionError: with the library's text
-    where a closure is no sublocale, `sublocale_witness` on the first such
-    one only, and with its own text otherwise."""
-    ps = tuple(np.flatnonzero(cover_relation(frame.leq).sum(axis=1) == 1).tolist())
-    members = np.zeros((1 << len(ps), frame.n), dtype=bool)
-    members[:, list(ps)] = np.arange(1 << len(ps))[:, None] >> np.arange(len(ps)) & 1
-    closures = pack_rows(meet_closure(frame.leq[None], members[None])[0])
+    where a closure is no sublocale, `closure_verdict`, and with its own
+    text otherwise. The (m, m, n) comparisons go a block of rows at a time."""
+    closures = prime_closures(frame)
     if len(set(closures)) != len(closures):
         raise AssertionError("two sets of primes have the same meet-closure")
-    # every closure at once: rows[y, s] iff s is in the y-th closure; it must hold the top,
-    # s ∧ t for members s <= t by index (the pairs the library reads), and a -> s for members s
-    rows = unpack_rows(closures, frame.n)
-    upper = np.triu(np.ones((frame.n, frame.n), dtype=bool))
-    meets = rows[:, :, None] & rows[:, None, :] & upper & ~rows[:, frame.meet]
-    broken = ~rows[:, frame.top] | meets.any(axis=(1, 2)) | (
-        rows[:, None, :] & ~rows[:, frame.imp]).any(axis=(1, 2))
-    if broken.any():  # the library's text names the first closure that is no sublocale
-        witness = sublocale_witness(frame, bits(closures[int(broken.argmax())]))
-        verdict = SubsetVerdict(*witness)
+    verdict = closure_verdict(frame, closures)
+    if not verdict:
         raise AssertionError(f"meet-closure of primes is not a sublocale: {verdict}")
     order = sorted(range(len(closures)), key=lambda y: (closures[y].bit_count(), closures[y]))
     masks = tuple(closures[y] for y in order)
     ys, rows = np.array(order), unpack_rows(masks, frame.n)
-    if (containment(rows) != ((ys[:, None] & ~ys[None, :]) == 0)).any():
+    blocks = row_blocks(len(rows), len(rows) * frame.n)
+    subset = (ys[:, None] & ~ys[None, :]) == 0
+    if any((containment(rows[block], rows) != subset[block]).any() for block in blocks):
         raise AssertionError("containment of the closures differs from the subset order")
     meet = np.argsort(ys)[ys[:, None] & ys[None, :]]
-    if (rows[meet] != rows[:, None, :] & rows[None, :, :]).any():
+    if any((rows[meet[block]] != rows[block, None, :] & rows[None, :, :]).any()
+           for block in blocks):
         raise AssertionError("meet of prime sets differs from the intersection")
     return masks, tuple(order), CheckReport.passed("coframe-law")
 

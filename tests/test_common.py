@@ -173,11 +173,7 @@ def unreferenced(sources):
 
 # {qualified name: why it stays}, for a definition of src/localekit that no
 # other code there names; what no command reaches is deleted instead.
-UNREFERENCED = {
-    # the corpus's rows, read off the routine its frames come from, which the
-    # brute-force, natural-poset and extension-count oracles check
-    "corpus.labeled_lattice_rows": "the oracles' view of the labeled corpus",
-}
+UNREFERENCED: dict[str, str] = {}
 
 
 def dataclass_fields(sources):

@@ -8,9 +8,9 @@ import pytest
 from localekit import common, corpus, realline as rl
 from localekit.lattice import NotDistributive, validate_frame
 
-from oracles import (_permuted_rows, brute_is_distributive, brute_labeled_lattices,
-                     labeled_distributive_count, natural_labeled_lattices, per_item_corpus,
-                     rows_to_leq)
+from oracles import (_key_rows, _permuted_rows, brute_is_distributive, brute_labeled_lattices,
+                     labeled_distributive_count, labeled_lattice_rows, natural_labeled_lattices,
+                     per_item_corpus, rows_to_leq)
 
 
 def rows_to_rel(rows):
@@ -21,12 +21,12 @@ def rows_to_rel(rows):
 class TestLatticeEnumeration:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_relation_scan_oracle(self, n):
-        ours = sorted(rows_to_rel(rows) for rows in corpus.labeled_lattice_rows(n))
+        ours = sorted(rows_to_rel(rows) for rows in labeled_lattice_rows(n))
         assert ours == sorted(brute_labeled_lattices(n))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_distributive_filter_matches_oracle(self, n):
-        ours = {rows_to_rel(r) for r in corpus.labeled_lattice_rows(n, distributive_only=True)}
+        ours = {rows_to_rel(r) for r in labeled_lattice_rows(n, distributive_only=True)}
         expected = {rel for rel in brute_labeled_lattices(n)
                     if brute_is_distributive([list(row) for row in rel])}
         assert ours == expected
@@ -38,7 +38,7 @@ class TestLatticeEnumeration:
         # lattice by construction and is closed under relabeling, hence it is
         # all labeled lattices; the counts are then frozen as regressions
         # (the lattice counts are OEIS A055512).
-        rows = corpus.labeled_lattice_rows(n, distributive_only=(n == 6))
+        rows = labeled_lattice_rows(n, distributive_only=(n == 6))
         as_set = set(rows)
         assert len(as_set) == (distributive if n == 6 else total)
         sample = Random(0).sample(list(as_set), 40)
@@ -53,7 +53,7 @@ class TestLatticeEnumeration:
         # relabels one permutation and one bit at a time; the corpus grows
         # only the n - 2 inner elements and relabels as arrays. Same rows,
         # same order, so the distN:kkkk names agree too.
-        rows = corpus.labeled_lattice_rows(n, distributive_only=distributive)
+        rows = labeled_lattice_rows(n, distributive_only=distributive)
         assert rows == natural_labeled_lattices(n, distributive_only=distributive)
         if n == 7:
             assert len(rows) == 26460
@@ -62,7 +62,7 @@ class TestLatticeEnumeration:
         # n!·Σ 1/e(N) over natural posets N with n down-sets counts the labeled
         # distributive lattices without relabeling any order; n = 8 is the
         # labeled corpus past the campaign budget, which nothing else covers.
-        counts = [len(corpus.labeled_lattice_rows(n, distributive_only=True))
+        counts = [len(labeled_lattice_rows(n, distributive_only=True))
                   for n in range(1, 9)]
         assert counts == [labeled_distributive_count(n) for n in range(1, 9)]
         assert counts == [1, 2, 6, 36, 240, 2520, 26460, 379680]
@@ -76,7 +76,7 @@ class TestLatticeEnumeration:
         rows += rows[:50]
         orders = np.array([[[bool(m >> j & 1) for j in range(n)] for m in row] for row in rows])
         keys = corpus._distinct(corpus._keys(orders))
-        assert corpus._key_rows(keys, n) == sorted(set(rows))
+        assert _key_rows(keys, n) == sorted(set(rows))
 
     def test_every_corpus_frame_validates(self):
         count = 0
@@ -89,10 +89,10 @@ class TestLatticeEnumeration:
         def snapshot():
             return [(name, frame.labels, frame.leq.tobytes(), frame.imp.tobytes())
                     for name, frame in corpus.iter_distributive_frames(5)]
-        whole, lattices = snapshot(), corpus.labeled_lattice_rows(5)
+        whole, lattices = snapshot(), labeled_lattice_rows(5)
         monkeypatch.setattr(common, "STACK_CELLS", 200)  # 1 to 25 frames a chunk
         assert snapshot() == whole
-        assert corpus.labeled_lattice_rows(5) == lattices
+        assert labeled_lattice_rows(5) == lattices
 
     def test_matches_one_validation_per_item(self):
         # Each distinct canonical order is validated once and its tables are
@@ -121,7 +121,7 @@ class TestLatticeEnumeration:
         # With the distributivity filter lifted at n = 6, the 213 canonical
         # orders (0 the bottom, 5 the top) of all 6-element lattices reach
         # validate_frames in key order, which is the order of their rows.
-        canonical = [row for row in corpus.labeled_lattice_rows(6)
+        canonical = [row for row in labeled_lattice_rows(6)
                      if row[0] == 0b111111 and all(mask & 0b100000 for mask in row)]
         assert len(canonical) == 6390 // 30
         alone = []
@@ -140,7 +140,7 @@ class TestLatticeEnumeration:
         assert str(raised.value) == alone[0]
 
     def test_rows_unpack_to_their_order(self):
-        for rows in corpus.labeled_lattice_rows(4):
+        for rows in labeled_lattice_rows(4):
             assert rows_to_rel(rows) == tuple(tuple(bool(v) for v in row)
                                               for row in rows_to_leq(rows))
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from localekit import checks, cli, common, corpus, io, lattice, sublocales
-from localekit.common import BudgetExceeded, bits, pack_rows, settled, unpack_rows
+from localekit.common import BudgetExceeded, pack_rows, settled, unpack_rows
 from localekit.lattice import FiniteFrame, cover_pairs, cover_relation, validate_frame
 from localekit.sublocales import (ClosedJoinFrame, Sublocale, closed_join_frames,
                                   closed_open_outcomes, meet_closure, open_rows,
@@ -16,22 +16,16 @@ from localekit.sublocales import (ClosedJoinFrame, Sublocale, closed_join_frames
 
 from conftest import alone
 from oracles import (MixedParents, brute_closed_join_elements, brute_primes, brute_sublocales,
-                     closed_join_meet, containment, find_order_isomorphism,
+                     closed_join_meet, closure_verdict, containment, find_order_isomorphism,
                      generic_closed_join_frame, generic_closed_open_identities,
                      generic_sublocale_laws, least_upper_bounds, meet_close, per_item_complements,
-                     per_item_identities, per_item_sublocales, sublocale_join, sublocale_witness,
-                     tampered)
+                     per_item_identities, per_item_sublocales, prime_closures, sublocale_join,
+                     sublocale_witness, tampered)
 
 
 def closed_open(frame, part):
     """The identities (0) or complements (1) report of frame as a batch of one."""
     return alone(frame).closed_open(part)
-
-
-def is_sublocale(frame, members):
-    """The stacked sublocale test of `sublocale_lattices` on one member set."""
-    rows = unpack_rows([sum(1 << i for i in set(members))], frame.n)
-    return sublocales._sublocale_rows(frame.meet[None], frame.imp[None], rows[None])[0]
 
 
 def closed_sublocale(frame, a):
@@ -75,40 +69,90 @@ def decomposition_error(sublocale, element):
     return f"meet-closure of primes differs from its prime decomposition at ({sublocale}, {element})"
 
 
-class TestIsSublocale:
-    def test_singleton_top_is_least(self, c3):
-        assert is_sublocale(c3, [2])
+def tamperings(frame, draws):
+    """Every frame that differs from frame in one entry of its meet or
+    Heyting table, then `draws` seeded ones with two or three entries of
+    one table set at random."""
+    for table in ("meet", "imp"):
+        for (i, j), was in np.ndenumerate(getattr(frame, table)):
+            yield from (tampered(frame, table, {(i, j): value})
+                        for value in range(frame.n) if value != was)
+    rng, n = Random(frame.n), frame.n
+    for _ in range(draws):
+        table = rng.choice(("meet", "imp"))
+        yield tampered(frame, table, {(rng.randrange(n), rng.randrange(n)): rng.randrange(n)
+                                      for _ in range(rng.randint(2, 3))})
 
-    def test_bottom_top_pair(self, c3):
-        assert is_sublocale(c3, [0, 2])
 
-    def test_missing_top_reported(self, c3):
-        verdict = is_sublocale(c3, [0, 1])
-        assert not verdict
-        assert verdict.condition == "missing-top"
+def mirrored(frame):
+    """frame with its inner elements in reverse index order: another order
+    of the same carrier size and number of primes."""
+    inner = list(range(frame.n - 2, 0, -1))
+    order = [0, *inner, frame.n - 1] if frame.n > 1 else [0]
+    return validate_frame(frame.leq[np.ix_(order, order)])
 
-    def test_meet_witness(self, b2):
-        verdict = is_sublocale(b2, [1, 2, 3])
-        assert not verdict
-        assert verdict.condition == "meet"
-        assert verdict.witness == (1, 2)
 
-    def test_heyting_witness(self, b2):
-        verdict = is_sublocale(b2, [0, 1, 3])  # 1 -> 0 = 2 missing
-        assert not verdict
-        assert verdict.condition == "heyting"
-        a, s = verdict.witness
-        assert int(b2.imp[a, s]) not in (0, 1, 3)
+def outcome(built):
+    """S(L)'s outcome, comparable across routes: masks and prime sets, or
+    what it raises as (type, args)."""
+    if isinstance(built, Exception):
+        return type(built), built.args
+    return tuple(built.masks), tuple(built.prime_sets)
 
-    def test_matches_the_witness_oracle(self, small_corpus, tiny_corpus):
-        conditions = set()
-        for frame in [*small_corpus, *tiny_corpus.values()]:
-            for mask in range(1 << frame.n):
-                verdict = is_sublocale(frame, bits(mask))
-                expected = sublocale_witness(frame, bits(mask))
-                assert (verdict.ok, verdict.condition, verdict.witness) == expected
-                conditions.add(verdict.condition)
-        assert conditions == {None, "missing-top", "meet", "heyting"}
+
+def oracle_outcome(frame):
+    """`per_item_sublocales`' outcome on frame, as `outcome` reads S(L)'s."""
+    try:
+        return per_item_sublocales(frame)[:2]
+    except AssertionError as exc:
+        return AssertionError, exc.args
+
+
+class TestTamperedTables:
+    """S(L) decides its sublocale test on the prime sets of the table
+    entries; the oracle tests every closure, member by member. They must
+    agree on every table entry set to every other value, and on some
+    entries set together."""
+
+    @pytest.mark.parametrize("name", ["chain3", "bool2", "chain4", "bool3", "grid2x3"])
+    @pytest.mark.parametrize("cells", [None, 9])
+    def test_every_tampering_keeps_the_oracles_outcome(self, tiny_corpus, monkeypatch, cells,
+                                                       name):
+        if cells is not None:
+            monkeypatch.setattr(common, "STACK_CELLS", cells)
+        frames = list(tamperings(tiny_corpus[name], draws=100))
+        expected = [oracle_outcome(frame) for frame in frames]
+        assert [outcome(sublocale_lattices([frame])[0]) for frame in frames] == expected
+        # between clean frames of the same stack, in another order
+        clean = mirrored(tiny_corpus[name])
+        outcomes = [outcome(built) for built in sublocale_lattices(
+            [item for frame in frames for item in (clean, frame)])]
+        assert outcomes[1::2] == expected
+        assert outcomes[::2] == [oracle_outcome(clean)] * len(frames)
+        # the tamperings reach both laws, and some reach neither
+        closures = prime_closures(tiny_corpus[name])
+        assert {closure_verdict(frame, closures).condition for frame in frames} == {
+            None, "meet", "heyting"}
+
+    def test_a_mid_size_irregular_frame(self, endpoint_pairs):
+        """The pair frame of O_E: 116 elements, so a row spans two 64-bit
+        words, 11 primes and 2,048 sublocales. Its S(L) is the oracle's, and
+        a Heyting entry set to the bottom at a prime column, and at one that
+        is no prime, raises the oracle's message, alone and in a stack."""
+        base, frame = endpoint_pairs
+        assert (base.n, frame.n, len(primes(base)), len(primes(frame))) == (34, 116, 7, 11)
+        lattice = sublocale_lattices([frame], budget=11)[0]
+        assert len(lattice) == 2048 and outcome(lattice) == oracle_outcome(frame)
+        columns = primes(frame)[0], 1
+        assert columns[1] not in primes(frame)
+        broken = [tampered(frame, "imp", {(frame.top, column): 0}) for column in columns]
+        expected = [oracle_outcome(item) for item in broken]
+        assert [kind for kind, _ in expected] == [AssertionError] * 2
+        assert all(args[0].startswith("meet-closure of primes is not a sublocale")
+                   for _, args in expected)
+        assert [outcome(sublocale_lattices([item], budget=11)[0]) for item in broken] == expected
+        batch = sublocale_lattices([broken[0], frame, broken[1]], budget=11)
+        assert [outcome(built) for built in batch] == [expected[0], outcome(lattice), expected[1]]
 
 
 class TestClosedAndOpen:
@@ -127,8 +171,8 @@ class TestClosedAndOpen:
     def test_both_pass_is_sublocale(self, small_corpus):
         for frame in small_corpus[:60]:
             for a in range(frame.n):
-                assert is_sublocale(frame, closed_sublocale(frame, a).members)
-                assert is_sublocale(frame, open_sublocale(frame, a).members)
+                assert sublocale_witness(frame, closed_sublocale(frame, a).members)[0]
+                assert sublocale_witness(frame, open_sublocale(frame, a).members)[0]
 
     def test_complements(self, small_corpus):
         for frame in small_corpus:
@@ -270,9 +314,9 @@ class TestSublocaleLattice:
         flips = [(y, x) for y in range(len(alone(frame).lattice)) for x in range(frame.n)]
         assert [flip for flip in flips if not caught(*flip)] == []
 
-    # (frame, table, a, b, value) tampered, and the message that a per-closure
-    # is_sublocale loop gives; "" where all_sublocales passes (a tampered meet
-    # entry below the diagonal is one that neither route reads)
+    # (frame, table, a, b, value) tampered, and the message that a test of
+    # every closure, member by member, gives; "" where S(L) builds (a tampered
+    # meet entry below the diagonal is one that neither route reads)
     @pytest.mark.parametrize("name, table, a, b, value, message", [
         ("chain3", "imp", 0, 1, 0, "SubsetVerdict(ok=False, condition='heyting', witness=(0, 1))"),
         ("chain3", "imp", 2, 0, 1, "SubsetVerdict(ok=False, condition='heyting', witness=(2, 0))"),
@@ -297,16 +341,15 @@ class TestSublocaleLattice:
             (f"meet-closure of primes is not a sublocale: {message}",))
 
     # flipped closure entries (y, x), and the error that names the first:
-    # the decomposition where each flipped closure is still a sublocale (on
-    # bool3, M({p_2}) = {6,7} loses 6 and becomes O, a second M(∅)), the
-    # sublocale test where one is not
+    # the decomposition, first (y, x) row-major (on bool3, M({p_2}) = {6,7}
+    # loses 6 and becomes O, a second M(∅)); the sublocale test reads the
+    # tables on the prime sets, not the closures, so no flip reaches it
     @pytest.mark.parametrize("name, flips, message", [
         ("chain4", [(0, 0)], decomposition_error("{0,3}", 0)),
         ("chain4", [(5, 2), (1, 1)], decomposition_error("{0,1,3}", 1)),
         ("chain4", [(3, 2), (3, 0)], decomposition_error("{1,2,3}", 0)),
         ("bool3", [(4, 6)], decomposition_error("O", 6)),
-        ("bool3", [(4, 6), (0, 0)], "meet-closure of primes is not a sublocale: "
-                                    "SubsetVerdict(ok=False, condition='heyting', witness=(1, 0))"),
+        ("bool3", [(4, 6), (0, 0)], decomposition_error("{0,7}", 0)),
     ])
     def test_closure_flip_names_the_first_witness(self, tiny_corpus, monkeypatch, name, flips,
                                                   message):
