@@ -41,6 +41,7 @@ from .spaces import FiniteSpace
 
 # A broken internal cross-check: a bug, never a property of the input.
 BREACHES = (AssertionError, TheoremViolation, EquivalenceViolation)
+MARKERS = {PASS: "ok", FAIL: "FAIL", VIOLATION: "VIOLATION"}  # the verdicts in human output
 
 
 class UnknownCheck(ValueError):
@@ -95,17 +96,17 @@ def _record_conditions(report: Report, item: str, conditions) -> None:
     """One indented record per condition of an equivalence, with its witness."""
     for condition in conditions:
         fields = {"witness": condition.witness} if condition.witness else {}
-        suffix = f" [{condition.witness}]" if condition.witness else ""
-        report.add(human=f"  {condition.name}: {condition.holds}{suffix}", item=item,
-                   check=condition.name, verdict=PASS if condition.holds else FAIL, **fields)
+        human = "" if report.machine else f"  {condition.name}: {condition.holds}" + (
+            f" [{condition.witness}]" if fields else "")
+        report.add(human=human, item=item, check=condition.name,
+                   verdict=PASS if condition.holds else FAIL, **fields)
 
 
 def _record_from(report: Report, item: str, check: CheckReport) -> None:
-    marker = {PASS: "ok", FAIL: "FAIL", VIOLATION: "VIOLATION"}[check.level]
     witness = {"witness": check.witness} if check.witness else {}
-    suffix = f" [{check.witness}]" if check.witness else ""
-    report.add(human=f"{item}: {check.name} {marker}{suffix}", item=item, check=check.name,
-               verdict=check.level, **witness)
+    human = "" if report.machine else f"{item}: {check.name} {MARKERS[check.level]}" + (
+        f" [{check.witness}]" if witness else "")
+    report.add(human=human, item=item, check=check.name, verdict=check.level, **witness)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Exact calculus on finite unions of rational intervals of the real line.
 
 This is the representable fragment of the open-set lattice of the reals:
-finite unions of open intervals with endpoints in Q ∪ {-inf, +inf}: a
-`Rat` (a `Fraction` compared by integer cross-multiplication), or the float
-NEG_INF or POS_INF (±math.inf), which a Rat treats as sentinels below and
-above it. All arithmetic is exact, so interior/closure/pseudocomplement and
-the certificates below decide membership with no rounding.
+finite unions of intervals with endpoints `Rat` (a `Fraction` compared by
+integer cross-multiplication) or NEG_INF/POS_INF, sentinels below and above
+every Rat; all arithmetic is exact. Canonical forms are combined by one
+linear merge of sorted components, never re-sorted; `normalize` is the entry
+point for unsorted input, and the sort-then-merge route is the test oracle
+in `tests/oracles.py`.
 
 Infinite meets never materialize; the operations that would need them
 return certificates instead: an exclusion stage for a point outside the
@@ -171,47 +172,45 @@ class RationalClosed:
                         for lo, hi in self.components)
 
 
+def _open_component(lo: RatLike, hi: RatLike) -> Component:
+    lo, hi = _as_endpoint(lo), _as_endpoint(hi)
+    if not lo < hi:
+        raise EmptyInterval(f"({format_endpoint(lo)},{format_endpoint(hi)}) is empty")
+    return lo, hi
+
+
+def _merged(ca, cb, touch) -> tuple[Component, ...]:
+    """Union of two sorted, disjoint component lists by one linear merge on lower
+    endpoints; each fuses into the last kept where touch(lo, last_hi): < open, <= closed."""
+    out: list[Component] = []
+    i, j, na, nb = 0, 0, len(ca), len(cb)
+    while i < na or j < nb:
+        if j == nb or i < na and ca[i][0] < cb[j][0]:
+            (lo, hi), i = ca[i], i + 1
+        else:
+            (lo, hi), j = cb[j], j + 1
+        if not out or not touch(lo, out[-1][1]):
+            out.append((lo, hi))
+        elif out[-1][1] < hi:
+            out[-1] = (out[-1][0], hi)
+    return tuple(out)
+
+
 def normalize(intervals: Iterable[tuple[RatLike, RatLike]]) -> RationalOpen:
-    """Canonical form of a union of open intervals; the point set is unchanged."""
-    comps: list[Component] = []
-    for lo, hi in intervals:
-        lo, hi = _as_endpoint(lo), _as_endpoint(hi)
-        if not lo < hi:
-            raise EmptyInterval(f"({format_endpoint(lo)},{format_endpoint(hi)}) is empty")
-        comps.append((lo, hi))
-    comps.sort()
-    merged: list[Component] = []
-    for lo, hi in comps:
-        if merged and lo < merged[-1][1]:
-            last_lo, last_hi = merged[-1]
-            merged[-1] = (last_lo, hi if last_hi < hi else last_hi)
-        else:
-            merged.append((lo, hi))
-    return RationalOpen(tuple(merged))
-
-
-def _normalize_closed(intervals: Iterable[Component]) -> RationalClosed:
-    comps = [(lo, hi) for lo, hi in intervals if lo <= hi]
-    comps.sort()
-    merged: list[Component] = []
-    for lo, hi in comps:
-        if merged and lo <= merged[-1][1]:
-            last_lo, last_hi = merged[-1]
-            merged[-1] = (last_lo, hi if last_hi < hi else last_hi)
-        else:
-            merged.append((lo, hi))
-    return RationalClosed(tuple(merged))
+    """Canonical form of open intervals in any order, each checked nonempty."""
+    comps = sorted((_open_component(lo, hi) for lo, hi in intervals), key=operator.itemgetter(0))
+    return RationalOpen(_merged(comps, (), operator.lt))
 
 
 def open_interval(lo: RatLike, hi: RatLike) -> RationalOpen:
-    return normalize([(lo, hi)])
+    return RationalOpen((_open_component(lo, hi),))
 
 
 def closed_interval(lo: RatLike, hi: RatLike) -> RationalClosed:
     lo, hi = _as_endpoint(lo), _as_endpoint(hi)
     if hi < lo:
         raise EmptyInterval("closed interval needs lo <= hi")
-    return _normalize_closed([(lo, hi)])
+    return RationalClosed(((lo, hi),))
 
 
 def union(a: RationalOpen, b: RationalOpen) -> RationalOpen:
@@ -219,7 +218,7 @@ def union(a: RationalOpen, b: RationalOpen) -> RationalOpen:
         return b
     if b.is_empty:
         return a
-    return normalize(a.components + b.components)
+    return RationalOpen(_merged(a.components, b.components, operator.lt))
 
 
 def intersect(a: RationalOpen, b: RationalOpen) -> RationalOpen:
@@ -239,12 +238,12 @@ def intersect(a: RationalOpen, b: RationalOpen) -> RationalOpen:
 
 
 def union_closed(a: RationalClosed, b: RationalClosed) -> RationalClosed:
-    return _normalize_closed(a.components + b.components)
+    return RationalClosed(_merged(a.components, b.components, operator.le))
 
 
 def closure(a: RationalOpen) -> RationalClosed:
     """Topological closure; touching components fuse ((0,1) ∪ (1,2) -> [0,2])."""
-    return _normalize_closed(a.components)
+    return RationalClosed(_merged(a.components, (), operator.le))
 
 
 def interior(c: RationalClosed) -> RationalOpen:

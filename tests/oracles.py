@@ -6,6 +6,7 @@ point membership) and deliberately avoids the code paths under test.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, permutations
@@ -1036,15 +1037,39 @@ def _plain_components(a: rl.RationalOpen) -> list[tuple]:
     return [(_plain(lo), _plain(hi)) for lo, hi in a.components]
 
 
-def fraction_normalize(intervals) -> tuple:
-    """The components of normalize(intervals): sort, then merge overlaps."""
+def _sorted_merge(intervals, touch) -> tuple:
+    """Sort the intervals, then fuse each into the last one kept where
+    touch(lo, last_hi) holds: operator.lt for open intervals, operator.le for
+    closed ones, which join where they touch."""
     merged: list[tuple] = []
     for lo, hi in sorted((_plain(lo), _plain(hi)) for lo, hi in intervals):
-        if merged and lo < merged[-1][1]:
+        if merged and touch(lo, merged[-1][1]):
             merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
         else:
             merged.append((lo, hi))
     return tuple(merged)
+
+
+def fraction_normalize(intervals) -> tuple:
+    """The components of normalize(intervals): sort, then merge overlaps."""
+    return _sorted_merge(intervals, operator.lt)
+
+
+def fraction_closure(intervals) -> tuple:
+    """The components of the union of the closed intervals [lo, hi], lo <= hi,
+    in any order: sort, then fuse those that touch. On the components of an
+    open set, the components of its closure."""
+    return _sorted_merge(intervals, operator.le)
+
+
+def fraction_union(a: rl.RationalOpen, b: rl.RationalOpen) -> tuple:
+    """The components of a ∪ b, from both component lists re-sorted."""
+    return fraction_normalize(a.components + b.components)
+
+
+def fraction_union_closed(c: rl.RationalClosed, d: rl.RationalClosed) -> tuple:
+    """The components of c ∪ d, from both component lists re-sorted."""
+    return fraction_closure(c.components + d.components)
 
 
 def fraction_intersect(a: rl.RationalOpen, b: rl.RationalOpen) -> tuple:

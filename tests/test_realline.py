@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from localekit import checks
 from localekit import realline as rl
 from localekit.realline import (NEG_INF, POS_INF, EmptyInterval, InvalidPair, KRealPair,
-                                NotDescending, NotRegular, PaddedTerms, PointInU, RationalOpen,
-                                ZeroPoint, closed_interval, closure, contains_point,
-                                descending_pair, exclusion_certificate, forcing_check,
-                                format_open_set, interior, intersect, is_subset, normalize,
-                                open_interval, parse_open_set, pseudocomplement, punctured_reals,
-                                recovery_report, regularize, union, zero_padded_term)
+                                NotDescending, NotRegular, PaddedTerms, PointInU, RationalClosed,
+                                RationalOpen, ZeroPoint, closed_interval, closure,
+                                complement_closed, contains_point, descending_pair,
+                                exclusion_certificate, forcing_check, format_open_set, interior,
+                                intersect, is_subset, normalize, open_interval, parse_open_set,
+                                pseudocomplement, punctured_reals, recovery_report, regularize,
+                                union, union_closed, zero_padded_term)
 
 import oracles
 
@@ -97,7 +98,7 @@ def _native(value):
     return rl.Rat(value) if isinstance(value, Fraction) else value
 
 
-def _endpoints(a: RationalOpen):
+def _endpoints(a):
     return [end for component in a.components for end in component]
 
 
@@ -121,7 +122,9 @@ class TestNativeComparison:
 
     @given(open_sets(), open_sets())
     def test_built_endpoints_are_native(self, a, b):
-        for end in _endpoints(a) + _endpoints(intersect(a, b)) + _endpoints(union(a, b)):
+        built = (a, intersect(a, b), union(a, b), closure(a),
+                 union_closed(closure(a), complement_closed(b)))
+        for end in (end for c in built for end in _endpoints(c)):
             assert type(end) is rl.Rat or end is NEG_INF or end is POS_INF
 
     def test_any_infinity_becomes_its_sentinel(self):
@@ -131,7 +134,8 @@ class TestNativeComparison:
 
 
 class TestFractionRoute:
-    """normalize, intersect and is_subset against their plain-Fraction routes."""
+    """The interval-set primitives against their plain-Fraction routes; the
+    unions and closure against re-sorting every component, as they once did."""
 
     @given(open_sets(), open_sets())
     def test_normalize(self, a, b):
@@ -147,6 +151,75 @@ class TestFractionRoute:
         both = intersect(a, b)  # a subset of each, so both verdicts are drawn
         for smaller, larger in ((a, b), (both, a), (both, b)):
             assert is_subset(smaller, larger) == oracles.fraction_is_subset(smaller, larger)
+
+    @given(open_sets(), open_sets())
+    def test_union(self, a, b):
+        for left, right in ((a, b), (b, a), (a, intersect(a, b)), (a, a)):
+            assert union(left, right).components == oracles.fraction_union(left, right)
+
+    @given(open_sets(), open_sets())
+    def test_union_closed(self, a, b):
+        # complements hold points, as the complement of (0,1);(1,2) holds [1,1]
+        closed = (closure(a), closure(b), complement_closed(a), complement_closed(b))
+        for c in closed:
+            for d in closed:
+                assert union_closed(c, d).components == oracles.fraction_union_closed(c, d)
+
+    @given(open_sets())
+    def test_closure(self, a):
+        assert closure(a).components == oracles.fraction_closure(a.components)
+
+
+def _closed(*pairs):
+    return RationalClosed(tuple((rl.Rat(lo), rl.Rat(hi)) for lo, hi in pairs))
+
+
+class TestMerges:
+    """Named cases of the merges, in both argument orders and against the oracles."""
+
+    @pytest.mark.parametrize("a,b,expected", [
+        ("(0,1)", "(1,2)", "(0,1);(1,2)"),  # touching opens stay apart
+        ("(0,3)", "(1,2)", "(0,3)"),  # nested
+        ("(0,1);(2,3)", "(0,1);(2,3)", "(0,1);(2,3)"),  # identical
+        ("(0,1);(4,5)", "(2,3)", "(0,1);(2,3);(4,5)"),  # disjoint, interleaved
+        ("(0,2);(3,5)", "(1,4)", "(0,5)"),  # one bridges two
+        ("(-inf,inf)", "(0,1);(2,3)", "(-inf,inf)"),
+        ("(-inf,inf)", "empty", "(-inf,inf)"),
+    ])
+    def test_union(self, a, b, expected):
+        a, b = parse_open_set(a), parse_open_set(b)
+        for left, right in ((a, b), (b, a)):
+            got = union(left, right)
+            assert got == parse_open_set(expected)
+            assert got.components == oracles.fraction_union(left, right)
+
+    def test_touching_opens_close_to_one_interval(self):
+        assert closure(union(open_interval(0, 1), open_interval(1, 2))) == closed_interval(0, 2)
+        assert closure(RationalOpen.reals()) == RationalClosed.reals()
+        assert closure(RationalOpen.empty()) == RationalClosed(())
+
+    @pytest.mark.parametrize("c,d,expected", [
+        (((1, 1),), ((1, 3),), ((1, 3),)),  # a point fuses with an interval it ends
+        (((3, 3),), ((1, 3),), ((1, 3),)),
+        (((1, 1),), ((1, 1),), ((1, 1),)),  # identical
+        (((0, 4),), ((1, 2),), ((0, 4),)),  # nested
+        (((0, 1),), ((1, 2),), ((0, 2),)),  # touching closed intervals join
+        (((0, 1), (4, 5)), ((2, 3),), ((0, 1), (2, 3), (4, 5))),  # disjoint
+        (((0, 1), (2, 3)), ((1, 2),), ((0, 3),)),  # one bridges two
+        (((0, 0), (2, 2)), ((0, 2),), ((0, 2),)),
+    ])
+    def test_union_closed(self, c, d, expected):
+        c, d = _closed(*c), _closed(*d)
+        for left, right in ((c, d), (d, c)):
+            got = union_closed(left, right)
+            assert got == _closed(*expected)
+            assert got.components == oracles.fraction_union_closed(left, right)
+
+    @pytest.mark.parametrize("c", [RationalClosed(()), closed_interval(1, 1),
+                                   closed_interval(NEG_INF, 0), closed_interval(0, POS_INF)])
+    def test_union_closed_with_the_line(self, c):
+        line = RationalClosed.reals()
+        assert union_closed(line, c) == line and union_closed(c, line) == line
 
 
 class TestNormalize:

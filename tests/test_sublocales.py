@@ -115,11 +115,7 @@ class TestTamperedTables:
     entries set together."""
 
     @pytest.mark.parametrize("name", ["chain3", "bool2", "chain4", "bool3", "grid2x3"])
-    @pytest.mark.parametrize("cells", [None, 9])
-    def test_every_tampering_keeps_the_oracles_outcome(self, tiny_corpus, monkeypatch, cells,
-                                                       name):
-        if cells is not None:
-            monkeypatch.setattr(common, "STACK_CELLS", cells)
+    def test_every_tampering_keeps_the_oracles_outcome(self, tiny_corpus, name):
         frames = list(tamperings(tiny_corpus[name], draws=100))
         expected = [oracle_outcome(frame) for frame in frames]
         assert [outcome(sublocale_lattices([frame])[0]) for frame in frames] == expected
@@ -327,11 +323,8 @@ class TestSublocaleLattice:
         ("bool3", "meet", 5, 6, 1, "SubsetVerdict(ok=False, condition='meet', witness=(5, 6))"),
         ("bool3", "meet", 6, 5, 7, ""),
     ])
-    @pytest.mark.parametrize("cells", [None, 9])
-    def test_tampered_tables_keep_the_scalar_message(self, tiny_corpus, monkeypatch, cells,
-                                                     name, table, a, b, value, message):
-        if cells is not None:  # one closure a slice
-            monkeypatch.setattr(common, "STACK_CELLS", cells)
+    def test_tampered_tables_keep_the_scalar_message(self, tiny_corpus, name, table, a, b,
+                                                     value, message):
         frame = tampered(tiny_corpus[name], table, {(a, b): value})
         if not message:
             alone(frame).lattice
