@@ -6,9 +6,10 @@ runs on a fresh Report; the three campaigns run their check registries
 
 Each record is written as it is decided, in one of two flavors: a
 human-readable line (default) or a machine-readable `key=value` record
-(--machine); a summary line comes last. Machine output is deterministic for
-fixed campaign parameters and seed: no timing, no environment, generation
-order only.
+(--machine); a summary line comes last. A check's record is its item's head,
+rendered once per item, then its tail, rendered once and kept in Report.tails
+if it passes. Machine output is deterministic for fixed campaign parameters
+and seed: no timing, no environment, generation order only.
 
 Exit codes: 0 all checks hold/consistent, 1 some axiom failed (reported as
 data with a witness), 2 internal violation or unusable input. An internal
@@ -68,8 +69,8 @@ class Report:
     keeps only the verdict counts, for the summary line and the exit code."""
 
     def __init__(self, machine: bool):
-        self.machine, self.started = machine, time.monotonic()
-        self.counts = dict.fromkeys((PASS, FAIL, VIOLATION), 0)
+        self.machine, self.started, self.item, self.head = machine, time.monotonic(), None, ""
+        self.counts, self.tails = dict.fromkeys((PASS, FAIL, VIOLATION), 0), {}
 
     def add(self, human: str, **fields) -> None:
         """One record, its fields naming its verdict; with no fields, a line
@@ -80,6 +81,14 @@ class Report:
             _write(human + "\n")
         elif fields:
             _write(" ".join(f"{k}={_sanitize(v)}" for k, v in fields.items()) + "\n")
+
+    def tail(self, check: CheckReport) -> str:
+        """check's record after its item's head, newline included."""
+        if self.machine:
+            return f"{_sanitize(check.name)} verdict={check.level}" + (
+                f" witness={_sanitize(check.witness)}\n" if check.witness else "\n")
+        return f"{check.name} {MARKERS[check.level]}" + (
+            f" [{check.witness}]\n" if check.witness else "\n")
 
     def finish(self) -> int:
         """Write the summary line; returns the exit code: 2 on a violation,
@@ -103,10 +112,16 @@ def _record_conditions(report: Report, item: str, conditions) -> None:
 
 
 def _record_from(report: Report, item: str, check: CheckReport) -> None:
-    witness = {"witness": check.witness} if check.witness else {}
-    human = "" if report.machine else f"{item}: {check.name} {MARKERS[check.level]}" + (
-        f" [{check.witness}]" if witness else "")
-    report.add(human=human, item=item, check=check.name, verdict=check.level, **witness)
+    """Write check's record on item: the item's head, then check's tail."""
+    report.counts[check.level] += 1
+    if item != report.item:
+        report.item = item
+        report.head = f"item={_sanitize(item)} check=" if report.machine else f"{item}: "
+    if check.level != PASS:
+        tail = report.tail(check)
+    elif (tail := report.tails.get((check.name, check.witness))) is None:
+        tail = report.tails[check.name, check.witness] = report.tail(check)
+    _write(report.head + tail)
 
 
 # ---------------------------------------------------------------------------

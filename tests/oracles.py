@@ -1085,3 +1085,19 @@ def fraction_is_subset(a: rl.RationalOpen, b: rl.RationalOpen) -> bool:
     """a ⊆ b: every component of a lies inside one component of b."""
     return all(any(blo <= lo and hi <= bhi for blo, bhi in _plain_components(b))
                for lo, hi in _plain_components(a))
+
+
+_MARKERS = {"pass": "ok", "fail": "FAIL", "violation": "VIOLATION"}
+
+
+def record_line(item: str, check: CheckReport, machine: bool) -> str:
+    """One check's record field by field, with no newline: each field's
+    whitespace runs joined by "_" (an empty field as "-") under --machine,
+    else one human line."""
+    if not machine:
+        return f"{item}: {check.name} {_MARKERS[check.level]}" + (
+            f" [{check.witness}]" if check.witness else "")
+    fields = {"item": item, "check": check.name, "verdict": check.level}
+    if check.witness:
+        fields["witness"] = check.witness
+    return " ".join(f"{k}={'_'.join(str(v).split()) or '-'}" for k, v in fields.items())

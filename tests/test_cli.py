@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 from localekit import (checks, cli, common, corpus, io, realline, separation, spaces,
                        sublocales as sub)
+from localekit.common import CheckReport, VIOLATION
 from localekit.lattice import ClosureViolation, NotALattice
 from localekit.separation import SeparationReport
 
 from conftest import discrete, indiscrete, sierpinski
-from oracles import format_space, is_t0, tampered
+from oracles import format_space, is_t0, record_line, tampered
 
 
 @pytest.fixture
@@ -132,11 +133,13 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "4 sublocales" in out
 
-    # stdout of the S(L) and spaces commands, human and --machine, by "<input> [--machine]
-    # <command>": argv with {file} for the lattice or space file, exit code, and stdout split
-    # at "\n", with {file} for its path and (…s) for the summary's wall time
+    # stdout of the S(L), spaces and campaign commands, human and --machine, by "<input>
+    # [--machine] <command>": argv with {file} for the lattice or space file, exit code, and
+    # stdout split at "\n", with {file} for its path and (…s) for the summary's wall time
     PINS = json.loads((Path(__file__).parent / "cli_stdout_pins.json").read_text())
-    SPACE_PINS = {key: pin for key, pin in PINS.items() if "spaces" in pin["argv"]}
+    CAMPAIGN_PINS = {key: pin for key, pin in PINS.items() if "campaign" in pin["argv"]}
+    SPACE_PINS = {key: pin for key, pin in PINS.items()
+                  if "spaces" in pin["argv"] and "campaign" not in pin["argv"]}
     SPACES = {"sierpinski": sierpinski(), "discrete2": discrete(2), "indiscrete3": indiscrete(3)}
 
     @staticmethod
@@ -145,7 +148,7 @@ class TestCliCommands:
         out = capsys.readouterr().out.replace(str(path), "{file}")
         assert re.sub(r"\(\d+\.\d+s\)", "(…s)", out).split("\n") == pin["stdout"]
 
-    @pytest.mark.parametrize("key", sorted(set(PINS) - set(SPACE_PINS)))
+    @pytest.mark.parametrize("key", sorted(set(PINS) - set(SPACE_PINS) - set(CAMPAIGN_PINS)))
     def test_sublocale_commands_stdout_is_pinned(self, tmp_path, tiny_corpus, capsys, key):
         path = tmp_path / f"{key.split()[0]}.lat"
         path.write_text(io.format_lattice(tiny_corpus[key.split()[0]]))
@@ -158,6 +161,12 @@ class TestCliCommands:
         if key.split()[0] in self.SPACES:
             path.write_text(format_space(self.SPACES[key.split()[0]]))
         self.pinned(self.PINS[key], path, capsys)
+
+    # every check of each campaign kind on a small corpus, human and --machine; a
+    # campaign reads no file
+    @pytest.mark.parametrize("key", sorted(CAMPAIGN_PINS))
+    def test_campaign_stdout_is_pinned(self, tmp_path, capsys, key):
+        self.pinned(self.PINS[key], tmp_path / "unread", capsys)
 
     def test_sc_listing(self, c3_file, capsys):
         assert cli.main(["--machine", "sc", c3_file]) == 0
@@ -410,6 +419,21 @@ class TestCampaigns:
         assert out.splitlines() == [f"item={item} check=coframe-law verdict=pass" for item in items]
         assert err == "error: 3 primes exceed the sublocale budget 2 (override with --budget)\n"
 
+    # the same with two checks: the failing item's first record is out before the error
+    @pytest.mark.parametrize("machine", [True, False])
+    def test_budget_hit_inside_an_item_keeps_its_earlier_records(self, monkeypatch, capsys,
+                                                                 machine):
+        monkeypatch.setitem(common.BUDGETS, "primes", (2, common.BUDGETS["primes"][1]))
+        argv = ["campaign", "lattices", "--max-size", "4", "--checks", "frame-laws,coframe-law"]
+        assert cli.main(["--machine"] * machine + argv) == 2
+        out, err = capsys.readouterr()
+        items = ["dist1:0000", *(f"dist2:{k:04d}" for k in range(2)),
+                 *(f"dist3:{k:04d}" for k in range(6)), "dist4:0000"]
+        records = [(item, name) for item in items for name in ("frame-laws", "coframe-law")]
+        assert out.splitlines() == [record_line(item, CheckReport.passed(name), machine)
+                                    for item, name in [*records, ("dist4:0001", "frame-laws")]]
+        assert err == "error: 3 primes exceed the sublocale budget 2 (override with --budget)\n"
+
     @staticmethod
     def counted_batches(monkeypatch):
         """{builder: the carrier sizes of each batch it builds}, for the six
@@ -613,6 +637,71 @@ class TestFileInput:
         fuzz_file.write_text("\n".join([f"space {size}"] + lines) + "\n")
         assert cli.main(["spaces", "check", str(fuzz_file)]) in (0, 1, 2)
         assert cli.main(["export-dot", str(fuzz_file), "--target", "specialization"]) in (0, 1, 2)
+
+
+class TestRecordRendering:
+    # Scripted outcomes by check and item index: items 1 and 2 fail frame-laws,
+    # between passes, with different multi-word, multi-line witnesses; item 4
+    # breaches coframe-law; pcformula passes with a witness on odd items.
+    WITNESSES = {1: "a ∨ b ≠ b\n  at 1, 2", 2: "meet\tof 0 and 1\nis not 0"}
+    NAMES = ["frame-laws", "coframe-law", "pcformula"]
+
+    def outcome(self, name: str, k: int) -> CheckReport:
+        if name == "frame-laws" and k in self.WITNESSES:
+            return CheckReport.failed(name, self.WITNESSES[k])
+        if name == "coframe-law" and k == 4:
+            return CheckReport(name, VIOLATION, "closure  breaks\nat c(1)")
+        return CheckReport.passed(name, "not-applicable" if name == "pcformula" and k % 2 else "")
+
+    @pytest.mark.parametrize("machine", [False, True])
+    def test_records_match_the_per_field_rendering(self, monkeypatch, capsys, machine):
+        def scripted(name):
+            calls = itertools.count()
+
+            def check(subject):
+                report = self.outcome(name, next(calls))
+                if report.level == VIOLATION:
+                    raise AssertionError(report.witness)
+                return report
+            return check
+
+        for name in self.NAMES:
+            monkeypatch.setitem(checks.LATTICE_CHECKS, name, scripted(name))
+        reports = []
+        monkeypatch.setattr(cli, "Report", lambda machine, Report=cli.Report: (
+            reports.append(Report(machine)) or reports[-1]))
+        argv = ["campaign", "lattices", "--max-size", "3", "--checks", ",".join(self.NAMES)]
+        assert cli.main(["--machine"] * machine + argv) == 2
+        items = ["dist1:0000", *(f"dist2:{k:04d}" for k in range(2)),
+                 *(f"dist3:{k:04d}" for k in range(6)), *sorted(corpus.named_frames())]
+        out = capsys.readouterr().out
+        expected = [record_line(item, self.outcome(name, k), machine)
+                    for k, item in enumerate(items) for name in self.NAMES]
+        # a human witness's newlines split its record, so compare the lines of the whole
+        assert out[:out.rindex("summary")].split("\n") == [*"\n".join(expected).split("\n"), ""]
+        # only the passing reports' tails are kept, one per distinct (name, witness)
+        assert set(reports[0].tails) == {("frame-laws", ""), ("coframe-law", ""),
+                                         ("pcformula", ""), ("pcformula", "not-applicable")}
+
+    # a file path holding a space and a tab is one item field under --machine
+    # and the raw path in human output
+    @pytest.mark.parametrize("argv, text, human", [
+        (["check-frame", "{file}"], "lattice 3\n0 < 1\n1 < 2\n", "valid frame with 3 elements"),
+        (["sc", "{file}"], "lattice 3\n0 < 1\n1 < 2\n", "{file}: closed-join-frame-law ok"),
+        (["separation", "{file}", "--axiom", "ppt"], "lattice 3\n0 < 1\n1 < 2\n",
+         "{file}: ppt ok"),
+        (["spaces", "check", "{file}"], "space 2\n00\n01\n11\n", "{file}: td-remark ok")])
+    def test_whitespace_in_the_path_is_sanitized(self, tmp_path, capsys, argv, text, human):
+        path = tmp_path / "my frames" / "c\t3.lat"
+        path.parent.mkdir()
+        path.write_text(text)
+        argv = [arg.replace("{file}", str(path)) for arg in argv]
+        code = cli.main(["--machine", *argv])
+        records = [_fields(line) for line in capsys.readouterr().out.splitlines()[:-1]]
+        items = {record["item"] for record in records if record["item"].endswith(".lat")}
+        assert items == {str(tmp_path / "my_frames" / "c_3.lat")}
+        assert cli.main(argv) == code
+        assert human.replace("{file}", str(path)) in capsys.readouterr().out.splitlines()
 
 
 # ---------------------------------------------------------------------------
