@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations
+from operator import attrgetter
 from random import Random
 from typing import Iterator
 
@@ -224,11 +225,9 @@ def random_open(rng: Random, max_components: int = 6) -> realline.RationalOpen:
     k = rng.randint(0, max_components)
     if k == 0:
         return realline.RationalOpen.empty()
-    cuts = sorted({random_rational(rng) for _ in range(2 * k)})
-    intervals = []
-    for lo, hi in zip(cuts[::2], cuts[1::2]):
-        if lo < hi:
-            intervals.append((lo, hi))
+    # distinct cuts in increasing order, so each pair is a nonempty interval
+    cuts = sorted({random_rational(rng) for _ in range(2 * k)}, key=attrgetter("key"))
+    intervals = list(zip(cuts[::2], cuts[1::2]))
     if intervals and rng.random() < RAY_CHANCE:
         intervals[0] = (realline.NEG_INF, intervals[0][1])
     if intervals and rng.random() < RAY_CHANCE:

@@ -1,12 +1,17 @@
 """Exact calculus on finite unions of rational intervals of the real line.
 
 This is the representable fragment of the open-set lattice of the reals:
-finite unions of intervals with endpoints `Rat` (a `Fraction` compared by
-integer cross-multiplication) or NEG_INF/POS_INF, sentinels below and above
-every Rat; all arithmetic is exact. Canonical forms are combined by one
-linear merge of sorted components, never re-sorted; `normalize` is the entry
-point for unsorted input, and the sort-then-merge route is the test oracle
-in `tests/oracles.py`.
+finite unions of intervals with endpoints `Rat` (a `Fraction` carrying an
+exact order key, `Rat.key`) or NEG_INF/POS_INF, the infinite floats whose
+keys lie below and above every Rat's; all arithmetic is exact. The loops
+that order endpoints compare keys, which CPython compares natively: the
+merge `_merged` (so `union`, `union_closed`, `closure`, and `normalize`,
+whose sort is by key too), `intersect`, `interior`, `complement_closed`,
+`is_subset`, `contains_point` and the nonempty checks of `open_interval`
+and `closed_interval`. Canonical forms are combined by one linear merge of
+sorted components, never re-sorted; `normalize` is the entry point for
+unsorted input, and the sort-then-merge route is the test oracle in
+`tests/oracles.py`.
 
 Infinite meets never materialize; the operations that would need them
 return certificates instead: an exclusion stage for a point outside the
@@ -16,6 +21,7 @@ every stage: the interior of the limit must still be the set.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -59,36 +65,66 @@ class NotDescending(AssertionError):
         super().__init__(f"terms are not descending at stage {stage}")
 
 
-NEG_INF = -math.inf
-POS_INF = math.inf
 STAGES = 20  # stages replayed by the stagewise checks
 
 
-def _exact(op):
-    """op on a Rat and b: numerators cross-multiplied by the (positive)
-    denominators when b is a Rat; against NEG_INF or POS_INF the Rat counts
-    as 0 and the infinity as -1 or 1; any other b takes Fraction's route."""
-    fallback = getattr(Fraction, f"__{op.__name__}__")
-
-    def compare(a, b):
-        if type(b) is Rat:
-            return op(a._numerator * b._denominator, b._numerator * a._denominator)
-        if b is POS_INF or b is NEG_INF:
-            return op(0, 1 if b is POS_INF else -1)
-        return fallback(a, b)
-    return compare
-
-
 class Rat(Fraction):
-    """A finite endpoint: a Fraction with the exact integer comparisons of
-    `_exact`, equal and hash-equal to the plain Fraction of its value. Python
-    tries a subclass's reflected operator first, so a plain Fraction or a
-    float on the left reaches them too. Arithmetic gives plain Fractions."""
+    """A finite endpoint: a plain Fraction (it compares, hashes and does
+    arithmetic as the Fraction of its value; arithmetic gives plain
+    Fractions) that also keeps `key`, an exact order key built once here.
 
-    __slots__ = ()
-    __lt__, __le__, __eq__, __gt__, __ge__ = map(_exact, (
-        operator.lt, operator.le, operator.eq, operator.gt, operator.ge))
-    __hash__ = Fraction.__hash__
+    The key holds the canonical continued fraction [a0; a1, ..., ak] of p/q
+    from Euclid's loop (a0 = floor(p/q), then digits >= 1, the last >= 2)
+    as the signed digits (a0, -a1, a2, ...), closed by the sentinel
+    (-1)**(k+1) * inf, then p and q. Lexicographic order on these tuples is
+    the order of the rationals (Hardy & Wright, An Introduction to the
+    Theory of Numbers, ch. X): the first differing digit decides, a larger
+    digit at an even depth giving the larger value and at an odd depth the
+    smaller, and an expansion that ends acts as an infinite next digit.
+    Equal values have equal keys. Only ints and the two infinities take
+    part, so no float approximates a rational.
+    """
+
+    __slots__ = ("key",)
+
+    def __new__(cls, numerator=0, denominator=None):
+        self = Fraction.__new__(cls, numerator, denominator)
+        p = num = self._numerator
+        q = den = self._denominator
+        digits = []
+        while q:  # Euclid's loop, two digits a turn: one kept, one negated
+            digits.append(p // q)
+            p, q = q, p % q
+            if not q:
+                break
+            digits.append(-(p // q))
+            p, q = q, p % q
+        self.key = (*digits, _NEG if len(digits) % 2 else _POS, num, den)
+        return self
+
+
+class _Infinity(float):
+    """An infinite endpoint: a float equal to -inf or inf whose key lies
+    below or above every Rat's."""
+
+    __slots__ = ("key",)
+
+    def __new__(cls, value: float):
+        self = float.__new__(cls, value)
+        self.key = (value,)
+        return self
+
+
+_NEG, _POS = -math.inf, math.inf
+NEG_INF = _Infinity(_NEG)
+POS_INF = _Infinity(_POS)
+_ORIGIN = Rat(0)
+
+
+@functools.lru_cache
+def _window(n: int) -> tuple[Rat, Rat]:
+    """The endpoints -1/n and 1/n of the stage-n window, built once per n."""
+    return Rat(-1, n), Rat(1, n)
 
 
 _FINITE_ENDPOINT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -114,9 +150,9 @@ def format_endpoint(value: Endpoint) -> str:
 
 
 def _as_endpoint(value: RatLike) -> Endpoint:
-    if type(value) is Rat:
+    if type(value) is Rat or value is NEG_INF or value is POS_INF:
         return value
-    if value in (NEG_INF, POS_INF):
+    if isinstance(value, float) and math.isinf(value):
         return NEG_INF if value < 0 else POS_INF
     return Rat(value)
 
@@ -174,31 +210,35 @@ class RationalClosed:
 
 def _open_component(lo: RatLike, hi: RatLike) -> Component:
     lo, hi = _as_endpoint(lo), _as_endpoint(hi)
-    if not lo < hi:
+    if not lo.key < hi.key:
         raise EmptyInterval(f"({format_endpoint(lo)},{format_endpoint(hi)}) is empty")
     return lo, hi
 
 
 def _merged(ca, cb, touch) -> tuple[Component, ...]:
     """Union of two sorted, disjoint component lists by one linear merge on lower
-    endpoints; each fuses into the last kept where touch(lo, last_hi): < open, <= closed."""
+    endpoints; each fuses into the last kept where touch(lo, last_hi): < open, <= closed,
+    on the endpoints' keys."""
     out: list[Component] = []
+    last = None  # key of the last kept upper endpoint
     i, j, na, nb = 0, 0, len(ca), len(cb)
     while i < na or j < nb:
-        if j == nb or i < na and ca[i][0] < cb[j][0]:
+        if j == nb or i < na and ca[i][0].key < cb[j][0].key:
             (lo, hi), i = ca[i], i + 1
         else:
             (lo, hi), j = cb[j], j + 1
-        if not out or not touch(lo, out[-1][1]):
+        if not out or not touch(lo.key, last):
             out.append((lo, hi))
-        elif out[-1][1] < hi:
+            last = hi.key
+        elif last < hi.key:
             out[-1] = (out[-1][0], hi)
+            last = hi.key
     return tuple(out)
 
 
 def normalize(intervals: Iterable[tuple[RatLike, RatLike]]) -> RationalOpen:
     """Canonical form of open intervals in any order, each checked nonempty."""
-    comps = sorted((_open_component(lo, hi) for lo, hi in intervals), key=operator.itemgetter(0))
+    comps = sorted((_open_component(lo, hi) for lo, hi in intervals), key=lambda c: c[0].key)
     return RationalOpen(_merged(comps, (), operator.lt))
 
 
@@ -208,7 +248,7 @@ def open_interval(lo: RatLike, hi: RatLike) -> RationalOpen:
 
 def closed_interval(lo: RatLike, hi: RatLike) -> RationalClosed:
     lo, hi = _as_endpoint(lo), _as_endpoint(hi)
-    if hi < lo:
+    if hi.key < lo.key:
         raise EmptyInterval("closed interval needs lo <= hi")
     return RationalClosed(((lo, hi),))
 
@@ -223,17 +263,17 @@ def union(a: RationalOpen, b: RationalOpen) -> RationalOpen:
 
 def intersect(a: RationalOpen, b: RationalOpen) -> RationalOpen:
     out: list[Component] = []
-    i = j = 0
     ca, cb = a.components, b.components
-    while i < len(ca) and j < len(cb):
-        lo = ca[i][0] if cb[j][0] < ca[i][0] else cb[j][0]
-        hi = ca[i][1] if ca[i][1] < cb[j][1] else cb[j][1]
-        if lo < hi:
-            out.append((lo, hi))
-        if ca[i][1] < cb[j][1]:
-            i += 1
+    i, j, na, nb = 0, 0, len(ca), len(cb)
+    while i < na and j < nb:
+        (alo, ahi), (blo, bhi) = ca[i], cb[j]
+        lo = alo if blo.key < alo.key else blo
+        if ahi.key < bhi.key:
+            hi, i = ahi, i + 1
         else:
-            j += 1
+            hi, j = bhi, j + 1
+        if lo.key < hi.key:
+            out.append((lo, hi))
     return RationalOpen(tuple(out))
 
 
@@ -248,7 +288,7 @@ def closure(a: RationalOpen) -> RationalClosed:
 
 def interior(c: RationalClosed) -> RationalOpen:
     """Topological interior; endpoints open up and isolated points vanish."""
-    return RationalOpen(tuple((lo, hi) for lo, hi in c.components if lo < hi))
+    return RationalOpen(tuple([(lo, hi) for lo, hi in c.components if lo.key < hi.key]))
 
 
 def complement_closed(a: RationalOpen) -> RationalClosed:
@@ -257,11 +297,11 @@ def complement_closed(a: RationalOpen) -> RationalClosed:
         return RationalClosed.reals()
     out: list[Component] = []
     comps = a.components
-    if NEG_INF < comps[0][0]:
+    if NEG_INF.key < comps[0][0].key:
         out.append((NEG_INF, comps[0][0]))
     for (_, hi), (lo, _) in zip(comps, comps[1:]):
         out.append((hi, lo))
-    if comps[-1][1] < POS_INF:
+    if comps[-1][1].key < POS_INF.key:
         out.append((comps[-1][1], POS_INF))
     return RationalClosed(tuple(out))
 
@@ -281,8 +321,12 @@ def is_regular(a: RationalOpen) -> bool:
 
 
 def contains_point(a: RationalOpen, x: RatLike) -> bool:
-    x = _as_endpoint(x)
-    return any(lo < x < hi for lo, hi in a.components)
+    """Whether x lies in a: only the first component ending above x can hold it."""
+    key = _as_endpoint(x).key
+    for lo, hi in a.components:
+        if key < hi.key:
+            return lo.key < key
+    return False
 
 
 def is_subset(a: RationalOpen, b: RationalOpen) -> bool:
@@ -296,21 +340,23 @@ def is_subset(a: RationalOpen, b: RationalOpen) -> bool:
     cb = b.components
     j, nb = 0, len(cb)
     for lo, hi in a.components:
-        while j < nb and cb[j][1] < hi:
+        hi_key = hi.key
+        while j < nb and cb[j][1].key < hi_key:
             j += 1
-        if j == nb or lo < cb[j][0]:
+        if j == nb or lo.key < cb[j][0].key:
             return False
     return True
 
 
 def punctured_reals() -> RationalOpen:
     """The line without the origin."""
-    return RationalOpen(((NEG_INF, Rat(0)), (Rat(0), POS_INF)))
+    return RationalOpen(((NEG_INF, _ORIGIN), (_ORIGIN, POS_INF)))
 
 
 def punctured_interval(n: int) -> RationalOpen:
     """(-1/n, 1/n) with the origin removed."""
-    return RationalOpen(((Rat(-1, n), Rat(0)), (Rat(0), Rat(1, n))))
+    lo, hi = _window(n)
+    return RationalOpen(((lo, _ORIGIN), (_ORIGIN, hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +444,7 @@ def _padded_term(u: RationalOpen, n: int) -> RationalOpen:
     Computed as interior(closure(u) ∪ [-1/n, 1/n]) and cross-checked against
     the equal form (u ∪ (-1/n, 1/n))**.
     """
-    lo, hi = Rat(-1, n), Rat(1, n)
+    lo, hi = _window(n)
     first_form = interior(union_closed(closure(u), closed_interval(lo, hi)))
     second_form = regularize(union(u, open_interval(lo, hi)))
     if first_form != second_form:
@@ -449,8 +495,8 @@ class PaddedTerms:
 
 
 def _excluded_point(u: RationalOpen, x: Fraction) -> Fraction:
-    """x as a Fraction, once it is known to be neither the origin nor in u."""
-    x = Rat(x)
+    """x as a Rat, once it is known to be neither the origin nor in u."""
+    x = x if type(x) is Rat else Rat(x)
     if x == 0:
         raise ZeroPoint("the origin belongs to every stage")
     if contains_point(u, x):
@@ -472,7 +518,7 @@ def recovery_report(u: RationalOpen, containment: bool) -> InteriorRecoveryRepor
     origin is not interior to u ∪ {0} (no components of u touch 0 from both
     sides), so no open interval around the origin survives into every stage.
     """
-    if contains_point(u, 0):
+    if contains_point(u, _ORIGIN):
         return InteriorRecoveryReport(containment, True, None)
     return InteriorRecoveryReport(containment, False, not _zero_touched_twice(u))
 
@@ -488,7 +534,7 @@ def descending_pair(pair: KRealPair, n: int) -> KRealPair:
     if n < 1:
         raise ValueError("stage must be a positive integer")
     punct = punctured_interval(n)
-    full = open_interval(Rat(-1, n), Rat(1, n))
+    full = open_interval(*_window(n))
     first_n = union(punct, pair.first)
     mid_u = union(full, pair.first)
     mid_v = union(full, pair.second)
@@ -511,7 +557,7 @@ def forcing_check(candidate: KRealPair, n: int) -> ForcingVerdict:
     if n < 1:
         raise ValueError("stage must be a positive integer")
     has_line = is_subset(punctured_reals(), candidate.first)
-    has_interval = is_subset(open_interval(Rat(-1, n), Rat(1, n)), candidate.first)
+    has_interval = is_subset(open_interval(*_window(n)), candidate.first)
     forced = has_line and has_interval
     first_line = candidate.first == RationalOpen.reals()
     second_line = candidate.second == RationalOpen.reals()

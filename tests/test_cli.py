@@ -764,6 +764,29 @@ class TestIsolation:
             "item=forcing-cases check=prop1-forcing verdict=violation witness=injected_breach"]
         assert broken_run == expected + [_summary(expected)]
 
+    def test_broken_descent_chain_is_charged_to_its_item(self, monkeypatch, capsys):
+        argv = ["--machine", "campaign", "realline", "--count", "2",
+                "--checks", "prop2-invariants"]
+        code, clean = _run(argv, capsys)
+        assert code == 0
+        check, regularize = checks.REALLINE_CHECKS["prop2-invariants"], realline.regularize
+        seen = []
+
+        def counted(sample):
+            seen.append(sample)
+            return check(sample)
+
+        def broken(a):  # only while the second sample is checked
+            return realline.RationalOpen.empty() if len(seen) == 2 else regularize(a)
+        monkeypatch.setitem(checks.REALLINE_CHECKS, "prop2-invariants", counted)
+        monkeypatch.setattr(realline, "regularize", broken)
+        code, broken_run = _run(argv, capsys)
+        assert code == 2
+        expected = clean[:-1]
+        expected[1] = (f"item={_fields(clean[1])['item']} check=prop2-invariants "
+                       "verdict=violation witness=containment_chain_broke_at_stage_1")
+        assert broken_run == expected + [_summary(expected)]
+
     @staticmethod
     def one_sided(monkeypatch, breaking_call):
         """Make the dual distributivity verdict of the closed-join frame law

@@ -1,3 +1,4 @@
+import contextlib
 import operator
 from fractions import Fraction
 
@@ -83,15 +84,24 @@ class TestExtRat:
             open_interval(0, float("nan"))
 
 
-extended = st.one_of(st.just(Fraction(0)), rationals, st.sampled_from([NEG_INF, POS_INF]))
+WIDE = 10 ** 12
+wide_rationals = st.builds(Fraction, st.integers(-WIDE, WIDE), st.integers(1, WIDE))
+extended = st.one_of(st.just(Fraction(0)), rationals, st.integers(-WIDE, WIDE).map(Fraction),
+                     wide_rationals, st.sampled_from([NEG_INF, POS_INF]))
 COMPARISONS = (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge)
 
 
 @st.composite
 def endpoint_pairs(draw):
-    """Two extended rationals, equal about as often as not."""
+    """Two extended rationals, equal about as often as not; a finite one is
+    sometimes paired with a neighbour within 1/d, whose continued fraction
+    shares a long prefix with its own."""
     a = draw(extended)
-    return a, draw(st.one_of(st.just(a), extended))
+    others = [st.just(a), extended]
+    if isinstance(a, Fraction):
+        others.append(st.builds(lambda d, up: a + Fraction(1 if up else -1, d),
+                                st.integers(1, WIDE), st.booleans()))
+    return a, draw(st.one_of(others))
 
 
 def _native(value):
@@ -102,8 +112,30 @@ def _endpoints(a):
     return [end for component in a.components for end in component]
 
 
+@contextlib.contextmanager
+def _fraction_comparisons():
+    """Yields a list that gets one entry per call of a comparison dunder
+    of Fraction, which a Rat inherits, while the block runs."""
+    calls = []
+    originals = {name: getattr(Fraction, name)
+                 for name in ("__lt__", "__le__", "__eq__", "__gt__", "__ge__")}
+
+    def counted(name, original):
+        def compare(a, b):
+            calls.append(name)
+            return original(a, b)
+        return compare
+    try:
+        for name, original in originals.items():
+            setattr(Fraction, name, counted(name, original))
+        yield calls
+    finally:
+        for name, original in originals.items():
+            setattr(Fraction, name, original)
+
+
 class TestNativeComparison:
-    """rl.Rat against plain Fraction comparison, the oracle of its integer route."""
+    """rl.Rat and its order key against plain Fraction comparison, their oracle."""
 
     @given(endpoint_pairs(), st.booleans(), st.booleans())
     def test_operators_agree_with_fraction(self, pair, native_a, native_b):
@@ -112,6 +144,7 @@ class TestNativeComparison:
         right = _native(b) if native_b else b
         for op in COMPARISONS:
             assert op(left, right) is op(a, b), (op.__name__, left, right)
+            assert op(_native(a).key, _native(b).key) is op(a, b), (op.__name__, a, b)
 
     @given(rationals)
     def test_hash_and_value_match_fraction(self, x):
@@ -126,6 +159,20 @@ class TestNativeComparison:
                  union_closed(closure(a), complement_closed(b)))
         for end in (end for c in built for end in _endpoints(c)):
             assert type(end) is rl.Rat or end is NEG_INF or end is POS_INF
+            if type(end) is rl.Rat:
+                assert end.key == rl.Rat(end.numerator, end.denominator).key
+        assert NEG_INF.key == (float("-inf"),) and POS_INF.key == (float("inf"),)
+
+    @given(open_sets(), open_sets(), rationals)
+    def test_set_operations_compare_keys_only(self, a, b, x):
+        closed, x = (closure(a), complement_closed(b)), rl.Rat(x)
+        with _fraction_comparisons() as calls:
+            union(a, b), union_closed(*closed), intersect(a, b), closure(a)
+            interior(closed[1]), complement_closed(a), is_subset(a, b), contains_point(a, x)
+        assert calls == []
+        with _fraction_comparisons() as calls:  # the counter sees the inherited route
+            assert rl.Rat(1, 3) < x + 31 and rl.Rat(1, 3) != x + 31
+        assert calls == ["__lt__", "__eq__"]
 
     def test_any_infinity_becomes_its_sentinel(self):
         (lo, hi), = normalize([(float("-inf"), Fraction(1, 2))]).components
@@ -584,6 +631,18 @@ class TestDescendingPairs:
         assert stage.first == RationalOpen.reals()
         assert stage.second == RationalOpen.reals()
 
+    def test_broken_containment_chain_raises(self, monkeypatch):
+        pair = KRealPair(open_interval(1, 2), open_interval(1, 2))
+        monkeypatch.setattr(rl, "regularize", lambda a: RationalOpen.empty())
+        with pytest.raises(AssertionError, match="^containment chain broke at stage 2$"):
+            descending_pair(pair, 2)
+
+    def test_stage_below_its_generator_raises(self, monkeypatch):
+        pair = KRealPair(RationalOpen.empty(), RationalOpen.empty())
+        monkeypatch.setattr(rl, "union", lambda a, b: b)  # the window joins neither coordinate
+        with pytest.raises(AssertionError, match="^stage 3 pair is not above its generator$"):
+            descending_pair(pair, 3)
+
     def test_invalid_pair_rejected(self):
         with pytest.raises(InvalidPair):
             KRealPair(RationalOpen.reals(), open_interval(0, 1))
@@ -608,6 +667,13 @@ class TestForcing:
     def test_line_is_already_top(self):
         candidate = KRealPair(RationalOpen.reals(), RationalOpen.reals())
         assert forcing_check(candidate, 3).forced
+
+    def test_forced_candidate_off_the_line_raises(self, monkeypatch):
+        candidate = KRealPair(RationalOpen.empty(), RationalOpen.empty())
+        monkeypatch.setattr(rl, "is_subset", lambda a, b: True)
+        with pytest.raises(AssertionError, match="^forcing hypotheses hold but a coordinate "
+                                                 "is not the line$"):
+            forcing_check(candidate, 4)
 
 
 class TestTextFormat:
